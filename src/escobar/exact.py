@@ -18,7 +18,12 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import InvalidParameterError, NotApplicableError
+from .errors import (
+    ConstructionFailedError,
+    InvalidGeometryError,
+    InvalidParameterError,
+    NotApplicableError,
+)
 from .geometry import PlanarDomain, is_disk, make_regular_polygon, regular_ngon_order
 
 #: Numeric tolerance for closed-form comparisons.
@@ -93,6 +98,10 @@ def ik_regular_polygon(n: int, k: int) -> Bound:
     return Bound(value, BoundKind.UPPER_BOUND, why)
 
 
+#: What an equal-boundary split or its measurement raises on a bad split.
+_CONSTRUCTION_ERRORS = (ConstructionFailedError, InvalidGeometryError, InvalidParameterError)
+
+
 @lru_cache(maxsize=None)
 def _equal_boundary_eta(n: int, k: int):
     """Best max-eta over start offsets of the k-fold equal-boundary split of D_n.
@@ -118,7 +127,7 @@ def _equal_boundary_eta(n: int, k: int):
             # per-sample validation and validate the winner once below
             tc = equal_boundary_tuple(dom, k, start_offset=off, validate=False)
             val = max_eta(tc)
-        except Exception:
+        except _CONSTRUCTION_ERRORS:
             continue
         if val < best_val:
             best_val, best_off = val, off
@@ -126,7 +135,7 @@ def _equal_boundary_eta(n: int, k: int):
         return None
     try:
         tc = equal_boundary_tuple(dom, k, start_offset=best_off)
-    except Exception:
+    except _CONSTRUCTION_ERRORS:
         return None
     return max_eta(tc)
 

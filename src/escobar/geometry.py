@@ -15,17 +15,27 @@ round trip for domains.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 from .errors import InvalidGeometryError, InvalidParameterError
 
 #: Geometric tolerance, relative to the domain scale (bounding-box diagonal).
 TAU_GEOM = 1e-9
+
+# Guards of the convex verdict in :func:`chord_is_interior`, argued there.
+#: Least corner angle, and least turn, at every vertex.
+_CONVEX_CORNER_MARGIN = 1e-3
+#: Least boundary distance of a chord endpoint from every vertex, x scale.
+_CONVEX_VERTEX_CLEARANCE = 1e-3
+#: Least chord length, x scale: to accept a chord, and to reject one along
+#: a straight edge.
+_CONVEX_MIN_CHORD = 1e-3
+_CONVEX_MIN_CHORD_ALONG = 1e-1
 
 _TWO_PI = 2.0 * math.pi
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -396,12 +406,13 @@ class PlanarDomain:
         return tuple(e.length for e in self.edges)
 
     @cached_property
-    def cumlens(self) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(self.edge_lengths)))
+    def cumlens(self) -> tuple[float, ...]:
+        """Arclength of each vertex, then the perimeter."""
+        return tuple(itertools.accumulate(self.edge_lengths, initial=0.0))
 
-    @property
+    @cached_property
     def perimeter(self) -> float:
-        return float(self.cumlens[-1])
+        return self.cumlens[-1]
 
     @cached_property
     def vertices(self) -> tuple[Point, ...]:
@@ -452,6 +463,28 @@ class PlanarDomain:
             return False
         return all(e.ccw for e in self.edges if isinstance(e, Arc))
 
+    @cached_property
+    def _convex_clearance(self) -> float | None:
+        """Least boundary distance of a chord endpoint from every vertex for
+        the convex verdict of :func:`chord_is_interior`, or ``None`` when the
+        domain does not admit that verdict (the guards are argued there)."""
+        x0, y0, x1, y1 = self.bbox
+        if (
+            not self.is_convex
+            or max(abs(x0), abs(y0), abs(x1), abs(y1)) > self.scale
+            or any(isinstance(e, Arc) and e.radius > self.scale for e in self.edges)
+        ):
+            return None
+        if len(self.edges) == 1:  # a full circle has no vertex
+            return -math.inf
+        m = _CONVEX_CORNER_MARGIN
+        clear = _CONVEX_VERTEX_CLEARANCE * self.scale
+        if min(self.edge_lengths) <= 2.0 * clear or any(
+            not m <= theta <= math.pi - m for theta in self.interior_angles
+        ):
+            return None
+        return clear
+
     # -- boundary parameterisation ------------------------------------
 
     def _norm_s(self, s: float) -> float:
@@ -461,9 +494,9 @@ class PlanarDomain:
     def edge_index_at(self, s: float) -> tuple[int, float]:
         """Edge index and local arclength for boundary position ``s``."""
         s = self._norm_s(s)
-        i = int(np.searchsorted(self.cumlens, s, side="right")) - 1
+        i = bisect.bisect_right(self.cumlens, s) - 1
         i = min(max(i, 0), len(self.edges) - 1)
-        return i, s - float(self.cumlens[i])
+        return i, s - self.cumlens[i]
 
     def point_at(self, s: float) -> Point:
         i, t = self.edge_index_at(s)
@@ -836,9 +869,84 @@ def chord_is_interior(
 
     The chord must have positive length, must not run along the boundary, and
     must not meet the boundary except at its two endpoints.
+
+    On a convex domain that holds exactly when the two points differ and do
+    not lie on one straight edge.  This *convex verdict* answers without the
+    edge loop and ray cast of the general test
+    (:func:`_chord_is_interior_general`) when ``tol`` is the default and these
+    guards hold (``S`` = scale, ``l`` = chord length, ``c = 1e-3 S``):
+
+    * the domain is convex, its bounding box lies within ``S`` of the origin
+      and every arc radius is at most ``S``;
+    * every vertex has a corner angle in ``[1e-3, pi - 1e-3]`` and every edge
+      is longer than ``2c`` (a full circle has no vertex);
+    * each endpoint lies more than ``c`` of boundary length from every vertex;
+    * ``l >= 1e-3 S``, and ``l >= 0.1 S`` to reject a chord along an edge.
+
+    Otherwise the general test answers.  Under the guards both agree: the
+    general test can depart from the rule only through its tolerances, and
+    the guards clear each of them by at least 100x.
+
+    * Clearance.  Cut the boundary at ``c`` on either side of a vertex
+      ``W``.  The cuts lie on ``W``'s two edges, and ``P``, ``Q`` lie beyond
+      the line through them, so the chord keeps at least
+      ``h = c sin(5e-4) = 5e-7 S`` from ``W``.  By convexity each endpoint
+      lies at least ``c sin(1e-3) = 1e-6 S`` from the line of a straight edge
+      it is not on, and from the tangent line at the other endpoint when the
+      two are on different edges.
+    * ``TAU_GEOM * S`` (zero chord): ``l >= 1e-3 S`` is 1e6x above it.
+    * Parallel test (``1e-12``): for an edge carrying ``P`` but not ``Q``,
+      the sine between chord and edge is at least ``1e-6 S / l >= 1e-6``
+      (``l <= S``), 1e6x above.  For a chord along an edge it is the
+      rounding of the two endpoints, at most ``7e-16 S / l <= 7e-15``, 140x
+      below.
+    * Collinearity test (``1e-9``): for an edge carrying no endpoint, both
+      endpoints would have to lie within ``1e-9 (L_e + |P - e.start|) <=
+      2e-9 S`` of its line.  They lie ``1e-6 S`` off, 500x more.  For a chord
+      along an edge the edge's start lies within rounding, ``~1e-16 S``, of
+      the chord's line, 1e6x inside.
+    * ``eps = 1e-9`` (segment and circle parameters) and ``excl = 1e-6 l``:
+      a hit off ``[0, 1]`` on the chord lies within ``eps l`` of an endpoint,
+      1000x inside ``excl``.  A hit on the chord just past the edge it
+      belongs to lies within ``eps L_e`` or ``TAU_GEOM S`` of a vertex, and
+      the clearance ``h`` keeps the chord 500x farther away.  A hit on the
+      edge itself is an endpoint, moved by rounding: by ``~1e-16 S / 1e-6 S
+      = 1e-10`` of the chord on a segment; on a circle of radius ``R <= S``
+      that the chord cuts again at ``X``, by ``4.4e-16 R^2 / (l |PX|)``, with
+      ``|PX| >= 2R * 1e-6 S / l`` (tangent clearance) or ``|PX| = l`` (both
+      ends on the arc), so by at most ``4.4e-10``.  Either is 2000x inside
+      ``excl / l``.
+    * The open chord is interior, so its midpoint is inside, and the ray
+      cast of the general test says so; its own tolerances only make it
+      retry a ray.
+
+    Chords shorter than ``1e-3 S`` stay with the general test.  It rejects
+    genuine chords on an arc below about ``1e-5 R``, where its circle roots
+    lose ``u`` to cancellation in ``R^2 - perp^2``.
     """
-    p = domain.point_at(s0)
-    q = domain.point_at(s1)
+    i0, t0 = domain.edge_index_at(s0)
+    i1, t1 = domain.edge_index_at(s1)
+    p = domain.edges[i0].point_at_local(t0)
+    q = domain.edges[i1].point_at_local(t1)
+    clear = domain._convex_clearance
+    if clear is not None and tol == TAU_GEOM:
+        lengths = domain.edge_lengths
+        along = i0 == i1 and isinstance(domain.edges[i0], Segment)
+        floor = _CONVEX_MIN_CHORD_ALONG if along else _CONVEX_MIN_CHORD
+        if (
+            clear < t0 < lengths[i0] - clear
+            and clear < t1 < lengths[i1] - clear
+            and math.dist(p, q) >= floor * domain.scale
+        ):
+            return not along
+    return _chord_is_interior_general(domain, p, q, tol)
+
+
+def _chord_is_interior_general(
+    domain: PlanarDomain, p: Point, q: Point, tol: float
+) -> bool:
+    """:func:`chord_is_interior` for the boundary points ``p``, ``q``, by
+    boundary intersections and a ray cast at the midpoint; any domain."""
     chord_len = math.dist(p, q)
     tol_abs = tol * domain.scale
     if chord_len <= tol_abs:

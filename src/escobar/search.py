@@ -160,19 +160,22 @@ def _grid_period(domain: PlanarDomain, m: int) -> int:
 
 
 def _segment_membership(domain: PlanarDomain, svals: np.ndarray) -> list[list[int]]:
-    """Indices of straight edges each grid point lies on (vertices on two)."""
+    """Indices of straight edges each grid point lies on (vertices on two).
+
+    A point within ``1e-12`` of the perimeter of a vertex, on either side of
+    it, counts on both edges that meet there.
+    """
     members: list[list[int]] = []
     n = len(domain.edges)
+    near = 1e-12 * domain.perimeter
     for s in svals:
         i, t = domain.edge_index_at(float(s))
-        out = []
-        if isinstance(domain.edges[i], Segment):
-            out.append(i)
-        if t <= 1e-12 * domain.perimeter:
-            j = (i - 1) % n
-            if isinstance(domain.edges[j], Segment):
-                out.append(j)
-        members.append(out)
+        out = [i]
+        if t <= near:
+            out.append((i - 1) % n)
+        if domain.edge_lengths[i] - t <= near:
+            out.append((i + 1) % n)
+        members.append([j for j in out if isinstance(domain.edges[j], Segment)])
     return members
 
 

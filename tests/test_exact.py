@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escobar.errors import InvalidParameterError, NotApplicableError
+from escobar import constructions, exact, regions
+from escobar.errors import ConstructionFailedError, InvalidParameterError, NotApplicableError
 from escobar.exact import (
     Bound,
     BoundKind,
@@ -219,3 +220,29 @@ def test_polygon_below_disk_where_proven(n, k):
     """
     if k >= n or n % k == 0:
         assert ik_regular_polygon(n, k).value <= ik_disk(k).value + 1e-12
+
+
+@pytest.fixture
+def fresh_equal_boundary_cache():
+    exact._equal_boundary_eta.cache_clear()
+    yield
+    exact._equal_boundary_eta.cache_clear()
+
+
+def test_equal_boundary_eta_skips_failed_splits(monkeypatch, fresh_equal_boundary_cache):
+    def fails(*args, **kwargs):
+        raise ConstructionFailedError("no split")
+
+    monkeypatch.setattr(constructions, "equal_boundary_tuple", fails)
+    assert exact._equal_boundary_eta(7, 3) is None
+
+
+def test_equal_boundary_eta_lets_programming_errors_through(
+    monkeypatch, fresh_equal_boundary_cache
+):
+    def broken(tc):
+        raise TypeError("broken measurement")
+
+    monkeypatch.setattr(regions, "max_eta", broken)
+    with pytest.raises(TypeError, match="broken measurement"):
+        exact._equal_boundary_eta(7, 3)

@@ -1,14 +1,18 @@
 """Geometry layer: constructors, walks, predicates, JSON round-trips."""
 
+import functools
 import json
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from escobar import geometry
 from escobar.errors import InvalidGeometryError, InvalidParameterError
 from escobar.geometry import (
+    TAU_GEOM,
     Arc,
     Segment,
     chord_is_interior,
@@ -242,6 +246,111 @@ def test_chord_across_lshape_notch(lshape):
     assert chord_is_interior(lshape, 1.0, 7.0)
 
 
+# ---------------------------------------------------------------------------
+# convex verdict of chord_is_interior against its general test
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _verdict_domain(key: str):
+    """Domain named ``base`` or ``base@factor`` (dilated about the origin)."""
+    base, _, factor = key.partition("@")
+    if base == "disk":
+        dom = make_disk()
+    elif base == "half-disk":
+        dom = make_domain([Segment((-1.0, 0.0), (1.0, 0.0)), Arc((0.0, 0.0), 1.0, 0.0, math.pi)])
+    elif base == "stadium":
+        # segment-arc joins with a common tangent: corner angle pi
+        dom = make_domain(
+            [
+                Segment((-1.0, -1.0), (1.0, -1.0)),
+                Arc((1.0, 0.0), 1.0, -0.5 * math.pi, 0.5 * math.pi),
+                Segment((1.0, 1.0), (-1.0, 1.0)),
+                Arc((-1.0, 0.0), 1.0, 0.5 * math.pi, 1.5 * math.pi),
+            ]
+        )
+    elif base == "flat-pentagon":
+        # corner angle pi - 5e-5 at (0, 1 + 2.5e-5)
+        dom = make_polygon([(-1, -1), (1, -1), (1, 1), (0, 1 + 2.5e-5), (-1, 1)])
+    else:
+        dom = make_regular_polygon(int(base[1:]))
+    return scaled(dom, float(factor)) if factor else dom
+
+
+_VERDICT_BASES = ["disk", "half-disk", "stadium", "flat-pentagon", "D200"] + [
+    f"D{n}" for n in range(3, 13)
+]
+_VERDICT_DOMAINS = [
+    b + f for b in _VERDICT_BASES for f in ("", "@1e-06", "@1000000.0")
+]
+_VERTEX_OFFSETS = [0.0] + [sg * d for d in (1e-15, 1e-13, 1e-10, 1e-6) for sg in (-1, 1)]
+
+
+@st.composite
+def _verdict_chords(draw):
+    key = draw(st.sampled_from(_VERDICT_DOMAINS))
+    dom = _verdict_domain(key)
+    per = dom.perimeter
+    n = len(dom.edges)
+
+    def endpoint():
+        if draw(st.booleans()):
+            return draw(st.floats(0.0, 1.0, exclude_max=True)) * per
+        j = draw(st.integers(0, n - 1))
+        return (dom.vertex_arclength(j) + draw(st.sampled_from(_VERTEX_OFFSETS)) * per) % per
+
+    s0 = endpoint()
+    if draw(st.integers(0, 3)) == 0:
+        # along the edge that holds s0
+        i, _ = dom.edge_index_at(s0)
+        s1 = dom.vertex_arclength(i) + draw(st.floats(0.0, 1.0)) * dom.edge_lengths[i]
+    else:
+        s1 = endpoint()
+    return key, s0, s1 % per
+
+
+def _general_verdict(dom, s0, s1):
+    p, q = dom.point_at(s0), dom.point_at(s1)
+    return geometry._chord_is_interior_general(dom, p, q, TAU_GEOM)
+
+
+@settings(max_examples=600, deadline=None)
+@given(chord=_verdict_chords())
+# an endpoint just past a vertex: the chord nearly runs along the edge before
+@example(chord=("D5", 1e-13 * 10 * math.sin(math.pi / 5), 10 * math.sin(math.pi / 5) - 0.6))
+@example(chord=("half-disk", 2.0 + 1e-13 * (2.0 + math.pi), 1.0))
+# a short chord on the disk, which the general test rejects
+@example(chord=("disk", 0.0, 6.3e-6))
+# along an edge
+@example(chord=("D8", 0.1, 0.5))
+def test_convex_verdict_matches_general_test(chord):
+    key, s0, s1 = chord
+    dom = _verdict_domain(key)
+    assert chord_is_interior(dom, s0, s1) == _general_verdict(dom, s0, s1), (key, s0, s1)
+
+
+@pytest.mark.parametrize("key", ["disk", "half-disk", "D5", "D200", "D8@1e-06"])
+def test_convex_verdict_skips_the_ray_cast(key, monkeypatch):
+    dom = _verdict_domain(key)
+    per = dom.perimeter
+    calls = []
+    monkeypatch.setattr(geometry, "contains_point", lambda *a, **k: calls.append(a))
+    assert chord_is_interior(dom, 0.0537 * per, 0.5513 * per)
+    assert chord_is_interior(dom, 0.3071 * per, 0.9013 * per)
+    i = 1 if len(dom.edges) > 1 else 0
+    s = dom.vertex_arclength(i)
+    along = chord_is_interior(dom, s + 0.2 * dom.edge_lengths[i], s + 0.8 * dom.edge_lengths[i])
+    assert along == isinstance(dom.edges[i], Arc)
+    assert calls == []
+
+
+@pytest.mark.parametrize("key", ["stadium", "flat-pentagon"])
+def test_convex_verdict_guards_flat_corners(key):
+    dom = _verdict_domain(key)
+    assert dom.is_convex
+    assert dom._convex_clearance is None
+
+
 def test_contains_point(unit_disk, lshape):
     assert contains_point(unit_disk, (0.0, 0.0))
     assert not contains_point(unit_disk, (2.0, 0.0))
@@ -273,6 +382,18 @@ def test_domain_json_round_trip(fixture, request):
         assert back.point_at(frac * dom.perimeter) == pytest.approx(
             dom.point_at(frac * dom.perimeter), abs=1e-12
         )
+
+
+def test_readme_domain_json_example_loads_and_round_trips():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("**Domain JSON**"):]
+    block = section[section.index("```json") + len("```json"):]
+    data = json.loads(block[: block.index("```")])
+    dom = domain_from_json(data)
+    assert dom.perimeter == pytest.approx(2.0 + math.pi, rel=1e-15)
+    assert dom.area == pytest.approx(math.pi / 2.0, rel=1e-15)
+    assert domain_to_json(dom) == data
+    assert domain_from_json(json.loads(json.dumps(domain_to_json(dom)))) == dom
 
 
 def test_domain_json_rejects_garbage():

@@ -8,10 +8,17 @@ import pytest
 
 from escobar.errors import BudgetExceededError, InvalidParameterError
 from escobar.exact import BoundKind, ik_disk, polygon_upper_bound
-from escobar.geometry import make_disk, make_polygon, make_regular_polygon, scaled
+from escobar.geometry import (
+    chord_is_interior,
+    make_disk,
+    make_polygon,
+    make_regular_polygon,
+    scaled,
+)
 from escobar.regions import Cap, TupleCandidate, eta_partial, max_eta, validate_tuple
 from escobar.search import (
     SearchConfig,
+    _prepare_grid,
     corner_family_bound,
     enumerate_caps,
     estimate_ik,
@@ -49,6 +56,24 @@ def brute_force_two_caps(domain, m):
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [make_regular_polygon(n) for n in range(3, 13)]
+    + [make_polygon([(0.0, 0.0), (3.0, 0.0), (2.6, 1.8), (-0.4, 1.3)]), rectangle(2.0, 1.0)],
+    ids=[f"D{n}" for n in range(3, 13)] + ["quad", "rect2x1"],
+)
+def test_convex_grid_mask_matches_chord_predicate(domain):
+    # grid points whose arclength rounds to just below a vertex count on the
+    # edge after it too, so the mask rejects chords along that edge
+    for m in (24, 48, 96, 120):
+        tables = _prepare_grid(domain, m, full_validity=True)
+        for i in range(m):
+            for j in range(i + 1, m):
+                ok = chord_is_interior(domain, float(tables.svals[i]), float(tables.svals[j]))
+                assert math.isfinite(tables.eta[i][j - i]) == ok, (m, i, j)
+                assert math.isfinite(tables.eta[j][m - (j - i)]) == ok, (m, i, j)
 
 
 def test_enumerate_disk_half_split(unit_disk):
