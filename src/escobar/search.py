@@ -17,6 +17,7 @@ value is the measured max-eta of a validated tuple):
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -138,16 +139,32 @@ def report_to_json(report: BoundReport) -> dict:
 
 
 @dataclass
-class _GridTables:
+class _Grid:
+    """The uniform m-point boundary grid and the validity data of its chords.
+
+    One rule decides whether the chord from point i to point i + w is valid:
+    on a convex domain it is invalid when ``w <= fwd[i]`` or
+    ``m - w <= bwd[i]`` (both ends on one straight edge); with ``valid`` set
+    it is valid when ``valid[i, (i + w) % m]``; otherwise (a nonconvex grid
+    without full validity) every chord counts as valid.
+    """
+
     m: int
     step: float
     svals: np.ndarray
     pts: np.ndarray
-    eta: list  # eta[i][w], validity folded in as +inf
-    min_eta_by_width: list
     period: int
     convex: bool
     full_validity: bool  # False while the validity mask is geometric-only
+    fwd: Optional[np.ndarray]
+    bwd: Optional[np.ndarray]
+    valid: Optional[np.ndarray]
+
+
+@dataclass
+class _GridTables(_Grid):
+    eta: list  # eta[i][w], validity folded in as +inf
+    min_eta_by_width: list
 
 
 def _grid_period(domain: PlanarDomain, m: int) -> int:
@@ -159,87 +176,126 @@ def _grid_period(domain: PlanarDomain, m: int) -> int:
     return m
 
 
-def _segment_membership(domain: PlanarDomain, svals: np.ndarray) -> list[list[int]]:
-    """Indices of straight edges each grid point lies on (vertices on two).
+def _edge_runs(domain: PlanarDomain, svals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steps ``(fwd[i], bwd[i])`` from grid point i to the farthest point
+    that shares a straight edge with it, going forward and backward.
 
-    A point within ``1e-12`` of the perimeter of a vertex, on either side of
-    it, counts on both edges that meet there.
+    A point lies on the edge :meth:`PlanarDomain.edge_index_at` gives it and,
+    within ``1e-12`` of the perimeter of a vertex on either side, on both
+    edges that meet there.  The points of one edge thus have arclengths in
+    one interval and form a run of consecutive indices, which may wrap past
+    index m - 1.
     """
-    members: list[list[int]] = []
-    n = len(domain.edges)
+    m, n = len(svals), len(domain.edges)
+    cumlens = np.array(domain.cumlens)
+    # edge_index_at for every point at once (svals lie in [0, perimeter))
+    edge = np.clip(np.searchsorted(cumlens, svals, side="right") - 1, 0, n - 1)
+    t = svals - cumlens[edge]
     near = 1e-12 * domain.perimeter
-    for s in svals:
-        i, t = domain.edge_index_at(float(s))
-        out = [i]
-        if t <= near:
-            out.append((i - 1) % n)
-        if domain.edge_lengths[i] - t <= near:
-            out.append((i + 1) % n)
-        members.append([j for j in out if isinstance(domain.edges[j], Segment)])
-    return members
+    after_vertex = t <= near
+    before_vertex = np.array(domain.edge_lengths)[edge] - t <= near
+    fwd = np.zeros(m, dtype=np.int64)
+    bwd = np.zeros(m, dtype=np.int64)
+    for e, piece in enumerate(domain.edges):
+        if not isinstance(piece, Segment):
+            continue
+        on_e = (
+            (edge == e)
+            | (after_vertex & (edge == (e + 1) % n))
+            | (before_vertex & (edge == (e - 1) % n))
+        )
+        idx = np.flatnonzero(on_e)
+        if not len(idx):
+            continue
+        gap = np.flatnonzero(np.diff(idx) > 1)  # where a wrapping run restarts
+        start = idx[gap[0] + 1] if len(gap) else idx[0]
+        pos = (idx - start) % m
+        fwd[idx] = np.maximum(fwd[idx], len(idx) - 1 - pos)
+        bwd[idx] = np.maximum(bwd[idx], pos)
+    return fwd, bwd
 
 
-def _prepare_grid(
-    domain: PlanarDomain, m: int, *, full_validity: bool
-) -> _GridTables:
+def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid:
+    """The m-point grid; its eta values come from :func:`_eta_block`.
+
+    Convex domains always get their exact (geometric) validity rule.  On a
+    nonconvex domain ``full_validity`` tests every chord with
+    :func:`chord_is_interior`, O(m^2) calls.
+    """
     per = domain.perimeter
     step = per / m
     svals = np.arange(m) * step
     pts = np.array([domain.point_at(float(s)) for s in svals])
-    diff = pts[:, None, :] - pts[None, :, :]
-    chord = np.hypot(diff[..., 0], diff[..., 1])
-    widx = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
-    chord_w = chord[np.arange(m)[:, None], widx]  # [i, w] = |P_i P_{i+w}|
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = chord_w / (np.arange(m)[None, :] * step)
-    eta[:, 0] = np.inf
-
+    fwd = bwd = valid = None
     if domain.is_convex:
-        # a chord is interior unless both ends lie on one common straight edge
-        invalid = np.zeros((m, m), dtype=bool)
-        members = _segment_membership(domain, svals)
-        edge_sets: dict[int, np.ndarray] = {}
-        for i, es in enumerate(members):
-            for e in es:
-                edge_sets.setdefault(e, np.zeros(m, dtype=bool))[i] = True
-        for mask in edge_sets.values():
-            invalid |= mask[:, None] & mask[None, :]
-        invalid_w = invalid[np.arange(m)[:, None], widx]
-        eta = np.where(invalid_w, np.inf, eta)
-        eta[:, 0] = np.inf
-        full = True
+        fwd, bwd = _edge_runs(domain, svals)
     elif full_validity:
         valid = np.ones((m, m), dtype=bool)
         for i in range(m):
             for j in range(i + 1, m):
                 ok = chord_is_interior(domain, float(svals[i]), float(svals[j]))
                 valid[i, j] = valid[j, i] = ok
-        valid_w = valid[np.arange(m)[:, None], widx]
-        eta = np.where(valid_w, eta, np.inf)
-        eta[:, 0] = np.inf
-        full = True
-    else:
-        full = False
-
-    eta_list = eta.tolist()
-    min_eta = np.min(eta, axis=0).tolist()
-    return _GridTables(
+    return _Grid(
         m=m,
         step=step,
         svals=svals,
         pts=pts,
-        eta=eta_list,
-        min_eta_by_width=min_eta,
         period=_grid_period(domain, m),
         convex=domain.is_convex,
-        full_validity=full,
+        full_validity=domain.is_convex or full_validity,
+        fwd=fwd,
+        bwd=bwd,
+        valid=valid,
     )
 
 
-def _grid_seeds(domain: PlanarDomain, k: int, tables: _GridTables):
+def _eta_block(grid: _Grid, w0: int, w1: int) -> np.ndarray:
+    """``eta[i, w - w0] = |P_i P_{i+w}| / (w * step)`` for widths w0 <= w < w1.
+
+    Invalid chords and width 0 read +inf.  Over all widths this is the full
+    table of :func:`_grid_tables`.
+    """
+    m = grid.m
+    rows = np.arange(m)[:, None]
+    widths = np.arange(w0, w1)
+    jdx = (rows + widths) % m
+    x, y = grid.pts[:, 0], grid.pts[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.hypot(x[:, None] - x[jdx], y[:, None] - y[jdx]) / (widths * grid.step)
+    if grid.fwd is not None:
+        eta[(widths <= grid.fwd[:, None]) | (m - widths <= grid.bwd[:, None])] = np.inf
+    elif grid.valid is not None:
+        eta[~grid.valid[rows, jdx]] = np.inf
+    if w0 == 0:
+        eta[:, 0] = np.inf
+    return eta
+
+
+def _grid_tables(grid: _Grid, blocks: Sequence[np.ndarray] = ()) -> _GridTables:
+    """The full eta table of ``grid``, reusing ``blocks`` of widths [1, w)."""
+    done = 1 + sum(b.shape[1] for b in blocks)
+    eta = np.hstack([_eta_block(grid, 0, 1), *blocks, _eta_block(grid, done, grid.m)])
+    return _GridTables(
+        **vars(grid), eta=eta.tolist(), min_eta_by_width=np.min(eta, axis=0).tolist()
+    )
+
+
+def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
     """Deterministic incumbent tuples on the grid (value, cuts) or (inf, None)."""
-    m = tables.m
-    eta = tables.eta
+    m = grid.m
+    if m % k == 0:
+        w = m // k
+        seeds = [
+            [off + j * w + d for j in range(k) for d in (0, w)] for off in range(min(w, 64))
+        ]
+    else:
+        bases = [round(j * m / k) for j in range(k + 1)]
+        seeds = [
+            [off + bases[j + d] for j in range(k) for d in (0, 1)] for off in range(min(4, m))
+        ]
+    # the seeds use at most two cap widths: read only those columns
+    widths = {b - a for cuts in seeds for a, b in zip(cuts[::2], cuts[1::2]) if 0 < b - a < m}
+    eta = {w: _eta_block(grid, w, w + 1)[:, 0].tolist() for w in widths}
     best = math.inf
     best_cuts = None
 
@@ -251,38 +307,29 @@ def _grid_seeds(domain: PlanarDomain, k: int, tables: _GridTables):
             w = b - a
             if w <= 0 or w >= m:
                 return
-            e = eta[a % m][w]
+            e = eta[w][a % m]
             if e >= best:
                 return
             val = max(val, e)
-        if not tables.convex and not _cuts_chords_ok(tables, cuts):
+        if not grid.convex and not _cuts_chords_ok(grid, cuts):
             return
-        if not tables.full_validity:
+        if not grid.full_validity:
             # geometric table only: verify the candidate's chords for real
             for j in range(k):
                 a, b = cuts[2 * j], cuts[2 * j + 1]
                 if not chord_is_interior(
-                    domain, float(tables.svals[a % m]), float(tables.svals[b % m])
+                    domain, float(grid.svals[a % m]), float(grid.svals[b % m])
                 ):
                     return
         if val < best:
             best, best_cuts = val, list(cuts)
 
-    if m % k == 0:
-        w = m // k
-        for off in range(min(w, 64)):
-            consider([off + j * w + d for j in range(k) for d in (0, w)])
-    else:
-        bases = [round(j * m / k) for j in range(k + 1)]
-        for off in range(min(4, m)):
-            cuts = []
-            for j in range(k):
-                cuts.extend((off + bases[j], off + bases[j + 1]))
-            consider(cuts)
+    for cuts in seeds:
+        consider(cuts)
     return best, best_cuts
 
 
-def _cuts_chords_ok(tables: _GridTables, cuts: Sequence[int]) -> bool:
+def _cuts_chords_ok(tables: _Grid, cuts: Sequence[int]) -> bool:
     """Pairwise chord-crossing check (needed on nonconvex domains only)."""
     m = tables.m
     pts = tables.pts
@@ -322,6 +369,47 @@ def _enum_estimate(m: int, k: int, period: int, w_min: int) -> int:
     return period * comb(slack + 2 * k - 1, 2 * k - 1)
 
 
+def _budget_error(m: int, k: int, estimate: int, budget: float) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"enumeration on m={m}, k={k} needs an estimated {estimate:.3g} nodes "
+        f"(budget {budget:.3g})",
+        estimate=float(estimate),
+        budget=float(budget),
+    )
+
+
+def _scan_estimate(
+    domain: PlanarDomain, k: int, grid: _Grid, budget: float
+) -> tuple[int, list[np.ndarray]]:
+    """The enumeration estimate of ``grid`` if it exceeds ``budget``, else a
+    value at most ``budget``; and the eta blocks scanned to decide it.
+
+    The estimate does not increase with ``w_min``, so it exceeds the budget
+    exactly when some width below ``w_fit``, the least width whose estimate
+    fits, has a column minimum that beats the seeds (``< best - 1e-12``).
+    Blocks of doubling width ``[1, 2), [2, 4), ...`` are scanned up to
+    ``w_fit`` and the scan stops at the first width that beats the seeds,
+    which is then ``w_min`` exactly.
+    """
+    m = grid.m
+    best, _cuts = _grid_seeds(domain, k, grid)
+    w_fit = 1 + bisect.bisect_left(
+        range(1, m + 1), True, key=lambda w: _enum_estimate(m, k, grid.period, w) <= budget
+    )
+    w_stop = min(w_fit, m)
+    blocks: list[np.ndarray] = []
+    w0 = 1
+    while w0 < w_stop:
+        block = _eta_block(grid, w0, min(2 * w0, w_stop))
+        # not (>=): exactly where _w_min_for's loop would stop
+        beats = np.flatnonzero(~(np.min(block, axis=0) >= best - 1e-12))
+        if len(beats):
+            return _enum_estimate(m, k, grid.period, w0 + int(beats[0])), blocks
+        blocks.append(block)
+        w0 += block.shape[1]
+    return _enum_estimate(m, k, grid.period, w_stop), blocks
+
+
 def enumerate_caps(
     domain: PlanarDomain, k: int, m: int, *, budget: float = 1e9
 ) -> BoundReport:
@@ -331,7 +419,14 @@ def enumerate_caps(
     have positive width.  Refuses to start (raising
     :class:`~escobar.errors.BudgetExceededError`) when a combinatorial
     estimate of the pruned search exceeds ``budget``; the estimate uses the
-    minimum cap width that could still improve on the deterministic seeds.
+    minimum cap width ``w_min`` that could still improve on the
+    deterministic seeds, and it does not increase as ``w_min`` grows.  On a
+    convex domain the refusal comes before the O(m^2) eta table is built:
+    it is enough that some width below the least fitting ``w_min`` beats
+    the seeds, which a scan of a few columns decides.  On a nonconvex
+    domain the scan's geometric-only columns would only bound the estimate
+    from above (full validity can raise ``w_min``), so the table with every
+    chord tested is built first.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be positive, got {k}")
@@ -339,8 +434,13 @@ def enumerate_caps(
         raise InvalidParameterError(f"grid needs at least 2k points, got m={m}, k={k}")
     if m > 5000:
         raise InvalidParameterError(f"grid too fine (m={m} > 5000)")
-    tables = _prepare_grid(domain, m, full_validity=True)
-    return _run_enumeration(domain, k, tables, budget)
+    grid = _prepare_grid(domain, m, full_validity=True)
+    blocks: list[np.ndarray] = []
+    if grid.convex:
+        estimate, blocks = _scan_estimate(domain, k, grid, budget)
+        if estimate > budget:
+            raise _budget_error(m, k, estimate, budget)
+    return _run_enumeration(domain, k, _grid_tables(grid, blocks), budget)
 
 
 def _run_enumeration(
@@ -355,12 +455,7 @@ def _run_enumeration(
     w_min = _w_min_for(tables, best)
     estimate = _enum_estimate(m, k, period, w_min)
     if estimate > budget:
-        raise BudgetExceededError(
-            f"enumeration on m={m}, k={k} needs an estimated {estimate:.3g} nodes "
-            f"(budget {budget:.3g})",
-            estimate=float(estimate),
-            budget=float(budget),
-        )
+        raise _budget_error(m, k, estimate, budget)
 
     nodes = 0
     end_abs = 0  # set per c0
@@ -398,10 +493,15 @@ def _run_enumeration(
                     cuts.pop()
                     cuts.pop()
 
-    for c0 in range(period):
-        end_abs = c0 + m
-        if m - k * w_min >= 0:
-            dfs(0, c0, [], 0.0)
+    try:
+        for c0 in range(period):
+            end_abs = c0 + m
+            if m - k * w_min >= 0:
+                dfs(0, c0, [], 0.0)
+    finally:
+        # dfs reaches itself through its closure; emptying that cell frees
+        # the table now instead of at the next run of the cycle collector
+        del dfs
 
     if best_cuts is None:
         return BoundReport(
@@ -720,19 +820,27 @@ def _grid_candidates(domain: PlanarDomain, k: int) -> list[int]:
 def _auto_enumerate(
     domain: PlanarDomain, k: int, config: SearchConfig
 ) -> Optional[BoundReport]:
-    """Pick the finest grid whose estimated cost fits, then enumerate."""
+    """Pick the finest grid whose estimated cost fits, then enumerate.
+
+    A grid size is skipped when its estimate exceeds the soft budget: the
+    estimate does not increase with ``w_min``, so that happens exactly when
+    some width below ``w_fit`` (the least ``w_min`` whose estimate fits)
+    beats the seeds, and only those columns are computed
+    (:func:`_scan_estimate`).  On a nonconvex domain the columns are
+    geometric-only, so the estimate bounds the full-validity one from above
+    and a grid may be skipped that full validity would have let through.
+    Only a grid that fits gets its full table.
+    """
     soft = min(config.budget, _ENUM_SOFT_CAP)
     for m in _grid_candidates(domain, k):
         light = _prepare_grid(domain, m, full_validity=False)
-        best, _cuts = _grid_seeds(domain, k, light)
-        w_min = _w_min_for(light, best)
-        estimate = _enum_estimate(m, k, light.period, w_min)
+        estimate, blocks = _scan_estimate(domain, k, light, soft)
         if estimate > soft:
             continue
         if light.full_validity:
-            tables = light
+            tables = _grid_tables(light, blocks)
         else:
-            tables = _prepare_grid(domain, m, full_validity=True)
+            tables = _grid_tables(_prepare_grid(domain, m, full_validity=True))
         try:
             return _run_enumeration(domain, k, tables, soft)
         except BudgetExceededError:

@@ -1,24 +1,42 @@
 """Search engines: enumeration, refinement, corner families, budgets."""
 
+import functools
+import gc
 import itertools
 import json
 import math
+import tracemalloc
+import weakref
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from escobar import search
 from escobar.errors import BudgetExceededError, InvalidParameterError
 from escobar.exact import BoundKind, ik_disk, polygon_upper_bound
 from escobar.geometry import (
+    Arc,
+    Segment,
     chord_is_interior,
     make_disk,
+    make_domain,
     make_polygon,
     make_regular_polygon,
     scaled,
 )
 from escobar.regions import Cap, TupleCandidate, eta_partial, max_eta, validate_tuple
 from escobar.search import (
+    _ENUM_SOFT_CAP,
     SearchConfig,
+    _cuts_chords_ok,
+    _enum_estimate,
+    _eta_block,
+    _grid_candidates,
+    _grid_period,
+    _grid_tables,
     _prepare_grid,
+    _run_enumeration,
     corner_family_bound,
     enumerate_caps,
     estimate_ik,
@@ -58,22 +76,276 @@ def brute_force_two_caps(domain, m):
 # ---------------------------------------------------------------------------
 
 
+def _slice(theta):
+    tip = (math.cos(theta), math.sin(theta))
+    return make_domain(
+        [Segment((0.0, 0.0), (1.0, 0.0)), Arc((0.0, 0.0), 1.0, 0.0, theta),
+         Segment(tip, (0.0, 0.0))]
+    )
+
+
+def _chord_cut(h):
+    c = math.sqrt(1.0 - h * h)
+    return make_domain(
+        [Arc((0.0, 0.0), 1.0, math.atan2(h, -c), math.atan2(h, c) + 2.0 * math.pi),
+         Segment((c, h), (-c, h))]
+    )
+
+
+def _star_hexagon():
+    # star-shaped hexagon with a reflex vertex at polar angle 3.579
+    polar = [(0.239, 0.968), (1.505, 1.048), (2.364, 0.822),
+             (2.582, 1.251), (3.579, 0.525), (5.505, 0.872)]
+    return make_polygon([(r * math.cos(a), r * math.sin(a)) for a, r in polar])
+
+
+_GRID_DOMAINS = {
+    "disk": make_disk,
+    **{f"D{n}": functools.partial(make_regular_polygon, n) for n in (*range(3, 13), 200)},
+    "half-disk": lambda: make_domain(
+        [Segment((-1.0, 0.0), (1.0, 0.0)), Arc((0.0, 0.0), 1.0, 0.0, math.pi)]
+    ),
+    # segment-arc joins with a common tangent
+    "stadium": lambda: make_domain(
+        [
+            Segment((-1.0, -1.0), (1.0, -1.0)),
+            Arc((1.0, 0.0), 1.0, -0.5 * math.pi, 0.5 * math.pi),
+            Segment((1.0, 1.0), (-1.0, 1.0)),
+            Arc((-1.0, 0.0), 1.0, 0.5 * math.pi, 1.5 * math.pi),
+        ]
+    ),
+    "slice-90": lambda: _slice(math.pi / 2),
+    "slice-60": lambda: _slice(math.pi / 3),
+    "slice-72": lambda: _slice(2.0 * math.pi / 5),
+    "chord-cut": lambda: _chord_cut(0.5),
+    "quad": lambda: make_polygon([(0.0, 0.0), (3.0, 0.0), (2.6, 1.8), (-0.4, 1.3)]),
+    "rect2x1": lambda: rectangle(2.0, 1.0),
+    "lshape": lambda: make_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+    "star": _star_hexagon,
+}
+
+
 @pytest.mark.parametrize(
-    "domain",
-    [make_regular_polygon(n) for n in range(3, 13)]
-    + [make_polygon([(0.0, 0.0), (3.0, 0.0), (2.6, 1.8), (-0.4, 1.3)]), rectangle(2.0, 1.0)],
-    ids=[f"D{n}" for n in range(3, 13)] + ["quad", "rect2x1"],
+    "name",
+    [f"D{n}" for n in range(3, 13)]
+    + ["quad", "rect2x1", "disk", "half-disk", "stadium", "D200"],
 )
-def test_convex_grid_mask_matches_chord_predicate(domain):
+def test_convex_grid_mask_matches_chord_predicate(name):
     # grid points whose arclength rounds to just below a vertex count on the
-    # edge after it too, so the mask rejects chords along that edge
-    for m in (24, 48, 96, 120):
-        tables = _prepare_grid(domain, m, full_validity=True)
+    # edge after it too, so the mask rejects chords along that edge; sizes
+    # 97 and 101 are no multiple of any edge count, and on a polygon the
+    # run of the last edge wraps from index m - 1 to the vertex at s = 0.
+    # On the 200-gon (two grid points per edge at m = 400) only chords of
+    # up to 8 steps can have both ends on one edge, and only those are tried.
+    domain = _GRID_DOMAINS[name]()
+    reach = 8 if name == "D200" else math.inf
+    for m in (24, 48, 96, 97, 101, 120) + ((400,) if name == "D200" else ()):
+        grid = _prepare_grid(domain, m, full_validity=True)
+        eta = _eta_block(grid, 0, m)
         for i in range(m):
             for j in range(i + 1, m):
-                ok = chord_is_interior(domain, float(tables.svals[i]), float(tables.svals[j]))
-                assert math.isfinite(tables.eta[i][j - i]) == ok, (m, i, j)
-                assert math.isfinite(tables.eta[j][m - (j - i)]) == ok, (m, i, j)
+                if min(j - i, m - (j - i)) > reach:
+                    continue
+                ok = chord_is_interior(domain, float(grid.svals[i]), float(grid.svals[j]))
+                assert math.isfinite(eta[i, j - i]) == ok, (m, i, j)
+                assert math.isfinite(eta[j, m - (j - i)]) == ok, (m, i, j)
+
+
+def test_edge_run_wraps_past_the_last_index():
+    # square, m = 8: points 6, 7 and 0 lie on the last edge (6 and 0 are
+    # vertices), so that edge's run wraps past index 7
+    grid = _prepare_grid(make_regular_polygon(4), 8, full_validity=True)
+    assert grid.fwd.tolist() == [2, 1, 2, 1, 2, 1, 2, 1]
+    assert grid.bwd.tolist() == [2, 1, 2, 1, 2, 1, 2, 1]
+    eta = _eta_block(grid, 0, 8)
+    assert math.isinf(eta[6, 2]) and math.isinf(eta[7, 1]) and math.isinf(eta[0, 6])
+    assert math.isfinite(eta[7, 2]) and math.isfinite(eta[6, 3])
+
+
+# ---------------------------------------------------------------------------
+# lazy budget skip against the whole-table reference
+# ---------------------------------------------------------------------------
+
+
+def _segment_membership(domain, svals):
+    """Indices of straight edges each grid point lies on (vertices on two)."""
+    members = []
+    n = len(domain.edges)
+    near = 1e-12 * domain.perimeter
+    for s in svals:
+        i, t = domain.edge_index_at(float(s))
+        out = [i]
+        if t <= near:
+            out.append((i - 1) % n)
+        if domain.edge_lengths[i] - t <= near:
+            out.append((i + 1) % n)
+        members.append([j for j in out if isinstance(domain.edges[j], Segment)])
+    return members
+
+
+def _reference_grid(domain, m, full_validity):
+    """The whole m x m eta table, built as grid preparation did before the
+    budget skip read single columns: ``eta[i, w] = |P_i P_{i+w}| / (w step)``
+    with invalid chords and width 0 at +inf."""
+    per = domain.perimeter
+    step = per / m
+    svals = np.arange(m) * step
+    pts = np.array([domain.point_at(float(s)) for s in svals])
+    diff = pts[:, None, :] - pts[None, :, :]
+    chord = np.hypot(diff[..., 0], diff[..., 1])
+    widx = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
+    chord_w = chord[np.arange(m)[:, None], widx]  # [i, w] = |P_i P_{i+w}|
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = chord_w / (np.arange(m)[None, :] * step)
+    eta[:, 0] = np.inf
+    full = True
+    if domain.is_convex:
+        # a chord is interior unless both ends lie on one common straight edge
+        invalid = np.zeros((m, m), dtype=bool)
+        edge_sets = {}
+        for i, es in enumerate(_segment_membership(domain, svals)):
+            for e in es:
+                edge_sets.setdefault(e, np.zeros(m, dtype=bool))[i] = True
+        for mask in edge_sets.values():
+            invalid |= mask[:, None] & mask[None, :]
+        eta = np.where(invalid[np.arange(m)[:, None], widx], np.inf, eta)
+        eta[:, 0] = np.inf
+    elif full_validity:
+        valid = np.ones((m, m), dtype=bool)
+        for i in range(m):
+            for j in range(i + 1, m):
+                ok = chord_is_interior(domain, float(svals[i]), float(svals[j]))
+                valid[i, j] = valid[j, i] = ok
+        eta = np.where(valid[np.arange(m)[:, None], widx], eta, np.inf)
+        eta[:, 0] = np.inf
+    else:
+        full = False
+    return SimpleNamespace(
+        m=m, svals=svals, pts=pts, eta=eta, min_eta_by_width=np.min(eta, axis=0).tolist(),
+        period=_grid_period(domain, m), convex=domain.is_convex, full_validity=full,
+    )
+
+
+def _reference_seeds(domain, k, ref):
+    """The deterministic seed tuples' best value, read from the whole table."""
+    m = ref.m
+    best = math.inf
+
+    def consider(cuts):
+        nonlocal best
+        val = 0.0
+        for j in range(k):
+            a, b = cuts[2 * j], cuts[2 * j + 1]
+            w = b - a
+            if w <= 0 or w >= m:
+                return
+            e = float(ref.eta[a % m, w])
+            if e >= best:
+                return
+            val = max(val, e)
+        if not ref.convex and not _cuts_chords_ok(ref, cuts):
+            return
+        if not ref.full_validity:
+            for j in range(k):
+                a, b = cuts[2 * j], cuts[2 * j + 1]
+                if not chord_is_interior(
+                    domain, float(ref.svals[a % m]), float(ref.svals[b % m])
+                ):
+                    return
+        best = min(best, val)
+
+    if m % k == 0:
+        w = m // k
+        for off in range(min(w, 64)):
+            consider([off + j * w + d for j in range(k) for d in (0, w)])
+    else:
+        bases = [round(j * m / k) for j in range(k + 1)]
+        for off in range(min(4, m)):
+            cuts = []
+            for j in range(k):
+                cuts.extend((off + bases[j], off + bases[j + 1]))
+            consider(cuts)
+    return best
+
+
+def _reference_estimate(domain, k, ref):
+    best = _reference_seeds(domain, k, ref)
+    w = 1
+    while w < ref.m and ref.min_eta_by_width[w] >= best - 1e-12:
+        w += 1
+    return _enum_estimate(ref.m, k, ref.period, w)
+
+
+def _reference_auto_enumerate(domain, k, reference):
+    """Grid selection from whole tables; fitting grids enumerate as before."""
+    soft = min(SearchConfig().budget, _ENUM_SOFT_CAP)
+    for m in _grid_candidates(domain, k):
+        if _reference_estimate(domain, k, reference(m, False)) > soft:
+            continue
+        tables = _grid_tables(_prepare_grid(domain, m, full_validity=True))
+        assert np.array_equal(np.array(tables.eta), reference(m, True).eta)
+        try:
+            return _run_enumeration(domain, k, tables, soft)
+        except BudgetExceededError:
+            continue
+    return None
+
+
+def _report_key(report):
+    if report is None:
+        return None
+    cuts = [(r.a, r.b) for r in report.witness.regions] if report.witness else None
+    return repr(report.value), report.method, report.evaluations, cuts
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in _GRID_DOMAINS if n not in ("stadium", "D200")]
+)
+def test_lazy_budget_skip_matches_whole_table_reference(name, monkeypatch):
+    domain = _GRID_DOMAINS[name]()
+    tables = functools.cache(functools.partial(_reference_grid, domain))
+
+    def reference(m, full_validity):
+        # a convex grid always has its full validity
+        return tables(m, full_validity and not domain.is_convex)
+
+    scanned = []
+
+    def spy(grid, w0, w1):
+        block = _eta_block(grid, w0, w1)
+        scanned.append((grid.m, grid.full_validity, w0, w1, block))
+        return block
+
+    monkeypatch.setattr(search, "_eta_block", spy)
+    for k in range(2, 11):
+        scanned.clear()
+        got = search._auto_enumerate(domain, k, SearchConfig())
+        assert scanned
+        for m, full, w0, w1, block in scanned:
+            assert np.array_equal(block, reference(m, full).eta[:, w0:w1]), (k, m, w0, w1)
+        assert _report_key(got) == _report_key(_reference_auto_enumerate(domain, k, reference)), k
+
+
+@pytest.mark.parametrize("m", [600, 1200])
+def test_explicit_grid_refusal_matches_whole_table_estimate(m):
+    dom = rectangle(2.0, 1.0)
+    want = _reference_estimate(dom, 3, _reference_grid(dom, m, True))
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_caps(dom, 3, m, budget=1000)
+    assert err.value.estimate == float(want)
+
+
+def test_explicit_grid_refusal_builds_no_table():
+    # at m = 5000 a whole table would take gigabytes
+    dom = rectangle(2.0, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            enumerate_caps(dom, 3, 5000, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_enumerate_disk_half_split(unit_disk):
@@ -99,6 +371,19 @@ def test_enumerate_matches_brute_force_on_disk(unit_disk):
     oracle = brute_force_two_caps(unit_disk, 12)
     report = enumerate_caps(unit_disk, 2, 12)
     assert report.value == pytest.approx(oracle, abs=1e-12)
+
+
+def test_enumeration_frees_its_table_without_the_cycle_collector(unit_disk):
+    # the recursive search closure must not keep the O(m^2) table alive
+    tables = _grid_tables(_prepare_grid(unit_disk, 36, full_validity=True))
+    table_ref = weakref.ref(tables)
+    gc.disable()
+    try:
+        _run_enumeration(unit_disk, 2, tables, 1e9)
+        del tables
+        assert table_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_enumerate_grid_too_small(square):
