@@ -282,15 +282,17 @@ def _seg_seg_intersections(
     parameters within ``[-eps, 1 + eps]`` and ``overlap`` flags a collinear
     intersection of positive length.
     """
-    r = _sub(b, a)
-    s = _sub(d, c)
-    lr = math.hypot(*r)
-    ls = math.hypot(*s)
+    # the hot path below spells out _sub and _cross, operation for operation
+    r0, r1 = b[0] - a[0], b[1] - a[1]
+    s0, s1 = d[0] - c[0], d[1] - c[1]
+    lr = math.hypot(r0, r1)
+    ls = math.hypot(s0, s1)
     if lr == 0.0 or ls == 0.0:
         return [], False
-    denom = _cross(r, s)
-    qp = _sub(c, a)
+    denom = r0 * s1 - r1 * s0
+    q0, q1 = c[0] - a[0], c[1] - a[1]
     if abs(denom) <= 1e-12 * lr * ls:
+        r, s, qp = (r0, r1), (s0, s1), (q0, q1)
         # parallel; collinear iff c lies on the line through a, b
         if abs(_cross(r, qp)) > 1e-9 * lr * (ls + math.hypot(*qp)):
             return [], False
@@ -306,10 +308,10 @@ def _seg_seg_intersections(
             p = (a[0] + u * r[0], a[1] + u * r[1])
             return [(p, u, _dot(_sub(p, c), s) / (ls * ls))], False
         return [], False
-    u = _cross(qp, s) / denom
-    v = _cross(qp, r) / denom
+    u = (q0 * s1 - q1 * s0) / denom
+    v = (q0 * r1 - q1 * r0) / denom
     if -eps <= u <= 1.0 + eps and -eps <= v <= 1.0 + eps:
-        p = (a[0] + u * r[0], a[1] + u * r[1])
+        p = (a[0] + u * r0, a[1] + u * r1)
         return [(p, u, v)], False
     return [], False
 
@@ -753,10 +755,13 @@ def project_to_boundary(domain: PlanarDomain, p: Point) -> tuple[float, float]:
     best_d = math.inf
     for i, e in enumerate(domain.edges):
         if isinstance(e, Segment):
-            r = _sub(e.end, e.start)
-            ll = _dot(r, r)
-            u = min(max(_dot(_sub(p, e.start), r) / ll, 0.0), 1.0) if ll > 0 else 0.0
-            q = (e.start[0] + u * r[0], e.start[1] + u * r[1])
+            # _sub and _dot spelled out, operation for operation (hot loop)
+            a, b = e.start, e.end
+            r0, r1 = b[0] - a[0], b[1] - a[1]
+            ll = r0 * r0 + r1 * r1
+            u = ((p[0] - a[0]) * r0 + (p[1] - a[1]) * r1) / ll if ll > 0 else 0.0
+            u = min(max(u, 0.0), 1.0)
+            q = (a[0] + u * r0, a[1] + u * r1)
             d = math.dist(p, q)
             t = u * e.length
         else:
@@ -789,22 +794,24 @@ def contains_point(domain: PlanarDomain, p: Point, *, tol: float = TAU_GEOM) -> 
 
     for attempt in range(32):
         ang = 0.394821 + _GOLDEN_ANGLE * attempt
-        direction = (math.cos(ang), math.sin(ang))
+        direction = dx, dy = math.cos(ang), math.sin(ang)
         count = 0
         degenerate = False
         for e in domain.edges:
             if isinstance(e, Segment):
-                r = _sub(e.end, e.start)
-                denom = _cross(direction, r)
-                qp = _sub(e.start, p)
+                # _sub and _cross spelled out, operation for operation (hot loop)
+                a, b = e.start, e.end
+                r0, r1 = b[0] - a[0], b[1] - a[1]
+                denom = dx * r1 - dy * r0
+                q0, q1 = a[0] - p[0], a[1] - p[1]
                 if abs(denom) <= 1e-14 * e.length:
                     # ray parallel to the edge: degenerate only if collinear
-                    if abs(_cross(r, qp)) <= 1e-12 * e.length * max(math.hypot(*qp), 1.0):
+                    if abs(r0 * q1 - r1 * q0) <= 1e-12 * e.length * max(math.hypot(q0, q1), 1.0):
                         degenerate = True
                         break
                     continue
-                u = _cross(qp, r) / denom
-                v = _cross(qp, direction) / denom
+                u = (q0 * r1 - q1 * r0) / denom
+                v = (q0 * dy - q1 * dx) / denom
                 if u <= tol_abs:
                     continue
                 if v < -1e-9 or v > 1.0 + 1e-9:

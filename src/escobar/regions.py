@@ -220,9 +220,26 @@ def _region_curve(domain, region):
 def region_contains_point(
     domain: PlanarDomain, region: Region, p: tuple[float, float], *, tol: float = TAU_GEOM
 ) -> bool:
-    """Point-in-region test for the closed region."""
+    """Point-in-region test for the closed region.
+
+    A wrapper: the region's curve and the point's boundary projection go to
+    :func:`_curve_contains_point`, the one membership test.
+    """
+    return _curve_contains_point(
+        domain, _region_curve(domain, region), p, project_to_boundary(domain, p), tol
+    )
+
+
+def _curve_contains_point(domain: PlanarDomain, curve, p, projection, tol: float) -> bool:
+    """Whether ``p`` lies in the closed region bounded by ``curve``.
+
+    ``curve`` is the region's :func:`_region_curve` and ``projection`` is
+    ``project_to_boundary(domain, p)``, so a caller that tests one point
+    against several regions, or one region with several points, computes
+    each once.
+    """
     tol_abs = tol * domain.scale
-    pieces, segments = _region_curve(domain, region)
+    pieces, segments = curve
 
     # on a chord?
     for a, b in segments:
@@ -234,7 +251,7 @@ def region_contains_point(
         if math.dist(p, (a[0] + u * r[0], a[1] + u * r[1])) <= tol_abs:
             return True
     # on the exterior boundary?
-    s, d = project_to_boundary(domain, p)
+    s, d = projection
     if d <= tol_abs:
         per = domain.perimeter
         for s0, s1 in pieces:
@@ -255,18 +272,20 @@ def region_contains_point(
 
 def _ray_segment_hit(p, direction, a, b) -> tuple[int, bool]:
     """Crossing count (0/1) of ray p+u*dir with segment a-b; True flags degeneracy."""
-    r = _sub(b, a)
-    lr = math.hypot(*r)
+    # _sub and _cross spelled out, operation for operation (hot loop)
+    r0, r1 = b[0] - a[0], b[1] - a[1]
+    lr = math.hypot(r0, r1)
     if lr == 0.0:
         return 0, False
-    denom = _cross(direction, r)
-    qp = _sub(a, p)
+    dx, dy = direction
+    denom = dx * r1 - dy * r0
+    q0, q1 = a[0] - p[0], a[1] - p[1]
     if abs(denom) <= 1e-14 * lr:
-        if abs(_cross(r, qp)) <= 1e-12 * lr * max(math.hypot(*qp), 1.0):
+        if abs(r0 * q1 - r1 * q0) <= 1e-12 * lr * max(math.hypot(q0, q1), 1.0):
             return 0, True
         return 0, False
-    u = _cross(qp, r) / denom
-    v = _cross(qp, direction) / denom
+    u = (q0 * r1 - q1 * r0) / denom
+    v = (q0 * dy - q1 * dx) / denom
     if u <= 0.0:
         return 0, False
     if v < -1e-9 or v > 1.0 + 1e-9:
@@ -504,6 +523,11 @@ def validate_tuple(
     intervals, nested chords).  Two groups, or a group and a plain region,
     are compared through the group's outermost cap; only when those clash
     are the regions compared one by one.
+
+    The containment probe of each region (:func:`_check_containment`) is
+    built once per call and shared by every pair the region is in; the hull
+    comparisons keep their own probes, because the same index there names
+    a group's outermost cap rather than the region itself.
     """
     domain = tc.domain
     regions = tc.regions
@@ -546,6 +570,8 @@ def validate_tuple(
 
     pieces = [_pieces(domain, r) for r in regions]
     hulls_clear: dict = {}
+    probes: dict[int, tuple] = {}
+    hull_probes: dict[int, tuple] = {}
     for i in range(n):
         if bad[i]:
             continue
@@ -562,13 +588,14 @@ def validate_tuple(
                     probe: list[TupleViolation] = []
                     _check_pair(
                         domain, hull_i, hull_j, i, j, probe, strict, tol,
-                        _pieces(domain, hull_i), _pieces(domain, hull_j),
+                        _pieces(domain, hull_i), _pieces(domain, hull_j), hull_probes,
                     )
                     hulls_clear[key] = not probe
                 if hulls_clear[key]:
                     continue
             _check_pair(
-                domain, regions[i], regions[j], i, j, out, strict, tol, pieces[i], pieces[j]
+                domain, regions[i], regions[j], i, j, out, strict, tol,
+                pieces[i], pieces[j], probes,
             )
     return out
 
@@ -577,10 +604,11 @@ def _pieces(domain: PlanarDomain, region: Region):
     return exterior_intervals(domain, region), interior_chords(domain, region)
 
 
-def _check_pair(domain, ri, rj, i, j, out, strict, tol, pieces_i, pieces_j) -> None:
+def _check_pair(domain, ri, rj, i, j, out, strict, tol, pieces_i, pieces_j, probes) -> None:
     """Exterior overlap, chord conflicts and containment of two regions.
 
-    ``pieces_i``/``pieces_j`` are each region's :func:`_pieces`.
+    ``pieces_i``/``pieces_j`` are each region's :func:`_pieces`; ``probes``
+    is the containment memo of :func:`_check_containment`.
     """
     per = domain.perimeter
     tol_len = tol * per
@@ -623,7 +651,7 @@ def _check_pair(domain, ri, rj, i, j, out, strict, tol, pieces_i, pieces_j) -> N
                 out.append(TupleViolation(i, j, "chord-crossing", msg))
 
     if not clash:
-        _check_containment(domain, ri, rj, i, j, out, tol)
+        _check_containment(domain, ri, rj, i, j, out, tol, probes)
 
 
 def _local_pieces(region: Region):
@@ -669,35 +697,66 @@ def _check_same_anchor(ri, rj, i, j, out, strict) -> None:
             out.append(TupleViolation(i, j, "chord-crossing", msg))
 
 
-def _check_containment(domain, ri, rj, i, j, out, tol) -> None:
+def _containment_probe(domain: PlanarDomain, region: Region, tol: float) -> tuple:
+    """``(curve, rep, projection, own)`` for :func:`_check_containment`.
+
+    ``rep`` is a point ``1e-7 * scale`` inside the midpoint of the region's
+    first exterior interval, ``projection`` its boundary projection, and
+    ``own`` whether it lies in the region (None when the membership test
+    cannot classify it).
+    """
+    curve = _region_curve(domain, region)
+    delta = 1e-7 * domain.scale
+    s0, s1 = curve[0][0]
+    mid = (s0 + ((s1 - s0) % domain.perimeter) / 2.0) % domain.perimeter
+    t = domain.tangent_after(mid)
+    pm = domain.point_at(mid)
+    rep = (pm[0] - delta * t[1], pm[1] + delta * t[0])
+    projection = project_to_boundary(domain, rep)
+    try:
+        own = _curve_contains_point(domain, curve, rep, projection, tol)
+    except InvalidGeometryError:
+        own = None
+    return curve, rep, projection, own
+
+
+def _check_containment(domain, ri, rj, i, j, out, tol, probes) -> None:
     """Defensive check that one region's bulk is not inside the other.
 
     With valid chords, disjoint arcs and non-crossing chords this cannot
     happen for chord-cut regions of a simply connected domain, but it is
     cheap insurance against borderline numerics.  A representative interior
     point of each region is tested against the other; the point is only
-    trusted when it verifiably lies in its own region.
+    trusted when it verifiably lies in its own region.  The point lies
+    ``1e-7 * scale`` inside the boundary, so it can misfire: next to a cap
+    that small, it may lie within the membership tolerance of a chord the
+    two regions share and count as inside both.
+
+    ``probes`` maps a region index to its :func:`_containment_probe`.  It is
+    filled on first use and lives for one :func:`validate_tuple` call, so
+    each region's curve, point, projection and own verdict are computed
+    once however many pairs the region is in.
     """
-    delta = 1e-7 * domain.scale
-    for (a_idx, b_idx, ra, rb) in ((i, j, ri, rj), (j, i, rj, ri)):
-        s0, s1 = exterior_intervals(domain, ra)[0]
-        mid = (s0 + ((s1 - s0) % domain.perimeter) / 2.0) % domain.perimeter
-        t = domain.tangent_after(mid)
-        pm = domain.point_at(mid)
-        rep = (pm[0] - delta * t[1], pm[1] + delta * t[0])
+    for a_idx, b_idx, ra, rb in ((i, j, ri, rj), (j, i, rj, ri)):
+        if a_idx not in probes:
+            probes[a_idx] = _containment_probe(domain, ra, tol)
+        _, rep, projection, own = probes[a_idx]
+        if not own:
+            continue
+        if b_idx not in probes:
+            probes[b_idx] = _containment_probe(domain, rb, tol)
         try:
-            if region_contains_point(domain, ra, rep, tol=tol) and region_contains_point(
-                domain, rb, rep, tol=tol
-            ):
-                out.append(
-                    TupleViolation(
-                        a_idx, b_idx, "containment",
-                        f"interior point {rep} of region {a_idx} lies in region {b_idx}",
-                    )
-                )
-                return
+            inside = _curve_contains_point(domain, probes[b_idx][0], rep, projection, tol)
         except InvalidGeometryError:
             continue
+        if inside:
+            out.append(
+                TupleViolation(
+                    a_idx, b_idx, "containment",
+                    f"interior point {rep} of region {a_idx} lies in region {b_idx}",
+                )
+            )
+            return
 
 
 def is_valid_tuple(tc: TupleCandidate, *, strict: bool = False, tol: float = TAU_GEOM) -> bool:

@@ -552,6 +552,15 @@ def refine_caps(
     The 2k cut positions are optimised directly; infeasible orderings and
     non-interior chords are pushed back by a large penalty, and the best
     *valid* tuple ever evaluated is what gets reported.
+
+    The objective scores an ordered vector as ``1e3 + violation`` when the
+    cuts are out of order, ``500 + bad`` when ``bad`` chords are not
+    interior, ``400`` when a nonconvex domain's tuple fails
+    :func:`validate_tuple` otherwise, and else the tuple's max eta.  On a
+    convex domain it tests each chord with :func:`chord_is_interior`; on a
+    nonconvex one it runs :func:`validate_tuple` first and re-tests only
+    the chords of caps flagged ``region-invalid``, which gives the same
+    scores with one chord test per cap.
     """
     config = config or SearchConfig()
     per = domain.perimeter
@@ -590,17 +599,31 @@ def refine_caps(
         caps = tuple(Cap(x[2 * j] % per, x[2 * j + 1] % per) for j in range(k))
         bad = 0
         val = 0.0
-        for c in caps:
-            if not chord_is_interior(domain, c.a, c.b):
-                bad += 1
-            else:
+        if domain.is_convex:
+            for c in caps:
+                if not chord_is_interior(domain, c.a, c.b):
+                    bad += 1
+                else:
+                    val = max(val, eta_partial(domain, c))
+            if bad:
+                return 500.0 + bad
+        else:
+            # Validate first, so each chord is tested once; the scores equal
+            # those of testing every chord (500 + bad) before validating
+            # (400).  validate_tuple makes the same chord_is_interior(domain,
+            # a, b, tol=TAU_GEOM) call on every cap whose exterior length
+            # passes: a cap it does not flag region-invalid has passed that
+            # call, no violations at all means bad == 0, and a flagged cap is
+            # tested again here.  It raises only from those chord calls
+            # (containment catches its own errors), so it raises only on
+            # tuples where testing every chord raises as well.
+            violations = validate_tuple(TupleCandidate(domain, caps))
+            if violations:
+                flagged = {v.first for v in violations if v.predicate == "region-invalid"}
+                bad = sum(not chord_is_interior(domain, caps[i].a, caps[i].b) for i in flagged)
+                return 500.0 + bad if bad else 400.0
+            for c in caps:
                 val = max(val, eta_partial(domain, c))
-        if bad:
-            return 500.0 + bad
-        if not domain.is_convex:
-            tc = TupleCandidate(domain, caps)
-            if validate_tuple(tc):
-                return 400.0
         if val < state["best"]:
             state["best"] = val
             state["x"] = np.array(x)

@@ -1,0 +1,353 @@
+"""The inlined hot loops return every float of their helper-based originals.
+
+``geometry.project_to_boundary`` (segments), the segment ray test of
+``geometry.contains_point``, the non-parallel path of
+``geometry._seg_seg_intersections`` and ``regions._ray_segment_hit`` spell
+out ``_sub``, ``_dot`` and ``_cross``.  The helper-based versions they
+replaced are kept below as the reference, and hypothesis checks that both
+return the same tuples bit for bit: at vertices and on edges, for collinear
+and parallel inputs, and on domains scaled by 1e-6 and 1e6.
+"""
+
+import functools
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from escobar import regions
+from escobar.errors import InvalidGeometryError
+from escobar.geometry import (
+    _GOLDEN_ANGLE,
+    TAU_GEOM,
+    Arc,
+    Segment,
+    _cross,
+    _dot,
+    _seg_seg_intersections,
+    _solve_quadratic,
+    _sub,
+    angle_in_sweep,
+    contains_point,
+    make_domain,
+    make_polygon,
+    project_to_boundary,
+    scaled,
+)
+
+# ---------------------------------------------------------------------------
+# reference: the helper-based kernels, unchanged
+# ---------------------------------------------------------------------------
+
+
+def _ref_project_to_boundary(domain, p):
+    best_s = 0.0
+    best_d = math.inf
+    for i, e in enumerate(domain.edges):
+        if isinstance(e, Segment):
+            r = _sub(e.end, e.start)
+            ll = _dot(r, r)
+            u = min(max(_dot(_sub(p, e.start), r) / ll, 0.0), 1.0) if ll > 0 else 0.0
+            q = (e.start[0] + u * r[0], e.start[1] + u * r[1])
+            d = math.dist(p, q)
+            t = u * e.length
+        else:
+            v = _sub(p, e.center)
+            rho = math.hypot(*v)
+            if rho <= 1e-300:
+                d, t = e.radius, 0.0
+            else:
+                phi = math.atan2(v[1], v[0])
+                inside, _ = angle_in_sweep(e, phi)
+                if inside:
+                    d = abs(rho - e.radius)
+                    t = e.local_t_of_angle(phi)
+                else:
+                    d0 = math.dist(p, e.start)
+                    d1 = math.dist(p, e.end)
+                    d, t = (d0, 0.0) if d0 <= d1 else (d1, e.length)
+        if d < best_d:
+            best_d = d
+            best_s = domain._norm_s(float(domain.cumlens[i]) + t)
+    return best_s, best_d
+
+
+def _ref_contains_point(domain, p, *, tol=TAU_GEOM):
+    tol_abs = tol * domain.scale
+    _, d = _ref_project_to_boundary(domain, p)
+    if d <= tol_abs:
+        return True
+
+    for attempt in range(32):
+        ang = 0.394821 + _GOLDEN_ANGLE * attempt
+        direction = (math.cos(ang), math.sin(ang))
+        count = 0
+        degenerate = False
+        for e in domain.edges:
+            if isinstance(e, Segment):
+                r = _sub(e.end, e.start)
+                denom = _cross(direction, r)
+                qp = _sub(e.start, p)
+                if abs(denom) <= 1e-14 * e.length:
+                    if abs(_cross(r, qp)) <= 1e-12 * e.length * max(math.hypot(*qp), 1.0):
+                        degenerate = True
+                        break
+                    continue
+                u = _cross(qp, r) / denom
+                v = _cross(qp, direction) / denom
+                if u <= tol_abs:
+                    continue
+                if v < -1e-9 or v > 1.0 + 1e-9:
+                    continue
+                if v < 1e-9 or v > 1.0 - 1e-9:
+                    degenerate = True
+                    break
+                count += 1
+            else:
+                f = _sub(p, e.center)
+                roots = _solve_quadratic(
+                    1.0, 2.0 * _dot(direction, f), _dot(f, f) - e.radius * e.radius
+                )
+                for u in roots:
+                    if u <= tol_abs:
+                        continue
+                    hit = (p[0] + u * direction[0], p[1] + u * direction[1])
+                    inside, margin = angle_in_sweep(e, e.angle_of_point(hit))
+                    if inside and margin < 1e-9 and e.sweep < 2.0 * math.pi - 1e-12:
+                        degenerate = True
+                        break
+                    if not inside and margin < 1e-9:
+                        degenerate = True
+                        break
+                    if inside:
+                        count += 1
+                if degenerate:
+                    break
+        if not degenerate:
+            return count % 2 == 1
+    raise InvalidGeometryError(f"could not classify point {p} after 32 ray casts")
+
+
+def _ref_seg_seg_intersections(a, b, c, d, *, eps=1e-9):
+    r = _sub(b, a)
+    s = _sub(d, c)
+    lr = math.hypot(*r)
+    ls = math.hypot(*s)
+    if lr == 0.0 or ls == 0.0:
+        return [], False
+    denom = _cross(r, s)
+    qp = _sub(c, a)
+    if abs(denom) <= 1e-12 * lr * ls:
+        if abs(_cross(r, qp)) > 1e-9 * lr * (ls + math.hypot(*qp)):
+            return [], False
+        t0 = _dot(qp, r) / (lr * lr)
+        t1 = _dot(_sub(d, a), r) / (lr * lr)
+        lo, hi = min(t0, t1), max(t0, t1)
+        olo, ohi = max(lo, 0.0), min(hi, 1.0)
+        if ohi - olo > eps:
+            return [], True
+        if ohi - olo >= -eps:
+            u = 0.5 * (olo + ohi)
+            p = (a[0] + u * r[0], a[1] + u * r[1])
+            return [(p, u, _dot(_sub(p, c), s) / (ls * ls))], False
+        return [], False
+    u = _cross(qp, s) / denom
+    v = _cross(qp, r) / denom
+    if -eps <= u <= 1.0 + eps and -eps <= v <= 1.0 + eps:
+        p = (a[0] + u * r[0], a[1] + u * r[1])
+        return [(p, u, v)], False
+    return [], False
+
+
+def _ref_ray_segment_hit(p, direction, a, b):
+    r = _sub(b, a)
+    lr = math.hypot(*r)
+    if lr == 0.0:
+        return 0, False
+    denom = _cross(direction, r)
+    qp = _sub(a, p)
+    if abs(denom) <= 1e-14 * lr:
+        if abs(_cross(r, qp)) <= 1e-12 * lr * max(math.hypot(*qp), 1.0):
+            return 0, True
+        return 0, False
+    u = _cross(qp, r) / denom
+    v = _cross(qp, direction) / denom
+    if u <= 0.0:
+        return 0, False
+    if v < -1e-9 or v > 1.0 + 1e-9:
+        return 0, False
+    if v < 1e-9 or v > 1.0 - 1e-9:
+        return 0, True
+    return 1, False
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+_LSHAPE = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+_STAR = [(0.239, 0.968), (1.505, 1.048), (2.364, 0.822),
+         (2.582, 1.251), (3.579, 0.525), (5.505, 0.872)]
+# the first ray direction of contains_point: edges of the rotated L-shape
+# run parallel or perpendicular to it
+_FIRST_RAY = 0.394821
+
+
+def _rotated(points, ang):
+    c, s = math.cos(ang), math.sin(ang)
+    return [(c * x - s * y, s * x + c * y) for x, y in points]
+
+
+_BASES = {
+    "lshape": lambda: make_polygon(_LSHAPE),
+    "lshape-rot": lambda: make_polygon(_rotated(_LSHAPE, _FIRST_RAY)),
+    "star": lambda: make_polygon([(r * math.cos(a), r * math.sin(a)) for a, r in _STAR]),
+    "half-disk": lambda: make_domain(
+        [Segment((-1.0, 0.0), (1.0, 0.0)), Arc((0.0, 0.0), 1.0, 0.0, math.pi)]
+    ),
+}
+_SCALES = (1.0, 1e-6, 1e6)
+_KEYS = [(name, f) for name in _BASES for f in _SCALES]
+
+
+@functools.cache
+def _domain(name, factor):
+    dom = _BASES[name]()
+    return dom if factor == 1.0 else scaled(dom, factor)
+
+
+def _bits(x):
+    """Nested results with every float replaced by its exact hex form."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return type(x)(_bits(y) for y in x)
+    return x
+
+
+def _outcome(fn, *args):
+    """:func:`_bits` of the result, or the exception's type and message."""
+    try:
+        return _bits(fn(*args))
+    except (ArithmeticError, InvalidGeometryError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_tiny = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+
+
+@st.composite
+def _domain_points(draw):
+    """A domain and a point at a vertex, on or just off an edge, on an
+    edge's line beyond it, or anywhere in the inflated bounding box."""
+    name, factor = draw(st.sampled_from(_KEYS))
+    dom = _domain(name, factor)
+    kind = draw(st.sampled_from(["vertex", "edge", "near-edge", "edge-line", "box"]))
+    if kind == "box":
+        x0, y0, x1, y1 = dom.bbox
+        w, h = x1 - x0, y1 - y0
+        p = (x0 - 0.2 * w + 1.4 * w * draw(_unit), y0 - 0.2 * h + 1.4 * h * draw(_unit))
+    elif kind == "vertex":
+        p = dom.vertices[draw(st.integers(0, len(dom.edges) - 1))]
+    else:
+        i = draw(st.integers(0, len(dom.edges) - 1))
+        edge = dom.edges[i]
+        t = draw(_unit) * edge.length
+        if kind == "edge-line" and isinstance(edge, Segment):
+            t = (draw(st.floats(min_value=1.0, max_value=3.0)) * draw(st.sampled_from([-1, 1]))
+                 + 0.5) * edge.length
+        base = edge.point_at_local(t)
+        tx, ty = edge.tangent_at_local(min(max(t, 0.0), edge.length))
+        off = draw(_tiny) * dom.scale if kind == "near-edge" else 0.0
+        p = (base[0] - off * ty, base[1] + off * tx)
+    return dom, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_domain_points())
+@example(case=(_domain("lshape", 1.0), (1.0, 1.0)))
+@example(case=(_domain("lshape-rot", 1e6), _domain("lshape-rot", 1e6).vertices[3]))
+@example(case=(_domain("half-disk", 1e-6), (0.0, 0.0)))
+def test_project_and_contains_are_bit_identical(case):
+    dom, p = case
+    assert _outcome(project_to_boundary, dom, p) == _outcome(_ref_project_to_boundary, dom, p)
+    assert _outcome(contains_point, dom, p) == _outcome(_ref_contains_point, dom, p)
+
+
+_coord = st.floats(min_value=-2.0, max_value=2.0)
+_scale = st.sampled_from(_SCALES)
+
+
+@st.composite
+def _segment_pairs(draw):
+    """Two segments: random, collinear (overlapping or apart), parallel,
+    sharing an endpoint, or with one endpoint on the other segment."""
+    f = draw(_scale)
+    a = (draw(_coord), draw(_coord))
+    b = (draw(_coord), draw(_coord))
+    kind = draw(st.sampled_from(["random", "collinear", "parallel", "shared", "t-junction"]))
+    r = (b[0] - a[0], b[1] - a[1])
+
+    def along(t, off=0.0):
+        return (a[0] + t * r[0] - off * r[1], a[1] + t * r[1] + off * r[0])
+
+    if kind == "random":
+        c, d = (draw(_coord), draw(_coord)), (draw(_coord), draw(_coord))
+    elif kind in ("collinear", "parallel"):
+        t0 = draw(st.floats(min_value=-2.0, max_value=2.0))
+        t1 = draw(st.floats(min_value=-2.0, max_value=2.0))
+        off = 0.0 if kind == "collinear" else draw(_tiny)
+        c, d = along(t0, off), along(t1, off)
+    elif kind == "shared":
+        c, d = draw(st.sampled_from([a, b])), (draw(_coord), draw(_coord))
+    else:
+        c, d = along(draw(_unit)), (draw(_coord), draw(_coord))
+    return tuple((x * f, y * f) for x, y in (a, b, c, d))
+
+
+@settings(max_examples=500, deadline=None)
+@given(segs=_segment_pairs())
+@example(segs=((0.0, 0.0), (1.0, 0.0), (0.5, 0.0), (2.0, 0.0)))
+@example(segs=((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
+@example(segs=((0.0, 0.0), (1e-6, 1e-6), (0.0, 1e-6), (1e-6, 0.0)))
+def test_seg_seg_intersections_is_bit_identical(segs):
+    assert _outcome(_seg_seg_intersections, *segs) == _outcome(_ref_seg_seg_intersections, *segs)
+
+
+@st.composite
+def _rays(draw):
+    """A ray and a segment: random, parallel or collinear with the ray,
+    starting at an endpoint, or aimed at an endpoint."""
+    f = draw(_scale)
+    ang = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    direction = (math.cos(ang), math.sin(ang))
+    p = (draw(_coord), draw(_coord))
+    kind = draw(st.sampled_from(["random", "parallel", "collinear", "from-end", "at-end"]))
+    a = (draw(_coord), draw(_coord))
+    if kind == "random":
+        b = (draw(_coord), draw(_coord))
+    elif kind == "parallel":
+        t = draw(_coord)
+        b = (a[0] + t * direction[0], a[1] + t * direction[1])
+    elif kind == "collinear":
+        t0, t1 = draw(_coord), draw(_coord)
+        a = (p[0] + t0 * direction[0], p[1] + t0 * direction[1])
+        b = (p[0] + t1 * direction[0], p[1] + t1 * direction[1])
+    elif kind == "from-end":
+        p, b = a, (draw(_coord), draw(_coord))
+    else:
+        t = draw(st.floats(min_value=0.1, max_value=2.0))
+        a = (p[0] + t * direction[0], p[1] + t * direction[1])
+        b = (draw(_coord), draw(_coord))
+    p, a, b = ((x * f, y * f) for x, y in (p, a, b))
+    return p, direction, a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(ray=_rays())
+@example(ray=((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
+@example(ray=((0.0, 0.0), (1.0, 0.0), (1.0, -1.0), (1.0, 1.0)))
+@example(ray=((0.0, 0.0), (0.0, 1.0), (1e6, 1e6), (-1e6, 1e6)))
+def test_ray_segment_hit_is_bit_identical(ray):
+    assert _outcome(regions._ray_segment_hit, *ray) == _outcome(_ref_ray_segment_hit, *ray)

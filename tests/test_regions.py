@@ -3,16 +3,30 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escobar import regions
 from escobar.errors import InvalidGeometryError
-from escobar.geometry import make_disk, make_regular_polygon
+from escobar.geometry import (
+    _GOLDEN_ANGLE,
+    TAU_GEOM,
+    Arc,
+    Segment,
+    make_disk,
+    make_domain,
+    make_polygon,
+    make_regular_polygon,
+    project_to_boundary,
+)
 from escobar.regions import (
     Cap,
     Strip,
     TupleCandidate,
+    TupleViolation,
+    corner_admits_anchor,
     eta_partial,
     exterior_intervals,
     exterior_length,
@@ -350,3 +364,314 @@ def test_anchor_json_is_checked(square):
         region_from_json({"kind": "cap", "a": -0.1, "b": 0.1, "anchor": 1.5})
     with pytest.raises(InvalidGeometryError):
         tuple_from_json(square, {"regions": [{"kind": "cap", "a": -0.1, "b": 0.1, "anchor": 4}]})
+
+
+# ---------------------------------------------------------------------------
+# containment probes: one per region and validate_tuple call
+# ---------------------------------------------------------------------------
+
+_LSHAPE_POINTS = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+# the star hexagon of the nonconvex benchmark workload (reflex vertex 4)
+_STAR_POLAR = [(0.239, 0.968), (1.505, 1.048), (2.364, 0.822),
+               (2.582, 1.251), (3.579, 0.525), (5.505, 0.872)]
+_PROBE_DOMAINS = {
+    "lshape": lambda: make_polygon(_LSHAPE_POINTS),
+    "star": lambda: make_polygon([(r * math.cos(a), r * math.sin(a)) for a, r in _STAR_POLAR]),
+    "quad": lambda: make_polygon([(0.0, 0.0), (3.0, 0.0), (2.6, 1.8), (-0.4, 1.3)]),
+    "half-disk": lambda: make_domain(
+        [Segment((-1.0, 0.0), (1.0, 0.0)), Arc((0.0, 0.0), 1.0, 0.0, math.pi)]
+    ),
+    "disk": make_disk,
+}
+
+
+def _reference_region_contains_point(domain, region, p, *, tol=TAU_GEOM):
+    """``region_contains_point`` as it was before the membership test took
+    the curve and the projection from its caller."""
+    tol_abs = tol * domain.scale
+    pieces, segments = regions._region_curve(domain, region)
+    for a, b in segments:
+        r = (b[0] - a[0], b[1] - a[1])
+        ll = r[0] * r[0] + r[1] * r[1]
+        if ll <= 0.0:
+            continue
+        u = min(max(((p[0] - a[0]) * r[0] + (p[1] - a[1]) * r[1]) / ll, 0.0), 1.0)
+        if math.dist(p, (a[0] + u * r[0], a[1] + u * r[1])) <= tol_abs:
+            return True
+    s, d = project_to_boundary(domain, p)
+    if d <= tol_abs:
+        per = domain.perimeter
+        for s0, s1 in pieces:
+            span = (s1 - s0) % per
+            off = (s - s0) % per
+            if off <= span + tol_abs or off >= per - tol_abs:
+                return True
+        return False
+    for attempt in range(32):
+        ang = 0.7391 + _GOLDEN_ANGLE * attempt
+        direction = (math.cos(ang), math.sin(ang))
+        parity = regions._curve_parity_once(domain, pieces, segments, p, direction, tol_abs)
+        if parity is not None:
+            return parity
+    raise InvalidGeometryError(f"could not classify point {p} against region boundary")
+
+
+def _reference_containment(contains):
+    """The per-pair ``_check_containment``: rebuilds each representative
+    point, its projection and the region curves for every pair and
+    direction; ``contains(domain, region, p, tol)`` is the membership test."""
+
+    def check(domain, ri, rj, i, j, out, tol, probes=None):
+        delta = 1e-7 * domain.scale
+        for (a_idx, b_idx, ra, rb) in ((i, j, ri, rj), (j, i, rj, ri)):
+            s0, s1 = exterior_intervals(domain, ra)[0]
+            mid = (s0 + ((s1 - s0) % domain.perimeter) / 2.0) % domain.perimeter
+            t = domain.tangent_after(mid)
+            pm = domain.point_at(mid)
+            rep = (pm[0] - delta * t[1], pm[1] + delta * t[0])
+            try:
+                if contains(domain, ra, rep, tol) and contains(domain, rb, rep, tol):
+                    out.append(
+                        TupleViolation(
+                            a_idx, b_idx, "containment",
+                            f"interior point {rep} of region {a_idx} lies in region {b_idx}",
+                        )
+                    )
+                    return
+            except InvalidGeometryError:
+                continue
+
+    return check
+
+
+def _real_reference(domain, region, p, tol):
+    return _reference_region_contains_point(domain, region, p, tol=tol)
+
+
+def _fake_verdict(p):
+    """A stand-in membership answer that depends on the point alone: raise,
+    inside or outside, in roughly equal shares."""
+    h = int(abs(p[0] * 7.3 + p[1] * 3.1) * 1e6) % 3
+    if h == 0:
+        raise InvalidGeometryError("patched membership test")
+    return h == 1
+
+
+# membership modes: (new test on curve and projection, reference on the region)
+_MODES = {
+    "real": (None, _real_reference),
+    "always-inside": (
+        lambda domain, curve, p, projection, tol: True,
+        lambda domain, region, p, tol: True,
+    ),
+    "raise-inside-outside": (
+        lambda domain, curve, p, projection, tol: _fake_verdict(p),
+        lambda domain, region, p, tol: _fake_verdict(p),
+    ),
+}
+
+
+def _random_region(domain, rng, anchors):
+    """A plain cap, plain strip, anchored cap or anchored strip; random
+    sizes, so many tuples overlap, cross or leave the interior."""
+    per = domain.perimeter
+    kind = rng.choice(["cap", "cap", "strip", "anchored"] if anchors else ["cap", "strip"])
+    if kind == "anchored":
+        j = int(rng.choice(anchors))
+        before, after = domain.edge_lengths[j - 1], domain.edge_lengths[j]
+        a, b = -before * rng.uniform(0.02, 1.05), after * rng.uniform(0.02, 1.05)
+        if rng.random() < 0.5:
+            return Cap(a, b, j)
+        f = rng.uniform(0.1, 0.9)
+        return Strip(Cap(f * a, f * b, j), Cap(a, b, j))
+    a = rng.uniform(0.0, per)
+    length = per * (rng.uniform(0.01, 0.5) if rng.random() < 0.8 else rng.uniform(1e-6, 1e-3))
+    if kind == "cap":
+        return Cap(a, (a + length) % per)
+    u0, u1 = sorted(rng.uniform(0.05, 0.95, 2))
+    return Strip(Cap((a + u0 * length) % per, (a + u1 * length) % per), Cap(a, (a + length) % per))
+
+
+def _random_chain(domain, rng, j):
+    """Two or three nested regions anchored at corner ``j`` (a cap and strips)."""
+    before, after = domain.edge_lengths[j - 1], domain.edge_lengths[j]
+    legs = sorted(rng.uniform(0.05, 0.6, int(rng.integers(2, 4))))
+    caps = [Cap(-before * t, after * t, j) for t in legs]
+    return [caps[0]] + [Strip(inner, outer) for inner, outer in zip(caps, caps[1:])]
+
+
+def _random_tuples(domain, seed, count):
+    rng = np.random.default_rng(seed)
+    anchors = [j for j in range(len(domain.edges)) if corner_admits_anchor(domain, j)]
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(2, 5))
+        regs = []
+        if anchors and rng.random() < 0.4:
+            regs += _random_chain(domain, rng, int(rng.choice(anchors)))
+        while len(regs) < k:
+            regs.append(_random_region(domain, rng, anchors))
+        order = rng.permutation(len(regs))
+        out.append(TupleCandidate(domain, tuple(regs[i] for i in order)))
+    return out
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES))
+@pytest.mark.parametrize("name", sorted(_PROBE_DOMAINS))
+def test_containment_probe_memo_matches_per_pair_reference(name, mode, monkeypatch):
+    """validate_tuple with per-call probes reports exactly the violations of
+    the per-pair containment check: same order, predicates, indices and
+    details, in lenient and strict mode.  Besides the real membership test,
+    two stand-ins that answer from the point alone make containment fire on
+    every pair it reaches, or raise so that the check moves on."""
+    domain = _PROBE_DOMAINS[name]()
+    new_contains, ref_contains = _MODES[mode]
+    if new_contains is not None:
+        monkeypatch.setattr(regions, "_curve_contains_point", new_contains)
+    reference = _reference_containment(ref_contains)
+    seen = set()
+    for tc in _random_tuples(domain, 20261018, 150):
+        for strict in (False, True):
+            got = validate_tuple(tc, strict=strict)
+            with monkeypatch.context() as m:
+                m.setattr(regions, "_check_containment", reference)
+                want = validate_tuple(tc, strict=strict)
+            assert got == want, tc.regions
+            seen.update(v.predicate for v in got)
+    assert {"arc-overlap", "chord-crossing"} <= seen
+    if mode != "real":
+        assert "containment" in seen
+
+
+def _overlapping_pairs(domain):
+    """Pairs of regions whose bulk overlaps: a cap with itself, with a cap
+    nested in it, with a larger cap around it, and a strip with its outer cap."""
+    per = domain.perimeter
+    out = []
+    for f in (0.0, 0.13, 0.37, 0.71):
+        a = f * per
+        big = Cap(a, (a + 0.4 * per) % per)
+        small = Cap((a + 0.1 * per) % per, (a + 0.2 * per) % per)
+        strip = Strip(small, big)
+        out += [(big, big), (big, small), (small, big), (strip, big), (big, strip)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_PROBE_DOMAINS))
+def test_containment_check_on_overlapping_pairs_matches_reference(name):
+    """Direct calls reach the positive branch that random tuples never do."""
+    domain = _PROBE_DOMAINS[name]()
+    reference = _reference_containment(_real_reference)
+    fired = 0
+    for ri, rj in _overlapping_pairs(domain):
+        got: list = []
+        want: list = []
+        regions._check_containment(domain, ri, rj, 0, 1, got, TAU_GEOM, {})
+        reference(domain, ri, rj, 0, 1, want, TAU_GEOM)
+        assert got == want, (ri, rj)
+        fired += bool(got)
+    assert fired >= 3
+
+
+def test_containment_probes_are_shared_across_pairs(monkeypatch):
+    """Each region's probe is built once per validate_tuple call."""
+    domain = _PROBE_DOMAINS["lshape"]()
+    # around the convex corners at s = 2, 6 and 0
+    tc = TupleCandidate(domain, (Cap(1.5, 2.5), Cap(5.5, 6.5), Cap(7.5, 0.5)))
+    built = []
+    real = regions._containment_probe
+    monkeypatch.setattr(
+        regions, "_containment_probe", lambda d, r, tol: built.append(r) or real(d, r, tol)
+    )
+    assert validate_tuple(tc) == []
+    assert built == list(tc.regions)
+
+
+def test_containment_skips_a_point_it_cannot_classify(monkeypatch):
+    """A membership test that raises makes the check move on, not fail."""
+    domain = _PROBE_DOMAINS["lshape"]()
+    big = Cap(0.0, 3.0)
+
+    def refuse(domain, curve, p, projection, tol):
+        raise InvalidGeometryError("patched membership test")
+
+    monkeypatch.setattr(regions, "_curve_contains_point", refuse)
+    out: list = []
+    regions._check_containment(domain, big, big, 0, 1, out, TAU_GEOM, {})
+    assert out == []
+    assert validate_tuple(TupleCandidate(domain, (big, Cap(5.5, 6.5)))) == []
+
+
+# ---------------------------------------------------------------------------
+# what the containment check catches
+# ---------------------------------------------------------------------------
+
+_CLEAN_DOMAINS = ("lshape", "star", "quad")
+
+
+@st.composite
+def _cap_tuples(draw):
+    """k = 2..4 caps in ccw order around the boundary, each at least 1e-4
+    of the perimeter long.  Either each cap straddles its own vertex, with
+    legs up to half of the two edges there (so neighbours may share a cut
+    point), or caps and gaps are drawn along the whole boundary, gaps of
+    zero included (shared cut points, or the identical chord of two
+    complementary caps).  Nonconvex domains still yield crossing and
+    non-interior chords."""
+    name = draw(st.sampled_from(_CLEAN_DOMAINS))
+    domain = _PROBE_DOMAINS[name]()
+    per = domain.perimeter
+    n = len(domain.edges)
+    k = draw(st.integers(2, min(4, n)))
+    leg = st.floats(min_value=1e-4, max_value=0.5)
+    if draw(st.booleans()):
+        corners = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k,
+                                       unique=True)))
+        out = []
+        for j in corners:
+            v = domain.vertex_arclength(j)
+            a = v - draw(leg) * domain.edge_lengths[j - 1]
+            b = v + draw(leg) * domain.edge_lengths[j]
+            out.append(Cap(a % per, b % per))
+        return TupleCandidate(domain, tuple(out)), draw(st.booleans())
+    caps = [draw(st.floats(min_value=1e-4, max_value=0.3)) for _ in range(k)]
+    gaps = [draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)))
+            for _ in range(k)]
+    total = sum(caps) + sum(gaps)
+    s = draw(st.floats(min_value=0.0, max_value=1.0)) * per
+    out = []
+    for length, gap in zip(caps, gaps):
+        a = s
+        s += length / total * per
+        out.append(Cap(a % per, s % per))
+        s += gap / total * per
+    return TupleCandidate(domain, tuple(out)), draw(st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_cap_tuples())
+def test_containment_never_fires_alone_on_cap_tuples(case):
+    """On all-cap tuples with no arc overlap, no chord crossing and only
+    interior chords, the containment check finds nothing."""
+    tc, strict = case
+    preds = {v.predicate for v in validate_tuple(tc, strict=strict)}
+    if "containment" in preds:
+        assert preds & {"arc-overlap", "chord-crossing", "region-invalid"}, tc.regions
+
+
+@pytest.mark.parametrize("factor, fires", [(0.5, False), (1.0, True), (2.0, False)])
+def test_containment_rejects_a_corner_cap_as_small_as_its_probe_offset(lshape, factor, fires):
+    """A false rejection of the containment check, kept as found.
+
+    A cap around the corner (0, 0) with legs ``t`` and its complement share
+    one chord, which lenient mode allows, and their interiors are disjoint.
+    The representative point of the small cap lies ``1e-7 * scale`` up the
+    edge x = 0 from the vertex; for ``t`` within the membership tolerance
+    of that offset it counts as on both regions' boundaries, and the tuple
+    is reported as ``containment``.
+    """
+    per = lshape.perimeter
+    t = factor * 1e-7 * lshape.scale
+    tc = TupleCandidate(lshape, (Cap(per - t, t), Cap(t, per - t)))
+    out = validate_tuple(tc)
+    assert [v.predicate for v in out] == (["containment"] if fires else [])

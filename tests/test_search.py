@@ -442,6 +442,58 @@ def test_estimate_nonconvex(lshape):
     assert validate_tuple(report.witness) == []
 
 
+def _star_hexagon_unjittered():
+    polar = [(0.239, 0.968), (1.505, 1.048), (2.364, 0.822),
+             (2.582, 1.251), (3.579, 0.525), (5.505, 0.872)]
+    return make_polygon([(r * math.cos(a), r * math.sin(a)) for a, r in polar])
+
+
+# repr of the value, method, evaluations and witness cuts, recorded while the
+# refinement objective still tested every chord before validating the tuple
+_NONCONVEX_TRAJECTORIES = {
+    ("lshape", 2): (
+        "0.3162277660168379", "nelder-mead", 2795,
+        [(0.6666666690881444, 4.0), (4.277777777203589, 0.6666666459119241)],
+    ),
+    ("lshape", 3): (
+        "0.7071067811865475", "enumeration m=42", 9194,
+        [(1.5238095238095237, 3.238095238095238), (4.0, 6.095238095238095),
+         (6.476190476190476, 1.5238095238095237)],
+    ),
+    ("star", 2): (
+        "0.39200096198955564", "nelder-mead", 3333,
+        [(2.051697659543168, 2.9125020023119825), (4.154777090512001, 1.991625150485845)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name, k", sorted(_NONCONVEX_TRAJECTORIES))
+def test_nonconvex_estimates_are_pinned(name, k, lshape):
+    """Nonconvex refinement reproduces its recorded trajectory bit for bit."""
+    domain = lshape if name == "lshape" else _star_hexagon_unjittered()
+    report = estimate_ik(domain, k)
+    value, method, evaluations, cuts = _NONCONVEX_TRAJECTORIES[name, k]
+    assert repr(float(report.value)) == value
+    assert report.method == method
+    assert report.evaluations == evaluations
+    assert [(float(c.a), float(c.b), c.anchor) for c in report.witness.regions] == [
+        (a, b, None) for a, b in cuts
+    ]
+
+
+@pytest.mark.parametrize("bad", [Cap(2.5, 5.5), Cap(3.5, 4.5)])
+def test_validate_tuple_flags_a_chord_past_the_reflex_corner(lshape, bad):
+    """Refinement validates a tuple before testing its chords, so a cap whose
+    chord leaves the L-shape at the reflex corner (1, 1) must come back as
+    ``region-invalid`` beside a valid cap, not raise."""
+    good = Cap(7.5, 0.5)  # around the corner (0, 0)
+    assert validate_tuple(TupleCandidate(lshape, (good,))) == []
+    out = validate_tuple(TupleCandidate(lshape, (good, bad)))
+    assert [(v.first, v.second, v.predicate) for v in out] == [(1, 1, "region-invalid")]
+    assert "does not cut through the interior" in out[0].detail
+    assert not chord_is_interior(lshape, bad.a, bad.b)
+
+
 @pytest.mark.parametrize("factor", [3.0, 0.25])
 def test_estimate_scale_invariant(hexagon, factor):
     base = estimate_ik(hexagon, 2).value
