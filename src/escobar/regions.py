@@ -392,6 +392,23 @@ def _anchored_problems(domain: PlanarDomain, region: Region) -> list[str]:
     return problems
 
 
+def _on_one_flat_edge(domain: PlanarDomain, a: float, b: float) -> bool:
+    """Whether the walk from ``a`` to ``b``, shorter than the perimeter,
+    holds no vertex in its open interior and lies on a straight edge or a
+    concave arc.
+
+    The chord then runs along that edge or, across a concave arc, outside
+    the domain, so it is not interior.  The test reads edge indices, not
+    coordinates: :func:`chord_is_interior` decides from the chord's points
+    with tolerances, and accepts such chords below about 1e-4 of the scale.
+    """
+    i0, t0 = domain.edge_index_at(a)
+    i1, t1 = domain.edge_index_at(b)
+    one_edge = (i1 == i0 and t1 >= t0) or (t1 == 0.0 and i1 == (i0 + 1) % len(domain.edges))
+    edge = domain.edges[i0]
+    return one_edge and (isinstance(edge, Segment) or not edge.ccw)
+
+
 def _cap_problems(domain: PlanarDomain, cap: Cap, label: str, tol: float) -> list[str]:
     """Exterior length and interior chord of one cap, checked on the boundary."""
     per = domain.perimeter
@@ -402,7 +419,9 @@ def _cap_problems(domain: PlanarDomain, cap: Cap, label: str, tol: float) -> lis
         return [f"{label}: zero-length exterior boundary (a == b)"]
     if per - ext <= tol_len:
         return [f"{label}: cap swallows the whole boundary"]
-    if not chord_is_interior(domain, a, b, tol=tol):
+    # an anchored cap holds its vertex (a < 0 < b is checked before)
+    flat = cap.anchor is None and _on_one_flat_edge(domain, a, b)
+    if flat or not chord_is_interior(domain, a, b, tol=tol):
         return [
             f"{label}: chord between s={a:.6g} and s={b:.6g} "
             "does not cut through the interior"

@@ -9,10 +9,11 @@ value is the measured max-eta of a validated tuple):
 * :func:`refine_caps` — derivative-free local refinement (Nelder-Mead with a
   feasibility penalty) of a cap tuple, never worse than its starting point;
 * :func:`corner_family_bound` — nested corner caps/strips distributed over
-  the convex corners by a greedy minimax allocation, plus a golden-section
-  sweep of the standard corner schedule.
+  the convex corners by a greedy minimax allocation, plus, on domains with
+  a concave arc, a golden-section sweep of the standard corner schedule.
 
-:func:`estimate_ik` orchestrates all of the above.
+:func:`estimate_ik` orchestrates all of the above, skipping the cap searches
+where no cap tuple exists (:func:`_no_cap_tuple`).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
 )
 from .exact import Bound, BoundKind, ik_exact
 from .geometry import (
+    Arc,
     PlanarDomain,
     Segment,
     _seg_seg_intersections,
@@ -650,12 +652,13 @@ def refine_caps(
             },
         )
 
+    # float(): the report carries Python floats, not NumPy scalars
     xb = state["x"]
-    caps = tuple(Cap(xb[2 * j] % per, xb[2 * j + 1] % per) for j in range(k))
+    caps = tuple(Cap(float(xb[2 * j] % per), float(xb[2 * j + 1] % per)) for j in range(k))
     witness = TupleCandidate(domain, caps)
     if validate_tuple(witness):
         # numerical edge: fall back to the starting tuple
-        caps = tuple(Cap(x0[2 * j] % per, x0[2 * j + 1] % per) for j in range(k))
+        caps = tuple(Cap(float(x0[2 * j] % per), float(x0[2 * j + 1] % per)) for j in range(k))
         witness = TupleCandidate(domain, caps)
     value = max_eta(witness)
     return BoundReport(
@@ -719,11 +722,14 @@ def corner_family_bound(
     """Upper bound from nested corner regions spread over the convex corners.
 
     A greedy minimax allocation distributes the k regions over the corners
-    (each corner receives a geometric chain of caps/strips); a golden-section
-    sweep of the single-corner schedule at the sharpest corner is also tried.
-    At corners that admit anchored caps a chain's legs may span a factor
-    1e290, so a d-deep chain there comes within about 2 sin(theta/2) / r of
-    sin(theta/2), with leg ratio r = min(1e12, 1e290 ** (1/(d-1))).
+    (each corner receives a geometric chain of caps/strips).  On a domain
+    with a concave arc, where a cap's ratio grows with its legs and the
+    allocation's long legs can lose, a golden-section sweep of the
+    single-corner schedule at the sharpest corner is also tried; elsewhere
+    it never won.  At corners that admit anchored caps a chain's legs may
+    span a factor 1e290, so a d-deep chain there comes within about
+    2 sin(theta/2) / r of sin(theta/2), with leg ratio
+    r = min(1e12, 1e290 ** (1/(d-1))).
     """
     config = config or SearchConfig()
     corners = convex_corner_indices(domain)
@@ -774,7 +780,6 @@ def corner_family_bound(
     except InvalidParameterError:
         pass
 
-    # golden-section sweep of the standard schedule at the sharpest corner
     sharpest = min(corners, key=lambda c: (geom[c][0], c))
 
     def sweep_objective(log_eps: float) -> float:
@@ -791,12 +796,13 @@ def corner_family_bound(
         return val
 
     sweep_results: list[tuple[float, TupleCandidate]] = []
-    minimize_scalar(
-        sweep_objective,
-        bounds=(-14.0, math.log10(0.2)),
-        method="bounded",
-        options={"xatol": 0.05, "maxiter": 40},
-    )
+    if any(isinstance(e, Arc) and not e.ccw for e in domain.edges):
+        minimize_scalar(
+            sweep_objective,
+            bounds=(-14.0, math.log10(0.2)),
+            method="bounded",
+            options={"xatol": 0.05, "maxiter": 40},
+        )
     if sweep_results:
         val, tc = min(sweep_results, key=lambda t: t[0])
         candidates.append((val, tc, "corner-schedule"))
@@ -918,6 +924,23 @@ def _cross_label(domain: PlanarDomain, k: int, value: float, tol: float) -> Opti
     return f"above closed-form upper bound {known.value:.12g} by {diff:.3g}"
 
 
+def _no_cap_tuple(domain: PlanarDomain, k: int) -> bool:
+    """Whether no valid tuple of k caps exists: every edge is straight or a
+    concave arc, and k exceeds the number of edges (and so of vertices).
+
+    A cap whose exterior arc holds no vertex in its open interior has its
+    chord along one straight edge or across one concave arc, outside the
+    domain, and :func:`validate_tuple` flags it.  The open arcs of a tuple
+    are disjoint, so distinct caps need distinct vertices.  (Validation lets
+    two arcs overlap by ``TAU_GEOM`` times the perimeter, but the equal
+    splits and the grids give neighbouring caps the same cut point, and
+    refinement starts only from a tuple of theirs.)
+    """
+    return k > len(domain.edges) and all(
+        isinstance(e, Segment) or not e.ccw for e in domain.edges
+    )
+
+
 def estimate_ik(
     domain: PlanarDomain, k: int, config: Optional[SearchConfig] = None
 ) -> BoundReport:
@@ -926,7 +949,9 @@ def estimate_ik(
     Every finite result is the measured max-eta of a validated tuple; the
     report records which engine produced it and how much work was spent.
     ``config.grid_points`` forces a specific enumeration grid (budget errors
-    then propagate); otherwise the grid is chosen automatically.
+    then propagate); otherwise the grid is chosen automatically, and the
+    cap family (equal splits, enumeration, refinement) is skipped where
+    :func:`_no_cap_tuple` shows that it has no tuple to find.
     """
     config = config or SearchConfig()
     if k < 1:
@@ -940,7 +965,9 @@ def estimate_ik(
     reports: list[BoundReport] = []
     evals = 0
 
-    if "caps" in config.families:
+    if "caps" in config.families and (
+        config.grid_points is not None or not _no_cap_tuple(domain, k)
+    ):
         eq = _equal_boundary_report(domain, k, config)
         if eq is not None:
             reports.append(eq)

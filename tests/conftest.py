@@ -1,5 +1,6 @@
 """Shared fixtures: a handful of domains the whole suite reuses."""
 
+import functools
 import math
 
 import pytest
@@ -48,3 +49,33 @@ def rectangle(w: float, h: float):
     return make_polygon(
         [(-w / 2, -h / 2), (w / 2, -h / 2), (w / 2, h / 2), (-w / 2, h / 2)]
     )
+
+
+def star_hexagon():
+    # star-shaped hexagon with a reflex vertex at polar angle 3.579
+    polar = [(0.239, 0.968), (1.505, 1.048), (2.364, 0.822),
+             (2.582, 1.251), (3.579, 0.525), (5.505, 0.872)]
+    return make_polygon([(r * math.cos(a), r * math.sin(a)) for a, r in polar])
+
+
+def concave_square():
+    # unit square whose top side bows inwards: a quarter circle about (0.5, 1.5)
+    return make_domain(
+        [
+            Segment((0.0, 0.0), (1.0, 0.0)),
+            Segment((1.0, 0.0), (1.0, 1.0)),
+            Arc((0.5, 1.5), math.sqrt(0.5), -math.pi / 4, -3 * math.pi / 4, ccw=False),
+            Segment((0.0, 1.0), (0.0, 0.0)),
+        ]
+    )
+
+
+#: domains whose edges are all straight or concave arcs, where a cap tuple
+#: needs a distinct vertex per cap
+NO_CAP_DOMAINS = {
+    **{f"D{n}": functools.partial(make_regular_polygon, n) for n in range(3, 9)},
+    "quad": lambda: make_polygon([(0.0, 0.0), (3.0, 0.0), (2.6, 1.8), (-0.4, 1.3)]),
+    "lshape": lambda: make_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+    "star": star_hexagon,
+    "concave-square": concave_square,
+}

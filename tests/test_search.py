@@ -13,7 +13,11 @@ import numpy as np
 import pytest
 
 from escobar import search
-from escobar.errors import BudgetExceededError, InvalidParameterError
+from escobar.errors import (
+    BudgetExceededError,
+    ConstructionFailedError,
+    InvalidParameterError,
+)
 from escobar.exact import BoundKind, ik_disk, polygon_upper_bound
 from escobar.geometry import (
     Arc,
@@ -25,7 +29,14 @@ from escobar.geometry import (
     make_regular_polygon,
     scaled,
 )
-from escobar.regions import Cap, TupleCandidate, eta_partial, max_eta, validate_tuple
+from escobar.regions import (
+    Cap,
+    TupleCandidate,
+    eta_partial,
+    max_eta,
+    tuple_to_json,
+    validate_tuple,
+)
 from escobar.search import (
     _ENUM_SOFT_CAP,
     SearchConfig,
@@ -43,7 +54,7 @@ from escobar.search import (
     refine_caps,
     report_to_json,
 )
-from tests.conftest import rectangle
+from tests.conftest import NO_CAP_DOMAINS, concave_square, rectangle
 
 
 def brute_force_two_caps(domain, m):
@@ -452,16 +463,16 @@ def _star_hexagon_unjittered():
 # refinement objective still tested every chord before validating the tuple
 _NONCONVEX_TRAJECTORIES = {
     ("lshape", 2): (
-        "0.3162277660168379", "nelder-mead", 2795,
+        "0.3162277660168379", "nelder-mead", 2781,
         [(0.6666666690881444, 4.0), (4.277777777203589, 0.6666666459119241)],
     ),
     ("lshape", 3): (
-        "0.7071067811865475", "enumeration m=42", 9194,
+        "0.7071067811865475", "enumeration m=42", 9181,
         [(1.5238095238095237, 3.238095238095238), (4.0, 6.095238095238095),
          (6.476190476190476, 1.5238095238095237)],
     ),
     ("star", 2): (
-        "0.39200096198955564", "nelder-mead", 3333,
+        "0.39200096198955564", "nelder-mead", 3319,
         [(2.051697659543168, 2.9125020023119825), (4.154777090512001, 1.991625150485845)],
     ),
 }
@@ -539,6 +550,13 @@ def test_refine_accepts_cut_list(square):
     assert report.value <= start_val + 1e-12
 
 
+@pytest.mark.parametrize("name, k", [("disk", 3), ("lshape", 2)])
+def test_reports_carry_python_floats(name, k, unit_disk, lshape):
+    report = estimate_ik(unit_disk if name == "disk" else lshape, k)
+    assert type(report.value) is float
+    assert all(type(c.a) is float and type(c.b) is float for c in report.witness.regions)
+
+
 # ---------------------------------------------------------------------------
 # corner family
 # ---------------------------------------------------------------------------
@@ -574,6 +592,104 @@ def test_corner_family_needs_corners(unit_disk):
 
     with pytest.raises(NotApplicableError):
         corner_family_bound(unit_disk, 2)
+
+
+@pytest.mark.parametrize(
+    "name", ["D3", "D5", "D8", "quad", "rect2x1", "lshape", "star", "half-disk", "slice-60"]
+)
+def test_corner_family_reports_the_allocation_only(name):
+    """Without a concave arc the schedule sweep, which never won there, does
+    not run."""
+    domain = _GRID_DOMAINS[name]()
+    for k in (2, 3, 5, 8, 12):
+        report = corner_family_bound(domain, k)
+        assert report.method == "corner-allocation"
+        assert 1 <= report.evaluations <= 6  # one per shrink of the legs
+        assert validate_tuple(report.witness) == []
+
+
+@pytest.mark.parametrize("k, value", [(2, "0.3863161853781286"), (3, "0.45377347251532224")])
+def test_corner_family_sweeps_the_schedule_next_to_a_concave_arc(k, value):
+    """Next to a concave arc a cap's ratio grows with its legs: the
+    allocation's long legs give 0.522 here, the schedule's short ones less."""
+    report = corner_family_bound(concave_square(), k)
+    assert (repr(report.value), report.method) == (value, "corner-schedule")
+
+
+# ---------------------------------------------------------------------------
+# the cap family where no cap tuple exists
+# ---------------------------------------------------------------------------
+
+
+def _full_key(report):
+    witness = json.dumps(tuple_to_json(report.witness), sort_keys=True)
+    return (
+        repr(report.value), report.method, report.evaluations, report.provenance,
+        report.cross_label, witness,
+    )
+
+
+_NO_CAP_CASES = [
+    (name, k)
+    for name, build in NO_CAP_DOMAINS.items()
+    for k in range(len(build().edges) + 1, len(build().edges) + 4)
+]
+
+
+@pytest.mark.parametrize("name, k", _NO_CAP_CASES)
+def test_cap_family_skip_changes_no_result(name, k, monkeypatch):
+    """With more caps than vertices on straight or concave edges, the cap
+    stages find no tuple, and estimate_ik answers as the corner family
+    alone does without running them."""
+    domain = NO_CAP_DOMAINS[name]()
+    config = SearchConfig()
+    assert search._no_cap_tuple(domain, k)
+    assert search._equal_boundary_report(domain, k, config) is None
+    enum = search._auto_enumerate(domain, k, config)
+    assert enum is None or enum.witness is None
+    corner_only = estimate_ik(domain, k, SearchConfig(families=("corner-strips",)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cap stage ran")
+
+    for stage in ("_equal_boundary_report", "_auto_enumerate", "refine_caps"):
+        monkeypatch.setattr(search, stage, refuse)
+    assert _full_key(estimate_ik(domain, k, config)) == _full_key(corner_only)
+
+
+def test_no_cap_tuple_needs_flat_edges_and_more_caps_than_vertices(
+    square, lshape, unit_disk, half_disk
+):
+    assert search._no_cap_tuple(square, 5) and not search._no_cap_tuple(square, 4)
+    assert search._no_cap_tuple(lshape, 7) and not search._no_cap_tuple(lshape, 6)
+    assert search._no_cap_tuple(concave_square(), 5)
+    # a convex arc holds any number of caps
+    assert not search._no_cap_tuple(unit_disk, 5)
+    assert not search._no_cap_tuple(half_disk, 5)
+
+
+def test_explicit_grid_still_runs_the_cap_family(square):
+    """k = 5 caps on the square: the caller's grid is enumerated as asked,
+    with its budget and parameter errors."""
+    with pytest.raises(BudgetExceededError):
+        estimate_ik(square, 5, SearchConfig(grid_points=100, budget=1000))
+    with pytest.raises(InvalidParameterError, match="at least 2k points"):
+        estimate_ik(square, 5, SearchConfig(grid_points=9))
+    with pytest.raises(InvalidParameterError, match="too fine"):
+        estimate_ik(square, 5, SearchConfig(grid_points=6000))
+    skipped = estimate_ik(square, 5)
+    gridded = estimate_ik(square, 5, SearchConfig(grid_points=12))
+    assert repr(gridded.value) == repr(skipped.value)
+    assert gridded.method == skipped.method == "corner-allocation"
+    assert gridded.evaluations == skipped.evaluations + 27  # the enumeration nodes
+
+
+def test_caps_alone_fail_as_before_where_no_cap_tuple_exists(square):
+    with pytest.raises(
+        ConstructionFailedError,
+        match=r"^no search family produced a valid tuple for k=5 on this domain$",
+    ):
+        estimate_ik(square, 5, SearchConfig(families=("caps",)))
 
 
 # ---------------------------------------------------------------------------
