@@ -791,13 +791,24 @@ def contains_point(domain: PlanarDomain, p: Point, *, tol: float = TAU_GEOM) -> 
     _, d = project_to_boundary(domain, p)
     if d <= tol_abs:
         return True
+    return _ray_parity(domain.edges, p, tol_abs)
 
+
+def _ray_parity(edges, p: Point, tol_abs: float) -> bool:
+    """Whether ``p`` lies inside the closed curve made of ``edges``.
+
+    Counts the crossings of a ray from ``p`` with the edges and takes the
+    parity.  A ray that runs along an edge, or meets one within ``1e-9`` of
+    an end in the edge's parameter, is degenerate and the next of up to 32
+    directions is tried.  The caller has already found ``p`` farther than
+    ``tol_abs`` from the curve.
+    """
     for attempt in range(32):
         ang = 0.394821 + _GOLDEN_ANGLE * attempt
         direction = dx, dy = math.cos(ang), math.sin(ang)
         count = 0
         degenerate = False
-        for e in domain.edges:
+        for e in edges:
             if isinstance(e, Segment):
                 # _sub and _cross spelled out, operation for operation (hot loop)
                 a, b = e.start, e.end

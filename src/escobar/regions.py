@@ -30,16 +30,13 @@ from .geometry import (
     PlanarDomain,
     Segment,
     _cross,
-    _GOLDEN_ANGLE,
+    _ray_parity,
     _seg_seg_intersections,
-    _solve_quadratic,
     _sub,
     chord_is_interior,
     edge_offset_vector,
     project_to_boundary,
 )
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class TupleViolation:
 
     ``first``/``second`` are region indices (equal for single-region
     problems); ``predicate`` is one of ``region-invalid``, ``arc-overlap``,
-    ``chord-crossing``, ``containment``.
+    ``chord-crossing`` (see :func:`validate_tuple` for why these suffice).
     """
 
     first: int
@@ -207,42 +204,24 @@ def region_area(domain: PlanarDomain, region: Region) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _region_curve(domain, region):
-    """Boundary-walk intervals and chord segments forming the region's boundary."""
-    pieces = exterior_intervals(domain, region)
-    segments = [
-        (domain.point_at(s0), domain.point_at(s1))
-        for s0, s1 in interior_chords(domain, region)
-    ]
-    return pieces, segments
-
-
 def region_contains_point(
     domain: PlanarDomain, region: Region, p: tuple[float, float], *, tol: float = TAU_GEOM
 ) -> bool:
     """Point-in-region test for the closed region.
 
-    A wrapper: the region's curve and the point's boundary projection go to
-    :func:`_curve_contains_point`, the one membership test.
-    """
-    return _curve_contains_point(
-        domain, _region_curve(domain, region), p, project_to_boundary(domain, p), tol
-    )
-
-
-def _curve_contains_point(domain: PlanarDomain, curve, p, projection, tol: float) -> bool:
-    """Whether ``p`` lies in the closed region bounded by ``curve``.
-
-    ``curve`` is the region's :func:`_region_curve` and ``projection`` is
-    ``project_to_boundary(domain, p)``, so a caller that tests one point
-    against several regions, or one region with several points, computes
-    each once.
+    A point within ``tol * scale`` of a chord or of the region's exterior
+    arcs is inside, and one that close to the rest of the domain's boundary
+    is outside.  Any other point is classified by :func:`_ray_parity`
+    against the region's closed boundary: its exterior pieces and its chords.
     """
     tol_abs = tol * domain.scale
-    pieces, segments = curve
-
+    chords = [
+        Segment(domain.point_at(s0), domain.point_at(s1))
+        for s0, s1 in interior_chords(domain, region)
+    ]
     # on a chord?
-    for a, b in segments:
+    for c in chords:
+        a, b = c.start, c.end
         r = _sub(b, a)
         ll = r[0] * r[0] + r[1] * r[1]
         if ll <= 0.0:
@@ -251,7 +230,8 @@ def _curve_contains_point(domain: PlanarDomain, curve, p, projection, tol: float
         if math.dist(p, (a[0] + u * r[0], a[1] + u * r[1])) <= tol_abs:
             return True
     # on the exterior boundary?
-    s, d = projection
+    pieces = exterior_intervals(domain, region)
+    s, d = project_to_boundary(domain, p)
     if d <= tol_abs:
         per = domain.perimeter
         for s0, s1 in pieces:
@@ -261,83 +241,23 @@ def _curve_contains_point(domain: PlanarDomain, curve, p, projection, tol: float
                 return True
         return False
 
-    for attempt in range(32):
-        ang = 0.7391 + _GOLDEN_ANGLE * attempt
-        direction = (math.cos(ang), math.sin(ang))
-        parity = _curve_parity_once(domain, pieces, segments, p, direction, tol_abs)
-        if parity is not None:
-            return parity
-    raise InvalidGeometryError(f"could not classify point {p} against region boundary")
-
-
-def _ray_segment_hit(p, direction, a, b) -> tuple[int, bool]:
-    """Crossing count (0/1) of ray p+u*dir with segment a-b; True flags degeneracy."""
-    # _sub and _cross spelled out, operation for operation (hot loop)
-    r0, r1 = b[0] - a[0], b[1] - a[1]
-    lr = math.hypot(r0, r1)
-    if lr == 0.0:
-        return 0, False
-    dx, dy = direction
-    denom = dx * r1 - dy * r0
-    q0, q1 = a[0] - p[0], a[1] - p[1]
-    if abs(denom) <= 1e-14 * lr:
-        if abs(r0 * q1 - r1 * q0) <= 1e-12 * lr * max(math.hypot(q0, q1), 1.0):
-            return 0, True
-        return 0, False
-    u = (q0 * r1 - q1 * r0) / denom
-    v = (q0 * dy - q1 * dx) / denom
-    if u <= 0.0:
-        return 0, False
-    if v < -1e-9 or v > 1.0 + 1e-9:
-        return 0, False
-    if v < 1e-9 or v > 1.0 - 1e-9:
-        return 0, True
-    return 1, False
-
-
-def _curve_parity_once(domain, pieces, segments, p, direction, tol_abs):
-    """Parity of ray crossings with the closed curve, or None if degenerate."""
-    count = 0
+    # a piece one rounding step long (a cut point next to a vertex) may have
+    # equal ends; it adds no crossing, and as an edge it would make every
+    # ray degenerate (a segment) or fail to build (an arc of zero sweep)
+    edges = []
     for s0, s1 in pieces:
         for i, t0, t1 in domain.boundary_pieces(s0, s1):
-            edge = domain.edges[i]
-            if isinstance(edge, Segment):
-                c, degen = _ray_segment_hit(
-                    p, direction, edge.point_at_local(t0), edge.point_at_local(t1)
-                )
-                if degen:
-                    return None
-                count += c
+            e = domain.edges[i]
+            if isinstance(e, Segment):
+                q0, q1 = e.point_at_local(t0), e.point_at_local(t1)
+                if q0 != q1:
+                    edges.append(Segment(q0, q1))
             else:
-                f = _sub(p, edge.center)
-                roots = _solve_quadratic(
-                    1.0, 2.0 * (direction[0] * f[0] + direction[1] * f[1]),
-                    f[0] * f[0] + f[1] * f[1] - edge.radius * edge.radius,
-                )
-                eps_t = max(tol_abs, 1e-9 * edge.radius)
-                for u in roots:
-                    if u <= tol_abs:
-                        if abs(u) <= tol_abs:
-                            return None
-                        continue
-                    hit = (p[0] + u * direction[0], p[1] + u * direction[1])
-                    phi = edge.angle_of_point(hit)
-                    if edge.ccw:
-                        t = ((phi - edge.start_angle) % _TWO_PI) * edge.radius
-                    else:
-                        t = ((edge.start_angle - phi) % _TWO_PI) * edge.radius
-                    if t0 - eps_t <= t <= t1 + eps_t:
-                        if t < t0 + eps_t or t > t1 - eps_t:
-                            return None
-                        count += 1
-                    elif min(abs(t - t0), abs(t - t1)) <= eps_t:
-                        return None
-    for a, b in segments:
-        c, degen = _ray_segment_hit(p, direction, a, b)
-        if degen:
-            return None
-        count += c
-    return count % 2 == 1
+                phi0, phi1 = e._angle_at(t0), e._angle_at(t1)
+                if phi0 != phi1:
+                    edges.append(Arc(e.center, e.radius, phi0, phi1, e.ccw))
+    edges += [c for c in chords if c.start != c.end]
+    return _ray_parity(edges, p, tol_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +463,34 @@ def validate_tuple(
     are compared through the group's outermost cap; only when those clash
     are the regions compared one by one.
 
-    The containment probe of each region (:func:`_check_containment`) is
-    built once per call and shared by every pair the region is in; the hull
-    comparisons keep their own probes, because the same index there names
-    a group's outermost cap rather than the region itself.
+    Three predicates settle disjointness: ``region-invalid`` (each region
+    valid on its own, every chord interior to M), ``arc-overlap`` and
+    ``chord-crossing``.  No containment test is needed.  Take two valid
+    regions i and j whose exterior arcs overlap by no positive length and
+    whose chords do not cross or overlap.  A chord of j runs through the
+    interior of M, so it cannot cross the exterior arcs of i, which lie on
+    ∂M, and it cannot cross the chords of i either.  Away from its ends it
+    therefore lies wholly inside region i or wholly outside it.  Inside
+    would put its ends on the closed exterior arcs of i.  Then the exterior
+    arc of j, which runs between those ends, either overlaps an arc of i by
+    a positive length or fills a gap between two arcs of i exactly; in the
+    second case its chord is a chord of i, shared, which lenient mode
+    allows.  So no boundary point of j lies inside i, none of i lies inside
+    j, and each region, being connected, lies inside the other or outside
+    it.  Inside would put the exterior arcs of one on those of the other,
+    an overlap again.  Outside includes a region lying in the hole of a
+    strip: the two are disjoint.  The predicates decide each of these facts
+    up to ``tol``.  The argument holds for the three layouts:
+
+    * a strip is bounded by its two chords and its arcs ``[oa, ia]`` and
+      ``[ib, ob]``; its inner cap, the hole, is outside it;
+    * regions at one anchor are compared on their offsets by
+      :func:`_check_same_anchor`, where the arcs are intervals of the
+      offset line and the chords join the corner's two edges;
+    * an anchored group is compared through its outermost cap, which holds
+      every region of the group once their offsets are clear of each other,
+      so the argument applied to the hull caps makes the regions disjoint;
+      when the hulls clash the regions are compared one by one.
     """
     domain = tc.domain
     regions = tc.regions
@@ -589,8 +533,6 @@ def validate_tuple(
 
     pieces = [_pieces(domain, r) for r in regions]
     hulls_clear: dict = {}
-    probes: dict[int, tuple] = {}
-    hull_probes: dict[int, tuple] = {}
     for i in range(n):
         if bad[i]:
             continue
@@ -606,16 +548,13 @@ def validate_tuple(
                 if key not in hulls_clear:
                     probe: list[TupleViolation] = []
                     _check_pair(
-                        domain, hull_i, hull_j, i, j, probe, strict, tol,
-                        _pieces(domain, hull_i), _pieces(domain, hull_j), hull_probes,
+                        domain, i, j, probe, strict, tol,
+                        _pieces(domain, hull_i), _pieces(domain, hull_j),
                     )
                     hulls_clear[key] = not probe
                 if hulls_clear[key]:
                     continue
-            _check_pair(
-                domain, regions[i], regions[j], i, j, out, strict, tol,
-                pieces[i], pieces[j], probes,
-            )
+            _check_pair(domain, i, j, out, strict, tol, pieces[i], pieces[j])
     return out
 
 
@@ -623,54 +562,37 @@ def _pieces(domain: PlanarDomain, region: Region):
     return exterior_intervals(domain, region), interior_chords(domain, region)
 
 
-def _check_pair(domain, ri, rj, i, j, out, strict, tol, pieces_i, pieces_j, probes) -> None:
-    """Exterior overlap, chord conflicts and containment of two regions.
-
-    ``pieces_i``/``pieces_j`` are each region's :func:`_pieces`; ``probes``
-    is the containment memo of :func:`_check_containment`.
-    """
-    per = domain.perimeter
-    tol_len = tol * per
+def _check_pair(domain, i, j, out, strict, tol, pieces_i, pieces_j) -> None:
+    """Exterior overlap and chord conflicts of two regions, given as their
+    :func:`_pieces`."""
     ints_i, chords_i = pieces_i
     ints_j, chords_j = pieces_j
-    clash = False
-    for s0, s1 in ints_i:
-        l0 = (s1 - s0) % per
-        for u0, u1 in ints_j:
-            l1 = (u1 - u0) % per
-            ov = _interval_overlap_mod(per, s0, l0, u0, l1)
-            if ov > tol_len:
-                out.append(
-                    TupleViolation(
-                        i, j, "arc-overlap",
-                        f"exterior arcs overlap over length {ov:.6g}",
-                    )
-                )
-                clash = True
-            elif strict:
-                # closed intervals may not even touch
-                gap1 = min((u0 - s1) % per, (s0 - u1) % per)
-                if ov > 0.0 or gap1 <= tol_len:
-                    out.append(
-                        TupleViolation(
-                            i, j, "arc-overlap",
-                            "exterior arcs touch (strict mode)",
-                        )
-                    )
-                    clash = True
-            if clash:
-                break
-        if clash:
-            break
-
+    msg = _arcs_clash(domain.perimeter, ints_i, ints_j, strict, tol)
+    if msg:
+        out.append(TupleViolation(i, j, "arc-overlap", msg))
     for c1 in chords_i:
         for c2 in chords_j:
             msg = _chords_conflict(domain, c1, c2, strict=strict, tol=tol)
             if msg:
                 out.append(TupleViolation(i, j, "chord-crossing", msg))
 
-    if not clash:
-        _check_containment(domain, ri, rj, i, j, out, tol, probes)
+
+def _arcs_clash(per, ints_i, ints_j, strict, tol):
+    """The first overlap of two regions' exterior intervals, else None.
+
+    An overlap up to ``tol * per`` is forgiven; in strict mode closed
+    intervals may not even touch.
+    """
+    tol_len = tol * per
+    for s0, s1 in ints_i:
+        l0 = (s1 - s0) % per
+        for u0, u1 in ints_j:
+            ov = _interval_overlap_mod(per, s0, l0, u0, (u1 - u0) % per)
+            if ov > tol_len:
+                return f"exterior arcs overlap over length {ov:.6g}"
+            if strict and (ov > 0.0 or min((u0 - s1) % per, (s0 - u1) % per) <= tol_len):
+                return "exterior arcs touch (strict mode)"
+    return None
 
 
 def _local_pieces(region: Region):
@@ -714,68 +636,6 @@ def _check_same_anchor(ri, rj, i, j, out, strict) -> None:
             else:
                 continue
             out.append(TupleViolation(i, j, "chord-crossing", msg))
-
-
-def _containment_probe(domain: PlanarDomain, region: Region, tol: float) -> tuple:
-    """``(curve, rep, projection, own)`` for :func:`_check_containment`.
-
-    ``rep`` is a point ``1e-7 * scale`` inside the midpoint of the region's
-    first exterior interval, ``projection`` its boundary projection, and
-    ``own`` whether it lies in the region (None when the membership test
-    cannot classify it).
-    """
-    curve = _region_curve(domain, region)
-    delta = 1e-7 * domain.scale
-    s0, s1 = curve[0][0]
-    mid = (s0 + ((s1 - s0) % domain.perimeter) / 2.0) % domain.perimeter
-    t = domain.tangent_after(mid)
-    pm = domain.point_at(mid)
-    rep = (pm[0] - delta * t[1], pm[1] + delta * t[0])
-    projection = project_to_boundary(domain, rep)
-    try:
-        own = _curve_contains_point(domain, curve, rep, projection, tol)
-    except InvalidGeometryError:
-        own = None
-    return curve, rep, projection, own
-
-
-def _check_containment(domain, ri, rj, i, j, out, tol, probes) -> None:
-    """Defensive check that one region's bulk is not inside the other.
-
-    With valid chords, disjoint arcs and non-crossing chords this cannot
-    happen for chord-cut regions of a simply connected domain, but it is
-    cheap insurance against borderline numerics.  A representative interior
-    point of each region is tested against the other; the point is only
-    trusted when it verifiably lies in its own region.  The point lies
-    ``1e-7 * scale`` inside the boundary, so it can misfire: next to a cap
-    that small, it may lie within the membership tolerance of a chord the
-    two regions share and count as inside both.
-
-    ``probes`` maps a region index to its :func:`_containment_probe`.  It is
-    filled on first use and lives for one :func:`validate_tuple` call, so
-    each region's curve, point, projection and own verdict are computed
-    once however many pairs the region is in.
-    """
-    for a_idx, b_idx, ra, rb in ((i, j, ri, rj), (j, i, rj, ri)):
-        if a_idx not in probes:
-            probes[a_idx] = _containment_probe(domain, ra, tol)
-        _, rep, projection, own = probes[a_idx]
-        if not own:
-            continue
-        if b_idx not in probes:
-            probes[b_idx] = _containment_probe(domain, rb, tol)
-        try:
-            inside = _curve_contains_point(domain, probes[b_idx][0], rep, projection, tol)
-        except InvalidGeometryError:
-            continue
-        if inside:
-            out.append(
-                TupleViolation(
-                    a_idx, b_idx, "containment",
-                    f"interior point {rep} of region {a_idx} lies in region {b_idx}",
-                )
-            )
-            return
 
 
 def is_valid_tuple(tc: TupleCandidate, *, strict: bool = False, tol: float = TAU_GEOM) -> bool:

@@ -616,9 +616,9 @@ def refine_caps(
             # a, b, tol=TAU_GEOM) call on every cap whose exterior length
             # passes: a cap it does not flag region-invalid has passed that
             # call, no violations at all means bad == 0, and a flagged cap is
-            # tested again here.  It raises only from those chord calls
-            # (containment catches its own errors), so it raises only on
-            # tuples where testing every chord raises as well.
+            # tested again here.  It raises only from those chord calls, so
+            # it raises only on tuples where testing every chord raises as
+            # well.
             violations = validate_tuple(TupleCandidate(domain, caps))
             if violations:
                 flagged = {v.first for v in violations if v.predicate == "region-invalid"}

@@ -1,9 +1,9 @@
 """The inlined hot loops return every float of their helper-based originals.
 
 ``geometry.project_to_boundary`` (segments), the segment ray test of
-``geometry.contains_point``, the non-parallel path of
-``geometry._seg_seg_intersections`` and ``regions._ray_segment_hit`` spell
-out ``_sub``, ``_dot`` and ``_cross``.  The helper-based versions they
+``geometry.contains_point`` (in ``geometry._ray_parity``) and the
+non-parallel path of ``geometry._seg_seg_intersections`` spell out
+``_sub``, ``_dot`` and ``_cross``.  The helper-based versions they
 replaced are kept below as the reference, and hypothesis checks that both
 return the same tuples bit for bit: at vertices and on edges, for collinear
 and parallel inputs, and on domains scaled by 1e-6 and 1e6.
@@ -15,7 +15,6 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from escobar import regions
 from escobar.errors import InvalidGeometryError
 from escobar.geometry import (
     _GOLDEN_ANGLE,
@@ -159,28 +158,6 @@ def _ref_seg_seg_intersections(a, b, c, d, *, eps=1e-9):
     return [], False
 
 
-def _ref_ray_segment_hit(p, direction, a, b):
-    r = _sub(b, a)
-    lr = math.hypot(*r)
-    if lr == 0.0:
-        return 0, False
-    denom = _cross(direction, r)
-    qp = _sub(a, p)
-    if abs(denom) <= 1e-14 * lr:
-        if abs(_cross(r, qp)) <= 1e-12 * lr * max(math.hypot(*qp), 1.0):
-            return 0, True
-        return 0, False
-    u = _cross(qp, r) / denom
-    v = _cross(qp, direction) / denom
-    if u <= 0.0:
-        return 0, False
-    if v < -1e-9 or v > 1.0 + 1e-9:
-        return 0, False
-    if v < 1e-9 or v > 1.0 - 1e-9:
-        return 0, True
-    return 1, False
-
-
 # ---------------------------------------------------------------------------
 # inputs
 # ---------------------------------------------------------------------------
@@ -313,41 +290,3 @@ def _segment_pairs(draw):
 @example(segs=((0.0, 0.0), (1e-6, 1e-6), (0.0, 1e-6), (1e-6, 0.0)))
 def test_seg_seg_intersections_is_bit_identical(segs):
     assert _outcome(_seg_seg_intersections, *segs) == _outcome(_ref_seg_seg_intersections, *segs)
-
-
-@st.composite
-def _rays(draw):
-    """A ray and a segment: random, parallel or collinear with the ray,
-    starting at an endpoint, or aimed at an endpoint."""
-    f = draw(_scale)
-    ang = draw(st.floats(min_value=0.0, max_value=2.0 * math.pi))
-    direction = (math.cos(ang), math.sin(ang))
-    p = (draw(_coord), draw(_coord))
-    kind = draw(st.sampled_from(["random", "parallel", "collinear", "from-end", "at-end"]))
-    a = (draw(_coord), draw(_coord))
-    if kind == "random":
-        b = (draw(_coord), draw(_coord))
-    elif kind == "parallel":
-        t = draw(_coord)
-        b = (a[0] + t * direction[0], a[1] + t * direction[1])
-    elif kind == "collinear":
-        t0, t1 = draw(_coord), draw(_coord)
-        a = (p[0] + t0 * direction[0], p[1] + t0 * direction[1])
-        b = (p[0] + t1 * direction[0], p[1] + t1 * direction[1])
-    elif kind == "from-end":
-        p, b = a, (draw(_coord), draw(_coord))
-    else:
-        t = draw(st.floats(min_value=0.1, max_value=2.0))
-        a = (p[0] + t * direction[0], p[1] + t * direction[1])
-        b = (draw(_coord), draw(_coord))
-    p, a, b = ((x * f, y * f) for x, y in (p, a, b))
-    return p, direction, a, b
-
-
-@settings(max_examples=500, deadline=None)
-@given(ray=_rays())
-@example(ray=((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
-@example(ray=((0.0, 0.0), (1.0, 0.0), (1.0, -1.0), (1.0, 1.0)))
-@example(ray=((0.0, 0.0), (0.0, 1.0), (1e6, 1e6), (-1e6, 1e6)))
-def test_ray_segment_hit_is_bit_identical(ray):
-    assert _outcome(regions._ray_segment_hit, *ray) == _outcome(_ref_ray_segment_hit, *ray)

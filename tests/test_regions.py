@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escobar import regions
 from escobar.errors import InvalidGeometryError
 from escobar.geometry import (
     _GOLDEN_ANGLE,
     TAU_GEOM,
+    _solve_quadratic,
+    _sub,
     Arc,
     Segment,
     make_disk,
@@ -20,12 +21,12 @@ from escobar.geometry import (
     make_polygon,
     make_regular_polygon,
     project_to_boundary,
+    scaled,
 )
 from escobar.regions import (
     Cap,
     Strip,
     TupleCandidate,
-    TupleViolation,
     corner_admits_anchor,
     eta_partial,
     exterior_intervals,
@@ -367,7 +368,7 @@ def test_anchor_json_is_checked(square):
 
 
 # ---------------------------------------------------------------------------
-# containment probes: one per region and validate_tuple call
+# the retired containment check, kept as an oracle
 # ---------------------------------------------------------------------------
 
 _LSHAPE_POINTS = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
@@ -385,11 +386,82 @@ _PROBE_DOMAINS = {
 }
 
 
+def _ray_segment_hit(p, direction, a, b):
+    """Crossing count (0/1) of ray p+u*dir with segment a-b; True flags degeneracy."""
+    r0, r1 = b[0] - a[0], b[1] - a[1]
+    lr = math.hypot(r0, r1)
+    if lr == 0.0:
+        return 0, False
+    dx, dy = direction
+    denom = dx * r1 - dy * r0
+    q0, q1 = a[0] - p[0], a[1] - p[1]
+    if abs(denom) <= 1e-14 * lr:
+        if abs(r0 * q1 - r1 * q0) <= 1e-12 * lr * max(math.hypot(q0, q1), 1.0):
+            return 0, True
+        return 0, False
+    u = (q0 * r1 - q1 * r0) / denom
+    v = (q0 * dy - q1 * dx) / denom
+    if u <= 0.0:
+        return 0, False
+    if v < -1e-9 or v > 1.0 + 1e-9:
+        return 0, False
+    if v < 1e-9 or v > 1.0 - 1e-9:
+        return 0, True
+    return 1, False
+
+
+def _curve_parity_once(domain, pieces, segments, p, direction, tol_abs):
+    """Parity of ray crossings with the closed curve, or None if degenerate."""
+    count = 0
+    for s0, s1 in pieces:
+        for i, t0, t1 in domain.boundary_pieces(s0, s1):
+            edge = domain.edges[i]
+            if isinstance(edge, Segment):
+                c, degen = _ray_segment_hit(
+                    p, direction, edge.point_at_local(t0), edge.point_at_local(t1)
+                )
+                if degen:
+                    return None
+                count += c
+            else:
+                f = _sub(p, edge.center)
+                roots = _solve_quadratic(
+                    1.0, 2.0 * (direction[0] * f[0] + direction[1] * f[1]),
+                    f[0] * f[0] + f[1] * f[1] - edge.radius * edge.radius,
+                )
+                eps_t = max(tol_abs, 1e-9 * edge.radius)
+                for u in roots:
+                    if u <= tol_abs:
+                        if abs(u) <= tol_abs:
+                            return None
+                        continue
+                    hit = (p[0] + u * direction[0], p[1] + u * direction[1])
+                    phi = edge.angle_of_point(hit)
+                    if edge.ccw:
+                        t = ((phi - edge.start_angle) % TWO_PI) * edge.radius
+                    else:
+                        t = ((edge.start_angle - phi) % TWO_PI) * edge.radius
+                    if t0 - eps_t <= t <= t1 + eps_t:
+                        if t < t0 + eps_t or t > t1 - eps_t:
+                            return None
+                        count += 1
+                    elif min(abs(t - t0), abs(t - t1)) <= eps_t:
+                        return None
+    for a, b in segments:
+        c, degen = _ray_segment_hit(p, direction, a, b)
+        if degen:
+            return None
+        count += c
+    return count % 2 == 1
+
+
 def _reference_region_contains_point(domain, region, p, *, tol=TAU_GEOM):
-    """``region_contains_point`` as it was before the membership test took
-    the curve and the projection from its caller."""
+    """``region_contains_point`` as it was with its own ray-parity loop,
+    which walked the region's boundary pieces instead of building edges."""
     tol_abs = tol * domain.scale
-    pieces, segments = regions._region_curve(domain, region)
+    pieces = exterior_intervals(domain, region)
+    segments = [(domain.point_at(s0), domain.point_at(s1))
+                for s0, s1 in interior_chords(domain, region)]
     for a, b in segments:
         r = (b[0] - a[0], b[1] - a[1])
         ll = r[0] * r[0] + r[1] * r[1]
@@ -410,65 +482,31 @@ def _reference_region_contains_point(domain, region, p, *, tol=TAU_GEOM):
     for attempt in range(32):
         ang = 0.7391 + _GOLDEN_ANGLE * attempt
         direction = (math.cos(ang), math.sin(ang))
-        parity = regions._curve_parity_once(domain, pieces, segments, p, direction, tol_abs)
+        parity = _curve_parity_once(domain, pieces, segments, p, direction, tol_abs)
         if parity is not None:
             return parity
     raise InvalidGeometryError(f"could not classify point {p} against region boundary")
 
 
-def _reference_containment(contains):
-    """The per-pair ``_check_containment``: rebuilds each representative
-    point, its projection and the region curves for every pair and
-    direction; ``contains(domain, region, p, tol)`` is the membership test."""
-
-    def check(domain, ri, rj, i, j, out, tol, probes=None):
-        delta = 1e-7 * domain.scale
-        for (a_idx, b_idx, ra, rb) in ((i, j, ri, rj), (j, i, rj, ri)):
-            s0, s1 = exterior_intervals(domain, ra)[0]
-            mid = (s0 + ((s1 - s0) % domain.perimeter) / 2.0) % domain.perimeter
-            t = domain.tangent_after(mid)
-            pm = domain.point_at(mid)
-            rep = (pm[0] - delta * t[1], pm[1] + delta * t[0])
-            try:
-                if contains(domain, ra, rep, tol) and contains(domain, rb, rep, tol):
-                    out.append(
-                        TupleViolation(
-                            a_idx, b_idx, "containment",
-                            f"interior point {rep} of region {a_idx} lies in region {b_idx}",
-                        )
-                    )
-                    return
-            except InvalidGeometryError:
-                continue
-
-    return check
-
-
-def _real_reference(domain, region, p, tol):
-    return _reference_region_contains_point(domain, region, p, tol=tol)
-
-
-def _fake_verdict(p):
-    """A stand-in membership answer that depends on the point alone: raise,
-    inside or outside, in roughly equal shares."""
-    h = int(abs(p[0] * 7.3 + p[1] * 3.1) * 1e6) % 3
-    if h == 0:
-        raise InvalidGeometryError("patched membership test")
-    return h == 1
-
-
-# membership modes: (new test on curve and projection, reference on the region)
-_MODES = {
-    "real": (None, _real_reference),
-    "always-inside": (
-        lambda domain, curve, p, projection, tol: True,
-        lambda domain, region, p, tol: True,
-    ),
-    "raise-inside-outside": (
-        lambda domain, curve, p, projection, tol: _fake_verdict(p),
-        lambda domain, region, p, tol: _fake_verdict(p),
-    ),
-}
+def _reference_containment(domain, ri, rj, tol=TAU_GEOM):
+    """The containment check ``validate_tuple`` ran on each pair before the
+    proof in its docstring retired it: a point ``1e-7 * scale`` inside the
+    middle of each region's first exterior interval, if it lies in its own
+    region, must not lie in the other one.  True when it fires."""
+    delta = 1e-7 * domain.scale
+    for ra, rb in ((ri, rj), (rj, ri)):
+        s0, s1 = exterior_intervals(domain, ra)[0]
+        mid = (s0 + ((s1 - s0) % domain.perimeter) / 2.0) % domain.perimeter
+        t = domain.tangent_after(mid)
+        pm = domain.point_at(mid)
+        rep = (pm[0] - delta * t[1], pm[1] + delta * t[0])
+        try:
+            if (_reference_region_contains_point(domain, ra, rep, tol=tol)
+                    and _reference_region_contains_point(domain, rb, rep, tol=tol)):
+                return True
+        except InvalidGeometryError:
+            continue
+    return False
 
 
 def _random_region(domain, rng, anchors):
@@ -516,33 +554,6 @@ def _random_tuples(domain, seed, count):
     return out
 
 
-@pytest.mark.parametrize("mode", sorted(_MODES))
-@pytest.mark.parametrize("name", sorted(_PROBE_DOMAINS))
-def test_containment_probe_memo_matches_per_pair_reference(name, mode, monkeypatch):
-    """validate_tuple with per-call probes reports exactly the violations of
-    the per-pair containment check: same order, predicates, indices and
-    details, in lenient and strict mode.  Besides the real membership test,
-    two stand-ins that answer from the point alone make containment fire on
-    every pair it reaches, or raise so that the check moves on."""
-    domain = _PROBE_DOMAINS[name]()
-    new_contains, ref_contains = _MODES[mode]
-    if new_contains is not None:
-        monkeypatch.setattr(regions, "_curve_contains_point", new_contains)
-    reference = _reference_containment(ref_contains)
-    seen = set()
-    for tc in _random_tuples(domain, 20261018, 150):
-        for strict in (False, True):
-            got = validate_tuple(tc, strict=strict)
-            with monkeypatch.context() as m:
-                m.setattr(regions, "_check_containment", reference)
-                want = validate_tuple(tc, strict=strict)
-            assert got == want, tc.regions
-            seen.update(v.predicate for v in got)
-    assert {"arc-overlap", "chord-crossing"} <= seen
-    if mode != "real":
-        assert "containment" in seen
-
-
 def _overlapping_pairs(domain):
     """Pairs of regions whose bulk overlaps: a cap with itself, with a cap
     nested in it, with a larger cap around it, and a strip with its outer cap."""
@@ -554,57 +565,44 @@ def _overlapping_pairs(domain):
         small = Cap((a + 0.1 * per) % per, (a + 0.2 * per) % per)
         strip = Strip(small, big)
         out += [(big, big), (big, small), (small, big), (strip, big), (big, strip)]
-    return out
+    return [TupleCandidate(domain, pair) for pair in out]
+
+
+def _oracle_fires_alone(tc, strict):
+    """Pairs of valid regions on which the retired containment check fires
+    while ``validate_tuple`` reports neither an arc overlap nor a chord
+    crossing, and the number of pairs it fired on."""
+    domain = tc.domain
+    caught = {
+        (v.first, v.second) for v in validate_tuple(tc, strict=strict)
+        if v.predicate in ("arc-overlap", "chord-crossing")
+    }
+    valid = [not validate_region(domain, r) for r in tc.regions]
+    alone, fired = [], 0
+    for i in range(tc.k):
+        for j in range(i + 1, tc.k):
+            if valid[i] and valid[j] and _reference_containment(domain, tc.regions[i], tc.regions[j]):
+                fired += 1
+                if (i, j) not in caught:
+                    alone.append((i, j))
+    return alone, fired
 
 
 @pytest.mark.parametrize("name", sorted(_PROBE_DOMAINS))
-def test_containment_check_on_overlapping_pairs_matches_reference(name):
-    """Direct calls reach the positive branch that random tuples never do."""
+def test_retired_containment_check_fires_only_with_another_predicate(name):
+    """Whenever the old containment check fires on two valid regions,
+    validate_tuple reports an arc overlap or a chord crossing on that pair:
+    caps, strips and anchored chains, lenient and strict.  The overlapping
+    pairs make sure the oracle does fire."""
     domain = _PROBE_DOMAINS[name]()
-    reference = _reference_containment(_real_reference)
     fired = 0
-    for ri, rj in _overlapping_pairs(domain):
-        got: list = []
-        want: list = []
-        regions._check_containment(domain, ri, rj, 0, 1, got, TAU_GEOM, {})
-        reference(domain, ri, rj, 0, 1, want, TAU_GEOM)
-        assert got == want, (ri, rj)
-        fired += bool(got)
-    assert fired >= 3
+    for tc in _random_tuples(domain, 20261018, 150) + _overlapping_pairs(domain):
+        for strict in (False, True):
+            alone, n = _oracle_fires_alone(tc, strict)
+            assert alone == [], (tc.regions, strict)
+            fired += n
+    assert fired >= 10
 
-
-def test_containment_probes_are_shared_across_pairs(monkeypatch):
-    """Each region's probe is built once per validate_tuple call."""
-    domain = _PROBE_DOMAINS["lshape"]()
-    # around the convex corners at s = 2, 6 and 0
-    tc = TupleCandidate(domain, (Cap(1.5, 2.5), Cap(5.5, 6.5), Cap(7.5, 0.5)))
-    built = []
-    real = regions._containment_probe
-    monkeypatch.setattr(
-        regions, "_containment_probe", lambda d, r, tol: built.append(r) or real(d, r, tol)
-    )
-    assert validate_tuple(tc) == []
-    assert built == list(tc.regions)
-
-
-def test_containment_skips_a_point_it_cannot_classify(monkeypatch):
-    """A membership test that raises makes the check move on, not fail."""
-    domain = _PROBE_DOMAINS["lshape"]()
-    big = Cap(0.0, 3.0)
-
-    def refuse(domain, curve, p, projection, tol):
-        raise InvalidGeometryError("patched membership test")
-
-    monkeypatch.setattr(regions, "_curve_contains_point", refuse)
-    out: list = []
-    regions._check_containment(domain, big, big, 0, 1, out, TAU_GEOM, {})
-    assert out == []
-    assert validate_tuple(TupleCandidate(domain, (big, Cap(5.5, 6.5)))) == []
-
-
-# ---------------------------------------------------------------------------
-# what the containment check catches
-# ---------------------------------------------------------------------------
 
 _CLEAN_DOMAINS = ("lshape", "star", "quad")
 
@@ -650,28 +648,75 @@ def _cap_tuples(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(case=_cap_tuples())
-def test_containment_never_fires_alone_on_cap_tuples(case):
-    """On all-cap tuples with no arc overlap, no chord crossing and only
-    interior chords, the containment check finds nothing."""
+def test_retired_containment_check_fires_only_with_another_predicate_on_cap_tuples(case):
+    """The same oracle on cap tuples laid out around the boundary."""
     tc, strict = case
-    preds = {v.predicate for v in validate_tuple(tc, strict=strict)}
-    if "containment" in preds:
-        assert preds & {"arc-overlap", "chord-crossing", "region-invalid"}, tc.regions
+    assert _oracle_fires_alone(tc, strict)[0] == [], tc.regions
 
 
-@pytest.mark.parametrize("factor, fires", [(0.5, False), (1.0, True), (2.0, False)])
-def test_containment_rejects_a_corner_cap_as_small_as_its_probe_offset(lshape, factor, fires):
-    """A false rejection of the containment check, kept as found.
-
-    A cap around the corner (0, 0) with legs ``t`` and its complement share
-    one chord, which lenient mode allows, and their interiors are disjoint.
-    The representative point of the small cap lies ``1e-7 * scale`` up the
-    edge x = 0 from the vertex; for ``t`` within the membership tolerance
-    of that offset it counts as on both regions' boundaries, and the tuple
-    is reported as ``containment``.
-    """
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+def test_corner_cap_as_small_as_the_old_probe_offset_and_its_complement_are_valid(
+    lshape, factor
+):
+    """A cap around the corner (0, 0) with legs ``t`` and its complement
+    share one chord, which lenient mode allows, and their interiors are
+    disjoint.  The retired containment check rejected the pair at
+    ``t = 1e-7 * scale``, its probe offset, where the small cap's probe
+    point came within the membership tolerance of the shared chord."""
     per = lshape.perimeter
     t = factor * 1e-7 * lshape.scale
     tc = TupleCandidate(lshape, (Cap(per - t, t), Cap(t, per - t)))
-    out = validate_tuple(tc)
-    assert [v.predicate for v in out] == (["containment"] if fires else [])
+    assert validate_tuple(tc) == []
+
+
+# ---------------------------------------------------------------------------
+# membership against the self-contained reference
+# ---------------------------------------------------------------------------
+
+
+def _membership(fn, domain, region, p):
+    try:
+        return fn(domain, region, p)
+    except InvalidGeometryError:
+        return InvalidGeometryError
+
+
+@pytest.mark.parametrize("factor", [1.0, 1e-6, 1e6])
+@pytest.mark.parametrize("name", sorted(_PROBE_DOMAINS))
+def test_region_contains_point_matches_reference(name, factor):
+    """The ray-parity kernel shared with ``contains_point`` gives the verdict
+    of the region's own parity loop: random points in the bounding box,
+    every valid region of random tuples, domains scaled by 1e-6 and 1e6."""
+    domain = _PROBE_DOMAINS[name]()
+    if factor != 1.0:
+        domain = scaled(domain, factor)
+    rng = np.random.default_rng(7)
+    x0, y0, x1, y1 = domain.bbox
+    inside = 0
+    for tc in _random_tuples(domain, 20261018, 40):
+        for region in tc.regions:
+            if validate_region(domain, region):
+                continue
+            for x, y in zip(rng.uniform(x0, x1, 10), rng.uniform(y0, y1, 10)):
+                p = (float(x), float(y))
+                got = _membership(region_contains_point, domain, region, p)
+                assert got == _membership(_reference_region_contains_point, domain, region, p), (
+                    region, p,
+                )
+                inside += got is True
+    assert inside > 0
+
+
+def test_region_contains_point_skips_a_boundary_piece_with_equal_ends():
+    """A cap cut one ulp before the end of an arc starts with an arc piece
+    whose two end angles round to the same float; it adds no crossing."""
+    arc = Arc((0.0, 0.0), 4.0, 3.0, 3.5)
+    domain = make_domain([arc, Segment(arc.end, arc.start)])
+    cap = Cap(math.nextafter(2.0, 0.0), 0.5)
+    i, t0, t1 = domain.boundary_pieces(cap.a, cap.b)[0]
+    assert domain.edges[i]._angle_at(t0) == domain.edges[i]._angle_at(t1)
+    assert validate_region(domain, cap) == []
+    for p, inside in [((-3.95, 0.0), True), ((-3.95, 0.3), True),
+                      ((-3.96, -0.3), False), ((-3.5, 0.5), False)]:
+        assert region_contains_point(domain, cap, p) is inside
+        assert _reference_region_contains_point(domain, cap, p) is inside
