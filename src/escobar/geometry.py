@@ -8,9 +8,9 @@ perimeter.
 
 The module provides constructors (:func:`make_domain`, :func:`make_polygon`,
 :func:`make_disk`, :func:`make_regular_polygon`), geometric queries used by
-the rest of the package (point/tangent lookup, interior-chord tests, point
-containment, projection onto the boundary, Green-theorem areas), and a JSON
-round trip for domains.
+the rest of the package (point/tangent lookup, the interior-chord and
+chord-crossing predicates, point containment, projection onto the boundary,
+Green-theorem areas), and a JSON round trip for domains.
 """
 
 from __future__ import annotations
@@ -32,10 +32,13 @@ TAU_GEOM = 1e-9
 _CONVEX_CORNER_MARGIN = 1e-3
 #: Least boundary distance of a chord endpoint from every vertex, x scale.
 _CONVEX_VERTEX_CLEARANCE = 1e-3
-#: Least chord length, x scale: to accept a chord, and to reject one along
-#: a straight edge.
+#: Least chord length to accept a chord, x scale.
 _CONVEX_MIN_CHORD = 1e-3
-_CONVEX_MIN_CHORD_ALONG = 1e-1
+
+#: Exclusion radius around chord ends, ``max(ABS * scale, REL * chord)``: a
+#: crossing (:func:`chords_cross`) or boundary hit that close is a touch.
+_CHORD_EXCL_ABS = 1e-12
+_CHORD_EXCL_REL = 1e-6
 
 _TWO_PI = 2.0 * math.pi
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -280,7 +283,8 @@ def _seg_seg_intersections(
 
     Returns ``(hits, overlap)`` where hits are ``(point, u, v)`` with both
     parameters within ``[-eps, 1 + eps]`` and ``overlap`` flags a collinear
-    intersection of positive length.
+    intersection of positive length.  On the collinear path a segment whose
+    squared length underflows to 0 (below about 1e-162) has no hits.
     """
     # the hot path below spells out _sub and _cross, operation for operation
     r0, r1 = b[0] - a[0], b[1] - a[1]
@@ -297,13 +301,15 @@ def _seg_seg_intersections(
         if abs(_cross(r, qp)) > 1e-9 * lr * (ls + math.hypot(*qp)):
             return [], False
         # collinear: compare parameter ranges of c, d along a->b
+        if lr * lr == 0.0:
+            return [], False
         t0 = _dot(qp, r) / (lr * lr)
         t1 = _dot(_sub(d, a), r) / (lr * lr)
         lo, hi = min(t0, t1), max(t0, t1)
         olo, ohi = max(lo, 0.0), min(hi, 1.0)
         if ohi - olo > eps:
             return [], True
-        if ohi - olo >= -eps:
+        if ohi - olo >= -eps and ls * ls != 0.0:
             u = 0.5 * (olo + ohi)
             p = (a[0] + u * r[0], a[1] + u * r[1])
             return [(p, u, _dot(_sub(p, c), s) / (ls * ls))], False
@@ -316,12 +322,36 @@ def _seg_seg_intersections(
     return [], False
 
 
-def _circular_interval_overlap(lo1: float, len1: float, lo2: float, len2: float) -> float:
-    """Length of the overlap of two angular intervals on the circle."""
+def chords_cross(p1: Point, q1: Point, p2: Point, q2: Point, scale: float) -> str | None:
+    """Whether the chords ``p1 q1`` and ``p2 q2`` cross or overlap: a
+    description, else ``None``.
+
+    Collinear chords that share a stretch overlap.  A crossing point within
+    ``max(1e-12 scale, 1e-6 * shorter chord)`` of any of the four ends is a
+    touch at that end, not a crossing, so chords that share an end or end on
+    each other (a T-junction) do not cross.
+    """
+    hits, overlap = _seg_seg_intersections(p1, q1, p2, q2)
+    if overlap:
+        return "chords overlap along a stretch"
+    excl = max(
+        _CHORD_EXCL_ABS * scale, _CHORD_EXCL_REL * min(math.dist(p1, q1), math.dist(p2, q2))
+    )
+    for pt, _u, _v in hits:
+        if all(math.dist(pt, e) > excl for e in (p1, q1, p2, q2)):
+            return f"chords cross at {pt}"
+    return None
+
+
+def _circular_interval_overlap(
+    lo1: float, len1: float, lo2: float, len2: float, period: float
+) -> float:
+    """Length of the overlap of the intervals ``[lo1, lo1 + len1]`` and
+    ``[lo2, lo2 + len2]`` on a circle of circumference ``period``."""
     total = 0.0
-    base = lo1 % _TWO_PI
-    for shift in (-_TWO_PI, 0.0, _TWO_PI):
-        s2 = (lo2 % _TWO_PI) + shift
+    base = lo1 % period
+    for shift in (-period, 0.0, period):
+        s2 = (lo2 % period) + shift
         lo = max(base, s2)
         hi = min(base + len1, s2 + len2)
         if hi > lo:
@@ -351,7 +381,7 @@ def _edge_pair_intersections(e1: Edge, e2: Edge, tol_abs: float):
         lo1 = e1.start_angle if e1.ccw else e1.start_angle - e1.sweep
         lo2 = e2.start_angle if e2.ccw else e2.start_angle - e2.sweep
         ang_tol = tol_abs / max(e1.radius, 1e-300)
-        overlap = _circular_interval_overlap(lo1, e1.sweep, lo2, e2.sweep) > 2.0 * ang_tol
+        overlap = _circular_interval_overlap(lo1, e1.sweep, lo2, e2.sweep, _TWO_PI) > 2.0 * ang_tol
         pts = []
         for p in (e1.start, e1.end):
             ins, m = angle_in_sweep(e2, e2.angle_of_point(p))
@@ -888,22 +918,31 @@ def chord_is_interior(
     The chord must have positive length, must not run along the boundary, and
     must not meet the boundary except at its two endpoints.
 
-    On a convex domain that holds exactly when the two points differ and do
-    not lie on one straight edge.  This *convex verdict* answers without the
-    edge loop and ray cast of the general test
-    (:func:`_chord_is_interior_general`) when ``tol`` is the default and these
-    guards hold (``S`` = scale, ``l`` = chord length, ``c = 1e-3 S``):
+    The *flat-edge rule* comes first: a chord with both ends on one closed
+    straight edge runs along it, and one with both ends on one closed
+    concave arc runs outside the domain, so neither is interior.  It reads
+    edge indices (a point at a vertex lies on both edges there), so the
+    verdict is the same in both directions and at any chord length; the
+    coordinate tests below cannot tell a chord along an edge shorter than
+    about 1e-4 of the scale from one just off it.
+
+    On a convex domain every other chord between two distinct points is
+    interior.  This *convex verdict* answers without the edge loop and ray
+    cast of the general test (:func:`_chord_is_interior_general`) when
+    ``tol`` is the default and these guards hold (``S`` = scale, ``l`` =
+    chord length, ``c = 1e-3 S``):
 
     * the domain is convex, its bounding box lies within ``S`` of the origin
       and every arc radius is at most ``S``;
     * every vertex has a corner angle in ``[1e-3, pi - 1e-3]`` and every edge
       is longer than ``2c`` (a full circle has no vertex);
     * each endpoint lies more than ``c`` of boundary length from every vertex;
-    * ``l >= 1e-3 S``, and ``l >= 0.1 S`` to reject a chord along an edge.
+    * ``l >= 1e-3 S``.
 
-    Otherwise the general test answers.  Under the guards both agree: the
-    general test can depart from the rule only through its tolerances, and
-    the guards clear each of them by at least 100x.
+    Otherwise the general test answers.  Under the guards both agree on the
+    chords the flat-edge rule lets through: the general test can depart from
+    the convex verdict only through its tolerances, and the guards clear each
+    of them by at least 100x.
 
     * Clearance.  Cut the boundary at ``c`` on either side of a vertex
       ``W``.  The cuts lie on ``W``'s two edges, and ``P``, ``Q`` lie beyond
@@ -915,14 +954,10 @@ def chord_is_interior(
     * ``TAU_GEOM * S`` (zero chord): ``l >= 1e-3 S`` is 1e6x above it.
     * Parallel test (``1e-12``): for an edge carrying ``P`` but not ``Q``,
       the sine between chord and edge is at least ``1e-6 S / l >= 1e-6``
-      (``l <= S``), 1e6x above.  For a chord along an edge it is the
-      rounding of the two endpoints, at most ``7e-16 S / l <= 7e-15``, 140x
-      below.
+      (``l <= S``), 1e6x above.
     * Collinearity test (``1e-9``): for an edge carrying no endpoint, both
       endpoints would have to lie within ``1e-9 (L_e + |P - e.start|) <=
-      2e-9 S`` of its line.  They lie ``1e-6 S`` off, 500x more.  For a chord
-      along an edge the edge's start lies within rounding, ``~1e-16 S``, of
-      the chord's line, 1e6x inside.
+      2e-9 S`` of its line.  They lie ``1e-6 S`` off, 500x more.
     * ``eps = 1e-9`` (segment and circle parameters) and ``excl = 1e-6 l``:
       a hit off ``[0, 1]`` on the chord lies within ``eps l`` of an endpoint,
       1000x inside ``excl``.  A hit on the chord just past the edge it
@@ -944,19 +979,23 @@ def chord_is_interior(
     """
     i0, t0 = domain.edge_index_at(s0)
     i1, t1 = domain.edge_index_at(s1)
-    p = domain.edges[i0].point_at_local(t0)
-    q = domain.edges[i1].point_at_local(t1)
+    edges = domain.edges
+    n = len(edges)
+    on1 = (i1, (i1 - 1) % n) if t1 == 0.0 else (i1,)
+    for i in (i0, (i0 - 1) % n) if t0 == 0.0 else (i0,):
+        if i in on1 and (isinstance(edges[i], Segment) or not edges[i].ccw):
+            return False
+    p = edges[i0].point_at_local(t0)
+    q = edges[i1].point_at_local(t1)
     clear = domain._convex_clearance
-    if clear is not None and tol == TAU_GEOM:
-        lengths = domain.edge_lengths
-        along = i0 == i1 and isinstance(domain.edges[i0], Segment)
-        floor = _CONVEX_MIN_CHORD_ALONG if along else _CONVEX_MIN_CHORD
-        if (
-            clear < t0 < lengths[i0] - clear
-            and clear < t1 < lengths[i1] - clear
-            and math.dist(p, q) >= floor * domain.scale
-        ):
-            return not along
+    if (
+        clear is not None
+        and tol == TAU_GEOM
+        and clear < t0 < domain.edge_lengths[i0] - clear
+        and clear < t1 < domain.edge_lengths[i1] - clear
+        and math.dist(p, q) >= _CONVEX_MIN_CHORD * domain.scale
+    ):
+        return True
     return _chord_is_interior_general(domain, p, q, tol)
 
 
@@ -969,8 +1008,7 @@ def _chord_is_interior_general(
     tol_abs = tol * domain.scale
     if chord_len <= tol_abs:
         return False
-    # exclusion radius around the chord endpoints for boundary hits
-    excl = max(1e-12 * domain.scale, 1e-6 * chord_len)
+    excl = max(_CHORD_EXCL_ABS * domain.scale, _CHORD_EXCL_REL * chord_len)
 
     for e in domain.edges:
         if isinstance(e, Segment):

@@ -19,6 +19,7 @@ competitors over which the k-th Escobar constant is minimised.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -29,11 +30,12 @@ from .geometry import (
     Arc,
     PlanarDomain,
     Segment,
+    _circular_interval_overlap,
     _cross,
     _ray_parity,
-    _seg_seg_intersections,
     _sub,
     chord_is_interior,
+    chords_cross,
     edge_offset_vector,
     project_to_boundary,
 )
@@ -312,23 +314,6 @@ def _anchored_problems(domain: PlanarDomain, region: Region) -> list[str]:
     return problems
 
 
-def _on_one_flat_edge(domain: PlanarDomain, a: float, b: float) -> bool:
-    """Whether the walk from ``a`` to ``b``, shorter than the perimeter,
-    holds no vertex in its open interior and lies on a straight edge or a
-    concave arc.
-
-    The chord then runs along that edge or, across a concave arc, outside
-    the domain, so it is not interior.  The test reads edge indices, not
-    coordinates: :func:`chord_is_interior` decides from the chord's points
-    with tolerances, and accepts such chords below about 1e-4 of the scale.
-    """
-    i0, t0 = domain.edge_index_at(a)
-    i1, t1 = domain.edge_index_at(b)
-    one_edge = (i1 == i0 and t1 >= t0) or (t1 == 0.0 and i1 == (i0 + 1) % len(domain.edges))
-    edge = domain.edges[i0]
-    return one_edge and (isinstance(edge, Segment) or not edge.ccw)
-
-
 def _cap_problems(domain: PlanarDomain, cap: Cap, label: str, tol: float) -> list[str]:
     """Exterior length and interior chord of one cap, checked on the boundary."""
     per = domain.perimeter
@@ -339,9 +324,7 @@ def _cap_problems(domain: PlanarDomain, cap: Cap, label: str, tol: float) -> lis
         return [f"{label}: zero-length exterior boundary (a == b)"]
     if per - ext <= tol_len:
         return [f"{label}: cap swallows the whole boundary"]
-    # an anchored cap holds its vertex (a < 0 < b is checked before)
-    flat = cap.anchor is None and _on_one_flat_edge(domain, a, b)
-    if flat or not chord_is_interior(domain, a, b, tol=tol):
+    if not chord_is_interior(domain, a, b, tol=tol):
         return [
             f"{label}: chord between s={a:.6g} and s={b:.6g} "
             "does not cut through the interior"
@@ -386,64 +369,25 @@ def validate_region(
         )
         return problems
     # the two chords must not cross each other
-    pa = domain.point_at(region.inner.a)
-    pb = domain.point_at(region.inner.b)
-    qa = domain.point_at(region.outer.a)
-    qb = domain.point_at(region.outer.b)
-    hits, overlap = _seg_seg_intersections(pa, pb, qa, qb)
-    excl = max(1e-12 * domain.scale, 1e-6 * min(math.dist(pa, pb), math.dist(qa, qb)))
-    if overlap:
-        problems.append("inner and outer chords overlap")
-    else:
-        for pt, _u, _v in hits:
-            if all(math.dist(pt, q) > excl for q in (pa, pb, qa, qb)):
-                problems.append("inner and outer chords cross")
-                break
+    (pa, pb), (qa, qb) = _pieces(domain, region)[1]
+    msg = chords_cross(pa, pb, qa, qb, domain.scale)
+    if msg:
+        problems.append(f"inner and outer {msg}")
     return problems
 
 
-def _interval_overlap_mod(per, s0, l0, s1, l1) -> float:
-    """Overlap length of two circular arclength intervals."""
-    total = 0.0
-    base = s0 % per
-    for shift in (-per, 0.0, per):
-        o = (s1 % per) + shift
-        lo = max(base, o)
-        hi = min(base + l0, o + l1)
-        if hi > lo:
-            total += hi - lo
-    return total
-
-
 def _chords_conflict(domain, c1, c2, *, strict: bool, tol: float):
-    """None if chords may coexist, otherwise a description string."""
-    p1 = domain.point_at(c1[0])
-    q1 = domain.point_at(c1[1])
-    p2 = domain.point_at(c2[0])
-    q2 = domain.point_at(c2[1])
+    """None if two chords, given by their end points, may coexist, otherwise
+    a description string.  Lenient mode allows identical chords and shared
+    end points; :func:`chords_cross` decides the rest."""
+    (p1, q1), (p2, q2) = c1, c2
     tol_abs = tol * domain.scale
-    same = (
-        math.dist(p1, p2) <= tol_abs
-        and math.dist(q1, q2) <= tol_abs
-    ) or (
-        math.dist(p1, q2) <= tol_abs
-        and math.dist(q1, p2) <= tol_abs
-    )
-    if same:
+    (pp, pq), (qp, qq) = [[math.dist(x, y) <= tol_abs for y in (p2, q2)] for x in (p1, q1)]
+    if (pp and qq) or (pq and qp):
         return "identical chords" if strict else None
-    shared = any(
-        math.dist(x, y) <= tol_abs for x in (p1, q1) for y in (p2, q2)
-    )
-    if strict and shared:
+    if strict and (pp or pq or qp or qq):
         return "chords share an endpoint"
-    hits, overlap = _seg_seg_intersections(p1, q1, p2, q2)
-    if overlap:
-        return "chords overlap along a stretch"
-    excl = max(1e-12 * domain.scale, 1e-6 * min(math.dist(p1, q1), math.dist(p2, q2)))
-    for pt, _u, _v in hits:
-        if all(math.dist(pt, e) > excl for e in (p1, q1, p2, q2)):
-            return f"chords cross at {pt}"
-    return None
+    return chords_cross(p1, q1, p2, q2, domain.scale)
 
 
 def validate_tuple(
@@ -456,12 +400,12 @@ def validate_tuple(
     interiors stay disjoint; ``strict=True`` additionally forbids any shared
     endpoints.
 
-    Anchored regions are grouped by vertex.  The outermost cap of a group is
-    checked with the boundary predicates once; the regions nested inside it
-    are checked against each other on the offsets alone (disjoint exterior
-    intervals, nested chords).  Two groups, or a group and a plain region,
-    are compared through the group's outermost cap; only when those clash
-    are the regions compared one by one.
+    Anchored regions are grouped by vertex.  The hull of a group, the cap
+    spanning all its members' offsets, is checked with the boundary
+    predicates once; the regions inside it are checked against each other
+    on the offsets alone (disjoint exterior intervals, nested chords).  Two
+    groups, or a group and a plain region, are compared through the group's
+    hull; only when those clash are the regions compared one by one.
 
     Three predicates settle disjointness: ``region-invalid`` (each region
     valid on its own, every chord interior to M), ``arc-overlap`` and
@@ -487,10 +431,12 @@ def validate_tuple(
     * regions at one anchor are compared on their offsets by
       :func:`_check_same_anchor`, where the arcs are intervals of the
       offset line and the chords join the corner's two edges;
-    * an anchored group is compared through its outermost cap, which holds
-      every region of the group once their offsets are clear of each other,
-      so the argument applied to the hull caps makes the regions disjoint;
-      when the hulls clash the regions are compared one by one.
+    * an anchored group is compared through its hull, the cap from the
+      least ``a`` to the greatest ``b`` of its members (on a nested chain,
+      the outermost cap).  The corner cap is convex, so it holds every
+      region of the group, and the argument applied to the hull makes the
+      regions disjoint; when the hulls clash the regions are compared one
+      by one.
     """
     domain = tc.domain
     regions = tc.regions
@@ -512,11 +458,12 @@ def validate_tuple(
 
     hulls: dict[int, Cap] = {}
     for j, members in groups.items():
-        hull = min((c for i in members for c in _caps(regions[i])), key=lambda c: (c.a, -c.b))
-        if not _cap_problems(domain, hull, "outermost anchored cap", tol):
+        caps = [c for i in members for c in _caps(regions[i])]
+        hull = Cap(min(c.a for c in caps), max(c.b for c in caps), j)
+        if not _cap_problems(domain, hull, "anchored group hull", tol):
             hulls[j] = hull
             continue
-        # the shared outermost cap fails: check each region's own instead
+        # the hull fails: check each region's own outer cap instead
         for i in members:
             probs = validate_region(domain, regions[i], tol=tol)
             bad[i] = bool(probs)
@@ -531,7 +478,7 @@ def validate_tuple(
             return ("vertex", j), hulls[j]
         return ("region", i), regions[i]
 
-    pieces = [_pieces(domain, r) for r in regions]
+    pieces = functools.cache(functools.partial(_pieces, domain))  # chord ends found once
     hulls_clear: dict = {}
     for i in range(n):
         if bad[i]:
@@ -547,19 +494,18 @@ def validate_tuple(
                 key = (key_i, key_j)
                 if key not in hulls_clear:
                     probe: list[TupleViolation] = []
-                    _check_pair(
-                        domain, i, j, probe, strict, tol,
-                        _pieces(domain, hull_i), _pieces(domain, hull_j),
-                    )
+                    _check_pair(domain, i, j, probe, strict, tol, pieces(hull_i), pieces(hull_j))
                     hulls_clear[key] = not probe
                 if hulls_clear[key]:
                     continue
-            _check_pair(domain, i, j, out, strict, tol, pieces[i], pieces[j])
+            _check_pair(domain, i, j, out, strict, tol, pieces(regions[i]), pieces(regions[j]))
     return out
 
 
 def _pieces(domain: PlanarDomain, region: Region):
-    return exterior_intervals(domain, region), interior_chords(domain, region)
+    """Exterior intervals of the region and the end points of its chords."""
+    ends = [(domain.point_at(a), domain.point_at(b)) for a, b in interior_chords(domain, region)]
+    return exterior_intervals(domain, region), ends
 
 
 def _check_pair(domain, i, j, out, strict, tol, pieces_i, pieces_j) -> None:
@@ -587,7 +533,7 @@ def _arcs_clash(per, ints_i, ints_j, strict, tol):
     for s0, s1 in ints_i:
         l0 = (s1 - s0) % per
         for u0, u1 in ints_j:
-            ov = _interval_overlap_mod(per, s0, l0, u0, (u1 - u0) % per)
+            ov = _circular_interval_overlap(s0, l0, u0, (u1 - u0) % per, per)
             if ov > tol_len:
                 return f"exterior arcs overlap over length {ov:.6g}"
             if strict and (ov > 0.0 or min((u0 - s1) % per, (s0 - u1) % per) <= tol_len):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from math import comb
@@ -47,8 +48,8 @@ from .geometry import (
     Arc,
     PlanarDomain,
     Segment,
-    _seg_seg_intersections,
     chord_is_interior,
+    chords_cross,
     convex_corner_indices,
     is_disk,
     regular_ngon_order,
@@ -182,11 +183,14 @@ def _edge_runs(domain: PlanarDomain, svals: np.ndarray) -> tuple[np.ndarray, np.
     """Steps ``(fwd[i], bwd[i])`` from grid point i to the farthest point
     that shares a straight edge with it, going forward and backward.
 
-    A point lies on the edge :meth:`PlanarDomain.edge_index_at` gives it and,
-    within ``1e-12`` of the perimeter of a vertex on either side, on both
-    edges that meet there.  The points of one edge thus have arclengths in
-    one interval and form a run of consecutive indices, which may wrap past
-    index m - 1.
+    This is the flat-edge rule of :func:`chord_is_interior`, vectorised over
+    the grid of a convex domain, with one difference: the rule puts a point
+    on both edges at a vertex only when it sits exactly there, and this
+    form does so within ``1e-12`` of the perimeter of the vertex on either
+    side.  Otherwise a point lies on the edge
+    :meth:`PlanarDomain.edge_index_at` gives it.  The points of one edge
+    thus have arclengths in one interval and form a run of consecutive
+    indices, which may wrap past index m - 1.
     """
     m, n = len(svals), len(domain.edges)
     cumlens = np.array(domain.cumlens)
@@ -313,7 +317,7 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
             if e >= best:
                 return
             val = max(val, e)
-        if not grid.convex and not _cuts_chords_ok(grid, cuts):
+        if not grid.convex and not _cuts_chords_ok(grid, cuts, domain.scale):
             return
         if not grid.full_validity:
             # geometric table only: verify the candidate's chords for real
@@ -331,28 +335,14 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
     return best, best_cuts
 
 
-def _cuts_chords_ok(tables: _Grid, cuts: Sequence[int]) -> bool:
-    """Pairwise chord-crossing check (needed on nonconvex domains only)."""
-    m = tables.m
-    pts = tables.pts
-    k = len(cuts) // 2
-    segs = []
-    for j in range(k):
-        p = tuple(pts[cuts[2 * j] % m])
-        q = tuple(pts[cuts[2 * j + 1] % m])
-        segs.append((p, q))
-    for i in range(k):
-        for j in range(i + 1, k):
-            p1, q1 = segs[i]
-            p2, q2 = segs[j]
-            hits, overlap = _seg_seg_intersections(p1, q1, p2, q2)
-            same = (p1 == p2 and q1 == q2) or (p1 == q2 and q1 == p2)
-            if overlap and not same:
-                return False
-            excl = 1e-6 * min(math.dist(p1, q1), math.dist(p2, q2))
-            for pt, _u, _v in hits:
-                if all(math.dist(pt, e) > excl for e in (p1, q1, p2, q2)):
-                    return False
+def _cuts_chords_ok(tables: _Grid, cuts: Sequence[int], scale: float) -> bool:
+    """Whether no two chords of the cut list cross or overlap (needed on
+    nonconvex domains only); identical chords may coexist."""
+    pts = [tuple(tables.pts[c % tables.m]) for c in cuts]
+    for (p1, q1), (p2, q2) in itertools.combinations(zip(pts[::2], pts[1::2]), 2):
+        same = (p1 == p2 and q1 == q2) or (p1 == q2 and q1 == p2)
+        if not same and chords_cross(p1, q1, p2, q2, scale):
+            return False
     return True
 
 
@@ -472,7 +462,7 @@ def _run_enumeration(
                 budget=float(budget),
             )
         if cap_idx == k:
-            if need_cross and not _cuts_chords_ok(tables, cuts):
+            if need_cross and not _cuts_chords_ok(tables, cuts, domain.scale):
                 return
             best = running
             best_cuts = list(cuts)

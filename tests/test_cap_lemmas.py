@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from escobar.geometry import make_regular_polygon, scaled
+from escobar.geometry import chord_is_interior, make_regular_polygon, scaled
 from escobar.regions import Cap, TupleCandidate, eta_partial, validate_tuple
 from tests.conftest import NO_CAP_DOMAINS
 
@@ -49,10 +49,13 @@ def _point_on_edge(domain, e, data):
 def test_cap_without_a_vertex_is_invalid(key, data):
     """A cap whose exterior arc lies on one closed edge is flagged
     ``region-invalid``: its chord runs along a straight edge or across a
-    concave arc, outside the domain."""
+    concave arc, outside the domain.  So is the reversed cap, whose arc
+    wraps around the rest of the boundary: it has the same chord."""
     domain = _SCALED[key]
     e = data.draw(st.integers(0, len(domain.edges) - 1))
     a, b = sorted((_point_on_edge(domain, e, data), _point_on_edge(domain, e, data)))
+    if data.draw(st.booleans()):
+        a, b = b, a
     per = domain.perimeter
     cap = Cap(a % per, b % per)
     violations = validate_tuple(TupleCandidate(domain, (cap,)))
@@ -67,13 +70,32 @@ def test_cap_without_a_vertex_is_invalid(key, data):
     ],
 )
 def test_short_chord_on_one_edge_is_invalid(key, edge, at, width):
-    """:func:`chord_is_interior` alone accepts these chords (the midpoint of
-    each lies within ``TAU_GEOM`` of the boundary); the caps are invalid."""
+    """The general chord test alone accepts these chords (the midpoint of
+    each lies within ``TAU_GEOM`` of the boundary); the flat-edge rule of
+    :func:`chord_is_interior` rejects them by edge index, and the caps are
+    invalid."""
     domain = _SCALED[key]
     s = domain.cumlens[edge] + at * domain.edge_lengths[edge]
-    out = validate_tuple(TupleCandidate(domain, (Cap(s, s + width * domain.perimeter),)))
+    t = s + width * domain.perimeter
+    assert not chord_is_interior(domain, s, t)
+    assert not chord_is_interior(domain, t, s)
+    out = validate_tuple(TupleCandidate(domain, (Cap(s, t),)))
     assert [v.predicate for v in out] == ["region-invalid"]
     assert "does not cut through the interior" in out[0].detail
+
+
+@pytest.mark.parametrize("w", [1e-8, 1e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize(
+    "key", [(f"D{n}", f) for n in (3, 4, 6) for f in (1e-6, 1.0, 1e6)], ids="{0[0]}@{0[1]:g}".format
+)
+def test_complement_of_a_sliver_is_invalid(key, w):
+    """``Cap(s + w per, s)`` with ``s`` at 0.4 of edge 0 holds the whole
+    boundary but a sliver of edge 0; its chord runs along edge 0."""
+    domain = _SCALED[key]
+    per = domain.perimeter
+    s = 0.4 * domain.edge_lengths[0]
+    out = validate_tuple(TupleCandidate(domain, (Cap(s + w * per, s),)))
+    assert [v.predicate for v in out] == ["region-invalid"], out
 
 
 _NGONS = {n: make_regular_polygon(n) for n in (7, 9, 11)}

@@ -310,6 +310,15 @@ def _verdict_chords(draw):
 
 
 def _general_verdict(dom, s0, s1):
+    """The flat-edge rule, from edge indices as sets, then the general test."""
+    n = len(dom.edges)
+
+    def on(s):
+        i, t = dom.edge_index_at(s)
+        return {i, (i - 1) % n} if t == 0.0 else {i}
+
+    if any(isinstance(dom.edges[i], Segment) or not dom.edges[i].ccw for i in on(s0) & on(s1)):
+        return False
     p, q = dom.point_at(s0), dom.point_at(s1)
     return geometry._chord_is_interior_general(dom, p, q, TAU_GEOM)
 
@@ -323,6 +332,8 @@ def _general_verdict(dom, s0, s1):
 @example(chord=("disk", 0.0, 6.3e-6))
 # along an edge
 @example(chord=("D8", 0.1, 0.5))
+# along an edge from its vertex, so short that the general test alone accepts it
+@example(chord=("D200", 0.0, 3.141463462364135e-09))
 def test_convex_verdict_matches_general_test(chord):
     key, s0, s1 = chord
     dom = _verdict_domain(key)

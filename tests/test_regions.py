@@ -333,6 +333,20 @@ def test_anchored_chain_against_plain_cap(square):
     assert validate_tuple(TupleCandidate(square, chain + (opposite,))) == []
 
 
+def test_anchored_group_hull_holds_members_that_are_not_nested(square):
+    """The hull of a group spans its members' least ``a`` and greatest
+    ``b``.  The member with the least ``a`` alone (0) is clear of the plain
+    cap, but member 1 overlaps it and crosses its chord."""
+    side = square.edge_lengths[0]
+    tc = TupleCandidate(square, (
+        Cap(-0.5 * side, 0.1 * side, 0), Cap(-0.1 * side, 0.5 * side, 0), Cap(0.3 * side, 1.2 * side),
+    ))
+    assert {(v.first, v.second, v.predicate) for v in validate_tuple(tc)} == {
+        (0, 1, "arc-overlap"), (0, 1, "chord-crossing"),
+        (1, 2, "arc-overlap"), (1, 2, "chord-crossing"),
+    }
+
+
 def test_anchor_needs_a_convex_corner_between_straight_or_convex_edges(lshape, half_disk):
     # vertex 3 of the L-shape is reflex
     assert "not a convex corner" in validate_region(lshape, Cap(-0.1, 0.1, 3))[0]

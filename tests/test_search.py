@@ -254,7 +254,7 @@ def _reference_seeds(domain, k, ref):
             if e >= best:
                 return
             val = max(val, e)
-        if not ref.convex and not _cuts_chords_ok(ref, cuts):
+        if not ref.convex and not _cuts_chords_ok(ref, cuts, domain.scale):
             return
         if not ref.full_validity:
             for j in range(k):
