@@ -973,18 +973,35 @@ def chord_is_interior(
       cast of the general test says so; its own tolerances only make it
       retry a ray.
 
-    Chords shorter than ``1e-3 S`` stay with the general test.  It rejects
-    genuine chords on an arc below about ``1e-5 R``, where its circle roots
-    lose ``u`` to cancellation in ``R^2 - perp^2``.
+    Chords shorter than ``1e-3 S`` stay with the general test, under the
+    *same-arc rule*, which reads edge indices like the flat-edge rule: a
+    line meets a circle in at most two points, so a chord with both ends on
+    one convex (ccw) arc meets that arc only at its ends.  The general test
+    skips that arc's circle roots; it still tests every other edge and
+    ray-casts the midpoint.  The roots, computed from ``R^2 - perp^2``, lose
+    ``u`` to cancellation, and would reject genuine chords on the arc below
+    about ``1e-5 R``.
+    """
+    return _interior_chord_ends(domain, s0, s1, tol) is not None
+
+
+def _interior_chord_ends(
+    domain: PlanarDomain, s0: float, s1: float, tol: float = TAU_GEOM
+) -> tuple[Point, Point] | None:
+    """The end points ``(p, q)`` of the chord between boundary points s0,
+    s1 when :func:`chord_is_interior` holds, else ``None``.
+
+    Refinement scores a cap from these ends, so it finds them once per cap.
     """
     i0, t0 = domain.edge_index_at(s0)
     i1, t1 = domain.edge_index_at(s1)
     edges = domain.edges
     n = len(edges)
     on1 = (i1, (i1 - 1) % n) if t1 == 0.0 else (i1,)
-    for i in (i0, (i0 - 1) % n) if t0 == 0.0 else (i0,):
-        if i in on1 and (isinstance(edges[i], Segment) or not edges[i].ccw):
-            return False
+    shared = [i for i in ((i0, (i0 - 1) % n) if t0 == 0.0 else (i0,)) if i in on1]
+    for i in shared:
+        if isinstance(edges[i], Segment) or not edges[i].ccw:
+            return None
     p = edges[i0].point_at_local(t0)
     q = edges[i1].point_at_local(t1)
     clear = domain._convex_clearance
@@ -995,27 +1012,34 @@ def chord_is_interior(
         and clear < t1 < domain.edge_lengths[i1] - clear
         and math.dist(p, q) >= _CONVEX_MIN_CHORD * domain.scale
     ):
-        return True
-    return _chord_is_interior_general(domain, p, q, tol)
+        return p, q
+    # every edge left in ``shared`` is a convex arc holding both ends
+    return (p, q) if _chord_is_interior_general(domain, p, q, tol, shared) else None
 
 
 def _chord_is_interior_general(
-    domain: PlanarDomain, p: Point, q: Point, tol: float
+    domain: PlanarDomain, p: Point, q: Point, tol: float, same_arcs: Iterable[int]
 ) -> bool:
     """:func:`chord_is_interior` for the boundary points ``p``, ``q``, by
-    boundary intersections and a ray cast at the midpoint; any domain."""
+    boundary intersections and a ray cast at the midpoint; any domain.
+
+    ``same_arcs`` holds the indices of convex arcs that carry both ends; by
+    the same-arc rule their circle roots are skipped.
+    """
     chord_len = math.dist(p, q)
     tol_abs = tol * domain.scale
     if chord_len <= tol_abs:
         return False
     excl = max(_CHORD_EXCL_ABS * domain.scale, _CHORD_EXCL_REL * chord_len)
 
-    for e in domain.edges:
+    for i, e in enumerate(domain.edges):
         if isinstance(e, Segment):
             hits, overlap = _seg_seg_intersections(p, q, e.start, e.end)
             if overlap:
                 return False
             pts = [h[0] for h in hits]
+        elif i in same_arcs:
+            continue
         else:
             pts = []
             for pt, _u in segment_circle_intersections(p, q, e.center, e.radius):

@@ -48,6 +48,7 @@ from .geometry import (
     Arc,
     PlanarDomain,
     Segment,
+    _interior_chord_ends,
     chord_is_interior,
     chords_cross,
     convex_corner_indices,
@@ -548,11 +549,15 @@ def refine_caps(
     The objective scores an ordered vector as ``1e3 + violation`` when the
     cuts are out of order, ``500 + bad`` when ``bad`` chords are not
     interior, ``400`` when a nonconvex domain's tuple fails
-    :func:`validate_tuple` otherwise, and else the tuple's max eta.  On a
-    convex domain it tests each chord with :func:`chord_is_interior`; on a
-    nonconvex one it runs :func:`validate_tuple` first and re-tests only
-    the chords of caps flagged ``region-invalid``, which gives the same
-    scores with one chord test per cap.
+    :func:`validate_tuple` otherwise, and else the tuple's max eta.  It
+    works on Python floats (``x.tolist()``).  On a convex domain one call of
+    the chord kernel behind :func:`chord_is_interior` per cap gives both the
+    verdict and the chord's end points, and the cap's eta is their distance
+    over ``(b - a) mod P``: the operations of :func:`eta_partial`, in its
+    order, so the scores are bit-identical.  On a nonconvex domain it runs
+    :func:`validate_tuple` first and re-tests only the chords of caps
+    flagged ``region-invalid``, which gives the same scores with one chord
+    test per cap.
     """
     config = config or SearchConfig()
     per = domain.perimeter
@@ -574,32 +579,37 @@ def refine_caps(
 
     def objective(x: np.ndarray) -> float:
         state["evals"] += 1
+        xl = x.tolist()
         viol = 0.0
         for j in range(k):
-            w = x[2 * j + 1] - x[2 * j]
+            w = xl[2 * j + 1] - xl[2 * j]
             if w < min_w:
                 viol += min_w - w
         for j in range(k - 1):
-            g = x[2 * j + 2] - x[2 * j + 1]
+            g = xl[2 * j + 2] - xl[2 * j + 1]
             if g < 0.0:
                 viol += -g
-        wrap = (x[0] + per) - x[2 * k - 1]
+        wrap = (xl[0] + per) - xl[2 * k - 1]
         if wrap < 0.0:
             viol += -wrap
         if viol > 0.0:
             return 1e3 + viol / per
-        caps = tuple(Cap(x[2 * j] % per, x[2 * j + 1] % per) for j in range(k))
         bad = 0
         val = 0.0
         if domain.is_convex:
-            for c in caps:
-                if not chord_is_interior(domain, c.a, c.b):
+            for j in range(k):
+                a = xl[2 * j] % per
+                b = xl[2 * j + 1] % per
+                ends = _interior_chord_ends(domain, a, b)
+                if ends is None:
                     bad += 1
-                else:
-                    val = max(val, eta_partial(domain, c))
+                    continue
+                ext = (b - a) % per
+                val = max(val, math.inf if ext <= 0.0 else math.dist(*ends) / ext)
             if bad:
                 return 500.0 + bad
         else:
+            caps = tuple(Cap(xl[2 * j] % per, xl[2 * j + 1] % per) for j in range(k))
             # Validate first, so each chord is tested once; the scores equal
             # those of testing every chord (500 + bad) before validating
             # (400).  validate_tuple makes the same chord_is_interior(domain,

@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from escobar.geometry import (
     scaled,
     segment_circle_intersections,
 )
+from escobar.regions import Cap, eta_partial
 from tests.conftest import rectangle
 
 TWO_PI = 2.0 * math.pi
@@ -310,17 +312,19 @@ def _verdict_chords(draw):
 
 
 def _general_verdict(dom, s0, s1):
-    """The flat-edge rule, from edge indices as sets, then the general test."""
+    """The flat-edge rule, from edge indices as sets, then the general test
+    with the same-arc rule: it skips the arcs that hold both ends."""
     n = len(dom.edges)
 
     def on(s):
         i, t = dom.edge_index_at(s)
         return {i, (i - 1) % n} if t == 0.0 else {i}
 
-    if any(isinstance(dom.edges[i], Segment) or not dom.edges[i].ccw for i in on(s0) & on(s1)):
+    both = on(s0) & on(s1)
+    if any(isinstance(dom.edges[i], Segment) or not dom.edges[i].ccw for i in both):
         return False
     p, q = dom.point_at(s0), dom.point_at(s1)
-    return geometry._chord_is_interior_general(dom, p, q, TAU_GEOM)
+    return geometry._chord_is_interior_general(dom, p, q, TAU_GEOM, both)
 
 
 @settings(max_examples=600, deadline=None)
@@ -328,7 +332,7 @@ def _general_verdict(dom, s0, s1):
 # an endpoint just past a vertex: the chord nearly runs along the edge before
 @example(chord=("D5", 1e-13 * 10 * math.sin(math.pi / 5), 10 * math.sin(math.pi / 5) - 0.6))
 @example(chord=("half-disk", 2.0 + 1e-13 * (2.0 + math.pi), 1.0))
-# a short chord on the disk, which the general test rejects
+# a short chord on the disk, which the general test rejected before the same-arc rule
 @example(chord=("disk", 0.0, 6.3e-6))
 # along an edge
 @example(chord=("D8", 0.1, 0.5))
@@ -360,6 +364,73 @@ def test_convex_verdict_guards_flat_corners(key):
     dom = _verdict_domain(key)
     assert dom.is_convex
     assert dom._convex_clearance is None
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("length", [1e-8, 1e-7, 1e-6, 6.3e-6, 1e-5, 1e-4, 1e-3])
+def test_short_chord_on_one_arc_is_interior(factor, length):
+    """The same-arc rule: a chord with both ends on one convex arc meets it
+    only at its ends, however short the chord (here ``length`` of the radius,
+    on the disk and on the half-disk's arc, in both directions)."""
+    for key, starts in (("disk", (0.0, 0.7, 2.1, 5.9)), ("half-disk", (2.0, 2.7, 3.5))):
+        dom = _verdict_domain(f"{key}@{factor}")
+        for s in starts:
+            s0, s1 = s * factor, (s + length) * factor
+            assert chord_is_interior(dom, s0, s1), (key, s)
+            assert chord_is_interior(dom, s1, s0), (key, s)
+
+
+# ---------------------------------------------------------------------------
+# the chord kernel the refinement objective scores caps with
+# ---------------------------------------------------------------------------
+
+_KERNEL_DOMAINS = ["disk", "half-disk"] + [f"D{n}" for n in range(3, 9)] + [
+    "D5@1e-06", "D5@1000000.0"
+]
+
+
+@st.composite
+def _kernel_caps(draw):
+    key = draw(st.sampled_from(_KERNEL_DOMAINS))
+    dom = _verdict_domain(key)
+    per = dom.perimeter
+    n = len(dom.edges)
+
+    def endpoint():
+        if draw(st.booleans()):
+            return draw(st.floats(0.0, 1.0, exclude_max=True)) * per
+        j = draw(st.integers(0, n - 1))
+        off = draw(st.sampled_from([0.0, -1.0, 1.0])) * draw(st.floats(1e-15, 1e-6))
+        return (dom.vertex_arclength(j) + off * per) % per
+
+    return key, endpoint(), endpoint()
+
+
+@settings(max_examples=500, deadline=None)
+@given(cap=_kernel_caps(), as_numpy=st.booleans())
+@example(cap=("D5", 0.9 * 10 * math.sin(math.pi / 5), 0.1 * 10 * math.sin(math.pi / 5)),
+         as_numpy=False)  # a wrapping cap
+@example(cap=("disk", 0.0, 6.3e-6), as_numpy=True)  # same-arc rule
+def test_chord_kernel_matches_point_at_and_eta_partial(cap, as_numpy):
+    """The kernel's verdict is :func:`chord_is_interior`'s, its ends are
+    ``point_at`` of the cuts, and their distance over ``(b - a) mod P`` is
+    :func:`eta_partial` of the cap, bit for bit.  The references take
+    NumPy scalars, as the refinement objective passed before it converted
+    its vector with ``tolist()``; the kernel takes either type."""
+    key, a, b = cap
+    dom = _verdict_domain(key)
+    a64, b64 = np.float64(a), np.float64(b)
+    if as_numpy:
+        a, b = a64, b64
+    ends = geometry._interior_chord_ends(dom, a, b)
+    assert (ends is not None) == chord_is_interior(dom, a, b) == chord_is_interior(dom, a64, b64)
+    if ends is None:
+        return
+    p, q = ends
+    assert (p, q) == (dom.point_at(a64), dom.point_at(b64))
+    ext = (b - a) % dom.perimeter
+    eta = math.inf if ext <= 0.0 else math.dist(p, q) / ext
+    assert eta == eta_partial(dom, Cap(a64, b64))
 
 
 def test_contains_point(unit_disk, lshape):

@@ -492,6 +492,73 @@ def test_nonconvex_estimates_are_pinned(name, k, lshape):
     ]
 
 
+# the perfbench regular-refine cases: repr of the value, method, evaluations
+# and witness cuts, recorded while the convex refinement objective still built
+# a Cap from NumPy scalars per cut pair and scored it with chord_is_interior
+# and eta_partial
+_REGULAR_TRAJECTORIES = {
+    ("disk", 2): (
+        "0.6366197723675814", "equal-boundary", 2321,
+        [(3.141592653589793, 0.0), (0.0, 3.141592653589793)],
+    ),
+    ("disk", 3): (
+        "0.8269933431326881", "equal-boundary", 3010,
+        [(0.0, 2.0943951023931953), (2.0943951023931953, 4.1887902047863905),
+         (4.1887902047863905, 0.0)],
+    ),
+    ("disk", 4): (
+        "0.9003163161571062", "equal-boundary", 3610,
+        [(3.141592653589793, 4.71238898038469), (4.71238898038469, 0.0),
+         (0.0, 1.5707963267948966), (1.5707963267948966, 3.141592653589793)],
+    ),
+    ("disk", 5): (
+        "0.935489283788639", "equal-boundary", 4210,
+        [(0.3141592653589793, 1.5707963267948966), (1.5707963267948966, 2.827433388230814),
+         (2.827433388230814, 4.084070449666731), (4.084070449666731, 5.340707511102648),
+         (5.340707511102648, 0.3141592653589793)],
+    ),
+    ("D3", 3): (
+        "0.5", "nelder-mead", 3011,
+        [(0.6547375253670491, 2.809364095330237), (2.8868786688101884, 4.041324550280439),
+         (4.781422606697321, 0.4147298130280008)],
+    ),
+    ("D4", 4): (
+        "0.7071067811865476", "equal-boundary", 3613,
+        [(4.949747468305833, 0.7071067811865479), (0.7071067811865479, 2.121320343559643),
+         (2.121320343559643, 3.5355339059327378), (3.5355339059327378, 4.949747468305833)],
+    ),
+    ("D5", 5): (
+        "0.8090169943749473", "nelder-mead", 4214,
+        [(0.5877751671377698, 1.7633658442131597), (1.7639400553039395, 2.9383419806920763),
+         (2.9396882559953252, 4.1137347793570225), (4.1157209536914365, 5.288843090718402),
+         (5.292592343938091, 0.5852601601153955)],
+    ),
+    ("D6", 3): (
+        "0.75", "equal-boundary", 3016,
+        [(0.49999999999999994, 2.5), (2.5, 4.5), (4.5, 0.49999999999999994)],
+    ),
+    ("D8", 4): (
+        "0.8535533905932738", "equal-boundary", 3618,
+        [(0.3826834323650897, 1.913417161825449), (1.913417161825449, 3.444150891285808),
+         (3.444150891285808, 4.974884620746167), (4.974884620746167, 0.3826834323650897)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name, k", sorted(_REGULAR_TRAJECTORIES))
+def test_regular_estimates_are_pinned(name, k):
+    """Convex refinement reproduces its recorded trajectory bit for bit."""
+    domain = make_disk() if name == "disk" else make_regular_polygon(int(name[1:]))
+    report = estimate_ik(domain, k)
+    value, method, evaluations, cuts = _REGULAR_TRAJECTORIES[name, k]
+    assert repr(float(report.value)) == value
+    assert report.method == method
+    assert report.evaluations == evaluations
+    assert [(float(c.a), float(c.b), c.anchor) for c in report.witness.regions] == [
+        (a, b, None) for a, b in cuts
+    ]
+
+
 @pytest.mark.parametrize("bad", [Cap(2.5, 5.5), Cap(3.5, 4.5)])
 def test_validate_tuple_flags_a_chord_past_the_reflex_corner(lshape, bad):
     """Refinement validates a tuple before testing its chords, so a cap whose
