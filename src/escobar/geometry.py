@@ -530,6 +530,18 @@ class PlanarDomain:
         i = min(max(i, 0), len(self.edges) - 1)
         return i, s - self.cumlens[i]
 
+    def _edge_index_reduced(self, s: float) -> tuple[int, float]:
+        """:meth:`edge_index_at` for ``s`` already reduced modulo the
+        perimeter ``P``, so in ``[0, P]``: ``P`` comes from rounding (``-1e-300
+        % P == P``) and stands for 0.  Searching the vertices below ``P``
+        keeps the index in range without a clamp (NaN lands on the last edge,
+        as there)."""
+        cum = self.cumlens
+        if s == cum[-1]:
+            s = 0.0
+        i = bisect.bisect_right(cum, s, 0, len(cum) - 1) - 1
+        return i, s - cum[i]
+
     def point_at(self, s: float) -> Point:
         i, t = self.edge_index_at(s)
         return self.edges[i].point_at_local(t)
@@ -982,19 +994,21 @@ def chord_is_interior(
     ``u`` to cancellation, and would reject genuine chords on the arc below
     about ``1e-5 R``.
     """
-    return _interior_chord_ends(domain, s0, s1, tol) is not None
+    per = domain.perimeter
+    return _interior_chord_ends(domain, s0 % per, s1 % per, tol) is not None
 
 
 def _interior_chord_ends(
     domain: PlanarDomain, s0: float, s1: float, tol: float = TAU_GEOM
 ) -> tuple[Point, Point] | None:
     """The end points ``(p, q)`` of the chord between boundary points s0,
-    s1 when :func:`chord_is_interior` holds, else ``None``.
+    s1, already reduced modulo the perimeter, when :func:`chord_is_interior`
+    holds, else ``None``.
 
     Refinement scores a cap from these ends, so it finds them once per cap.
     """
-    i0, t0 = domain.edge_index_at(s0)
-    i1, t1 = domain.edge_index_at(s1)
+    i0, t0 = domain._edge_index_reduced(s0)
+    i1, t1 = domain._edge_index_reduced(s1)
     edges = domain.edges
     n = len(edges)
     on1 = (i1, (i1 - 1) % n) if t1 == 0.0 else (i1,)

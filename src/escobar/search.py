@@ -6,8 +6,10 @@ value is the measured max-eta of a validated tuple):
 * :func:`enumerate_caps` — exhaustive minimax search over k caps whose cut
   points lie on a uniform m-point boundary grid, with feasibility and
   incumbent pruning and a combinatorial budget guard;
-* :func:`refine_caps` — derivative-free local refinement (Nelder-Mead with a
-  feasibility penalty) of a cap tuple, never worse than its starting point;
+* :func:`refine_caps` — derivative-free local refinement of a cap tuple
+  (SciPy's adaptive Nelder-Mead, ported to Python floats as
+  :func:`_nelder_mead`, on a feasibility-penalised objective), never worse
+  than its starting point;
 * :func:`corner_family_bound` — nested corner caps/strips distributed over
   the convex corners by a greedy minimax allocation, plus, on domains with
   a concave arc, a golden-section sweep of the standard corner schedule.
@@ -19,15 +21,16 @@ where no cap tuple exists (:func:`_no_cap_tuple`).
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .constructions import (
     corner_chain_tuple,
@@ -526,6 +529,109 @@ def _run_enumeration(
 # ---------------------------------------------------------------------------
 
 
+class _CallLimit(Exception):
+    """Raised by :func:`_nelder_mead` in place of a call past ``maxfev``."""
+
+
+def _nelder_mead(fun, x0: Sequence[float], xatol: float, fatol: float, maxfev: int):
+    """Minimise ``fun`` over Python lists by SciPy 1.17's adaptive
+    Nelder-Mead (``minimize(method="Nelder-Mead", options={"adaptive":
+    True, "xatol", "fatol", "maxfev"})``, Gao & Han 2012), operation for
+    operation: it evaluates the same points in the same order and returns
+    its best vertex and value.  ``fun`` gets each point as a list, which it
+    must not change.  The port keeps SciPy's semantics where they show:
+
+    * the simplex is ordered by ``np.argsort`` of its scores, twice after
+      the initial simplex and once per iteration; it is not stable on ties;
+    * the centroid adds each column in row order and then divides (not
+      ``sum()``, which compensates from Python 3.12 on);
+    * a call past ``maxfev`` is refused, also within the initial simplex or
+      a shrink, where the shrunk vertex then keeps its old score;
+    * the convergence test is false when a difference is NaN.
+    """
+    n = len(x0)
+    dim = float(n)
+    rho = 1
+    chi = 1 + 2 / dim
+    psi = 0.75 - 1 / (2 * dim)
+    sigma = 1 - 1 / dim
+    c_expand, d_expand = 1 + rho * chi, rho * chi
+    c_contract, d_contract = 1 + psi * rho, psi * rho
+    calls = 0
+
+    def f(x: list[float]) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _CallLimit
+        calls += 1
+        return fun(x)
+
+    sim = [list(x0)]
+    for i in range(n):
+        y = list(x0)
+        y[i] = (1 + 0.05) * y[i] if y[i] != 0 else 0.00025
+        sim.append(y)
+    fsim = [math.inf] * (n + 1)
+
+    def order() -> None:
+        ind = np.argsort(np.array(fsim, dtype=float)).tolist()
+        sim[:] = [sim[i] for i in ind]
+        fsim[:] = [fsim[i] for i in ind]
+
+    try:
+        for i in range(n + 1):
+            fsim[i] = f(sim[i])
+    except _CallLimit:
+        pass
+    order()
+    order()
+
+    while calls < maxfev:
+        try:
+            best, fbest = sim[0], fsim[0]
+            if all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)) and all(
+                abs(fbest - fv) <= fatol for fv in fsim[1:]
+            ):
+                break
+            xbar = [functools.reduce(operator.add, col) / n for col in zip(*sim[:-1])]
+            worst = sim[-1]
+            xr = [(1 + rho) * a - rho * w for a, w in zip(xbar, worst)]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = [c_expand * a - d_expand * w for a, w in zip(xbar, worst)]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                doshrink = False
+                if fxr < fsim[-1]:
+                    xc = [c_contract * a - d_contract * w for a, w in zip(xbar, worst)]
+                    fxc = f(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        doshrink = True
+                else:
+                    xcc = [(1 - psi) * a + psi * w for a, w in zip(xbar, worst)]
+                    fxcc = f(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        doshrink = True
+                if doshrink:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + sigma * (v - b) for v, b in zip(sim[j], best)]
+                        fsim[j] = f(sim[j])
+        except _CallLimit:
+            pass
+        order()
+    return sim[0], fsim[0]
+
+
 def _cuts_of(tc: TupleCandidate) -> list[float]:
     cuts: list[float] = []
     for r in tc.regions:
@@ -544,13 +650,18 @@ def refine_caps(
 
     The 2k cut positions are optimised directly; infeasible orderings and
     non-interior chords are pushed back by a large penalty, and the best
-    *valid* tuple ever evaluated is what gets reported.
+    *valid* tuple ever evaluated is what gets reported.  Each of
+    ``config.restarts`` runs (the first from the start, the others from
+    seeded normal draws around it) is SciPy's adaptive Nelder-Mead with
+    ``xatol``, ``fatol`` and ``maxfev``, ported to Python floats as
+    :func:`_nelder_mead`: it evaluates the points SciPy would, in its order,
+    so values, evaluation counts and witnesses are SciPy's.
 
     The objective scores an ordered vector as ``1e3 + violation`` when the
     cuts are out of order, ``500 + bad`` when ``bad`` chords are not
     interior, ``400`` when a nonconvex domain's tuple fails
     :func:`validate_tuple` otherwise, and else the tuple's max eta.  It
-    works on Python floats (``x.tolist()``).  On a convex domain one call of
+    works on Python floats.  On a convex domain one call of
     the chord kernel behind :func:`chord_is_interior` per cap gives both the
     verdict and the chord's end points, and the cap's eta is their distance
     over ``(b - a) mod P``: the operations of :func:`eta_partial`, in its
@@ -561,15 +672,12 @@ def refine_caps(
     """
     config = config or SearchConfig()
     per = domain.perimeter
-    if isinstance(initial, TupleCandidate):
-        cuts0 = _cuts_of(initial)
-    else:
-        cuts0 = [float(c) for c in initial]
-    if len(cuts0) < 2 or len(cuts0) % 2:
+    cuts0 = _cuts_of(initial) if isinstance(initial, TupleCandidate) else initial
+    x0 = [float(c) for c in cuts0]
+    if len(x0) < 2 or len(x0) % 2:
         raise InvalidParameterError("need an even number of cut positions (2 per cap)")
-    k = len(cuts0) // 2
+    k = len(x0) // 2
     # unwrap into an increasing vector so the pattern test is linear
-    x0 = np.array(cuts0, dtype=float)
     for i in range(1, 2 * k):
         while x0[i] < x0[i - 1] - 1e-12 * per:
             x0[i] += per
@@ -577,9 +685,8 @@ def refine_caps(
     state = {"best": math.inf, "x": None, "evals": 0}
     min_w = 1e-9 * per
 
-    def objective(x: np.ndarray) -> float:
+    def objective(xl: list[float]) -> float:
         state["evals"] += 1
-        xl = x.tolist()
         viol = 0.0
         for j in range(k):
             w = xl[2 * j + 1] - xl[2 * j]
@@ -628,7 +735,7 @@ def refine_caps(
                 val = max(val, eta_partial(domain, c))
         if val < state["best"]:
             state["best"] = val
-            state["x"] = np.array(x)
+            state["x"] = list(xl)
         return val
 
     v0 = objective(x0)
@@ -639,26 +746,17 @@ def refine_caps(
     sigma = 0.25 * per / (4 * k)
     maxfev = 300 + 150 * k
     for r in range(max(1, config.restarts)):
-        xs = x0 if r == 0 else x0 + rng.normal(0.0, sigma, size=2 * k)
-        minimize(
-            objective,
-            xs,
-            method="Nelder-Mead",
-            options={
-                "adaptive": True,
-                "xatol": 1e-3 * config.tolerance * per,
-                "fatol": 1e-2 * config.tolerance,
-                "maxfev": maxfev,
-            },
+        xs = x0 if r == 0 else (np.array(x0) + rng.normal(0.0, sigma, size=2 * k)).tolist()
+        _nelder_mead(
+            objective, xs, 1e-3 * config.tolerance * per, 1e-2 * config.tolerance, maxfev
         )
 
-    # float(): the report carries Python floats, not NumPy scalars
     xb = state["x"]
-    caps = tuple(Cap(float(xb[2 * j] % per), float(xb[2 * j + 1] % per)) for j in range(k))
+    caps = tuple(Cap(xb[2 * j] % per, xb[2 * j + 1] % per) for j in range(k))
     witness = TupleCandidate(domain, caps)
     if validate_tuple(witness):
         # numerical edge: fall back to the starting tuple
-        caps = tuple(Cap(float(x0[2 * j] % per), float(x0[2 * j + 1] % per)) for j in range(k))
+        caps = tuple(Cap(x0[2 * j] % per, x0[2 * j + 1] % per) for j in range(k))
         witness = TupleCandidate(domain, caps)
     value = max_eta(witness)
     return BoundReport(
@@ -797,6 +895,8 @@ def corner_family_bound(
 
     sweep_results: list[tuple[float, TupleCandidate]] = []
     if any(isinstance(e, Arc) and not e.ccw for e in domain.edges):
+        from scipy.optimize import minimize_scalar
+
         minimize_scalar(
             sweep_objective,
             bounds=(-14.0, math.log10(0.2)),

@@ -433,6 +433,40 @@ def test_chord_kernel_matches_point_at_and_eta_partial(cap, as_numpy):
     assert eta == eta_partial(dom, Cap(a64, b64))
 
 
+_LOOKUP_DOMAINS = _KERNEL_DOMAINS + ["stadium", "flat-pentagon", "D200"]
+
+
+@st.composite
+def _reduced_cuts(draw):
+    key = draw(st.sampled_from(_LOOKUP_DOMAINS))
+    dom = _verdict_domain(key)
+    per = dom.perimeter
+    where = draw(st.sampled_from(["anywhere", "vertex", "near-vertex", "below-P"]))
+    if where == "anywhere":
+        s = draw(st.floats(0.0, 1.0)) * per
+    elif where == "below-P":
+        s = math.nextafter(per, 0.0)
+    else:
+        s = dom.vertex_arclength(draw(st.integers(0, len(dom.edges) - 1)))
+        if where == "near-vertex":
+            s += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-15, 1e-6)) * per
+    return key, s % per
+
+
+@settings(max_examples=500, deadline=None)
+@given(cut=_reduced_cuts())
+@example(cut=("D5", (-1e-300) % (10 * math.sin(math.pi / 5))))  # reduces to P
+def test_reduced_edge_lookup_matches_edge_index_at(cut):
+    """The chord kernel looks up cuts already reduced modulo the perimeter
+    without reducing or clamping again; it finds what ``edge_index_at``
+    finds, bit for bit."""
+    key, s = cut
+    dom = _verdict_domain(key)
+    i, t = dom._edge_index_reduced(s)
+    j, u = dom.edge_index_at(s)
+    assert (i, t.hex()) == (j, u.hex())
+
+
 def test_contains_point(unit_disk, lshape):
     assert contains_point(unit_disk, (0.0, 0.0))
     assert not contains_point(unit_disk, (2.0, 0.0))

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from escobar.errors import InvalidGeometryError
@@ -469,21 +469,29 @@ def _curve_parity_once(domain, pieces, segments, p, direction, tol_abs):
     return count % 2 == 1
 
 
+def _chord_segments(domain, region):
+    return [(domain.point_at(s0), domain.point_at(s1))
+            for s0, s1 in interior_chords(domain, region)]
+
+
+def _segment_distance(p, a, b):
+    """Distance from ``p`` to the segment ``a``-``b``; inf when it has no length."""
+    r = (b[0] - a[0], b[1] - a[1])
+    ll = r[0] * r[0] + r[1] * r[1]
+    if ll <= 0.0:
+        return math.inf
+    u = min(max(((p[0] - a[0]) * r[0] + (p[1] - a[1]) * r[1]) / ll, 0.0), 1.0)
+    return math.dist(p, (a[0] + u * r[0], a[1] + u * r[1]))
+
+
 def _reference_region_contains_point(domain, region, p, *, tol=TAU_GEOM):
     """``region_contains_point`` as it was with its own ray-parity loop,
     which walked the region's boundary pieces instead of building edges."""
     tol_abs = tol * domain.scale
     pieces = exterior_intervals(domain, region)
-    segments = [(domain.point_at(s0), domain.point_at(s1))
-                for s0, s1 in interior_chords(domain, region)]
-    for a, b in segments:
-        r = (b[0] - a[0], b[1] - a[1])
-        ll = r[0] * r[0] + r[1] * r[1]
-        if ll <= 0.0:
-            continue
-        u = min(max(((p[0] - a[0]) * r[0] + (p[1] - a[1]) * r[1]) / ll, 0.0), 1.0)
-        if math.dist(p, (a[0] + u * r[0], a[1] + u * r[1])) <= tol_abs:
-            return True
+    segments = _chord_segments(domain, region)
+    if any(_segment_distance(p, a, b) <= tol_abs for a, b in segments):
+        return True
     s, d = project_to_boundary(domain, p)
     if d <= tol_abs:
         per = domain.perimeter
@@ -504,15 +512,27 @@ def _reference_region_contains_point(domain, region, p, *, tol=TAU_GEOM):
 
 def _reference_containment(domain, ri, rj, tol=TAU_GEOM):
     """The containment check ``validate_tuple`` ran on each pair before the
-    proof in its docstring retired it: a point ``1e-7 * scale`` inside the
-    middle of each region's first exterior interval, if it lies in its own
-    region, must not lie in the other one.  True when it fires."""
-    delta = 1e-7 * domain.scale
+    proof in its docstring retired it: a point inside the middle of each
+    region's first exterior interval, if it lies in its own region, must not
+    lie in the other one.  True when it fires.
+
+    The retired check probed ``1e-7 * scale`` inside, and misfired on a
+    region thinner than that at its probe: the point then lay within the
+    membership tolerance of a chord, which counts as inside, and a chord
+    shared with the other region put it inside both.  Here the probe stays
+    within half the distance to the region's own chords, and a region whose
+    chords come within twice the tolerance of the probe's boundary point is
+    not probed."""
+    tol_abs = tol * domain.scale
     for ra, rb in ((ri, rj), (rj, ri)):
         s0, s1 = exterior_intervals(domain, ra)[0]
         mid = (s0 + ((s1 - s0) % domain.perimeter) / 2.0) % domain.perimeter
         t = domain.tangent_after(mid)
         pm = domain.point_at(mid)
+        clear = min(_segment_distance(pm, a, b) for a, b in _chord_segments(domain, ra))
+        delta = min(1e-7 * domain.scale, 0.5 * clear)
+        if delta <= tol_abs:
+            continue
         rep = (pm[0] - delta * t[1], pm[1] + delta * t[0])
         try:
             if (_reference_region_contains_point(domain, ra, rep, tol=tol)
@@ -660,8 +680,17 @@ def _cap_tuples(draw):
     return TupleCandidate(domain, tuple(out)), draw(st.booleans())
 
 
+# a sliver cap along the star's edge 5 and its complement: at the old probe
+# offset the probe point lay within the membership tolerance of both chords
+_STAR_SLIVER = TupleCandidate(_PROBE_DOMAINS["star"](), (
+    Cap(5.607687783517473e-07, 4.984611923895421),
+    Cap(4.984611923895421, 5.607687771913561e-07),
+))
+
+
 @settings(max_examples=500, deadline=None)
 @given(case=_cap_tuples())
+@example(case=(_STAR_SLIVER, False))
 def test_retired_containment_check_fires_only_with_another_predicate_on_cap_tuples(case):
     """The same oracle on cap tuples laid out around the boundary."""
     tc, strict = case
