@@ -525,17 +525,14 @@ class PlanarDomain:
 
     def edge_index_at(self, s: float) -> tuple[int, float]:
         """Edge index and local arclength for boundary position ``s``."""
-        s = self._norm_s(s)
-        i = bisect.bisect_right(self.cumlens, s) - 1
-        i = min(max(i, 0), len(self.edges) - 1)
-        return i, s - self.cumlens[i]
+        return self._edge_index_reduced(s % self.perimeter)
 
     def _edge_index_reduced(self, s: float) -> tuple[int, float]:
         """:meth:`edge_index_at` for ``s`` already reduced modulo the
         perimeter ``P``, so in ``[0, P]``: ``P`` comes from rounding (``-1e-300
         % P == P``) and stands for 0.  Searching the vertices below ``P``
-        keeps the index in range without a clamp (NaN lands on the last edge,
-        as there)."""
+        keeps the index in range without a clamp (NaN lands on the last
+        edge)."""
         cum = self.cumlens
         if s == cum[-1]:
             s = 0.0

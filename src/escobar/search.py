@@ -592,7 +592,7 @@ def _nelder_mead(fun, x0: Sequence[float], xatol: float, fatol: float, maxfev: i
             if all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)) and all(
                 abs(fbest - fv) <= fatol for fv in fsim[1:]
             ):
-                break
+                break  # before the sort: SciPy's loop sorts after its try, not in a finally
             xbar = [functools.reduce(operator.add, col) / n for col in zip(*sim[:-1])]
             worst = sim[-1]
             xr = [(1 + rho) * a - rho * w for a, w in zip(xbar, worst)]

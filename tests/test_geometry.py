@@ -437,34 +437,49 @@ _LOOKUP_DOMAINS = _KERNEL_DOMAINS + ["stadium", "flat-pentagon", "D200"]
 
 
 @st.composite
-def _reduced_cuts(draw):
+def _lookup_cuts(draw):
     key = draw(st.sampled_from(_LOOKUP_DOMAINS))
     dom = _verdict_domain(key)
     per = dom.perimeter
-    where = draw(st.sampled_from(["anywhere", "vertex", "near-vertex", "below-P"]))
+    where = draw(st.sampled_from(["anywhere", "vertex", "near-vertex", "below-P", "reduces-to-P"]))
     if where == "anywhere":
         s = draw(st.floats(0.0, 1.0)) * per
     elif where == "below-P":
         s = math.nextafter(per, 0.0)
+    elif where == "reduces-to-P":
+        s = -1e-300
     else:
         s = dom.vertex_arclength(draw(st.integers(0, len(dom.edges) - 1)))
         if where == "near-vertex":
             s += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-15, 1e-6)) * per
-    return key, s % per
+    return key, s, where
 
 
 @settings(max_examples=500, deadline=None)
-@given(cut=_reduced_cuts())
-@example(cut=("D5", (-1e-300) % (10 * math.sin(math.pi / 5))))  # reduces to P
-def test_reduced_edge_lookup_matches_edge_index_at(cut):
-    """The chord kernel looks up cuts already reduced modulo the perimeter
-    without reducing or clamping again; it finds what ``edge_index_at``
-    finds, bit for bit."""
-    key, s = cut
+@given(cut=_lookup_cuts())
+@example(cut=("D5", -1e-300, "reduces-to-P"))
+@example(cut=("D5", math.nextafter(_verdict_domain("D5").perimeter, 0.0), "below-P"))
+def test_edge_lookup_brackets_the_reduced_cut(cut):
+    """``edge_index_at`` reduces a cut modulo the perimeter P once and looks
+    it up among the vertices below P, the lookup the chord kernel runs on
+    cuts it has already reduced: the edge found holds the cut, and its
+    local arclength is the cut minus the edge's start, bit for bit.  A cut
+    that rounds to P stands for 0."""
+    key, s, where = cut
     dom = _verdict_domain(key)
-    i, t = dom._edge_index_reduced(s)
-    j, u = dom.edge_index_at(s)
-    assert (i, t.hex()) == (j, u.hex())
+    per, cum, n = dom.perimeter, dom.cumlens, len(dom.edges)
+    r = s % per
+    if where == "reduces-to-P":
+        assert r == per
+    if r == per:
+        r = 0.0
+    i, t = dom.edge_index_at(s)
+    assert 0 <= i < n and cum[i] <= r and (i == n - 1 or r < cum[i + 1])
+    assert t.hex() == (r - cum[i]).hex()
+    if where == "below-P":
+        assert i == n - 1
+    if where in ("vertex", "reduces-to-P"):
+        assert t == 0.0
 
 
 def test_contains_point(unit_disk, lshape):
