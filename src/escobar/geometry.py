@@ -35,6 +35,14 @@ _CONVEX_VERTEX_CLEARANCE = 1e-3
 #: Least chord length to accept a chord, x scale.
 _CONVEX_MIN_CHORD = 1e-3
 
+# Guards of the side test in :func:`_chord_is_interior_general`, argued there.
+#: Least boundary distance of the deciding end from its segment's ends, x scale.
+_SIDE_CLEARANCE = 1e-3
+#: Least sine of the angle between the chord and the deciding end's segment.
+_SIDE_MARGIN = 1e-9
+#: Least half-distance from a trimmed segment to the other edges, x scale.
+_SIDE_MIN_REACH = 1e-4
+
 #: Exclusion radius around chord ends, ``max(ABS * scale, REL * chord)``: a
 #: crossing (:func:`chords_cross`) or boundary hit that close is a touch.
 _CHORD_EXCL_ABS = 1e-12
@@ -401,6 +409,59 @@ def _edge_pair_intersections(e1: Edge, e2: Edge, tol_abs: float):
     return pts, False
 
 
+def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
+    r0, r1 = b[0] - a[0], b[1] - a[1]
+    ll = r0 * r0 + r1 * r1
+    u = ((p[0] - a[0]) * r0 + (p[1] - a[1]) * r1) / ll if ll > 0 else 0.0
+    u = min(max(u, 0.0), 1.0)
+    return math.dist(p, (a[0] + u * r0, a[1] + u * r1))
+
+
+def _point_arc_distance(p: Point, arc: Arc) -> float:
+    if angle_in_sweep(arc, arc.angle_of_point(p))[0]:
+        return abs(math.dist(p, arc.center) - arc.radius)
+    return min(math.dist(p, arc.start), math.dist(p, arc.end))
+
+
+def _segment_edge_distance(a: Point, b: Point, edge: Edge) -> float:
+    """Least distance between the segment a->b and ``edge``; 0 when they meet.
+
+    Two disjoint compact curves are closest at an end of one of them, or,
+    for a segment and an arc, at the foot of the arc's centre on the
+    segment and the arc point on that normal.
+    """
+    if isinstance(edge, Segment):
+        hits, overlap = _seg_seg_intersections(a, b, edge.start, edge.end)
+        if hits or overlap:
+            return 0.0
+        return min(
+            _point_segment_distance(a, edge.start, edge.end),
+            _point_segment_distance(b, edge.start, edge.end),
+            _point_segment_distance(edge.start, a, b),
+            _point_segment_distance(edge.end, a, b),
+        )
+    for x, _u in segment_circle_intersections(a, b, edge.center, edge.radius):
+        if angle_in_sweep(edge, edge.angle_of_point(x))[0]:
+            return 0.0
+    d = min(
+        _point_arc_distance(a, edge),
+        _point_arc_distance(b, edge),
+        _point_segment_distance(edge.start, a, b),
+        _point_segment_distance(edge.end, a, b),
+    )
+    r = _sub(b, a)
+    ll = _dot(r, r)
+    u = _dot(_sub(edge.center, a), r) / ll
+    if 0.0 < u < 1.0:
+        foot = (a[0] + u * r[0], a[1] + u * r[1])
+        ln = math.sqrt(ll)
+        for sg in (edge.radius / ln, -edge.radius / ln):
+            x = (edge.center[0] - sg * r[1], edge.center[1] + sg * r[0])
+            if angle_in_sweep(edge, edge.angle_of_point(x))[0]:
+                d = min(d, math.dist(foot, x))
+    return d
+
+
 # ---------------------------------------------------------------------------
 # Domain
 # ---------------------------------------------------------------------------
@@ -516,6 +577,30 @@ class PlanarDomain:
         ):
             return None
         return clear
+
+    @cached_property
+    def _side_reach(self) -> tuple[float, ...] | None:
+        """Per edge, half the least distance from the segment, trimmed by
+        ``c = 1e-3 S`` at both ends, to every other edge: the side test of
+        :func:`_chord_is_interior_general` decides from an end on that
+        segment when ``excl`` is below it (argued there).  0 where it does
+        not decide: on an arc, on a segment no longer than ``2c``, and where
+        the value is below ``1e-4 S``.  ``None`` when the bounding box
+        reaches farther than ``S`` from the origin."""
+        x0, y0, x1, y1 = self.bbox
+        if max(abs(x0), abs(y0), abs(x1), abs(y1)) > self.scale:
+            return None
+        c = _SIDE_CLEARANCE * self.scale
+        out = []
+        for i, e in enumerate(self.edges):
+            reach = 0.0
+            if isinstance(e, Segment) and e.length > 2.0 * c:
+                a, b = e.point_at_local(c), e.point_at_local(e.length - c)
+                reach = 0.5 * min(
+                    _segment_edge_distance(a, b, f) for j, f in enumerate(self.edges) if j != i
+                )
+            out.append(reach if reach >= _SIDE_MIN_REACH * self.scale else 0.0)
+        return tuple(out)
 
     # -- boundary parameterisation ------------------------------------
 
@@ -978,18 +1063,18 @@ def chord_is_interior(
       ``|PX| >= 2R * 1e-6 S / l`` (tangent clearance) or ``|PX| = l`` (both
       ends on the arc), so by at most ``4.4e-10``.  Either is 2000x inside
       ``excl / l``.
-    * The open chord is interior, so its midpoint is inside, and the ray
-      cast of the general test says so; its own tolerances only make it
-      retry a ray.
+    * The open chord is interior, so its midpoint is inside, and the
+      general test says so: its side test says only inside, and the ray
+      cast's own tolerances only make it retry a ray.
 
     Chords shorter than ``1e-3 S`` stay with the general test, under the
     *same-arc rule*, which reads edge indices like the flat-edge rule: a
     line meets a circle in at most two points, so a chord with both ends on
     one convex (ccw) arc meets that arc only at its ends.  The general test
-    skips that arc's circle roots; it still tests every other edge and
-    ray-casts the midpoint.  The roots, computed from ``R^2 - perp^2``, lose
-    ``u`` to cancellation, and would reject genuine chords on the arc below
-    about ``1e-5 R``.
+    skips that arc's circle roots; it still tests every other edge, then
+    decides by its side test or a ray cast at the midpoint.  The roots,
+    computed from ``R^2 - perp^2``, lose ``u`` to cancellation, and would
+    reject genuine chords on the arc below about ``1e-5 R``.
     """
     per = domain.perimeter
     return _interior_chord_ends(domain, s0 % per, s1 % per, tol) is not None
@@ -1025,17 +1110,73 @@ def _interior_chord_ends(
     ):
         return p, q
     # every edge left in ``shared`` is a convex arc holding both ends
-    return (p, q) if _chord_is_interior_general(domain, p, q, tol, shared) else None
+    inside = _chord_is_interior_general(domain, p, q, tol, shared, ((i0, t0), (i1, t1)))
+    return (p, q) if inside else None
 
 
 def _chord_is_interior_general(
-    domain: PlanarDomain, p: Point, q: Point, tol: float, same_arcs: Iterable[int]
+    domain: PlanarDomain,
+    p: Point,
+    q: Point,
+    tol: float,
+    same_arcs: Iterable[int],
+    cuts: tuple[tuple[int, float], tuple[int, float]],
 ) -> bool:
-    """:func:`chord_is_interior` for the boundary points ``p``, ``q``, by
-    boundary intersections and a ray cast at the midpoint; any domain.
+    """:func:`chord_is_interior` for the boundary points ``p``, ``q`` at
+    edge index and local arclength ``cuts``, by boundary intersections and,
+    unless the side test decides, a ray cast at the midpoint; any domain.
 
     ``same_arcs`` holds the indices of convex arcs that carry both ends; by
     the same-arc rule their circle roots are skipped.
+
+    The edge loop comes first: a boundary point on the open chord farther
+    than ``excl`` from both ends rejects it.  Once it passes, the part of
+    the open chord farther than ``excl`` from both ends (the *middle*, which
+    holds the midpoint) meets no boundary point, so it lies wholly inside
+    or wholly outside, and any one point of it decides.  The ray cast tests
+    the midpoint.  The *side test* decides **inside** in O(1) from a point
+    near one end instead; it never rejects, so it can only spare a ray cast
+    that would have said inside.  With ``tol == TAU_GEOM`` it decides from
+    the end ``p`` on edge ``e = AB`` (``S`` = scale, ``l`` = chord length,
+    ``c = 1e-3 S``) when:
+
+    * the bounding box lies within ``S`` of the origin, and ``e`` is a
+      segment with ``r = PlanarDomain._side_reach[i] > 0``: half the least
+      distance from ``e``, trimmed by ``c`` at both ends, to every other
+      edge, and at least ``1e-4 S``;
+    * ``p`` lies more than ``c`` of boundary from ``A`` and ``B``;
+    * ``excl < r``;
+    * ``q`` lies strictly left of ``e``: ``cross(B - A, q - p) > 1e-9 |e|
+      l``, so the chord leaves ``p`` at an angle ``alpha`` to ``e`` with
+      ``sin alpha > 1e-9``.
+
+    It tries ``q`` the same way.  Under the guards the middle is inside:
+
+    * ``p`` lies within ``d = 1e-15 S`` of the line ``AB``, the rounding of
+      a point on ``e`` with coordinates below ``S``.  The disk ``D`` of
+      radius ``2r - 2d`` about its foot ``p'`` meets no other edge, and ``e``
+      crosses it as a diameter, since ``p'`` lies more than ``c - d`` from
+      ``A`` and ``B`` and ``2r <= c`` (the next edge passes through ``B``,
+      ``c`` from the trimmed end).  ``D`` minus that diameter is two open
+      half-disks free of boundary; the domain lies left of its ccw boundary,
+      so the left one is inside.
+    * The chord point ``x`` at distance ``r`` from ``p`` lies
+      ``r sin alpha - d >= 1e-13 S - 1e-15 S > 0`` left of ``AB`` (100x
+      margin; the computed ``cross`` is off by about ``1e-15 |e| l``, 1e6x
+      inside its margin), within ``r + d`` of ``p'``: in the left
+      half-disk, so inside.
+    * ``q`` lies on another edge (the flat-edge rule rejects both ends on
+      ``e``), so ``l >= 2r - 3d``.  ``x`` lies ``r > excl`` from ``p`` and at
+      least ``r - 3d`` from ``q``, more than ``excl <= 1e-6 S`` (``l <= S``):
+      ``x`` is in the middle.
+
+    So is the midpoint, which ``contains_point`` then counts as inside: it
+    counts every point within ``tol S`` of the boundary as inside, and the
+    ray cast answers for the rest (its own tolerances only make it retry a
+    ray).  Its tolerance band thus plays no part.  The side test rests on
+    the edge loop's verdict on the middle, as the ray cast does.  Outside
+    verdicts, ends on arcs, other ``tol`` and failed guards keep the ray
+    cast.
     """
     chord_len = math.dist(p, q)
     tol_abs = tol * domain.scale
@@ -1061,8 +1202,36 @@ def _chord_is_interior_general(
             if math.dist(pt, p) > excl and math.dist(pt, q) > excl:
                 return False
 
+    if tol == TAU_GEOM and (
+        _left_of_own_segment(domain, cuts[0], p, q, chord_len, excl)
+        or _left_of_own_segment(domain, cuts[1], q, p, chord_len, excl)
+    ):
+        return True
     mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
     return contains_point(domain, mid, tol=tol)
+
+
+def _left_of_own_segment(
+    domain: PlanarDomain,
+    cut: tuple[int, float],
+    p: Point,
+    q: Point,
+    chord_len: float,
+    excl: float,
+) -> bool:
+    """The side test of :func:`_chord_is_interior_general` from the end
+    ``p`` at edge index and local arclength ``cut``, toward ``q``."""
+    reach = domain._side_reach
+    i, t = cut
+    if reach is None or not excl < reach[i]:
+        return False
+    e = domain.edges[i]
+    c = _SIDE_CLEARANCE * domain.scale
+    if not c < t < e.length - c:
+        return False
+    a, b = e.start, e.end
+    cross = (b[0] - a[0]) * (q[1] - p[1]) - (b[1] - a[1]) * (q[0] - p[0])
+    return cross > _SIDE_MARGIN * e.length * chord_len
 
 
 # ---------------------------------------------------------------------------

@@ -314,16 +314,25 @@ def _anchored_problems(domain: PlanarDomain, region: Region) -> list[str]:
     return problems
 
 
+def _exterior_problem(per: float, ext: float, tol: float) -> Optional[str]:
+    """The exterior rule of a cap with exterior length ``ext``: it must be
+    longer than ``tol * per`` and leave more than that of the boundary."""
+    tol_len = tol * per
+    if ext <= tol_len:
+        return "zero-length exterior boundary (a == b)"
+    if per - ext <= tol_len:
+        return "cap swallows the whole boundary"
+    return None
+
+
 def _cap_problems(domain: PlanarDomain, cap: Cap, label: str, tol: float) -> list[str]:
     """Exterior length and interior chord of one cap, checked on the boundary."""
     per = domain.perimeter
-    tol_len = tol * per
     a, b = cap_arclengths(domain, cap)
     ext = (b - a) % per if cap.anchor is None else cap.b - cap.a
-    if ext <= tol_len:
-        return [f"{label}: zero-length exterior boundary (a == b)"]
-    if per - ext <= tol_len:
-        return [f"{label}: cap swallows the whole boundary"]
+    problem = _exterior_problem(per, ext, tol)
+    if problem:
+        return [f"{label}: {problem}"]
     if not chord_is_interior(domain, a, b, tol=tol):
         return [
             f"{label}: chord between s={a:.6g} and s={b:.6g} "

@@ -26,7 +26,7 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Optional, Sequence
 
@@ -48,6 +48,7 @@ from .errors import (
 )
 from .exact import Bound, BoundKind, ik_exact
 from .geometry import (
+    TAU_GEOM,
     Arc,
     PlanarDomain,
     Segment,
@@ -61,9 +62,11 @@ from .geometry import (
 from .regions import (
     Cap,
     TupleCandidate,
+    _arcs_clash,
+    _chords_conflict,
+    _exterior_problem,
     cap_arclengths,
     corner_admits_anchor,
-    eta_partial,
     max_eta,
     tuple_to_json,
     validate_tuple,
@@ -225,12 +228,26 @@ def _edge_runs(domain: PlanarDomain, svals: np.ndarray) -> tuple[np.ndarray, np.
     return fwd, bwd
 
 
+def _validity_mask(domain: PlanarDomain, svals: np.ndarray) -> np.ndarray:
+    """``valid[i, j]``: :func:`chord_is_interior` of grid points i and j,
+    O(m^2) calls of its kernel.  The grid arclengths ``i * P / m`` lie in
+    ``[0, P)``, so they are already reduced."""
+    m = len(svals)
+    s = svals.tolist()
+    valid = np.ones((m, m), dtype=bool)
+    for i in range(m):
+        for j in range(i + 1, m):
+            ok = _interior_chord_ends(domain, s[i], s[j]) is not None
+            valid[i, j] = valid[j, i] = ok
+    return valid
+
+
 def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid:
     """The m-point grid; its eta values come from :func:`_eta_block`.
 
     Convex domains always get their exact (geometric) validity rule.  On a
-    nonconvex domain ``full_validity`` tests every chord with
-    :func:`chord_is_interior`, O(m^2) calls.
+    nonconvex domain ``full_validity`` tests every chord
+    (:func:`_validity_mask`).
     """
     per = domain.perimeter
     step = per / m
@@ -240,11 +257,7 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
     if domain.is_convex:
         fwd, bwd = _edge_runs(domain, svals)
     elif full_validity:
-        valid = np.ones((m, m), dtype=bool)
-        for i in range(m):
-            for j in range(i + 1, m):
-                ok = chord_is_interior(domain, float(svals[i]), float(svals[j]))
-                valid[i, j] = valid[j, i] = ok
+        valid = _validity_mask(domain, svals)
     return _Grid(
         m=m,
         step=step,
@@ -657,18 +670,34 @@ def refine_caps(
     :func:`_nelder_mead`: it evaluates the points SciPy would, in its order,
     so values, evaluation counts and witnesses are SciPy's.
 
-    The objective scores an ordered vector as ``1e3 + violation`` when the
-    cuts are out of order, ``500 + bad`` when ``bad`` chords are not
-    interior, ``400`` when a nonconvex domain's tuple fails
-    :func:`validate_tuple` otherwise, and else the tuple's max eta.  It
-    works on Python floats.  On a convex domain one call of
-    the chord kernel behind :func:`chord_is_interior` per cap gives both the
-    verdict and the chord's end points, and the cap's eta is their distance
-    over ``(b - a) mod P``: the operations of :func:`eta_partial`, in its
-    order, so the scores are bit-identical.  On a nonconvex domain it runs
-    :func:`validate_tuple` first and re-tests only the chords of caps
-    flagged ``region-invalid``, which gives the same scores with one chord
-    test per cap.
+    The objective scores a vector on Python floats: ``1e3 + violation``
+    when the cuts are out of order or a width falls below ``1e-9 P``;
+    otherwise ``500 + bad`` when ``bad`` chords are not interior;
+    otherwise, on a nonconvex domain only, ``400`` when a cap breaks the
+    exterior rule of :func:`validate_tuple` or two caps' arcs overlap or
+    chords conflict; and else the tuple's max eta.  One call of the chord
+    kernel behind :func:`chord_is_interior` per cap gives both the verdict
+    and the chord's end points, and the cap's eta is their distance over
+    ``(b - a) mod P``, the operations of :func:`~escobar.regions.eta_partial`
+    in its order (``sum`` of one term is that term), so the max eta is
+    bit-identical to the tuple's.
+
+    On a nonconvex domain this equals the score of validating the tuple,
+    ``500 + bad`` or ``400`` on any violation, which is how it was scored
+    before.  The cuts ``a, b`` are reduced modulo ``P``, and a cut that
+    rounds to ``P`` (``-1e-300 % P == P``) maps to 0 in the kernel's edge
+    lookup as in ``point_at``.  So the end points the pair checks of
+    :func:`validate_tuple` find with ``point_at`` are the kernel's, bit for
+    bit, and its exterior intervals are ``[(a, b)]``.  Validation runs, per
+    cap, the exterior rule (:func:`~escobar.regions._exterior_problem`) and
+    then the same kernel call, and per pair of valid caps
+    :func:`~escobar.regions._arcs_clash` and
+    :func:`~escobar.regions._chords_conflict` in lenient mode with
+    ``TAU_GEOM``, which are called here.  Any bad chord scores ``500 +
+    bad`` either way, and without one any violation scores 400.  The kernel
+    runs once on every cap in both, so this raises exactly when validating
+    did.  The pair checks cannot raise: every chord that reaches them is
+    longer than ``TAU_GEOM`` times the scale.
     """
     config = config or SearchConfig()
     per = domain.perimeter
@@ -684,6 +713,7 @@ def refine_caps(
 
     state = {"best": math.inf, "x": None, "evals": 0}
     min_w = 1e-9 * per
+    convex = domain.is_convex
 
     def objective(xl: list[float]) -> float:
         state["evals"] += 1
@@ -703,36 +733,29 @@ def refine_caps(
             return 1e3 + viol / per
         bad = 0
         val = 0.0
-        if domain.is_convex:
-            for j in range(k):
-                a = xl[2 * j] % per
-                b = xl[2 * j + 1] % per
-                ends = _interior_chord_ends(domain, a, b)
-                if ends is None:
-                    bad += 1
-                    continue
-                ext = (b - a) % per
-                val = max(val, math.inf if ext <= 0.0 else math.dist(*ends) / ext)
-            if bad:
-                return 500.0 + bad
-        else:
-            caps = tuple(Cap(xl[2 * j] % per, xl[2 * j + 1] % per) for j in range(k))
-            # Validate first, so each chord is tested once; the scores equal
-            # those of testing every chord (500 + bad) before validating
-            # (400).  validate_tuple makes the same chord_is_interior(domain,
-            # a, b, tol=TAU_GEOM) call on every cap whose exterior length
-            # passes: a cap it does not flag region-invalid has passed that
-            # call, no violations at all means bad == 0, and a flagged cap is
-            # tested again here.  It raises only from those chord calls, so
-            # it raises only on tuples where testing every chord raises as
-            # well.
-            violations = validate_tuple(TupleCandidate(domain, caps))
-            if violations:
-                flagged = {v.first for v in violations if v.predicate == "region-invalid"}
-                bad = sum(not chord_is_interior(domain, caps[i].a, caps[i].b) for i in flagged)
-                return 500.0 + bad if bad else 400.0
-            for c in caps:
-                val = max(val, eta_partial(domain, c))
+        chords = []
+        for j in range(k):
+            a = xl[2 * j] % per
+            b = xl[2 * j + 1] % per
+            ends = _interior_chord_ends(domain, a, b)
+            if ends is None:
+                bad += 1
+                continue
+            ext = (b - a) % per
+            val = max(val, math.inf if ext <= 0.0 else math.dist(*ends) / ext)
+            if not convex:
+                chords.append((a, b, ext, ends))
+        if bad:
+            return 500.0 + bad
+        if not convex:
+            if any(_exterior_problem(per, ext, TAU_GEOM) for _a, _b, ext, _e in chords):
+                return 400.0
+            for i, (a, b, _ext, ends) in enumerate(chords):
+                for a2, b2, _ext2, ends2 in chords[i + 1:]:
+                    if _arcs_clash(per, [(a, b)], [(a2, b2)], False, TAU_GEOM):
+                        return 400.0
+                    if _chords_conflict(domain, ends, ends2, strict=False, tol=TAU_GEOM):
+                        return 400.0
         if val < state["best"]:
             state["best"] = val
             state["x"] = list(xl)
@@ -969,7 +992,8 @@ def _auto_enumerate(
         if light.full_validity:
             tables = _grid_tables(light, blocks)
         else:
-            tables = _grid_tables(_prepare_grid(domain, m, full_validity=True))
+            valid = _validity_mask(domain, light.svals)
+            tables = _grid_tables(replace(light, full_validity=True, valid=valid))
         try:
             return _run_enumeration(domain, k, tables, soft)
         except BudgetExceededError:

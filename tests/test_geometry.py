@@ -4,10 +4,11 @@ import functools
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from escobar import geometry
@@ -33,7 +34,7 @@ from escobar.geometry import (
     segment_circle_intersections,
 )
 from escobar.regions import Cap, eta_partial
-from tests.conftest import rectangle
+from tests.conftest import concave_square, rectangle, star_hexagon
 
 TWO_PI = 2.0 * math.pi
 
@@ -324,7 +325,8 @@ def _general_verdict(dom, s0, s1):
     if any(isinstance(dom.edges[i], Segment) or not dom.edges[i].ccw for i in both):
         return False
     p, q = dom.point_at(s0), dom.point_at(s1)
-    return geometry._chord_is_interior_general(dom, p, q, TAU_GEOM, both)
+    cuts = (dom.edge_index_at(s0), dom.edge_index_at(s1))
+    return geometry._chord_is_interior_general(dom, p, q, TAU_GEOM, both, cuts)
 
 
 @settings(max_examples=600, deadline=None)
@@ -378,6 +380,152 @@ def test_short_chord_on_one_arc_is_interior(factor, length):
             s0, s1 = s * factor, (s + length) * factor
             assert chord_is_interior(dom, s0, s1), (key, s)
             assert chord_is_interior(dom, s1, s0), (key, s)
+
+
+# ---------------------------------------------------------------------------
+# side test of the general chord test against the midpoint ray cast
+# ---------------------------------------------------------------------------
+
+_SIDE_BASES = {
+    "lshape": lambda: make_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+    "star": star_hexagon,
+    "concave-square": concave_square,
+    # a unit square with a strip 1e-7 wide and 1 long on its right side: the
+    # strip's walls lie too close to each other for the side test
+    "antenna": lambda: make_polygon(
+        [(0, 0), (1, 0), (1, 0.5), (2, 0.5), (2, 0.5 + 1e-7), (1, 0.5 + 1e-7), (1, 1), (0, 1)]
+    ),
+}
+_SIDE_DOMAINS = [f"{b}@{f}" for b in _SIDE_BASES for f in (1e-6, 1.0, 1e6)]
+_SIDE = geometry._left_of_own_segment
+
+
+@functools.cache
+def _side_domain(key: str):
+    base, _, factor = key.partition("@")
+    return scaled(_SIDE_BASES[base](), float(factor))
+
+
+def _ray_hit(dom, p, u):
+    """Arclength of the boundary point nearest to the first boundary hit of
+    the ray from ``p`` along ``u``, beyond ``1e-6`` of the scale."""
+    far = (p[0] + 4.0 * dom.scale * u[0], p[1] + 4.0 * dom.scale * u[1])
+    hits = []
+    for e in dom.edges:
+        if isinstance(e, Segment):
+            hits += [h[0] for h in geometry._seg_seg_intersections(p, far, e.start, e.end)[0]]
+        else:
+            hits += [
+                x for x, _u in segment_circle_intersections(p, far, e.center, e.radius)
+                if geometry.angle_in_sweep(e, e.angle_of_point(x))[0]
+            ]
+    hits = [x for x in hits if math.dist(p, x) > 1e-6 * dom.scale]
+    if not hits:
+        return None
+    return project_to_boundary(dom, min(hits, key=lambda x: math.dist(p, x)))[0]
+
+
+@st.composite
+def _side_chords(draw):
+    """A chord from a segment end zone: at the vertex, within or beyond the
+    clearance ``c`` of the side test (or 1 ulp off it), with a reflex vertex
+    drawn half the time where there is one.  The other end is a boundary
+    point, a point next to a vertex, or the first hit of a ray leaving the
+    segment at a sine near the side test's margin, on either side of it."""
+    key = draw(st.sampled_from(_SIDE_DOMAINS))
+    dom = _side_domain(key)
+    per, n, cum = dom.perimeter, len(dom.edges), dom.cumlens
+    c = geometry._SIDE_CLEARANCE * dom.scale
+    reflex = [j for j, a in enumerate(dom.interior_angles) if a > math.pi]
+    ends = [(i, at_start) for i, e in enumerate(dom.edges) if isinstance(e, Segment)
+            for at_start in (True, False)]
+    near_reflex = [(i, s) for i, s in ends if (i if s else (i + 1) % n) in reflex]
+    i, at_start = draw(st.sampled_from(near_reflex if near_reflex and draw(st.booleans())
+                                       else ends))
+    e = dom.edges[i]
+    t = draw(st.one_of(st.sampled_from([0.0, 0.5 * c, c, 2.0 * c]),
+                       st.floats(0.0, 1.0).map(lambda f: f * e.length)))
+    s0 = cum[i] + t if at_start else cum[i + 1] - t
+    for _ in range(draw(st.integers(0, 2))):
+        s0 = math.nextafter(s0, draw(st.sampled_from([-math.inf, math.inf])))
+    s0 %= per
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        s1 = draw(st.floats(0.0, 1.0, exclude_max=True)) * per
+    elif kind == 1:
+        v = dom.vertex_arclength(draw(st.integers(0, n - 1)))
+        s1 = (v + draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6])) * per) % per
+    else:
+        m = geometry._SIDE_MARGIN
+        sine = draw(st.sampled_from([m, -m, 1e-12, 1e-6, -1e-6])) * draw(
+            st.sampled_from([1.0, 1.0 - 1e-3, 1.0 + 1e-3, 0.5, 2.0])
+        )
+        p = dom.point_at(s0)
+        dx, dy = e.tangent_at_local(0.0)
+        if draw(st.booleans()):
+            dx, dy = -dx, -dy
+        # the left normal of the edge is (-dy, dx) only when going forward
+        sg = 1.0 if (dx, dy) == e.tangent_at_local(0.0) else -1.0
+        cos = math.sqrt(1.0 - sine * sine)
+        u = (cos * dx - sg * sine * dy, cos * dy + sg * sine * dx)
+        s1 = _ray_hit(dom, p, u)
+        if s1 is None:
+            s1 = 0.0
+    return key, s0, s1
+
+
+@settings(max_examples=600, deadline=None)
+@given(chord=_side_chords())
+# from (1.4, 1) on the L-shape's edge (2, 1) -> (1, 1) to the edge below
+# (2, 1), at a sine 1 % above and 1 % below the side test's margin
+@example(chord=("lshape@1.0", 3.6, 3.0 - 0.6e-9 * 1.01))
+@example(chord=("lshape@1.0", 3.6, 3.0 - 0.6e-9 * 0.99))
+# from (1.5, 0.5) on the strip's lower wall, out through its upper wall
+# within excl of the start, to (1, 0.75) outside: not interior
+@example(chord=("antenna@1.0", 2.0, 3.75))
+def test_side_test_agrees_with_the_midpoint_ray_cast(chord):
+    """Wherever the side test decides a chord, the midpoint ray cast it
+    spares says inside too."""
+    key, s0, s1 = chord
+    dom = _side_domain(key)
+    decided = []
+
+    def spy(*args):
+        decided.append(_SIDE(*args))
+        return decided[-1]
+
+    with mock.patch.object(geometry, "_left_of_own_segment", spy):
+        ends = geometry._interior_chord_ends(dom, s0, s1)
+    if any(decided):
+        event("side test decided")
+        p, q = ends
+        assert contains_point(dom, ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)), (key, s0, s1)
+
+
+@pytest.mark.parametrize("factor", [1e-6, 1.0, 1e6])
+def test_side_test_skips_the_ray_cast(factor, monkeypatch):
+    """On the L-shape, whose edges all reach ``c / 2`` from the others, a
+    chord from inside an edge into the domain needs no ray cast; one into
+    the notch at (1, 1) still gets one, and is rejected."""
+    dom = _side_domain(f"lshape@{factor}")
+    c = geometry._SIDE_CLEARANCE * dom.scale
+    assert all(r == pytest.approx(0.5 * c, rel=1e-9) for r in dom._side_reach)
+    calls = []
+    monkeypatch.setattr(geometry, "contains_point", lambda *a, **k: calls.append(a) or False)
+    assert chord_is_interior(dom, 0.75 * factor, 7.25 * factor)  # (0.75, 0) to (0, 0.75)
+    assert chord_is_interior(dom, 3.5 * factor, 0.5 * factor)  # (1.5, 1) to (0.5, 0)
+    assert calls == []
+    assert not chord_is_interior(dom, 3.5 * factor, 4.5 * factor)  # (1.5, 1) to (1, 1.5)
+    assert len(calls) == 1
+
+
+def test_side_test_needs_the_box_near_the_origin(monkeypatch):
+    far = make_polygon([(x + 10.0, y) for x, y in [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]])
+    assert far._side_reach is None
+    calls = []
+    monkeypatch.setattr(geometry, "contains_point", lambda *a, **k: calls.append(a) or True)
+    assert chord_is_interior(far, 3.5, 0.5)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

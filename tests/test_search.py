@@ -8,14 +8,18 @@ import math
 import tracemalloc
 import weakref
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from escobar import search
 from escobar.errors import (
     BudgetExceededError,
     ConstructionFailedError,
+    InvalidGeometryError,
     InvalidParameterError,
 )
 from escobar.exact import BoundKind, ik_disk, polygon_upper_bound
@@ -460,7 +464,10 @@ def _star_hexagon_unjittered():
 
 
 # repr of the value, method, evaluations and witness cuts, recorded while the
-# refinement objective still tested every chord before validating the tuple
+# refinement objective still tested every chord and then ran validate_tuple,
+# and the general chord test always ray-cast the midpoint; the objective now
+# scores each cap with one chord kernel call and checks the exterior rule and
+# the pairs itself, and the side test decides most inside verdicts
 _NONCONVEX_TRAJECTORIES = {
     ("lshape", 2): (
         "0.3162277660168379", "nelder-mead", 2781,
@@ -561,9 +568,10 @@ def test_regular_estimates_are_pinned(name, k):
 
 @pytest.mark.parametrize("bad", [Cap(2.5, 5.5), Cap(3.5, 4.5)])
 def test_validate_tuple_flags_a_chord_past_the_reflex_corner(lshape, bad):
-    """Refinement validates a tuple before testing its chords, so a cap whose
-    chord leaves the L-shape at the reflex corner (1, 1) must come back as
-    ``region-invalid`` beside a valid cap, not raise."""
+    """A cap whose chord leaves the L-shape at the reflex corner (1, 1) comes
+    back as ``region-invalid`` beside a valid cap, not as an exception; the
+    refinement objective scores such a tuple ``500 + bad`` from the same
+    chord test (see ``test_fused_objective_matches_validating_first``)."""
     good = Cap(7.5, 0.5)  # around the corner (0, 0)
     assert validate_tuple(TupleCandidate(lshape, (good,))) == []
     out = validate_tuple(TupleCandidate(lshape, (good, bad)))
@@ -622,6 +630,160 @@ def test_reports_carry_python_floats(name, k, unit_disk, lshape):
     report = estimate_ik(unit_disk if name == "disk" else lshape, k)
     assert type(report.value) is float
     assert all(type(c.a) is float and type(c.b) is float for c in report.witness.regions)
+
+
+# recorded at the parent of the fused objective: repr of the value and the
+# evaluations of estimate_ik(scaled(domain, factor), 2)
+_SCALED_NONCONVEX = {
+    ("lshape", 1e-6): ("0.3162277660168379", 2786),
+    ("lshape", 1e6): ("0.3162277660168379", 2777),
+    ("star", 1e-6): ("0.3920009619895556", 3287),
+    ("star", 1e6): ("0.39200096198955564", 3338),
+}
+
+
+@pytest.mark.parametrize("name, factor", sorted(_SCALED_NONCONVEX))
+def test_scaled_nonconvex_estimates_are_pinned(name, factor, lshape):
+    """Nonconvex refinement at scales 1e-6 and 1e6, where the side test's
+    guards and the exterior rule's ``1e-9 P`` scale with the domain."""
+    domain = lshape if name == "lshape" else _star_hexagon_unjittered()
+    report = estimate_ik(scaled(domain, factor), 2)
+    assert (repr(report.value), report.evaluations) == _SCALED_NONCONVEX[name, factor]
+    assert validate_tuple(report.witness) == []
+
+
+# ---------------------------------------------------------------------------
+# the fused refinement objective against validating the tuple first
+# ---------------------------------------------------------------------------
+
+_OBJECTIVE_DOMAINS = {
+    "lshape": lambda: make_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
+    "star": _star_hexagon_unjittered,
+    "concave-square": concave_square,
+}
+
+
+def _retired_objective(domain, xl):
+    """The refinement objective as it scored a nonconvex domain before it
+    fused its chord tests: the order and width penalties, then
+    validate_tuple first and a chord re-test of the caps it flags
+    ``region-invalid``, then the max of eta_partial."""
+    per = domain.perimeter
+    k = len(xl) // 2
+    min_w = 1e-9 * per
+    viol = 0.0
+    for j in range(k):
+        w = xl[2 * j + 1] - xl[2 * j]
+        if w < min_w:
+            viol += min_w - w
+    for j in range(k - 1):
+        g = xl[2 * j + 2] - xl[2 * j + 1]
+        if g < 0.0:
+            viol += -g
+    wrap = (xl[0] + per) - xl[2 * k - 1]
+    if wrap < 0.0:
+        viol += -wrap
+    if viol > 0.0:
+        return 1e3 + viol / per
+    caps = tuple(Cap(xl[2 * j] % per, xl[2 * j + 1] % per) for j in range(k))
+    violations = validate_tuple(TupleCandidate(domain, caps))
+    if violations:
+        flagged = {v.first for v in violations if v.predicate == "region-invalid"}
+        bad = sum(not chord_is_interior(domain, caps[i].a, caps[i].b) for i in flagged)
+        return 500.0 + bad if bad else 400.0
+    val = 0.0
+    for c in caps:
+        val = max(val, eta_partial(domain, c))
+    return val
+
+
+@functools.cache
+def _refinement_objective(name, k):
+    """The domain and the objective refine_caps minimises on it with k caps,
+    taken from its first optimiser call.  The start is the first of 64
+    rotations of k adjacent equal caps that the retired objective scores
+    below 400."""
+    domain = _OBJECTIVE_DOMAINS[name]()
+    per = domain.perimeter
+    starts = (
+        [(off / 64 + i // 2 / k + i % 2 / k) * per for i in range(2 * k)] for off in range(64)
+    )
+    x0 = next(x for x in starts if _retired_objective(domain, x) < 400.0)
+    captured = []
+    with mock.patch.object(search, "_nelder_mead", lambda fun, *args: captured.append(fun)):
+        refine_caps(domain, x0)
+    return domain, captured[0]
+
+
+def _score(objective, *args):
+    try:
+        return repr(objective(*args))
+    except InvalidGeometryError as err:
+        return type(err)
+
+
+# times the perimeter; a cap from -5e-10 holds its vertex at the width floor
+_CUT_OFFSETS = [0.0, 1e-15, -1e-15, -5e-10, 1e-9, -1e-9, 1e-6, -1e-6]
+
+
+@st.composite
+def _cut_vectors(draw):
+    """Ordered cut vectors: cuts at, next to and away from the vertices
+    (the reflex ones among them), neighbouring caps sharing a cut point
+    exactly, widths at ``1e-9 P`` or 1 ulp off it, shifted by up to 3
+    perimeters."""
+    name = draw(st.sampled_from(sorted(_OBJECTIVE_DOMAINS)))
+    k = draw(st.integers(2, 3))
+    domain, _ = _refinement_objective(name, k)
+    per = domain.perimeter
+    n = len(domain.edges)
+
+    def cut():
+        if draw(st.booleans()):
+            return draw(st.floats(0.0, 1.0, exclude_max=True)) * per
+        v = domain.vertex_arclength(draw(st.integers(0, n - 1)))
+        c = v + draw(st.sampled_from(_CUT_OFFSETS)) * per
+        for _ in range(draw(st.integers(0, 2))):
+            c = math.nextafter(c, draw(st.sampled_from([-math.inf, math.inf])))
+        return c % per
+
+    cuts = sorted(cut() for _ in range(2 * k))
+    r = draw(st.integers(0, 2 * k - 1))
+    xl = cuts[r:] + [c + per for c in cuts[:r]]
+    for j in range(k):
+        if j and draw(st.booleans()):
+            xl[2 * j] = xl[2 * j - 1]
+        if draw(st.integers(0, 2)) == 0:
+            b = xl[2 * j] + 1e-9 * per
+            xl[2 * j + 1] = math.nextafter(b, draw(st.sampled_from([-math.inf, b, math.inf])))
+    if draw(st.booleans()):
+        xl[-1] = xl[0] + per
+    shift = draw(st.integers(-3, 3)) * per
+    return name, k, [x + shift for x in xl]
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_cut_vectors())
+# the exterior rule: widths of 1e-9 P that reduce below it after a shift
+@example(case=("lshape", 2, [-3.0000000059999996, -2.9999999979999994, -0.5999999999999996,
+                             1.8000000000000007]))
+@example(case=("concave-square", 2, [-1.0000000020553603, -0.9999999979446396,
+                                     0.23321622036187772, 1.4664324407237546]))
+# two nearly complementary caps, their ends 1 ulp apart on one side and
+# 1e-9 P apart on the other: their chords overlap along a stretch
+@example(case=("star", 2, [4.7077820169756786, 5.607687777909786, 5.607687783517473,
+                           10.315469800493151]))
+# a cap of width 1e-9 P flat on an edge
+@example(case=("lshape", 2, [8.301235943220092, 8.301235951220093, 12.999999992000001,
+                             13.999999999999993]))
+# the pinned L-shape witness, with a cut at the reflex vertex (1, 1)
+@example(case=("lshape", 2, [0.6666666690881444, 4.0, 4.277777777203589, 8.666666645911924]))
+def test_fused_objective_matches_validating_first(case):
+    """The fused objective scores every vector as the retired one did, bit
+    for bit, or raises the same exception."""
+    name, k, xl = case
+    domain, objective = _refinement_objective(name, k)
+    assert _score(objective, xl) == _score(_retired_objective, domain, xl)
 
 
 # ---------------------------------------------------------------------------
