@@ -579,28 +579,42 @@ class PlanarDomain:
         return clear
 
     @cached_property
-    def _side_reach(self) -> tuple[float, ...] | None:
-        """Per edge, half the least distance from the segment, trimmed by
-        ``c = 1e-3 S`` at both ends, to every other edge: the side test of
+    def _side_reaches(self) -> dict[int, float | None]:
+        """Memo of :meth:`_side_reach` by edge index; ``None`` after the
+        first call."""
+        return {}
+
+    def _side_reach(self, i: int) -> float:
+        """Half the least distance from edge ``i``, a segment trimmed by ``c =
+        1e-3 S`` at both ends, to every other edge: the side test of
         :func:`_chord_is_interior_general` decides from an end on that
         segment when ``excl`` is below it (argued there).  0 where it does
-        not decide: on an arc, on a segment no longer than ``2c``, and where
-        the value is below ``1e-4 S``.  ``None`` when the bounding box
-        reaches farther than ``S`` from the origin."""
-        x0, y0, x1, y1 = self.bbox
-        if max(abs(x0), abs(y0), abs(x1), abs(y1)) > self.scale:
-            return None
-        c = _SIDE_CLEARANCE * self.scale
-        out = []
-        for i, e in enumerate(self.edges):
+        not decide: on an arc, on a segment no longer than ``2c``, where the
+        value is below ``1e-4 S``, and on every edge when the bounding box
+        reaches farther than ``S`` from the origin.
+
+        The value takes O(n) distances, about three ray casts' worth on a
+        hexagon, so it is found on the edge's second call; the first returns
+        0 and leaves its chord to the ray cast.  A domain that tests one
+        chord per edge, as a corner chain's validation does, thus pays no
+        more than before.
+        """
+        memo = self._side_reaches
+        if i not in memo:
+            memo[i] = None
+            return 0.0
+        if memo[i] is None:
+            e = self.edges[i]
+            c = _SIDE_CLEARANCE * self.scale
+            near_origin = max(abs(v) for v in self.bbox) <= self.scale
             reach = 0.0
-            if isinstance(e, Segment) and e.length > 2.0 * c:
+            if near_origin and isinstance(e, Segment) and e.length > 2.0 * c:
                 a, b = e.point_at_local(c), e.point_at_local(e.length - c)
                 reach = 0.5 * min(
                     _segment_edge_distance(a, b, f) for j, f in enumerate(self.edges) if j != i
                 )
-            out.append(reach if reach >= _SIDE_MIN_REACH * self.scale else 0.0)
-        return tuple(out)
+            memo[i] = reach if reach >= _SIDE_MIN_REACH * self.scale else 0.0
+        return memo[i]
 
     # -- boundary parameterisation ------------------------------------
 
@@ -1141,9 +1155,9 @@ def _chord_is_interior_general(
     ``c = 1e-3 S``) when:
 
     * the bounding box lies within ``S`` of the origin, and ``e`` is a
-      segment with ``r = PlanarDomain._side_reach[i] > 0``: half the least
+      segment with ``r = PlanarDomain._side_reach(i) > 0``: half the least
       distance from ``e``, trimmed by ``c`` at both ends, to every other
-      edge, and at least ``1e-4 S``;
+      edge, and at least ``1e-4 S`` (0 on the edge's first call);
     * ``p`` lies more than ``c`` of boundary from ``A`` and ``B``;
     * ``excl < r``;
     * ``q`` lies strictly left of ``e``: ``cross(B - A, q - p) > 1e-9 |e|
@@ -1221,13 +1235,10 @@ def _left_of_own_segment(
 ) -> bool:
     """The side test of :func:`_chord_is_interior_general` from the end
     ``p`` at edge index and local arclength ``cut``, toward ``q``."""
-    reach = domain._side_reach
     i, t = cut
-    if reach is None or not excl < reach[i]:
-        return False
     e = domain.edges[i]
     c = _SIDE_CLEARANCE * domain.scale
-    if not c < t < e.length - c:
+    if not c < t < e.length - c or not excl < domain._side_reach(i):
         return False
     a, b = e.start, e.end
     cross = (b[0] - a[0]) * (q[1] - p[1]) - (b[1] - a[1]) * (q[0] - p[0])

@@ -494,6 +494,8 @@ def test_side_test_agrees_with_the_midpoint_ray_cast(chord):
         decided.append(_SIDE(*args))
         return decided[-1]
 
+    # an edge's first side test leaves its chord to the ray cast
+    geometry._interior_chord_ends(dom, s0, s1)
     with mock.patch.object(geometry, "_left_of_own_segment", spy):
         ends = geometry._interior_chord_ends(dom, s0, s1)
     if any(decided):
@@ -504,28 +506,40 @@ def test_side_test_agrees_with_the_midpoint_ray_cast(chord):
 
 @pytest.mark.parametrize("factor", [1e-6, 1.0, 1e6])
 def test_side_test_skips_the_ray_cast(factor, monkeypatch):
-    """On the L-shape, whose edges all reach ``c / 2`` from the others, a
-    chord from inside an edge into the domain needs no ray cast; one into
-    the notch at (1, 1) still gets one, and is rejected."""
-    dom = _side_domain(f"lshape@{factor}")
-    c = geometry._SIDE_CLEARANCE * dom.scale
-    assert all(r == pytest.approx(0.5 * c, rel=1e-9) for r in dom._side_reach)
+    """On the L-shape, whose edges all reach ``c / 2`` from the others, the
+    first chord from an edge is ray-cast and later chords from inside it
+    into the domain are not.  A chord into the notch at (1, 1) is always
+    ray-cast, and rejected."""
+    dom = scaled(_SIDE_BASES["lshape"](), factor)
     calls = []
-    monkeypatch.setattr(geometry, "contains_point", lambda *a, **k: calls.append(a) or False)
+    ray_cast = geometry.contains_point
+    monkeypatch.setattr(
+        geometry, "contains_point", lambda *a, **k: calls.append(a) or ray_cast(*a, **k)
+    )
     assert chord_is_interior(dom, 0.75 * factor, 7.25 * factor)  # (0.75, 0) to (0, 0.75)
-    assert chord_is_interior(dom, 3.5 * factor, 0.5 * factor)  # (1.5, 1) to (0.5, 0)
-    assert calls == []
-    assert not chord_is_interior(dom, 3.5 * factor, 4.5 * factor)  # (1.5, 1) to (1, 1.5)
     assert len(calls) == 1
+    assert chord_is_interior(dom, 0.5 * factor, 7.5 * factor)  # (0.5, 0) to (0, 0.5)
+    assert chord_is_interior(dom, 1.5 * factor, 6.5 * factor)  # (1.5, 0) to (0, 1.5)
+    assert len(calls) == 1
+    c = geometry._SIDE_CLEARANCE * dom.scale
+    assert [dom._side_reach(0), dom._side_reach(5)] == pytest.approx([0.5 * c] * 2, rel=1e-9)
+    for _ in range(2):
+        assert not chord_is_interior(dom, 3.5 * factor, 4.5 * factor)  # (1.5, 1) to (1, 1.5)
+    assert len(calls) == 3
 
 
 def test_side_test_needs_the_box_near_the_origin(monkeypatch):
-    far = make_polygon([(x + 10.0, y) for x, y in [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]])
-    assert far._side_reach is None
+    lshape = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+    far = make_polygon([(x + 10.0, y) for x, y in lshape])
     calls = []
-    monkeypatch.setattr(geometry, "contains_point", lambda *a, **k: calls.append(a) or True)
-    assert chord_is_interior(far, 3.5, 0.5)
-    assert len(calls) == 1
+    ray_cast = geometry.contains_point
+    monkeypatch.setattr(
+        geometry, "contains_point", lambda *a, **k: calls.append(a) or ray_cast(*a, **k)
+    )
+    for _ in range(3):
+        assert chord_is_interior(far, 3.5, 0.5)  # (11.5, 1) to (10.5, 0)
+    assert len(calls) == 3
+    assert far._side_reach(0) == far._side_reach(2) == 0.0
 
 
 # ---------------------------------------------------------------------------
