@@ -460,15 +460,12 @@ def _side_chords(draw):
         sine = draw(st.sampled_from([m, -m, 1e-12, 1e-6, -1e-6])) * draw(
             st.sampled_from([1.0, 1.0 - 1e-3, 1.0 + 1e-3, 0.5, 2.0])
         )
-        p = dom.point_at(s0)
-        dx, dy = e.tangent_at_local(0.0)
-        if draw(st.booleans()):
-            dx, dy = -dx, -dy
-        # the left normal of the edge is (-dy, dx) only when going forward
-        sg = 1.0 if (dx, dy) == e.tangent_at_local(0.0) else -1.0
+        tx, ty = e.tangent_at_local(0.0)
+        along = draw(st.sampled_from([1.0, -1.0]))  # forward or back along the edge
         cos = math.sqrt(1.0 - sine * sine)
-        u = (cos * dx - sg * sine * dy, cos * dy + sg * sine * dx)
-        s1 = _ray_hit(dom, p, u)
+        # positive sines lean towards the left normal (-ty, tx), the inside
+        u = (along * cos * tx - sine * ty, along * cos * ty + sine * tx)
+        s1 = _ray_hit(dom, dom.point_at(s0), u)
         if s1 is None:
             s1 = 0.0
     return key, s0, s1

@@ -632,8 +632,8 @@ def test_reports_carry_python_floats(name, k, unit_disk, lshape):
     assert all(type(c.a) is float and type(c.b) is float for c in report.witness.regions)
 
 
-# recorded at the parent of the fused objective: repr of the value and the
-# evaluations of estimate_ik(scaled(domain, factor), 2)
+# repr of the value and the evaluations of estimate_ik(scaled(domain,
+# factor), 2), recorded before refinement fused its chord tests
 _SCALED_NONCONVEX = {
     ("lshape", 1e-6): ("0.3162277660168379", 2786),
     ("lshape", 1e6): ("0.3162277660168379", 2777),
