@@ -43,6 +43,10 @@ _SIDE_MARGIN = 1e-9
 #: Least half-distance from a trimmed segment to the other edges, x scale.
 _SIDE_MIN_REACH = 1e-4
 
+#: Margin that widens a segment's bounding box for the box reject of
+#: :func:`_chord_is_interior_general`, x scale (argued there).
+_BOX_MARGIN = 1e-2
+
 #: Exclusion radius around chord ends, ``max(ABS * scale, REL * chord)``: a
 #: crossing (:func:`chords_cross`) or boundary hit that close is a touch.
 _CHORD_EXCL_ABS = 1e-12
@@ -557,14 +561,21 @@ class PlanarDomain:
         return all(e.ccw for e in self.edges if isinstance(e, Arc))
 
     @cached_property
+    def _near_origin(self) -> bool:
+        """Whether the bounding box lies within ``S`` (the scale) of the
+        origin, so every coordinate is at most ``S`` in absolute value: the
+        guard of the convex verdict, the side test and the box reject of the
+        general chord test, which bound rounding errors by ``1e-16 S``."""
+        return max(abs(v) for v in self.bbox) <= self.scale
+
+    @cached_property
     def _convex_clearance(self) -> float | None:
         """Least boundary distance of a chord endpoint from every vertex for
         the convex verdict of :func:`chord_is_interior`, or ``None`` when the
         domain does not admit that verdict (the guards are argued there)."""
-        x0, y0, x1, y1 = self.bbox
         if (
             not self.is_convex
-            or max(abs(x0), abs(y0), abs(x1), abs(y1)) > self.scale
+            or not self._near_origin
             or any(isinstance(e, Arc) and e.radius > self.scale for e in self.edges)
         ):
             return None
@@ -606,15 +617,40 @@ class PlanarDomain:
         if memo[i] is None:
             e = self.edges[i]
             c = _SIDE_CLEARANCE * self.scale
-            near_origin = max(abs(v) for v in self.bbox) <= self.scale
             reach = 0.0
-            if near_origin and isinstance(e, Segment) and e.length > 2.0 * c:
+            if self._near_origin and isinstance(e, Segment) and e.length > 2.0 * c:
                 a, b = e.point_at_local(c), e.point_at_local(e.length - c)
                 reach = 0.5 * min(
                     _segment_edge_distance(a, b, f) for j, f in enumerate(self.edges) if j != i
                 )
             memo[i] = reach if reach >= _SIDE_MIN_REACH * self.scale else 0.0
         return memo[i]
+
+    @cached_property
+    def _edge_rows(self) -> tuple[tuple[float, ...] | None, ...]:
+        """Per-edge rows of the general chord test's edge loop: for a
+        segment ``(x0, y0, x1, y1, c0, c1, s0, s1, ls)``, its bounding box
+        widened by ``M = 1e-2 S``, its start, ``end - start`` and the
+        ``math.hypot`` of that; ``None`` for an arc.  When the bounding box
+        does not lie within ``S`` of the origin the widened boxes are the
+        whole plane, so the box reject never fires.
+        """
+        m = _BOX_MARGIN * self.scale
+        near = self._near_origin
+        rows: list[tuple[float, ...] | None] = []
+        for e in self.edges:
+            if isinstance(e, Arc):
+                rows.append(None)
+                continue
+            (a0, a1), (b0, b1) = e.start, e.end
+            s0, s1 = b0 - a0, b1 - a1
+            box = (
+                (min(a0, b0) - m, min(a1, b1) - m, max(a0, b0) + m, max(a1, b1) + m)
+                if near
+                else (-math.inf, -math.inf, math.inf, math.inf)
+            )
+            rows.append((*box, a0, a1, s0, s1, math.hypot(s0, s1)))
+        return tuple(rows)
 
     # -- boundary parameterisation ------------------------------------
 
@@ -1086,7 +1122,10 @@ def chord_is_interior(
     line meets a circle in at most two points, so a chord with both ends on
     one convex (ccw) arc meets that arc only at its ends.  The general test
     skips that arc's circle roots; it still tests every other edge, then
-    decides by its side test or a ray cast at the midpoint.  The roots,
+    decides by its side test or a ray cast at the midpoint.  Of the
+    segments it tests only those whose bounding box, widened by ``1e-2 S``,
+    meets the chord's, when the domain's box lies within ``S`` of the
+    origin (the box reject, argued there).  The roots,
     computed from ``R^2 - perp^2``, lose ``u`` to cancellation, and would
     reject genuine chords on the arc below about ``1e-5 R``.
     """
@@ -1191,6 +1230,46 @@ def _chord_is_interior_general(
     the edge loop's verdict on the middle, as the ray cast does.  Outside
     verdicts, ends on arcs, other ``tol`` and failed guards keep the ray
     cast.
+
+    On a segment ``AB`` the edge loop computes the non-parallel path of
+    :func:`_seg_seg_intersections` inline, operation for operation, from the
+    segment's row in ``PlanarDomain._edge_rows``, so every hit is the same
+    float.  It calls the function only on its parallel path, ``|den| <=
+    1e-12 l L`` with ``den = cross(r, s)``, ``r = q - p``, ``s = B - A``,
+    ``L = |s|``; arcs keep their own path.  When the bounding box lies
+    within ``S`` of the origin, the *box reject* skips a segment whose
+    bounding box, widened by ``M = 1e-2 S``, misses the chord's box.  Such a
+    segment has neither a hit nor an overlap, let alone a hit beyond
+    ``excl``, so every verdict stays the same.  Write ``w = A - p``.  All
+    four points lie in the bounding box (``p``, ``q`` up to the rounding of
+    ``point_at_local``), so ``|w|``, ``l`` and ``L`` are at most ``S``.  A
+    computed 2x2 cross product ``cross(x, y)`` is off by at most ``2.3e-16
+    |x| |y|``.
+
+    * Non-parallel path.  The lines ``p + u r`` and ``A + v s`` meet at
+      ``X``, at exact parameters ``u*``, ``v*``.  The numerators of ``u``
+      and ``v`` are off by ``2.3e-16 |w| L`` and ``2.3e-16 |w| l``, ``den``
+      by ``2.3e-16 l L``, and ``|den| > 1e-12 l L``.  So ``|u - u*| <=
+      2.3e-4 (|w| / l + |u*|)`` and ``|v - v*| <= 2.3e-4 (|w| / L + |v*|)``.
+      A hit has ``u``, ``v`` in ``[-eps, 1 + eps]``, so ``|u*| l <= 1.0003
+      l + 2.4e-4 |w|`` and ``|u - u*| l <= 2.4e-4 (|w| + l)``; likewise
+      ``|v - v*| L <= 2.4e-4 (|w| + L)``.  ``X`` thus lies within ``eps l +
+      2.4e-4 (|w| + l)`` of the chord and within ``eps L + 2.4e-4 (|w| +
+      L)`` of the segment, and on each axis the two boxes come within
+      ``2.4e-4 (2 |w| + l + L) + 2e-9 S <= 1e-3 S`` of each other: 10x
+      inside ``M``, which also absorbs ends up to ``9 S`` off the box.
+    * Parallel path.  A hit or an overlap needs ``|cross(r, w)| <= 1e-9 l (L
+      + |w|)``: ``A`` lies within ``2e-9 S`` of the chord's line and ``B``
+      within ``1e-12 L`` more.  It also needs the two parameter ranges along
+      ``r`` to meet within ``eps``, so a point of the segment lies within
+      ``4e-9 S`` of the chord.
+    * The widened box is rounded by about ``1e-16 S``, as its coordinates
+      are at most ``1.01 S``; the chord's box is exact.
+
+    Near the ``1e-12`` threshold a hit thus moves by a few ``1e-4 S`` per
+    unit of ``|w| / S``, so ``M = 1e-3 S`` would leave no margin.  When the
+    bounding box reaches farther than ``S`` from the origin the rows' boxes
+    are the whole plane, and every segment is intersected as before.
     """
     chord_len = math.dist(p, q)
     tol_abs = tol * domain.scale
@@ -1198,15 +1277,41 @@ def _chord_is_interior_general(
         return False
     excl = max(_CHORD_EXCL_ABS * domain.scale, _CHORD_EXCL_REL * chord_len)
 
-    for i, e in enumerate(domain.edges):
-        if isinstance(e, Segment):
-            hits, overlap = _seg_seg_intersections(p, q, e.start, e.end)
-            if overlap:
-                return False
-            pts = [h[0] for h in hits]
+    # the non-parallel path of _seg_seg_intersections(p, q, start, end),
+    # operation for operation, from the edge's row (hot loop)
+    p0, p1 = p
+    q0, q1 = q
+    r0, r1 = q0 - p0, q1 - p1
+    par = 1e-12 * math.hypot(r0, r1)
+    eps = 1e-9
+    top = 1.0 + eps
+    lo_x, hi_x = (p0, q0) if p0 <= q0 else (q0, p0)
+    lo_y, hi_y = (p1, q1) if p1 <= q1 else (q1, p1)
+    edges = domain.edges
+    for i, row in enumerate(domain._edge_rows):
+        if row is not None:
+            x0, y0, x1, y1, c0, c1, s0, s1, ls = row
+            if x0 > hi_x or x1 < lo_x or y0 > hi_y or y1 < lo_y:
+                continue
+            denom = r0 * s1 - r1 * s0
+            if abs(denom) <= par * ls:
+                # parallel, or a zero-length chord or edge
+                e = edges[i]
+                hits, overlap = _seg_seg_intersections(p, q, e.start, e.end)
+                if overlap:
+                    return False
+                pts = [h[0] for h in hits]
+            else:
+                w0, w1 = c0 - p0, c1 - p1
+                u = (w0 * s1 - w1 * s0) / denom
+                v = (w0 * r1 - w1 * r0) / denom
+                if not (-eps <= u <= top and -eps <= v <= top):
+                    continue
+                pts = [(p0 + u * r0, p1 + u * r1)]
         elif i in same_arcs:
             continue
         else:
+            e = edges[i]
             pts = []
             for pt, _u in segment_circle_intersections(p, q, e.center, e.radius):
                 inside, m = angle_in_sweep(e, e.angle_of_point(pt))

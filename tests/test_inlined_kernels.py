@@ -9,6 +9,13 @@ return the same tuples bit for bit: at vertices and on edges, for collinear
 and parallel inputs, and on domains scaled by 1e-6 and 1e6.  The one
 difference is a squared length that underflows to 0, where the reference
 raises and ``_seg_seg_intersections`` returns no intersection.
+
+The edge loop of ``geometry._chord_is_interior_general`` skips segments
+whose widened bounding box misses the chord's (the box reject) and
+intersects the rest inline, as ``_seg_seg_intersections`` does.  The loop
+it replaced, which called that function on every segment, is kept below
+too, and hypothesis checks that both give the same verdict or raise the
+same exception, also on translated domains where the reject is off.
 """
 
 import functools
@@ -17,14 +24,19 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from escobar import geometry
 from escobar.errors import InvalidGeometryError
 from escobar.geometry import (
+    _CHORD_EXCL_ABS,
+    _CHORD_EXCL_REL,
     _GOLDEN_ANGLE,
     TAU_GEOM,
     Arc,
     Segment,
+    _chord_is_interior_general,
     _cross,
     _dot,
+    _left_of_own_segment,
     _seg_seg_intersections,
     _solve_quadratic,
     _sub,
@@ -34,6 +46,7 @@ from escobar.geometry import (
     make_polygon,
     project_to_boundary,
     scaled,
+    segment_circle_intersections,
 )
 
 # ---------------------------------------------------------------------------
@@ -300,3 +313,192 @@ def test_seg_seg_intersections_is_bit_identical(segs):
     if expected[0] == "ZeroDivisionError":
         expected = ([], False)
     assert _outcome(_seg_seg_intersections, *segs) == expected
+
+
+# ---------------------------------------------------------------------------
+# the general chord test: box reject and inline intersection
+# ---------------------------------------------------------------------------
+
+
+def _ref_chord_is_interior_general(domain, p, q, tol, same_arcs, cuts):
+    """``geometry._chord_is_interior_general`` with its retired edge loop,
+    which intersects the chord with every edge."""
+    chord_len = math.dist(p, q)
+    tol_abs = tol * domain.scale
+    if chord_len <= tol_abs:
+        return False
+    excl = max(_CHORD_EXCL_ABS * domain.scale, _CHORD_EXCL_REL * chord_len)
+
+    for i, e in enumerate(domain.edges):
+        if isinstance(e, Segment):
+            hits, overlap = _seg_seg_intersections(p, q, e.start, e.end)
+            if overlap:
+                return False
+            pts = [h[0] for h in hits]
+        elif i in same_arcs:
+            continue
+        else:
+            pts = []
+            for pt, _u in segment_circle_intersections(p, q, e.center, e.radius):
+                inside, m = angle_in_sweep(e, e.angle_of_point(pt))
+                if inside or m * e.radius <= tol_abs:
+                    pts.append(pt)
+        for pt in pts:
+            if math.dist(pt, p) > excl and math.dist(pt, q) > excl:
+                return False
+
+    if tol == TAU_GEOM and (
+        _left_of_own_segment(domain, cuts[0], p, q, chord_len, excl)
+        or _left_of_own_segment(domain, cuts[1], q, p, chord_len, excl)
+    ):
+        return True
+    mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
+    return contains_point(domain, mid, tol=tol)
+
+
+def _translated(domain, d):
+    """``domain`` moved by ``(d, d)``."""
+    edges = []
+    for e in domain.edges:
+        if isinstance(e, Segment):
+            edges.append(Segment((e.start[0] + d, e.start[1] + d), (e.end[0] + d, e.end[1] + d)))
+        else:
+            c = (e.center[0] + d, e.center[1] + d)
+            edges.append(Arc(c, e.radius, e.start_angle, e.end_angle, e.ccw))
+    return make_domain(edges)
+
+
+_GENERAL_BASES = {
+    "lshape": _BASES["lshape"],
+    "lshape-rot": _BASES["lshape-rot"],
+    "star": _BASES["star"],
+    "concave-square": lambda: make_domain([
+        Segment((0.0, 0.0), (1.0, 0.0)),
+        Segment((1.0, 0.0), (1.0, 1.0)),
+        Arc((0.5, 1.5), math.sqrt(0.5), -math.pi / 4, -3 * math.pi / 4, ccw=False),
+        Segment((0.0, 1.0), (0.0, 0.0)),
+    ]),
+    "half-disk": _BASES["half-disk"],
+}
+# shifts in units of the scale: 10 and 1e3 put the box beyond the origin guard
+_GENERAL_KEYS = [(name, f, t) for name in _GENERAL_BASES for f in _SCALES for t in (0.0, 10.0, 1e3)]
+
+
+@functools.cache
+def _general_domain(name, factor, shift):
+    dom = _GENERAL_BASES[name]()
+    dom = dom if factor == 1.0 else scaled(dom, factor)
+    return dom if shift == 0.0 else _translated(dom, shift * dom.scale)
+
+
+def _line_hits(dom, a, b):
+    """Boundary points on the segment ``a -> b``."""
+    hits = []
+    for e in dom.edges:
+        if isinstance(e, Segment):
+            hits += [h[0] for h in _seg_seg_intersections(a, b, e.start, e.end)[0]]
+        else:
+            hits += [x for x, _u in segment_circle_intersections(a, b, e.center, e.radius)
+                     if angle_in_sweep(e, e.angle_of_point(x))[0]]
+    return hits
+
+
+_vertex_offset = st.sampled_from([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+
+
+def _nudge(x, draw):
+    """``x`` moved by -2..2 ulps."""
+    k = draw(st.integers(-2, 2))
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@st.composite
+def _general_chords(draw):
+    """A domain key and chord ends ``p``, ``q``: boundary points at, near
+    (``1e-15 .. 1e-6`` of the perimeter) or away from vertices; points on
+    the line of a segment; a chord leaving a point near a vertex at a sine
+    of ``1e-12`` (the parallel threshold) +- a few ulps to a segment; or a
+    chord on the line ``x`` or ``y`` = const that lies ``M`` +- 1 ulp off a
+    segment's bounding box."""
+    key = draw(st.sampled_from(_GENERAL_KEYS))
+    dom = _general_domain(*key)
+    per, n, big = dom.perimeter, len(dom.edges), 4.0 * dom.scale
+    segs = [i for i, e in enumerate(dom.edges) if isinstance(e, Segment)]
+
+    def boundary_point():
+        if draw(st.booleans()):
+            return dom.point_at(draw(st.floats(0.0, 1.0, exclude_max=True)) * per)
+        v = dom.vertex_arclength(draw(st.integers(0, n - 1)))
+        return dom.point_at((v + draw(_vertex_offset) * per) % per)
+
+    kind = draw(st.sampled_from(["boundary", "collinear", "grazing", "box-gap"]))
+    if kind == "boundary":
+        return key, boundary_point(), boundary_point()
+    f = dom.edges[draw(st.sampled_from(segs))]
+    a, b = f.start, f.end
+    dx, dy = (b[0] - a[0]) / f.length, (b[1] - a[1]) / f.length
+    if kind == "collinear":
+        line = _line_hits(dom, (a[0] - big * dx, a[1] - big * dy), (a[0] + big * dx, a[1] + big * dy))
+        on_f = st.floats(0.0, 1.0).map(lambda t: f.point_at_local(t * f.length))
+        pick = st.one_of(st.sampled_from(line + [a, b]), on_f)
+        return key, draw(pick), draw(pick)
+    if kind == "grazing":
+        p = boundary_point()
+        sine = draw(st.sampled_from([1e-12, -1e-12])) * (1.0 + draw(st.integers(-3, 3)) * 2.0**-52)
+        cos = math.sqrt(1.0 - sine * sine)
+        along = draw(st.sampled_from([1.0, -1.0]))
+        u = (along * (cos * dx - sine * dy), along * (cos * dy + sine * dx))
+        hits = [x for x in _line_hits(dom, p, (p[0] + big * u[0], p[1] + big * u[1]))
+                if math.dist(p, x) > 1e-9 * dom.scale]
+        q = min(hits, key=lambda x: math.dist(p, x)) if hits else boundary_point()
+        return key, p, (_nudge(q[0], draw), _nudge(q[1], draw))
+    # box-gap: the line x (or y) = X' with X' = 1 ulp either side of, or on,
+    # the widened box edge of f
+    m = geometry._BOX_MARGIN * dom.scale
+    axis = draw(st.integers(0, 1))
+    lo, hi = min(a[axis], b[axis]) - m, max(a[axis], b[axis]) + m
+    x = draw(st.sampled_from([lo, hi]))
+    x = draw(st.sampled_from([math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]))
+    ends = [(x, -big), (x, big)] if axis == 0 else [(-big, x), (big, x)]
+    line = _line_hits(dom, *ends)
+    if not line:
+        return key, boundary_point(), boundary_point()
+
+    def snapped(pt):
+        return (x, pt[1]) if axis == 0 else (pt[0], x)
+
+    p = snapped(draw(st.sampled_from(line)))
+    q = snapped(draw(st.sampled_from(line))) if len(line) > 1 else boundary_point()
+    return key, p, q
+
+
+@settings(max_examples=800, deadline=None)
+@given(chord=_general_chords())
+# 1 ulp outside a collinear edge's unwidened box: the edge loop finds the
+# overlap, which a box reject with no margin would skip
+@example(chord=(("lshape", 1.0, 0.0), (-5e-324, 0.0), (-5e-324, 2.0000000000000018)))
+@example(chord=(("half-disk", 1.0, 0.0), (-1.0, 5e-324), (1.0000000000000018, 5e-324)))
+def test_general_chord_test_matches_the_full_edge_loop(chord):
+    """The box reject and the inline intersection keep every verdict of
+    the edge loop that intersected the chord with all edges, and every
+    exception, on and off the origin guard."""
+    key, p, q = chord
+    dom = _general_domain(*key)
+    n = len(dom.edges)
+
+    def on(pt):
+        i, t = dom.edge_index_at(project_to_boundary(dom, pt)[0])
+        return (i, t), ({i, (i - 1) % n} if t == 0.0 else {i})
+
+    (cut0, on0), (cut1, on1) = on(p), on(q)
+    same = {i for i in on0 & on1 if isinstance(dom.edges[i], Arc) and dom.edges[i].ccw}
+    args = (dom, p, q, TAU_GEOM, same, (cut0, cut1))
+    # the side test's reach memo changes on an edge's first two calls: run
+    # both from the same memo
+    memo = dict(dom._side_reaches)
+    got = _outcome(_chord_is_interior_general, *args)
+    dom._side_reaches.clear()
+    dom._side_reaches.update(memo)
+    assert got == _outcome(_ref_chord_is_interior_general, *args), (key, p, q)

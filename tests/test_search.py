@@ -652,6 +652,26 @@ def test_scaled_nonconvex_estimates_are_pinned(name, factor, lshape):
     assert validate_tuple(report.witness) == []
 
 
+# repr of the value and the evaluations of estimate_ik(L-shape shifted by
+# (t, t), 2), recorded before the general chord test's box reject
+_TRANSLATED_NONCONVEX = {
+    10.0: ("0.3162277660168378", 2783),
+    1e3: ("0.31622776601682906", 2787),
+}
+
+
+@pytest.mark.parametrize("shift", sorted(_TRANSLATED_NONCONVEX))
+def test_translated_nonconvex_estimates_are_pinned(shift, lshape):
+    """Nonconvex refinement on L-shapes whose bounding box reaches farther
+    than the scale from the origin, where the side test and the box reject
+    of the general chord test stand aside."""
+    domain = make_polygon([(x + shift, y + shift) for x, y in lshape.vertices])
+    assert not domain._near_origin
+    report = estimate_ik(domain, 2)
+    assert (repr(report.value), report.evaluations) == _TRANSLATED_NONCONVEX[shift]
+    assert validate_tuple(report.witness) == []
+
+
 # ---------------------------------------------------------------------------
 # the fused refinement objective against validating the tuple first
 # ---------------------------------------------------------------------------
