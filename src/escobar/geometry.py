@@ -1242,9 +1242,11 @@ def _chord_is_interior_general(
     segment has neither a hit nor an overlap, let alone a hit beyond
     ``excl``, so every verdict stays the same.  Write ``w = A - p``.  All
     four points lie in the bounding box (``p``, ``q`` up to the rounding of
-    ``point_at_local``), so ``|w|``, ``l`` and ``L`` are at most ``S``.  A
-    computed 2x2 cross product ``cross(x, y)`` is off by at most ``2.3e-16
-    |x| |y|``.
+    ``point_at_local``), so ``|w|``, ``l`` and ``L`` are at most ``S``.
+    Take ``r``, ``s`` and ``w`` as computed: each is within ``1.2e-16`` of
+    its length of the exact difference, which moves the lines below by
+    ``1e-16 S``.  A computed 2x2 cross product ``cross(x, y)`` is off by at
+    most ``2.3e-16 |x| |y|``.
 
     * Non-parallel path.  The lines ``p + u r`` and ``A + v s`` meet at
       ``X``, at exact parameters ``u*``, ``v*``.  The numerators of ``u``
