@@ -48,6 +48,7 @@ from escobar.geometry import (
     scaled,
     segment_circle_intersections,
 )
+from tests.conftest import concave_square
 
 # ---------------------------------------------------------------------------
 # reference: the helper-based kernels, unchanged
@@ -372,16 +373,13 @@ _GENERAL_BASES = {
     "lshape": _BASES["lshape"],
     "lshape-rot": _BASES["lshape-rot"],
     "star": _BASES["star"],
-    "concave-square": lambda: make_domain([
-        Segment((0.0, 0.0), (1.0, 0.0)),
-        Segment((1.0, 0.0), (1.0, 1.0)),
-        Arc((0.5, 1.5), math.sqrt(0.5), -math.pi / 4, -3 * math.pi / 4, ccw=False),
-        Segment((0.0, 1.0), (0.0, 0.0)),
-    ]),
+    "concave-square": concave_square,
     "half-disk": _BASES["half-disk"],
 }
 # shifts in units of the scale: 10 and 1e3 put the box beyond the origin guard
-_GENERAL_KEYS = [(name, f, t) for name in _GENERAL_BASES for f in _SCALES for t in (0.0, 10.0, 1e3)]
+_GENERAL_KEYS = [
+    (name, f, t) for name in _GENERAL_BASES for f in _SCALES for t in (0.0, 10.0, 1e3)
+]
 
 
 @functools.cache
@@ -440,7 +438,8 @@ def _general_chords(draw):
     a, b = f.start, f.end
     dx, dy = (b[0] - a[0]) / f.length, (b[1] - a[1]) / f.length
     if kind == "collinear":
-        line = _line_hits(dom, (a[0] - big * dx, a[1] - big * dy), (a[0] + big * dx, a[1] + big * dy))
+        far_back, far_on = (a[0] - big * dx, a[1] - big * dy), (a[0] + big * dx, a[1] + big * dy)
+        line = _line_hits(dom, far_back, far_on)
         on_f = st.floats(0.0, 1.0).map(lambda t: f.point_at_local(t * f.length))
         pick = st.one_of(st.sampled_from(line + [a, b]), on_f)
         return key, draw(pick), draw(pick)
