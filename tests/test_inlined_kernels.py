@@ -416,7 +416,7 @@ def _nudge(x, draw):
 def _general_chords(draw):
     """A domain key and chord ends ``p``, ``q``: boundary points at, near
     (``1e-15 .. 1e-6`` of the perimeter) or away from vertices; points on
-    the line of a segment; a chord leaving a point near a vertex at a sine
+    the line of a segment; a chord leaving such a boundary point at a sine
     of ``1e-12`` (the parallel threshold) +- a few ulps to a segment; or a
     chord on the line ``x`` or ``y`` = const that lies ``M`` +- 1 ulp off a
     segment's bounding box."""
@@ -460,7 +460,8 @@ def _general_chords(draw):
     lo, hi = min(a[axis], b[axis]) - m, max(a[axis], b[axis]) + m
     x = draw(st.sampled_from([lo, hi]))
     x = draw(st.sampled_from([math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]))
-    ends = [(x, -big), (x, big)] if axis == 0 else [(-big, x), (big, x)]
+    x0, y0, x1, y1 = dom.bbox
+    ends = [(x, y0 - big), (x, y1 + big)] if axis == 0 else [(x0 - big, x), (x1 + big, x)]
     line = _line_hits(dom, *ends)
     if not line:
         return key, boundary_point(), boundary_point()
