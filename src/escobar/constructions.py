@@ -18,6 +18,7 @@ from .errors import (
     NotApplicableError,
 )
 from .geometry import (
+    TAU_GEOM,
     Arc,
     PlanarDomain,
     Segment,
@@ -29,6 +30,9 @@ from .geometry import (
     segment_circle_intersections,
 )
 from .regions import Cap, Strip, TupleCandidate, corner_admits_anchor, validate_tuple
+
+#: Times :func:`corner_tuple` halves the schedule's epsilon before giving up.
+_MAX_HALVINGS = 60
 
 
 def _raise_if_invalid(tc: TupleCandidate, what: str) -> TupleCandidate:
@@ -235,8 +239,8 @@ def corner_chain_tuple(
     n = len(domain.edges)
     if not 0 <= corner_index < n:
         raise InvalidParameterError(f"corner index {corner_index} out of range")
-    theta = domain.interior_angles[corner_index]
-    if theta >= math.pi - 1e-9:
+    if corner_index not in domain.convex_corners:
+        theta = domain.interior_angles[corner_index]
         raise InvalidParameterError(
             f"vertex {corner_index} is not a strictly convex corner (angle {theta:.6g})"
         )
@@ -314,7 +318,6 @@ def corner_tuple(
     params: CornerScheduleParams,
     *,
     validate: bool = True,
-    max_halvings: int = 60,
 ) -> TupleCandidate:
     """Corner chain with the geometric schedule, shrinking epsilon to fit.
 
@@ -322,11 +325,11 @@ def corner_tuple(
     resulting tuple (and its eta values) is invariant under rescaling the
     domain.  If the requested epsilon produces legs that run off the
     adjacent geometry (or an invalid tuple), epsilon is halved up to
-    ``max_halvings`` times before giving up.
+    ``_MAX_HALVINGS`` times before giving up.
     """
     eps = params.epsilon
     last_err: Exception | None = None
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         legs = [t * domain.perimeter for t in corner_schedule_legs(params.k, eps)]
         if legs[-1] <= 0.245 * domain.perimeter:
             try:
@@ -378,7 +381,7 @@ def stripe_tuple(
     edges = domain.edges
     if len(edges) != 4 or not all(isinstance(e, Segment) for e in edges):
         raise NotApplicableError("stripe construction expects an axis-aligned rectangle")
-    tol_abs = 1e-9 * domain.scale
+    tol_abs = TAU_GEOM * domain.scale
     for e in edges:
         if abs(e.end[0] - e.start[0]) > tol_abs and abs(e.end[1] - e.start[1]) > tol_abs:
             raise NotApplicableError("stripe construction expects an axis-aligned rectangle")

@@ -148,10 +148,9 @@ def polygon_upper_bound(domain: PlanarDomain) -> Bound:
     :class:`~escobar.errors.NotApplicableError` when the boundary has no
     convex corner (e.g. a disk).
     """
-    angles = [t for t in domain.interior_angles if t < math.pi - 1e-9]
-    if not angles:
+    if not domain.convex_corners:
         raise NotApplicableError("domain has no convex corner to concentrate at")
-    theta = min(angles)
+    theta = min(domain.interior_angles[j] for j in domain.convex_corners)
     return Bound(
         math.sin(theta / 2.0),
         BoundKind.UPPER_BOUND,
@@ -175,14 +174,14 @@ def ik_exact(domain: PlanarDomain, k: int) -> Bound:
     )
 
 
-def ik_monotone_check(n: int, k_max: int, *, tol: float = TAU_NUM) -> bool:
+def ik_monotone_check(n: int, k_max: int) -> bool:
     """Whether the exactly-known I_k(D_n) values are nondecreasing in k."""
     last = -math.inf
     for k in range(1, k_max + 1):
         b = ik_regular_polygon(n, k)
         if b.kind is not BoundKind.EXACT:
             continue
-        if b.value < last - tol:
+        if b.value < last - TAU_NUM:
             return False
         last = b.value
     return True

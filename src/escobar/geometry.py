@@ -27,6 +27,9 @@ from .errors import InvalidGeometryError, InvalidParameterError
 #: Geometric tolerance, relative to the domain scale (bounding-box diagonal).
 TAU_GEOM = 1e-9
 
+#: Slack on intersection parameters: a hit needs them in ``[-slack, 1 + slack]``.
+_PARAM_SLACK = 1e-9
+
 # Guards of the convex verdict in :func:`chord_is_interior`, argued there.
 #: Least corner angle, and least turn, at every vertex.
 _CONVEX_CORNER_MARGIN = 1e-3
@@ -235,15 +238,15 @@ def _solve_quadratic(a: float, b: float, c: float) -> list[float]:
 
 
 def segment_circle_intersections(
-    a: Point, b: Point, center: Point, radius: float, *, eps: float = 1e-9
+    a: Point, b: Point, center: Point, radius: float
 ) -> list[tuple[Point, float]]:
     """Intersections of segment ``a``->``b`` with a full circle.
 
-    Returns ``(point, u)`` pairs with the segment parameter ``u`` kept in
-    ``[-eps, 1 + eps]``.  Solved via the perpendicular foot of the centre on
-    the segment line, which stays accurate when the radius is many orders of
-    magnitude below the segment length (the naive quadratic discriminant
-    cancels catastrophically there).
+    Returns ``(point, u)`` pairs with the segment parameter ``u`` kept
+    within ``_PARAM_SLACK`` of ``[0, 1]``.  Solved via the perpendicular foot
+    of the centre on the segment line, which stays accurate when the radius
+    is many orders of magnitude below the segment length (the naive
+    quadratic discriminant cancels catastrophically there).
     """
     d = _sub(b, a)
     dd = _dot(d, d)
@@ -260,7 +263,7 @@ def segment_circle_intersections(
     roots = [u0] if half == 0.0 else [u0 - half, u0 + half]
     out = []
     for u in roots:
-        if -eps <= u <= 1.0 + eps:
+        if -_PARAM_SLACK <= u <= 1.0 + _PARAM_SLACK:
             out.append(((a[0] + u * d[0], a[1] + u * d[1]), u))
     return out
 
@@ -289,16 +292,18 @@ def circle_circle_intersections(
 
 
 def _seg_seg_intersections(
-    a: Point, b: Point, c: Point, d: Point, *, eps: float = 1e-9
+    a: Point, b: Point, c: Point, d: Point
 ) -> tuple[list[tuple[Point, float, float]], bool]:
     """Intersections of segments a->b and c->d.
 
     Returns ``(hits, overlap)`` where hits are ``(point, u, v)`` with both
-    parameters within ``[-eps, 1 + eps]`` and ``overlap`` flags a collinear
-    intersection of positive length.  On the collinear path a segment whose
-    squared length underflows to 0 (below about 1e-162) has no hits.
+    parameters within ``eps = _PARAM_SLACK`` of ``[0, 1]`` and ``overlap``
+    flags a collinear intersection of positive length.  On the collinear
+    path a segment whose squared length underflows to 0 (below about
+    1e-162) has no hits.
     """
     # the hot path below spells out _sub and _cross, operation for operation
+    eps = _PARAM_SLACK
     r0, r1 = b[0] - a[0], b[1] - a[1]
     s0, s1 = d[0] - c[0], d[1] - c[1]
     lr = math.hypot(r0, r1)
@@ -346,6 +351,8 @@ def chords_cross(p1: Point, q1: Point, p2: Point, q2: Point, scale: float) -> st
     hits, overlap = _seg_seg_intersections(p1, q1, p2, q2)
     if overlap:
         return "chords overlap along a stretch"
+    if not hits:
+        return None
     excl = max(
         _CHORD_EXCL_ABS * scale, _CHORD_EXCL_REL * min(math.dist(p1, q1), math.dist(p2, q2))
     )
@@ -555,6 +562,12 @@ class PlanarDomain:
         return tuple(out)
 
     @cached_property
+    def convex_corners(self) -> tuple[int, ...]:
+        """Indices of the strictly convex corners, in order: vertices whose
+        interior angle falls short of pi by more than 1e-9."""
+        return tuple(j for j, theta in enumerate(self.interior_angles) if theta < math.pi - 1e-9)
+
+    @cached_property
     def is_convex(self) -> bool:
         if any(theta > math.pi + 1e-9 for theta in self.interior_angles):
             return False
@@ -717,13 +730,9 @@ class PlanarDomain:
         )
 
 
-def convex_corner_indices(domain: PlanarDomain, *, margin: float = 1e-9) -> list[int]:
-    """Vertex indices whose interior angle is strictly below pi."""
-    return [
-        j
-        for j, theta in enumerate(domain.interior_angles)
-        if theta < math.pi - margin
-    ]
+def convex_corner_indices(domain: PlanarDomain) -> list[int]:
+    """:attr:`PlanarDomain.convex_corners` as a list."""
+    return list(domain.convex_corners)
 
 
 def is_disk(domain: PlanarDomain) -> bool:
@@ -731,7 +740,7 @@ def is_disk(domain: PlanarDomain) -> bool:
     return len(e) == 1 and isinstance(e[0], Arc) and abs(e[0].sweep - _TWO_PI) < 1e-12
 
 
-def regular_ngon_order(domain: PlanarDomain, *, tol: float = 1e-9) -> int | None:
+def regular_ngon_order(domain: PlanarDomain) -> int | None:
     """Detect a regular polygon; returns its vertex count, else ``None``."""
     n = len(domain.edges)
     if n < 3 or not all(isinstance(e, Segment) for e in domain.edges):
@@ -739,12 +748,12 @@ def regular_ngon_order(domain: PlanarDomain, *, tol: float = 1e-9) -> int | None
     if not domain.is_convex:
         return None
     lens = domain.edge_lengths
-    if max(lens) - min(lens) > tol * domain.scale:
+    if max(lens) - min(lens) > TAU_GEOM * domain.scale:
         return None
     cx = sum(v[0] for v in domain.vertices) / n
     cy = sum(v[1] for v in domain.vertices) / n
     radii = [math.dist(v, (cx, cy)) for v in domain.vertices]
-    if max(radii) - min(radii) > tol * domain.scale:
+    if max(radii) - min(radii) > TAU_GEOM * domain.scale:
         return None
     return n
 
@@ -754,14 +763,18 @@ def regular_ngon_order(domain: PlanarDomain, *, tol: float = 1e-9) -> int | None
 # ---------------------------------------------------------------------------
 
 
-def _validate_and_build(edges: tuple[Edge, ...], tol: float) -> PlanarDomain:
+def make_domain(edges: Iterable[Edge]) -> PlanarDomain:
+    """Build a validated domain from an edge chain.
+
+    Checks edge sanity, closure, orientation (reversing a clockwise chain),
+    simplicity, and corner non-degeneracy, up to ``TAU_GEOM`` times the
+    chain's :attr:`PlanarDomain.scale`.  Raises
+    :class:`~escobar.errors.InvalidGeometryError` on failure.
+    """
+    edges = tuple(edges)
     if not edges:
         raise InvalidGeometryError("domain needs at least one edge")
-
-    # rough scale from raw endpoints, for absolute tolerances
-    coords = [abs(c) for e in edges for p in (e.start, e.end) for c in p]
-    scale = max(max(coords), 1.0)
-    tol_abs = tol * scale
+    tol_abs = TAU_GEOM * PlanarDomain(edges).scale
 
     for e in edges:
         if isinstance(e, Arc) and e.radius <= tol_abs:
@@ -818,16 +831,6 @@ def _validate_and_build(edges: tuple[Edge, ...], tol: float) -> PlanarDomain:
     return dom
 
 
-def make_domain(edges: Iterable[Edge], *, tol: float = TAU_GEOM) -> PlanarDomain:
-    """Build a validated domain from an edge chain.
-
-    Checks edge sanity, closure, orientation (reversing a clockwise chain),
-    simplicity, and corner non-degeneracy.  Raises
-    :class:`~escobar.errors.InvalidGeometryError` on failure.
-    """
-    return _validate_and_build(tuple(edges), tol)
-
-
 def make_polygon(
     points: Sequence[Sequence[float]], *, on_collinear: str = "reject"
 ) -> PlanarDomain:
@@ -837,23 +840,24 @@ def make_polygon(
     ``"merge"`` silently drops them.
     """
     pts: list[Point] = [(float(p[0]), float(p[1])) for p in points]
-    if len(pts) >= 2 and math.dist(pts[0], pts[-1]) <= 1e-12 * max(
-        1.0, max(abs(c) for q in pts for c in q)
-    ):
-        pts.pop()
+    if len(pts) >= 2:
+        # TAU_GEOM times the bounding-box diagonal, as in make_domain
+        xs, ys = zip(*pts)
+        tol_abs = TAU_GEOM * math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+        if math.dist(pts[0], pts[-1]) <= tol_abs:
+            pts.pop()
     if len(pts) < 3:
         raise InvalidParameterError("a polygon needs at least 3 distinct vertices")
     if on_collinear not in ("reject", "merge"):
         raise InvalidParameterError(f"unknown on_collinear mode {on_collinear!r}")
 
-    scale = max(1.0, max(abs(c) for q in pts for c in q))
     kept: list[Point] = []
     m = len(pts)
     for j in range(m):
         a, b, c = pts[(j - 1) % m], pts[j], pts[(j + 1) % m]
         u = _sub(b, a)
         v = _sub(c, b)
-        if math.hypot(*u) <= 1e-12 * scale or math.hypot(*v) <= 1e-12 * scale:
+        if math.hypot(*u) <= tol_abs or math.hypot(*v) <= tol_abs:
             raise InvalidGeometryError("repeated consecutive polygon vertices")
         if abs(_cross(u, v)) <= 1e-12 * math.hypot(*u) * math.hypot(*v) and _dot(u, v) > 0:
             if on_collinear == "reject":
@@ -959,9 +963,10 @@ def project_to_boundary(domain: PlanarDomain, p: Point) -> tuple[float, float]:
     return best_s, best_d
 
 
-def contains_point(domain: PlanarDomain, p: Point, *, tol: float = TAU_GEOM) -> bool:
-    """Point-in-domain test for the closed region (boundary counts as inside)."""
-    tol_abs = tol * domain.scale
+def contains_point(domain: PlanarDomain, p: Point) -> bool:
+    """Point-in-domain test for the closed region: a point within ``TAU_GEOM``
+    times the scale of the boundary counts as inside."""
+    tol_abs = TAU_GEOM * domain.scale
     _, d = project_to_boundary(domain, p)
     if d <= tol_abs:
         return True
@@ -1054,9 +1059,7 @@ def edge_offset_vector(edge: Edge, u: float, *, from_end: bool = False) -> Point
     return (-c * math.sin(mid), c * math.cos(mid))
 
 
-def chord_is_interior(
-    domain: PlanarDomain, s0: float, s1: float, *, tol: float = TAU_GEOM
-) -> bool:
+def chord_is_interior(domain: PlanarDomain, s0: float, s1: float) -> bool:
     """Whether the open chord between boundary points s0, s1 stays inside.
 
     The chord must have positive length, must not run along the boundary, and
@@ -1072,9 +1075,8 @@ def chord_is_interior(
 
     On a convex domain every other chord between two distinct points is
     interior.  This *convex verdict* answers without the edge loop and ray
-    cast of the general test (:func:`_chord_is_interior_general`) when
-    ``tol`` is the default and these guards hold (``S`` = scale, ``l`` =
-    chord length, ``c = 1e-3 S``):
+    cast of the general test (:func:`_chord_is_interior_general`) when these
+    guards hold (``S`` = scale, ``l`` = chord length, ``c = 1e-3 S``):
 
     * the domain is convex, its bounding box lies within ``S`` of the origin
       and every arc radius is at most ``S``;
@@ -1130,12 +1132,10 @@ def chord_is_interior(
     reject genuine chords on the arc below about ``1e-5 R``.
     """
     per = domain.perimeter
-    return _interior_chord_ends(domain, s0 % per, s1 % per, tol) is not None
+    return _interior_chord_ends(domain, s0 % per, s1 % per) is not None
 
 
-def _interior_chord_ends(
-    domain: PlanarDomain, s0: float, s1: float, tol: float = TAU_GEOM
-) -> tuple[Point, Point] | None:
+def _interior_chord_ends(domain: PlanarDomain, s0: float, s1: float) -> tuple[Point, Point] | None:
     """The end points ``(p, q)`` of the chord between boundary points s0,
     s1, already reduced modulo the perimeter, when :func:`chord_is_interior`
     holds, else ``None``.
@@ -1156,14 +1156,13 @@ def _interior_chord_ends(
     clear = domain._convex_clearance
     if (
         clear is not None
-        and tol == TAU_GEOM
         and clear < t0 < domain.edge_lengths[i0] - clear
         and clear < t1 < domain.edge_lengths[i1] - clear
         and math.dist(p, q) >= _CONVEX_MIN_CHORD * domain.scale
     ):
         return p, q
     # every edge left in ``shared`` is a convex arc holding both ends
-    inside = _chord_is_interior_general(domain, p, q, tol, shared, ((i0, t0), (i1, t1)))
+    inside = _chord_is_interior_general(domain, p, q, shared, ((i0, t0), (i1, t1)))
     return (p, q) if inside else None
 
 
@@ -1171,7 +1170,6 @@ def _chord_is_interior_general(
     domain: PlanarDomain,
     p: Point,
     q: Point,
-    tol: float,
     same_arcs: Iterable[int],
     cuts: tuple[tuple[int, float], tuple[int, float]],
 ) -> bool:
@@ -1189,9 +1187,8 @@ def _chord_is_interior_general(
     or wholly outside, and any one point of it decides.  The ray cast tests
     the midpoint.  The *side test* decides **inside** in O(1) from a point
     near one end instead; it never rejects, so it can only spare a ray cast
-    that would have said inside.  With ``tol == TAU_GEOM`` it decides from
-    the end ``p`` on edge ``e = AB`` (``S`` = scale, ``l`` = chord length,
-    ``c = 1e-3 S``) when:
+    that would have said inside.  It decides from the end ``p`` on edge
+    ``e = AB`` (``S`` = scale, ``l`` = chord length, ``c = 1e-3 S``) when:
 
     * the bounding box lies within ``S`` of the origin, and ``e`` is a
       segment with ``r = PlanarDomain._side_reach(i) > 0``: half the least
@@ -1224,12 +1221,11 @@ def _chord_is_interior_general(
       ``x`` is in the middle.
 
     So is the midpoint, which ``contains_point`` then counts as inside: it
-    counts every point within ``tol S`` of the boundary as inside, and the
-    ray cast answers for the rest (its own tolerances only make it retry a
-    ray).  Its tolerance band thus plays no part.  The side test rests on
+    counts every point within ``TAU_GEOM S`` of the boundary as inside, and
+    the ray cast answers for the rest (its own tolerances only make it retry
+    a ray).  Its tolerance band thus plays no part.  The side test rests on
     the edge loop's verdict on the middle, as the ray cast does.  Outside
-    verdicts, ends on arcs, other ``tol`` and failed guards keep the ray
-    cast.
+    verdicts, ends on arcs and failed guards keep the ray cast.
 
     On a segment ``AB`` the edge loop computes the non-parallel path of
     :func:`_seg_seg_intersections` inline, operation for operation, from the
@@ -1274,7 +1270,7 @@ def _chord_is_interior_general(
     are the whole plane, and every segment is intersected as before.
     """
     chord_len = math.dist(p, q)
-    tol_abs = tol * domain.scale
+    tol_abs = TAU_GEOM * domain.scale
     if chord_len <= tol_abs:
         return False
     excl = max(_CHORD_EXCL_ABS * domain.scale, _CHORD_EXCL_REL * chord_len)
@@ -1285,7 +1281,7 @@ def _chord_is_interior_general(
     q0, q1 = q
     r0, r1 = q0 - p0, q1 - p1
     par = 1e-12 * math.hypot(r0, r1)
-    eps = 1e-9
+    eps = _PARAM_SLACK
     top = 1.0 + eps
     lo_x, hi_x = (p0, q0) if p0 <= q0 else (q0, p0)
     lo_y, hi_y = (p1, q1) if p1 <= q1 else (q1, p1)
@@ -1323,13 +1319,13 @@ def _chord_is_interior_general(
             if math.dist(pt, p) > excl and math.dist(pt, q) > excl:
                 return False
 
-    if tol == TAU_GEOM and (
+    if (
         _left_of_own_segment(domain, cuts[0], p, q, chord_len, excl)
         or _left_of_own_segment(domain, cuts[1], q, p, chord_len, excl)
     ):
         return True
     mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-    return contains_point(domain, mid, tol=tol)
+    return contains_point(domain, mid)
 
 
 def _left_of_own_segment(

@@ -206,17 +206,15 @@ def region_area(domain: PlanarDomain, region: Region) -> float:
 # ---------------------------------------------------------------------------
 
 
-def region_contains_point(
-    domain: PlanarDomain, region: Region, p: tuple[float, float], *, tol: float = TAU_GEOM
-) -> bool:
+def region_contains_point(domain: PlanarDomain, region: Region, p: tuple[float, float]) -> bool:
     """Point-in-region test for the closed region.
 
-    A point within ``tol * scale`` of a chord or of the region's exterior
-    arcs is inside, and one that close to the rest of the domain's boundary
-    is outside.  Any other point is classified by :func:`_ray_parity`
+    A point within ``TAU_GEOM * scale`` of a chord or of the region's
+    exterior arcs is inside, and one that close to the rest of the domain's
+    boundary is outside.  Any other point is classified by :func:`_ray_parity`
     against the region's closed boundary: its exterior pieces and its chords.
     """
-    tol_abs = tol * domain.scale
+    tol_abs = TAU_GEOM * domain.scale
     chords = [
         Segment(domain.point_at(s0), domain.point_at(s1))
         for s0, s1 in interior_chords(domain, region)
@@ -275,7 +273,7 @@ def corner_admits_anchor(domain: PlanarDomain, j: int) -> bool:
     then a convex region, so every chord between the same two edges nested
     inside it is interior as well.
     """
-    if domain.interior_angles[j] >= math.pi - 1e-9:
+    if j not in domain.convex_corners:
         return False
     return all(
         isinstance(e, Segment) or e.ccw for e in (domain.edges[j - 1], domain.edges[j])
@@ -314,10 +312,10 @@ def _anchored_problems(domain: PlanarDomain, region: Region) -> list[str]:
     return problems
 
 
-def _exterior_problem(per: float, ext: float, tol: float) -> Optional[str]:
+def _exterior_problem(per: float, ext: float) -> Optional[str]:
     """The exterior rule of a cap with exterior length ``ext``: it must be
-    longer than ``tol * per`` and leave more than that of the boundary."""
-    tol_len = tol * per
+    longer than ``TAU_GEOM * per`` and leave more than that of the boundary."""
+    tol_len = TAU_GEOM * per
     if ext <= tol_len:
         return "zero-length exterior boundary (a == b)"
     if per - ext <= tol_len:
@@ -325,15 +323,15 @@ def _exterior_problem(per: float, ext: float, tol: float) -> Optional[str]:
     return None
 
 
-def _cap_problems(domain: PlanarDomain, cap: Cap, label: str, tol: float) -> list[str]:
+def _cap_problems(domain: PlanarDomain, cap: Cap, label: str) -> list[str]:
     """Exterior length and interior chord of one cap, checked on the boundary."""
     per = domain.perimeter
     a, b = cap_arclengths(domain, cap)
     ext = (b - a) % per if cap.anchor is None else cap.b - cap.a
-    problem = _exterior_problem(per, ext, tol)
+    problem = _exterior_problem(per, ext)
     if problem:
         return [f"{label}: {problem}"]
-    if not chord_is_interior(domain, a, b, tol=tol):
+    if not chord_is_interior(domain, a, b):
         return [
             f"{label}: chord between s={a:.6g} and s={b:.6g} "
             "does not cut through the interior"
@@ -341,9 +339,7 @@ def _cap_problems(domain: PlanarDomain, cap: Cap, label: str, tol: float) -> lis
     return []
 
 
-def validate_region(
-    domain: PlanarDomain, region: Region, *, tol: float = TAU_GEOM
-) -> list[str]:
+def validate_region(domain: PlanarDomain, region: Region) -> list[str]:
     """Problems with a single region (empty list = valid).
 
     An anchored region is checked analytically (:func:`corner_admits_anchor`,
@@ -356,15 +352,15 @@ def validate_region(
         if problems:
             return problems
         label = "cap" if isinstance(region, Cap) else "outer cap"
-        return _cap_problems(domain, _caps(region)[-1], label, tol)
+        return _cap_problems(domain, _caps(region)[-1], label)
 
     per = domain.perimeter
-    tol_len = tol * per
+    tol_len = TAU_GEOM * per
     if isinstance(region, Cap):
-        return _cap_problems(domain, region, "cap", tol)
+        return _cap_problems(domain, region, "cap")
 
-    problems = _cap_problems(domain, region.inner, "inner cap", tol)
-    problems += _cap_problems(domain, region.outer, "outer cap", tol)
+    problems = _cap_problems(domain, region.inner, "inner cap")
+    problems += _cap_problems(domain, region.outer, "outer cap")
     if problems:
         return problems
     # nesting: outer.a < inner.a < inner.b < outer.b in ccw order from outer.a
@@ -385,12 +381,12 @@ def validate_region(
     return problems
 
 
-def _chords_conflict(domain, c1, c2, *, strict: bool, tol: float):
+def _chords_conflict(domain, c1, c2, *, strict: bool):
     """None if two chords, given by their end points, may coexist, otherwise
     a description string.  Lenient mode allows identical chords and shared
     end points; :func:`chords_cross` decides the rest."""
     (p1, q1), (p2, q2) = c1, c2
-    tol_abs = tol * domain.scale
+    tol_abs = TAU_GEOM * domain.scale
     (pp, pq), (qp, qq) = [[math.dist(x, y) <= tol_abs for y in (p2, q2)] for x in (p1, q1)]
     if (pp and qq) or (pq and qp):
         return "identical chords" if strict else None
@@ -399,9 +395,7 @@ def _chords_conflict(domain, c1, c2, *, strict: bool, tol: float):
     return chords_cross(p1, q1, p2, q2, domain.scale)
 
 
-def validate_tuple(
-    tc: TupleCandidate, *, strict: bool = False, tol: float = TAU_GEOM
-) -> list[TupleViolation]:
+def validate_tuple(tc: TupleCandidate, *, strict: bool = False) -> list[TupleViolation]:
     """All violated predicates for a candidate tuple.
 
     In the default (lenient) mode adjacent regions may share boundary cut
@@ -433,7 +427,7 @@ def validate_tuple(
     it.  Inside would put the exterior arcs of one on those of the other,
     an overlap again.  Outside includes a region lying in the hole of a
     strip: the two are disjoint.  The predicates decide each of these facts
-    up to ``tol``.  The argument holds for the three layouts:
+    up to ``TAU_GEOM``.  The argument holds for the three layouts:
 
     * a strip is bounded by its two chords and its arcs ``[oa, ia]`` and
       ``[ib, ob]``; its inner cap, the hole, is outside it;
@@ -460,7 +454,7 @@ def validate_tuple(
             if not probs:
                 groups.setdefault(_anchor_of(region), []).append(i)
         else:
-            probs = validate_region(domain, region, tol=tol)
+            probs = validate_region(domain, region)
         bad[i] = bool(probs)
         for pr in probs:
             out.append(TupleViolation(i, i, "region-invalid", pr))
@@ -469,12 +463,12 @@ def validate_tuple(
     for j, members in groups.items():
         caps = [c for i in members for c in _caps(regions[i])]
         hull = Cap(min(c.a for c in caps), max(c.b for c in caps), j)
-        if not _cap_problems(domain, hull, "anchored group hull", tol):
+        if not _cap_problems(domain, hull, "anchored group hull"):
             hulls[j] = hull
             continue
         # the hull fails: check each region's own outer cap instead
         for i in members:
-            probs = validate_region(domain, regions[i], tol=tol)
+            probs = validate_region(domain, regions[i])
             bad[i] = bool(probs)
             for pr in probs:
                 out.append(TupleViolation(i, i, "region-invalid", pr))
@@ -503,11 +497,11 @@ def validate_tuple(
                 key = (key_i, key_j)
                 if key not in hulls_clear:
                     probe: list[TupleViolation] = []
-                    _check_pair(domain, i, j, probe, strict, tol, pieces(hull_i), pieces(hull_j))
+                    _check_pair(domain, i, j, probe, strict, pieces(hull_i), pieces(hull_j))
                     hulls_clear[key] = not probe
                 if hulls_clear[key]:
                     continue
-            _check_pair(domain, i, j, out, strict, tol, pieces(regions[i]), pieces(regions[j]))
+            _check_pair(domain, i, j, out, strict, pieces(regions[i]), pieces(regions[j]))
     return out
 
 
@@ -517,28 +511,28 @@ def _pieces(domain: PlanarDomain, region: Region):
     return exterior_intervals(domain, region), ends
 
 
-def _check_pair(domain, i, j, out, strict, tol, pieces_i, pieces_j) -> None:
+def _check_pair(domain, i, j, out, strict, pieces_i, pieces_j) -> None:
     """Exterior overlap and chord conflicts of two regions, given as their
     :func:`_pieces`."""
     ints_i, chords_i = pieces_i
     ints_j, chords_j = pieces_j
-    msg = _arcs_clash(domain.perimeter, ints_i, ints_j, strict, tol)
+    msg = _arcs_clash(domain.perimeter, ints_i, ints_j, strict)
     if msg:
         out.append(TupleViolation(i, j, "arc-overlap", msg))
     for c1 in chords_i:
         for c2 in chords_j:
-            msg = _chords_conflict(domain, c1, c2, strict=strict, tol=tol)
+            msg = _chords_conflict(domain, c1, c2, strict=strict)
             if msg:
                 out.append(TupleViolation(i, j, "chord-crossing", msg))
 
 
-def _arcs_clash(per, ints_i, ints_j, strict, tol):
+def _arcs_clash(per, ints_i, ints_j, strict):
     """The first overlap of two regions' exterior intervals, else None.
 
-    An overlap up to ``tol * per`` is forgiven; in strict mode closed
+    An overlap up to ``TAU_GEOM * per`` is forgiven; in strict mode closed
     intervals may not even touch.
     """
-    tol_len = tol * per
+    tol_len = TAU_GEOM * per
     for s0, s1 in ints_i:
         l0 = (s1 - s0) % per
         for u0, u1 in ints_j:
@@ -593,8 +587,8 @@ def _check_same_anchor(ri, rj, i, j, out, strict) -> None:
             out.append(TupleViolation(i, j, "chord-crossing", msg))
 
 
-def is_valid_tuple(tc: TupleCandidate, *, strict: bool = False, tol: float = TAU_GEOM) -> bool:
-    return not validate_tuple(tc, strict=strict, tol=tol)
+def is_valid_tuple(tc: TupleCandidate, *, strict: bool = False) -> bool:
+    return not validate_tuple(tc, strict=strict)
 
 
 # ---------------------------------------------------------------------------

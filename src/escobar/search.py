@@ -48,7 +48,6 @@ from .errors import (
 )
 from .exact import Bound, BoundKind, ik_exact
 from .geometry import (
-    TAU_GEOM,
     Arc,
     PlanarDomain,
     Segment,
@@ -75,6 +74,9 @@ from .regions import (
 #: Optimiser tolerance: refinement stops improving below this resolution.
 TAU_OPT = 1e-7
 
+#: Equal splits tried at evenly spaced start offsets, besides edge midpoints.
+_OFFSET_SAMPLES = 8
+
 # ceiling on enumeration work chosen automatically (explicit grids may go
 # up to the configured budget instead)
 _ENUM_SOFT_CAP = 3_000_000
@@ -96,7 +98,9 @@ _LEG_RATIO_MAX = 1e12
 
 @dataclass
 class SearchConfig:
-    """Knobs for :func:`estimate_ik` and friends."""
+    """Knobs for :func:`estimate_ik` and friends.  Geometric tolerances are
+    not among them: every predicate measures against ``TAU_GEOM`` times the
+    domain scale."""
 
     grid_points: Optional[int] = None
     families: tuple[str, ...] = ("caps", "corner-strips")
@@ -104,7 +108,6 @@ class SearchConfig:
     seed: int = 0
     tolerance: float = TAU_OPT
     budget: float = 1e9
-    offset_samples: int = 8
 
     def __post_init__(self):
         known = {"caps", "corner-strips"}
@@ -692,8 +695,9 @@ def refine_caps(
     cap, the exterior rule (:func:`~escobar.regions._exterior_problem`) and
     then the same kernel call, and per pair of valid caps
     :func:`~escobar.regions._arcs_clash` and
-    :func:`~escobar.regions._chords_conflict` in lenient mode with
-    ``TAU_GEOM``, which are called here.  Any bad chord scores ``500 +
+    :func:`~escobar.regions._chords_conflict` in lenient mode, which are
+    called here; both measure against ``TAU_GEOM``, as every predicate
+    does.  Any bad chord scores ``500 +
     bad`` either way, and without one any violation scores 400.  The kernel
     runs once on every cap in both, so this raises exactly when validating
     did.  The pair checks cannot raise: every chord that reaches them is
@@ -748,13 +752,13 @@ def refine_caps(
         if bad:
             return 500.0 + bad
         if not convex:
-            if any(_exterior_problem(per, ext, TAU_GEOM) for _a, _b, ext, _e in chords):
+            if any(_exterior_problem(per, ext) for _a, _b, ext, _e in chords):
                 return 400.0
             for i, (a, b, _ext, ends) in enumerate(chords):
                 for a2, b2, _ext2, ends2 in chords[i + 1:]:
-                    if _arcs_clash(per, [(a, b)], [(a2, b2)], False, TAU_GEOM):
+                    if _arcs_clash(per, [(a, b)], [(a2, b2)], False):
                         return 400.0
-                    if _chords_conflict(domain, ends, ends2, strict=False, tol=TAU_GEOM):
+                    if _chords_conflict(domain, ends, ends2, strict=False):
                         return 400.0
         if val < state["best"]:
             state["best"] = val
@@ -1008,7 +1012,7 @@ def _equal_boundary_report(
     offsets = []
     for i in range(len(domain.edges)):
         offsets.append(float(domain.cumlens[i]) + domain.edge_lengths[i] / 2.0)
-    offsets.extend(j * per / (k * max(1, config.offset_samples)) for j in range(config.offset_samples))
+    offsets.extend(j * per / (k * _OFFSET_SAMPLES) for j in range(_OFFSET_SAMPLES))
     best = None
     evals = 0
     for off in offsets:

@@ -35,6 +35,9 @@ from .regions import Cap, eta_partial
 
 _DEGENERATE_ETA = 1.0
 
+_INEQUALITY_MARGIN = 1e-12  # slack of :func:`symmetrization_inequality_check`
+_MONOTONE_SAMPLES = 160  # exterior lengths sampled by :func:`monotonicity_check`
+
 
 @dataclass(frozen=True)
 class SymmetrizedRegion:
@@ -163,9 +166,7 @@ def envelope_value(n: int, ell: int) -> float:
     )
 
 
-def symmetrization_inequality_check(
-    domain: PlanarDomain, cap: Cap, margin: float = 1e-12
-):
+def symmetrization_inequality_check(domain: PlanarDomain, cap: Cap):
     """Check min(symmetrized etas) <= eta(cap) for a cap with lam <= L/2.
 
     Returns ``(ok, eta_cap, eta_symmetrized_min)``.
@@ -179,14 +180,14 @@ def symmetrization_inequality_check(
     vertex, edge = symmetrize(domain, lam)
     bound = min(vertex.eta, edge.eta)
     eta = eta_partial(domain, cap)
-    return eta >= bound - margin, eta, bound
+    return eta >= bound - _INEQUALITY_MARGIN, eta, bound
 
 
-def monotonicity_check(n: int, samples: int = 160) -> bool:
+def monotonicity_check(n: int) -> bool:
     """Both symmetrized profiles are nonincreasing in the exterior length."""
     domain = make_regular_polygon(n)
     per = domain.perimeter
-    lams = np.linspace(per / (2.0 * samples), per / 2.0, samples)
+    lams = np.linspace(per / (2.0 * _MONOTONE_SAMPLES), per / 2.0, _MONOTONE_SAMPLES)
     prev_v = prev_e = math.inf
     for lam in lams:
         vertex, edge = symmetrize(domain, float(lam))

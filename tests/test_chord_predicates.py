@@ -215,7 +215,7 @@ def _ends(dom, c):
 def test_chords_conflict_matches_retired_copy(case, strict):
     """Same description string, lenient and strict, from end points found once."""
     dom, c1, c2 = case
-    got = _chords_conflict(dom, _ends(dom, c1), _ends(dom, c2), strict=strict, tol=1e-9)
+    got = _chords_conflict(dom, _ends(dom, c1), _ends(dom, c2), strict=strict)
     assert got == _ref_chords_conflict(dom, c1, c2, strict=strict, tol=1e-9)
 
 

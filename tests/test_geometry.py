@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from escobar import geometry
 from escobar.errors import InvalidGeometryError, InvalidParameterError
 from escobar.geometry import (
-    TAU_GEOM,
     Arc,
     Segment,
     chord_is_interior,
@@ -135,6 +134,25 @@ def test_repeated_vertex_rejected():
 def test_open_chain_rejected():
     with pytest.raises(InvalidGeometryError, match="not closed"):
         make_domain([Segment((0, 0), (1, 0)), Segment((1, 0), (1, 1))])
+
+
+@pytest.mark.parametrize(
+    "size, shift", [(1e-6, 0.0), (1.0, 0.0), (1e6, 0.0), (1.0, 1e6)]
+)
+def test_construction_tolerance_follows_the_chain_extent(size, shift):
+    """Closure and edge length are measured against the chain's own
+    bounding-box diagonal, not against a floor of 1 or the distance from
+    the origin: at every size and offset a leg of 5e-4 of the extent is an
+    edge, and a closure gap of 1e-4 of it leaves the chain open."""
+
+    def pt(x, y):
+        return (shift + size * x, shift + size * y)
+
+    sliver = make_polygon([pt(0, 0), pt(1, 0), pt(1, 5e-4)])
+    assert len(sliver.edges) == 3
+    gap = [Segment(pt(0, 0), pt(1, 0)), Segment(pt(1, 0), pt(1, 1)), Segment(pt(1, 1), pt(0, 1e-4))]
+    with pytest.raises(InvalidGeometryError, match="not closed"):
+        make_domain(gap)
 
 
 def test_zero_sweep_arc_rejected():
@@ -326,7 +344,7 @@ def _general_verdict(dom, s0, s1):
         return False
     p, q = dom.point_at(s0), dom.point_at(s1)
     cuts = (dom.edge_index_at(s0), dom.edge_index_at(s1))
-    return geometry._chord_is_interior_general(dom, p, q, TAU_GEOM, both, cuts)
+    return geometry._chord_is_interior_general(dom, p, q, both, cuts)
 
 
 @settings(max_examples=600, deadline=None)

@@ -321,11 +321,11 @@ def test_seg_seg_intersections_is_bit_identical(segs):
 # ---------------------------------------------------------------------------
 
 
-def _ref_chord_is_interior_general(domain, p, q, tol, same_arcs, cuts):
+def _ref_chord_is_interior_general(domain, p, q, same_arcs, cuts):
     """``geometry._chord_is_interior_general`` with its retired edge loop,
     which intersects the chord with every edge."""
     chord_len = math.dist(p, q)
-    tol_abs = tol * domain.scale
+    tol_abs = TAU_GEOM * domain.scale
     if chord_len <= tol_abs:
         return False
     excl = max(_CHORD_EXCL_ABS * domain.scale, _CHORD_EXCL_REL * chord_len)
@@ -348,13 +348,13 @@ def _ref_chord_is_interior_general(domain, p, q, tol, same_arcs, cuts):
             if math.dist(pt, p) > excl and math.dist(pt, q) > excl:
                 return False
 
-    if tol == TAU_GEOM and (
+    if (
         _left_of_own_segment(domain, cuts[0], p, q, chord_len, excl)
         or _left_of_own_segment(domain, cuts[1], q, p, chord_len, excl)
     ):
         return True
     mid = ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
-    return contains_point(domain, mid, tol=tol)
+    return contains_point(domain, mid)
 
 
 def _translated(domain, d):
@@ -494,7 +494,7 @@ def test_general_chord_test_matches_the_full_edge_loop(chord):
 
     (cut0, on0), (cut1, on1) = on(p), on(q)
     same = {i for i in on0 & on1 if isinstance(dom.edges[i], Arc) and dom.edges[i].ccw}
-    args = (dom, p, q, TAU_GEOM, same, (cut0, cut1))
+    args = (dom, p, q, same, (cut0, cut1))
     # the side test's reach memo changes on an edge's first two calls: run
     # both from the same memo
     memo = dict(dom._side_reaches)
