@@ -93,7 +93,7 @@ def _load_domain(args):
         return domain_from_json(data)
     if getattr(args, "disk", None) is not None:
         return make_disk(args.disk)
-    if getattr(args, "ngon", None):
+    if getattr(args, "ngon", None) is not None:
         return make_regular_polygon(args.ngon)
     if getattr(args, "rect", None):
         w, h = args.rect
@@ -140,7 +140,7 @@ def _cmd_exact(args, outputs: list[str]) -> int:
 
 def _cmd_construct(args, outputs: list[str]) -> int:
     if args.family == "inscribed":
-        if not args.ngon:
+        if args.ngon is None:
             raise InvalidParameterError("--family inscribed needs --ngon N")
         tc = inscribed_kgon_tuple(args.ngon, args.k)
         domain = tc.domain
@@ -151,12 +151,9 @@ def _cmd_construct(args, outputs: list[str]) -> int:
         elif args.family == "corner":
             corner = args.corner
             if corner is None:
-                from .geometry import convex_corner_indices
-
-                eligible = convex_corner_indices(domain)
-                if not eligible:
+                corner = domain.sharpest_corner
+                if corner is None:
                     raise NotApplicableError("domain has no strictly convex corner")
-                corner = min(eligible, key=lambda c: (domain.interior_angles[c], c))
             params = CornerScheduleParams(corner, args.k, args.epsilon)
             tc = corner_tuple(domain, params)
         elif args.family == "stripe":
@@ -249,8 +246,6 @@ def _cmd_scan(args, outputs: list[str]) -> int:
 
 
 def _cmd_symmetry_audit(args, outputs: list[str]) -> int:
-    if not args.ngon:
-        raise InvalidParameterError("symmetry-audit needs --ngon N")
     report = audit_symmetrization(args.ngon, trials=args.trials, seed=args.seed)
     print(f"symmetrization audit for the regular {report.n}-gon")
     print(

@@ -313,12 +313,7 @@ def corner_schedule_legs(k: int, epsilon: float) -> list[float]:
     return legs
 
 
-def corner_tuple(
-    domain: PlanarDomain,
-    params: CornerScheduleParams,
-    *,
-    validate: bool = True,
-) -> TupleCandidate:
+def corner_tuple(domain: PlanarDomain, params: CornerScheduleParams) -> TupleCandidate:
     """Corner chain with the geometric schedule, shrinking epsilon to fit.
 
     Schedule legs are measured in units of the domain perimeter, so the
@@ -333,9 +328,7 @@ def corner_tuple(
         legs = [t * domain.perimeter for t in corner_schedule_legs(params.k, eps)]
         if legs[-1] <= 0.245 * domain.perimeter:
             try:
-                return corner_chain_tuple(
-                    domain, params.corner_index, legs, validate=validate
-                )
+                return corner_chain_tuple(domain, params.corner_index, legs)
             except (ConstructionFailedError, InvalidGeometryError) as err:
                 last_err = err
         eps /= 2.0

@@ -148,9 +148,9 @@ def polygon_upper_bound(domain: PlanarDomain) -> Bound:
     :class:`~escobar.errors.NotApplicableError` when the boundary has no
     convex corner (e.g. a disk).
     """
-    if not domain.convex_corners:
+    if domain.sharpest_corner is None:
         raise NotApplicableError("domain has no convex corner to concentrate at")
-    theta = min(domain.interior_angles[j] for j in domain.convex_corners)
+    theta = domain.interior_angles[domain.sharpest_corner]
     return Bound(
         math.sin(theta / 2.0),
         BoundKind.UPPER_BOUND,

@@ -568,6 +568,13 @@ class PlanarDomain:
         return tuple(j for j, theta in enumerate(self.interior_angles) if theta < math.pi - 1e-9)
 
     @cached_property
+    def sharpest_corner(self) -> int | None:
+        """The convex corner with the least interior angle, ties to the
+        lowest index; ``None`` when there is no convex corner."""
+        angles = self.interior_angles
+        return min(self.convex_corners, key=lambda j: (angles[j], j), default=None)
+
+    @cached_property
     def is_convex(self) -> bool:
         if any(theta > math.pi + 1e-9 for theta in self.interior_angles):
             return False
@@ -730,11 +737,6 @@ class PlanarDomain:
         )
 
 
-def convex_corner_indices(domain: PlanarDomain) -> list[int]:
-    """:attr:`PlanarDomain.convex_corners` as a list."""
-    return list(domain.convex_corners)
-
-
 def is_disk(domain: PlanarDomain) -> bool:
     e = domain.edges
     return len(e) == 1 and isinstance(e[0], Arc) and abs(e[0].sweep - _TWO_PI) < 1e-12
@@ -831,13 +833,11 @@ def make_domain(edges: Iterable[Edge]) -> PlanarDomain:
     return dom
 
 
-def make_polygon(
-    points: Sequence[Sequence[float]], *, on_collinear: str = "reject"
-) -> PlanarDomain:
+def make_polygon(points: Sequence[Sequence[float]]) -> PlanarDomain:
     """Simple polygon from a vertex list (either orientation).
 
-    ``on_collinear`` controls straight-through vertices: ``"reject"`` raises,
-    ``"merge"`` silently drops them.
+    A closing vertex equal to the first is dropped.  A straight-through
+    vertex raises; :func:`make_domain` rejects repeated vertices.
     """
     pts: list[Point] = [(float(p[0]), float(p[1])) for p in points]
     if len(pts) >= 2:
@@ -848,28 +848,14 @@ def make_polygon(
             pts.pop()
     if len(pts) < 3:
         raise InvalidParameterError("a polygon needs at least 3 distinct vertices")
-    if on_collinear not in ("reject", "merge"):
-        raise InvalidParameterError(f"unknown on_collinear mode {on_collinear!r}")
-
-    kept: list[Point] = []
     m = len(pts)
     for j in range(m):
         a, b, c = pts[(j - 1) % m], pts[j], pts[(j + 1) % m]
         u = _sub(b, a)
         v = _sub(c, b)
-        if math.hypot(*u) <= tol_abs or math.hypot(*v) <= tol_abs:
-            raise InvalidGeometryError("repeated consecutive polygon vertices")
         if abs(_cross(u, v)) <= 1e-12 * math.hypot(*u) * math.hypot(*v) and _dot(u, v) > 0:
-            if on_collinear == "reject":
-                raise InvalidGeometryError(
-                    f"collinear vertex {b} (pass on_collinear='merge' to drop it)"
-                )
-            continue
-        kept.append(b)
-    if len(kept) < 3:
-        raise InvalidGeometryError("polygon degenerates after merging collinear vertices")
-    segs = [Segment(kept[j], kept[(j + 1) % len(kept)]) for j in range(len(kept))]
-    return make_domain(segs)
+            raise InvalidGeometryError(f"collinear vertex {b}")
+    return make_domain(Segment(pts[j], pts[(j + 1) % m]) for j in range(m))
 
 
 def make_disk(radius: float = 1.0, center: Point = (0.0, 0.0)) -> PlanarDomain:

@@ -343,7 +343,7 @@ def validate_region(domain: PlanarDomain, region: Region) -> list[str]:
     """Problems with a single region (empty list = valid).
 
     An anchored region is checked analytically (:func:`corner_admits_anchor`,
-    offsets inside the corner's edges, strict nesting) and its outer cap
+    offsets inside the corner's edges, strictly nested) and its outer cap
     with the boundary predicates; the inner chord of an anchored strip is
     then interior by convexity.
     """
@@ -381,27 +381,24 @@ def validate_region(domain: PlanarDomain, region: Region) -> list[str]:
     return problems
 
 
-def _chords_conflict(domain, c1, c2, *, strict: bool):
+def _chords_conflict(domain, c1, c2):
     """None if two chords, given by their end points, may coexist, otherwise
-    a description string.  Lenient mode allows identical chords and shared
-    end points; :func:`chords_cross` decides the rest."""
+    a description string.  Identical chords and shared end points are
+    allowed; :func:`chords_cross` decides the rest."""
     (p1, q1), (p2, q2) = c1, c2
     tol_abs = TAU_GEOM * domain.scale
-    (pp, pq), (qp, qq) = [[math.dist(x, y) <= tol_abs for y in (p2, q2)] for x in (p1, q1)]
-    if (pp and qq) or (pq and qp):
-        return "identical chords" if strict else None
-    if strict and (pp or pq or qp or qq):
-        return "chords share an endpoint"
+    if (math.dist(p1, p2) <= tol_abs and math.dist(q1, q2) <= tol_abs) or (
+        math.dist(p1, q2) <= tol_abs and math.dist(q1, p2) <= tol_abs
+    ):
+        return None
     return chords_cross(p1, q1, p2, q2, domain.scale)
 
 
-def validate_tuple(tc: TupleCandidate, *, strict: bool = False) -> list[TupleViolation]:
+def validate_tuple(tc: TupleCandidate) -> list[TupleViolation]:
     """All violated predicates for a candidate tuple.
 
-    In the default (lenient) mode adjacent regions may share boundary cut
-    points and two regions may share an identical chord, as long as their
-    interiors stay disjoint; ``strict=True`` additionally forbids any shared
-    endpoints.
+    Adjacent regions may share boundary cut points and two regions may
+    share an identical chord, as long as their interiors stay disjoint.
 
     Anchored regions are grouped by vertex.  The hull of a group, the cap
     spanning all its members' offsets, is checked with the boundary
@@ -421,11 +418,11 @@ def validate_tuple(tc: TupleCandidate, *, strict: bool = False) -> list[TupleVio
     would put its ends on the closed exterior arcs of i.  Then the exterior
     arc of j, which runs between those ends, either overlaps an arc of i by
     a positive length or fills a gap between two arcs of i exactly; in the
-    second case its chord is a chord of i, shared, which lenient mode
-    allows.  So no boundary point of j lies inside i, none of i lies inside
-    j, and each region, being connected, lies inside the other or outside
-    it.  Inside would put the exterior arcs of one on those of the other,
-    an overlap again.  Outside includes a region lying in the hole of a
+    second case its chord is a chord of i, shared, which is allowed.  So no
+    boundary point of j lies inside i, none of i lies inside j, and each
+    region, being connected, lies inside the other or outside it.  Inside
+    would put the exterior arcs of one on those of the other, an overlap
+    again.  Outside includes a region lying in the hole of a
     strip: the two are disjoint.  The predicates decide each of these facts
     up to ``TAU_GEOM``.  The argument holds for the three layouts:
 
@@ -490,18 +487,18 @@ def validate_tuple(tc: TupleCandidate, *, strict: bool = False) -> list[TupleVio
             if bad[j]:
                 continue
             if anchor[i] is not None and anchor[i] == anchor[j]:
-                _check_same_anchor(regions[i], regions[j], i, j, out, strict)
+                _check_same_anchor(regions[i], regions[j], i, j, out)
                 continue
             (key_i, hull_i), (key_j, hull_j) = hull_of(i), hull_of(j)
             if hulls and (key_i[0] == "vertex" or key_j[0] == "vertex"):
                 key = (key_i, key_j)
                 if key not in hulls_clear:
                     probe: list[TupleViolation] = []
-                    _check_pair(domain, i, j, probe, strict, pieces(hull_i), pieces(hull_j))
+                    _check_pair(domain, i, j, probe, pieces(hull_i), pieces(hull_j))
                     hulls_clear[key] = not probe
                 if hulls_clear[key]:
                     continue
-            _check_pair(domain, i, j, out, strict, pieces(regions[i]), pieces(regions[j]))
+            _check_pair(domain, i, j, out, pieces(regions[i]), pieces(regions[j]))
     return out
 
 
@@ -511,26 +508,25 @@ def _pieces(domain: PlanarDomain, region: Region):
     return exterior_intervals(domain, region), ends
 
 
-def _check_pair(domain, i, j, out, strict, pieces_i, pieces_j) -> None:
+def _check_pair(domain, i, j, out, pieces_i, pieces_j) -> None:
     """Exterior overlap and chord conflicts of two regions, given as their
     :func:`_pieces`."""
     ints_i, chords_i = pieces_i
     ints_j, chords_j = pieces_j
-    msg = _arcs_clash(domain.perimeter, ints_i, ints_j, strict)
+    msg = _arcs_clash(domain.perimeter, ints_i, ints_j)
     if msg:
         out.append(TupleViolation(i, j, "arc-overlap", msg))
     for c1 in chords_i:
         for c2 in chords_j:
-            msg = _chords_conflict(domain, c1, c2, strict=strict)
+            msg = _chords_conflict(domain, c1, c2)
             if msg:
                 out.append(TupleViolation(i, j, "chord-crossing", msg))
 
 
-def _arcs_clash(per, ints_i, ints_j, strict):
+def _arcs_clash(per, ints_i, ints_j):
     """The first overlap of two regions' exterior intervals, else None.
 
-    An overlap up to ``TAU_GEOM * per`` is forgiven; in strict mode closed
-    intervals may not even touch.
+    An overlap up to ``TAU_GEOM * per`` is forgiven.
     """
     tol_len = TAU_GEOM * per
     for s0, s1 in ints_i:
@@ -539,8 +535,6 @@ def _arcs_clash(per, ints_i, ints_j, strict):
             ov = _circular_interval_overlap(s0, l0, u0, (u1 - u0) % per, per)
             if ov > tol_len:
                 return f"exterior arcs overlap over length {ov:.6g}"
-            if strict and (ov > 0.0 or min((u0 - s1) % per, (s0 - u1) % per) <= tol_len):
-                return "exterior arcs touch (strict mode)"
     return None
 
 
@@ -552,7 +546,7 @@ def _local_pieces(region: Region):
     return [(outer.a, inner.a), (inner.b, outer.b)], [(inner.a, inner.b), (outer.a, outer.b)]
 
 
-def _check_same_anchor(ri, rj, i, j, out, strict) -> None:
+def _check_same_anchor(ri, rj, i, j, out) -> None:
     """Disjointness of two regions anchored at one vertex, on offsets alone.
 
     Both exteriors lie on the offset line through the vertex, so they are
@@ -567,9 +561,6 @@ def _check_same_anchor(ri, rj, i, j, out, strict) -> None:
             lo, hi = max(lo0, lo1), min(hi0, hi1)
             if hi > lo:
                 hit = f"exterior arcs overlap over length {hi - lo:.6g}"
-            elif strict and hi == lo:
-                hit = "exterior arcs touch (strict mode)"
-            if hit:
                 break
         if hit:
             out.append(TupleViolation(i, j, "arc-overlap", hit))
@@ -578,17 +569,7 @@ def _check_same_anchor(ri, rj, i, j, out, strict) -> None:
         for x2, y2 in chords_j:
             if (x1 < x2 and y1 < y2) or (x1 > x2 and y1 > y2):
                 msg = f"chords cross (offsets ({x1:.6g}, {y1:.6g}) and ({x2:.6g}, {y2:.6g}))"
-            elif strict and x1 == x2 and y1 == y2:
-                msg = "identical chords"
-            elif strict and (x1 == x2 or y1 == y2):
-                msg = "chords share an endpoint"
-            else:
-                continue
-            out.append(TupleViolation(i, j, "chord-crossing", msg))
-
-
-def is_valid_tuple(tc: TupleCandidate, *, strict: bool = False) -> bool:
-    return not validate_tuple(tc, strict=strict)
+                out.append(TupleViolation(i, j, "chord-crossing", msg))
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,10 @@ def _fmt(v: float) -> str:
 class _Frame:
     """World-to-SVG transform with a flipped y axis."""
 
-    def __init__(self, domain: PlanarDomain, width: int, pad_frac: float = 0.06):
+    def __init__(self, domain: PlanarDomain, width: int):
         xmin, ymin, xmax, ymax = domain.bbox
         span = max(xmax - xmin, ymax - ymin, 1e-12)
-        pad = pad_frac * span
+        pad = 0.06 * span  # margin on every side
         self.scale = width / (span + 2 * pad)
         self.x0 = xmin - pad
         self.y0 = ymin - pad

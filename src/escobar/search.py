@@ -53,8 +53,6 @@ from .geometry import (
     Segment,
     _interior_chord_ends,
     chord_is_interior,
-    chords_cross,
-    convex_corner_indices,
     is_disk,
     regular_ngon_order,
 )
@@ -337,7 +335,7 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
             if e >= best:
                 return
             val = max(val, e)
-        if not grid.convex and not _cuts_chords_ok(grid, cuts, domain.scale):
+        if not grid.convex and not _cuts_chords_ok(grid, cuts, domain):
             return
         if not grid.full_validity:
             # geometric table only: verify the candidate's chords for real
@@ -355,15 +353,14 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
     return best, best_cuts
 
 
-def _cuts_chords_ok(tables: _Grid, cuts: Sequence[int], scale: float) -> bool:
-    """Whether no two chords of the cut list cross or overlap (needed on
-    nonconvex domains only); identical chords may coexist."""
+def _cuts_chords_ok(tables: _Grid, cuts: Sequence[int], domain: PlanarDomain) -> bool:
+    """Whether no two chords of the cut list conflict by
+    :func:`regions._chords_conflict` (needed on nonconvex domains only)."""
     pts = [tuple(tables.pts[c % tables.m]) for c in cuts]
-    for (p1, q1), (p2, q2) in itertools.combinations(zip(pts[::2], pts[1::2]), 2):
-        same = (p1 == p2 and q1 == q2) or (p1 == q2 and q1 == p2)
-        if not same and chords_cross(p1, q1, p2, q2, scale):
-            return False
-    return True
+    return not any(
+        _chords_conflict(domain, c1, c2)
+        for c1, c2 in itertools.combinations(zip(pts[::2], pts[1::2]), 2)
+    )
 
 
 def _w_min_for(tables: _GridTables, best: float) -> int:
@@ -482,7 +479,7 @@ def _run_enumeration(
                 budget=float(budget),
             )
         if cap_idx == k:
-            if need_cross and not _cuts_chords_ok(tables, cuts, domain.scale):
+            if need_cross and not _cuts_chords_ok(tables, cuts, domain):
                 return
             best = running
             best_cuts = list(cuts)
@@ -695,12 +692,11 @@ def refine_caps(
     cap, the exterior rule (:func:`~escobar.regions._exterior_problem`) and
     then the same kernel call, and per pair of valid caps
     :func:`~escobar.regions._arcs_clash` and
-    :func:`~escobar.regions._chords_conflict` in lenient mode, which are
-    called here; both measure against ``TAU_GEOM``, as every predicate
-    does.  Any bad chord scores ``500 +
-    bad`` either way, and without one any violation scores 400.  The kernel
-    runs once on every cap in both, so this raises exactly when validating
-    did.  The pair checks cannot raise: every chord that reaches them is
+    :func:`~escobar.regions._chords_conflict`, which are called here; both
+    measure against ``TAU_GEOM``, as every predicate does.  Any bad chord
+    scores ``500 + bad`` either way, and without one any violation scores
+    400.  The kernel runs once on every cap in both, so this raises exactly
+    when validating did.  The pair checks cannot raise: every chord that reaches them is
     longer than ``TAU_GEOM`` times the scale.
     """
     config = config or SearchConfig()
@@ -756,9 +752,9 @@ def refine_caps(
                 return 400.0
             for i, (a, b, _ext, ends) in enumerate(chords):
                 for a2, b2, _ext2, ends2 in chords[i + 1:]:
-                    if _arcs_clash(per, [(a, b)], [(a2, b2)], False):
+                    if _arcs_clash(per, [(a, b)], [(a2, b2)]):
                         return 400.0
-                    if _chords_conflict(domain, ends, ends2, strict=False):
+                    if _chords_conflict(domain, ends, ends2):
                         return 400.0
         if val < state["best"]:
             state["best"] = val
@@ -841,9 +837,7 @@ def _chain_eta_model(theta: float, t_floor: float, t_max: float, d: int) -> floa
     return s * (r + 1.0) / (r - 1.0)
 
 
-def corner_family_bound(
-    domain: PlanarDomain, k: int, config: Optional[SearchConfig] = None
-) -> BoundReport:
+def corner_family_bound(domain: PlanarDomain, k: int) -> BoundReport:
     """Upper bound from nested corner regions spread over the convex corners.
 
     A greedy minimax allocation distributes the k regions over the corners
@@ -856,8 +850,7 @@ def corner_family_bound(
     2 sin(theta/2) / r of sin(theta/2), with leg ratio
     r = min(1e12, 1e290 ** (1/(d-1))).
     """
-    config = config or SearchConfig()
-    corners = convex_corner_indices(domain)
+    corners = domain.convex_corners
     if not corners:
         raise NotApplicableError("domain has no strictly convex corner")
     if k < 1:
@@ -905,7 +898,7 @@ def corner_family_bound(
     except InvalidParameterError:
         pass
 
-    sharpest = min(corners, key=lambda c: (geom[c][0], c))
+    sharpest = domain.sharpest_corner
 
     def sweep_objective(log_eps: float) -> float:
         nonlocal evals
@@ -1005,9 +998,7 @@ def _auto_enumerate(
     return None
 
 
-def _equal_boundary_report(
-    domain: PlanarDomain, k: int, config: SearchConfig
-) -> Optional[BoundReport]:
+def _equal_boundary_report(domain: PlanarDomain, k: int) -> Optional[BoundReport]:
     per = domain.perimeter
     offsets = []
     for i in range(len(domain.edges)):
@@ -1096,7 +1087,7 @@ def estimate_ik(
     if "caps" in config.families and (
         config.grid_points is not None or not _no_cap_tuple(domain, k)
     ):
-        eq = _equal_boundary_report(domain, k, config)
+        eq = _equal_boundary_report(domain, k)
         if eq is not None:
             reports.append(eq)
             evals += eq.evaluations
@@ -1122,7 +1113,7 @@ def estimate_ik(
 
     if "corner-strips" in config.families:
         try:
-            corner = corner_family_bound(domain, k, config)
+            corner = corner_family_bound(domain, k)
             evals += corner.evaluations
             reports.append(corner)
         except (NotApplicableError, ConstructionFailedError):

@@ -1,20 +1,25 @@
-"""The package names the benchmark's tracer looks up.
+"""The package names the benchmark's tracer looks up, and one untraced
+pass of every benchmark workload.
 
 ``perfbench/tracing.py`` wraps package functions by module and attribute
 name, relies on ``search`` and ``regions`` sharing one chord predicate, and
 counts the grids ``search._auto_enumerate`` prepares by the
-``full_validity=False`` keyword it passes to ``search._prepare_grid``.  A
-rename there breaks only traced benchmark runs and the benchmark's own
-self-tests; these tests catch it in the main suite.  They read
-``perfbench`` and change nothing in it.
+``full_validity=False`` keyword it passes to ``search._prepare_grid``.  The
+workloads call package functions by signature (``make_polygon``,
+``validate_tuple``, the CLI).  A rename or signature change there breaks
+only benchmark runs and the benchmark's own self-tests; these tests catch
+it in the main suite.  They read ``perfbench`` and change nothing in it.
 """
 
+import contextlib
 import importlib
+
+import pytest
 
 import escobar.regions
 import escobar.search
 from escobar import SearchConfig, estimate_ik, make_disk
-from perfbench import tracing
+from perfbench import tracing, workloads
 
 
 def test_every_traced_target_resolves_to_a_callable():
@@ -38,3 +43,18 @@ def test_auto_enumeration_prepares_light_grids(monkeypatch):
     monkeypatch.setattr(escobar.search, "_prepare_grid", spy)
     estimate_ik(make_disk(), 2, SearchConfig(families=("caps",), restarts=1))
     assert any(tracing._light_grid(args, kwargs, None, None) for args, kwargs in calls)
+
+
+@pytest.mark.parametrize(
+    "workload", ["regular-refine", "nonconvex-refine", "corner-chains", "cli-pipeline"]
+)
+def test_every_workload_case_runs_without_problems(workload, tmp_path):
+    cases = workloads.make_cases(workload, 0)
+    outcomes = []
+    for case, domain in zip(cases, workloads.build_domains(cases)):
+        if domain is None:
+            outcomes.append(workloads.run_cli_case(case, str(tmp_path), contextlib.nullcontext))
+        else:
+            outcomes.append(workloads.run_case(case, domain, contextlib.nullcontext))
+    assert len(outcomes) == len(cases)
+    assert [(o.name, o.problems) for o in outcomes if o.problems] == []

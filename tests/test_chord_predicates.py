@@ -1,10 +1,10 @@
 """The chord predicates of ``geometry`` against the copies they replaced.
 
 ``geometry.chords_cross`` is the one chord-vs-chord conflict kernel: it
-serves ``regions._chords_conflict`` (which adds the identical-chord and
-shared-endpoint rules of lenient and strict mode), the strip check of
-``regions.validate_region`` and ``search._cuts_chords_ok``.  Each of them
-used to carry its own copy.  Those copies are kept below as the reference,
+serves ``regions._chords_conflict`` (which forgives identical chords and
+shared end points), the strip check of ``regions.validate_region``, and
+``search._cuts_chords_ok`` through ``_chords_conflict``.  Each of them used
+to carry its own copy.  Those copies are kept below as the reference,
 and hypothesis checks that the new code gives their verdicts on the
 L-shape, the star hexagon, the half-disk and the criterion-6 quad at scales
 1e-6, 1 and 1e6, for random, shared-endpoint, collinear, T-junction,
@@ -22,10 +22,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from escobar.geometry import (
+    TAU_GEOM,
     Arc,
     Segment,
     _circular_interval_overlap,
@@ -44,7 +45,7 @@ from tests.conftest import star_hexagon
 # ---------------------------------------------------------------------------
 
 
-def _ref_chords_conflict(domain, c1, c2, *, strict, tol):
+def _ref_chords_conflict(domain, c1, c2, *, tol):
     """``regions._chords_conflict`` before the kernel: chords as arclengths."""
     p1 = domain.point_at(c1[0])
     q1 = domain.point_at(c1[1])
@@ -59,12 +60,7 @@ def _ref_chords_conflict(domain, c1, c2, *, strict, tol):
         and math.dist(q1, p2) <= tol_abs
     )
     if same:
-        return "identical chords" if strict else None
-    shared = any(
-        math.dist(x, y) <= tol_abs for x in (p1, q1) for y in (p2, q2)
-    )
-    if strict and shared:
-        return "chords share an endpoint"
+        return None
     hits, overlap = _seg_seg_intersections(p1, q1, p2, q2)
     if overlap:
         return "chords overlap along a stretch"
@@ -211,12 +207,12 @@ def _ends(dom, c):
 
 
 @settings(max_examples=600, deadline=None)
-@given(case=_chord_pairs(), strict=st.booleans())
-def test_chords_conflict_matches_retired_copy(case, strict):
-    """Same description string, lenient and strict, from end points found once."""
+@given(case=_chord_pairs())
+def test_chords_conflict_matches_retired_copy(case):
+    """Same description string from end points found once."""
     dom, c1, c2 = case
-    got = _chords_conflict(dom, _ends(dom, c1), _ends(dom, c2), strict=strict)
-    assert got == _ref_chords_conflict(dom, c1, c2, strict=strict, tol=1e-9)
+    got = _chords_conflict(dom, _ends(dom, c1), _ends(dom, c2))
+    assert got == _ref_chords_conflict(dom, c1, c2, tol=1e-9)
 
 
 @settings(max_examples=600, deadline=None)
@@ -240,10 +236,20 @@ def test_cuts_chords_ok_matches_retired_copy(case):
     exclusion ``1e-12 scale``, which exceeds the old relative one only when
     the shorter chord is below ``1e-6 scale``; there it can only forgive a
     crossing the old copy reported (no grid of at most 5000 points has
-    such a chord)."""
+    such a chord).  The old copy forgave only exactly identical chords;
+    ``_chords_conflict`` forgives chords whose ends agree within
+    ``TAU_GEOM`` times the scale, as ``validate_tuple`` does."""
     dom, c1, c2 = case
     tables = SimpleNamespace(m=4, pts=np.array([*_ends(dom, c1), *_ends(dom, c2)]))
-    got = _cuts_chords_ok(tables, [0, 1, 2, 3], dom.scale)
+    got = _cuts_chords_ok(tables, [0, 1, 2, 3], dom)
+    p1, q1, p2, q2 = tables.pts
+
+    def near(x, y):
+        return math.dist(x, y) <= TAU_GEOM * dom.scale
+
+    if (near(p1, p2) and near(q1, q2)) or (near(p1, q2) and near(q1, p2)):
+        assert got
+        return
     expected = _ref_cuts_chords_ok(tables, [0, 1, 2, 3])
     shorter = min(math.dist(*tables.pts[:2]), math.dist(*tables.pts[2:]))
     if shorter >= 1e-6 * dom.scale:
@@ -270,7 +276,9 @@ def test_circular_interval_overlap_matches_retired_copy(period, u):
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=400, deadline=None)
+# the clearance filter rejects hypothesis's boundary floats (t = 0 and the
+# like) often enough to trip the filtering health check on some runs
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(
     scale=st.sampled_from([1e-6, 1.0, 1e6]),
     x=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),

@@ -333,6 +333,23 @@ def test_input_error_exit_3(tmp_path, capsys):
     assert run(capsys, "render", "--domain", str(bad))[0] == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--k", "2"],
+        ["construct", "--family", "corner", "--k", "2"],
+        ["construct", "--family", "inscribed", "--k", "2"],
+        ["optimize", "--k", "2"],
+        ["render"],
+        ["symmetry-audit"],
+    ],
+)
+def test_ngon_zero_reports_the_polygon_error(argv, capsys):
+    rc, _, err = run(capsys, *argv, "--ngon", "0")
+    assert rc == 3
+    assert "regular polygon needs n >= 3, got 0" in err
+
+
 def test_exact_not_applicable_exit_3(capsys):
     rc, _, err = run(capsys, "exact", "--rect", "1", "2", "--k", "2")
     assert rc == 3

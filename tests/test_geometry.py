@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 from escobar import geometry
 from escobar.errors import InvalidGeometryError, InvalidParameterError
 from escobar.geometry import (
+    TAU_GEOM,
     Arc,
     Segment,
     chord_is_interior,
     circle_circle_intersections,
     contains_point,
-    convex_corner_indices,
     domain_from_json,
     domain_to_json,
     is_disk,
@@ -91,7 +91,7 @@ def test_lshape_is_nonconvex(lshape):
     assert lshape.perimeter == pytest.approx(8.0, abs=1e-12)
     assert lshape.area == pytest.approx(3.0, abs=1e-12)
     # vertex 3 is the reflex corner (1, 1)
-    assert convex_corner_indices(lshape) == [0, 1, 2, 4, 5]
+    assert lshape.convex_corners == (0, 1, 2, 4, 5)
     angles = lshape.interior_angles
     assert angles[3] == pytest.approx(3 * math.pi / 2, abs=1e-12)
 
@@ -106,13 +106,10 @@ def test_polygon_needs_three_vertices():
         make_polygon([(0, 0), (1, 0)])
 
 
-def test_collinear_vertex_rejected_then_merged():
+def test_collinear_vertex_rejected():
     pts = [(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]
     with pytest.raises(InvalidGeometryError, match="collinear"):
         make_polygon(pts)
-    merged = make_polygon(pts, on_collinear="merge")
-    assert len(merged.edges) == 4
-    assert merged.area == pytest.approx(4.0, abs=1e-12)
 
 
 def test_self_intersecting_polygon_rejected():
@@ -143,7 +140,9 @@ def test_construction_tolerance_follows_the_chain_extent(size, shift):
     """Closure and edge length are measured against the chain's own
     bounding-box diagonal, not against a floor of 1 or the distance from
     the origin: at every size and offset a leg of 5e-4 of the extent is an
-    edge, and a closure gap of 1e-4 of it leaves the chain open."""
+    edge, and a closure gap of 1e-4 of it leaves the chain open.  A
+    repeated polygon vertex, or one half of ``TAU_GEOM`` times the diagonal
+    from its neighbour, is rejected."""
 
     def pt(x, y):
         return (shift + size * x, shift + size * y)
@@ -153,6 +152,20 @@ def test_construction_tolerance_follows_the_chain_extent(size, shift):
     gap = [Segment(pt(0, 0), pt(1, 0)), Segment(pt(1, 0), pt(1, 1)), Segment(pt(1, 1), pt(0, 1e-4))]
     with pytest.raises(InvalidGeometryError, match="not closed"):
         make_domain(gap)
+    square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
+    with pytest.raises(InvalidGeometryError):
+        make_polygon(square[:2] + square[1:])
+    d = 0.5 * TAU_GEOM * size  # (d, -d) is half of TAU_GEOM times the diagonal size·√2 long
+    near = (square[1][0] + d, square[1][1] - d)  # off both edges' lines
+    with pytest.raises(InvalidGeometryError):
+        make_polygon(square[:2] + [near] + square[2:])
+
+
+def test_sharpest_corner(lshape, unit_disk):
+    assert lshape.sharpest_corner == 0  # five right angles: the lowest index
+    tri = make_polygon([(0, 0), (4, 0), (0, 1)])
+    assert tri.sharpest_corner == 1
+    assert unit_disk.sharpest_corner is None
 
 
 def test_zero_sweep_arc_rejected():

@@ -33,7 +33,6 @@ from escobar.regions import (
     exterior_length,
     interior_chords,
     interior_length,
-    is_valid_tuple,
     max_eta,
     region_area,
     region_contains_point,
@@ -166,20 +165,16 @@ def test_validate_region_flags_bad_nesting(square):
 def test_validate_tuple_disjointness(unit_disk):
     clean = TupleCandidate(unit_disk, (Cap(0.0, 1.0), Cap(2.0, 3.0)))
     assert validate_tuple(clean) == []
-    assert is_valid_tuple(clean)
 
     overlapping = TupleCandidate(unit_disk, (Cap(0.0, 2.0), Cap(1.0, 3.0)))
     preds = {v.predicate for v in validate_tuple(overlapping)}
     assert "arc-overlap" in preds
-    assert not is_valid_tuple(overlapping)
 
 
-def test_validate_tuple_shared_endpoint_strictness(unit_disk):
+def test_validate_tuple_allows_shared_endpoints(unit_disk):
     halves = TupleCandidate(unit_disk, (Cap(0.0, math.pi), Cap(math.pi, TWO_PI)))
-    # lenient: shared cut points are how the optimal splits are written
-    assert is_valid_tuple(halves)
-    # strict: closed exterior arcs may not even touch
-    assert not is_valid_tuple(halves, strict=True)
+    # shared cut points are how the optimal splits are written
+    assert validate_tuple(halves) == []
 
 
 def test_validate_tuple_reports_region_problems(unit_disk):
@@ -285,8 +280,6 @@ def test_anchored_chain_below_arclength_resolution(square):
     want = math.sin(math.pi / 4) * (t_out + t_in) / (t_out - t_in)
     assert eta_partial(square, strip) == pytest.approx(want, rel=1e-14)
     assert eta_partial(square, inner) == pytest.approx(math.sin(math.pi / 4), rel=1e-14)
-    # a chain shares its cut points, which strict mode forbids
-    assert validate_tuple(tc, strict=True)
 
 
 def test_anchored_strip_must_be_strictly_nested(square):
@@ -602,13 +595,13 @@ def _overlapping_pairs(domain):
     return [TupleCandidate(domain, pair) for pair in out]
 
 
-def _oracle_fires_alone(tc, strict):
+def _oracle_fires_alone(tc):
     """Pairs of valid regions on which the retired containment check fires
     while ``validate_tuple`` reports neither an arc overlap nor a chord
     crossing, and the number of pairs it fired on."""
     domain = tc.domain
     caught = {
-        (v.first, v.second) for v in validate_tuple(tc, strict=strict)
+        (v.first, v.second) for v in validate_tuple(tc)
         if v.predicate in ("arc-overlap", "chord-crossing")
     }
     valid = [not validate_region(domain, r) for r in tc.regions]
@@ -626,15 +619,14 @@ def _oracle_fires_alone(tc, strict):
 def test_retired_containment_check_fires_only_with_another_predicate(name):
     """Whenever the old containment check fires on two valid regions,
     validate_tuple reports an arc overlap or a chord crossing on that pair:
-    caps, strips and anchored chains, lenient and strict.  The overlapping
+    caps, strips and anchored chains.  The overlapping
     pairs make sure the oracle does fire."""
     domain = _PROBE_DOMAINS[name]()
     fired = 0
     for tc in _random_tuples(domain, 20261018, 150) + _overlapping_pairs(domain):
-        for strict in (False, True):
-            alone, n = _oracle_fires_alone(tc, strict)
-            assert alone == [], (tc.regions, strict)
-            fired += n
+        alone, n = _oracle_fires_alone(tc)
+        assert alone == [], tc.regions
+        fired += n
     assert fired >= 10
 
 
@@ -665,7 +657,7 @@ def _cap_tuples(draw):
             a = v - draw(leg) * domain.edge_lengths[j - 1]
             b = v + draw(leg) * domain.edge_lengths[j]
             out.append(Cap(a % per, b % per))
-        return TupleCandidate(domain, tuple(out)), draw(st.booleans())
+        return TupleCandidate(domain, tuple(out))
     caps = [draw(st.floats(min_value=1e-4, max_value=0.3)) for _ in range(k)]
     gaps = [draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)))
             for _ in range(k)]
@@ -677,7 +669,7 @@ def _cap_tuples(draw):
         s += length / total * per
         out.append(Cap(a % per, s % per))
         s += gap / total * per
-    return TupleCandidate(domain, tuple(out)), draw(st.booleans())
+    return TupleCandidate(domain, tuple(out))
 
 
 # a sliver cap along the star's edge 5 and its complement: at the old probe
@@ -690,11 +682,10 @@ _STAR_SLIVER = TupleCandidate(_PROBE_DOMAINS["star"](), (
 
 @settings(max_examples=500, deadline=None)
 @given(case=_cap_tuples())
-@example(case=(_STAR_SLIVER, False))
+@example(case=_STAR_SLIVER)
 def test_retired_containment_check_fires_only_with_another_predicate_on_cap_tuples(case):
     """The same oracle on cap tuples laid out around the boundary."""
-    tc, strict = case
-    assert _oracle_fires_alone(tc, strict)[0] == [], tc.regions
+    assert _oracle_fires_alone(case)[0] == [], case.regions
 
 
 @pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
@@ -702,7 +693,7 @@ def test_corner_cap_as_small_as_the_old_probe_offset_and_its_complement_are_vali
     lshape, factor
 ):
     """A cap around the corner (0, 0) with legs ``t`` and its complement
-    share one chord, which lenient mode allows, and their interiors are
+    share one chord, which validate_tuple allows, and their interiors are
     disjoint.  The retired containment check rejected the pair at
     ``t = 1e-7 * scale``, its probe offset, where the small cap's probe
     point came within the membership tolerance of the shared chord."""

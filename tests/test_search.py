@@ -258,7 +258,7 @@ def _reference_seeds(domain, k, ref):
             if e >= best:
                 return
             val = max(val, e)
-        if not ref.convex and not _cuts_chords_ok(ref, cuts, domain.scale):
+        if not ref.convex and not _cuts_chords_ok(ref, cuts, domain):
             return
         if not ref.full_validity:
             for j in range(k):
@@ -893,7 +893,7 @@ def test_cap_family_skip_changes_no_result(name, k, monkeypatch):
     domain = NO_CAP_DOMAINS[name]()
     config = SearchConfig()
     assert search._no_cap_tuple(domain, k)
-    assert search._equal_boundary_report(domain, k, config) is None
+    assert search._equal_boundary_report(domain, k) is None
     enum = search._auto_enumerate(domain, k, config)
     assert enum is None or enum.witness is None
     corner_only = estimate_ik(domain, k, SearchConfig(families=("corner-strips",)))
