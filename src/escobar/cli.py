@@ -34,9 +34,7 @@ from .constructions import (
 )
 from .errors import (
     BudgetExceededError,
-    ConstructionFailedError,
     EscobarError,
-    InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
 )

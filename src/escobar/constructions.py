@@ -19,7 +19,6 @@ from .errors import (
 )
 from .geometry import (
     TAU_GEOM,
-    Arc,
     PlanarDomain,
     Segment,
     angle_in_sweep,

@@ -12,7 +12,8 @@ value is the measured max-eta of a validated tuple):
   than its starting point;
 * :func:`corner_family_bound` — nested corner caps/strips distributed over
   the convex corners by a greedy minimax allocation, plus, on domains with
-  a concave arc, a golden-section sweep of the standard corner schedule.
+  a concave arc, a sweep of the standard corner schedule by SciPy's bounded
+  Brent method (golden-section steps with parabolic fits).
 
 :func:`estimate_ik` orchestrates all of the above, skipping the cap searches
 where no cap tuple exists (:func:`_no_cap_tuple`).
@@ -26,7 +27,8 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
@@ -114,6 +116,8 @@ class SearchConfig:
             raise InvalidParameterError(f"unknown search families: {sorted(bad)}")
         if self.budget <= 0:
             raise InvalidParameterError("budget must be positive")
+        if self.restarts < 1:
+            raise InvalidParameterError(f"restarts must be at least 1, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,6 @@ class _Grid:
     svals: np.ndarray
     pts: np.ndarray
     period: int
-    convex: bool
     full_validity: bool  # False while the validity mask is geometric-only
     fwd: Optional[np.ndarray]
     bwd: Optional[np.ndarray]
@@ -265,7 +268,6 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
         svals=svals,
         pts=pts,
         period=_grid_period(domain, m),
-        convex=domain.is_convex,
         full_validity=domain.is_convex or full_validity,
         fwd=fwd,
         bwd=bwd,
@@ -335,7 +337,7 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
             if e >= best:
                 return
             val = max(val, e)
-        if not grid.convex and not _cuts_chords_ok(grid, cuts, domain):
+        if not domain.is_convex and not _cuts_chords_ok(grid, cuts, domain):
             return
         if not grid.full_validity:
             # geometric table only: verify the candidate's chords for real
@@ -378,15 +380,6 @@ def _enum_estimate(m: int, k: int, period: int, w_min: int) -> int:
     return period * comb(slack + 2 * k - 1, 2 * k - 1)
 
 
-def _budget_error(m: int, k: int, estimate: int, budget: float) -> BudgetExceededError:
-    return BudgetExceededError(
-        f"enumeration on m={m}, k={k} needs an estimated {estimate:.3g} nodes "
-        f"(budget {budget:.3g})",
-        estimate=float(estimate),
-        budget=float(budget),
-    )
-
-
 def _scan_estimate(
     domain: PlanarDomain, k: int, grid: _Grid, budget: float
 ) -> tuple[int, list[np.ndarray]]:
@@ -425,17 +418,8 @@ def enumerate_caps(
     """Minimax-optimal k caps with cut points on the uniform m-point grid.
 
     Cut points may be shared between adjacent caps but each cap's arc must
-    have positive width.  Refuses to start (raising
-    :class:`~escobar.errors.BudgetExceededError`) when a combinatorial
-    estimate of the pruned search exceeds ``budget``; the estimate uses the
-    minimum cap width ``w_min`` that could still improve on the
-    deterministic seeds, and it does not increase as ``w_min`` grows.  On a
-    convex domain the refusal comes before the O(m^2) eta table is built:
-    it is enough that some width below the least fitting ``w_min`` beats
-    the seeds, which a scan of a few columns decides.  On a nonconvex
-    domain the scan's geometric-only columns would only bound the estimate
-    from above (full validity can raise ``w_min``), so the table with every
-    chord tested is built first.
+    have positive width.  Refuses or stops the search past ``budget`` as
+    :func:`_enumerate_grid` does.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be positive, got {k}")
@@ -443,12 +427,42 @@ def enumerate_caps(
         raise InvalidParameterError(f"grid needs at least 2k points, got m={m}, k={k}")
     if m > 5000:
         raise InvalidParameterError(f"grid too fine (m={m} > 5000)")
-    grid = _prepare_grid(domain, m, full_validity=True)
-    blocks: list[np.ndarray] = []
-    if grid.convex:
-        estimate, blocks = _scan_estimate(domain, k, grid, budget)
-        if estimate > budget:
-            raise _budget_error(m, k, estimate, budget)
+    return _enumerate_grid(domain, k, m, budget)
+
+
+def _enumerate_grid(domain: PlanarDomain, k: int, m: int, budget: float) -> BoundReport:
+    """Enumerate k caps on the m-point grid, or refuse before any chord is tested.
+
+    The refusal rule: the search's node count is estimated from the least
+    cap width ``w_min`` that could still improve on the deterministic seeds
+    (:func:`_enum_estimate`, which does not increase with ``w_min``), and a
+    grid whose estimate exceeds ``budget`` raises
+    :class:`~escobar.errors.BudgetExceededError`; an estimate past the float
+    range is reported as ``math.inf``.  :func:`_scan_estimate` decides it on
+    the geometric-only grid from a few columns of the eta table.  On a
+    convex domain that grid has its exact validity, so the estimate is
+    exact.  On a nonconvex domain it counts every chord as valid; the seeds
+    test their chords for real, and full validity can only raise ``w_min``,
+    so the estimate is an upper bound.  A grid that fits gets its full
+    table, every chord tested on a nonconvex domain, and the search then
+    stops after ``budget`` nodes.
+    """
+    grid = _prepare_grid(domain, m, full_validity=False)
+    estimate, blocks = _scan_estimate(domain, k, grid, budget)
+    if estimate > budget:
+        if estimate > sys.float_info.max:
+            approx, shown = math.inf, f"more than {sys.float_info.max:.2g}"
+        else:
+            approx = float(estimate)
+            shown = f"{approx:.3g}"
+        raise BudgetExceededError(
+            f"enumeration on m={m}, k={k} needs an estimated {shown} nodes "
+            f"(budget {budget:.3g})",
+            estimate=approx,
+            budget=float(budget),
+        )
+    if not domain.is_convex:
+        grid, blocks = _prepare_grid(domain, m, full_validity=True), []
     return _run_enumeration(domain, k, _grid_tables(grid, blocks), budget)
 
 
@@ -458,13 +472,10 @@ def _run_enumeration(
     m = tables.m
     period = tables.period
     eta = tables.eta
-    need_cross = not tables.convex
+    need_cross = not domain.is_convex
 
     best, best_cuts = _grid_seeds(domain, k, tables)
     w_min = _w_min_for(tables, best)
-    estimate = _enum_estimate(m, k, period, w_min)
-    if estimate > budget:
-        raise _budget_error(m, k, estimate, budget)
 
     nodes = 0
     end_abs = 0  # set per c0
@@ -768,7 +779,7 @@ def refine_caps(
     rng = np.random.default_rng(config.seed)
     sigma = 0.25 * per / (4 * k)
     maxfev = 300 + 150 * k
-    for r in range(max(1, config.restarts)):
+    for r in range(config.restarts):
         xs = x0 if r == 0 else (np.array(x0) + rng.normal(0.0, sigma, size=2 * k)).tolist()
         _nelder_mead(
             objective, xs, 1e-3 * config.tolerance * per, 1e-2 * config.tolerance, maxfev
@@ -843,12 +854,13 @@ def corner_family_bound(domain: PlanarDomain, k: int) -> BoundReport:
     A greedy minimax allocation distributes the k regions over the corners
     (each corner receives a geometric chain of caps/strips).  On a domain
     with a concave arc, where a cap's ratio grows with its legs and the
-    allocation's long legs can lose, a golden-section sweep of the
-    single-corner schedule at the sharpest corner is also tried; elsewhere
-    it never won.  At corners that admit anchored caps a chain's legs may
-    span a factor 1e290, so a d-deep chain there comes within about
-    2 sin(theta/2) / r of sin(theta/2), with leg ratio
-    r = min(1e12, 1e290 ** (1/(d-1))).
+    allocation's long legs can lose, a sweep of the single-corner schedule
+    at the sharpest corner by SciPy's bounded Brent method
+    (``minimize_scalar(method="bounded")``: golden-section steps with
+    parabolic fits) is also tried; elsewhere it never won.  At corners that
+    admit anchored caps a chain's legs may span a factor 1e290, so a d-deep
+    chain there comes within about 2 sin(theta/2) / r of sin(theta/2), with
+    leg ratio r = min(1e12, 1e290 ** (1/(d-1))).
     """
     corners = domain.convex_corners
     if not corners:
@@ -874,16 +886,15 @@ def corner_family_bound(domain: PlanarDomain, k: int) -> BoundReport:
 
     candidates: list[tuple[float, TupleCandidate, str]] = []
 
-    regions = []
     try:
         shrink = 1.0
-        for attempt in range(6):
+        for _ in range(6):
             regions = []
             try:
                 for c in corners:
                     if alloc[c] == 0:
                         continue
-                    theta, t0, t1 = geom[c]
+                    t0, t1 = geom[c][1], geom[c][2]
                     legs = _chain_legs(t0, t1 * shrink, alloc[c])
                     part = corner_chain_tuple(domain, c, legs, validate=False)
                     regions.extend(part.regions)
@@ -969,30 +980,12 @@ def _grid_candidates(domain: PlanarDomain, k: int) -> list[int]:
 def _auto_enumerate(
     domain: PlanarDomain, k: int, config: SearchConfig
 ) -> Optional[BoundReport]:
-    """Pick the finest grid whose estimated cost fits, then enumerate.
-
-    A grid size is skipped when its estimate exceeds the soft budget: the
-    estimate does not increase with ``w_min``, so that happens exactly when
-    some width below ``w_fit`` (the least ``w_min`` whose estimate fits)
-    beats the seeds, and only those columns are computed
-    (:func:`_scan_estimate`).  On a nonconvex domain the columns are
-    geometric-only, so the estimate bounds the full-validity one from above
-    and a grid may be skipped that full validity would have let through.
-    Only a grid that fits gets its full table.
-    """
+    """Enumerate on the finest candidate grid that :func:`_enumerate_grid`
+    does not refuse or stop at the soft budget."""
     soft = min(config.budget, _ENUM_SOFT_CAP)
     for m in _grid_candidates(domain, k):
-        light = _prepare_grid(domain, m, full_validity=False)
-        estimate, blocks = _scan_estimate(domain, k, light, soft)
-        if estimate > soft:
-            continue
-        if light.full_validity:
-            tables = _grid_tables(light, blocks)
-        else:
-            valid = _validity_mask(domain, light.svals)
-            tables = _grid_tables(replace(light, full_validity=True, valid=valid))
         try:
-            return _run_enumeration(domain, k, tables, soft)
+            return _enumerate_grid(domain, k, m, soft)
         except BudgetExceededError:
             continue
     return None

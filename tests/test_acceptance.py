@@ -36,7 +36,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from escobar.cli import main as cli_main
 from escobar.constructions import (

@@ -172,6 +172,22 @@ def test_optimize_budget_refusal(capsys):
     assert "budget" in err.lower()
 
 
+def test_optimize_refuses_an_estimate_past_the_float_range(capsys):
+    # 400 caps on a rectangle: the node estimate, an exact integer, exceeds 1.8e308
+    rc, _, err = run(
+        capsys, "optimize", "--rect", "2", "1", "--k", "400", "--grid", "5000",
+        "--families", "caps",
+    )
+    assert rc == 4
+    assert "more than 1.8e+308 nodes" in err
+
+
+def test_optimize_rejects_zero_restarts(capsys):
+    rc, _, err = run(capsys, "optimize", "--disk", "--k", "2", "--restarts", "0")
+    assert rc == 3
+    assert "restarts" in err
+
+
 # ---------------------------------------------------------------------------
 # conjecture-scan
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from escobar.errors import (
     NotApplicableError,
 )
 from escobar.exact import ik_disk
-from escobar.geometry import Arc, Segment, make_disk, make_domain, make_polygon, make_regular_polygon
+from escobar.geometry import Arc, Segment, make_domain, make_polygon, make_regular_polygon
 from escobar.regions import Cap, corner_admits_anchor, eta_partial, max_eta, validate_tuple
 from tests.conftest import rectangle
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from escobar import constructions, exact, regions
 from escobar.errors import ConstructionFailedError, InvalidParameterError, NotApplicableError
 from escobar.exact import (
-    Bound,
     BoundKind,
     disk_dominance_check,
     ik_disk,
@@ -18,7 +17,7 @@ from escobar.exact import (
     ik_regular_polygon,
     polygon_upper_bound,
 )
-from escobar.geometry import make_disk, make_polygon, make_regular_polygon
+from escobar.geometry import make_polygon
 
 # Frozen reference values (evaluated by hand from the closed forms):
 #   I_2(disk) = sin(pi/2)/(pi/2) = 2/pi

@@ -141,8 +141,9 @@ def test_importing_the_package_does_not_load_scipy_optimize():
 
 
 def test_concave_arc_sweep_imports_scipy_and_wins():
-    """The golden-section sweep next to a concave arc imports SciPy when it
-    runs, and still wins there (see ``tests/test_search.py``)."""
+    """The corner-schedule sweep next to a concave arc, SciPy's bounded
+    Brent method, imports SciPy when it runs, and still wins there (see
+    ``tests/test_search.py``)."""
     assert _fresh("""
         import sys
         from escobar.search import corner_family_bound

@@ -1,7 +1,5 @@
 """SVG rendering: structure, determinism, region overlays."""
 
-import pytest
-
 from escobar.regions import Cap, Strip, TupleCandidate, validate_tuple
 from escobar.render import render_svg
 

@@ -2,7 +2,6 @@
 
 import functools
 import gc
-import itertools
 import json
 import math
 import tracemalloc
@@ -58,7 +57,7 @@ from escobar.search import (
     refine_caps,
     report_to_json,
 )
-from tests.conftest import NO_CAP_DOMAINS, concave_square, rectangle
+from tests.conftest import NO_CAP_DOMAINS, concave_square, rectangle, star_hexagon
 
 
 def brute_force_two_caps(domain, m):
@@ -107,13 +106,6 @@ def _chord_cut(h):
     )
 
 
-def _star_hexagon():
-    # star-shaped hexagon with a reflex vertex at polar angle 3.579
-    polar = [(0.239, 0.968), (1.505, 1.048), (2.364, 0.822),
-             (2.582, 1.251), (3.579, 0.525), (5.505, 0.872)]
-    return make_polygon([(r * math.cos(a), r * math.sin(a)) for a, r in polar])
-
-
 _GRID_DOMAINS = {
     "disk": make_disk,
     **{f"D{n}": functools.partial(make_regular_polygon, n) for n in (*range(3, 13), 200)},
@@ -136,7 +128,7 @@ _GRID_DOMAINS = {
     "quad": lambda: make_polygon([(0.0, 0.0), (3.0, 0.0), (2.6, 1.8), (-0.4, 1.3)]),
     "rect2x1": lambda: rectangle(2.0, 1.0),
     "lshape": lambda: make_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
-    "star": _star_hexagon,
+    "star": star_hexagon,
 }
 
 
@@ -361,6 +353,41 @@ def test_explicit_grid_refusal_builds_no_table():
     finally:
         tracemalloc.stop()
     assert peak < 50e6
+
+
+def test_explicit_nonconvex_grid_refusal_tests_no_chord(lshape, monkeypatch):
+    # the refusal reads the upper-bound estimate of the geometric-only grid
+    def refuse(*args):
+        raise AssertionError("the validity mask was built")
+
+    monkeypatch.setattr(search, "_validity_mask", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            enumerate_caps(lshape, 3, 5000, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
+
+
+@pytest.mark.parametrize("name", ["lshape", "star"])
+@pytest.mark.parametrize("m", [24, 48])
+def test_explicit_nonconvex_grid_that_fits_enumerates_as_before(name, m):
+    """Before the scan, an explicit nonconvex grid was searched on its
+    full-validity table straight away."""
+    domain = _GRID_DOMAINS[name]()
+    tables = _grid_tables(_prepare_grid(domain, m, full_validity=True))
+    before = _run_enumeration(domain, 2, tables, 1e9)
+    assert before.evaluations > 0 and before.witness is not None
+    assert _report_key(enumerate_caps(domain, 2, m)) == _report_key(before)
+
+
+def test_refusal_reports_an_estimate_past_the_float_range_as_inf():
+    with pytest.raises(BudgetExceededError, match="more than 1.8e") as err:
+        enumerate_caps(rectangle(2.0, 1.0), 400, 5000, budget=1000)
+    assert err.value.estimate == math.inf
+    assert err.value.budget == 1000
 
 
 def test_enumerate_disk_half_split(unit_disk):
@@ -857,6 +884,31 @@ def test_corner_family_reports_the_allocation_only(name):
         assert validate_tuple(report.witness) == []
 
 
+@pytest.mark.parametrize("k", range(1, 11))
+def test_corner_allocation_halves_the_legs_of_an_invalid_chain(k, monkeypatch):
+    """A spike from the right side reaches into the first chain's outer cap
+    at the 20 degree corner, so the allocation tuple fails validation once
+    and the chain with halved legs passes."""
+    a = math.radians(20.0)
+    domain = make_polygon(
+        [(0, 0), (4, 0), (4, 0.6), (1.2, 0.2), (4, 0.9), (4 * math.cos(a), 4 * math.sin(a))]
+    )
+    found = []
+
+    def spy(tc):
+        violations = validate_tuple(tc)
+        found.append(len(violations))
+        return violations
+
+    monkeypatch.setattr(search, "validate_tuple", spy)
+    report = corner_family_bound(domain, k)
+    assert found[0] > 0 and found[1:] == [0]
+    assert (report.method, report.evaluations) == ("corner-allocation", 2)
+    assert validate_tuple(report.witness) == []
+    assert report.value == max_eta(report.witness)
+    assert report.value == pytest.approx(math.sin(a / 2.0), abs=1e-12)
+
+
 @pytest.mark.parametrize("k, value", [(2, "0.3863161853781286"), (3, "0.45377347251532224")])
 def test_corner_family_sweeps_the_schedule_next_to_a_concave_arc(k, value):
     """Next to a concave arc a cap's ratio grows with its legs: the
@@ -951,6 +1003,9 @@ def test_search_config_validation():
         SearchConfig(families=("caps", "moonbeams"))
     with pytest.raises(InvalidParameterError):
         SearchConfig(budget=0)
+    for restarts in (0, -1):
+        with pytest.raises(InvalidParameterError, match="restarts"):
+            SearchConfig(restarts=restarts)
 
 
 def test_report_json(unit_disk):
