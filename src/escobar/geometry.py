@@ -200,6 +200,18 @@ class Arc:
 Edge = Union[Segment, Arc]
 
 
+def _row_point(row: tuple, t: float) -> Point:
+    """The point at local arclength ``t`` on the edge of ``row`` (a row of
+    :attr:`PlanarDomain._point_rows`), by the operations of its
+    ``point_at_local`` in their order, so bit for bit the same."""
+    arc, a, b, c, d, e = row
+    if arc:
+        ang = d + t / c if e else d - t / c
+        return (a + c * math.cos(ang), b + c * math.sin(ang))
+    u = t / e
+    return (a + u * c, b + u * d)
+
+
 def angle_in_sweep(arc: Arc, phi: float) -> tuple[bool, float]:
     """Whether angle ``phi`` lies on ``arc``; also the angular margin.
 
@@ -672,6 +684,22 @@ class PlanarDomain:
             rows.append((*box, a0, a1, s0, s1, math.hypot(s0, s1)))
         return tuple(rows)
 
+    @cached_property
+    def _point_rows(self) -> tuple[tuple, ...]:
+        """Per-edge rows that boundary points are evaluated from, with the
+        operations of ``point_at_local`` (:func:`_row_point`): for a segment
+        ``(False, x0, y0, dx, dy, L)``, its start, ``end - start`` and its
+        length; for an arc ``(True, cx, cy, r, a0, ccw)``, its centre,
+        radius, start angle and direction."""
+        rows: list[tuple] = []
+        for e in self.edges:
+            if isinstance(e, Arc):
+                rows.append((True, *e.center, e.radius, e.start_angle, e.ccw))
+            else:
+                (a0, a1), (b0, b1) = e.start, e.end
+                rows.append((False, a0, a1, b0 - a0, b1 - a1, e.length))
+        return tuple(rows)
+
     # -- boundary parameterisation ------------------------------------
 
     def _norm_s(self, s: float) -> float:
@@ -696,11 +724,7 @@ class PlanarDomain:
 
     def point_at(self, s: float) -> Point:
         i, t = self.edge_index_at(s)
-        return self.edges[i].point_at_local(t)
-
-    def tangent_after(self, s: float) -> Point:
-        i, t = self.edge_index_at(s)
-        return self.edges[i].tangent_at_local(t)
+        return _row_point(self._point_rows[i], t)
 
     def vertex_arclength(self, j: int) -> float:
         return float(self.cumlens[j % len(self.edges)])
@@ -1126,19 +1150,46 @@ def _interior_chord_ends(domain: PlanarDomain, s0: float, s1: float) -> tuple[Po
     s1, already reduced modulo the perimeter, when :func:`chord_is_interior`
     holds, else ``None``.
 
-    Refinement scores a cap from these ends, so it finds them once per cap.
+    Refinement scores a cap from these ends, so it finds them once per cap,
+    and this body spells out the edge lookup of
+    :meth:`PlanarDomain._edge_index_reduced` and, for each end, the
+    operations of :func:`_row_point` on its edge's row, which give
+    ``point_at``'s floats.
     """
-    i0, t0 = domain._edge_index_reduced(s0)
-    i1, t1 = domain._edge_index_reduced(s1)
-    edges = domain.edges
-    n = len(edges)
-    on1 = (i1, (i1 - 1) % n) if t1 == 0.0 else (i1,)
-    shared = [i for i in ((i0, (i0 - 1) % n) if t0 == 0.0 else (i0,)) if i in on1]
+    cum = domain.cumlens
+    n = len(cum) - 1
+    if s0 == cum[n]:
+        s0 = 0.0
+    if s1 == cum[n]:
+        s1 = 0.0
+    i0 = bisect.bisect_right(cum, s0, 0, n) - 1
+    i1 = bisect.bisect_right(cum, s1, 0, n) - 1
+    t0 = s0 - cum[i0]
+    t1 = s1 - cum[i1]
+    rows = domain._point_rows
+    # the edges holding both ends; an end at a vertex (t == 0) is on two
+    if t0 == 0.0 or t1 == 0.0:
+        on1 = (i1, (i1 - 1) % n) if t1 == 0.0 else (i1,)
+        shared = [i for i in ((i0, (i0 - 1) % n) if t0 == 0.0 else (i0,)) if i in on1]
+    else:
+        shared = (i0,) if i0 == i1 else ()
     for i in shared:
-        if isinstance(edges[i], Segment) or not edges[i].ccw:
+        if not (rows[i][0] and rows[i][5]):  # a segment or a concave (cw) arc
             return None
-    p = edges[i0].point_at_local(t0)
-    q = edges[i1].point_at_local(t1)
+    arc, a, b, c, d, e = rows[i0]
+    if arc:
+        ang = d + t0 / c if e else d - t0 / c
+        p = (a + c * math.cos(ang), b + c * math.sin(ang))
+    else:
+        u = t0 / e
+        p = (a + u * c, b + u * d)
+    arc, a, b, c, d, e = rows[i1]
+    if arc:
+        ang = d + t1 / c if e else d - t1 / c
+        q = (a + c * math.cos(ang), b + c * math.sin(ang))
+    else:
+        u = t1 / e
+        q = (a + u * c, b + u * d)
     clear = domain._convex_clearance
     if (
         clear is not None

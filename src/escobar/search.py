@@ -54,6 +54,7 @@ from .geometry import (
     PlanarDomain,
     Segment,
     _interior_chord_ends,
+    _row_point,
     chord_is_interior,
     is_disk,
     regular_ngon_order,
@@ -256,7 +257,22 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
     per = domain.perimeter
     step = per / m
     svals = np.arange(m) * step
-    pts = np.array([domain.point_at(float(s)) for s in svals])
+    # ``point_at`` of every grid point, from the same rows: the arclengths
+    # ascend in [0, P), so edge i holds those from its vertex to the next
+    pts = np.empty((m, 2))
+    cum = domain.cumlens
+    lo = np.searchsorted(svals, cum).tolist()
+    for i, row in enumerate(domain._point_rows):
+        if lo[i] == lo[i + 1]:
+            continue
+        t = svals[lo[i]:lo[i + 1]] - cum[i]
+        if row[0]:  # math.cos and math.sin: NumPy's trig may differ from libm
+            pts[lo[i]:lo[i + 1]] = [_row_point(row, tj) for tj in t.tolist()]
+        else:  # elementwise IEEE operations, as in _row_point
+            _arc, x0, y0, dx, dy, length = row
+            u = t / length
+            pts[lo[i]:lo[i + 1], 0] = x0 + u * dx
+            pts[lo[i]:lo[i + 1], 1] = y0 + u * dy
     fwd = bwd = valid = None
     if domain.is_convex:
         fwd, bwd = _edge_runs(domain, svals)
@@ -557,6 +573,18 @@ class _CallLimit(Exception):
     """Raised by :func:`_nelder_mead` in place of a call past ``maxfev``."""
 
 
+def _simplex_order(scores: list[float]) -> list[int]:
+    """``np.argsort(scores).tolist()``, with NumPy called only when the
+    sorted scores are not strictly increasing (a tie, NaN or ``±0.0``).
+    Otherwise the sorting permutation is unique, so the Python sort's is
+    NumPy's on every CPU."""
+    ind = sorted(range(len(scores)), key=scores.__getitem__)
+    ranked = [scores[i] for i in ind]
+    if all(map(operator.lt, ranked, ranked[1:])):
+        return ind
+    return np.argsort(np.array(scores, dtype=float)).tolist()
+
+
 def _nelder_mead(fun, x0: Sequence[float], xatol: float, fatol: float, maxfev: int):
     """Minimise ``fun`` over Python lists by SciPy 1.17's adaptive
     Nelder-Mead (``minimize(method="Nelder-Mead", options={"adaptive":
@@ -565,8 +593,12 @@ def _nelder_mead(fun, x0: Sequence[float], xatol: float, fatol: float, maxfev: i
     its best vertex and value.  ``fun`` gets each point as a list, which it
     must not change.  The port keeps SciPy's semantics where they show:
 
-    * the simplex is ordered by ``np.argsort`` of its scores, twice after
-      the initial simplex and once per iteration; it is not stable on ties;
+    * the simplex is ordered as ``np.argsort`` orders its scores, twice
+      after the initial simplex and once per iteration
+      (:func:`_simplex_order`): distinct scores have one sorting
+      permutation, so a Python sort finds it, and on ties, NaN or ``±0.0``
+      ``np.argsort`` itself runs, which is not stable and breaks ties by
+      the CPU's sort kernels;
     * the centroid adds each column in row order and then divides (not
       ``sum()``, which compensates from Python 3.12 on);
     * a call past ``maxfev`` is refused, also within the initial simplex or
@@ -598,7 +630,7 @@ def _nelder_mead(fun, x0: Sequence[float], xatol: float, fatol: float, maxfev: i
     fsim = [math.inf] * (n + 1)
 
     def order() -> None:
-        ind = np.argsort(np.array(fsim, dtype=float)).tolist()
+        ind = _simplex_order(fsim)
         sim[:] = [sim[i] for i in ind]
         fsim[:] = [fsim[i] for i in ind]
 

@@ -3,8 +3,9 @@ pass of every benchmark workload.
 
 ``perfbench/tracing.py`` wraps package functions by module and attribute
 name, relies on ``search`` and ``regions`` sharing one chord predicate, and
-counts the grids ``search._auto_enumerate`` prepares by the
-``full_validity=False`` keyword it passes to ``search._prepare_grid``.  The
+counts the grids prepared inside ``search._auto_enumerate`` by the
+``full_validity=False`` keyword that ``search._enumerate_grid``, which it
+calls per grid, passes to ``search._prepare_grid``.  The
 workloads call package functions by signature (``make_polygon``,
 ``validate_tuple``, the CLI).  A rename or signature change there breaks
 only benchmark runs and the benchmark's own self-tests; these tests catch

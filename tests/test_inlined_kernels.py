@@ -16,11 +16,22 @@ intersects the rest inline, as ``_seg_seg_intersections`` does.  The loop
 it replaced, which called that function on every segment, is kept below
 too, and hypothesis checks that both give the same verdict or raise the
 same exception, also on translated domains where the reject is off.
+
+Boundary points come from one per-edge row table,
+``PlanarDomain._point_rows``: ``point_at`` evaluates a row through
+``geometry._row_point``, the chord kernel ``geometry._interior_chord_ends``
+spells that out for its two ends, and ``search._prepare_grid`` evaluates
+its grid from the rows, in NumPy on segments.  The kernel's former body,
+which called ``point_at_local``, is kept below as the reference, and the
+tests check that all of them give ``point_at_local``'s floats bit for bit
+and that the kernel gives its reference's verdict.
 """
 
 import functools
 import math
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,17 +48,21 @@ from escobar.geometry import (
     _cross,
     _dot,
     _left_of_own_segment,
+    _row_point,
     _seg_seg_intersections,
     _solve_quadratic,
     _sub,
     angle_in_sweep,
     contains_point,
+    make_disk,
     make_domain,
     make_polygon,
+    make_regular_polygon,
     project_to_boundary,
     scaled,
     segment_circle_intersections,
 )
+from escobar.search import _prepare_grid
 from tests.conftest import concave_square
 
 # ---------------------------------------------------------------------------
@@ -382,9 +397,19 @@ _GENERAL_KEYS = [
 ]
 
 
+# segments, ccw arcs (half-disk, disk) and a cw arc (concave square); convex
+# domains take the chord kernel's convex verdict, the rest the general test
+_ROW_BASES = {
+    **_GENERAL_BASES,
+    "disk": make_disk,
+    "hexagon": lambda: make_regular_polygon(6),
+}
+_ROW_KEYS = [(name, f, t) for name in _ROW_BASES for f in _SCALES for t in (0.0, 10.0)]
+
+
 @functools.cache
 def _general_domain(name, factor, shift):
-    dom = _GENERAL_BASES[name]()
+    dom = _ROW_BASES[name]()
     dom = dom if factor == 1.0 else scaled(dom, factor)
     return dom if shift == 0.0 else _translated(dom, shift * dom.scale)
 
@@ -502,3 +527,92 @@ def test_general_chord_test_matches_the_full_edge_loop(chord):
     dom._side_reaches.clear()
     dom._side_reaches.update(memo)
     assert got == _outcome(_ref_chord_is_interior_general, *args), (key, p, q)
+
+
+# ---------------------------------------------------------------------------
+# boundary points from the per-edge rows
+# ---------------------------------------------------------------------------
+
+
+def _ref_interior_chord_ends(domain, s0, s1):
+    """``geometry._interior_chord_ends`` as it was before it read the rows:
+    the edge lookup and ``point_at_local`` by method call."""
+    i0, t0 = domain._edge_index_reduced(s0)
+    i1, t1 = domain._edge_index_reduced(s1)
+    edges = domain.edges
+    n = len(edges)
+    on1 = (i1, (i1 - 1) % n) if t1 == 0.0 else (i1,)
+    shared = [i for i in ((i0, (i0 - 1) % n) if t0 == 0.0 else (i0,)) if i in on1]
+    for i in shared:
+        if isinstance(edges[i], Segment) or not edges[i].ccw:
+            return None
+    p = edges[i0].point_at_local(t0)
+    q = edges[i1].point_at_local(t1)
+    clear = domain._convex_clearance
+    if (
+        clear is not None
+        and clear < t0 < domain.edge_lengths[i0] - clear
+        and clear < t1 < domain.edge_lengths[i1] - clear
+        and math.dist(p, q) >= geometry._CONVEX_MIN_CHORD * domain.scale
+    ):
+        return p, q
+    inside = _chord_is_interior_general(domain, p, q, shared, ((i0, t0), (i1, t1)))
+    return (p, q) if inside else None
+
+
+@st.composite
+def _edge_cuts(draw):
+    """A domain key, an edge index and a local arclength on it: 0, the
+    edge's length, or in between; as a Python float or a NumPy scalar."""
+    key = draw(st.sampled_from(_ROW_KEYS))
+    dom = _general_domain(*key)
+    i = draw(st.integers(0, len(dom.edges) - 1))
+    length = dom.edge_lengths[i]
+    t = draw(st.one_of(st.sampled_from([0.0, length]), _unit.map(lambda u: u * length)))
+    return key, i, np.float64(t) if draw(st.booleans()) else t
+
+
+@settings(max_examples=1000, deadline=None)
+@given(cut=_edge_cuts(), other=_edge_cuts(), shift=st.sampled_from([0.0, -1e-300]))
+def test_point_rows_give_point_at_local_bit_for_bit(cut, other, shift):
+    """A row evaluates its edge's ``point_at_local``, ``point_at`` reads the
+    rows, and the chord kernel's ends are ``point_at``'s, bit for bit, with
+    the kernel's verdict unchanged; ``-1e-300`` reduces to the perimeter,
+    which the lookup reads as 0."""
+    key, i, t = cut
+    dom = _general_domain(*key)
+    edge = dom.edges[i]
+    assert _bits(_row_point(dom._point_rows[i], t)) == _bits(edge.point_at_local(t))
+    s = dom.cumlens[i] + t
+    j, tj = dom.edge_index_at(s)
+    assert _bits(dom.point_at(s)) == _bits(dom.edges[j].point_at_local(tj))
+
+    per = dom.perimeter
+    _, i1, t1 = other
+    a, b = (s + shift) % per, (dom.cumlens[i1 % len(dom.edges)] + t1) % per
+    for s0, s1 in ((a, b), (b, a)):
+        memo = dict(dom._side_reaches)
+        got = _outcome(geometry._interior_chord_ends, dom, s0, s1)
+        dom._side_reaches.clear()
+        dom._side_reaches.update(memo)
+        assert got == _outcome(_ref_interior_chord_ends, dom, s0, s1), (key, s0, s1)
+        if got is not None and isinstance(got[0], tuple):  # ends, not an exception
+            assert got == _bits((dom.point_at(s0), dom.point_at(s1)))
+
+
+@pytest.mark.parametrize("key", _ROW_KEYS)
+def test_grid_points_are_point_at_bit_for_bit(key):
+    """``_prepare_grid`` evaluates its points from the rows, in NumPy on
+    segments, as ``point_at`` does one at a time, and the chord kernel's
+    ends between grid points are those points."""
+    dom = _general_domain(*key)
+    for m in (1, 5, 301, 48):
+        grid = _prepare_grid(dom, m, full_validity=False)
+        pts = _bits(grid.pts.tolist())
+        assert pts == _bits([list(dom.point_at(float(s))) for s in grid.svals]), m
+    s = grid.svals.tolist()
+    for i in range(m):
+        for j in range(m):
+            ends = geometry._interior_chord_ends(dom, s[i], s[j]) if i != j else None
+            if ends is not None:
+                assert _bits([list(ends[0]), list(ends[1])]) == [pts[i], pts[j]], (i, j)

@@ -1,17 +1,20 @@
 """The refinement optimiser: ``search._nelder_mead`` against SciPy's adaptive
-Nelder-Mead, and SciPy off the import path of the package."""
+Nelder-Mead, its simplex order against ``np.argsort``, and SciPy off the
+import path of the package."""
 
 import math
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from escobar.search import _nelder_mead
+from escobar.search import _nelder_mead, _simplex_order
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -122,6 +125,37 @@ def test_port_stops_at_maxfev_where_scipy_does(n, where):
     assert len(ours) == len(theirs) == maxfev
     assert _bits(ours) == _bits(theirs)
     assert _bits([x]) == _bits([res.x.tolist()])
+
+
+# the refinement objective's penalties: 400, 500 + bad, 1e3 + violation
+_PENALTIES = [400.0, 501.0, 502.0, 1e3 + 1e-9, 1e3 + 0.5]
+_score = st.one_of(
+    st.sampled_from([*_PENALTIES, math.nan, 0.0, -0.0, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(scores=st.lists(_score, min_size=3, max_size=17))
+@example(scores=[501.0, 400.0, 1.0, 1.0])
+@example(scores=[0.0, -0.0, 400.0])
+@example(scores=[math.nan, 1.0, math.nan, -math.inf])
+def test_simplex_order_is_argsort(scores):
+    """The order is ``np.argsort``'s, and NumPy runs only when the sorted
+    scores are not strictly increasing: a tie, NaN or ``+-0.0``."""
+    argsort = np.argsort
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return argsort(*args, **kwargs)
+
+    with mock.patch.object(np, "argsort", counted):
+        got = _simplex_order(scores)
+    want = argsort(np.array(scores, dtype=float)).tolist()
+    assert got == want
+    ranked = [scores[i] for i in want]
+    assert bool(calls) == (not all(a < b for a, b in zip(ranked, ranked[1:])))
 
 
 def _fresh(code):

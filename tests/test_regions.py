@@ -503,6 +503,12 @@ def _reference_region_contains_point(domain, region, p, *, tol=TAU_GEOM):
     raise InvalidGeometryError(f"could not classify point {p} against region boundary")
 
 
+def _tangent_after(domain, s):
+    """Unit tangent of the boundary just after arclength ``s``."""
+    i, t = domain.edge_index_at(s)
+    return domain.edges[i].tangent_at_local(t)
+
+
 def _reference_containment(domain, ri, rj, tol=TAU_GEOM):
     """The containment check ``validate_tuple`` ran on each pair before the
     proof in its docstring retired it: a point inside the middle of each
@@ -520,7 +526,7 @@ def _reference_containment(domain, ri, rj, tol=TAU_GEOM):
     for ra, rb in ((ri, rj), (rj, ri)):
         s0, s1 = exterior_intervals(domain, ra)[0]
         mid = (s0 + ((s1 - s0) % domain.perimeter) / 2.0) % domain.perimeter
-        t = domain.tangent_after(mid)
+        t = _tangent_after(domain, mid)
         pm = domain.point_at(mid)
         clear = min(_segment_distance(pm, a, b) for a, b in _chord_segments(domain, ra))
         delta = min(1e-7 * domain.scale, 0.5 * clear)
