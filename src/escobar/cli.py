@@ -26,7 +26,6 @@ from typing import Optional
 
 from . import __version__
 from .constructions import (
-    CornerScheduleParams,
     corner_tuple,
     equal_boundary_tuple,
     inscribed_kgon_tuple,
@@ -152,8 +151,7 @@ def _cmd_construct(args, outputs: list[str]) -> int:
                 corner = domain.sharpest_corner
                 if corner is None:
                     raise NotApplicableError("domain has no strictly convex corner")
-            params = CornerScheduleParams(corner, args.k, args.epsilon)
-            tc = corner_tuple(domain, params)
+            tc = corner_tuple(domain, corner, args.k, args.epsilon)
         elif args.family == "stripe":
             tc = stripe_tuple(domain, args.k, args.height)
         else:  # pragma: no cover - argparse restricts choices

@@ -8,7 +8,6 @@ certified upper bound for I_k of the domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -23,8 +22,6 @@ from .geometry import (
     Segment,
     angle_in_sweep,
     circle_circle_intersections,
-    is_disk,
-    make_disk,
     make_regular_polygon,
     segment_circle_intersections,
 )
@@ -73,18 +70,6 @@ def equal_boundary_tuple(
     if validate:
         _raise_if_invalid(tc, f"equal-boundary split (k={k}, offset={start_offset:.6g})")
     return tc
-
-
-def disk_equal_arc_tuple(k: int, domain: Optional[PlanarDomain] = None) -> TupleCandidate:
-    """The optimal k-tuple on a disk: k caps over equal arcs.
-
-    Realises eta = sin(pi/k)/(pi/k) for every region.
-    """
-    if domain is None:
-        domain = make_disk()
-    if not is_disk(domain):
-        raise NotApplicableError("equal-arc construction expects a disk domain")
-    return equal_boundary_tuple(domain, k, start_offset=0.0)
 
 
 def inscribed_kgon_tuple(n: int, k: int) -> TupleCandidate:
@@ -270,19 +255,6 @@ def corner_chain_tuple(
     return tc
 
 
-@dataclass(frozen=True)
-class CornerScheduleParams:
-    """Parameters of the geometric corner schedule.
-
-    ``epsilon`` controls how tightly the k nested regions hug the corner;
-    smaller epsilon pushes every region's eta closer to sin(theta/2).
-    """
-
-    corner_index: int
-    k: int
-    epsilon: float = 1e-6
-
-
 def corner_schedule_legs(k: int, epsilon: float) -> list[float]:
     """Leg distances t_1 < ... < t_k of the standard corner schedule.
 
@@ -312,29 +284,33 @@ def corner_schedule_legs(k: int, epsilon: float) -> list[float]:
     return legs
 
 
-def corner_tuple(domain: PlanarDomain, params: CornerScheduleParams) -> TupleCandidate:
-    """Corner chain with the geometric schedule, shrinking epsilon to fit.
+def corner_tuple(
+    domain: PlanarDomain, corner_index: int, k: int, epsilon: float = 1e-6
+) -> TupleCandidate:
+    """Corner chain of k regions at vertex ``corner_index`` with the
+    geometric schedule, shrinking epsilon to fit.
 
+    ``epsilon`` controls how tightly the k nested regions hug the corner;
+    smaller epsilon pushes every region's eta closer to sin(theta/2).
     Schedule legs are measured in units of the domain perimeter, so the
     resulting tuple (and its eta values) is invariant under rescaling the
     domain.  If the requested epsilon produces legs that run off the
     adjacent geometry (or an invalid tuple), epsilon is halved up to
     ``_MAX_HALVINGS`` times before giving up.
     """
-    eps = params.epsilon
     last_err: Exception | None = None
     for _ in range(_MAX_HALVINGS + 1):
-        legs = [t * domain.perimeter for t in corner_schedule_legs(params.k, eps)]
+        legs = [t * domain.perimeter for t in corner_schedule_legs(k, epsilon)]
         if legs[-1] <= 0.245 * domain.perimeter:
             try:
-                return corner_chain_tuple(domain, params.corner_index, legs)
+                return corner_chain_tuple(domain, corner_index, legs)
             except (ConstructionFailedError, InvalidGeometryError) as err:
                 last_err = err
-        eps /= 2.0
-        if eps <= 0.0:
+        epsilon /= 2.0
+        if epsilon <= 0.0:
             break
     raise ConstructionFailedError(
-        f"corner schedule at vertex {params.corner_index} (k={params.k}) "
+        f"corner schedule at vertex {corner_index} (k={k}) "
         f"does not fit even after shrinking epsilon: {last_err}"
     )
 

@@ -174,19 +174,6 @@ def ik_exact(domain: PlanarDomain, k: int) -> Bound:
     )
 
 
-def ik_monotone_check(n: int, k_max: int) -> bool:
-    """Whether the exactly-known I_k(D_n) values are nondecreasing in k."""
-    last = -math.inf
-    for k in range(1, k_max + 1):
-        b = ik_regular_polygon(n, k)
-        if b.kind is not BoundKind.EXACT:
-            continue
-        if b.value < last - TAU_NUM:
-            return False
-        last = b.value
-    return True
-
-
 def disk_dominance_check(n: int, k: int, *, tol: float = TAU_NUM) -> tuple[bool, Bound, Bound]:
     """Compare I_k(D_n) against I_k(disk) for k < n.
 

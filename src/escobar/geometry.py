@@ -499,14 +499,6 @@ def _edge_green(edge: Edge) -> float:
     return 0.5 * (edge.radius * edge.radius * delta + _cross(edge.center, _sub(q, p)))
 
 
-def _partial_green(edge: Edge, t0: float, t1: float) -> float:
-    if isinstance(edge, Segment):
-        return 0.5 * _cross(edge.point_at_local(t0), edge.point_at_local(t1))
-    delta = edge._angle_at(t1) - edge._angle_at(t0)
-    p, q = edge.point_at_local(t0), edge.point_at_local(t1)
-    return 0.5 * (edge.radius * edge.radius * delta + _cross(edge.center, _sub(q, p)))
-
-
 @dataclass(frozen=True)
 class PlanarDomain:
     """Closed, simple, counterclockwise chain of segments and arcs.
@@ -752,14 +744,6 @@ class PlanarDomain:
             i = (i + 1) % len(self.edges)
             t = 0.0
         return pieces
-
-    def boundary_green(self, s0: float, s1: float) -> float:
-        """Green-area integral along the ccw boundary walk from s0 to s1."""
-        return sum(
-            _partial_green(self.edges[i], t0, t1)
-            for i, t0, t1 in self.boundary_pieces(s0, s1)
-        )
-
 
 def is_disk(domain: PlanarDomain) -> bool:
     e = domain.edges

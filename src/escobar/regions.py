@@ -31,7 +31,6 @@ from .geometry import (
     PlanarDomain,
     Segment,
     _circular_interval_overlap,
-    _cross,
     _ray_parity,
     _sub,
     chord_is_interior,
@@ -185,20 +184,6 @@ def eta_partial(domain: PlanarDomain, region: Region) -> float:
 def max_eta(tc: TupleCandidate) -> float:
     """The tuple's figure of merit: the worst eta among its regions."""
     return max(eta_partial(tc.domain, r) for r in tc.regions)
-
-
-def _cap_area(domain: PlanarDomain, cap: Cap) -> float:
-    a, b = cap_arclengths(domain, cap)
-    pa = domain.point_at(a)
-    pb = domain.point_at(b)
-    return domain.boundary_green(a, b) + 0.5 * _cross(pb, pa)
-
-
-def region_area(domain: PlanarDomain, region: Region) -> float:
-    """Enclosed area of the region (Green's theorem, exact per edge)."""
-    if isinstance(region, Cap):
-        return _cap_area(domain, region)
-    return _cap_area(domain, region.outer) - _cap_area(domain, region.inner)
 
 
 # ---------------------------------------------------------------------------

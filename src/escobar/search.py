@@ -574,31 +574,28 @@ class _CallLimit(Exception):
 
 
 def _simplex_order(scores: list[float]) -> list[int]:
-    """``np.argsort(scores).tolist()``, with NumPy called only when the
-    sorted scores are not strictly increasing (a tie, NaN or ``±0.0``).
-    Otherwise the sorting permutation is unique, so the Python sort's is
-    NumPy's on every CPU."""
-    ind = sorted(range(len(scores)), key=scores.__getitem__)
-    ranked = [scores[i] for i in ind]
-    if all(map(operator.lt, ranked, ranked[1:])):
-        return ind
-    return np.argsort(np.array(scores, dtype=float)).tolist()
+    """The indices of ``scores`` in increasing order, ties in index order:
+    ``np.argsort(scores, kind="stable")`` on NaN-free scores, by a Python
+    sort, so on every CPU."""
+    return sorted(range(len(scores)), key=scores.__getitem__)
 
 
 def _nelder_mead(fun, x0: Sequence[float], xatol: float, fatol: float, maxfev: int):
     """Minimise ``fun`` over Python lists by SciPy 1.17's adaptive
     Nelder-Mead (``minimize(method="Nelder-Mead", options={"adaptive":
     True, "xatol", "fatol", "maxfev"})``, Gao & Han 2012), operation for
-    operation: it evaluates the same points in the same order and returns
-    its best vertex and value.  ``fun`` gets each point as a list, which it
-    must not change.  The port keeps SciPy's semantics where they show:
+    operation and without NumPy: it evaluates SciPy's points, with a stable
+    tie order, in SciPy's order and returns its best vertex and value.
+    ``fun`` gets each point as a list, which it must not change.  The port
+    keeps SciPy's semantics where they show:
 
-    * the simplex is ordered as ``np.argsort`` orders its scores, twice
-      after the initial simplex and once per iteration
-      (:func:`_simplex_order`): distinct scores have one sorting
-      permutation, so a Python sort finds it, and on ties, NaN or ``±0.0``
-      ``np.argsort`` itself runs, which is not stable and breaks ties by
-      the CPU's sort kernels;
+    * the simplex is ordered twice after the initial simplex and once per
+      iteration, by a stable sort of its scores (:func:`_simplex_order`).
+      Distinct scores have one sorting permutation, SciPy's too; ties keep
+      their index order on every CPU, where SciPy's ``np.argsort`` breaks
+      them by the CPU's sort kernels.  No objective here returns NaN
+      (refinement scores a penalty, a finite eta or ``inf``), so NaN gets no
+      rule of its own;
     * the centroid adds each column in row order and then divides (not
       ``sum()``, which compensates from Python 3.12 on);
     * a call past ``maxfev`` is refused, also within the initial simplex or
@@ -710,8 +707,9 @@ def refine_caps(
     ``config.restarts`` runs (the first from the start, the others from
     seeded normal draws around it) is SciPy's adaptive Nelder-Mead with
     ``xatol``, ``fatol`` and ``maxfev``, ported to Python floats as
-    :func:`_nelder_mead`: it evaluates the points SciPy would, in its order,
-    so values, evaluation counts and witnesses are SciPy's.
+    :func:`_nelder_mead`: it evaluates SciPy's points, with a stable tie
+    order, in SciPy's order, so values, evaluation counts and witnesses are
+    SciPy's wherever SciPy breaks no tie, and the same on every CPU.
 
     The objective scores a vector on Python floats: ``1e3 + violation``
     when the cuts are out of order or a width falls below ``1e-9 P``;

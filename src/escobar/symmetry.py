@@ -115,31 +115,6 @@ def symmetrize(domain: PlanarDomain, lam: float):
     )
 
 
-def cap_eta_limit(n: int, lam: float, kind: str, side: float = 1.0):
-    """Closed-form eta of a symmetrized cap, as ``(eta, degenerate)``.
-
-    Defined for ``lam <= 3 s`` (edge-centered) and ``lam <= 2 s``
-    (vertex-centered); outside those ranges the profile is still computable
-    by direct measurement (:func:`symmetrize`) but has no single formula.
-    """
-    if n < 3:
-        raise InvalidParameterError(f"regular polygon needs n >= 3, got {n}")
-    if lam <= 0:
-        raise InvalidParameterError(f"exterior length must be positive, got {lam}")
-    s = side
-    if kind == "edge-centered":
-        if lam <= s:
-            return _DEGENERATE_ETA, True
-        if lam <= 3.0 * s + 1e-12 * s:
-            return (s + (lam - s) * math.cos(2.0 * math.pi / n)) / lam, False
-        raise NotApplicableError("edge-centered closed form covers lam <= 3s")
-    if kind == "vertex-centered":
-        if lam <= 2.0 * s + 1e-12 * s:
-            return math.cos(math.pi / n), False
-        raise NotApplicableError("vertex-centered closed form covers lam <= 2s")
-    raise InvalidParameterError(f"unknown symmetrized kind: {kind!r}")
-
-
 def crossover_threshold(n: int, side: float = 1.0) -> float:
     """Exterior length where the two symmetrized profiles exchange minima.
 

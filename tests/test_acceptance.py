@@ -39,7 +39,6 @@ import numpy as np
 
 from escobar.cli import main as cli_main
 from escobar.constructions import (
-    CornerScheduleParams,
     corner_tuple,
     inscribed_kgon_tuple,
     stripe_tuple,
@@ -140,7 +139,7 @@ def test_criterion_4_corner_convergence(capsys):
     exponents = range(-3, -13, -1)
     gaps = []
     for e in exponents:
-        tc = corner_tuple(dom, CornerScheduleParams(0, k, 10.0 ** e))
+        tc = corner_tuple(dom, 0, k, 10.0 ** e)
         gaps.append(max_eta(tc) - math.cos(math.pi / 4))
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
     slope = float(

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escobar.constructions import (
-    CornerScheduleParams,
     corner_chain_tuple,
     corner_schedule_legs,
     corner_tuple,
-    disk_equal_arc_tuple,
     equal_boundary_tuple,
     geometric_legs,
     inscribed_kgon_tuple,
@@ -24,7 +22,14 @@ from escobar.errors import (
     NotApplicableError,
 )
 from escobar.exact import ik_disk
-from escobar.geometry import Arc, Segment, make_domain, make_polygon, make_regular_polygon
+from escobar.geometry import (
+    Arc,
+    Segment,
+    make_disk,
+    make_domain,
+    make_polygon,
+    make_regular_polygon,
+)
 from escobar.regions import Cap, corner_admits_anchor, eta_partial, max_eta, validate_tuple
 from tests.conftest import rectangle
 
@@ -37,7 +42,7 @@ from tests.conftest import rectangle
 @pytest.mark.parametrize("k", [2, 3, 5, 8, 12])
 def test_disk_equal_arcs_attain_the_constant(k):
     """k equal arcs realise I_k(disk) = sin(pi/k)/(pi/k) exactly."""
-    tc = disk_equal_arc_tuple(k)
+    tc = equal_boundary_tuple(make_disk(), k, start_offset=0.0)
     assert validate_tuple(tc) == []
     assert max_eta(tc) == pytest.approx(ik_disk(k).value, abs=1e-12)
 
@@ -211,7 +216,7 @@ def test_corner_tuple_power_law(square):
     """max eta = sin(theta/2) * (1 + 2 * eps^(1/(k(k+1)))) exactly in eps."""
     k = 3
     for eps in (1e-4, 1e-6, 1e-9):
-        tc = corner_tuple(square, CornerScheduleParams(0, k, eps))
+        tc = corner_tuple(square, 0, k, eps)
         want = math.sin(math.pi / 4) * (1.0 + 2.0 * eps ** (1.0 / (k * (k + 1))))
         assert max_eta(tc) == pytest.approx(want, rel=1e-9)
 
@@ -219,22 +224,21 @@ def test_corner_tuple_power_law(square):
 def test_corner_tuple_matches_worked_example():
     # triangle, k=2, eps=1e-8: max eta must land in (0.5, 0.6)
     tri = make_regular_polygon(3)
-    tc = corner_tuple(tri, CornerScheduleParams(0, 2, 1e-8))
+    tc = corner_tuple(tri, 0, 2, 1e-8)
     assert 0.5 < max_eta(tc) < 0.6
 
 
 def test_corner_tuple_is_scale_invariant(square):
     from escobar.geometry import scaled
 
-    params = CornerScheduleParams(0, 3, 1e-7)
-    small = max_eta(corner_tuple(square, params))
-    big = max_eta(corner_tuple(scaled(square, 250.0), params))
+    small = max_eta(corner_tuple(square, 0, 3, 1e-7))
+    big = max_eta(corner_tuple(scaled(square, 250.0), 0, 3, 1e-7))
     assert big == pytest.approx(small, rel=1e-11)
 
 
 def test_corner_tuple_shrinks_oversized_epsilon(square):
     # eps=0.2 puts the outer leg past the fit cap; halving must recover
-    tc = corner_tuple(square, CornerScheduleParams(0, 2, 0.2))
+    tc = corner_tuple(square, 0, 2, 0.2)
     assert validate_tuple(tc) == []
 
 
@@ -294,7 +298,7 @@ def test_stripe_tuple_overfull():
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(min_value=2, max_value=16))
 def test_disk_equal_arcs_match_formula(k):
-    assert max_eta(disk_equal_arc_tuple(k)) == pytest.approx(
+    assert max_eta(equal_boundary_tuple(make_disk(), k, start_offset=0.0)) == pytest.approx(
         math.sin(math.pi / k) / (math.pi / k), rel=1e-12
     )
 

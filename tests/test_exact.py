@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from escobar import constructions, exact, regions
 from escobar.errors import ConstructionFailedError, InvalidParameterError, NotApplicableError
 from escobar.exact import (
+    TAU_NUM,
     BoundKind,
     disk_dominance_check,
     ik_disk,
     ik_exact,
-    ik_monotone_check,
     ik_regular_polygon,
     polygon_upper_bound,
 )
@@ -134,8 +134,11 @@ def test_polygon_upper_bound_needs_a_corner(unit_disk):
 
 
 def test_monotone_check():
-    assert ik_monotone_check(6, 50)
-    assert ik_monotone_check(11, 40)
+    """The exactly known I_k(D_n) are nondecreasing in k."""
+    for n, k_max in ((6, 50), (11, 40)):
+        exact_k = [ik_regular_polygon(n, k) for k in range(1, k_max + 1)]
+        values = [b.value for b in exact_k if b.kind is BoundKind.EXACT]
+        assert all(b >= a - TAU_NUM for a, b in zip(values, values[1:])), n
 
 
 # The disk-dominance inequality I_k(D_n) <= I_k(disk) fails at exactly these

@@ -1,8 +1,12 @@
-"""The refinement optimiser: ``search._nelder_mead`` against SciPy's adaptive
-Nelder-Mead, its simplex order against ``np.argsort``, and SciPy off the
-import path of the package."""
+"""The refinement optimiser: ``search._nelder_mead`` evaluates SciPy's
+adaptive Nelder-Mead points, with a stable tie order; its simplex order
+against ``np.argsort(kind="stable")``; reports that do not depend on NumPy's
+CPU dispatch; and SciPy off the import path of the package."""
 
+import functools
+import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
@@ -14,7 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from escobar.search import _nelder_mead, _simplex_order
+from escobar.regions import tuple_to_json
+from escobar.search import _nelder_mead, _simplex_order, estimate_ik
+from perfbench import workloads
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -70,10 +76,11 @@ def _run_both(kind, centre, q, x0, xatol, fatol, maxfev):
         return fun(x.tolist())
 
     x, fx = _nelder_mead(ours_fun, x0, xatol, fatol, maxfev)
-    res = optimize.minimize(
-        scipy_fun, x0, method="Nelder-Mead",
-        options={"adaptive": True, "xatol": xatol, "fatol": fatol, "maxfev": maxfev},
-    )
+    with mock.patch.object(np, "argsort", functools.partial(np.argsort, kind="stable")):
+        res = optimize.minimize(
+            scipy_fun, x0, method="Nelder-Mead",
+            options={"adaptive": True, "xatol": xatol, "fatol": fatol, "maxfev": maxfev},
+        )
     return ours, theirs, (x, fx), res
 
 
@@ -103,7 +110,8 @@ def _problems(draw):
 def test_port_evaluates_scipys_points_bit_for_bit(problem):
     """The same points, bit for bit and in the same order, the same number
     of calls, and the same final vertex and value as SciPy 1.17's
-    ``minimize(method="Nelder-Mead", options={"adaptive": True, ...})``."""
+    ``minimize(method="Nelder-Mead", options={"adaptive": True, ...})``
+    with its ``np.argsort`` made stable."""
     ours, theirs, (x, fx), res = _run_both(*problem)
     assert len(ours) == len(theirs) == res.nfev
     assert _bits(ours) == _bits(theirs)
@@ -141,27 +149,25 @@ _score = st.one_of(
 @example(scores=[0.0, -0.0, 400.0])
 @example(scores=[math.nan, 1.0, math.nan, -math.inf])
 def test_simplex_order_is_argsort(scores):
-    """The order is ``np.argsort``'s, and NumPy runs only when the sorted
-    scores are not strictly increasing: a tie, NaN or ``+-0.0``."""
-    argsort = np.argsort
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return argsort(*args, **kwargs)
-
-    with mock.patch.object(np, "argsort", counted):
-        got = _simplex_order(scores)
-    want = argsort(np.array(scores, dtype=float)).tolist()
-    assert got == want
-    ranked = [scores[i] for i in want]
-    assert bool(calls) == (not all(a < b for a, b in zip(ranked, ranked[1:])))
+    """The order is ``np.argsort(kind="stable")``'s, so ties, ``+-0.0``
+    among them, keep their index order.  NaN, which no objective returns,
+    still gives a permutation."""
+    got = _simplex_order(scores)
+    if any(math.isnan(v) for v in scores):
+        assert sorted(got) == list(range(len(scores)))
+    else:
+        assert got == np.argsort(np.array(scores, dtype=float), kind="stable").tolist()
 
 
-def _fresh(code):
+def _fresh(code, env=None):
+    """Run ``code`` in a new interpreter from the checkout, with ``src`` and
+    the checkout on its path, and ``env`` added to this environment."""
+    root = Path(__file__).parents[1]
+    path = [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
-        capture_output=True, text=True, check=True, cwd=Path(__file__).parents[1],
+        capture_output=True, text=True, check=True, cwd=root, env=env,
     )
     return out.stdout.split()
 
@@ -186,3 +192,37 @@ def test_concave_arc_sweep_imports_scipy_and_wins():
         report = corner_family_bound(concave_square(), 2)
         print("scipy.optimize" in sys.modules, report.method, repr(report.value))
     """) == ["False", "True", "corner-schedule", "0.3863161853781286"]
+
+
+# benchmark cases (seed 0) whose refinement breaks ties in the simplex order
+_TIED_CASES = ["D3-k3", "D5-k5", "L-k2", "star-k2"]
+
+
+def _workload_reports(names):
+    """Value repr, evaluations and witness JSON of the seed-0 benchmark
+    cases ``names``, one compact JSON line each."""
+    cases = {
+        case.name: case
+        for workload in ("regular-refine", "nonconvex-refine")
+        for case in workloads.make_cases(workload, 0)
+    }
+    lines = []
+    for name in names:
+        case = cases[name]
+        report = estimate_ik(workloads.build_domain(case.domain), case.k)
+        row = [name, repr(report.value), report.evaluations, tuple_to_json(report.witness)]
+        lines.append(json.dumps(row, separators=(",", ":")))
+    return lines
+
+
+def test_reports_do_not_depend_on_numpys_cpu_dispatch():
+    """The reports of a process whose NumPy dispatches only its baseline
+    features, as on a CPU without AVX-512, equal this process's."""
+    baseline = np.show_config(mode="dicts")["SIMD Extensions"]["baseline"]
+    if not baseline:
+        pytest.skip("this NumPy build has no baseline to limit its dispatch to")
+    got = _fresh(f"""
+        from tests.test_nelder_mead import _workload_reports
+        print("\\n".join(_workload_reports({_TIED_CASES!r})))
+    """, env={"NPY_ENABLE_CPU_FEATURES": " ".join(baseline)})
+    assert got == _workload_reports(_TIED_CASES)

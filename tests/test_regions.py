@@ -19,7 +19,6 @@ from escobar.geometry import (
     make_disk,
     make_domain,
     make_polygon,
-    make_regular_polygon,
     project_to_boundary,
     scaled,
 )
@@ -34,7 +33,6 @@ from escobar.regions import (
     interior_chords,
     interior_length,
     max_eta,
-    region_area,
     region_contains_point,
     region_from_json,
     region_to_json,
@@ -45,12 +43,6 @@ from escobar.regions import (
 )
 
 TWO_PI = 2.0 * math.pi
-
-# Circular-segment area (ell - sin ell)/2 for the unit-disk cap of arc
-# length ell = 2*pi/3; cross-checked during development with a 4e7-sample
-# Monte Carlo rejection count (agreed to 4 digits, the closed form is exact).
-SEGMENT_AREA_2PI3 = 0.6141848493043783
-
 
 # ---------------------------------------------------------------------------
 # eta closed forms
@@ -100,29 +92,8 @@ def test_max_eta_is_max_of_parts(unit_disk):
 
 
 # ---------------------------------------------------------------------------
-# areas
+# membership
 # ---------------------------------------------------------------------------
-
-
-def test_disk_cap_area(unit_disk):
-    cap = Cap(0.0, 2 * math.pi / 3)
-    assert region_area(unit_disk, cap) == pytest.approx(SEGMENT_AREA_2PI3, abs=1e-12)
-    # half disk
-    assert region_area(unit_disk, Cap(0.0, math.pi)) == pytest.approx(
-        math.pi / 2, abs=1e-12
-    )
-
-
-def test_square_corner_areas(square):
-    per = square.perimeter
-    t = 0.3
-    cap = Cap(per - t, t)
-    # right-angle corner: isoceles right triangle with legs t
-    assert region_area(square, cap) == pytest.approx(t * t / 2, rel=1e-12)
-    strip = Strip(Cap(per - 0.1, 0.1), Cap(per - t, t))
-    assert region_area(square, strip) == pytest.approx(
-        (t * t - 0.1 * 0.1) / 2, rel=1e-12
-    )
 
 
 def test_region_contains_point(unit_disk):
@@ -241,14 +212,6 @@ def test_disk_cap_eta_rotation_invariant(a, ell):
     )
 
 
-@settings(max_examples=30, deadline=None)
-@given(t=st.floats(min_value=0.01, max_value=0.45))
-def test_square_cap_area_leg_law(t):
-    square = make_regular_polygon(4)
-    per = square.perimeter
-    assert region_area(square, Cap(per - t, t)) == pytest.approx(t * t / 2, rel=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # corner-anchored caps and strips
 # ---------------------------------------------------------------------------
@@ -264,7 +227,6 @@ def test_anchored_cap_agrees_with_arclength_cap(square):
         interior_length(square, plain), rel=1e-14
     )
     assert exterior_intervals(square, anchored) == [pytest.approx((per - 0.2, 0.3))]
-    assert region_area(square, anchored) == pytest.approx(0.2 * 0.3 / 2, rel=1e-10)
     assert validate_region(square, anchored) == []
 
 

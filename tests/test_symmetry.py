@@ -12,7 +12,6 @@ from escobar.geometry import make_disk, make_regular_polygon
 from escobar.regions import Cap, eta_partial
 from escobar.symmetry import (
     audit_symmetrization,
-    cap_eta_limit,
     crossover_threshold,
     envelope_value,
     lower_envelope_check,
@@ -27,6 +26,20 @@ from escobar.symmetry import (
 # ---------------------------------------------------------------------------
 
 
+def _cap_eta_limit(n, lam, kind, side=1.0):
+    """Closed-form eta of a symmetrized cap of exterior length ``lam`` on
+    D_n with side ``side``, as ``(eta, degenerate)``: edge-centered for
+    ``lam <= 3 side``, vertex-centered for ``lam <= 2 side``."""
+    s = side
+    if kind == "edge-centered":
+        assert lam <= 3.0 * s + 1e-12 * s
+        if lam <= s:
+            return 1.0, True
+        return (s + (lam - s) * math.cos(2.0 * math.pi / n)) / lam, False
+    assert kind == "vertex-centered" and lam <= 2.0 * s + 1e-12 * s
+    return math.cos(math.pi / n), False
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12])
 def test_vertex_centered_plateau(n):
     """For lam <= 2s the vertex-centered cap has eta = cos(pi/n) exactly."""
@@ -37,7 +50,7 @@ def test_vertex_centered_plateau(n):
         if lam > dom.perimeter / 2:
             continue
         vertex, _ = symmetrize(dom, lam)
-        expected, degenerate = cap_eta_limit(n, lam, "vertex-centered", side=s)
+        expected, degenerate = _cap_eta_limit(n, lam, "vertex-centered", side=s)
         assert not degenerate
         assert vertex.eta == pytest.approx(expected, abs=1e-12)
         assert vertex.eta == pytest.approx(math.cos(math.pi / n), abs=1e-12)
@@ -53,7 +66,7 @@ def test_edge_centered_formula(n):
         if lam > dom.perimeter / 2:
             continue
         _, edge = symmetrize(dom, lam)
-        expected, degenerate = cap_eta_limit(n, lam, "edge-centered", side=s)
+        expected, degenerate = _cap_eta_limit(n, lam, "edge-centered", side=s)
         assert not degenerate
         assert edge.eta == pytest.approx(expected, abs=1e-12)
         assert edge.eta == pytest.approx(
@@ -67,7 +80,7 @@ def test_edge_centered_degenerate():
     _, edge = symmetrize(dom, 0.5 * s)
     assert edge.degenerate
     assert edge.eta == 1.0
-    eta, degenerate = cap_eta_limit(4, 0.5, "edge-centered")
+    eta, degenerate = _cap_eta_limit(4, 0.5, "edge-centered")
     assert degenerate and eta == 1.0
 
 
@@ -79,19 +92,6 @@ def test_symmetrize_validation():
         symmetrize(dom, 0.51 * dom.perimeter)
     with pytest.raises(NotApplicableError):
         symmetrize(make_disk(), 1.0)
-
-
-def test_cap_eta_limit_ranges():
-    with pytest.raises(NotApplicableError):
-        cap_eta_limit(6, 3.5, "edge-centered")
-    with pytest.raises(NotApplicableError):
-        cap_eta_limit(6, 2.5, "vertex-centered")
-    with pytest.raises(InvalidParameterError):
-        cap_eta_limit(6, 1.0, "face-centered")
-    with pytest.raises(InvalidParameterError):
-        cap_eta_limit(2, 1.0, "vertex-centered")
-    with pytest.raises(InvalidParameterError):
-        cap_eta_limit(6, -1.0, "vertex-centered")
 
 
 # ---------------------------------------------------------------------------
