@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
+from . import constructions, regions
 from .errors import (
     ConstructionFailedError,
     InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
 )
-from .geometry import PlanarDomain, is_disk, make_regular_polygon, regular_ngon_order
+from .geometry import PlanarDomain, is_disk, make_regular_polygon
 
 #: Numeric tolerance for closed-form comparisons.
 TAU_NUM = 1e-9
@@ -102,6 +103,25 @@ def ik_regular_polygon(n: int, k: int) -> Bound:
 _CONSTRUCTION_ERRORS = (ConstructionFailedError, InvalidGeometryError, InvalidParameterError)
 
 
+def _equal_split_eta(domain: PlanarDomain, k: int, offset: float) -> float:
+    """``max_eta(equal_boundary_tuple(domain, k, offset, validate=False))``,
+    bit for bit, from one ``point_at`` per cut and without building a tuple.
+
+    Neighbouring caps share a cut.  Cap i runs from cut i to cut i + 1 and
+    scores ``chord / exterior length``, the floats of ``regions.eta_partial``
+    on a plain cap (its one-term sums are exact), in cap order as
+    ``max_eta`` takes them.
+    """
+    per = domain.perimeter
+    cuts = [(offset + i * per / k) % per for i in range(k)]
+    pts = [domain.point_at(c) for c in cuts]
+    exts = [(b - a) % per for a, b in zip(cuts, cuts[1:] + cuts[:1])]
+    return max(
+        math.inf if ext <= 0.0 else math.dist(p, q) / ext
+        for p, q, ext in zip(pts, pts[1:] + pts[:1], exts)
+    )
+
+
 @lru_cache(maxsize=None)
 def _equal_boundary_eta(n: int, k: int):
     """Best max-eta over start offsets of the k-fold equal-boundary split of D_n.
@@ -110,34 +130,28 @@ def _equal_boundary_eta(n: int, k: int):
     measured optima of this family sit on anchored cut patterns (cuts through
     vertices or through edge midpoints), both of which lie exactly on the
     sampling grid; in any case every sampled split is itself a competitor, so
-    the minimum is a certified upper bound at any resolution.  The winner is
-    re-measured from a fully validated tuple.
-    """
-    from .constructions import equal_boundary_tuple
-    from .regions import max_eta
+    the minimum is a certified upper bound at any resolution.
 
+    Each of the 192 sampled splits is scored by :func:`_equal_split_eta`: one
+    point per cut, no tuple per sample.  Only the winner (the first best
+    offset) is built as a tuple, validated and re-measured.
+    """
     dom = make_regular_polygon(n)
     period = dom.perimeter / n
     samples = 192
     best_off, best_val = None, math.inf
     for j in range(samples):
         off = j * period / samples
-        try:
-            # equal splits of a convex polygon are always valid; skip the
-            # per-sample validation and validate the winner once below
-            tc = equal_boundary_tuple(dom, k, start_offset=off, validate=False)
-            val = max_eta(tc)
-        except _CONSTRUCTION_ERRORS:
-            continue
+        val = _equal_split_eta(dom, k, off)
         if val < best_val:
             best_val, best_off = val, off
     if best_off is None:
         return None
     try:
-        tc = equal_boundary_tuple(dom, k, start_offset=best_off)
+        tc = constructions.equal_boundary_tuple(dom, k, start_offset=best_off)
     except _CONSTRUCTION_ERRORS:
         return None
-    return max_eta(tc)
+    return regions.max_eta(tc)
 
 
 def polygon_upper_bound(domain: PlanarDomain) -> Bound:
@@ -166,7 +180,7 @@ def ik_exact(domain: PlanarDomain, k: int) -> Bound:
     """
     if is_disk(domain):
         return ik_disk(k)
-    n = regular_ngon_order(domain)
+    n = domain.regular_order
     if n is not None:
         return ik_regular_polygon(n, k)
     raise NotApplicableError(
@@ -183,6 +197,8 @@ def disk_dominance_check(n: int, k: int, *, tol: float = TAU_NUM) -> tuple[bool,
     """
     if not 1 <= k < n:
         raise InvalidParameterError(f"comparison needs 1 <= k < n, got k={k}, n={n}")
+    if not math.isfinite(tol):
+        raise InvalidParameterError(f"tolerance must be finite, got {tol}")
     dn = ik_regular_polygon(n, k)
     dk = ik_disk(k)
     return dn.value <= dk.value + tol, dn, dk

@@ -585,6 +585,27 @@ class PlanarDomain:
         return all(e.ccw for e in self.edges if isinstance(e, Arc))
 
     @cached_property
+    def regular_order(self) -> int | None:
+        """The vertex count when the domain is a regular polygon, else
+        ``None``: a convex chain of at least 3 segments whose edge lengths
+        and vertex distances from the vertex centroid each agree within
+        ``TAU_GEOM`` times the scale."""
+        n = len(self.edges)
+        if n < 3 or not all(isinstance(e, Segment) for e in self.edges):
+            return None
+        if not self.is_convex:
+            return None
+        lens = self.edge_lengths
+        if max(lens) - min(lens) > TAU_GEOM * self.scale:
+            return None
+        cx = sum(v[0] for v in self.vertices) / n
+        cy = sum(v[1] for v in self.vertices) / n
+        radii = [math.dist(v, (cx, cy)) for v in self.vertices]
+        if max(radii) - min(radii) > TAU_GEOM * self.scale:
+            return None
+        return n
+
+    @cached_property
     def _near_origin(self) -> bool:
         """Whether the bounding box lies within ``S`` (the scale) of the
         origin, so every coordinate is at most ``S`` in absolute value: the
@@ -750,24 +771,6 @@ def is_disk(domain: PlanarDomain) -> bool:
     return len(e) == 1 and isinstance(e[0], Arc) and abs(e[0].sweep - _TWO_PI) < 1e-12
 
 
-def regular_ngon_order(domain: PlanarDomain) -> int | None:
-    """Detect a regular polygon; returns its vertex count, else ``None``."""
-    n = len(domain.edges)
-    if n < 3 or not all(isinstance(e, Segment) for e in domain.edges):
-        return None
-    if not domain.is_convex:
-        return None
-    lens = domain.edge_lengths
-    if max(lens) - min(lens) > TAU_GEOM * domain.scale:
-        return None
-    cx = sum(v[0] for v in domain.vertices) / n
-    cy = sum(v[1] for v in domain.vertices) / n
-    radii = [math.dist(v, (cx, cy)) for v in domain.vertices]
-    if max(radii) - min(radii) > TAU_GEOM * domain.scale:
-        return None
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
@@ -776,14 +779,23 @@ def regular_ngon_order(domain: PlanarDomain) -> int | None:
 def make_domain(edges: Iterable[Edge]) -> PlanarDomain:
     """Build a validated domain from an edge chain.
 
-    Checks edge sanity, closure, orientation (reversing a clockwise chain),
-    simplicity, and corner non-degeneracy, up to ``TAU_GEOM`` times the
-    chain's :attr:`PlanarDomain.scale`.  Raises
+    Checks that every coordinate, radius and angle is finite, then edge
+    sanity, closure, orientation (reversing a clockwise chain), simplicity,
+    and corner non-degeneracy, up to ``TAU_GEOM`` times the chain's
+    :attr:`PlanarDomain.scale`.  Raises
     :class:`~escobar.errors.InvalidGeometryError` on failure.
     """
     edges = tuple(edges)
     if not edges:
         raise InvalidGeometryError("domain needs at least one edge")
+    for j, e in enumerate(edges):
+        if isinstance(e, Arc):
+            numbers = (*e.center, e.radius, e.start_angle, e.end_angle)
+        else:
+            numbers = (*e.start, *e.end)
+        # every later check compares with <=, which NaN passes
+        if not all(math.isfinite(x) for x in numbers):
+            raise InvalidGeometryError(f"edge {j} has a non-finite coordinate, radius or angle")
     tol_abs = TAU_GEOM * PlanarDomain(edges).scale
 
     for e in edges:
@@ -891,8 +903,8 @@ def make_regular_polygon(n: int, circumradius: float = 1.0) -> PlanarDomain:
 
 def scaled(domain: PlanarDomain, factor: float) -> PlanarDomain:
     """Dilate a domain about the origin by ``factor > 0``."""
-    if factor <= 0:
-        raise InvalidParameterError(f"scale factor must be positive, got {factor}")
+    if not 0 < factor < math.inf:
+        raise InvalidParameterError(f"scale factor must be positive and finite, got {factor}")
     out: list[Edge] = []
     for e in domain.edges:
         if isinstance(e, Segment):

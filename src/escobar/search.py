@@ -57,7 +57,6 @@ from .geometry import (
     _row_point,
     chord_is_interior,
     is_disk,
-    regular_ngon_order,
 )
 from .regions import (
     Cap,
@@ -185,7 +184,7 @@ class _GridTables(_Grid):
 def _grid_period(domain: PlanarDomain, m: int) -> int:
     if is_disk(domain):
         return 1
-    n = regular_ngon_order(domain)
+    n = domain.regular_order
     if n is not None and m % n == 0:
         return m // n
     return m
@@ -991,7 +990,7 @@ def _grid_candidates(domain: PlanarDomain, k: int) -> list[int]:
     if is_disk(domain):
         units.add(2 * k)
     else:
-        n = regular_ngon_order(domain)
+        n = domain.regular_order
         if n is not None:
             units.add(n)
             units.add(math.lcm(n, 2 * k))

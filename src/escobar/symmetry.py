@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, NotApplicableError
-from .geometry import PlanarDomain, make_regular_polygon, regular_ngon_order
+from .geometry import PlanarDomain, make_regular_polygon
 from .regions import Cap, eta_partial
 
 _DEGENERATE_ETA = 1.0
@@ -82,7 +82,7 @@ class SymmetryAuditReport:
 
 
 def _require_regular(domain: PlanarDomain) -> int:
-    n = regular_ngon_order(domain)
+    n = domain.regular_order
     if n is None:
         raise NotApplicableError("symmetrization requires a regular polygon")
     return n
@@ -183,7 +183,7 @@ def lower_envelope_check(
     """
     if domain is None:
         domain = make_regular_polygon(n)
-    elif regular_ngon_order(domain) != n:
+    elif domain.regular_order != n:
         raise InvalidParameterError("domain is not a regular n-gon of the given n")
     s = domain.perimeter / n
     ell = round(L0 / s)

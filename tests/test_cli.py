@@ -221,6 +221,29 @@ def test_scan_csv_and_manifest(tmp_path, capsys):
     assert out_file.read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["conjecture-scan", "--n-range", "3..12", "--k-range", "2..12"],
+            "10532a7102255a0f3bde6efc33b0292e21e46ecffe16ee2e3dedfea488216299",
+        ),
+        (
+            ["exact", "--ngon", "6", "--k", "2..6"],
+            "6c7f33c6600281830e6e1bcf149b713efd74730dc5d1eb84866b02ff36eee69e",
+        ),
+    ],
+)
+def test_csv_bytes_are_pinned(argv, digest, tmp_path, capsys):
+    """SHA-256 of two CSVs whose bounds come from the equal-split scan of
+    ``exact._equal_boundary_eta`` (the conjecture-scan pairs with k not
+    dividing n; I_4 and I_5 of the hexagon)."""
+    out_file = tmp_path / "table.csv"
+    rc, _, _ = run(capsys, *argv, "--out", str(out_file))
+    assert rc == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+
+
 def test_scan_stdout(capsys):
     rc, out, _ = run(capsys, "conjecture-scan", "--n-range", "4", "--k-range", "2..3")
     assert rc == 0
@@ -364,6 +387,30 @@ def test_ngon_zero_reports_the_polygon_error(argv, capsys):
     rc, _, err = run(capsys, *argv, "--ngon", "0")
     assert rc == 3
     assert "regular polygon needs n >= 3, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "--rect", "1", "nan", "--k", "2"],
+        ["exact", "--disk", "nan", "--k", "2"],
+        ["render", "--disk", "nan"],
+        ["render", "--rect", "inf", "1"],
+    ],
+)
+def test_non_finite_domain_exit_3(argv, capsys):
+    # the NaN rectangle used to print I_2 = 0.5 [exact], as if a square
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_scan_non_finite_tolerance_exit_3(capsys):
+    rc, out, err = run(capsys, "conjecture-scan", "--n-range", "5", "--tol", "nan")
+    assert rc == 3
+    assert out == ""
+    assert "tolerance must be finite" in err
 
 
 def test_exact_not_applicable_exit_3(capsys):

@@ -17,7 +17,7 @@ from escobar.exact import (
     ik_regular_polygon,
     polygon_upper_bound,
 )
-from escobar.geometry import make_polygon
+from escobar.geometry import make_polygon, make_regular_polygon
 
 # Frozen reference values (evaluated by hand from the closed forms):
 #   I_2(disk) = sin(pi/2)/(pi/2) = 2/pi
@@ -180,6 +180,13 @@ def test_disk_dominance_requires_k_below_n():
         disk_dominance_check(5, 5)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_disk_dominance_rejects_a_non_finite_tolerance(tol):
+    # a NaN tolerance used to mark every pair unsatisfied
+    with pytest.raises(InvalidParameterError, match="tolerance must be finite"):
+        disk_dominance_check(7, 4, tol=tol)
+
+
 def test_bound_str_uses_12_digits():
     text = str(ik_disk(3))
     assert "0.826993343133" in text
@@ -248,3 +255,102 @@ def test_equal_boundary_eta_lets_programming_errors_through(
     monkeypatch.setattr(regions, "max_eta", broken)
     with pytest.raises(TypeError, match="broken measurement"):
         exact._equal_boundary_eta(7, 3)
+
+
+# ---------------------------------------------------------------------------
+# the equal-split scan: one point per cut against the tuple-building loop
+# ---------------------------------------------------------------------------
+
+
+def _ref_equal_boundary_eta(n, k):
+    """The sampling loop ``exact._equal_boundary_eta`` replaced: a tuple and
+    ``max_eta`` per sample."""
+    dom = make_regular_polygon(n)
+    period = dom.perimeter / n
+    samples = 192
+    best_off, best_val = None, math.inf
+    for j in range(samples):
+        off = j * period / samples
+        try:
+            tc = constructions.equal_boundary_tuple(dom, k, start_offset=off, validate=False)
+            val = regions.max_eta(tc)
+        except exact._CONSTRUCTION_ERRORS:
+            continue
+        if val < best_val:
+            best_val, best_off = val, off
+    if best_off is None:
+        return None
+    try:
+        tc = constructions.equal_boundary_tuple(dom, k, start_offset=best_off)
+    except exact._CONSTRUCTION_ERRORS:
+        return None
+    return regions.max_eta(tc)
+
+
+#: The 43 pairs of ``conjecture-scan --n-range 3..12`` that reach the scan.
+SCAN_PAIRS = [(n, k) for n in range(3, 13) for k in range(2, n) if n % k]
+
+
+@pytest.mark.parametrize("n,k", SCAN_PAIRS)
+def test_equal_boundary_eta_matches_the_tuple_loop_on_the_scan(n, k, monkeypatch):
+    """Same value and the same winning offset, the first best one: both
+    loops build the winner's tuple last, and the scan builds no other."""
+    offsets = []
+    build = constructions.equal_boundary_tuple
+
+    def recorded(*args, **kwargs):
+        offsets.append(kwargs["start_offset"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "equal_boundary_tuple", recorded)
+    got = exact._equal_boundary_eta.__wrapped__(n, k)
+    assert len(offsets) == 1
+    assert repr(got) == repr(_ref_equal_boundary_eta(n, k))
+    assert repr(offsets[0]) == repr(offsets[-1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=3, max_value=60), data=st.data())
+def test_equal_boundary_eta_matches_the_tuple_loop(n, data):
+    k = data.draw(st.integers(min_value=2, max_value=n - 1).filter(lambda k: n % k))
+    got = exact._equal_boundary_eta.__wrapped__(n, k)
+    assert repr(got) == repr(_ref_equal_boundary_eta(n, k))
+
+
+def _split_offsets(n):
+    """Offsets at 0, at a vertex, at an edge midpoint, just below one
+    symmetry period and just below the perimeter."""
+    dom = make_regular_polygon(n)
+    period = dom.perimeter / n
+    return [
+        0.0,
+        dom.vertex_arclength(n // 2),
+        dom.vertex_arclength(1) + dom.edge_lengths[1] / 2.0,
+        math.nextafter(period, 0.0),
+        math.nextafter(dom.perimeter, 0.0),
+    ]
+
+
+def _assert_split_matches(n, k, offset):
+    dom = make_regular_polygon(n)
+    want = regions.max_eta(
+        constructions.equal_boundary_tuple(dom, k, start_offset=offset, validate=False)
+    )
+    assert repr(exact._equal_split_eta(dom, k, offset)) == repr(want)
+
+
+@pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (12, 5), (13, 4)])
+def test_equal_split_eta_matches_max_eta_at_named_offsets(n, k):
+    for offset in _split_offsets(n):
+        _assert_split_matches(n, k, offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=3, max_value=60),
+    data=st.data(),
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_equal_split_eta_matches_max_eta(n, data, frac):
+    k = data.draw(st.integers(min_value=2, max_value=n + 3))
+    _assert_split_matches(n, k, frac * make_regular_polygon(n).perimeter / n)

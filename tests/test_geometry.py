@@ -28,7 +28,6 @@ from escobar.geometry import (
     make_polygon,
     make_regular_polygon,
     project_to_boundary,
-    regular_ngon_order,
     scaled,
     segment_circle_intersections,
 )
@@ -48,7 +47,7 @@ def test_disk_measurements(unit_disk):
     assert unit_disk.area == pytest.approx(math.pi, abs=1e-12)
     assert unit_disk.bbox == pytest.approx((-1.0, -1.0, 1.0, 1.0), abs=1e-12)
     assert is_disk(unit_disk)
-    assert regular_ngon_order(unit_disk) is None
+    assert unit_disk.regular_order is None
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -59,7 +58,7 @@ def test_regular_polygon_measurements(n):
     # all interior angles equal (n-2)*pi/n
     for theta in dom.interior_angles:
         assert theta == pytest.approx((n - 2) * math.pi / n, abs=1e-12)
-    assert regular_ngon_order(dom) == n
+    assert dom.regular_order == n
     assert not is_disk(dom)
 
 
@@ -182,6 +181,35 @@ def test_disk_radius_must_be_positive(bad):
 def test_regular_polygon_needs_n_at_least_3():
     with pytest.raises(InvalidParameterError):
         make_regular_polygon(2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_geometry_rejected(bad):
+    """The later checks of ``make_domain`` compare with ``<=``, which NaN
+    passes: a rectangle of height NaN used to build, and to pass as a
+    square."""
+    with pytest.raises(InvalidGeometryError, match="non-finite"):
+        make_polygon([(0, 0), (1, 0), (1, bad), (0, bad)])
+    with pytest.raises(InvalidGeometryError, match="non-finite"):
+        make_disk(1.0, center=(bad, 0.0))
+    with pytest.raises(InvalidGeometryError, match="non-finite"):
+        make_domain([Arc((0.0, 0.0), 1.0, bad, TWO_PI)])
+    segment = {"type": "segment", "from": [0, 0], "to": [1, bad]}
+    with pytest.raises(InvalidGeometryError, match="non-finite"):
+        domain_from_json({"edges": [segment]})
+    arc = {"type": "arc", "center": [0, 0], "radius": 1, "start_angle": 0, "end_angle": bad}
+    with pytest.raises(InvalidGeometryError, match="non-finite"):
+        domain_from_json({"edges": [arc]})
+    with pytest.raises(InvalidParameterError):
+        scaled(make_regular_polygon(5), bad)
+    if bad > 0 or math.isnan(bad):
+        with pytest.raises(InvalidGeometryError, match="non-finite"):
+            make_disk(bad)
+        with pytest.raises(InvalidGeometryError, match="non-finite"):
+            make_regular_polygon(5, bad)
+    else:
+        with pytest.raises(InvalidParameterError):
+            make_disk(bad)
 
 
 # ---------------------------------------------------------------------------
