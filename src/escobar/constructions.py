@@ -20,7 +20,7 @@ from .geometry import (
     TAU_GEOM,
     PlanarDomain,
     Segment,
-    angle_in_sweep,
+    _on_arc,
     circle_circle_intersections,
     make_regular_polygon,
     segment_circle_intersections,
@@ -50,8 +50,6 @@ def equal_boundary_tuple(
     domain: PlanarDomain,
     k: int,
     start_offset: Optional[float] = None,
-    *,
-    validate: bool = True,
 ) -> TupleCandidate:
     """k caps cutting the boundary into arcs of equal length.
 
@@ -66,10 +64,9 @@ def equal_boundary_tuple(
         start_offset = float(domain.cumlens[i]) + domain.edge_lengths[i] / 2.0
     cuts = [(start_offset + j * per / k) % per for j in range(k)]
     regions = tuple(Cap(cuts[j], cuts[(j + 1) % k]) for j in range(k))
-    tc = TupleCandidate(domain, regions)
-    if validate:
-        _raise_if_invalid(tc, f"equal-boundary split (k={k}, offset={start_offset:.6g})")
-    return tc
+    return _raise_if_invalid(
+        TupleCandidate(domain, regions), f"equal-boundary split (k={k}, offset={start_offset:.6g})"
+    )
 
 
 def inscribed_kgon_tuple(n: int, k: int) -> TupleCandidate:
@@ -155,11 +152,9 @@ def _first_circle_hit(edge, lo, hi, origin, dist, forward):
                 hits.append(min(max(t, lo), hi))
     else:
         for pt in circle_circle_intersections(origin, dist, edge.center, edge.radius):
-            phi = edge.angle_of_point(pt)
-            inside, margin = angle_in_sweep(edge, phi)
-            if not inside and margin * edge.radius > 1e-9 * edge.length:
+            if not _on_arc(edge, pt, 1e-9 * edge.length):
                 continue
-            t = edge.local_t_of_angle(phi)
+            t = edge.local_t_of_angle(edge.angle_of_point(pt))
             if lo - 1e-9 * edge.length <= t <= hi + 1e-9 * edge.length:
                 hits.append(min(max(t, lo), hi))
     if not hits:

@@ -104,8 +104,9 @@ _CONSTRUCTION_ERRORS = (ConstructionFailedError, InvalidGeometryError, InvalidPa
 
 
 def _equal_split_eta(domain: PlanarDomain, k: int, offset: float) -> float:
-    """``max_eta(equal_boundary_tuple(domain, k, offset, validate=False))``,
-    bit for bit, from one ``point_at`` per cut and without building a tuple.
+    """``max_eta`` of the k caps that ``equal_boundary_tuple(domain, k,
+    offset)`` builds, taken before it validates them, bit for bit, from one
+    ``point_at`` per cut and without building a tuple.
 
     Neighbouring caps share a cut.  Cap i runs from cut i to cut i + 1 and
     scores ``chord / exterior length``, the floats of ``regions.eta_partial``

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence, Union
@@ -55,6 +56,10 @@ _BOX_MARGIN = 1e-2
 _CHORD_EXCL_ABS = 1e-12
 _CHORD_EXCL_REL = 1e-6
 
+#: Largest domain scale :func:`make_domain` accepts: its area test squares
+#: ``TAU_GEOM`` times the scale, which overflows past this.
+_MAX_SCALE = math.sqrt(sys.float_info.max) / TAU_GEOM
+
 _TWO_PI = 2.0 * math.pi
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -89,12 +94,15 @@ class Segment:
     def length(self) -> float:
         return math.dist(self.start, self.end)
 
+    @cached_property
+    def _row(self) -> tuple:
+        """``(False, x0, y0, dx, dy, L)``: the start, ``end - start`` and the
+        length, the row that :func:`_row_point` evaluates."""
+        (a0, a1), (b0, b1) = self.start, self.end
+        return (False, a0, a1, b0 - a0, b1 - a1, self.length)
+
     def point_at_local(self, t: float) -> Point:
-        u = t / self.length
-        return (
-            self.start[0] + u * (self.end[0] - self.start[0]),
-            self.start[1] + u * (self.end[1] - self.start[1]),
-        )
+        return _row_point(self._row, t)
 
     def tangent_at_local(self, t: float) -> Point:
         return (
@@ -146,12 +154,14 @@ class Arc:
         d = t / self.radius
         return self.start_angle + d if self.ccw else self.start_angle - d
 
+    @cached_property
+    def _row(self) -> tuple:
+        """``(True, cx, cy, r, a0, ccw)``: the centre, radius, start angle
+        and direction, the row that :func:`_row_point` evaluates."""
+        return (True, *self.center, self.radius, self.start_angle, self.ccw)
+
     def point_at_local(self, t: float) -> Point:
-        a = self._angle_at(t)
-        return (
-            self.center[0] + self.radius * math.cos(a),
-            self.center[1] + self.radius * math.sin(a),
-        )
+        return _row_point(self._row, t)
 
     def tangent_at_local(self, t: float) -> Point:
         a = self._angle_at(t)
@@ -201,9 +211,10 @@ Edge = Union[Segment, Arc]
 
 
 def _row_point(row: tuple, t: float) -> Point:
-    """The point at local arclength ``t`` on the edge of ``row`` (a row of
-    :attr:`PlanarDomain._point_rows`), by the operations of its
-    ``point_at_local`` in their order, so bit for bit the same."""
+    """The point at local arclength ``t`` on the edge whose ``_row`` is
+    ``row``: every boundary point is evaluated here, except in the two hot
+    copies that spell it out (:func:`_interior_chord_ends` and the NumPy
+    grid of ``search._prepare_grid``)."""
     arc, a, b, c, d, e = row
     if arc:
         ang = d + t / c if e else d - t / c
@@ -226,6 +237,13 @@ def angle_in_sweep(arc: Arc, phi: float) -> tuple[bool, float]:
     if d <= arc.sweep:
         return True, min(d, arc.sweep - d)
     return False, min(d - arc.sweep, _TWO_PI - d)
+
+
+def _on_arc(arc: Arc, p: Point, tol: float) -> bool:
+    """Whether ``p``, a point on the circle of ``arc``, lies on the arc or
+    within ``tol`` of arclength beyond one of its ends."""
+    inside, margin = angle_in_sweep(arc, arc.angle_of_point(p))
+    return inside or margin * arc.radius <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +296,16 @@ def segment_circle_intersections(
         if -_PARAM_SLACK <= u <= 1.0 + _PARAM_SLACK:
             out.append(((a[0] + u * d[0], a[1] + u * d[1]), u))
     return out
+
+
+def _segment_arc_hits(a: Point, b: Point, arc: Arc, tol: float) -> list[Point]:
+    """The points where segment ``a``->``b`` meets ``arc``, ends within
+    ``tol`` of arclength included (:func:`_on_arc`)."""
+    return [
+        p
+        for p, _u in segment_circle_intersections(a, b, arc.center, arc.radius)
+        if _on_arc(arc, p, tol)
+    ]
 
 
 def circle_circle_intersections(
@@ -397,12 +425,7 @@ def _edge_pair_intersections(e1: Edge, e2: Edge, tol_abs: float):
         return [h[0] for h in hits], overlap
     if isinstance(e1, Segment) or isinstance(e2, Segment):
         seg, arc = (e1, e2) if isinstance(e1, Segment) else (e2, e1)
-        pts = []
-        for p, _u in segment_circle_intersections(seg.start, seg.end, arc.center, arc.radius):
-            inside, _m = angle_in_sweep(arc, arc.angle_of_point(p))
-            if inside or _m * arc.radius <= tol_abs:
-                pts.append(p)
-        return pts, False
+        return _segment_arc_hits(seg.start, seg.end, arc, tol_abs), False
     # arc-arc
     same_circle = (
         math.dist(e1.center, e2.center) <= tol_abs
@@ -413,31 +436,20 @@ def _edge_pair_intersections(e1: Edge, e2: Edge, tol_abs: float):
         lo2 = e2.start_angle if e2.ccw else e2.start_angle - e2.sweep
         ang_tol = tol_abs / max(e1.radius, 1e-300)
         overlap = _circular_interval_overlap(lo1, e1.sweep, lo2, e2.sweep, _TWO_PI) > 2.0 * ang_tol
-        pts = []
-        for p in (e1.start, e1.end):
-            ins, m = angle_in_sweep(e2, e2.angle_of_point(p))
-            if ins or m * e2.radius <= tol_abs:
-                pts.append(p)
-        return pts, overlap
-    pts = []
-    for p in circle_circle_intersections(e1.center, e1.radius, e2.center, e2.radius):
-        ok = True
-        for arc in (e1, e2):
-            ins, m = angle_in_sweep(arc, arc.angle_of_point(p))
-            if not ins and m * arc.radius > tol_abs:
-                ok = False
-                break
-        if ok:
-            pts.append(p)
-    return pts, False
+        return [p for p in (e1.start, e1.end) if _on_arc(e2, p, tol_abs)], overlap
+    pts = circle_circle_intersections(e1.center, e1.radius, e2.center, e2.radius)
+    return [p for p in pts if _on_arc(e1, p, tol_abs) and _on_arc(e2, p, tol_abs)], False
 
 
-def _point_segment_distance(p: Point, a: Point, b: Point) -> float:
+def _segment_foot(p: Point, a: Point, b: Point) -> tuple[float, float]:
+    """The point of segment ``a``->``b`` nearest to ``p``: its parameter
+    ``u`` in ``[0, 1]`` and its distance from ``p``.  A segment whose
+    squared length is 0 has its foot at ``a``."""
     r0, r1 = b[0] - a[0], b[1] - a[1]
     ll = r0 * r0 + r1 * r1
     u = ((p[0] - a[0]) * r0 + (p[1] - a[1]) * r1) / ll if ll > 0 else 0.0
     u = min(max(u, 0.0), 1.0)
-    return math.dist(p, (a[0] + u * r0, a[1] + u * r1))
+    return u, math.dist(p, (a[0] + u * r0, a[1] + u * r1))
 
 
 def _point_arc_distance(p: Point, arc: Arc) -> float:
@@ -458,10 +470,10 @@ def _segment_edge_distance(a: Point, b: Point, edge: Edge) -> float:
         if hits or overlap:
             return 0.0
         return min(
-            _point_segment_distance(a, edge.start, edge.end),
-            _point_segment_distance(b, edge.start, edge.end),
-            _point_segment_distance(edge.start, a, b),
-            _point_segment_distance(edge.end, a, b),
+            _segment_foot(a, edge.start, edge.end)[1],
+            _segment_foot(b, edge.start, edge.end)[1],
+            _segment_foot(edge.start, a, b)[1],
+            _segment_foot(edge.end, a, b)[1],
         )
     for x, _u in segment_circle_intersections(a, b, edge.center, edge.radius):
         if angle_in_sweep(edge, edge.angle_of_point(x))[0]:
@@ -469,8 +481,8 @@ def _segment_edge_distance(a: Point, b: Point, edge: Edge) -> float:
     d = min(
         _point_arc_distance(a, edge),
         _point_arc_distance(b, edge),
-        _point_segment_distance(edge.start, a, b),
-        _point_segment_distance(edge.end, a, b),
+        _segment_foot(edge.start, a, b)[1],
+        _segment_foot(edge.end, a, b)[1],
     )
     r = _sub(b, a)
     ll = _dot(r, r)
@@ -660,11 +672,12 @@ class PlanarDomain:
             memo[i] = None
             return 0.0
         if memo[i] is None:
-            e = self.edges[i]
+            row = self._point_rows[i]
+            length = row[5]
             c = _SIDE_CLEARANCE * self.scale
             reach = 0.0
-            if self._near_origin and isinstance(e, Segment) and e.length > 2.0 * c:
-                a, b = e.point_at_local(c), e.point_at_local(e.length - c)
+            if self._near_origin and not row[0] and length > 2.0 * c:
+                a, b = _row_point(row, c), _row_point(row, length - c)
                 reach = 0.5 * min(
                     _segment_edge_distance(a, b, f) for j, f in enumerate(self.edges) if j != i
                 )
@@ -672,46 +685,33 @@ class PlanarDomain:
         return memo[i]
 
     @cached_property
-    def _edge_rows(self) -> tuple[tuple[float, ...] | None, ...]:
-        """Per-edge rows of the general chord test's edge loop: for a
-        segment ``(x0, y0, x1, y1, c0, c1, s0, s1, ls)``, its bounding box
-        widened by ``M = 1e-2 S``, its start, ``end - start`` and the
-        ``math.hypot`` of that; ``None`` for an arc.  When the bounding box
-        does not lie within ``S`` of the origin the widened boxes are the
-        whole plane, so the box reject never fires.
-        """
-        m = _BOX_MARGIN * self.scale
-        near = self._near_origin
-        rows: list[tuple[float, ...] | None] = []
-        for e in self.edges:
-            if isinstance(e, Arc):
-                rows.append(None)
-                continue
-            (a0, a1), (b0, b1) = e.start, e.end
-            s0, s1 = b0 - a0, b1 - a1
-            box = (
-                (min(a0, b0) - m, min(a1, b1) - m, max(a0, b0) + m, max(a1, b1) + m)
-                if near
-                else (-math.inf, -math.inf, math.inf, math.inf)
-            )
-            rows.append((*box, a0, a1, s0, s1, math.hypot(s0, s1)))
-        return tuple(rows)
+    def _point_rows(self) -> tuple[tuple, ...]:
+        """Each edge's ``_row``, which :func:`_row_point` evaluates: for a
+        segment ``(False, x0, y0, dx, dy, L)``, its start, ``end - start`` and
+        its length; for an arc ``(True, cx, cy, r, a0, ccw)``, its centre,
+        radius, start angle and direction.  The one per-edge table of the
+        segments' start, delta and length."""
+        return tuple(e._row for e in self.edges)
 
     @cached_property
-    def _point_rows(self) -> tuple[tuple, ...]:
-        """Per-edge rows that boundary points are evaluated from, with the
-        operations of ``point_at_local`` (:func:`_row_point`): for a segment
-        ``(False, x0, y0, dx, dy, L)``, its start, ``end - start`` and its
-        length; for an arc ``(True, cx, cy, r, a0, ccw)``, its centre,
-        radius, start angle and direction."""
-        rows: list[tuple] = []
+    def _edge_boxes(self) -> tuple[tuple[float, float, float, float] | None, ...]:
+        """The box reject of :func:`_chord_is_interior_general`: each
+        segment's bounding box ``(x0, y0, x1, y1)`` widened by ``M = 1e-2 S``;
+        ``None`` for an arc.  When the bounding box does not lie within ``S``
+        of the origin the widened boxes are the whole plane, so the reject
+        never fires."""
+        m = _BOX_MARGIN * self.scale
+        near = self._near_origin
+        boxes: list[tuple[float, float, float, float] | None] = []
         for e in self.edges:
             if isinstance(e, Arc):
-                rows.append((True, *e.center, e.radius, e.start_angle, e.ccw))
-            else:
+                boxes.append(None)
+            elif near:
                 (a0, a1), (b0, b1) = e.start, e.end
-                rows.append((False, a0, a1, b0 - a0, b1 - a1, e.length))
-        return tuple(rows)
+                boxes.append((min(a0, b0) - m, min(a1, b1) - m, max(a0, b0) + m, max(a1, b1) + m))
+            else:
+                boxes.append((-math.inf, -math.inf, math.inf, math.inf))
+        return tuple(boxes)
 
     # -- boundary parameterisation ------------------------------------
 
@@ -779,10 +779,10 @@ def is_disk(domain: PlanarDomain) -> bool:
 def make_domain(edges: Iterable[Edge]) -> PlanarDomain:
     """Build a validated domain from an edge chain.
 
-    Checks that every coordinate, radius and angle is finite, then edge
+    Checks that every coordinate, radius and angle is finite and that the
+    chain's :attr:`PlanarDomain.scale` is at most ``_MAX_SCALE``, then edge
     sanity, closure, orientation (reversing a clockwise chain), simplicity,
-    and corner non-degeneracy, up to ``TAU_GEOM`` times the chain's
-    :attr:`PlanarDomain.scale`.  Raises
+    and corner non-degeneracy, up to ``TAU_GEOM`` times that scale.  Raises
     :class:`~escobar.errors.InvalidGeometryError` on failure.
     """
     edges = tuple(edges)
@@ -796,7 +796,14 @@ def make_domain(edges: Iterable[Edge]) -> PlanarDomain:
         # every later check compares with <=, which NaN passes
         if not all(math.isfinite(x) for x in numbers):
             raise InvalidGeometryError(f"edge {j} has a non-finite coordinate, radius or angle")
-    tol_abs = TAU_GEOM * PlanarDomain(edges).scale
+    scale = PlanarDomain(edges).scale
+    # also refuses an infinite diagonal, and NaN from an infinite box
+    if not scale <= _MAX_SCALE:
+        raise InvalidGeometryError(
+            f"boundary chain's extent overflows: bounding-box diagonal {scale:.6g} "
+            f"is above {_MAX_SCALE:.6g}"
+        )
+    tol_abs = TAU_GEOM * scale
 
     for e in edges:
         if isinstance(e, Arc) and e.radius <= tol_abs:
@@ -939,14 +946,7 @@ def project_to_boundary(domain: PlanarDomain, p: Point) -> tuple[float, float]:
     best_d = math.inf
     for i, e in enumerate(domain.edges):
         if isinstance(e, Segment):
-            # _sub and _dot spelled out, operation for operation (hot loop)
-            a, b = e.start, e.end
-            r0, r1 = b[0] - a[0], b[1] - a[1]
-            ll = r0 * r0 + r1 * r1
-            u = ((p[0] - a[0]) * r0 + (p[1] - a[1]) * r1) / ll if ll > 0 else 0.0
-            u = min(max(u, 0.0), 1.0)
-            q = (a[0] + u * r0, a[1] + u * r1)
-            d = math.dist(p, q)
+            u, d = _segment_foot(p, e.start, e.end)
             t = u * e.length
         else:
             v = _sub(p, e.center)
@@ -1262,16 +1262,18 @@ def _chord_is_interior_general(
 
     On a segment ``AB`` the edge loop computes the non-parallel path of
     :func:`_seg_seg_intersections` inline, operation for operation, from the
-    segment's row in ``PlanarDomain._edge_rows``, so every hit is the same
-    float.  It calls the function only on its parallel path, ``|den| <=
-    1e-12 l L`` with ``den = cross(r, s)``, ``r = q - p``, ``s = B - A``,
-    ``L = |s|``; arcs keep their own path.  When the bounding box lies
-    within ``S`` of the origin, the *box reject* skips a segment whose
-    bounding box, widened by ``M = 1e-2 S``, misses the chord's box.  Such a
-    segment has neither a hit nor an overlap, let alone a hit beyond
-    ``excl``, so every verdict stays the same.  Write ``w = A - p``.  All
-    four points lie in the bounding box (``p``, ``q`` up to the rounding of
-    ``point_at_local``), so ``|w|``, ``l`` and ``L`` are at most ``S``.
+    segment's start, ``s = B - A`` and ``L = |s|`` in its row of
+    ``PlanarDomain._point_rows`` (``L`` is ``math.dist(A, B)``, which is
+    ``math.hypot`` of ``s`` bit for bit), so every hit is the same float.  It
+    calls the function only on its parallel path, ``|den| <= 1e-12 l L`` with
+    ``den = cross(r, s)``, ``r = q - p``; arcs go through
+    :func:`_segment_arc_hits`.  When the bounding box lies within ``S`` of
+    the origin, the *box reject* skips a segment whose bounding box, widened
+    by ``M = 1e-2 S`` (``PlanarDomain._edge_boxes``), misses the chord's
+    box.  Such a segment has neither a hit nor an overlap, let alone a hit
+    beyond ``excl``, so every verdict stays the same.  Write ``w = A - p``.
+    All four points lie in the bounding box (``p``, ``q`` up to the rounding
+    of ``point_at_local``), so ``|w|``, ``l`` and ``L`` are at most ``S``.
     Take ``r``, ``s`` and ``w`` as computed: each is within ``1.2e-16`` of
     its length of the exact difference, which moves the lines below by
     ``1e-16 S``.  A computed 2x2 cross product ``cross(x, y)`` is off by at
@@ -1299,8 +1301,8 @@ def _chord_is_interior_general(
 
     Near the ``1e-12`` threshold a hit thus moves by a few ``1e-4 S`` per
     unit of ``|w| / S``, so ``M = 1e-3 S`` would leave no margin.  When the
-    bounding box reaches farther than ``S`` from the origin the rows' boxes
-    are the whole plane, and every segment is intersected as before.
+    bounding box reaches farther than ``S`` from the origin the widened
+    boxes are the whole plane, and every segment is intersected.
     """
     chord_len = math.dist(p, q)
     tol_abs = TAU_GEOM * domain.scale
@@ -1319,11 +1321,13 @@ def _chord_is_interior_general(
     lo_x, hi_x = (p0, q0) if p0 <= q0 else (q0, p0)
     lo_y, hi_y = (p1, q1) if p1 <= q1 else (q1, p1)
     edges = domain.edges
-    for i, row in enumerate(domain._edge_rows):
-        if row is not None:
-            x0, y0, x1, y1, c0, c1, s0, s1, ls = row
+    rows = domain._point_rows
+    for i, box in enumerate(domain._edge_boxes):
+        if box is not None:
+            x0, y0, x1, y1 = box
             if x0 > hi_x or x1 < lo_x or y0 > hi_y or y1 < lo_y:
                 continue
+            _arc, c0, c1, s0, s1, ls = rows[i]
             denom = r0 * s1 - r1 * s0
             if abs(denom) <= par * ls:
                 # parallel, or a zero-length chord or edge
@@ -1342,12 +1346,7 @@ def _chord_is_interior_general(
         elif i in same_arcs:
             continue
         else:
-            e = edges[i]
-            pts = []
-            for pt, _u in segment_circle_intersections(p, q, e.center, e.radius):
-                inside, m = angle_in_sweep(e, e.angle_of_point(pt))
-                if inside or m * e.radius <= tol_abs:
-                    pts.append(pt)
+            pts = _segment_arc_hits(p, q, edges[i], tol_abs)
         for pt in pts:
             if math.dist(pt, p) > excl and math.dist(pt, q) > excl:
                 return False
@@ -1372,13 +1371,12 @@ def _left_of_own_segment(
     """The side test of :func:`_chord_is_interior_general` from the end
     ``p`` at edge index and local arclength ``cut``, toward ``q``."""
     i, t = cut
-    e = domain.edges[i]
+    arc, _x0, _y0, dx, dy, length = domain._point_rows[i]
     c = _SIDE_CLEARANCE * domain.scale
-    if not c < t < e.length - c or not excl < domain._side_reach(i):
+    if arc or not c < t < length - c or not excl < domain._side_reach(i):
         return False
-    a, b = e.start, e.end
-    cross = (b[0] - a[0]) * (q[1] - p[1]) - (b[1] - a[1]) * (q[0] - p[0])
-    return cross > _SIDE_MARGIN * e.length * chord_len
+    cross = dx * (q[1] - p[1]) - dy * (q[0] - p[0])
+    return cross > _SIDE_MARGIN * length * chord_len
 
 
 # ---------------------------------------------------------------------------

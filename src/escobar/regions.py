@@ -32,6 +32,7 @@ from .geometry import (
     Segment,
     _circular_interval_overlap,
     _ray_parity,
+    _segment_foot,
     _sub,
     chord_is_interior,
     chords_cross,
@@ -206,13 +207,8 @@ def region_contains_point(domain: PlanarDomain, region: Region, p: tuple[float, 
     ]
     # on a chord?
     for c in chords:
-        a, b = c.start, c.end
-        r = _sub(b, a)
-        ll = r[0] * r[0] + r[1] * r[1]
-        if ll <= 0.0:
-            continue
-        u = min(max(((p[0] - a[0]) * r[0] + (p[1] - a[1]) * r[1]) / ll, 0.0), 1.0)
-        if math.dist(p, (a[0] + u * r[0], a[1] + u * r[1])) <= tol_abs:
+        r = _sub(c.end, c.start)
+        if r[0] * r[0] + r[1] * r[1] > 0.0 and _segment_foot(p, c.start, c.end)[1] <= tol_abs:
             return True
     # on the exterior boundary?
     pieces = exterior_intervals(domain, region)

@@ -114,8 +114,13 @@ class SearchConfig:
         bad = set(self.families) - known
         if bad:
             raise InvalidParameterError(f"unknown search families: {sorted(bad)}")
-        if self.budget <= 0:
-            raise InvalidParameterError("budget must be positive")
+        # written as "not >" so that NaN, which passes every "<=", is refused
+        if not self.budget > 0:
+            raise InvalidParameterError(f"budget must be positive, got {self.budget}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise InvalidParameterError(
+                f"tolerance must be finite and non-negative, got {self.tolerance}"
+            )
         if self.restarts < 1:
             raise InvalidParameterError(f"restarts must be at least 1, got {self.restarts}")
 
@@ -438,6 +443,8 @@ def enumerate_caps(
     """
     if k < 1:
         raise InvalidParameterError(f"k must be positive, got {k}")
+    if not budget > 0:
+        raise InvalidParameterError(f"budget must be positive, got {budget}")
     if m < 2 * k:
         raise InvalidParameterError(f"grid needs at least 2k points, got m={m}, k={k}")
     if m > 5000:

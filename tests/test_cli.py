@@ -406,6 +406,42 @@ def test_non_finite_domain_exit_3(argv, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # a NaN budget passed the old "budget <= 0" check and switched the
+        # enumeration guard off: this grid ran on past 20 s instead of exit 4
+        (["optimize", "--ngon", "7", "--k", "3", "--grid", "2100", "--families", "caps",
+          "--budget", "nan"], "budget must be positive, got nan"),
+        (["optimize", "--disk", "--k", "3", "--budget", "0"], "budget must be positive"),
+        # both used to print "cross-check: above closed form ... by 0"
+        (["optimize", "--disk", "--k", "3", "--tolerance", "nan"], "tolerance must be finite"),
+        (["optimize", "--disk", "--k", "3", "--tolerance", "-1"], "non-negative, got -1.0"),
+    ],
+)
+def test_optimize_bad_budget_or_tolerance_exit_3(argv, message, capsys):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # "arc radius 1e+308 is not positive" before: the diagonal is inf
+        ["exact", "--disk", "1e308", "--k", "2"],
+        # "boundary chain encloses no area" before: the squared tolerance is inf
+        ["exact", "--rect", "1e308", "1e308", "--k", "2"],
+    ],
+)
+def test_overflowing_domain_exit_3(argv, capsys):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert "boundary chain's extent overflows" in err
+
+
 def test_scan_non_finite_tolerance_exit_3(capsys):
     rc, out, err = run(capsys, "conjecture-scan", "--n-range", "5", "--tol", "nan")
     assert rc == 3

@@ -262,6 +262,15 @@ def test_equal_boundary_eta_lets_programming_errors_through(
 # ---------------------------------------------------------------------------
 
 
+def _unvalidated_split(dom, k, offset):
+    """The caps of ``constructions.equal_boundary_tuple(dom, k, offset)``,
+    not validated."""
+    per = dom.perimeter
+    cuts = [(offset + j * per / k) % per for j in range(k)]
+    caps = tuple(regions.Cap(cuts[j], cuts[(j + 1) % k]) for j in range(k))
+    return regions.TupleCandidate(dom, caps)
+
+
 def _ref_equal_boundary_eta(n, k):
     """The sampling loop ``exact._equal_boundary_eta`` replaced: a tuple and
     ``max_eta`` per sample."""
@@ -272,8 +281,7 @@ def _ref_equal_boundary_eta(n, k):
     for j in range(samples):
         off = j * period / samples
         try:
-            tc = constructions.equal_boundary_tuple(dom, k, start_offset=off, validate=False)
-            val = regions.max_eta(tc)
+            val = regions.max_eta(_unvalidated_split(dom, k, off))
         except exact._CONSTRUCTION_ERRORS:
             continue
         if val < best_val:
@@ -333,9 +341,7 @@ def _split_offsets(n):
 
 def _assert_split_matches(n, k, offset):
     dom = make_regular_polygon(n)
-    want = regions.max_eta(
-        constructions.equal_boundary_tuple(dom, k, start_offset=offset, validate=False)
-    )
+    want = regions.max_eta(_unvalidated_split(dom, k, offset))
     assert repr(exact._equal_split_eta(dom, k, offset)) == repr(want)
 
 

@@ -212,6 +212,28 @@ def test_non_finite_geometry_rejected(bad):
             make_disk(bad)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_disk(1e308),  # bounding-box diagonal inf
+        lambda: make_polygon([(0, 0), (1e308, 0), (1e308, 1e308), (0, 1e308)]),
+        lambda: make_disk(1e164),  # finite diagonal, squared tolerance inf
+    ],
+)
+def test_overflowing_extent_rejected(build):
+    """Past ``_MAX_SCALE`` the area test squared an infinite tolerance, and
+    the first check reached gave a wrong reason ("arc radius 1e+308 is not
+    positive", "boundary chain encloses no area")."""
+    with pytest.raises(InvalidGeometryError, match="extent overflows"):
+        build()
+
+
+def test_largest_accepted_extent_builds():
+    r = 0.49 * geometry._MAX_SCALE  # diagonal 2.77 r, just under the limit
+    assert make_disk(r / 1.42).scale <= geometry._MAX_SCALE
+    assert make_polygon([(0, 0), (r, 0), (r, r), (0, r)]).scale <= geometry._MAX_SCALE
+
+
 # ---------------------------------------------------------------------------
 # arclength walks
 # ---------------------------------------------------------------------------

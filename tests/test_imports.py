@@ -1,8 +1,15 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and every
+private helper of the package has a caller in the package.
 
-No linter runs on this repository, so this test is the guard: it parses each
-module with ``ast`` and fails on a name that an ``import`` binds but no other
-statement reads.  A name listed in the module's ``__all__`` counts as used.
+No linter runs on this repository, so these tests are the guard.  They parse
+each module with ``ast``:
+
+* an unused import is a name that an ``import`` binds but no other
+  statement reads; a name listed in the module's ``__all__`` counts as used;
+* an unused helper is a ``_``-prefixed module-level function or class of
+  ``src/escobar`` that no other top-level statement of the package names,
+  as a name or an attribute.  Its own body does not count, and neither do
+  the tests: a helper that only tests call belongs in the tests.
 """
 
 import ast
@@ -11,7 +18,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted(ROOT.glob("src/escobar/*.py")) + sorted(ROOT.glob("tests/*.py"))
+PACKAGE = sorted(ROOT.glob("src/escobar/*.py"))
+FILES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -47,3 +55,44 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_helpers(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private module-level function or class in
+    ``sources`` (module name to source) that no other top-level statement
+    of any of them names."""
+    helpers = []
+    statements = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+            statements.append((node, names))
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                helpers.append((module, node))
+    return [
+        f"{module}.{node.name}"
+        for module, node in helpers
+        if not any(node.name in names for other, names in statements if other is not node)
+    ]
+
+
+def test_the_scan_sees_an_unused_helper():
+    sources = {
+        "a": "def _kept(): return 1\ndef _rec(): return _rec()\nclass _Box: pass\n",
+        "b": "from .a import _kept\nimport a\ndef f(): return _kept(), a._helper\n"
+             "def _helper(): return 'def _gone(): pass'\n",
+    }
+    assert unused_helpers(sources) == ["a._rec", "a._Box"]
+
+
+def test_no_unused_helpers():
+    assert unused_helpers({p.stem: p.read_text() for p in PACKAGE}) == []

@@ -1,9 +1,10 @@
 """The inlined hot loops return every float of their helper-based originals.
 
-``geometry.project_to_boundary`` (segments), the segment ray test of
-``geometry.contains_point`` (in ``geometry._ray_parity``) and the
-non-parallel path of ``geometry._seg_seg_intersections`` spell out
-``_sub``, ``_dot`` and ``_cross``.  The helper-based versions they
+``geometry.project_to_boundary`` (segments, in ``geometry._segment_foot``),
+the segment ray test of ``geometry.contains_point`` (in
+``geometry._ray_parity``) and the non-parallel path of
+``geometry._seg_seg_intersections`` spell out ``_sub``, ``_dot`` and
+``_cross``.  The helper-based versions they
 replaced are kept below as the reference, and hypothesis checks that both
 return the same tuples bit for bit: at vertices and on edges, for collinear
 and parallel inputs, and on domains scaled by 1e-6 and 1e6.  The one
@@ -17,14 +18,27 @@ it replaced, which called that function on every segment, is kept below
 too, and hypothesis checks that both give the same verdict or raise the
 same exception, also on translated domains where the reject is off.
 
-Boundary points come from one per-edge row table,
-``PlanarDomain._point_rows``: ``point_at`` evaluates a row through
+Boundary points come from one row per edge (``Segment._row``,
+``Arc._row``), which ``PlanarDomain._point_rows`` collects:
+``point_at_local`` and ``point_at`` evaluate a row through
 ``geometry._row_point``, the chord kernel ``geometry._interior_chord_ends``
 spells that out for its two ends, and ``search._prepare_grid`` evaluates
-its grid from the rows, in NumPy on segments.  The kernel's former body,
-which called ``point_at_local``, is kept below as the reference, and the
-tests check that all of them give ``point_at_local``'s floats bit for bit
-and that the kernel gives its reference's verdict.
+its grid from the rows, in NumPy on segments.  The former bodies of both
+``point_at_local`` methods and of the kernel are kept below as the
+reference, and the tests check that all of them give the former
+``point_at_local``'s floats bit for bit and that the kernel gives its
+reference's verdict.  The general chord test reads a segment's length from
+its row, ``math.dist`` of its ends, where it used ``math.hypot`` of the
+delta; a test checks that the two agree bit for bit.
+
+Three copies of one primitive each became a helper: the nearest point of a
+segment (``geometry._segment_foot``, formerly inlined in
+``project_to_boundary``, in ``_point_segment_distance`` and in the chord
+check of ``regions.region_contains_point``), the on-arc test with a
+tolerance (``geometry._on_arc``) and the segment-arc hit list
+(``geometry._segment_arc_hits``), both of which
+``geometry._edge_pair_intersections`` spelled out.  Their former bodies are
+the references of the last tests.
 """
 
 import functools
@@ -39,6 +53,7 @@ from escobar import geometry
 from escobar.errors import InvalidGeometryError
 from escobar.geometry import (
     _CHORD_EXCL_ABS,
+    _TWO_PI,
     _CHORD_EXCL_REL,
     _GOLDEN_ANGLE,
     TAU_GEOM,
@@ -47,12 +62,15 @@ from escobar.geometry import (
     _chord_is_interior_general,
     _cross,
     _dot,
+    _edge_pair_intersections,
     _left_of_own_segment,
     _row_point,
     _seg_seg_intersections,
+    _segment_foot,
     _solve_quadratic,
     _sub,
     angle_in_sweep,
+    circle_circle_intersections,
     contains_point,
     make_disk,
     make_domain,
@@ -534,9 +552,243 @@ def test_general_chord_test_matches_the_full_edge_loop(chord):
 # ---------------------------------------------------------------------------
 
 
+def _ref_point_at_local(edge, t):
+    """The former bodies of ``Segment.point_at_local`` and
+    ``Arc.point_at_local``."""
+    if isinstance(edge, Segment):
+        u = t / edge.length
+        return (
+            edge.start[0] + u * (edge.end[0] - edge.start[0]),
+            edge.start[1] + u * (edge.end[1] - edge.start[1]),
+        )
+    a = edge._angle_at(t)
+    return (
+        edge.center[0] + edge.radius * math.cos(a),
+        edge.center[1] + edge.radius * math.sin(a),
+    )
+
+
+@st.composite
+def _far_points(draw):
+    """A point at scale 1e-6, 1 or 1e6, possibly shifted far from the
+    origin, so differences lose low bits."""
+    f = draw(_scale)
+    shift = draw(st.sampled_from([0.0, 1.0, 1e3, -1e6])) * f
+    return (draw(_coord) * f + shift, draw(_coord) * f + shift)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=_far_points(), b=_far_points())
+@example(a=(0.0, 0.0), b=(3.0, 4.0))
+@example(a=(1e6, -1e6), b=(1e6 + 2.0**-20, -1e6))
+@example(a=(0.0, 0.0), b=(1e-170, 1e-170))  # squares underflow, the norm does not
+def test_segment_row_length_is_hypot_of_its_delta(a, b):
+    """``math.dist(a, b)``, the length in a segment's row, is
+    ``math.hypot`` of the row's delta bit for bit: the general chord test
+    read ``hypot`` from its own table before the rows were merged."""
+    if a == b:
+        return
+    arc, x0, y0, dx, dy, length = Segment(a, b)._row
+    assert (arc, x0, y0) == (False, *a)
+    assert _bits((dx, dy)) == _bits((b[0] - a[0], b[1] - a[1]))
+    assert length.hex() == math.hypot(dx, dy).hex()
+
+
+# ---------------------------------------------------------------------------
+# one copy of the segment foot, the on-arc test and the segment-arc hits
+# ---------------------------------------------------------------------------
+
+
+def _ref_point_segment_distance(p, a, b):
+    """The former body of ``geometry._point_segment_distance``."""
+    r0, r1 = b[0] - a[0], b[1] - a[1]
+    ll = r0 * r0 + r1 * r1
+    u = ((p[0] - a[0]) * r0 + (p[1] - a[1]) * r1) / ll if ll > 0 else 0.0
+    u = min(max(u, 0.0), 1.0)
+    return math.dist(p, (a[0] + u * r0, a[1] + u * r1))
+
+
+def _ref_projection_foot(p, a, b):
+    """The foot that ``project_to_boundary`` inlined for a segment edge:
+    ``(u, distance)``."""
+    r0, r1 = b[0] - a[0], b[1] - a[1]
+    ll = r0 * r0 + r1 * r1
+    u = ((p[0] - a[0]) * r0 + (p[1] - a[1]) * r1) / ll if ll > 0 else 0.0
+    u = min(max(u, 0.0), 1.0)
+    q = (a[0] + u * r0, a[1] + u * r1)
+    return u, math.dist(p, q)
+
+
+def _ref_chord_distance(p, a, b):
+    """The chord check of ``regions.region_contains_point``: the distance
+    from ``p`` to the chord ``a``->``b``, or ``None`` for a chord whose
+    squared length is 0, which it skipped."""
+    r = _sub(b, a)
+    ll = r[0] * r[0] + r[1] * r[1]
+    if ll <= 0.0:
+        return None
+    u = min(max(((p[0] - a[0]) * r[0] + (p[1] - a[1]) * r[1]) / ll, 0.0), 1.0)
+    return math.dist(p, (a[0] + u * r[0], a[1] + u * r[1]))
+
+
+@st.composite
+def _foot_cases(draw):
+    """A point and a segment: random, the point at an end or on the
+    segment's line, a zero-length segment, or one whose squared length
+    underflows."""
+    a, b, p = draw(_far_points()), draw(_far_points()), draw(_far_points())
+    kind = draw(st.sampled_from(["random", "end", "line", "zero", "tiny"]))
+    if kind == "end":
+        p = draw(st.sampled_from([a, b]))
+    elif kind == "line":
+        t = draw(st.floats(min_value=-2.0, max_value=3.0))
+        p = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    elif kind == "zero":
+        b = a
+    elif kind == "tiny":
+        b = (a[0] + draw(st.sampled_from([1e-170, 5e-324, 1e-300])), a[1])
+    return p, a, b
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_foot_cases())
+@example(case=((1.0, 1.0), (0.0, 0.0), (1e-170, 0.0)))
+def test_segment_foot_matches_its_three_former_copies(case):
+    p, a, b = case
+    u, d = _segment_foot(p, a, b)
+    assert _bits((u, d)) == _bits(_ref_projection_foot(p, a, b))
+    assert d.hex() == _ref_point_segment_distance(p, a, b).hex()
+    r = _sub(b, a)
+    skipped = not r[0] * r[0] + r[1] * r[1] > 0.0
+    assert _bits(None if skipped else d) == _bits(_ref_chord_distance(p, a, b))
+
+
+def _ref_edge_pair_intersections(e1, e2, tol_abs):
+    """The former body of ``geometry._edge_pair_intersections``, with the
+    on-arc test written out at each site."""
+    if isinstance(e1, Segment) and isinstance(e2, Segment):
+        hits, overlap = _seg_seg_intersections(e1.start, e1.end, e2.start, e2.end)
+        return [h[0] for h in hits], overlap
+    if isinstance(e1, Segment) or isinstance(e2, Segment):
+        seg, arc = (e1, e2) if isinstance(e1, Segment) else (e2, e1)
+        pts = []
+        for p, _u in segment_circle_intersections(seg.start, seg.end, arc.center, arc.radius):
+            inside, _m = angle_in_sweep(arc, arc.angle_of_point(p))
+            if inside or _m * arc.radius <= tol_abs:
+                pts.append(p)
+        return pts, False
+    same_circle = (
+        math.dist(e1.center, e2.center) <= tol_abs
+        and abs(e1.radius - e2.radius) <= tol_abs
+    )
+    if same_circle:
+        lo1 = e1.start_angle if e1.ccw else e1.start_angle - e1.sweep
+        lo2 = e2.start_angle if e2.ccw else e2.start_angle - e2.sweep
+        ang_tol = tol_abs / max(e1.radius, 1e-300)
+        overlap = (
+            geometry._circular_interval_overlap(lo1, e1.sweep, lo2, e2.sweep, _TWO_PI)
+            > 2.0 * ang_tol
+        )
+        pts = []
+        for p in (e1.start, e1.end):
+            ins, m = angle_in_sweep(e2, e2.angle_of_point(p))
+            if ins or m * e2.radius <= tol_abs:
+                pts.append(p)
+        return pts, overlap
+    pts = []
+    for p in circle_circle_intersections(e1.center, e1.radius, e2.center, e2.radius):
+        ok = True
+        for arc in (e1, e2):
+            ins, m = angle_in_sweep(arc, arc.angle_of_point(p))
+            if not ins and m * arc.radius > tol_abs:
+                ok = False
+                break
+        if ok:
+            pts.append(p)
+    return pts, False
+
+
+_angle = st.floats(min_value=-7.0, max_value=7.0)
+_sweep = st.floats(min_value=0.01, max_value=6.3)
+
+
+@st.composite
+def _edge_pairs(draw):
+    """Two edges of a test domain, as ``make_domain`` pairs them, or a
+    random arc with a segment or another arc: on the same circle (up to a
+    tolerance-sized shift), or touching it at an end (up to a few
+    tolerances); and the tolerance ``TAU_GEOM`` times the scale."""
+    if draw(st.booleans()):
+        dom = _general_domain(*draw(st.sampled_from(_ROW_KEYS)))
+        n = len(dom.edges)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        return dom.edges[i], dom.edges[j], TAU_GEOM * dom.scale
+    f = draw(_scale)
+    tol = TAU_GEOM * f
+    c = (draw(_coord) * f, draw(_coord) * f)
+    r = draw(st.floats(min_value=0.1, max_value=2.0)) * f
+    a0 = draw(_angle)
+    arc = Arc(c, r, a0, a0 + draw(st.sampled_from([1.0, -1.0])) * draw(_sweep),
+              draw(st.booleans()))
+    kind = draw(st.sampled_from(["segment", "arc", "same-circle", "touching"]))
+    wiggle = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -0.5, -2.0])) * tol
+    if kind == "segment":
+        other = Segment(draw(_far_points()), draw(_far_points()))
+    elif kind == "arc":
+        c2 = (draw(_coord) * f, draw(_coord) * f)
+        b0 = draw(_angle)
+        other = Arc(c2, draw(st.floats(min_value=0.1, max_value=2.0)) * f, b0,
+                    b0 + draw(_sweep), draw(st.booleans()))
+    elif kind == "same-circle":
+        b0 = draw(_angle)
+        other = Arc((c[0] + wiggle, c[1]), r + wiggle, b0,
+                    b0 + draw(st.sampled_from([1.0, -1.0])) * draw(_sweep), draw(st.booleans()))
+    else:
+        end = draw(st.sampled_from([arc.start, arc.end]))
+        tip = (end[0] + wiggle, end[1] - wiggle)
+        other = Segment(tip, (draw(_coord) * f, draw(_coord) * f))
+    pair = (arc, other) if draw(st.booleans()) else (other, arc)
+    return (*pair, tol)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    f=_scale,
+    a0=_angle,
+    sweep=_sweep,
+    ccw=st.booleans(),
+    phi=_angle,
+    tol=st.sampled_from(["margin", "below", "above", "zero"]),
+)
+def test_on_arc_counts_a_point_exactly_tol_beyond_an_end(f, a0, sweep, ccw, phi, tol):
+    """The five sites compared ``margin * radius <= tol``: a point exactly
+    ``tol`` beyond an end is on the arc, one ulp farther is not."""
+    arc = Arc((0.5 * f, -0.25 * f), f, a0, a0 + sweep if ccw else a0 - sweep, ccw)
+    p = (arc.center[0] + f * math.cos(phi), arc.center[1] + f * math.sin(phi))
+    inside, margin = angle_in_sweep(arc, arc.angle_of_point(p))
+    edge = margin * arc.radius
+    tol = {"margin": edge, "below": math.nextafter(edge, -math.inf),
+           "above": math.nextafter(edge, math.inf), "zero": 0.0}[tol]
+    assert geometry._on_arc(arc, p, tol) == (inside or edge <= tol)
+    if not inside:
+        assert geometry._on_arc(arc, p, edge)
+        assert not geometry._on_arc(arc, p, math.nextafter(edge, -math.inf))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_edge_pairs())
+def test_edge_pair_intersections_keep_their_former_on_arc_sites(case):
+    """``_on_arc`` and ``_segment_arc_hits`` give the points that the three
+    spelled-out on-arc tests of ``_edge_pair_intersections`` gave."""
+    e1, e2, tol = case
+    assert _outcome(_edge_pair_intersections, e1, e2, tol) == _outcome(
+        _ref_edge_pair_intersections, e1, e2, tol
+    )
+
+
 def _ref_interior_chord_ends(domain, s0, s1):
     """``geometry._interior_chord_ends`` as it was before it read the rows:
-    the edge lookup and ``point_at_local`` by method call."""
+    the edge lookup by method call and the former ``point_at_local``."""
     i0, t0 = domain._edge_index_reduced(s0)
     i1, t1 = domain._edge_index_reduced(s1)
     edges = domain.edges
@@ -546,8 +798,8 @@ def _ref_interior_chord_ends(domain, s0, s1):
     for i in shared:
         if isinstance(edges[i], Segment) or not edges[i].ccw:
             return None
-    p = edges[i0].point_at_local(t0)
-    q = edges[i1].point_at_local(t1)
+    p = _ref_point_at_local(edges[i0], t0)
+    q = _ref_point_at_local(edges[i1], t1)
     clear = domain._convex_clearance
     if (
         clear is not None
@@ -575,17 +827,20 @@ def _edge_cuts(draw):
 @settings(max_examples=1000, deadline=None)
 @given(cut=_edge_cuts(), other=_edge_cuts(), shift=st.sampled_from([0.0, -1e-300]))
 def test_point_rows_give_point_at_local_bit_for_bit(cut, other, shift):
-    """A row evaluates its edge's ``point_at_local``, ``point_at`` reads the
-    rows, and the chord kernel's ends are ``point_at``'s, bit for bit, with
-    the kernel's verdict unchanged; ``-1e-300`` reduces to the perimeter,
-    which the lookup reads as 0."""
+    """A row, ``point_at_local`` and ``point_at`` evaluate the former
+    ``point_at_local`` of the edge, and the chord kernel's ends are
+    ``point_at``'s, bit for bit, with the kernel's verdict unchanged;
+    ``-1e-300`` reduces to the perimeter, which the lookup reads as 0."""
     key, i, t = cut
     dom = _general_domain(*key)
     edge = dom.edges[i]
-    assert _bits(_row_point(dom._point_rows[i], t)) == _bits(edge.point_at_local(t))
+    want = _bits(_ref_point_at_local(edge, t))
+    assert dom._point_rows[i] is edge._row
+    assert _bits(_row_point(dom._point_rows[i], t)) == want
+    assert _bits(edge.point_at_local(t)) == want
     s = dom.cumlens[i] + t
     j, tj = dom.edge_index_at(s)
-    assert _bits(dom.point_at(s)) == _bits(dom.edges[j].point_at_local(tj))
+    assert _bits(dom.point_at(s)) == _bits(_ref_point_at_local(dom.edges[j], tj))
 
     per = dom.perimeter
     _, i1, t1 = other

@@ -433,6 +433,17 @@ def test_enumerate_grid_too_small(square):
         enumerate_caps(square, 3, 4)  # needs m >= 2k
 
 
+@pytest.mark.parametrize("budget", [0, -1.0, math.nan])
+def test_enumerate_caps_refuses_a_budget_that_is_not_positive(budget):
+    with pytest.raises(InvalidParameterError, match="budget must be positive"):
+        enumerate_caps(make_regular_polygon(7), 3, 2100, budget=budget)
+
+
+def test_enumerate_caps_accepts_an_infinite_budget():
+    report = enumerate_caps(make_regular_polygon(4), 2, 8, budget=math.inf)
+    assert report.value == pytest.approx(0.5)
+
+
 def test_enumerate_budget_refusal():
     dom = rectangle(1.0, 2.0)
     with pytest.raises(BudgetExceededError) as err:
@@ -1006,8 +1017,13 @@ def test_caps_alone_fail_as_before_where_no_cap_tuple_exists(square):
 def test_search_config_validation():
     with pytest.raises(InvalidParameterError):
         SearchConfig(families=("caps", "moonbeams"))
-    with pytest.raises(InvalidParameterError):
-        SearchConfig(budget=0)
+    for budget in (0, -1.0, math.nan):  # NaN passes every "<=" check
+        with pytest.raises(InvalidParameterError, match="budget must be positive"):
+            SearchConfig(budget=budget)
+    for tolerance in (math.nan, math.inf, -1.0, -1e-300):
+        with pytest.raises(InvalidParameterError, match="tolerance must be finite"):
+            SearchConfig(tolerance=tolerance)
+    SearchConfig(budget=math.inf, tolerance=0.0)
     for restarts in (0, -1):
         with pytest.raises(InvalidParameterError, match="restarts"):
             SearchConfig(restarts=restarts)
