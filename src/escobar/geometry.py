@@ -20,6 +20,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
@@ -386,7 +387,11 @@ def chords_cross(p1: Point, q1: Point, p2: Point, q2: Point, scale: float) -> st
     Collinear chords that share a stretch overlap.  A crossing point within
     ``max(1e-12 scale, 1e-6 * shorter chord)`` of any of the four ends is a
     touch at that end, not a crossing, so chords that share an end or end on
-    each other (a T-junction) do not cross.
+    each other (a T-junction) do not cross.  A hit that
+    :func:`_seg_seg_intersections` finds past the end of a chord, within its
+    parameter slack, is a crossing only when the two closed chords meet in
+    exact arithmetic (:func:`_segments_meet`); otherwise that chord stops
+    short of the other.
     """
     hits, overlap = _seg_seg_intersections(p1, q1, p2, q2)
     if overlap:
@@ -396,10 +401,29 @@ def chords_cross(p1: Point, q1: Point, p2: Point, q2: Point, scale: float) -> st
     excl = max(
         _CHORD_EXCL_ABS * scale, _CHORD_EXCL_REL * min(math.dist(p1, q1), math.dist(p2, q2))
     )
-    for pt, _u, _v in hits:
-        if all(math.dist(pt, e) > excl for e in (p1, q1, p2, q2)):
+    for pt, u, v in hits:
+        if all(math.dist(pt, e) > excl for e in (p1, q1, p2, q2)) and (
+            0.0 <= u <= 1.0 and 0.0 <= v <= 1.0 or _segments_meet(p1, q1, p2, q2)
+        ):
             return f"chords cross at {pt}"
     return None
+
+
+def _segments_meet(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """Whether the closed segments ``ab`` and ``cd`` share a point, decided
+    in exact rational arithmetic on the float coordinates."""
+    a, b, c, d = ((Fraction(p[0]), Fraction(p[1])) for p in (a, b, c, d))
+
+    def side(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+    s1, s2, s3, s4 = side(a, b, c), side(a, b, d), side(c, d, a), side(c, d, b)
+    if s1 == s2 == s3 == s4 == 0:  # collinear: the extents must overlap
+        return all(
+            max(min(a[k], b[k]), min(c[k], d[k])) <= min(max(a[k], b[k]), max(c[k], d[k]))
+            for k in (0, 1)
+        )
+    return s1 * s2 <= 0 and s3 * s4 <= 0
 
 
 def _circular_interval_overlap(
@@ -796,7 +820,8 @@ def make_domain(edges: Iterable[Edge]) -> PlanarDomain:
         # every later check compares with <=, which NaN passes
         if not all(math.isfinite(x) for x in numbers):
             raise InvalidGeometryError(f"edge {j} has a non-finite coordinate, radius or angle")
-    scale = PlanarDomain(edges).scale
+    dom = PlanarDomain(edges)
+    scale = dom.scale
     # also refuses an infinite diagonal, and NaN from an infinite box
     if not scale <= _MAX_SCALE:
         raise InvalidGeometryError(
@@ -830,34 +855,76 @@ def make_domain(edges: Iterable[Edge]) -> PlanarDomain:
         raise InvalidGeometryError("boundary chain encloses no area")
     if signed < 0.0:
         edges = tuple(e.reversed() for e in reversed(edges))
+        dom = PlanarDomain(edges)
 
     # simplicity: no two edges may intersect except adjacent ones at their
-    # shared vertex, and no edge pair may overlap along a stretch
-    for i in range(n):
-        for j in range(i + 1, n):
-            pts, overlap = _edge_pair_intersections(edges[i], edges[j], tol_abs)
-            if overlap:
-                raise InvalidGeometryError(
-                    f"edges {i} and {j} overlap along the boundary"
-                )
-            allowed: list[Point] = []
-            if j == i + 1:
-                allowed.append(edges[j].start)
-            if i == 0 and j == n - 1:
-                allowed.append(edges[0].start)
-            for p in pts:
-                if all(math.dist(p, q) > tol_abs for q in allowed):
-                    raise InvalidGeometryError(
-                        f"boundary is not simple: edges {i} and {j} meet at {p}"
-                    )
+    # shared vertex, and no edge pair may overlap along a stretch.  The
+    # pairs come in sweep order; the first failure in (i, j) order is raised
+    first = None
+    for i, j in _pairs_that_may_meet(dom):
+        if first is None or (i, j) < first[0]:
+            problem = _edge_pair_problem(edges, i, j, tol_abs)
+            if problem is not None:
+                first = ((i, j), problem)
+    if first is not None:
+        raise InvalidGeometryError(first[1])
 
-    dom = PlanarDomain(edges)
     for j, theta in enumerate(dom.interior_angles):
         if theta <= 1e-9 or theta >= _TWO_PI - 1e-9:
             raise InvalidGeometryError(
                 f"degenerate corner at vertex {j} (interior angle {theta})"
             )
     return dom
+
+
+def _edge_pair_problem(edges: Sequence[Edge], i: int, j: int, tol_abs: float) -> str | None:
+    """Why edges ``i < j`` of a closed chain break its simplicity, or
+    ``None``: they overlap along a stretch, or meet other than at the
+    vertex that adjacent edges share."""
+    pts, overlap = _edge_pair_intersections(edges[i], edges[j], tol_abs)
+    if overlap:
+        return f"edges {i} and {j} overlap along the boundary"
+    allowed: list[Point] = []
+    if j == i + 1:
+        allowed.append(edges[j].start)
+    if i == 0 and j == len(edges) - 1:
+        allowed.append(edges[0].start)
+    for p in pts:
+        if all(math.dist(p, q) > tol_abs for q in allowed):
+            return f"boundary is not simple: edges {i} and {j} meet at {p}"
+    return None
+
+
+def _pairs_that_may_meet(dom: PlanarDomain) -> Iterable[tuple[int, int]]:
+    """The edge pairs ``(i, j)``, ``i < j``, that the simplicity check of
+    :func:`make_domain` tests, each once: every pair with an arc, and the
+    pairs of segments whose boxes, widened by ``M = 1e-2 S``
+    (:attr:`PlanarDomain._edge_boxes`), meet, found by a sweep in x.
+
+    Two segments whose widened boxes miss each other have neither a hit nor
+    an overlap: the box reject of :func:`_chord_is_interior_general` argues
+    this for a chord with both ends in the bounding box against a segment,
+    under the intersection code both use, and an edge is such a chord.
+    When the bounding box reaches farther than ``S`` from the origin the
+    widened boxes are the whole plane, and every pair is tested.
+    """
+    boxes = dom._edge_boxes
+    n = len(boxes)
+    for a, box in enumerate(boxes):
+        if box is None:
+            for j in range(n):
+                if j != a and (boxes[j] is not None or a < j):
+                    yield (a, j) if a < j else (j, a)
+    segs = sorted((box[0], i) for i, box in enumerate(boxes) if box is not None)
+    for pos, (_x0, i) in enumerate(segs):
+        _, y0, x1, y1 = boxes[i]
+        for nxt in range(pos + 1, len(segs)):
+            x0_j, j = segs[nxt]
+            if x0_j > x1:
+                break
+            box = boxes[j]
+            if box[1] <= y1 and box[3] >= y0:
+                yield (i, j) if i < j else (j, i)
 
 
 def make_polygon(points: Sequence[Sequence[float]]) -> PlanarDomain:

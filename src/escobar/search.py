@@ -160,13 +160,14 @@ def report_to_json(report: BoundReport) -> dict:
 
 @dataclass
 class _Grid:
-    """The uniform m-point boundary grid and the validity data of its chords.
+    """The uniform m-point boundary grid and the validity rule of its chords.
 
-    One rule decides whether the chord from point i to point i + w is valid:
-    on a convex domain it is invalid when ``w <= fwd[i]`` or
-    ``m - w <= bwd[i]`` (both ends on one straight edge); with ``valid`` set
-    it is valid when ``valid[i, (i + w) % m]``; otherwise (a nonconvex grid
-    without full validity) every chord counts as valid.
+    The chord from point i to point i + w has ``eta = |P_i P_{i+w}| / (w *
+    step)`` (:func:`_eta_block`).  On a convex domain it is invalid exactly
+    when ``w <= fwd[i]`` or ``m - w <= bwd[i]`` (both ends on one straight
+    edge), and the eta values read +inf there.  On a nonconvex domain the
+    eta values are geometric only, and a chord is tested when the search
+    first needs its verdict (:func:`_chord_ok`, kept in ``valid``).
     """
 
     m: int
@@ -174,16 +175,9 @@ class _Grid:
     svals: np.ndarray
     pts: np.ndarray
     period: int
-    full_validity: bool  # False while the validity mask is geometric-only
     fwd: Optional[np.ndarray]
     bwd: Optional[np.ndarray]
-    valid: Optional[np.ndarray]
-
-
-@dataclass
-class _GridTables(_Grid):
-    eta: list  # eta[i][w], validity folded in as +inf
-    min_eta_by_width: list
+    valid: dict  # nonconvex: (i, j) with i < j -> chord_is_interior verdict
 
 
 def _grid_period(domain: PlanarDomain, m: int) -> int:
@@ -237,27 +231,17 @@ def _edge_runs(domain: PlanarDomain, svals: np.ndarray) -> tuple[np.ndarray, np.
     return fwd, bwd
 
 
-def _validity_mask(domain: PlanarDomain, svals: np.ndarray) -> np.ndarray:
-    """``valid[i, j]``: :func:`chord_is_interior` of grid points i and j,
-    O(m^2) calls of its kernel.  The grid arclengths ``i * P / m`` lie in
-    ``[0, P)``, so they are already reduced."""
-    m = len(svals)
-    s = svals.tolist()
-    valid = np.ones((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ok = _interior_chord_ends(domain, s[i], s[j]) is not None
-            valid[i, j] = valid[j, i] = ok
-    return valid
-
-
 def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid:
-    """The m-point grid; its eta values come from :func:`_eta_block`.
+    """The m-point grid: its points, its period and, on a convex domain, its
+    edge runs (:func:`_edge_runs`).  It holds no eta value and has tested
+    no chord; :func:`_eta_block` computes eta values, :func:`_chord_ok`
+    tests chords.
 
-    Convex domains always get their exact (geometric) validity rule.  On a
-    nonconvex domain ``full_validity`` tests every chord
-    (:func:`_validity_mask`).
+    ``full_validity`` must be False: a grid tests no chord up front.  The
+    keyword stays because the benchmark tracer counts grids by it.
     """
+    if full_validity:
+        raise ValueError("grid chords are tested on demand: full_validity must be False")
     per = domain.perimeter
     step = per / m
     svals = np.arange(m) * step
@@ -277,53 +261,52 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
             u = t / length
             pts[lo[i]:lo[i + 1], 0] = x0 + u * dx
             pts[lo[i]:lo[i + 1], 1] = y0 + u * dy
-    fwd = bwd = valid = None
+    fwd = bwd = None
     if domain.is_convex:
         fwd, bwd = _edge_runs(domain, svals)
-    elif full_validity:
-        valid = _validity_mask(domain, svals)
     return _Grid(
-        m=m,
-        step=step,
-        svals=svals,
-        pts=pts,
-        period=_grid_period(domain, m),
-        full_validity=domain.is_convex or full_validity,
-        fwd=fwd,
-        bwd=bwd,
-        valid=valid,
+        m=m, step=step, svals=svals, pts=pts, period=_grid_period(domain, m),
+        fwd=fwd, bwd=bwd, valid={},
     )
 
 
-def _eta_block(grid: _Grid, w0: int, w1: int) -> np.ndarray:
-    """``eta[i, w - w0] = |P_i P_{i+w}| / (w * step)`` for widths w0 <= w < w1.
+def _eta_block(grid: _Grid, w0: int, w1: int, rows: slice = slice(None)) -> np.ndarray:
+    """``eta[r, w - w0] = |P_i P_{i+w}| / (w * step)`` for widths w0 <= w < w1
+    and the grid points ``i`` in ``rows`` (every point by default).
 
-    Invalid chords and width 0 read +inf.  Over all widths this is the full
-    table of :func:`_grid_tables`.
+    Width 0 reads +inf, and so does, on a convex grid, every chord with both
+    ends on one straight edge; on a nonconvex grid the values are geometric.
     """
     m = grid.m
-    rows = np.arange(m)[:, None]
     widths = np.arange(w0, w1)
-    jdx = (rows + widths) % m
+    jdx = (np.arange(m)[rows, None] + widths) % m
     x, y = grid.pts[:, 0], grid.pts[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.hypot(x[:, None] - x[jdx], y[:, None] - y[jdx]) / (widths * grid.step)
+        eta = np.hypot(x[rows, None] - x[jdx], y[rows, None] - y[jdx]) / (widths * grid.step)
     if grid.fwd is not None:
-        eta[(widths <= grid.fwd[:, None]) | (m - widths <= grid.bwd[:, None])] = np.inf
-    elif grid.valid is not None:
-        eta[~grid.valid[rows, jdx]] = np.inf
+        eta[(widths <= grid.fwd[rows, None]) | (m - widths <= grid.bwd[rows, None])] = np.inf
     if w0 == 0:
         eta[:, 0] = np.inf
     return eta
 
 
-def _grid_tables(grid: _Grid, blocks: Sequence[np.ndarray] = ()) -> _GridTables:
-    """The full eta table of ``grid``, reusing ``blocks`` of widths [1, w)."""
-    done = 1 + sum(b.shape[1] for b in blocks)
-    eta = np.hstack([_eta_block(grid, 0, 1), *blocks, _eta_block(grid, done, grid.m)])
-    return _GridTables(
-        **vars(grid), eta=eta.tolist(), min_eta_by_width=np.min(eta, axis=0).tolist()
-    )
+def _eta_row(grid: _Grid, i: int) -> list[float]:
+    """Row i of the eta table, ``eta(i, w)`` for ``0 <= w < m``, as Python
+    floats: :func:`_eta_block` of the one point, so the block's values."""
+    return _eta_block(grid, 0, grid.m, slice(i, i + 1))[0].tolist()
+
+
+def _chord_ok(domain: PlanarDomain, grid: _Grid, i: int, j: int) -> bool:
+    """:func:`chord_is_interior` of grid points ``i != j`` on a nonconvex
+    grid, from the lower index to the higher, tested once per pair.  The
+    grid arclengths lie in ``[0, P)``, so the predicate's reduction leaves
+    them as they are."""
+    key = (i, j) if i < j else (j, i)
+    ok = grid.valid.get(key)
+    if ok is None:
+        s = grid.svals
+        ok = grid.valid[key] = chord_is_interior(domain, float(s[key[0]]), float(s[key[1]]))
+    return ok
 
 
 def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
@@ -357,15 +340,12 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
             if e >= best:
                 return
             val = max(val, e)
-        if not domain.is_convex and not _cuts_chords_ok(grid, cuts, domain):
-            return
-        if not grid.full_validity:
-            # geometric table only: verify the candidate's chords for real
+        if not domain.is_convex:
+            if not _cuts_chords_ok(grid, cuts, domain):
+                return
+            # geometric eta values only: test the candidate's chords
             for j in range(k):
-                a, b = cuts[2 * j], cuts[2 * j + 1]
-                if not chord_is_interior(
-                    domain, float(grid.svals[a % m]), float(grid.svals[b % m])
-                ):
+                if not _chord_ok(domain, grid, cuts[2 * j] % m, cuts[2 * j + 1] % m):
                     return
         if val < best:
             best, best_cuts = val, list(cuts)
@@ -375,22 +355,79 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
     return best, best_cuts
 
 
-def _cuts_chords_ok(tables: _Grid, cuts: Sequence[int], domain: PlanarDomain) -> bool:
+def _cuts_chords_ok(grid: _Grid, cuts: Sequence[int], domain: PlanarDomain) -> bool:
     """Whether no two chords of the cut list conflict by
     :func:`regions._chords_conflict` (needed on nonconvex domains only)."""
-    pts = [tuple(tables.pts[c % tables.m]) for c in cuts]
+    pts = [tuple(grid.pts[c % grid.m]) for c in cuts]
     return not any(
         _chords_conflict(domain, c1, c2)
         for c1, c2 in itertools.combinations(zip(pts[::2], pts[1::2]), 2)
     )
 
 
-def _w_min_for(tables: _GridTables, best: float) -> int:
-    w = 1
-    min_eta = tables.min_eta_by_width
-    while w < tables.m and min_eta[w] >= best - 1e-12:
-        w += 1
-    return w
+#: Most eta values :class:`_EtaColumns` computes in one block.
+_BLOCK_CELLS = 1 << 16
+
+
+class _EtaColumns:
+    """The least cap width ``w_min`` worth searching, from the columns of
+    the eta table that decide it, computed in blocks as they are needed.
+
+    ``w_min`` is the least width whose column holds a valid chord with eta
+    below the incumbent less ``1e-12``, or m if none does.  Every width
+    below ``clear`` is known to hold none.  The incumbent never rises, so
+    such a width never holds one later and is not read again; each query
+    starts at ``clear``.  On a convex grid a column's minimum is its least
+    valid eta.  On a nonconvex grid the eta values are geometric: a column
+    whose minimum beats the threshold tests its chords (:func:`_chord_ok`)
+    in increasing eta, ties in index order, and stops at the first valid one
+    or once eta reaches the threshold.  So the answer is the one a table
+    with every chord tested gives.
+    """
+
+    def __init__(self, domain: PlanarDomain, grid: _Grid, clear: int):
+        self.domain = domain
+        self.grid = grid
+        self.clear = clear
+        # width -> column minimum, from ``clear`` on; on a nonconvex grid the
+        # least eta not yet found invalid
+        self.mins: dict[int, float] = {}
+        self.walks: dict[int, list] = {}  # nonconvex: [order, sorted eta, position]
+
+    def w_min_for(self, best: float, limit: int) -> int:
+        """``w_min`` for the incumbent ``best``, or ``limit`` if it is at
+        least that; reads no column at or past ``limit``."""
+        thr = best - 1e-12
+        w = self.clear
+        while w < limit and not self._beats(w, thr, limit):
+            w += 1
+        self.clear = w
+        return w
+
+    def _beats(self, w: int, thr: float, limit: int) -> bool:
+        grid = self.grid
+        m = grid.m
+        if w not in self.mins:  # the next block of widths
+            w1 = min(2 * w, limit, w + max(1, _BLOCK_CELLS // m))
+            self.mins.update(enumerate(np.min(_eta_block(grid, w, w1), axis=0).tolist(), w))
+        if self.mins[w] >= thr:
+            return False
+        if self.domain.is_convex:
+            return True
+        walk = self.walks.get(w)
+        if walk is None:
+            col = _eta_block(grid, w, w + 1)[:, 0]
+            order = np.argsort(col, kind="stable")
+            walk = self.walks[w] = [order.tolist(), col[order].tolist(), 0]
+        order, etas, pos = walk
+        while pos < m and etas[pos] < thr:
+            i = order[pos]
+            if _chord_ok(self.domain, grid, i, (i + w) % m):
+                break
+            pos += 1
+        walk[2] = pos
+        self.mins[w] = etas[pos] if pos < m else math.inf
+        return pos < m and etas[pos] < thr
 
 
 def _enum_estimate(m: int, k: int, period: int, w_min: int) -> int:
@@ -402,9 +439,10 @@ def _enum_estimate(m: int, k: int, period: int, w_min: int) -> int:
 
 def _scan_estimate(
     domain: PlanarDomain, k: int, grid: _Grid, budget: float
-) -> tuple[int, list[np.ndarray]]:
+) -> tuple[int, tuple, int]:
     """The enumeration estimate of ``grid`` if it exceeds ``budget``, else a
-    value at most ``budget``; and the eta blocks scanned to decide it.
+    value at most ``budget``; the seeds (:func:`_grid_seeds`); and the
+    width below which the scan found no column that beats them.
 
     The estimate does not increase with ``w_min``, so it exceeds the budget
     exactly when some width below ``w_fit``, the least width whose estimate
@@ -414,22 +452,22 @@ def _scan_estimate(
     which is then ``w_min`` exactly.
     """
     m = grid.m
-    best, _cuts = _grid_seeds(domain, k, grid)
+    seeds = _grid_seeds(domain, k, grid)
+    best = seeds[0]
     w_fit = 1 + bisect.bisect_left(
         range(1, m + 1), True, key=lambda w: _enum_estimate(m, k, grid.period, w) <= budget
     )
     w_stop = min(w_fit, m)
-    blocks: list[np.ndarray] = []
     w0 = 1
     while w0 < w_stop:
         block = _eta_block(grid, w0, min(2 * w0, w_stop))
-        # not (>=): exactly where _w_min_for's loop would stop
+        # not (>=): exactly where _EtaColumns.w_min_for would stop
         beats = np.flatnonzero(~(np.min(block, axis=0) >= best - 1e-12))
         if len(beats):
-            return _enum_estimate(m, k, grid.period, w0 + int(beats[0])), blocks
-        blocks.append(block)
+            w = w0 + int(beats[0])
+            return _enum_estimate(m, k, grid.period, w), seeds, w
         w0 += block.shape[1]
-    return _enum_estimate(m, k, grid.period, w_stop), blocks
+    return _enum_estimate(m, k, grid.period, w_stop), seeds, w_stop
 
 
 def enumerate_caps(
@@ -460,17 +498,17 @@ def _enumerate_grid(domain: PlanarDomain, k: int, m: int, budget: float) -> Boun
     (:func:`_enum_estimate`, which does not increase with ``w_min``), and a
     grid whose estimate exceeds ``budget`` raises
     :class:`~escobar.errors.BudgetExceededError`; an estimate past the float
-    range is reported as ``math.inf``.  :func:`_scan_estimate` decides it on
-    the geometric-only grid from a few columns of the eta table.  On a
-    convex domain that grid has its exact validity, so the estimate is
-    exact.  On a nonconvex domain it counts every chord as valid; the seeds
-    test their chords for real, and full validity can only raise ``w_min``,
-    so the estimate is an upper bound.  A grid that fits gets its full
-    table, every chord tested on a nonconvex domain, and the search then
-    stops after ``budget`` nodes.
+    range is reported as ``math.inf``.  :func:`_scan_estimate` decides it
+    from a few columns of the eta table.  On a convex domain the grid
+    carries its exact validity rule, so the estimate is exact.  On a
+    nonconvex domain the eta values are geometric; the seeds test their
+    chords for real, and validity can only raise ``w_min``, so the estimate
+    is an upper bound.  A grid that fits is searched on the same grid and
+    seeds (:func:`_run_enumeration`), which computes eta rows and tests
+    chords only where it reads them, and stops after ``budget`` nodes.
     """
     grid = _prepare_grid(domain, m, full_validity=False)
-    estimate, blocks = _scan_estimate(domain, k, grid, budget)
+    estimate, seeds, clear = _scan_estimate(domain, k, grid, budget)
     if estimate > budget:
         if estimate > sys.float_info.max:
             approx, shown = math.inf, f"more than {sys.float_info.max:.2g}"
@@ -483,21 +521,35 @@ def _enumerate_grid(domain: PlanarDomain, k: int, m: int, budget: float) -> Boun
             estimate=approx,
             budget=float(budget),
         )
-    if not domain.is_convex:
-        grid, blocks = _prepare_grid(domain, m, full_validity=True), []
-    return _run_enumeration(domain, k, _grid_tables(grid, blocks), budget)
+    return _run_enumeration(domain, k, grid, seeds, clear, budget)
 
 
 def _run_enumeration(
-    domain: PlanarDomain, k: int, tables: _GridTables, budget: float
+    domain: PlanarDomain, k: int, grid: _Grid, seeds: tuple, clear: int, budget: float
 ) -> BoundReport:
-    m = tables.m
-    period = tables.period
-    eta = tables.eta
-    need_cross = not domain.is_convex
+    """The grid minimax search from the seeds, where every width below
+    ``clear`` is known not to beat them.
 
-    best, best_cuts = _grid_seeds(domain, k, tables)
-    w_min = _w_min_for(tables, best)
+    The depth-first search reads row ``start`` of the eta table when it
+    places a cap there, converted to Python floats on first read
+    (:func:`_eta_row`).  On a nonconvex grid those values are geometric, and
+    a chord whose eta beats the incumbent is tested (:func:`_chord_ok`)
+    before it is placed, so the search places the caps, and counts the
+    nodes, that a table with every invalid chord at +inf gives.  No search
+    runs, and no row is read, when the seeds leave no room for k caps of
+    width ``w_min``.
+    """
+    m = grid.m
+    period = grid.period
+    need_cross = not domain.is_convex
+    best, best_cuts = seeds
+    columns = _EtaColumns(domain, grid, clear)
+    # k caps of a width past m // k do not fit: the search would not run
+    w_min = columns.w_min_for(best, m // k + 1)
+    rows: list[Optional[list[float]]] = [None] * m
+    # nonconvex: per row read, the verdicts of its chords as the search
+    # tests them (None: not tested yet)
+    verdicts: list[Optional[list[Optional[bool]]]] = [None] * m
 
     nodes = 0
     end_abs = 0  # set per c0
@@ -512,11 +564,11 @@ def _run_enumeration(
                 budget=float(budget),
             )
         if cap_idx == k:
-            if need_cross and not _cuts_chords_ok(tables, cuts, domain):
+            if need_cross and not _cuts_chords_ok(grid, cuts, domain):
                 return
             best = running
             best_cuts = list(cuts)
-            w_min = _w_min_for(tables, best)
+            w_min = columns.w_min_for(best, m)
             return
         remaining_after = k - cap_idx - 1
         if cap_idx == 0:
@@ -525,10 +577,22 @@ def _run_enumeration(
             starts = range(pos, end_abs - w_min * (remaining_after + 1) + 1)
         for start in starts:
             w_cap = end_abs - start - w_min * remaining_after
-            row = eta[start % m]
+            i = start % m
+            row = rows[i]
+            if row is None:
+                row = rows[i] = _eta_row(grid, i)
+                if need_cross:
+                    verdicts[i] = [None] * m
+            seen = verdicts[i]
             for w in range(w_min, w_cap + 1):
                 e = row[w]
                 if e < best:
+                    if seen is not None:
+                        ok = seen[w]
+                        if ok is None:
+                            ok = seen[w] = _chord_ok(domain, grid, i, (i + w) % m)
+                        if not ok:
+                            continue
                     cuts.append(start)
                     cuts.append(start + w)
                     dfs(cap_idx + 1, start + w, cuts, max(running, e))
@@ -542,7 +606,7 @@ def _run_enumeration(
                 dfs(0, c0, [], 0.0)
     finally:
         # dfs reaches itself through its closure; emptying that cell frees
-        # the table now instead of at the next run of the cycle collector
+        # the rows now instead of at the next run of the cycle collector
         del dfs
 
     if best_cuts is None:
@@ -552,8 +616,8 @@ def _run_enumeration(
         )
     caps = tuple(
         Cap(
-            float(tables.svals[best_cuts[2 * j] % m]),
-            float(tables.svals[best_cuts[2 * j + 1] % m]),
+            float(grid.svals[best_cuts[2 * j] % m]),
+            float(grid.svals[best_cuts[2 * j + 1] % m]),
         )
         for j in range(k)
     )

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -232,6 +233,125 @@ def test_largest_accepted_extent_builds():
     r = 0.49 * geometry._MAX_SCALE  # diagonal 2.77 r, just under the limit
     assert make_disk(r / 1.42).scale <= geometry._MAX_SCALE
     assert make_polygon([(0, 0), (r, 0), (r, r), (0, r)]).scale <= geometry._MAX_SCALE
+
+
+# ---------------------------------------------------------------------------
+# simplicity check against every pair of edges
+# ---------------------------------------------------------------------------
+
+
+def _every_pair(dom):
+    """The simplicity check's pairs as make_domain once tested them: every
+    pair of edges, in (i, j) order."""
+    n = len(dom.edges)
+    return ((i, j) for i in range(n) for j in range(i + 1, n))
+
+
+def _build_outcome(edges):
+    try:
+        return make_domain(edges).edges
+    except InvalidGeometryError as err:
+        return str(err)
+
+
+def _check_against_every_pair(edges):
+    """``make_domain`` accepts the chain, or raises the same message, as
+    with every pair of edges tested; and every pair the sweep leaves out
+    neither meets nor overlaps."""
+    with mock.patch.object(geometry, "_pairs_that_may_meet", _every_pair):
+        want = _build_outcome(edges)
+    assert _build_outcome(edges) == want
+    try:
+        dom = geometry.PlanarDomain(tuple(edges))
+    except InvalidGeometryError:
+        return want
+    tol = TAU_GEOM * dom.scale
+    if not math.isfinite(tol):
+        return want
+    swept = set(geometry._pairs_that_may_meet(dom))
+    for i, j in _every_pair(dom):
+        assert i < j
+        if (i, j) not in swept:
+            assert geometry._edge_pair_intersections(edges[i], edges[j], tol) == ([], False)
+    return want
+
+
+def _chain(points):
+    m = len(points)
+    return [Segment(points[k], points[(k + 1) % m]) for k in range(m)]
+
+
+_OFFSETS = [0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 1e-2, 0.02, 0.05]
+
+
+@st.composite
+def _polygons(draw):
+    """A star-shaped polygon (simple), optionally with one vertex moved to
+    ``offset`` (times the polygon's size) from the line of a far edge, at a
+    point within or just past that edge; or lattice points in random order,
+    which mostly cross.  Scaled and shifted, also away from the origin."""
+    n = draw(st.integers(3, 24))
+    if draw(st.booleans()):
+        steps = sorted(draw(st.lists(st.integers(0, 719), min_size=n, max_size=n, unique=True)))
+        radii = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+        angles = [TWO_PI * k / 720 for k in steps]
+        pts = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
+        if n >= 5 and draw(st.booleans()):
+            v = draw(st.integers(0, n - 1))
+            e = (v + draw(st.integers(2, n - 3))) % n
+            a, b = pts[e], pts[(e + 1) % n]
+            t = draw(st.sampled_from([0.0, 0.5, 1.0, -1e-9, 1.0 + 1e-9, draw(st.floats(0.0, 1.0))]))
+            d = draw(st.sampled_from(_OFFSETS)) * draw(st.sampled_from([1.0, -1.0]))
+            length = math.dist(a, b)
+            nx, ny = -(b[1] - a[1]) / length, (b[0] - a[0]) / length
+            pts[v] = (a[0] + t * (b[0] - a[0]) + d * nx, a[1] + t * (b[1] - a[1]) + d * ny)
+    else:
+        # on a coarse lattice, so that vertices often fall on other edges
+        lattice = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
+        corners = draw(st.lists(lattice, min_size=n, max_size=n, unique=True))
+        pts = [(x / 8, y / 8) for x, y in corners]
+    size = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    shift = draw(st.sampled_from([0.0, 0.5, 10.0])) * size
+    return [(shift + size * x, shift + size * y) for x, y in pts]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_polygons())
+def test_simplicity_check_matches_every_pair(points):
+    outcome = _check_against_every_pair(_chain(points))
+    event("accepted" if not isinstance(outcome, str) else outcome.split(":")[0].split(" at ")[0])
+
+
+_BAD_CHAINS = {
+    "crossing": _chain([(0, 0), (4, 0), (4, 3), (2, -1), (0, 3)]),
+    "bowtie": _chain([(0, 0), (2, 2), (2, 0), (0, 2)]),
+    "repeated": _chain([(0, 0), (1, 0), (1, 0), (0, 1)]),
+    "open": [Segment((0, 0), (1, 0)), Segment((1, 0), (1, 1))],
+    "vertex-on-edge": _chain([(0, 0), (4, 0), (4, 3), (2, 0), (0, 3)]),
+    "overlap": _chain([(0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 0), (1, 1), (0, 1)]),
+    "arc-crossed": [
+        Arc((0.0, 0.0), 1.0, 0.0, math.pi),
+        Segment((-1.0, 0.0), (0.5, 1.2)),
+        Segment((0.5, 1.2), (1.0, 0.0)),
+    ],
+    "half-disk": [Segment((-1.0, 0.0), (1.0, 0.0)), Arc((0.0, 0.0), 1.0, 0.0, math.pi)],
+    "far-square": _chain([(1e6, 1e6), (1e6 + 1, 1e6), (1e6 + 1, 1e6 + 1), (1e6, 1e6 + 1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_CHAINS))
+def test_simplicity_check_matches_every_pair_on_known_chains(name):
+    outcome = _check_against_every_pair(_BAD_CHAINS[name])
+    if name in ("crossing", "vertex-on-edge", "overlap", "arc-crossed"):
+        assert "simple" in outcome or "overlap" in outcome
+
+
+def test_regular_polygon_builds_without_testing_every_pair():
+    # every pair of 2000 edges took about 4 s; nearby pairs take about 0.2 s
+    start = time.perf_counter()
+    dom = make_regular_polygon(2000)
+    assert time.perf_counter() - start < 1.0
+    assert dom.regular_order == 2000
 
 
 # ---------------------------------------------------------------------------

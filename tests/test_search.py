@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from escobar import search
+from escobar import geometry, search
 from escobar.errors import (
     BudgetExceededError,
     ConstructionFailedError,
@@ -46,9 +46,9 @@ from escobar.search import (
     _cuts_chords_ok,
     _enum_estimate,
     _eta_block,
+    _eta_row,
     _grid_candidates,
     _grid_period,
-    _grid_tables,
     _prepare_grid,
     _run_enumeration,
     corner_family_bound,
@@ -147,7 +147,7 @@ def test_convex_grid_mask_matches_chord_predicate(name):
     domain = _GRID_DOMAINS[name]()
     reach = 8 if name == "D200" else math.inf
     for m in (24, 48, 96, 97, 101, 120) + ((400,) if name == "D200" else ()):
-        grid = _prepare_grid(domain, m, full_validity=True)
+        grid = _prepare_grid(domain, m, full_validity=False)
         eta = _eta_block(grid, 0, m)
         for i in range(m):
             for j in range(i + 1, m):
@@ -161,7 +161,7 @@ def test_convex_grid_mask_matches_chord_predicate(name):
 def test_edge_run_wraps_past_the_last_index():
     # square, m = 8: points 6, 7 and 0 lie on the last edge (6 and 0 are
     # vertices), so that edge's run wraps past index 7
-    grid = _prepare_grid(make_regular_polygon(4), 8, full_validity=True)
+    grid = _prepare_grid(make_regular_polygon(4), 8, full_validity=False)
     assert grid.fwd.tolist() == [2, 1, 2, 1, 2, 1, 2, 1]
     assert grid.bwd.tolist() == [2, 1, 2, 1, 2, 1, 2, 1]
     eta = _eta_block(grid, 0, 8)
@@ -169,8 +169,14 @@ def test_edge_run_wraps_past_the_last_index():
     assert math.isfinite(eta[7, 2]) and math.isfinite(eta[6, 3])
 
 
+def test_grids_test_no_chord_up_front(lshape):
+    with pytest.raises(ValueError, match="full_validity"):
+        _prepare_grid(lshape, 24, full_validity=True)
+    assert _prepare_grid(lshape, 24, full_validity=False).valid == {}
+
+
 # ---------------------------------------------------------------------------
-# lazy budget skip against the whole-table reference
+# on-demand enumeration against the whole-table reference
 # ---------------------------------------------------------------------------
 
 
@@ -192,8 +198,10 @@ def _segment_membership(domain, svals):
 
 def _reference_grid(domain, m, full_validity):
     """The whole m x m eta table, built as grid preparation did before the
-    budget skip read single columns: ``eta[i, w] = |P_i P_{i+w}| / (w step)``
-    with invalid chords and width 0 at +inf."""
+    search read single columns and rows: ``eta[i, w] = |P_i P_{i+w}| / (w
+    step)`` with width 0 at +inf and, on a convex domain or with
+    ``full_validity``, every invalid chord at +inf; on a nonconvex domain
+    ``full_validity`` tests all m (m - 1) / 2 chords."""
     per = domain.perimeter
     step = per / m
     svals = np.arange(m) * step
@@ -234,12 +242,13 @@ def _reference_grid(domain, m, full_validity):
 
 
 def _reference_seeds(domain, k, ref):
-    """The deterministic seed tuples' best value, read from the whole table."""
+    """The deterministic seed tuples' best value and cuts, read from the
+    whole table."""
     m = ref.m
-    best = math.inf
+    best, best_cuts = math.inf, None
 
     def consider(cuts):
-        nonlocal best
+        nonlocal best, best_cuts
         val = 0.0
         for j in range(k):
             a, b = cuts[2 * j], cuts[2 * j + 1]
@@ -259,7 +268,8 @@ def _reference_seeds(domain, k, ref):
                     domain, float(ref.svals[a % m]), float(ref.svals[b % m])
                 ):
                     return
-        best = min(best, val)
+        if val < best:
+            best, best_cuts = val, list(cuts)
 
     if m % k == 0:
         w = m // k
@@ -272,27 +282,80 @@ def _reference_seeds(domain, k, ref):
             for j in range(k):
                 cuts.extend((off + bases[j], off + bases[j + 1]))
             consider(cuts)
-    return best
+    return best, best_cuts
 
 
-def _reference_estimate(domain, k, ref):
-    best = _reference_seeds(domain, k, ref)
+def _reference_w_min(ref, best):
     w = 1
     while w < ref.m and ref.min_eta_by_width[w] >= best - 1e-12:
         w += 1
-    return _enum_estimate(ref.m, k, ref.period, w)
+    return w
+
+
+def _reference_estimate(domain, k, ref):
+    best, _cuts = _reference_seeds(domain, k, ref)
+    return _enum_estimate(ref.m, k, ref.period, _reference_w_min(ref, best))
+
+
+def _reference_enumeration(domain, k, ref, budget):
+    """The grid search over the whole table ``ref`` (with full validity), as
+    it ran before it read rows and tested chords on demand."""
+    m, period = ref.m, ref.period
+    eta = ref.eta.tolist()
+    best, best_cuts = _reference_seeds(domain, k, ref)
+    w_min = _reference_w_min(ref, best)
+    nodes = 0
+    end_abs = 0
+
+    def dfs(cap_idx, pos, cuts, running):
+        nonlocal nodes, best, best_cuts, w_min
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError("stopped", estimate=float(nodes), budget=float(budget))
+        if cap_idx == k:
+            if not ref.convex and not _cuts_chords_ok(ref, cuts, domain):
+                return
+            best, best_cuts = running, list(cuts)
+            w_min = _reference_w_min(ref, best)
+            return
+        remaining_after = k - cap_idx - 1
+        if cap_idx == 0:
+            starts = (pos,)
+        else:
+            starts = range(pos, end_abs - w_min * (remaining_after + 1) + 1)
+        for start in starts:
+            w_cap = end_abs - start - w_min * remaining_after
+            row = eta[start % m]
+            for w in range(w_min, w_cap + 1):
+                e = row[w]
+                if e < best:
+                    cuts.extend((start, start + w))
+                    dfs(cap_idx + 1, start + w, cuts, max(running, e))
+                    del cuts[-2:]
+
+    for c0 in range(period):
+        end_abs = c0 + m
+        if m - k * w_min >= 0:
+            dfs(0, c0, [], 0.0)
+    if best_cuts is None:
+        return (repr(math.inf), f"enumeration m={m}", nodes, None)
+    caps = tuple(
+        Cap(float(ref.svals[best_cuts[2 * j] % m]), float(ref.svals[best_cuts[2 * j + 1] % m]))
+        for j in range(k)
+    )
+    witness = TupleCandidate(domain, caps)
+    assert validate_tuple(witness) == []
+    return (repr(max_eta(witness)), f"enumeration m={m}", nodes, [(c.a, c.b) for c in caps])
 
 
 def _reference_auto_enumerate(domain, k, reference):
-    """Grid selection from whole tables; fitting grids enumerate as before."""
+    """Grid selection and search from whole tables."""
     soft = min(SearchConfig().budget, _ENUM_SOFT_CAP)
     for m in _grid_candidates(domain, k):
         if _reference_estimate(domain, k, reference(m, False)) > soft:
             continue
-        tables = _grid_tables(_prepare_grid(domain, m, full_validity=True))
-        assert np.array_equal(np.array(tables.eta), reference(m, True).eta)
         try:
-            return _run_enumeration(domain, k, tables, soft)
+            return _reference_enumeration(domain, k, reference(m, True), soft)
         except BudgetExceededError:
             continue
     return None
@@ -305,9 +368,46 @@ def _report_key(report):
     return repr(report.value), report.method, report.evaluations, cuts
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in _GRID_DOMAINS if n not in ("stadium", "D200")]
-)
+class _Reads:
+    """Records the eta blocks and rows the search computes and the chords
+    it tests, per grid size."""
+
+    def __init__(self, monkeypatch):
+        self.blocks, self.rows, self.chords = [], [], []
+        monkeypatch.setattr(search, "_eta_block", self._block)
+        monkeypatch.setattr(search, "_eta_row", self._row)
+        monkeypatch.setattr(search, "chord_is_interior", self._chord)
+
+    def _block(self, grid, w0, w1, rows=slice(None)):
+        block = _eta_block(grid, w0, w1, rows)
+        if rows == slice(None):
+            self.blocks.append((grid.m, w0, w1, block))
+        return block
+
+    def _row(self, grid, i):
+        row = _eta_row(grid, i)
+        self.rows.append((grid.m, i, list(row)))
+        return row
+
+    def _chord(self, domain, s0, s1):
+        self.chords.append((s0, s1))
+        return chord_is_interior(domain, s0, s1)
+
+    def clear(self):
+        self.blocks.clear()
+        self.rows.clear()
+        self.chords.clear()
+
+    def check(self, reference):
+        """Every block and row equals the whole table's: with the validity
+        rule on a convex grid, geometric on a nonconvex one."""
+        for m, w0, w1, block in self.blocks:
+            assert np.array_equal(block, reference(m, False).eta[:, w0:w1]), (m, w0, w1)
+        for m, i, row in self.rows:
+            assert np.array_equal(np.array(row), reference(m, False).eta[i]), (m, i)
+
+
+@pytest.mark.parametrize("name", list(_GRID_DOMAINS))
 def test_lazy_budget_skip_matches_whole_table_reference(name, monkeypatch):
     domain = _GRID_DOMAINS[name]()
     tables = functools.cache(functools.partial(_reference_grid, domain))
@@ -316,21 +416,13 @@ def test_lazy_budget_skip_matches_whole_table_reference(name, monkeypatch):
         # a convex grid always has its full validity
         return tables(m, full_validity and not domain.is_convex)
 
-    scanned = []
-
-    def spy(grid, w0, w1):
-        block = _eta_block(grid, w0, w1)
-        scanned.append((grid.m, grid.full_validity, w0, w1, block))
-        return block
-
-    monkeypatch.setattr(search, "_eta_block", spy)
+    reads = _Reads(monkeypatch)
     for k in range(2, 11):
-        scanned.clear()
+        reads.clear()
         got = search._auto_enumerate(domain, k, SearchConfig())
-        assert scanned
-        for m, full, w0, w1, block in scanned:
-            assert np.array_equal(block, reference(m, full).eta[:, w0:w1]), (k, m, w0, w1)
-        assert _report_key(got) == _report_key(_reference_auto_enumerate(domain, k, reference)), k
+        assert reads.blocks
+        reads.check(reference)
+        assert _report_key(got) == _reference_auto_enumerate(domain, k, reference), k
 
 
 @pytest.mark.parametrize("m", [600, 1200])
@@ -356,11 +448,9 @@ def test_explicit_grid_refusal_builds_no_table():
 
 
 def test_explicit_nonconvex_grid_refusal_tests_no_chord(lshape, monkeypatch):
-    # the refusal reads the upper-bound estimate of the geometric-only grid
-    def refuse(*args):
-        raise AssertionError("the validity mask was built")
-
-    monkeypatch.setattr(search, "_validity_mask", refuse)
+    # the refusal reads the upper-bound estimate of the geometric eta
+    # values; only the four seed tuples' three chords each are tested
+    reads = _Reads(monkeypatch)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
@@ -369,18 +459,98 @@ def test_explicit_nonconvex_grid_refusal_tests_no_chord(lshape, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 50e6
+    assert len(reads.chords) <= 12 and not reads.rows
 
 
 @pytest.mark.parametrize("name", ["lshape", "star"])
-@pytest.mark.parametrize("m", [24, 48])
-def test_explicit_nonconvex_grid_that_fits_enumerates_as_before(name, m):
-    """Before the scan, an explicit nonconvex grid was searched on its
-    full-validity table straight away."""
+@pytest.mark.parametrize("m", [24, 48, 144])
+def test_explicit_nonconvex_grid_that_fits_enumerates_as_before(name, m, monkeypatch):
+    """An explicit nonconvex grid gives the search of its full-validity
+    table, and every row the search reads is that table's geometric row."""
     domain = _GRID_DOMAINS[name]()
-    tables = _grid_tables(_prepare_grid(domain, m, full_validity=True))
-    before = _run_enumeration(domain, 2, tables, 1e9)
-    assert before.evaluations > 0 and before.witness is not None
-    assert _report_key(enumerate_caps(domain, 2, m)) == _report_key(before)
+    before = _reference_enumeration(domain, 2, _reference_grid(domain, m, True), 1e9)
+    assert before[2] > 0 and before[3] is not None
+    geometric = _reference_grid(domain, m, False)
+    reads = _Reads(monkeypatch)
+    assert _report_key(enumerate_caps(domain, 2, m)) == before
+    assert reads.rows
+    reads.check(lambda *_: geometric)
+
+
+def test_convex_search_reads_rows_as_the_whole_table(monkeypatch):
+    # the 2x1 rectangle at k = 2 is the grid candidate whose search runs
+    domain = rectangle(2.0, 1.0)
+    table = _reference_grid(domain, 468, True)
+    before = _reference_enumeration(domain, 2, table, 1e9)
+    assert before[2] == 308
+    reads = _Reads(monkeypatch)
+    assert _report_key(enumerate_caps(domain, 2, 468)) == before
+    assert reads.rows and not reads.chords
+    reads.check(lambda *_: table)
+
+
+@pytest.mark.parametrize("name", ["lshape", "star"])
+@pytest.mark.parametrize("m", [24, 48, 144])
+def test_column_walk_gives_the_whole_table_w_min(name, m):
+    """On a nonconvex grid a column's least valid eta comes from testing its
+    chords in increasing eta.  Fed a falling incumbent, one set of columns
+    answers as the full-validity table does at every step, and so does a
+    fresh one."""
+    domain = _GRID_DOMAINS[name]()
+    ref = _reference_grid(domain, m, True)
+    grid = _prepare_grid(domain, m, full_validity=False)
+    finite = {v for v in ref.min_eta_by_width if math.isfinite(v)}
+    bests = sorted({math.inf, 0.0, *finite, *(v + 1e-12 for v in finite)}, reverse=True)
+    columns = search._EtaColumns(domain, grid, 1)
+    for best in bests:
+        want = _reference_w_min(ref, best)
+        assert columns.w_min_for(best, m) == want, best
+        assert search._EtaColumns(domain, grid, 1).w_min_for(best, m) == want, best
+
+
+def test_nonconvex_search_tests_few_chords(lshape, monkeypatch):
+    # the whole-table search tested all 10 296 chords of this grid
+    calls = []
+    kernel = geometry._interior_chord_ends
+
+    def spy(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(geometry, "_interior_chord_ends", spy)
+    monkeypatch.setattr(search, "_interior_chord_ends", spy)
+    report = enumerate_caps(lshape, 2, 144)
+    assert report.evaluations == 419
+    assert 0 < len(calls) < 1000
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("disk", k) for k in range(2, 6)] + [("D3", 3), ("D4", 4), ("D5", 5), ("D6", 3), ("D8", 4)],
+)
+def test_regular_cases_convert_no_row(name, k, monkeypatch):
+    # the seeds already leave no room for k caps: no search, no row, and no
+    # column past m // k + 1 is read
+    domain = _GRID_DOMAINS[name]()
+    reads = _Reads(monkeypatch)
+    report = search._auto_enumerate(domain, k, SearchConfig())
+    assert report is not None and report.evaluations == 0
+    assert reads.blocks and not reads.rows
+    for m, _w0, w1, _block in reads.blocks:
+        assert w1 - 1 <= m // k + 1, (m, w1)
+
+
+def test_nonconvex_enumeration_memory(lshape):
+    # at the default budget this grid is refused (estimate 4.24e9); the scan
+    # reads column blocks of at most 1000 x 410 values
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            enumerate_caps(lshape, 2, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_refusal_reports_an_estimate_past_the_float_range_as_inf():
@@ -415,15 +585,18 @@ def test_enumerate_matches_brute_force_on_disk(unit_disk):
     assert report.value == pytest.approx(oracle, abs=1e-12)
 
 
-def test_enumeration_frees_its_table_without_the_cycle_collector(unit_disk):
-    # the recursive search closure must not keep the O(m^2) table alive
-    tables = _grid_tables(_prepare_grid(unit_disk, 36, full_validity=True))
-    table_ref = weakref.ref(tables)
+def test_enumeration_frees_its_table_without_the_cycle_collector(lshape):
+    # the recursive search closure must not keep the grid and the rows it
+    # read alive
+    grid = _prepare_grid(lshape, 24, full_validity=False)
+    _estimate, seeds, clear = search._scan_estimate(lshape, 2, grid, 1e9)
+    grid_ref = weakref.ref(grid)
     gc.disable()
     try:
-        _run_enumeration(unit_disk, 2, tables, 1e9)
-        del tables
-        assert table_ref() is None
+        report = _run_enumeration(lshape, 2, grid, seeds, clear, 1e9)
+        assert report.evaluations > 0
+        del grid
+        assert grid_ref() is None
     finally:
         gc.enable()
 
