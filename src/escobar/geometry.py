@@ -20,7 +20,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
@@ -387,11 +386,7 @@ def chords_cross(p1: Point, q1: Point, p2: Point, q2: Point, scale: float) -> st
     Collinear chords that share a stretch overlap.  A crossing point within
     ``max(1e-12 scale, 1e-6 * shorter chord)`` of any of the four ends is a
     touch at that end, not a crossing, so chords that share an end or end on
-    each other (a T-junction) do not cross.  A hit that
-    :func:`_seg_seg_intersections` finds past the end of a chord, within its
-    parameter slack, is a crossing only when the two closed chords meet in
-    exact arithmetic (:func:`_segments_meet`); otherwise that chord stops
-    short of the other.
+    each other (a T-junction) do not cross.
     """
     hits, overlap = _seg_seg_intersections(p1, q1, p2, q2)
     if overlap:
@@ -401,29 +396,10 @@ def chords_cross(p1: Point, q1: Point, p2: Point, q2: Point, scale: float) -> st
     excl = max(
         _CHORD_EXCL_ABS * scale, _CHORD_EXCL_REL * min(math.dist(p1, q1), math.dist(p2, q2))
     )
-    for pt, u, v in hits:
-        if all(math.dist(pt, e) > excl for e in (p1, q1, p2, q2)) and (
-            0.0 <= u <= 1.0 and 0.0 <= v <= 1.0 or _segments_meet(p1, q1, p2, q2)
-        ):
+    for pt, _u, _v in hits:
+        if all(math.dist(pt, e) > excl for e in (p1, q1, p2, q2)):
             return f"chords cross at {pt}"
     return None
-
-
-def _segments_meet(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Whether the closed segments ``ab`` and ``cd`` share a point, decided
-    in exact rational arithmetic on the float coordinates."""
-    a, b, c, d = ((Fraction(p[0]), Fraction(p[1])) for p in (a, b, c, d))
-
-    def side(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    s1, s2, s3, s4 = side(a, b, c), side(a, b, d), side(c, d, a), side(c, d, b)
-    if s1 == s2 == s3 == s4 == 0:  # collinear: the extents must overlap
-        return all(
-            max(min(a[k], b[k]), min(c[k], d[k])) <= min(max(a[k], b[k]), max(c[k], d[k]))
-            for k in (0, 1)
-        )
-    return s1 * s2 <= 0 and s3 * s4 <= 0
 
 
 def _circular_interval_overlap(
@@ -858,16 +834,12 @@ def make_domain(edges: Iterable[Edge]) -> PlanarDomain:
         dom = PlanarDomain(edges)
 
     # simplicity: no two edges may intersect except adjacent ones at their
-    # shared vertex, and no edge pair may overlap along a stretch.  The
-    # pairs come in sweep order; the first failure in (i, j) order is raised
-    first = None
-    for i, j in _pairs_that_may_meet(dom):
-        if first is None or (i, j) < first[0]:
-            problem = _edge_pair_problem(edges, i, j, tol_abs)
-            if problem is not None:
-                first = ((i, j), problem)
-    if first is not None:
-        raise InvalidGeometryError(first[1])
+    # shared vertex, and no edge pair may overlap along a stretch.  Pairs are
+    # tested in (i, j) order, so the first failure is the all-pairs loop's
+    for i, j in sorted(_pairs_that_may_meet(dom)):
+        problem = _edge_pair_problem(edges, i, j, tol_abs)
+        if problem is not None:
+            raise InvalidGeometryError(problem)
 
     for j, theta in enumerate(dom.interior_angles):
         if theta <= 1e-9 or theta >= _TWO_PI - 1e-9:

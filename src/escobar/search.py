@@ -547,9 +547,6 @@ def _run_enumeration(
     # k caps of a width past m // k do not fit: the search would not run
     w_min = columns.w_min_for(best, m // k + 1)
     rows: list[Optional[list[float]]] = [None] * m
-    # nonconvex: per row read, the verdicts of its chords as the search
-    # tests them (None: not tested yet)
-    verdicts: list[Optional[list[Optional[bool]]]] = [None] * m
 
     nodes = 0
     end_abs = 0  # set per c0
@@ -581,18 +578,11 @@ def _run_enumeration(
             row = rows[i]
             if row is None:
                 row = rows[i] = _eta_row(grid, i)
-                if need_cross:
-                    verdicts[i] = [None] * m
-            seen = verdicts[i]
             for w in range(w_min, w_cap + 1):
                 e = row[w]
                 if e < best:
-                    if seen is not None:
-                        ok = seen[w]
-                        if ok is None:
-                            ok = seen[w] = _chord_ok(domain, grid, i, (i + w) % m)
-                        if not ok:
-                            continue
+                    if need_cross and not _chord_ok(domain, grid, i, (i + w) % m):
+                        continue
                     cuts.append(start)
                     cuts.append(start + w)
                     dfs(cap_idx + 1, start + w, cuts, max(running, e))

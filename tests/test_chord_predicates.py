@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from escobar.geometry import (
@@ -31,7 +31,6 @@ from escobar.geometry import (
     Segment,
     _circular_interval_overlap,
     _seg_seg_intersections,
-    _segments_meet,
     chords_cross,
     make_domain,
     make_polygon,
@@ -207,40 +206,19 @@ def _ends(dom, c):
 # ---------------------------------------------------------------------------
 
 
-def _stops_short(dom, c1, c2):
-    """The one verdict the kernel changed: the retired copies counted a hit
-    past the end of a chord, within the parameter slack, as a crossing
-    also where the two closed chords do not meet."""
-    return not _segments_meet(*_ends(dom, c1), *_ends(dom, c2))
-
-
-# a chord that cuts the corner 5e-16 from a vertex, and one ending near that
-# vertex: the retired copy reported a crossing, but the chords do not meet
-_STOPS_SHORT = (
-    "star", 1e-6, (0.0, 1.9996915616414655e-06), (1.9996915622022344e-06, 1.9996915610806967e-06)
-)
-
-
 @settings(max_examples=600, deadline=None)
 @given(case=_chord_pairs())
-@example(case=(_domain(*_STOPS_SHORT[:2]), *_STOPS_SHORT[2:]))
 def test_chords_conflict_matches_retired_copy(case):
-    """Same description string from end points found once, but for chords
-    that stop short of each other."""
+    """Same description string from end points found once."""
     dom, c1, c2 = case
     got = _chords_conflict(dom, _ends(dom, c1), _ends(dom, c2))
-    want = _ref_chords_conflict(dom, c1, c2, tol=1e-9)
-    if got is None and want is not None and want.startswith("chords cross"):
-        assert _stops_short(dom, c1, c2)
-    else:
-        assert got == want
+    assert got == _ref_chords_conflict(dom, c1, c2, tol=1e-9)
 
 
 @settings(max_examples=600, deadline=None)
 @given(case=_chord_pairs())
 def test_strip_chord_check_matches_retired_copy(case):
-    """The kernel gives the old strip check's verdict: overlap, cross or
-    clear, but for chords that stop short of each other."""
+    """The kernel gives the old strip check's verdict: overlap, cross or clear."""
     dom, c1, c2 = case
     strip = Strip(Cap(*c1), Cap(*c2))
     (pa, pb), (qa, qb) = _pieces(dom, strip)[1]
@@ -248,11 +226,7 @@ def test_strip_chord_check_matches_retired_copy(case):
     kind = None if msg is None else msg.split()[1]
     expected = [{"overlap": "inner and outer chords overlap",
                  "cross": "inner and outer chords cross"}[kind]] if kind else []
-    retired = _ref_strip_chords(dom, strip)
-    if not expected and retired == ["inner and outer chords cross"]:
-        assert _stops_short(dom, c1, c2)
-    else:
-        assert expected == retired
+    assert expected == _ref_strip_chords(dom, strip)
 
 
 @settings(max_examples=600, deadline=None)
@@ -264,8 +238,7 @@ def test_cuts_chords_ok_matches_retired_copy(case):
     crossing the old copy reported (no grid of at most 5000 points has
     such a chord).  The old copy forgave only exactly identical chords;
     ``_chords_conflict`` forgives chords whose ends agree within
-    ``TAU_GEOM`` times the scale, as ``validate_tuple`` does, and chords
-    that stop short of each other (:func:`_stops_short`)."""
+    ``TAU_GEOM`` times the scale, as ``validate_tuple`` does."""
     dom, c1, c2 = case
     tables = SimpleNamespace(m=4, pts=np.array([*_ends(dom, c1), *_ends(dom, c2)]))
     got = _cuts_chords_ok(tables, [0, 1, 2, 3], dom)
@@ -279,7 +252,7 @@ def test_cuts_chords_ok_matches_retired_copy(case):
         return
     expected = _ref_cuts_chords_ok(tables, [0, 1, 2, 3])
     shorter = min(math.dist(*tables.pts[:2]), math.dist(*tables.pts[2:]))
-    if shorter >= 1e-6 * dom.scale and not (got and _stops_short(dom, c1, c2)):
+    if shorter >= 1e-6 * dom.scale:
         assert got == expected
     else:
         assert got or not expected
@@ -298,23 +271,6 @@ def test_circular_interval_overlap_matches_retired_copy(period, u):
     assert got.hex() == _ref_interval_overlap_mod(period, s0, l0, s1, l1).hex()
 
 
-@pytest.mark.parametrize(
-    "a, b, c, d, meet",
-    [
-        ((0, 0), (2, 2), (0, 2), (2, 0), True),  # crossing
-        ((0, 0), (2, 0), (1, 0), (1, 5), True),  # an end on the other chord
-        ((0, 0), (2, 0), (1, 5e-324), (1, 5), False),  # one step short of it
-        ((0, 0), (2, 0), (0, 1), (2, 1), False),  # parallel
-        ((0, 0), (2, 0), (1, 0), (3, 0), True),  # collinear, overlapping
-        ((0, 0), (1, 0), (1, 0), (3, 0), True),  # collinear, end to end
-        ((0, 0), (1, 0), (1.5, 0), (3, 0), False),  # collinear, apart
-    ],
-)
-def test_segments_meet_in_exact_arithmetic(a, b, c, d, meet):
-    assert _segments_meet(a, b, c, d) is meet
-    assert _segments_meet(c, d, b, a) is meet
-
-
 # ---------------------------------------------------------------------------
 # mpmath oracle
 # ---------------------------------------------------------------------------
@@ -328,11 +284,6 @@ def test_segments_meet_in_exact_arithmetic(a, b, c, d, meet):
     x=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
     angles=st.tuples(st.floats(0.0, math.pi), st.floats(1e-3, math.pi - 1e-3)),
     t=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
-)
-# the first chord stops 1e-17 short of the second, 1e-11 of its length:
-# within the parameter slack, and ten exclusion radii from every end
-@example(
-    scale=1e-06, x=(0.0, 0.5), angles=(0.0, 1.0), t=[1.0, 1e-11, 1e-11, -5.960464477539063e-08]
 )
 def test_chords_cross_matches_mpmath(scale, x, angles, t):
     """Two chords through a common point X at an angle of at least 1e-3: at
