@@ -276,8 +276,13 @@ def segment_circle_intersections(
     within ``_PARAM_SLACK`` of ``[0, 1]``.  Solved via the perpendicular foot
     of the centre on the segment line, which stays accurate when the radius
     is many orders of magnitude below the segment length (the naive
-    quadratic discriminant cancels catastrophically there).
+    quadratic discriminant cancels catastrophically there).  Dividing the
+    inputs by the 2**e that puts the largest in [0.5, 1) keeps squares finite;
+    it is exact short of underflow, so every operation rounds as undivided.
     """
+    e = math.frexp(max(map(abs, (*a, *b, *center, radius))))[1]
+    a, b, center = ((math.ldexp(p[0], -e), math.ldexp(p[1], -e)) for p in (a, b, center))
+    radius = math.ldexp(radius, -e)
     d = _sub(b, a)
     dd = _dot(d, d)
     if dd == 0.0:
@@ -294,7 +299,7 @@ def segment_circle_intersections(
     out = []
     for u in roots:
         if -_PARAM_SLACK <= u <= 1.0 + _PARAM_SLACK:
-            out.append(((a[0] + u * d[0], a[1] + u * d[1]), u))
+            out.append(((math.ldexp(a[0] + u * d[0], e), math.ldexp(a[1] + u * d[1], e)), u))
     return out
 
 
@@ -315,7 +320,12 @@ def circle_circle_intersections(
 
     Concentric circles (including identical ones) yield no points; callers
     that care about the identical-circle case must detect it themselves.
+    The inputs are divided by a power of two, as in
+    :func:`segment_circle_intersections`.
     """
+    e = math.frexp(max(map(abs, (*c1, r1, *c2, r2))))[1]
+    c1, c2 = ((math.ldexp(p[0], -e), math.ldexp(p[1], -e)) for p in (c1, c2))
+    r1, r2 = math.ldexp(r1, -e), math.ldexp(r2, -e)
     d = math.dist(c1, c2)
     if d == 0.0:
         return []
@@ -326,9 +336,8 @@ def circle_circle_intersections(
     h = math.sqrt(h2) if h2 > 0.0 else 0.0
     ux, uy = (c2[0] - c1[0]) / d, (c2[1] - c1[1]) / d
     bx, by = c1[0] + a * ux, c1[1] + a * uy
-    if h == 0.0:
-        return [(bx, by)]
-    return [(bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux)]
+    pts = [(bx, by)] if h == 0.0 else [(bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux)]
+    return [(math.ldexp(x, e), math.ldexp(y, e)) for x, y in pts]
 
 
 def _seg_seg_intersections(

@@ -11,9 +11,7 @@ value is the measured max-eta of a validated tuple):
   :func:`_nelder_mead`, on a feasibility-penalised objective), never worse
   than its starting point;
 * :func:`corner_family_bound` — nested corner caps/strips distributed over
-  the convex corners by a greedy minimax allocation, plus, on domains with
-  a concave arc, a sweep of the standard corner schedule by SciPy's bounded
-  Brent method (golden-section steps with parabolic fits).
+  the convex corners by a greedy minimax allocation.
 
 :func:`estimate_ik` orchestrates all of the above, skipping the cap searches
 where no cap tuple exists (:func:`_no_cap_tuple`).
@@ -37,7 +35,6 @@ import numpy as np
 from .constructions import (
     corner_chain_tuple,
     corner_leg_reach,
-    corner_schedule_legs,
     equal_boundary_tuple,
     geometric_legs,
 )
@@ -894,28 +891,28 @@ def refine_caps(
 # ---------------------------------------------------------------------------
 
 
-def _corner_geometry(domain: PlanarDomain, c: int) -> tuple[float, float, float]:
-    """(theta, t_floor, t_max) for chains at convex corner ``c``.
+def _corner_geometry(domain: PlanarDomain, c: int) -> tuple[float, float, float, float]:
+    """(theta, bend, t_floor, t_max) for chains at convex corner ``c``.
 
-    ``t_max`` is the outermost leg and ``t_floor`` the smallest leg a chain
-    may use.  Chains at a corner that admits anchored caps keep their cut
-    points as offsets from the vertex, so ``t_floor`` is bounded only by
-    float64 (:data:`_LEG_SPAN_MAX`).  Elsewhere cut points are arclengths,
-    resolved to about 1e-16 of the perimeter, and ``t_floor`` stays at 1e-8
-    of it.
+    ``bend`` is the sum of 1/(2R) over the clockwise arcs next to the
+    corner (see :func:`_chain_eta_model`).  ``t_max`` is the outermost leg
+    and ``t_floor`` the smallest leg a chain may use.  Chains at a corner
+    that admits anchored caps keep their cut points as offsets from the
+    vertex, so ``t_floor`` is bounded only by float64
+    (:data:`_LEG_SPAN_MAX`).  Elsewhere cut points are arclengths, resolved
+    to about 1e-16 of the perimeter, and ``t_floor`` stays at 1e-8 of it.
     """
-    n = len(domain.edges)
     theta = domain.interior_angles[c]
+    near = (domain.edges[c - 1], domain.edges[c])
+    bend = sum(0.5 / e.radius for e in near if isinstance(e, Arc) and not e.ccw)
     if corner_admits_anchor(domain, c):
         t_max = 0.45 * corner_leg_reach(domain, c)
-        return theta, max(t_max / _LEG_SPAN_MAX, _LEG_FLOOR), t_max
-    prev_len = domain.edge_lengths[(c - 1) % n]
-    next_len = domain.edge_lengths[c]
-    t_max = 0.45 * min(prev_len, next_len)
+        return theta, bend, max(t_max / _LEG_SPAN_MAX, _LEG_FLOOR), t_max
+    t_max = 0.45 * min(domain.edge_lengths[c - 1], domain.edge_lengths[c])
     t_min = max(1e-8 * domain.perimeter, 1e-9 * t_max)
     if t_min >= t_max:
         t_min = t_max / 4.0
-    return theta, t_min, t_max
+    return theta, bend, t_min, t_max
 
 
 def _chain_legs(t_floor: float, t_max: float, d: int) -> list[float]:
@@ -927,30 +924,52 @@ def _chain_legs(t_floor: float, t_max: float, d: int) -> list[float]:
     return geometric_legs(max(t_floor, t_max * _LEG_RATIO_MAX ** -(d - 1)), t_max, d)
 
 
-def _chain_eta_model(theta: float, t_floor: float, t_max: float, d: int) -> float:
-    """Predicted max eta of the d-deep chain :func:`_chain_legs` builds."""
-    s = math.sin(theta / 2.0)
+def _chain_eta_model(theta: float, bend: float, t_floor: float, t: float, d: int) -> float:
+    """Predicted max eta of the d-deep chain :func:`_chain_legs` builds
+    with outer leg ``t``.
+
+    A chord from the corner to the point at distance t along a clockwise
+    arc of radius R leaves the arc's tangent by about t/(2R), away from the
+    other edge, so the corner cap sees the angle ``theta + bend * t``
+    (capped at pi), with ``bend`` from :func:`_corner_geometry`.  Deeper
+    chains multiply that cap's sin(angle/2) by (r + 1)/(r - 1), r being the
+    chain's leg ratio.
+    """
+    s = math.sin(min(math.pi, theta + bend * t) / 2.0)
     if d <= 1:
         return s
-    r = min((t_max / t_floor) ** (1.0 / (d - 1)), _LEG_RATIO_MAX)
+    r = min((t / t_floor) ** (1.0 / (d - 1)), _LEG_RATIO_MAX)
     if r <= 1.0:
         return math.inf
     return s * (r + 1.0) / (r - 1.0)
+
+
+def _chain_outer_leg(
+    theta: float, bend: float, t_floor: float, t_max: float, d: int
+) -> tuple[float, float]:
+    """(model, leg): the outer leg among ``t_max * 2**-j`` above ``t_floor``
+    that minimises :func:`_chain_eta_model`, the larger one on ties.  Without
+    a bend the model does not increase in the leg, so that is ``t_max``."""
+    best = (_chain_eta_model(theta, bend, t_floor, t_max, d), t_max)
+    t = 0.5 * t_max
+    while bend and t > t_floor:
+        val = _chain_eta_model(theta, bend, t_floor, t, d)
+        if val < best[0]:
+            best = (val, t)
+        t *= 0.5
+    return best
 
 
 def corner_family_bound(domain: PlanarDomain, k: int) -> BoundReport:
     """Upper bound from nested corner regions spread over the convex corners.
 
     A greedy minimax allocation distributes the k regions over the corners
-    (each corner receives a geometric chain of caps/strips).  On a domain
-    with a concave arc, where a cap's ratio grows with its legs and the
-    allocation's long legs can lose, a sweep of the single-corner schedule
-    at the sharpest corner by SciPy's bounded Brent method
-    (``minimize_scalar(method="bounded")``: golden-section steps with
-    parabolic fits) is also tried; elsewhere it never won.  At corners that
-    admit anchored caps a chain's legs may span a factor 1e290, so a d-deep
-    chain there comes within about 2 sin(theta/2) / r of sin(theta/2), with
-    leg ratio r = min(1e12, 1e290 ** (1/(d-1))).
+    (each corner receives a geometric chain of caps/strips), by the
+    predicted max eta of :func:`_chain_eta_model` at the outer leg of
+    :func:`_chain_outer_leg`.  At corners that admit anchored caps a
+    chain's legs may span a factor 1e290, so a d-deep chain there comes
+    within about 2 sin(theta/2) / r of sin(theta/2), with leg ratio
+    r = min(1e12, 1e290 ** (1/(d-1))).
     """
     corners = domain.convex_corners
     if not corners:
@@ -963,79 +982,50 @@ def corner_family_bound(domain: PlanarDomain, k: int) -> BoundReport:
 
     # greedy minimax allocation: repeatedly give the next region to the
     # corner whose chain grows the least
-    alloc = {c: 0 for c in corners}
-    heap = []
-    for c in corners:
-        theta, t0, t1 = geom[c]
-        heapq.heappush(heap, (_chain_eta_model(theta, t0, t1, 1), theta, c, 1))
+    alloc = {c: (0, 0.0) for c in corners}
+
+    def entry(c: int, d: int) -> tuple:
+        val, leg = _chain_outer_leg(*geom[c], d)
+        return val, geom[c][0], c, d, leg
+
+    heap = [entry(c, 1) for c in corners]
+    heapq.heapify(heap)
     for _ in range(k):
-        val, theta, c, d = heapq.heappop(heap)
-        alloc[c] = d
-        t0, t1 = geom[c][1], geom[c][2]
-        heapq.heappush(heap, (_chain_eta_model(theta, t0, t1, d + 1), theta, c, d + 1))
+        _, _, c, d, leg = heapq.heappop(heap)
+        alloc[c] = (d, leg)
+        heapq.heappush(heap, entry(c, d + 1))
 
-    candidates: list[tuple[float, TupleCandidate, str]] = []
-
+    witness = None
     try:
         shrink = 1.0
         for _ in range(6):
             regions = []
             try:
                 for c in corners:
-                    if alloc[c] == 0:
+                    d, leg = alloc[c]
+                    if d == 0:
                         continue
-                    t0, t1 = geom[c][1], geom[c][2]
-                    legs = _chain_legs(t0, t1 * shrink, alloc[c])
+                    legs = _chain_legs(geom[c][2], leg * shrink, d)
                     part = corner_chain_tuple(domain, c, legs, validate=False)
                     regions.extend(part.regions)
                 tc = TupleCandidate(domain, tuple(regions))
                 evals += 1
                 if validate_tuple(tc):
                     raise ConstructionFailedError("allocation tuple invalid")
-                candidates.append((max_eta(tc), tc, "corner-allocation"))
+                witness = tc
                 break
             except (ConstructionFailedError, InvalidGeometryError):
                 shrink *= 0.5
     except InvalidParameterError:
         pass
 
-    sharpest = domain.sharpest_corner
-
-    def sweep_objective(log_eps: float) -> float:
-        nonlocal evals
-        evals += 1
-        try:
-            scale = domain.perimeter
-            legs = [t * scale for t in corner_schedule_legs(k, 10.0**log_eps)]
-            tc = corner_chain_tuple(domain, sharpest, legs)
-        except (ConstructionFailedError, InvalidGeometryError, InvalidParameterError):
-            return 2.0  # finite plateau keeps the bounded minimiser stable
-        val = max_eta(tc)
-        sweep_results.append((val, tc))
-        return val
-
-    sweep_results: list[tuple[float, TupleCandidate]] = []
-    if any(isinstance(e, Arc) and not e.ccw for e in domain.edges):
-        from scipy.optimize import minimize_scalar
-
-        minimize_scalar(
-            sweep_objective,
-            bounds=(-14.0, math.log10(0.2)),
-            method="bounded",
-            options={"xatol": 0.05, "maxiter": 40},
-        )
-    if sweep_results:
-        val, tc = min(sweep_results, key=lambda t: t[0])
-        candidates.append((val, tc, "corner-schedule"))
-
-    if not candidates:
+    if witness is None:
         raise ConstructionFailedError(
             f"no corner construction fits this domain for k={k}"
         )
-    value, witness, method = min(candidates, key=lambda t: t[0])
-    theta_min = geom[sharpest][0]
+    theta_min = geom[domain.sharpest_corner][0]
     return BoundReport(
-        value, BoundKind.UPPER_BOUND, witness, method, evals,
+        max_eta(witness), BoundKind.UPPER_BOUND, witness, "corner-allocation", evals,
         f"nested corner regions; sharpest corner angle {theta_min:.12g}",
     )
 

@@ -431,6 +431,140 @@ def test_circle_circle_disjoint():
     assert circle_circle_intersections((0, 0), 1.0, (5, 0), 1.0) == []
 
 
+def _segment_circle_unscaled(a, b, center, radius):
+    """The intersection formula of :func:`segment_circle_intersections` on
+    the inputs as given, without its power-of-two division."""
+    d = (b[0] - a[0], b[1] - a[1])
+    dd = d[0] * d[0] + d[1] * d[1]
+    if dd == 0.0:
+        return []
+    f = (center[0] - a[0], center[1] - a[1])
+    u0 = (f[0] * d[0] + f[1] * d[1]) / dd
+    ld = math.sqrt(dd)
+    perp = (d[0] * f[1] - d[1] * f[0]) / ld
+    h2 = radius * radius - perp * perp
+    if h2 < 0.0:
+        return []
+    half = math.sqrt(h2) / ld
+    roots = [u0] if half == 0.0 else [u0 - half, u0 + half]
+    return [
+        ((a[0] + u * d[0], a[1] + u * d[1]), u)
+        for u in roots
+        if -geometry._PARAM_SLACK <= u <= 1.0 + geometry._PARAM_SLACK
+    ]
+
+
+def _circle_circle_unscaled(c1, r1, c2, r2):
+    """The intersection formula of :func:`circle_circle_intersections` on
+    the inputs as given, without its power-of-two division."""
+    d = math.dist(c1, c2)
+    if d == 0.0 or d > r1 + r2 or d < abs(r1 - r2):
+        return []
+    a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    h2 = r1 * r1 - a * a
+    h = math.sqrt(h2) if h2 > 0.0 else 0.0
+    ux, uy = (c2[0] - c1[0]) / d, (c2[1] - c1[1]) / d
+    bx, by = c1[0] + a * ux, c1[1] + a * uy
+    if h == 0.0:
+        return [(bx, by)]
+    return [(bx - h * uy, by + h * ux), (bx + h * uy, by - h * ux)]
+
+
+# coordinates 0 or at least 1e-12 in size, so that at scales 1e-6..1e6 no
+# product of the formulas comes near underflow
+_unit = st.floats(-1.0, 1.0).map(lambda x: round(x, 12))
+_unit_point = st.tuples(_unit, _unit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scale=st.floats(-6.0, 6.0).map(lambda x: 10.0**x),
+    a=_unit_point, b=_unit_point, c=_unit_point, r=st.floats(0.01, 2.0),
+)
+def test_segment_circle_division_is_exact(scale, a, b, c, r):
+    """Dividing the inputs by a power of two changes no bit of the result
+    at ordinary scales."""
+    a, b, c = ((x * scale, y * scale) for x, y in (a, b, c))
+    got = segment_circle_intersections(a, b, c, r * scale)
+    assert repr(got) == repr(_segment_circle_unscaled(a, b, c, r * scale))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scale=st.floats(-6.0, 6.0).map(lambda x: 10.0**x),
+    c1=_unit_point, c2=_unit_point, r1=st.floats(0.01, 2.0), r2=st.floats(0.01, 2.0),
+)
+def test_circle_circle_division_is_exact(scale, c1, c2, r1, r2):
+    c1, c2 = ((x * scale, y * scale) for x, y in (c1, c2))
+    got = circle_circle_intersections(c1, r1 * scale, c2, r2 * scale)
+    assert repr(got) == repr(_circle_circle_unscaled(c1, r1 * scale, c2, r2 * scale))
+
+
+def test_intersections_do_not_overflow_at_1e155():
+    """Squaring radii and distances overflowed above about 1.3e154, giving a
+    NaN point and no roots."""
+    (x0, y0), (x1, y1) = circle_circle_intersections((0.0, 0.0), 1e155, (1e155, 0.0), 1e155)
+    y = 0.75**0.5 * 1e155
+    assert [x0, y0, x1, y1] == pytest.approx([5e154, y, 5e154, -y], rel=1e-15)
+    ((p0, u0), (p1, u1)) = segment_circle_intersections(
+        (-2e155, 0.0), (2e155, 0.0), (0.0, 0.0), 1e155
+    )
+    assert (u0, u1) == (0.25, 0.75)
+    assert [*p0, *p1] == pytest.approx([-1e155, 0.0, 1e155, 0.0], rel=1e-15)
+
+
+def _arc_through(p, q, sagitta, ccw, scale):
+    """The minor arc from p to q whose middle lies ``sagitta`` off the chord,
+    to its right when ``ccw`` and to its left otherwise, times ``scale``."""
+    h = math.dist(p, q) / 2.0
+    r = (h * h + sagitta * sagitta) / (2.0 * sagitta)
+    off = (r - sagitta) * (1.0 if ccw else -1.0) / (2.0 * h)
+    cx = (p[0] + q[0]) / 2.0 - off * (q[1] - p[1])
+    cy = (p[1] + q[1]) / 2.0 + off * (q[0] - p[0])
+    start, end = (math.atan2(z[1] - cy, z[0] - cx) for z in (p, q))
+    return Arc((cx * scale, cy * scale), r * scale, start, end, ccw=ccw)
+
+
+def _bowed_rectangle(scale, bottom, top):
+    """The rectangle [0, 4] x [0, 1] times ``scale``; its bottom side, and
+    its top side unless ``top`` is None, are arcs given as (sagitta, ccw)."""
+    p = [(0.0, 0.0), (4.0, 0.0), (4.0, 1.0), (0.0, 1.0)]
+
+    def side(i, j):
+        return Segment(*((x * scale, y * scale) for x, y in (p[i], p[j])))
+
+    e0 = _arc_through(p[0], p[1], *bottom, scale)
+    e2 = _arc_through(p[2], p[3], *top, scale) if top else side(2, 3)
+    return [e0, side(1, 2), e2, side(3, 0)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e155])
+@pytest.mark.parametrize(
+    "bottom, top, where",
+    [
+        ((0.6, False), (0.6, False), (1.153438326719976, 0.5)),  # two arcs bowed in
+        ((1.3, False), None, (3.105928082235424, 1.0)),  # an arc through the top side
+    ],
+)
+def test_crossing_chain_is_refused_at_every_scale(scale, bottom, top, where):
+    """At 1e155 the crossings were lost to overflow, and the chains built."""
+    with pytest.raises(InvalidGeometryError, match="edges 0 and 2 meet") as err:
+        make_domain(_bowed_rectangle(scale, bottom, top))
+    x, y = (float(v) for v in str(err.value).rsplit("(", 1)[1].rstrip(")").split(", "))
+    assert (x, y) == pytest.approx((where[0] * scale, where[1] * scale), rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e155])
+def test_simple_chain_of_crossing_circles_builds_at_every_scale(scale):
+    """The bottom and top arcs bow outwards; their circles meet, at x = -1.2
+    and 5.2, but the arcs do not."""
+    edges = _bowed_rectangle(scale, (0.3, True), (0.3, True))
+    circles = [(e.center, e.radius) for e in (edges[0], edges[2])]
+    assert len(circle_circle_intersections(*circles[0], *circles[1])) == 2
+    domain = make_domain(edges)
+    assert domain.edges == tuple(edges)
+
+
 # ---------------------------------------------------------------------------
 # chords and containment
 # ---------------------------------------------------------------------------

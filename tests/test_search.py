@@ -1063,8 +1063,8 @@ def test_corner_family_needs_corners(unit_disk):
     "name", ["D3", "D5", "D8", "quad", "rect2x1", "lshape", "star", "half-disk", "slice-60"]
 )
 def test_corner_family_reports_the_allocation_only(name):
-    """Without a concave arc the schedule sweep, which never won there, does
-    not run."""
+    """The corner family reports the allocation, built in at most six
+    shrinks of its legs."""
     domain = _GRID_DOMAINS[name]()
     for k in (2, 3, 5, 8, 12):
         report = corner_family_bound(domain, k)
@@ -1098,12 +1098,78 @@ def test_corner_allocation_halves_the_legs_of_an_invalid_chain(k, monkeypatch):
     assert report.value == pytest.approx(math.sin(a / 2.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("k, value", [(2, "0.3863161853781286"), (3, "0.45377347251532224")])
-def test_corner_family_sweeps_the_schedule_next_to_a_concave_arc(k, value):
-    """Next to a concave arc a cap's ratio grows with its legs: the
-    allocation's long legs give 0.522 here, the schedule's short ones less."""
-    report = corner_family_bound(concave_square(), k)
-    assert (repr(report.value), report.method) == (value, "corner-schedule")
+def _bowed_square(r):
+    """The unit square whose top side bows inwards along an arc of radius r."""
+    h = math.sqrt(r * r - 0.25)
+    return make_domain([
+        Segment((0.0, 0.0), (1.0, 0.0)),
+        Segment((1.0, 0.0), (1.0, 1.0)),
+        Arc((0.5, 1.0 + h), r, math.atan2(-h, 0.5), math.atan2(-h, -0.5), ccw=False),
+        Segment((0.0, 1.0), (0.0, 0.0)),
+    ])
+
+
+def _bowed_triangle(r):
+    """The triangle (0, 0), (1, 0), (0.5, 1) whose base bows inwards along
+    an arc of radius r."""
+    h = math.sqrt(r * r - 0.25)
+    return make_domain([
+        Arc((0.5, -h), r, math.atan2(h, -0.5), math.atan2(h, 0.5), ccw=False),
+        Segment((1.0, 0.0), (0.5, 1.0)),
+        Segment((0.5, 1.0), (0.0, 0.0)),
+    ])
+
+
+#: concave-arc domains and the corner family's values at k = 1..12 from
+#: before the allocation saw the bend of a concave arc, when a sweep of the
+#: standard corner schedule at the sharpest corner competed with it
+_CONCAVE_ARC_DOMAINS = {
+    "concave-square": (concave_square, [
+        0.38268357037513384, 0.3863161853781286, 0.45377347251532224,
+        0.5219965464684279, 0.5222675922530559, 0.5222675922530559,
+        0.5260562116485662, 0.5260562116485665, 0.5379046372122462,
+        0.5379046372122462, 0.5587015480073527, 0.5587015480073527,
+    ]),
+    "square-R0.6": (functools.partial(_bowed_square, 0.6), [
+        0.28867530613538145, 0.291518768770704, 0.34316770053584283,
+        0.4416839842879038, 0.46070109967164113, 0.4607010996716412,
+        0.46384555136490857, 0.46384555136490907, 0.4736755113505438,
+        0.47367551135054414, 0.4909561711305917, 0.4909561711305917,
+    ]),
+    "square-R3": (functools.partial(_bowed_square, 3.0), [
+        0.645497250741708, 0.651621504167035, 0.6733875103476091,
+        0.6733875103476091, 0.6737807738679233, 0.6737807738679233,
+        0.6792999135459824, 0.679299913545983, 0.69656495161535,
+        0.6965649516153504, 0.7267774761125277, 0.7267774761125277,
+    ]),
+    "triangle-R0.6": (functools.partial(_bowed_triangle, 0.6), [
+        0.06098125492974069, 0.06191324208094725, 0.07499274719956388,
+        0.09707049311543797, 0.11693661795897357, 0.1513806375769516,
+        0.181067190743493, 0.2182601462918627, 0.2535039573326607,
+        0.27488793223325464, 0.282224930371892, 0.2822249303718921,
+    ]),
+    "triangle-R2": (functools.partial(_bowed_triangle, 2.0), [
+        0.41435526019375385, 0.4183403563145963, 0.46500589511186835,
+        0.46500589511186874, 0.46524059272967744, 0.46524059272967827,
+        0.46866579182471046, 0.46866579182471085, 0.4796163817191674,
+        0.47961638171916765, 0.49903265757179593, 0.49903265757179643,
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", _CONCAVE_ARC_DOMAINS)
+@pytest.mark.parametrize("k", range(1, 13))
+def test_corner_allocation_takes_short_legs_next_to_a_concave_arc(name, k):
+    """Next to a concave arc a cap's ratio grows with its legs.  The
+    allocation's chain model sees that bend, so its chains come out valid
+    and at or below what the schedule sweep and the long-legged allocation
+    gave before."""
+    build, before = _CONCAVE_ARC_DOMAINS[name]
+    report = corner_family_bound(build(), k)
+    assert validate_tuple(report.witness) == []
+    assert report.value == max_eta(report.witness)
+    assert report.method == "corner-allocation"
+    assert report.value <= before[k - 1]
 
 
 # ---------------------------------------------------------------------------
