@@ -20,8 +20,10 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import InvalidGeometryError, InvalidParameterError
 
@@ -212,15 +214,54 @@ Edge = Union[Segment, Arc]
 
 def _row_point(row: tuple, t: float) -> Point:
     """The point at local arclength ``t`` on the edge whose ``_row`` is
-    ``row``: every boundary point is evaluated here, except in the two hot
-    copies that spell it out (:func:`_interior_chord_ends` and the NumPy
-    grid of ``search._prepare_grid``)."""
+    ``row``: every boundary point is evaluated here, except in the two
+    copies that spell it out (:func:`_interior_chord_ends`, and
+    :func:`_points_at` for arrays of points)."""
     arc, a, b, c, d, e = row
     if arc:
         ang = d + t / c if e else d - t / c
         return (a + c * math.cos(ang), b + c * math.sin(ang))
     u = t / e
     return (a + u * c, b + u * d)
+
+
+def _points_at(domain: PlanarDomain, s: np.ndarray) -> np.ndarray:
+    """``point_at`` of every reduced arclength in ``s``, bit for bit, as an
+    array of shape ``s.shape + (2,)``.
+
+    ``s`` holds arclengths in ``[0, P]`` in any order; ``P`` stands for 0, as
+    in :meth:`PlanarDomain._edge_index_reduced`, whose vertex search this
+    repeats.  :func:`_row_point`'s operations are repeated element by element
+    in NumPy, except the cosine and sine of an arc point, which ``math``
+    takes one at a time, because NumPy's may differ from libm's.  The arc
+    angle ``a0 +/- t / r`` is ``a0 + sense * (t / r)`` with ``sense = +/-1``,
+    whose product is exact.
+    """
+    s = np.asarray(s, dtype=float)
+    flat = s.ravel()
+    cum = np.array(domain.cumlens)
+    flat = np.where(flat == cum[-1], 0.0, flat)
+    idx = np.searchsorted(cum[:-1], flat, side="right") - 1
+    t = flat - cum[idx]
+    rows = domain._point_rows
+    # a segment's (x0, y0, dx, dy, L) and an arc's (cx, cy, r, a0, sense)
+    table = np.array(
+        [(*row[1:5], 1.0 if row[5] else -1.0) if row[0] else row[1:] for row in rows]
+    )
+    on_arc = np.array([row[0] for row in rows])[idx]
+    pts = np.empty(flat.shape + (2,))
+    on_seg = ~on_arc
+    if on_seg.any():
+        x0, y0, dx, dy, length = table[idx[on_seg]].T
+        u = t[on_seg] / length
+        pts[on_seg, 0] = x0 + u * dx
+        pts[on_seg, 1] = y0 + u * dy
+    if on_arc.any():
+        cx, cy, r, a0, sense = table[idx[on_arc]].T
+        ang = (a0 + sense * (t[on_arc] / r)).tolist()
+        pts[on_arc, 0] = cx + r * np.array([math.cos(a) for a in ang])
+        pts[on_arc, 1] = cy + r * np.array([math.sin(a) for a in ang])
+    return pts.reshape(s.shape + (2,))
 
 
 def angle_in_sweep(arc: Arc, phi: float) -> tuple[bool, float]:
@@ -511,13 +552,36 @@ def _segment_edge_distance(a: Point, b: Point, edge: Edge) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _edge_green(edge: Edge) -> float:
-    """Contribution of one edge to the Green-theorem area integral."""
-    if isinstance(edge, Segment):
-        return 0.5 * _cross(edge.start, edge.end)
-    delta = edge.sweep if edge.ccw else -edge.sweep
-    p, q = edge.start, edge.end
-    return 0.5 * (edge.radius * edge.radius * delta + _cross(edge.center, _sub(q, p)))
+def _green_area(edges: Sequence[Edge]) -> tuple[float, int]:
+    """The Green-theorem signed area of an edge chain divided by ``4**e``,
+    and ``e``: the exponent of the ``2**e`` that puts the largest coordinate
+    or radius in ``[0.5, 1)``.
+
+    Each edge's term squares coordinates and radii, which overflows above
+    about 1.3e154; the coordinates, radii and arc ends are divided by
+    ``2**e`` first, as in :func:`segment_circle_intersections`.  That is
+    exact short of underflow, so every term, and the sum, is the undivided
+    one divided by ``4**e`` bit for bit.
+    """
+    numbers = (
+        (*edge.center, edge.radius) if isinstance(edge, Arc) else (*edge.start, *edge.end)
+        for edge in edges
+    )
+    e = math.frexp(max(abs(x) for row in numbers for x in row))[1]
+
+    def down(p: Point) -> Point:
+        return (math.ldexp(p[0], -e), math.ldexp(p[1], -e))
+
+    total = 0.0
+    for edge in edges:
+        if isinstance(edge, Segment):
+            total += 0.5 * _cross(down(edge.start), down(edge.end))
+            continue
+        delta = edge.sweep if edge.ccw else -edge.sweep
+        r = math.ldexp(edge.radius, -e)
+        chord = _sub(down(edge.end), down(edge.start))
+        total += 0.5 * (r * r * delta + _cross(down(edge.center), chord))
+    return total, e
 
 
 @dataclass(frozen=True)
@@ -571,7 +635,13 @@ class PlanarDomain:
 
     @cached_property
     def area(self) -> float:
-        return sum(_edge_green(e) for e in self.edges)
+        """Enclosed area, ``inf`` above the float range (a scale of about
+        1e154 and more)."""
+        area, e = _green_area(self.edges)
+        try:
+            return math.ldexp(area, 2 * e)
+        except OverflowError:
+            return math.copysign(math.inf, area)
 
     @cached_property
     def interior_angles(self) -> tuple[float, ...]:
@@ -835,8 +905,10 @@ def make_domain(edges: Iterable[Edge]) -> PlanarDomain:
                 f"{a} vs {b}"
             )
 
-    signed = sum(_edge_green(e) for e in edges)
-    if abs(signed) <= tol_abs * tol_abs:
+    # both sides divided by 4**e: the undivided comparison, without overflow
+    signed, e = _green_area(edges)
+    tol = math.ldexp(tol_abs, -e)
+    if abs(signed) <= tol * tol:
         raise InvalidGeometryError("boundary chain encloses no area")
     if signed < 0.0:
         edges = tuple(e.reversed() for e in reversed(edges))
@@ -954,6 +1026,14 @@ def make_regular_polygon(n: int, circumradius: float = 1.0) -> PlanarDomain:
         for j in range(n)
     ]
     return make_polygon(pts)
+
+
+@lru_cache(maxsize=None)
+def _regular_polygon(n: int) -> PlanarDomain:
+    """``make_regular_polygon(n)``, built once per ``n``: the closed forms
+    and audits of ``exact`` and ``symmetry`` read it for every ``k`` and
+    every check."""
+    return make_regular_polygon(n)
 
 
 def scaled(domain: PlanarDomain, factor: float) -> PlanarDomain:

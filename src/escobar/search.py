@@ -51,7 +51,7 @@ from .geometry import (
     PlanarDomain,
     Segment,
     _interior_chord_ends,
-    _row_point,
+    _points_at,
     chord_is_interior,
     is_disk,
 )
@@ -242,22 +242,7 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
     per = domain.perimeter
     step = per / m
     svals = np.arange(m) * step
-    # ``point_at`` of every grid point, from the same rows: the arclengths
-    # ascend in [0, P), so edge i holds those from its vertex to the next
-    pts = np.empty((m, 2))
-    cum = domain.cumlens
-    lo = np.searchsorted(svals, cum).tolist()
-    for i, row in enumerate(domain._point_rows):
-        if lo[i] == lo[i + 1]:
-            continue
-        t = svals[lo[i]:lo[i + 1]] - cum[i]
-        if row[0]:  # math.cos and math.sin: NumPy's trig may differ from libm
-            pts[lo[i]:lo[i + 1]] = [_row_point(row, tj) for tj in t.tolist()]
-        else:  # elementwise IEEE operations, as in _row_point
-            _arc, x0, y0, dx, dy, length = row
-            u = t / length
-            pts[lo[i]:lo[i + 1], 0] = x0 + u * dx
-            pts[lo[i]:lo[i + 1], 1] = y0 + u * dy
+    pts = _points_at(domain, svals)
     fwd = bwd = None
     if domain.is_convex:
         fwd, bwd = _edge_runs(domain, svals)

@@ -30,13 +30,29 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParameterError, NotApplicableError
-from .geometry import PlanarDomain, make_regular_polygon
-from .regions import Cap, eta_partial
+from .geometry import PlanarDomain, _regular_polygon
+from .regions import Cap, _screened_cap_etas, eta_partial
 
 _DEGENERATE_ETA = 1.0
 
 _INEQUALITY_MARGIN = 1e-12  # slack of :func:`symmetrization_inequality_check`
 _MONOTONE_SAMPLES = 160  # exterior lengths sampled by :func:`monotonicity_check`
+_MONOTONE_MARGIN = 1e-11  # rise that :func:`monotonicity_check` forgives
+
+#: Absolute margin of the NumPy screens of :func:`audit_symmetrization` and
+#: :func:`monotonicity_check`.  A screened eta differs from ``eta_partial``'s
+#: only where ``np.hypot`` replaces ``math.dist`` (see
+#: ``regions._screened_cap_etas``), each within about 1 ulp of the true
+#: distance.  Every eta compared here is a cap's on a regular polygon, at
+#: most 1 up to rounding, so a screened eta is within about 3 ulp of 1
+#: (7e-16) of the exact one, and a slack or a rise, the difference of two
+#: etas, within about 2e-15.  A trial whose screened value lies farther than
+#: the margin from a threshold falls on the same side of it as its exact
+#: value, and the trial of least exact slack lies within twice that error of
+#: the least screened one.  1e-12 is several hundred times what either
+#: argument needs, so the screen cannot drop the worst trial, a tie or a
+#: borderline trial; those are re-measured exactly.
+_SCREEN_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -158,17 +174,50 @@ def symmetrization_inequality_check(domain: PlanarDomain, cap: Cap):
     return eta >= bound - _INEQUALITY_MARGIN, eta, bound
 
 
-def monotonicity_check(n: int) -> bool:
-    """Both symmetrized profiles are nonincreasing in the exterior length."""
-    domain = make_regular_polygon(n)
+def _screened_symmetrized(domain: PlanarDomain, lam: np.ndarray):
+    """The etas of :func:`symmetrize` for an array of exterior lengths,
+    screened (``regions._screened_cap_etas``): ``(vertex, edge)`` arrays."""
+    per = domain.perimeter
+    half = lam / 2.0
+    v_eta = _screened_cap_etas(domain, np.remainder(per - half, per), half)
+    mid = domain.edge_lengths[0] / 2.0
+    e_eta = _screened_cap_etas(domain, np.remainder(mid - half, per), np.remainder(mid + half, per))
+    degenerate = lam <= per / domain.regular_order * (1.0 + 1e-12)
+    return v_eta, np.where(degenerate, _DEGENERATE_ETA, e_eta)
+
+
+def _regular_domain(n: int, domain: Optional[PlanarDomain]) -> PlanarDomain:
+    """``domain``, checked to be the regular n-gon, or D_n when it is None."""
+    if domain is None:
+        return _regular_polygon(n)
+    if domain.regular_order != n:
+        raise InvalidParameterError("domain is not a regular n-gon of the given n")
+    return domain
+
+
+def monotonicity_check(n: int, domain: Optional[PlanarDomain] = None) -> bool:
+    """Both symmetrized profiles are nonincreasing in the exterior length:
+    no sampled eta exceeds the one before it by more than 1e-11.
+
+    The profiles are screened in NumPy (:func:`_screened_symmetrized`); a
+    rise within ``_SCREEN_MARGIN`` of 1e-11 is decided by :func:`symmetrize`.
+    """
+    domain = _regular_domain(n, domain)
     per = domain.perimeter
     lams = np.linspace(per / (2.0 * _MONOTONE_SAMPLES), per / 2.0, _MONOTONE_SAMPLES)
-    prev_v = prev_e = math.inf
-    for lam in lams:
-        vertex, edge = symmetrize(domain, float(lam))
-        if vertex.eta > prev_v + 1e-11 or edge.eta > prev_e + 1e-11:
+    prof = np.stack(_screened_symmetrized(domain, lams))
+    limit = prof[:, :-1] + _MONOTONE_MARGIN
+    rises = prof[:, 1:] > limit
+    near = ~(np.abs(prof[:, 1:] - limit) > _SCREEN_MARGIN)
+    if (rises & ~near).any():
+        return False
+    for j in np.flatnonzero(near.any(axis=0)).tolist():
+        before, after = (symmetrize(domain, float(lam)) for lam in lams[j:j + 2])
+        if (
+            after[0].eta > before[0].eta + _MONOTONE_MARGIN
+            or after[1].eta > before[1].eta + _MONOTONE_MARGIN
+        ):
             return False
-        prev_v, prev_e = vertex.eta, edge.eta
     return True
 
 
@@ -181,10 +230,7 @@ def lower_envelope_check(
     vertex-centered for odd ``ell`` (its cut points are edge midpoints) and
     edge-centered for even ``ell``, with the closed-form envelope value.
     """
-    if domain is None:
-        domain = make_regular_polygon(n)
-    elif domain.regular_order != n:
-        raise InvalidParameterError("domain is not a regular n-gon of the given n")
+    domain = _regular_domain(n, domain)
     s = domain.perimeter / n
     ell = round(L0 / s)
     if abs(L0 - ell * s) > 1e-9 * domain.perimeter or not 1 <= ell <= n // 2:
@@ -200,6 +246,25 @@ def lower_envelope_check(
     return EnvelopeCheck(ok, ell, expected_kind, expected, vertex.eta, edge.eta)
 
 
+def _screened_audit(slack: np.ndarray, exact) -> tuple[int, float]:
+    """``(violations, worst slack)`` of the random-cap trials from their
+    screened slacks ``eta - min(symmetrized eta)``.
+
+    ``exact(t)`` re-measures trial ``t`` and returns its exact ``(ok,
+    slack)``.  It decides the trials within ``_SCREEN_MARGIN`` of the least
+    screened slack, which give the worst slack, and those within it of the
+    violation threshold ``-1e-12``, which it counts; every other trial's
+    screened verdict is its exact one.
+    """
+    near_min = np.flatnonzero(slack <= slack.min() + _SCREEN_MARGIN).tolist()
+    near_cut = np.abs(slack + _INEQUALITY_MARGIN) <= _SCREEN_MARGIN
+    cut = np.flatnonzero(near_cut).tolist()
+    checked = {t: exact(t) for t in sorted({*near_min, *cut})}
+    violations = int(np.count_nonzero(slack[~near_cut] < -_INEQUALITY_MARGIN))
+    violations += sum(not checked[t][0] for t in cut)
+    return violations, min(checked[t][1] for t in near_min)
+
+
 def audit_symmetrization(
     n: int, trials: int = 400, seed: int = 0
 ) -> SymmetryAuditReport:
@@ -208,26 +273,34 @@ def audit_symmetrization(
     Random caps with exterior length in (0, L/2] are tested against the
     symmetrized lower bound; the crossover ratio, monotonicity, and the
     equal-split envelope are checked structurally.
+
+    The caps' slacks are screened in NumPy (:func:`_screened_audit`), and
+    :func:`symmetrization_inequality_check` re-measures the trials that the
+    screen cannot decide, so the report is the one that checking every
+    trial gives.  Every exterior length lies in ``[1e-3 L, L/2]``, up to
+    rounding far inside the check's ``1e-12 L``, so every slack is finite
+    and no trial raises.
     """
     if trials < 1:
         raise InvalidParameterError("need at least one trial")
-    domain = make_regular_polygon(n)
+    domain = _regular_polygon(n)
     per = domain.perimeter
     rng = np.random.default_rng(seed)
-    violations = 0
-    worst = math.inf
-    for _ in range(trials):
-        a = float(rng.uniform(0.0, per))
-        lam = float(rng.uniform(1e-3 * per, per / 2.0))
-        cap = Cap(a, (a + lam) % per)
-        ok, eta, bound = symmetrization_inequality_check(domain, cap)
-        worst = min(worst, eta - bound)
-        if not ok:
-            violations += 1
+    # row t is (a, lam): the stream of drawing a, then lam, trial by trial
+    draws = rng.uniform([0.0, 1e-3 * per], [per, per / 2.0], size=(trials, 2))
+
+    def exact(t: int) -> tuple[bool, float]:
+        a, lam = draws[t].tolist()
+        ok, eta, bound = symmetrization_inequality_check(domain, Cap(a, (a + lam) % per))
+        return ok, eta - bound
+
+    a, b = draws[:, 0], np.remainder(draws[:, 0] + draws[:, 1], per)
+    bound = np.minimum(*_screened_symmetrized(domain, np.remainder(b - a, per)))
+    violations, worst = _screened_audit(_screened_cap_etas(domain, a, b) - bound, exact)
 
     ratio = crossover_threshold(n)
     in_range = 1.0 < ratio <= 1.5 + 1e-12
-    monotone = monotonicity_check(n)
+    monotone = monotonicity_check(n, domain)
     envelope_ok = all(
         lower_envelope_check(n, ell * per / n, domain).ok
         for ell in range(1, n // 2 + 1)

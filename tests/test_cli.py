@@ -232,12 +232,16 @@ def test_scan_csv_and_manifest(tmp_path, capsys):
             ["exact", "--ngon", "6", "--k", "2..6"],
             "6c7f33c6600281830e6e1bcf149b713efd74730dc5d1eb84866b02ff36eee69e",
         ),
+        (
+            ["conjecture-scan", "--n-range", "3..24", "--k-range", "2..23"],
+            "34c4639e44e16c6a4e1c22cd247ac39add5f8ce089a9fd9712639bd4e96dc652",
+        ),
     ],
 )
 def test_csv_bytes_are_pinned(argv, digest, tmp_path, capsys):
-    """SHA-256 of two CSVs whose bounds come from the equal-split scan of
+    """SHA-256 of three CSVs whose bounds come from the equal-split scan of
     ``exact._equal_boundary_eta`` (the conjecture-scan pairs with k not
-    dividing n; I_4 and I_5 of the hexagon)."""
+    dividing n, up to n = 24 in the third; I_4 and I_5 of the hexagon)."""
     out_file = tmp_path / "table.csv"
     rc, _, _ = run(capsys, *argv, "--out", str(out_file))
     assert rc == 0
@@ -274,6 +278,36 @@ def test_symmetry_audit(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["ok"] is True
     assert data["inequality_violations"] == 0
+
+
+#: SHA-256 of ``symmetry-audit --ngon n --seed s --out`` by (n, s), as the
+#: loop that checked every random cap exactly wrote them.
+AUDIT_DIGESTS = {
+    (3, 5): "5dfe705c49fbcb3c1dbb1df779472e000d3b0a24fd1bf42fe1343dc9bcbea953",
+    (4, 5): "f8c417f8b66c0e27943faa056b1972b3599cd29347a2214cfddba1900c6bcf68",
+    (5, 5): "bc637ae573a5a5fb9c7d04f0eff0b1e870bb9ea46c6629412767a42f3a44e5bc",
+    (6, 5): "080ad0cb80ee83bda9fa1b2f07b81918dff9ec76855f0a375fb3ef349556c2dd",
+    (7, 5): "5c1ec9be8ef6a47c662b535bae8b8cc471ef47579e4f755ce0b027632af6abe2",
+    (8, 5): "750e85b0ebf2f71b939c424fd6a50ea515ce0dcd20f32be7d9435931fb7112d6",
+    (3, 53): "0d289de5d16e4a8f5911c1d089fedd9b08a53a4c5e4189887c5d0fedaf366db1",
+    (4, 53): "667ef0f1bebbb78819b4bff96bd8a745e8c1809d9d127d7d1e7aac5050dca8c6",
+    (5, 53): "90b1d5a317b147d9d2d9ba16249d3d7be6a4497028247d3af9200a642e41f88e",
+    (6, 53): "bfda4b527b358bb964c2940f591a6af62023825fca0adb2b3fae8765ea858c34",
+    (7, 53): "bca84804ec8055b40d58fd101d8f284206c663f7400797bf4fc7d652dc6d7623",
+    (8, 53): "c55669f9bf3ba8b23506de3a0b87691bf99b2a80c6a6db958959e91e988246ea",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(AUDIT_DIGESTS))
+def test_symmetry_audit_bytes_are_pinned(n, seed, tmp_path, capsys):
+    """The audit screens its random caps in NumPy and re-measures only the
+    ones the screen cannot decide; the report's bytes stay those of checking
+    every cap."""
+    out_file = tmp_path / "audit.json"
+    rc, _, _ = run(capsys, "symmetry-audit", "--ngon", str(n), "--seed", str(seed),
+                   "--out", str(out_file))
+    assert rc == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == AUDIT_DIGESTS[n, seed]
 
 
 # ---------------------------------------------------------------------------

@@ -295,14 +295,16 @@ def _ref_equal_boundary_eta(n, k):
     return regions.max_eta(tc)
 
 
-#: The 43 pairs of ``conjecture-scan --n-range 3..12`` that reach the scan.
-SCAN_PAIRS = [(n, k) for n in range(3, 13) for k in range(2, n) if n % k]
+#: The pairs of ``conjecture-scan --n-range 3..20`` that reach the scan.
+SCAN_PAIRS = [(n, k) for n in range(3, 21) for k in range(2, n) if n % k]
 
 
 @pytest.mark.parametrize("n,k", SCAN_PAIRS)
 def test_equal_boundary_eta_matches_the_tuple_loop_on_the_scan(n, k, monkeypatch):
     """Same value and the same winning offset, the first best one: both
-    loops build the winner's tuple last, and the scan builds no other."""
+    loops build the winner's tuple last, and the scan builds no other.  The
+    scan re-measures only the offsets its NumPy screen puts near the least
+    value, so the pairs up to n = 20 hold more ties to break."""
     offsets = []
     build = constructions.equal_boundary_tuple
 

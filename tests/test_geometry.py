@@ -565,6 +565,73 @@ def test_simple_chain_of_crossing_circles_builds_at_every_scale(scale):
     assert domain.edges == tuple(edges)
 
 
+def _reversed_chain(edges):
+    return [e.reversed() for e in reversed(edges)]
+
+
+@pytest.mark.parametrize("scale", [2.0**510, 1e155])
+def test_reversed_chain_is_reoriented_at_every_scale(scale):
+    """The Green sum squares coordinates and radii, which overflowed past
+    about 1.3e154: the area was NaN and the clockwise chain built inside
+    out, with interior angles 4.415 for 1.869.  At 2**510 the area is still
+    a float, 4**510 times the area at scale 1; at 1e155 it is above the
+    float range."""
+    unit = make_domain(_reversed_chain(_bowed_rectangle(1.0, (0.3, True), (0.3, True))))
+    edges = _bowed_rectangle(scale, (0.3, True), (0.3, True))
+    domain = make_domain(_reversed_chain(edges))
+    assert domain.edges == tuple(edges)
+    assert domain.interior_angles == pytest.approx(unit.interior_angles, abs=1e-15)
+    if scale == 2.0**510:
+        assert domain.area == math.ldexp(unit.area, 1020)
+    else:
+        assert domain.area == math.inf
+
+
+def _ref_edge_green(edge):
+    """The Green term of one edge as it was summed before the coordinates
+    were divided by a power of two."""
+    if isinstance(edge, Segment):
+        return 0.5 * (edge.start[0] * edge.end[1] - edge.start[1] * edge.end[0])
+    delta = edge.sweep if edge.ccw else -edge.sweep
+    p, q = edge.start, edge.end
+    d = (q[0] - p[0], q[1] - p[1])
+    cross = edge.center[0] * d[1] - edge.center[1] * d[0]
+    return 0.5 * (edge.radius * edge.radius * delta + cross)
+
+
+@st.composite
+def _green_edges(draw):
+    """Segments and arcs, not necessarily a chain, at sizes 1e-6 to 1e6 and
+    shifted off the origin; each coordinate is 0 or at least 1e-3 of the
+    size, so no product underflows."""
+    size = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    shift = draw(st.sampled_from([0.0, 0.5, 10.0])) * size
+    unit = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    coord = unit.map(lambda u: shift + size * u)
+    point = st.tuples(coord, coord)
+    segment = st.builds(Segment, point, point)
+    angle = st.floats(-10.0, 10.0)
+    arc = st.builds(
+        Arc, point, st.floats(1e-3, 1.0).map(lambda r: size * r), angle, angle, st.booleans()
+    ).filter(lambda a: a.start_angle != a.end_angle)
+    return draw(st.lists(st.one_of(segment, arc), min_size=1, max_size=8))
+
+
+@settings(max_examples=500, deadline=None)
+@given(edges=_green_edges())
+def test_scaled_green_sum_is_the_unscaled_one_bit_for_bit(edges):
+    """Dividing coordinates and radii by 2**e is exact short of underflow,
+    so the area, and the zero-area test of ``make_domain``, are the
+    unscaled formula's floats at ordinary scales."""
+    want = sum(_ref_edge_green(e) for e in edges)
+    got, e = geometry._green_area(edges)
+    assert math.ldexp(got, 2 * e).hex() == want.hex()
+    assert geometry.PlanarDomain(tuple(edges)).area.hex() == want.hex()
+    for tol in (math.sqrt(abs(want)), math.nextafter(math.sqrt(abs(want)), 0.0)):
+        down = math.ldexp(tol, -e)
+        assert (abs(got) <= down * down) == (abs(want) <= tol * tol)
+
+
 # ---------------------------------------------------------------------------
 # chords and containment
 # ---------------------------------------------------------------------------

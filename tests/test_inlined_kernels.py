@@ -22,8 +22,11 @@ Boundary points come from one row per edge (``Segment._row``,
 ``Arc._row``), which ``PlanarDomain._point_rows`` collects:
 ``point_at_local`` and ``point_at`` evaluate a row through
 ``geometry._row_point``, the chord kernel ``geometry._interior_chord_ends``
-spells that out for its two ends, and ``search._prepare_grid`` evaluates
-its grid from the rows, in NumPy on segments.  The former bodies of both
+spells that out for its two ends, and ``geometry._points_at`` evaluates
+arrays of arclengths from the rows in NumPy, for the grid of
+``search._prepare_grid`` and for the screens of ``exact`` and ``symmetry``;
+a test checks it against ``point_at`` on unsorted arclengths, at the
+vertices and at the perimeter.  The former bodies of both
 ``point_at_local`` methods and of the kernel are kept below as the
 reference, and the tests check that all of them give the former
 ``point_at_local``'s floats bit for bit and that the kernel gives its
@@ -46,7 +49,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from escobar import geometry
@@ -857,8 +860,8 @@ def test_point_rows_give_point_at_local_bit_for_bit(cut, other, shift):
 
 @pytest.mark.parametrize("key", _ROW_KEYS)
 def test_grid_points_are_point_at_bit_for_bit(key):
-    """``_prepare_grid`` evaluates its points from the rows, in NumPy on
-    segments, as ``point_at`` does one at a time, and the chord kernel's
+    """``_prepare_grid`` evaluates its points from the rows, through
+    ``_points_at``, as ``point_at`` does one at a time, and the chord kernel's
     ends between grid points are those points."""
     dom = _general_domain(*key)
     for m in (1, 5, 301, 48):
@@ -871,3 +874,55 @@ def test_grid_points_are_point_at_bit_for_bit(key):
             ends = geometry._interior_chord_ends(dom, s[i], s[j]) if i != j else None
             if ends is not None:
                 assert _bits([list(ends[0]), list(ends[1])]) == [pts[i], pts[j]], (i, j)
+
+
+@st.composite
+def _evaluator_domains(draw):
+    """A fixed domain of the row tests, a regular n-gon, a star polygon or a
+    circular sector (two segments and a ccw arc), at scales 1e-6 to 1e6."""
+    kind = draw(st.sampled_from(["row", "ngon", "star", "sector"]))
+    if kind == "row":
+        return _general_domain(*draw(st.sampled_from(_ROW_KEYS)))
+    f = draw(st.sampled_from(_SCALES))
+    if kind == "ngon":
+        return make_regular_polygon(draw(st.integers(3, 40)), f)
+    if kind == "star":
+        # vertex j at an angle in the first 0.4 of sector j: every gap is
+        # below pi, so the polygon is star-shaped about the origin
+        n = draw(st.integers(3, 12))
+        jitter = draw(st.lists(st.floats(0.0, 0.4), min_size=n, max_size=n))
+        radii = draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))
+        angles = [(j + u) * _TWO_PI / n for j, u in enumerate(jitter)]
+        try:  # three vertices can still fall on a line, as at radii 1, 0.5, 1
+            return make_polygon(
+                [(f * r * math.cos(a), f * r * math.sin(a)) for a, r in zip(angles, radii)]
+            )
+        except InvalidGeometryError:
+            reject()
+    theta = draw(st.floats(0.3, 6.0))
+    tip = (f * math.cos(theta), f * math.sin(theta))
+    return make_domain(
+        [Segment((0.0, 0.0), (f, 0.0)), Arc((0.0, 0.0), f, 0.0, theta), Segment(tip, (0.0, 0.0))]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(dom=_evaluator_domains(), data=st.data())
+def test_points_at_is_point_at_bit_for_bit(dom, data):
+    """``geometry._points_at`` gives ``point_at``'s floats for reduced
+    arclengths in any order: anywhere, at the vertices, just below the
+    perimeter, and at the perimeter itself, which stands for 0."""
+    per = dom.perimeter
+    special = [*dom.cumlens, math.nextafter(per, 0.0), -1e-300 % per]
+    s = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from(special), _unit.map(lambda u: u * per)),
+            min_size=1, max_size=40,
+        )
+    )
+    want = [_bits(list(dom.point_at(x))) for x in s]
+    assert _bits(geometry._points_at(dom, np.array(s)).tolist()) == want
+    if len(s) % 2 == 0:  # any array shape, points on a last axis of 2
+        got = geometry._points_at(dom, np.array(s).reshape(-1, 2))
+        assert got.shape == (len(s) // 2, 2, 2)
+        assert _bits(got.reshape(-1, 2).tolist()) == want

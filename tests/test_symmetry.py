@@ -2,15 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from escobar import symmetry
 from escobar.errors import InvalidParameterError, NotApplicableError
 from escobar.exact import ik_regular_polygon
 from escobar.geometry import make_disk, make_regular_polygon
 from escobar.regions import Cap, eta_partial
 from escobar.symmetry import (
+    SymmetryAuditReport,
     audit_symmetrization,
     crossover_threshold,
     envelope_value,
@@ -217,6 +220,108 @@ def test_audit(n):
     assert report.worst_slack >= -1e-12
     assert report.crossover_in_range and 1.0 < report.crossover_ratio <= 1.5
     assert report.monotone_ok and report.envelope_ok
+
+
+def _ref_monotonicity_check(domain):
+    """``monotonicity_check`` as it was before its NumPy screen: every
+    sampled length through ``symmetrize``."""
+    per = domain.perimeter
+    lams = np.linspace(per / 320.0, per / 2.0, 160)
+    prev_v = prev_e = math.inf
+    for lam in lams:
+        vertex, edge = symmetrize(domain, float(lam))
+        if vertex.eta > prev_v + 1e-11 or edge.eta > prev_e + 1e-11:
+            return False
+        prev_v, prev_e = vertex.eta, edge.eta
+    return True
+
+
+def _ref_audit_symmetrization(n, trials, seed):
+    """``audit_symmetrization`` as it was before its NumPy screen: two
+    scalar draws and an exact ``symmetrization_inequality_check`` per
+    trial."""
+    domain = make_regular_polygon(n)
+    per = domain.perimeter
+    rng = np.random.default_rng(seed)
+    violations = 0
+    worst = math.inf
+    for _ in range(trials):
+        a = float(rng.uniform(0.0, per))
+        lam = float(rng.uniform(1e-3 * per, per / 2.0))
+        cap = Cap(a, (a + lam) % per)
+        ok, eta, bound = symmetrization_inequality_check(domain, cap)
+        worst = min(worst, eta - bound)
+        if not ok:
+            violations += 1
+    ratio = crossover_threshold(n)
+    return SymmetryAuditReport(
+        n=n,
+        trials=trials,
+        inequality_violations=violations,
+        worst_slack=worst,
+        crossover_ratio=ratio,
+        crossover_in_range=1.0 < ratio <= 1.5 + 1e-12,
+        monotone_ok=_ref_monotonicity_check(domain),
+        envelope_ok=all(
+            lower_envelope_check(n, ell * per / n, domain).ok for ell in range(1, n // 2 + 1)
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 16),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 600),
+)
+def test_audit_matches_the_scalar_loop(n, seed, trials):
+    """The screened audit reports every field of checking each trial
+    exactly, by repr, and its one array draw is the scalar draws' stream."""
+    got = audit_symmetrization(n, trials=trials, seed=seed)
+    want = _ref_audit_symmetrization(n, trials, seed)
+    for field in SymmetryAuditReport.__dataclass_fields__:
+        assert repr(getattr(got, field)) == repr(getattr(want, field)), field
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_monotonicity_matches_the_scalar_loop(n):
+    dom = make_regular_polygon(n)
+    assert monotonicity_check(n, dom) == _ref_monotonicity_check(dom)
+
+
+def test_monotonicity_check_takes_only_the_given_regular_polygon(hexagon):
+    assert monotonicity_check(6, hexagon)
+    with pytest.raises(InvalidParameterError):
+        monotonicity_check(5, hexagon)
+
+
+def _screened_audit(screened, exact):
+    """``symmetry._screened_audit`` of the screened slacks, with ``exact``
+    (trial -> (ok, slack)) as the re-measurement; also the trials it
+    re-measured."""
+    measured = []
+
+    def remeasure(t):
+        measured.append(t)
+        return exact[t]
+
+    return symmetry._screened_audit(np.array(screened), remeasure), measured
+
+
+def test_screened_audit_lets_the_exact_path_decide_near_its_thresholds():
+    """A trial that screens 0.4 margins above the violation threshold is a
+    violation when its exact slack lies below it; a trial that screens 0.4
+    margins above the least slack gives the worst slack when its exact
+    slack is the least.  Trials far from both thresholds are never
+    re-measured, and one far below the violation threshold is counted by
+    the screen."""
+    m, cut = symmetry._SCREEN_MARGIN, -symmetry._INEQUALITY_MARGIN
+    assert _screened_audit([0.3, cut + 0.4 * m, 0.2], {1: (False, cut - 0.1 * m)}) == (
+        (1, cut - 0.1 * m), [1]
+    )
+    exact = {1: (True, 0.1), 2: (True, 0.1 - 0.1 * m)}
+    assert _screened_audit([0.3, 0.1, 0.1 + 0.4 * m, 0.2], exact) == ((0, 0.1 - 0.1 * m), [1, 2])
+    assert _screened_audit([0.3, -0.5, -0.2], {1: (False, -0.5)}) == ((2, -0.5), [1])
 
 
 def test_audit_needs_trials():
