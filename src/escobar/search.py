@@ -367,10 +367,10 @@ class _EtaColumns:
     with every chord tested gives.
     """
 
-    def __init__(self, domain: PlanarDomain, grid: _Grid, clear: int):
+    def __init__(self, domain: PlanarDomain, grid: _Grid):
         self.domain = domain
         self.grid = grid
-        self.clear = clear
+        self.clear = 1  # width 0 holds no chord
         # width -> column minimum, from ``clear`` on; on a nonconvex grid the
         # least eta not yet found invalid
         self.mins: dict[int, float] = {}
@@ -419,47 +419,24 @@ def _enum_estimate(m: int, k: int, period: int, w_min: int) -> int:
     return period * comb(slack + 2 * k - 1, 2 * k - 1)
 
 
-def _scan_estimate(
-    domain: PlanarDomain, k: int, grid: _Grid, budget: float
-) -> tuple[int, tuple, int]:
-    """The enumeration estimate of ``grid`` if it exceeds ``budget``, else a
-    value at most ``budget``; the seeds (:func:`_grid_seeds`); and the
-    width below which the scan found no column that beats them.
-
-    The estimate does not increase with ``w_min``, so it exceeds the budget
-    exactly when some width below ``w_fit``, the least width whose estimate
-    fits, has a column minimum that beats the seeds (``< best - 1e-12``).
-    Blocks of doubling width ``[1, 2), [2, 4), ...`` are scanned up to
-    ``w_fit`` and the scan stops at the first width that beats the seeds,
-    which is then ``w_min`` exactly.
-    """
-    m = grid.m
-    seeds = _grid_seeds(domain, k, grid)
-    best = seeds[0]
-    w_fit = 1 + bisect.bisect_left(
-        range(1, m + 1), True, key=lambda w: _enum_estimate(m, k, grid.period, w) <= budget
-    )
-    w_stop = min(w_fit, m)
-    w0 = 1
-    while w0 < w_stop:
-        block = _eta_block(grid, w0, min(2 * w0, w_stop))
-        # not (>=): exactly where _EtaColumns.w_min_for would stop
-        beats = np.flatnonzero(~(np.min(block, axis=0) >= best - 1e-12))
-        if len(beats):
-            w = w0 + int(beats[0])
-            return _enum_estimate(m, k, grid.period, w), seeds, w
-        w0 += block.shape[1]
-    return _enum_estimate(m, k, grid.period, w_stop), seeds, w_stop
-
-
 def enumerate_caps(
     domain: PlanarDomain, k: int, m: int, *, budget: float = 1e9
 ) -> BoundReport:
     """Minimax-optimal k caps with cut points on the uniform m-point grid.
 
     Cut points may be shared between adjacent caps but each cap's arc must
-    have positive width.  Refuses or stops the search past ``budget`` as
-    :func:`_enumerate_grid` does.
+    have positive width.
+
+    The refusal rule: the search's node count is estimated by
+    :func:`_enum_estimate` from ``w_min``, the least cap width whose column
+    holds a valid chord that beats the deterministic seeds
+    (:func:`_grid_seeds`); the estimate does not increase with ``w_min``.  A
+    grid whose estimate exceeds ``budget`` raises
+    :class:`~escobar.errors.BudgetExceededError` before any row is read; an
+    estimate past the float range is reported as ``math.inf``.  One
+    :class:`_EtaColumns` decides ``w_min`` from the columns below ``w_fit``,
+    the least width whose estimate fits, and the search
+    (:func:`_run_enumeration`) resumes it and stops after ``budget`` nodes.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be positive, got {k}")
@@ -469,28 +446,13 @@ def enumerate_caps(
         raise InvalidParameterError(f"grid needs at least 2k points, got m={m}, k={k}")
     if m > 5000:
         raise InvalidParameterError(f"grid too fine (m={m} > 5000)")
-    return _enumerate_grid(domain, k, m, budget)
-
-
-def _enumerate_grid(domain: PlanarDomain, k: int, m: int, budget: float) -> BoundReport:
-    """Enumerate k caps on the m-point grid, or refuse before any chord is tested.
-
-    The refusal rule: the search's node count is estimated from the least
-    cap width ``w_min`` that could still improve on the deterministic seeds
-    (:func:`_enum_estimate`, which does not increase with ``w_min``), and a
-    grid whose estimate exceeds ``budget`` raises
-    :class:`~escobar.errors.BudgetExceededError`; an estimate past the float
-    range is reported as ``math.inf``.  :func:`_scan_estimate` decides it
-    from a few columns of the eta table.  On a convex domain the grid
-    carries its exact validity rule, so the estimate is exact.  On a
-    nonconvex domain the eta values are geometric; the seeds test their
-    chords for real, and validity can only raise ``w_min``, so the estimate
-    is an upper bound.  A grid that fits is searched on the same grid and
-    seeds (:func:`_run_enumeration`), which computes eta rows and tests
-    chords only where it reads them, and stops after ``budget`` nodes.
-    """
     grid = _prepare_grid(domain, m, full_validity=False)
-    estimate, seeds, clear = _scan_estimate(domain, k, grid, budget)
+    seeds = _grid_seeds(domain, k, grid)
+    columns = _EtaColumns(domain, grid)
+    w_fit = 1 + bisect.bisect_left(
+        range(1, m + 1), True, key=lambda w: _enum_estimate(m, k, grid.period, w) <= budget
+    )
+    estimate = _enum_estimate(m, k, grid.period, columns.w_min_for(seeds[0], min(w_fit, m)))
     if estimate > budget:
         if estimate > sys.float_info.max:
             approx, shown = math.inf, f"more than {sys.float_info.max:.2g}"
@@ -503,14 +465,16 @@ def _enumerate_grid(domain: PlanarDomain, k: int, m: int, budget: float) -> Boun
             estimate=approx,
             budget=float(budget),
         )
-    return _run_enumeration(domain, k, grid, seeds, clear, budget)
+    return _run_enumeration(domain, k, grid, seeds, columns, budget)
 
 
 def _run_enumeration(
-    domain: PlanarDomain, k: int, grid: _Grid, seeds: tuple, clear: int, budget: float
+    domain: PlanarDomain, k: int, grid: _Grid, seeds: tuple, columns: _EtaColumns,
+    budget: float,
 ) -> BoundReport:
-    """The grid minimax search from the seeds, where every width below
-    ``clear`` is known not to beat them.
+    """The grid minimax search from the seeds, resuming the ``columns`` that
+    the refusal read, where every width below ``columns.clear`` is known not
+    to beat them.
 
     The depth-first search reads row ``start`` of the eta table when it
     places a cap there, converted to Python floats on first read
@@ -525,7 +489,6 @@ def _run_enumeration(
     period = grid.period
     need_cross = not domain.is_convex
     best, best_cuts = seeds
-    columns = _EtaColumns(domain, grid, clear)
     # k caps of a width past m // k do not fit: the search would not run
     w_min = columns.w_min_for(best, m // k + 1)
     rows: list[Optional[list[float]]] = [None] * m
@@ -1045,12 +1008,12 @@ def _grid_candidates(domain: PlanarDomain, k: int) -> list[int]:
 def _auto_enumerate(
     domain: PlanarDomain, k: int, config: SearchConfig
 ) -> Optional[BoundReport]:
-    """Enumerate on the finest candidate grid that :func:`_enumerate_grid`
+    """Enumerate on the finest candidate grid that :func:`enumerate_caps`
     does not refuse or stop at the soft budget."""
     soft = min(config.budget, _ENUM_SOFT_CAP)
     for m in _grid_candidates(domain, k):
         try:
-            return _enumerate_grid(domain, k, m, soft)
+            return enumerate_caps(domain, k, m, budget=soft)
         except BudgetExceededError:
             continue
     return None

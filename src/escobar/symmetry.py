@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -186,23 +185,14 @@ def _screened_symmetrized(domain: PlanarDomain, lam: np.ndarray):
     return v_eta, np.where(degenerate, _DEGENERATE_ETA, e_eta)
 
 
-def _regular_domain(n: int, domain: Optional[PlanarDomain]) -> PlanarDomain:
-    """``domain``, checked to be the regular n-gon, or D_n when it is None."""
-    if domain is None:
-        return _regular_polygon(n)
-    if domain.regular_order != n:
-        raise InvalidParameterError("domain is not a regular n-gon of the given n")
-    return domain
-
-
-def monotonicity_check(n: int, domain: Optional[PlanarDomain] = None) -> bool:
-    """Both symmetrized profiles are nonincreasing in the exterior length:
-    no sampled eta exceeds the one before it by more than 1e-11.
+def monotonicity_check(n: int) -> bool:
+    """Both symmetrized profiles of D_n are nonincreasing in the exterior
+    length: no sampled eta exceeds the one before it by more than 1e-11.
 
     The profiles are screened in NumPy (:func:`_screened_symmetrized`); a
     rise within ``_SCREEN_MARGIN`` of 1e-11 is decided by :func:`symmetrize`.
     """
-    domain = _regular_domain(n, domain)
+    domain = _regular_polygon(n)
     per = domain.perimeter
     lams = np.linspace(per / (2.0 * _MONOTONE_SAMPLES), per / 2.0, _MONOTONE_SAMPLES)
     prof = np.stack(_screened_symmetrized(domain, lams))
@@ -221,16 +211,14 @@ def monotonicity_check(n: int, domain: Optional[PlanarDomain] = None) -> bool:
     return True
 
 
-def lower_envelope_check(
-    n: int, L0: float, domain: Optional[PlanarDomain] = None
-) -> EnvelopeCheck:
-    """Verify which symmetrized cap wins at an equal-split length ``L0``.
+def lower_envelope_check(n: int, L0: float) -> EnvelopeCheck:
+    """Verify which symmetrized cap of D_n wins at an equal-split length ``L0``.
 
     ``L0`` must be a whole multiple ``ell * s`` of the side; the winner is
     vertex-centered for odd ``ell`` (its cut points are edge midpoints) and
     edge-centered for even ``ell``, with the closed-form envelope value.
     """
-    domain = _regular_domain(n, domain)
+    domain = _regular_polygon(n)
     s = domain.perimeter / n
     ell = round(L0 / s)
     if abs(L0 - ell * s) > 1e-9 * domain.perimeter or not 1 <= ell <= n // 2:
@@ -300,10 +288,9 @@ def audit_symmetrization(
 
     ratio = crossover_threshold(n)
     in_range = 1.0 < ratio <= 1.5 + 1e-12
-    monotone = monotonicity_check(n, domain)
+    monotone = monotonicity_check(n)
     envelope_ok = all(
-        lower_envelope_check(n, ell * per / n, domain).ok
-        for ell in range(1, n // 2 + 1)
+        lower_envelope_check(n, ell * per / n).ok for ell in range(1, n // 2 + 1)
     )
     return SymmetryAuditReport(
         n=n,

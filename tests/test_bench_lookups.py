@@ -4,7 +4,7 @@ pass of every benchmark workload.
 ``perfbench/tracing.py`` wraps package functions by module and attribute
 name, relies on ``search`` and ``regions`` sharing one chord predicate, and
 counts the grids prepared inside ``search._auto_enumerate`` by the
-``full_validity=False`` keyword that ``search._enumerate_grid``, which it
+``full_validity=False`` keyword that ``search.enumerate_caps``, which it
 calls per grid, passes to ``search._prepare_grid``.  The
 workloads call package functions by signature (``make_polygon``,
 ``validate_tuple``, the CLI).  A rename or signature change there breaks

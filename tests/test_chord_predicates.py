@@ -324,3 +324,17 @@ def test_chords_cross_matches_mpmath(scale, x, angles, t):
     assert (got is not None) == crosses, (ends, got)
     if got is not None:
         assert got.startswith("chords cross at")
+
+
+@pytest.mark.xfail(
+    strict=True, reason="chords_cross accepts a hit up to its parameter slack past a chord's end"
+)
+def test_chords_cross_rejects_chords_that_stop_short():
+    """Ends that the mpmath oracle above decides: the first chord stops
+    1e-17 short of the second, so the chords do not cross."""
+    scale, x = 1e-6, (0.0, 0.5)
+    ends = []
+    for th, ts in ((0.0, (1.0, 1e-11)), (1.0, (1e-11, -5.960464477539063e-08))):
+        ux, uy = math.cos(th), math.sin(th)
+        ends.extend(((x[0] + tt * ux) * scale, (x[1] + tt * uy) * scale) for tt in ts)
+    assert chords_cross(*ends, scale) is None

@@ -1,4 +1,4 @@
-"""Every imported name in the package and the tests is used, and every
+"""Every imported name in the package, the tests and the benchmark is used, and every
 private helper of the package has a caller in the package.
 
 No linter runs on this repository, so these tests are the guard.  They parse
@@ -19,7 +19,11 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/escobar/*.py"))
-FILES = PACKAGE + sorted(ROOT.glob("tests/*.py"))
+FILES = PACKAGE + [
+    path
+    for pattern in ("tests/*.py", "perfbench/*.py", "perfbench/tests/*.py")
+    for path in sorted(ROOT.glob(pattern))
+]
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -52,7 +56,9 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(src) == ["b (line 3)", "os (line 1)"]
 
 
-@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+@pytest.mark.parametrize(
+    "path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix().removeprefix("src/")
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

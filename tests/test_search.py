@@ -349,13 +349,14 @@ def _reference_enumeration(domain, k, ref, budget):
 
 
 def _reference_auto_enumerate(domain, k, reference):
-    """Grid selection and search from whole tables."""
+    """Grid selection and search from whole tables with full validity."""
     soft = min(SearchConfig().budget, _ENUM_SOFT_CAP)
     for m in _grid_candidates(domain, k):
-        if _reference_estimate(domain, k, reference(m, False)) > soft:
+        table = reference(m, True)
+        if _reference_estimate(domain, k, table) > soft:
             continue
         try:
-            return _reference_enumeration(domain, k, reference(m, True), soft)
+            return _reference_enumeration(domain, k, table, soft)
         except BudgetExceededError:
             continue
     return None
@@ -434,6 +435,27 @@ def test_explicit_grid_refusal_matches_whole_table_estimate(m):
     assert err.value.estimate == float(want)
 
 
+@pytest.mark.parametrize("name", ["lshape", "star"])
+@pytest.mark.parametrize("m", [24, 48, 96, 144])
+def test_explicit_nonconvex_grid_refusal_matches_valid_chord_estimate(name, m):
+    """A nonconvex grid is refused by the estimate of its full-validity
+    table: the column walk finds the least valid width, where counting
+    every chord as valid could only lower ``w_min``."""
+    domain = _GRID_DOMAINS[name]()
+    ref = _reference_grid(domain, m, True)
+    for k in range(2, 7):
+        want = _reference_estimate(domain, k, ref)
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_caps(domain, k, m, budget=1000)
+        assert err.value.estimate == float(want), k
+
+
+def test_lshape_k4_refusal_reads_the_valid_chord_estimate(lshape):
+    # counting every chord as valid read 1.43e12 here
+    with pytest.raises(BudgetExceededError, match="estimated 1.06e[+]12 nodes"):
+        enumerate_caps(lshape, 4, 96)
+
+
 def test_explicit_grid_refusal_builds_no_table():
     # at m = 5000 a whole table would take gigabytes
     dom = rectangle(2.0, 1.0)
@@ -448,18 +470,19 @@ def test_explicit_grid_refusal_builds_no_table():
 
 
 def test_explicit_nonconvex_grid_refusal_tests_no_chord(lshape, monkeypatch):
-    # the refusal reads the upper-bound estimate of the geometric eta
-    # values; only the four seed tuples' three chords each are tested
+    # the refusal reads no row: it tests the four seed tuples' three chords
+    # each, and walks the narrowest columns, at most m chords each
+    m = 5000
     reads = _Reads(monkeypatch)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
-            enumerate_caps(lshape, 3, 5000, budget=1000)
+            enumerate_caps(lshape, 3, m, budget=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 50e6
-    assert len(reads.chords) <= 12 and not reads.rows
+    assert len(reads.chords) <= 12 + 2 * m and not reads.rows
 
 
 @pytest.mark.parametrize("name", ["lshape", "star"])
@@ -501,11 +524,11 @@ def test_column_walk_gives_the_whole_table_w_min(name, m):
     grid = _prepare_grid(domain, m, full_validity=False)
     finite = {v for v in ref.min_eta_by_width if math.isfinite(v)}
     bests = sorted({math.inf, 0.0, *finite, *(v + 1e-12 for v in finite)}, reverse=True)
-    columns = search._EtaColumns(domain, grid, 1)
+    columns = search._EtaColumns(domain, grid)
     for best in bests:
         want = _reference_w_min(ref, best)
         assert columns.w_min_for(best, m) == want, best
-        assert search._EtaColumns(domain, grid, 1).w_min_for(best, m) == want, best
+        assert search._EtaColumns(domain, grid).w_min_for(best, m) == want, best
 
 
 def test_nonconvex_search_tests_few_chords(lshape, monkeypatch):
@@ -589,19 +612,20 @@ def test_enumeration_frees_its_table_without_the_cycle_collector(lshape):
     # the recursive search closure must not keep the grid and the rows it
     # read alive
     grid = _prepare_grid(lshape, 24, full_validity=False)
-    _estimate, seeds, clear = search._scan_estimate(lshape, 2, grid, 1e9)
+    seeds = search._grid_seeds(lshape, 2, grid)
+    columns = search._EtaColumns(lshape, grid)
     grid_ref = weakref.ref(grid)
     gc.disable()
     try:
-        report = _run_enumeration(lshape, 2, grid, seeds, clear, 1e9)
+        report = _run_enumeration(lshape, 2, grid, seeds, columns, 1e9)
         assert report.evaluations > 0
-        del grid
+        del grid, seeds, columns
         assert grid_ref() is None
     finally:
         gc.enable()
 
 
-def test_enumerate_grid_too_small(square):
+def test_enumerate_caps_grid_too_small(square):
     with pytest.raises(InvalidParameterError):
         enumerate_caps(square, 3, 4)  # needs m >= 2k
 

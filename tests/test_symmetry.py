@@ -168,7 +168,7 @@ def test_lower_envelope_all_ell(n):
     dom = make_regular_polygon(n)
     s = dom.perimeter / n
     for ell in range(1, n // 2 + 1):
-        check = lower_envelope_check(n, ell * s, dom)
+        check = lower_envelope_check(n, ell * s)
         assert check.ok
         assert check.ell == ell
         assert check.expected_kind == (
@@ -263,7 +263,7 @@ def _ref_audit_symmetrization(n, trials, seed):
         crossover_in_range=1.0 < ratio <= 1.5 + 1e-12,
         monotone_ok=_ref_monotonicity_check(domain),
         envelope_ok=all(
-            lower_envelope_check(n, ell * per / n, domain).ok for ell in range(1, n // 2 + 1)
+            lower_envelope_check(n, ell * per / n).ok for ell in range(1, n // 2 + 1)
         ),
     )
 
@@ -286,13 +286,7 @@ def test_audit_matches_the_scalar_loop(n, seed, trials):
 @pytest.mark.parametrize("n", range(3, 17))
 def test_monotonicity_matches_the_scalar_loop(n):
     dom = make_regular_polygon(n)
-    assert monotonicity_check(n, dom) == _ref_monotonicity_check(dom)
-
-
-def test_monotonicity_check_takes_only_the_given_regular_polygon(hexagon):
-    assert monotonicity_check(6, hexagon)
-    with pytest.raises(InvalidParameterError):
-        monotonicity_check(5, hexagon)
+    assert monotonicity_check(n) == _ref_monotonicity_check(dom)
 
 
 def _screened_audit(screened, exact):
