@@ -20,7 +20,6 @@ where no cap tuple exists (:func:`_no_cap_tuple`).
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import itertools
 import math
@@ -594,27 +593,42 @@ def _nelder_mead(fun, x0: Sequence[float], xatol: float, fatol: float, maxfev: i
     ``fun`` gets each point as a list, which it must not change.  The port
     keeps SciPy's semantics where they show:
 
-    * the simplex is ordered twice after the initial simplex and once per
-      iteration, by a stable sort of its scores (:func:`_simplex_order`).
-      Distinct scores have one sorting permutation, SciPy's too; ties keep
-      their index order on every CPU, where SciPy's ``np.argsort`` breaks
-      them by the CPU's sort kernels.  No objective here returns NaN
-      (refinement scores a penalty, a finite eta or ``inf``), so NaN gets no
-      rule of its own;
+    * the simplex is kept in the order of a stable sort of its scores
+      (:func:`_simplex_order`).  Distinct scores have one sorting
+      permutation, SciPy's too; ties keep their index order on every CPU,
+      where SciPy's ``np.argsort`` breaks them by the CPU's sort kernels.
+      The initial simplex and a shrunk one are sorted (the initial one
+      twice, as SciPy does).  Any other iteration leaves the n best
+      vertices sorted and replaces the worst by one new vertex, or by
+      none; the new vertex goes where the stable sort puts it, after the
+      last of the n scores that is not greater (``bisect_right``).  No
+      objective here returns NaN (refinement scores a penalty, a finite
+      eta or ``inf``), so NaN gets no rule of its own;
     * the centroid adds each column in row order and then divides (not
-      ``sum()``, which compensates from Python 3.12 on);
+      ``sum()``, which compensates from Python 3.12 on).  The running sums
+      of rows ``0..i`` are kept, so an iteration adds again only the rows
+      from the new vertex's place on, and a shrink all of them: the same
+      additions in the same order;
+    * each step is SciPy's expression, coefficient times vector; with
+      ``rho`` the int 1, the reflection ``(1 + rho) * a - rho * w`` is
+      ``a + a - w`` bit for bit;
     * a call past ``maxfev`` is refused, also within the initial simplex or
       a shrink, where the shrunk vertex then keeps its old score;
     * the convergence test is false when a difference is NaN.
     """
+    add, sub, le, truediv = operator.add, operator.sub, operator.le, operator.truediv
+    repeat = itertools.repeat
     n = len(x0)
     dim = float(n)
     rho = 1
     chi = 1 + 2 / dim
     psi = 0.75 - 1 / (2 * dim)
     sigma = 1 - 1 / dim
-    c_expand, d_expand = 1 + rho * chi, rho * chi
-    c_contract, d_contract = 1 + psi * rho, psi * rho
+    # bound products coefficient * value, operands in SciPy's order
+    expand_a, expand_w = (1 + rho * chi).__mul__, (rho * chi).__mul__
+    contract_a, contract_w = (1 + psi * rho).__mul__, (psi * rho).__mul__
+    inside_a, inside_w = (1 - psi).__mul__, psi.__mul__
+    shrink = sigma.__mul__
     calls = 0
 
     def f(x: list[float]) -> float:
@@ -643,50 +657,68 @@ def _nelder_mead(fun, x0: Sequence[float], xatol: float, fatol: float, maxfev: i
         pass
     order()
     order()
+    sums = [sim[0]] * n  # sums[i]: rows 0..i added in row order
+    stale = 0  # sums[stale:] are out of date
 
     while calls < maxfev:
+        new = None
+        shrunk = False
         try:
             best, fbest = sim[0], fsim[0]
-            if all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)) and all(
-                abs(fbest - fv) <= fatol for fv in fsim[1:]
+            # the worst score's test first: a part of the whole test, and
+            # the part that fails on most iterations
+            if (
+                abs(fbest - fsim[-1]) <= fatol
+                and all(
+                    all(map(le, map(abs, map(sub, x, best)), repeat(xatol)))
+                    for x in sim[1:]
+                )
+                and all(abs(fbest - fv) <= fatol for fv in fsim[1:])
             ):
                 break  # before the sort: SciPy's loop sorts after its try, not in a finally
-            xbar = [functools.reduce(operator.add, col) / n for col in zip(*sim[:-1])]
+            for i in range(stale, n):
+                sums[i] = list(map(add, sums[i - 1], sim[i])) if i else sim[0]
+            stale = n
+            xbar = list(map(truediv, sums[-1], repeat(n)))
             worst = sim[-1]
-            xr = [(1 + rho) * a - rho * w for a, w in zip(xbar, worst)]
+            xr = list(map(sub, map(add, xbar, xbar), worst))
             fxr = f(xr)
             if fxr < fsim[0]:
-                xe = [c_expand * a - d_expand * w for a, w in zip(xbar, worst)]
+                xe = list(map(sub, map(expand_a, xbar), map(expand_w, worst)))
                 fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
+                new = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                doshrink = False
-                if fxr < fsim[-1]:
-                    xc = [c_contract * a - d_contract * w for a, w in zip(xbar, worst)]
-                    fxc = f(xc)
-                    if fxc <= fxr:
-                        sim[-1], fsim[-1] = xc, fxc
-                    else:
-                        doshrink = True
+                new = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = list(map(sub, map(contract_a, xbar), map(contract_w, worst)))
+                fxc = f(xc)
+                if fxc <= fxr:
+                    new = xc, fxc
                 else:
-                    xcc = [(1 - psi) * a + psi * w for a, w in zip(xbar, worst)]
-                    fxcc = f(xcc)
-                    if fxcc < fsim[-1]:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                    else:
-                        doshrink = True
-                if doshrink:
-                    for j in range(1, n + 1):
-                        sim[j] = [b + sigma * (v - b) for v, b in zip(sim[j], best)]
-                        fsim[j] = f(sim[j])
+                    shrunk = True
+            else:
+                xcc = list(map(add, map(inside_a, xbar), map(inside_w, worst)))
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    new = xcc, fxcc
+                else:
+                    shrunk = True
+            if shrunk:
+                for j in range(1, n + 1):
+                    sim[j] = list(map(add, best, map(shrink, map(sub, sim[j], best))))
+                    fsim[j] = f(sim[j])
         except _CallLimit:
             pass
-        order()
+        if shrunk:
+            order()
+            stale = 0
+        elif new is not None:
+            at = bisect.bisect_right(fsim, new[1], 0, n)
+            del sim[n], fsim[n]
+            sim.insert(at, new[0])
+            fsim.insert(at, new[1])
+            if at < stale:
+                stale = at
     return sim[0], fsim[0]
 
 
@@ -706,9 +738,10 @@ def refine_caps(
 ) -> BoundReport:
     """Nelder-Mead refinement of a cap tuple (never worse than ``initial``).
 
-    The 2k cut positions are optimised directly; infeasible orderings and
-    non-interior chords are pushed back by a large penalty, and the best
-    *valid* tuple ever evaluated is what gets reported.  Each of
+    The 2k cut positions, which must be finite, are optimised directly;
+    infeasible orderings and non-interior chords are pushed back by a large
+    penalty, and the best *valid* tuple ever evaluated is what gets
+    reported.  Each of
     ``config.restarts`` runs (the first from the start, the others from
     seeded normal draws around it) is SciPy's adaptive Nelder-Mead with
     ``xatol``, ``fatol`` and ``maxfev``, ported to Python floats as
@@ -751,28 +784,33 @@ def refine_caps(
     x0 = [float(c) for c in cuts0]
     if len(x0) < 2 or len(x0) % 2:
         raise InvalidParameterError("need an even number of cut positions (2 per cap)")
+    if not all(map(math.isfinite, x0)):
+        raise InvalidParameterError(f"cut positions must be finite, got {x0}")
     k = len(x0) // 2
+    last = 2 * k - 1
     # unwrap into an increasing vector so the pattern test is linear
     for i in range(1, 2 * k):
         while x0[i] < x0[i - 1] - 1e-12 * per:
             x0[i] += per
 
-    state = {"best": math.inf, "x": None, "evals": 0}
+    best, best_x, evals = math.inf, None, 0
     min_w = 1e-9 * per
     convex = domain.is_convex
+    chord_ends, dist, inf = _interior_chord_ends, math.dist, math.inf
 
     def objective(xl: list[float]) -> float:
-        state["evals"] += 1
+        nonlocal best, best_x, evals
+        evals += 1
         viol = 0.0
-        for j in range(k):
-            w = xl[2 * j + 1] - xl[2 * j]
+        for j in range(0, last, 2):
+            w = xl[j + 1] - xl[j]
             if w < min_w:
                 viol += min_w - w
-        for j in range(k - 1):
-            g = xl[2 * j + 2] - xl[2 * j + 1]
+        for j in range(1, last, 2):
+            g = xl[j + 1] - xl[j]
             if g < 0.0:
                 viol += -g
-        wrap = (xl[0] + per) - xl[2 * k - 1]
+        wrap = (xl[0] + per) - xl[last]
         if wrap < 0.0:
             viol += -wrap
         if viol > 0.0:
@@ -780,15 +818,17 @@ def refine_caps(
         bad = 0
         val = 0.0
         chords = []
-        for j in range(k):
-            a = xl[2 * j] % per
-            b = xl[2 * j + 1] % per
-            ends = _interior_chord_ends(domain, a, b)
+        for j in range(0, last, 2):
+            a = xl[j] % per
+            b = xl[j + 1] % per
+            ends = chord_ends(domain, a, b)
             if ends is None:
                 bad += 1
                 continue
             ext = (b - a) % per
-            val = max(val, math.inf if ext <= 0.0 else math.dist(*ends) / ext)
+            eta = inf if ext <= 0.0 else dist(*ends) / ext
+            if eta > val:  # max(val, eta), NaN included
+                val = eta
             if not convex:
                 chords.append((a, b, ext, ends))
         if bad:
@@ -802,9 +842,9 @@ def refine_caps(
                         return 400.0
                     if _chords_conflict(domain, ends, ends2):
                         return 400.0
-        if val < state["best"]:
-            state["best"] = val
-            state["x"] = list(xl)
+        if val < best:
+            best = val
+            best_x = list(xl)
         return val
 
     v0 = objective(x0)
@@ -820,8 +860,7 @@ def refine_caps(
             objective, xs, 1e-3 * config.tolerance * per, 1e-2 * config.tolerance, maxfev
         )
 
-    xb = state["x"]
-    caps = tuple(Cap(xb[2 * j] % per, xb[2 * j + 1] % per) for j in range(k))
+    caps = tuple(Cap(best_x[2 * j] % per, best_x[2 * j + 1] % per) for j in range(k))
     witness = TupleCandidate(domain, caps)
     if validate_tuple(witness):
         # numerical edge: fall back to the starting tuple
@@ -830,7 +869,7 @@ def refine_caps(
     value = max_eta(witness)
     return BoundReport(
         value, BoundKind.UPPER_BOUND, witness, "nelder-mead",
-        state["evals"], f"local refinement from {v0:.12g}",
+        evals, f"local refinement from {v0:.12g}",
     )
 
 

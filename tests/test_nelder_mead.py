@@ -3,6 +3,7 @@ adaptive Nelder-Mead points, with a stable tie order; its simplex order
 against ``np.argsort(kind="stable")``; reports that do not depend on NumPy's
 CPU dispatch; and SciPy off the import path of the package."""
 
+import bisect
 import functools
 import json
 import math
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from escobar.regions import tuple_to_json
-from escobar.search import _nelder_mead, _simplex_order, estimate_ik
+from escobar.search import TAU_OPT, _nelder_mead, _simplex_order, estimate_ik
 from perfbench import workloads
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -101,9 +102,27 @@ def _problems(draw):
     return kind, centre, q, x0, xatol, fatol, maxfev
 
 
+def _refinement_shaped(n, kind):
+    """A problem of refinement's shape: n = 2k cut positions spread over a
+    perimeter of 2 pi, refinement's tolerances there and its ``maxfev = 300 +
+    150 k``.  The n = 4 runs stop at the tolerances and the others at
+    ``maxfev``; each shrinks 69 to 93 times among its insertions."""
+    x0 = [2 * math.pi * (i + 0.5) / n for i in range(n)]
+    centre = [2 * math.pi * i / n for i in range(n)]
+    return kind, centre, 4.0, x0, 1e-3 * TAU_OPT * 2 * math.pi, 1e-2 * TAU_OPT, 300 + 75 * n
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # SciPy's inf - inf
 @settings(max_examples=300, deadline=None)
 @given(problem=_problems())
+@example(problem=_refinement_shaped(4, "penalty"))
+@example(problem=_refinement_shaped(4, "quantised"))
+@example(problem=_refinement_shaped(6, "penalty"))
+@example(problem=_refinement_shaped(6, "quantised"))
+@example(problem=_refinement_shaped(8, "penalty"))
+@example(problem=_refinement_shaped(8, "quantised"))
+@example(problem=_refinement_shaped(10, "penalty"))
+@example(problem=_refinement_shaped(10, "quantised"))
 @example(problem=("constant", [0.0] * 16, 1.0, [0.0] * 16, 1e-10, 1e-10, 40))
 @example(problem=("penalty", [1.0, 2.0], 4.0, [3.0, 2.0], 1e-6, 1e-6, 200))
 @example(problem=("inf", [0.0, 0.0], 1.0, [10.0, 10.0], 1e-1, 1e-1, 100))  # all scores inf
@@ -157,6 +176,30 @@ def test_simplex_order_is_argsort(scores):
         assert sorted(got) == list(range(len(scores)))
     else:
         assert got == np.argsort(np.array(scores, dtype=float), kind="stable").tolist()
+
+
+_ordered_score = st.one_of(
+    st.sampled_from([*_PENALTIES, 0.0, -0.0, math.inf, -math.inf]),
+    st.floats(allow_nan=False, allow_infinity=True),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(prefix=st.lists(_ordered_score, min_size=1, max_size=16), score=_ordered_score)
+@example(prefix=[-0.0, 1.0], score=0.0)
+@example(prefix=[0.0, 0.0, 400.0], score=-0.0)
+@example(prefix=[400.0, 501.0, 501.0, math.inf], score=501.0)
+@example(prefix=[-math.inf, math.inf], score=math.inf)
+@example(prefix=[math.inf], score=-math.inf)
+def test_insertion_is_where_the_stable_sort_puts_a_new_vertex(prefix, score):
+    """After an iteration without a shrink the simplex holds its n best
+    vertices in order and one new one.  ``bisect_right`` over the n scores
+    puts the new vertex where ``_simplex_order`` does: after every score
+    that is not greater, ``+-0.0`` and ties among them."""
+    prefix = sorted(prefix)
+    n = len(prefix)
+    at = bisect.bisect_right(prefix, score)
+    assert _simplex_order([*prefix, score]) == [*range(at), n, *range(at, n)]
 
 
 def _fresh(code, env=None):

@@ -2,6 +2,7 @@
 
 import functools
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -469,7 +470,7 @@ def test_explicit_grid_refusal_builds_no_table():
     assert peak < 50e6
 
 
-def test_explicit_nonconvex_grid_refusal_tests_no_chord(lshape, monkeypatch):
+def test_explicit_nonconvex_grid_refusal_reads_no_row(lshape, monkeypatch):
     # the refusal reads no row: it tests the four seed tuples' three chords
     # each, and walks the narrowest columns, at most m chords each
     m = 5000
@@ -861,6 +862,75 @@ def test_refine_accepts_cut_list(square):
     )
     report = refine_caps(square, cuts)
     assert report.value <= start_val + 1e-12
+
+
+# a valid start of one and of two caps on the regular pentagon
+_FINITE_CUTS = {2: [1.0, 1.4], 4: [0.4, 1.6, 2.8, 4.0]}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("n, at", [(2, 0), (2, 1), (4, 0), (4, 1), (4, 2), (4, 3)])
+def test_refine_rejects_non_finite_cuts(n, at, bad):
+    """A NaN or infinite cut position is refused before the first
+    evaluation: the objective would score a NaN cap 0.0 (``max(0.0, nan)``),
+    and unwrapping an infinite cut would add the perimeter forever."""
+    cuts = list(_FINITE_CUTS[n])
+    cuts[at] = bad
+    with mock.patch.object(search, "_interior_chord_ends", side_effect=AssertionError):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            refine_caps(make_regular_polygon(5), cuts)
+
+
+def _refinement_stream(domain, k):
+    """``estimate_ik(domain, k)``'s refinement: the number of points its
+    optimiser evaluated, the report's evaluations (one more, the start), and
+    the SHA-256 over the ``.hex()`` of every point and score in evaluation
+    order, then the evaluations and the value's ``.hex()``."""
+    lines, reports = [], []
+    real_nelder_mead, real_refine = search._nelder_mead, search.refine_caps
+
+    def nelder_mead(fun, x0, *args):
+        def logged(x):
+            score = fun(x)
+            lines.append(" ".join([*(v.hex() for v in x), score.hex()]))
+            return score
+
+        return real_nelder_mead(logged, x0, *args)
+
+    def refine(*args):
+        reports.append(real_refine(*args))
+        return reports[-1]
+
+    with mock.patch.object(search, "_nelder_mead", nelder_mead), \
+            mock.patch.object(search, "refine_caps", refine):
+        estimate_ik(domain, k)
+    (report,) = reports
+    points = len(lines)
+    lines += [str(report.evaluations), report.value.hex()]
+    return points, report.evaluations, hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# recorded before the optimiser placed new vertices by bisection and kept
+# running centroid sums
+_REFINEMENT_STREAMS = {
+    "D5-k5": (4200, 4201, "aba20a252ab5093c8e26ae76f53aff7aa474cce6b10e6f363251445cb0f11f1a"),
+    "disk-k3": (3000, 3001, "9a777a6b534cf24ac4a649a1b94c81bc68abb43ed7e49b358c917d8b4c234e3a"),
+    "L-k2": (2354, 2355, "ea163727b5a7c4d37c53eee4421e4faa0ae0a27b3ba10b2347d744683a55d91c"),
+    "star-k2": (1963, 1964, "6baeb087283472d61c473aa552195dcbdcceb51e59c0366bb4af8ce9f64136e3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFINEMENT_STREAMS))
+def test_refinement_stream_is_pinned(case, unit_disk, lshape):
+    """Every point refinement evaluates from the ``estimate_ik`` seed, and
+    its score, bit for bit and in order, with the evaluations and value."""
+    domain, k = {
+        "D5-k5": (make_regular_polygon(5), 5),
+        "disk-k3": (unit_disk, 3),
+        "L-k2": (lshape, 2),
+        "star-k2": (star_hexagon(), 2),
+    }[case]
+    assert _refinement_stream(domain, k) == _REFINEMENT_STREAMS[case]
 
 
 @pytest.mark.parametrize("name, k", [("disk", 3), ("lshape", 2)])
