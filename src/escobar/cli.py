@@ -376,12 +376,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (
-        EscobarError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    except (EscobarError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if rc == 0 and outputs:

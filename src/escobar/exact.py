@@ -6,7 +6,8 @@ The k-th Escobar constant of a bounded planar domain M is
 
 the infimum running over k-tuples of mutually disjoint boundary regions.
 Closed forms are known for disks and regular polygons; for general polygons
-the smallest corner gives an upper bound.  Every returned value is tagged
+the corner family of :mod:`escobar.search` reaches the sharpest corner's
+``sin(theta_1/2)`` with validated witnesses.  Every returned value is tagged
 with how much it certifies: ``exact``, ``upper-bound`` (a valid competitor
 or a proven inequality), or ``estimate`` (numerical, uncertified).
 """
@@ -33,7 +34,7 @@ from .geometry import PlanarDomain, _regular_polygon, is_disk
 TAU_NUM = 1e-9
 
 #: Relative margin of the screen of :func:`_equal_boundary_eta`.  A screened
-#: max-eta differs from :func:`_equal_split_eta`'s only where ``np.hypot``
+#: max-eta differs from :func:`regions.max_eta`'s only where ``np.hypot``
 #: replaces ``math.dist``, each within about 1 ulp of the true distance, so
 #: by a relative 1e-15 at most.  An offset whose exact value is the least
 #: then screens within twice that of the least screened value, and 1e-12 is
@@ -113,26 +114,6 @@ def ik_regular_polygon(n: int, k: int) -> Bound:
 _CONSTRUCTION_ERRORS = (ConstructionFailedError, InvalidGeometryError, InvalidParameterError)
 
 
-def _equal_split_eta(domain: PlanarDomain, k: int, offset: float) -> float:
-    """``max_eta`` of the k caps that ``equal_boundary_tuple(domain, k,
-    offset)`` builds, taken before it validates them, bit for bit, from one
-    ``point_at`` per cut and without building a tuple.
-
-    Neighbouring caps share a cut.  Cap i runs from cut i to cut i + 1 and
-    scores ``chord / exterior length``, the floats of ``regions.eta_partial``
-    on a plain cap (its one-term sums are exact), in cap order as
-    ``max_eta`` takes them.
-    """
-    per = domain.perimeter
-    cuts = [(offset + i * per / k) % per for i in range(k)]
-    pts = [domain.point_at(c) for c in cuts]
-    exts = [(b - a) % per for a, b in zip(cuts, cuts[1:] + cuts[:1])]
-    return max(
-        math.inf if ext <= 0.0 else math.dist(p, q) / ext
-        for p, q, ext in zip(pts, pts[1:] + pts[:1], exts)
-    )
-
-
 @lru_cache(maxsize=None)
 def _equal_boundary_eta(n: int, k: int):
     """Best max-eta over start offsets of the k-fold equal-boundary split of D_n.
@@ -146,16 +127,16 @@ def _equal_boundary_eta(n: int, k: int):
     All 192 sampled splits are screened in one NumPy pass
     (``regions._screened_cap_etas`` of their 192 k caps).  Only the offsets
     whose screened max-eta lies within a relative ``_SCREEN_REL`` of the
-    least are scored exactly, by :func:`_equal_split_eta`, in offset order;
-    the winner is the first exact best offset, as a loop over every offset
-    finds it.  Only the winner is built as a tuple, validated and
-    re-measured.
+    least are scored exactly, by ``regions.max_eta`` of their plain caps
+    (unvalidated), in offset order; the winner is the first exact best
+    offset, as a loop over every offset finds it.  Only the winner is built
+    by ``constructions.equal_boundary_tuple``, validated and re-measured.
     """
     dom = _regular_polygon(n)
     per = dom.perimeter
     period = per / n
     samples = 192
-    # the cuts of _equal_split_eta, offset j per row, as it computes them
+    # the cuts of equal_boundary_tuple at offset j, one row each, as it computes them
     cuts = np.remainder(
         (np.arange(samples) * period / samples)[:, None] + np.arange(k) * per / k, per
     )
@@ -164,10 +145,11 @@ def _equal_boundary_eta(n: int, k: int):
     near = np.flatnonzero(screened <= screened.min() * (1.0 + _SCREEN_REL)).tolist()
     best_off, best_val = None, math.inf
     for j in near:
-        off = j * period / samples
-        val = _equal_split_eta(dom, k, off)
+        row = cuts[j].tolist()
+        caps = tuple(regions.Cap(a, b) for a, b in zip(row, row[1:] + row[:1]))
+        val = regions.max_eta(regions.TupleCandidate(dom, caps))
         if val < best_val:
-            best_val, best_off = val, off
+            best_val, best_off = val, j * period / samples
     if best_off is None:
         return None
     try:
@@ -175,24 +157,6 @@ def _equal_boundary_eta(n: int, k: int):
     except _CONSTRUCTION_ERRORS:
         return None
     return regions.max_eta(tc)
-
-
-def polygon_upper_bound(domain: PlanarDomain) -> Bound:
-    """Upper bound sin(theta_min / 2) from the sharpest convex corner.
-
-    Valid for every k: regions concentrated at the sharpest corner have eta
-    arbitrarily close to sin(theta_min/2).  Raises
-    :class:`~escobar.errors.NotApplicableError` when the boundary has no
-    convex corner (e.g. a disk).
-    """
-    if domain.sharpest_corner is None:
-        raise NotApplicableError("domain has no convex corner to concentrate at")
-    theta = domain.interior_angles[domain.sharpest_corner]
-    return Bound(
-        math.sin(theta / 2.0),
-        BoundKind.UPPER_BOUND,
-        f"corner concentration at interior angle {theta:.12g}",
-    )
 
 
 def ik_exact(domain: PlanarDomain, k: int) -> Bound:

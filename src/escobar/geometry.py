@@ -502,10 +502,19 @@ def _segment_foot(p: Point, a: Point, b: Point) -> tuple[float, float]:
     return u, math.dist(p, (a[0] + u * r0, a[1] + u * r1))
 
 
-def _point_arc_distance(p: Point, arc: Arc) -> float:
-    if angle_in_sweep(arc, arc.angle_of_point(p))[0]:
-        return abs(math.dist(p, arc.center) - arc.radius)
-    return min(math.dist(p, arc.start), math.dist(p, arc.end))
+def _arc_foot(p: Point, arc: Arc) -> tuple[float, float]:
+    """The point of ``arc`` nearest to ``p``: its local arclength ``t`` and
+    its distance from ``p``.  Within ``1e-300`` of the centre every point of
+    the arc is about as near, and the foot is its start."""
+    v0, v1 = p[0] - arc.center[0], p[1] - arc.center[1]
+    rho = math.hypot(v0, v1)
+    if rho <= 1e-300:
+        return 0.0, arc.radius
+    phi = math.atan2(v1, v0)
+    if angle_in_sweep(arc, phi)[0]:
+        return arc.local_t_of_angle(phi), abs(rho - arc.radius)
+    d0, d1 = math.dist(p, arc.start), math.dist(p, arc.end)
+    return (0.0, d0) if d0 <= d1 else (arc.length, d1)
 
 
 def _segment_edge_distance(a: Point, b: Point, edge: Edge) -> float:
@@ -529,8 +538,8 @@ def _segment_edge_distance(a: Point, b: Point, edge: Edge) -> float:
         if angle_in_sweep(edge, edge.angle_of_point(x))[0]:
             return 0.0
     d = min(
-        _point_arc_distance(a, edge),
-        _point_arc_distance(b, edge),
+        _arc_foot(a, edge)[1],
+        _arc_foot(b, edge)[1],
         _segment_foot(edge.start, a, b)[1],
         _segment_foot(edge.end, a, b)[1],
     )
@@ -726,9 +735,8 @@ class PlanarDomain:
         return clear
 
     @cached_property
-    def _side_reaches(self) -> dict[int, float | None]:
-        """Memo of :meth:`_side_reach` by edge index; ``None`` after the
-        first call."""
+    def _side_reaches(self) -> dict[int, float]:
+        """Memo of :meth:`_side_reach` by edge index."""
         return {}
 
     def _side_reach(self, i: int) -> float:
@@ -741,16 +749,10 @@ class PlanarDomain:
         reaches farther than ``S`` from the origin.
 
         The value takes O(n) distances, about three ray casts' worth on a
-        hexagon, so it is found on the edge's second call; the first returns
-        0 and leaves its chord to the ray cast.  A domain that tests one
-        chord per edge, as a corner chain's validation does, thus pays no
-        more than before.
+        hexagon; it is found on the edge's first use and kept.
         """
         memo = self._side_reaches
         if i not in memo:
-            memo[i] = None
-            return 0.0
-        if memo[i] is None:
             row = self._point_rows[i]
             length = row[5]
             c = _SIDE_CLEARANCE * self.scale
@@ -1077,20 +1079,7 @@ def project_to_boundary(domain: PlanarDomain, p: Point) -> tuple[float, float]:
             u, d = _segment_foot(p, e.start, e.end)
             t = u * e.length
         else:
-            v = _sub(p, e.center)
-            rho = math.hypot(*v)
-            if rho <= 1e-300:
-                d, t = e.radius, 0.0
-            else:
-                phi = math.atan2(v[1], v[0])
-                inside, _ = angle_in_sweep(e, phi)
-                if inside:
-                    d = abs(rho - e.radius)
-                    t = e.local_t_of_angle(phi)
-                else:
-                    d0 = math.dist(p, e.start)
-                    d1 = math.dist(p, e.end)
-                    d, t = (d0, 0.0) if d0 <= d1 else (d1, e.length)
+            t, d = _arc_foot(p, e)
         if d < best_d:
             best_d = d
             best_s = domain._norm_s(float(domain.cumlens[i]) + t)
@@ -1354,7 +1343,7 @@ def _chord_is_interior_general(
     * the bounding box lies within ``S`` of the origin, and ``e`` is a
       segment with ``r = PlanarDomain._side_reach(i) > 0``: half the least
       distance from ``e``, trimmed by ``c`` at both ends, to every other
-      edge, and at least ``1e-4 S`` (0 on the edge's first call);
+      edge, and at least ``1e-4 S``;
     * ``p`` lies more than ``c`` of boundary from ``A`` and ``B``;
     * ``excl < r``;
     * ``q`` lies strictly left of ``e``: ``cross(B - A, q - p) > 1e-9 |e|

@@ -11,18 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
 from typing import Optional
-
-
-@dataclass
-class RunManifest:
-    command: str
-    config: dict
-    seed: Optional[int]
-    version: str
-    digests: dict = field(default_factory=dict)
-    wall_clock_seconds: float = 0.0
 
 
 def sha256_of(path: str) -> str:
@@ -44,17 +33,16 @@ def write_manifest(
     wall_clock_seconds: float,
 ) -> str:
     """Write ``<primary_out>.manifest.json`` and return its path."""
-    digests = {os.path.basename(p): sha256_of(p) for p in outputs}
-    manifest = RunManifest(
-        command=command,
-        config=config,
-        seed=seed,
-        version=version,
-        digests=digests,
-        wall_clock_seconds=wall_clock_seconds,
-    )
+    manifest = {
+        "command": command,
+        "config": config,
+        "seed": seed,
+        "version": version,
+        "digests": {os.path.basename(p): sha256_of(p) for p in outputs},
+        "wall_clock_seconds": wall_clock_seconds,
+    }
     path = primary_out + ".manifest.json"
     with open(path, "w") as f:
-        json.dump(asdict(manifest), f, indent=2, sort_keys=True)
+        json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return path

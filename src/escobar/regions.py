@@ -136,9 +136,8 @@ def cap_arclengths(domain: PlanarDomain, cap: Cap) -> tuple[float, float]:
 
 def exterior_intervals(domain: PlanarDomain, region: Region) -> list[tuple[float, float]]:
     """Arclength intervals (ccw) of the region's exterior boundary."""
-    # plain caps skip the call here and below: both run on every refinement step
     if isinstance(region, Cap):
-        return [(region.a, region.b) if region.anchor is None else cap_arclengths(domain, region)]
+        return [cap_arclengths(domain, region)]
     ia, ib = cap_arclengths(domain, region.inner)
     oa, ob = cap_arclengths(domain, region.outer)
     return [(oa, ia), (ib, ob)]
@@ -146,9 +145,7 @@ def exterior_intervals(domain: PlanarDomain, region: Region) -> list[tuple[float
 
 def interior_chords(domain: PlanarDomain, region: Region) -> list[tuple[float, float]]:
     """Arclength endpoint pairs of the region's chords."""
-    if isinstance(region, Cap):
-        return [(region.a, region.b) if region.anchor is None else cap_arclengths(domain, region)]
-    return [cap_arclengths(domain, region.inner), cap_arclengths(domain, region.outer)]
+    return [cap_arclengths(domain, c) for c in _caps(region)]
 
 
 def _anchored_chord_length(domain: PlanarDomain, cap: Cap) -> float:

@@ -52,6 +52,18 @@ def test_exact_csv(tmp_path, capsys):
     assert "table.csv" in manifest["digests"]
 
 
+def test_manifest_keeps_its_six_keys(tmp_path, capsys):
+    out_file = tmp_path / "table.csv"
+    rc, _, _ = run(capsys, "exact", "--ngon", "5", "--k", "2", "--out", str(out_file))
+    assert rc == 0
+    manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
+    assert sorted(manifest) == [
+        "command", "config", "digests", "seed", "version", "wall_clock_seconds",
+    ]
+    assert manifest["digests"] == {"table.csv": hashlib.sha256(out_file.read_bytes()).hexdigest()}
+    assert manifest["seed"] is None
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from escobar.exact import (
     ik_disk,
     ik_exact,
     ik_regular_polygon,
-    polygon_upper_bound,
 )
 from escobar.geometry import make_polygon, make_regular_polygon
 
@@ -113,24 +112,13 @@ def test_ik_exact_dispatch(unit_disk, hexagon, lshape):
         ik_exact(lshape, 2)
 
 
-def test_polygon_upper_bound_right_triangle():
-    tri = make_polygon([(0, 0), (2, 0), (0, 1)])
-    theta_min = min(tri.interior_angles)
-    b = polygon_upper_bound(tri)
-    assert b.value == pytest.approx(math.sin(theta_min / 2), rel=1e-12)
-    assert b.kind is BoundKind.UPPER_BOUND
-
-
-def test_polygon_upper_bound_ignores_reflex(lshape):
-    # the reflex corner (interior angle 3*pi/2) is not a competitor
-    assert polygon_upper_bound(lshape).value == pytest.approx(
-        math.sin(math.pi / 4), abs=1e-12
-    )
-
-
-def test_polygon_upper_bound_needs_a_corner(unit_disk):
+def test_rhombus_with_equal_sides_is_not_a_square():
+    """Equal sides are not enough: the vertex radii differ, so the rhombus
+    gets no closed form of D_4."""
+    rhombus = make_polygon([(1, 0), (0, 0.5), (-1, 0), (0, -0.5)])
+    assert rhombus.regular_order is None
     with pytest.raises(NotApplicableError):
-        polygon_upper_bound(unit_disk)
+        ik_exact(rhombus, 2)
 
 
 def test_monotone_check():
@@ -325,40 +313,3 @@ def test_equal_boundary_eta_matches_the_tuple_loop(n, data):
     k = data.draw(st.integers(min_value=2, max_value=n - 1).filter(lambda k: n % k))
     got = exact._equal_boundary_eta.__wrapped__(n, k)
     assert repr(got) == repr(_ref_equal_boundary_eta(n, k))
-
-
-def _split_offsets(n):
-    """Offsets at 0, at a vertex, at an edge midpoint, just below one
-    symmetry period and just below the perimeter."""
-    dom = make_regular_polygon(n)
-    period = dom.perimeter / n
-    return [
-        0.0,
-        dom.vertex_arclength(n // 2),
-        dom.vertex_arclength(1) + dom.edge_lengths[1] / 2.0,
-        math.nextafter(period, 0.0),
-        math.nextafter(dom.perimeter, 0.0),
-    ]
-
-
-def _assert_split_matches(n, k, offset):
-    dom = make_regular_polygon(n)
-    want = regions.max_eta(_unvalidated_split(dom, k, offset))
-    assert repr(exact._equal_split_eta(dom, k, offset)) == repr(want)
-
-
-@pytest.mark.parametrize("n,k", [(5, 2), (7, 3), (12, 5), (13, 4)])
-def test_equal_split_eta_matches_max_eta_at_named_offsets(n, k):
-    for offset in _split_offsets(n):
-        _assert_split_matches(n, k, offset)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    n=st.integers(min_value=3, max_value=60),
-    data=st.data(),
-    frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-)
-def test_equal_split_eta_matches_max_eta(n, data, frac):
-    k = data.draw(st.integers(min_value=2, max_value=n + 3))
-    _assert_split_matches(n, k, frac * make_regular_polygon(n).perimeter / n)

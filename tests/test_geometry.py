@@ -920,9 +920,9 @@ def test_side_test_agrees_with_the_midpoint_ray_cast(chord):
 
 @pytest.mark.parametrize("factor", [1e-6, 1.0, 1e6])
 def test_side_test_skips_the_ray_cast(factor, monkeypatch):
-    """On the L-shape, whose edges all reach ``c / 2`` from the others, the
-    first chord from an edge is ray-cast and later chords from inside it
-    into the domain are not.  A chord into the notch at (1, 1) is always
+    """On the L-shape, whose edges all reach ``c / 2`` from the others, no
+    chord from inside an edge into the domain is ray-cast, the first one
+    from an edge included.  A chord into the notch at (1, 1) is always
     ray-cast, and rejected."""
     dom = scaled(_SIDE_BASES["lshape"](), factor)
     calls = []
@@ -931,15 +931,14 @@ def test_side_test_skips_the_ray_cast(factor, monkeypatch):
         geometry, "contains_point", lambda *a, **k: calls.append(a) or ray_cast(*a, **k)
     )
     assert chord_is_interior(dom, 0.75 * factor, 7.25 * factor)  # (0.75, 0) to (0, 0.75)
-    assert len(calls) == 1
     assert chord_is_interior(dom, 0.5 * factor, 7.5 * factor)  # (0.5, 0) to (0, 0.5)
     assert chord_is_interior(dom, 1.5 * factor, 6.5 * factor)  # (1.5, 0) to (0, 1.5)
-    assert len(calls) == 1
+    assert calls == []
     c = geometry._SIDE_CLEARANCE * dom.scale
     assert [dom._side_reach(0), dom._side_reach(5)] == pytest.approx([0.5 * c] * 2, rel=1e-9)
     for _ in range(2):
         assert not chord_is_interior(dom, 3.5 * factor, 4.5 * factor)  # (1.5, 1) to (1, 1.5)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_side_test_needs_the_box_near_the_origin(monkeypatch):

@@ -40,8 +40,11 @@ segment (``geometry._segment_foot``, formerly inlined in
 check of ``regions.region_contains_point``), the on-arc test with a
 tolerance (``geometry._on_arc``) and the segment-arc hit list
 (``geometry._segment_arc_hits``), both of which
-``geometry._edge_pair_intersections`` spelled out.  Their former bodies are
-the references of the last tests.
+``geometry._edge_pair_intersections`` spelled out.  The nearest point of
+an arc (``geometry._arc_foot``) was written twice, in ``project_to_boundary``
+and in ``_point_arc_distance``; the one difference is the guard within
+``1e-300`` of the arc's centre, which the second lacked.  Their former
+bodies are the references of the last tests.
 """
 
 import functools
@@ -65,6 +68,7 @@ from escobar.geometry import (
     _chord_is_interior_general,
     _cross,
     _dot,
+    _arc_foot,
     _edge_pair_intersections,
     _left_of_own_segment,
     _row_point,
@@ -541,12 +545,7 @@ def test_general_chord_test_matches_the_full_edge_loop(chord):
     (cut0, on0), (cut1, on1) = on(p), on(q)
     same = {i for i in on0 & on1 if isinstance(dom.edges[i], Arc) and dom.edges[i].ccw}
     args = (dom, p, q, same, (cut0, cut1))
-    # the side test's reach memo changes on an edge's first two calls: run
-    # both from the same memo
-    memo = dict(dom._side_reaches)
     got = _outcome(_chord_is_interior_general, *args)
-    dom._side_reaches.clear()
-    dom._side_reaches.update(memo)
     assert got == _outcome(_ref_chord_is_interior_general, *args), (key, p, q)
 
 
@@ -789,6 +788,74 @@ def test_edge_pair_intersections_keep_their_former_on_arc_sites(case):
     )
 
 
+def _ref_projection_arc_foot(p, arc):
+    """The foot that ``project_to_boundary`` inlined for an arc edge:
+    ``(t, distance)``."""
+    v = _sub(p, arc.center)
+    rho = math.hypot(*v)
+    if rho <= 1e-300:
+        d, t = arc.radius, 0.0
+    else:
+        phi = math.atan2(v[1], v[0])
+        inside, _ = angle_in_sweep(arc, phi)
+        if inside:
+            d = abs(rho - arc.radius)
+            t = arc.local_t_of_angle(phi)
+        else:
+            d0 = math.dist(p, arc.start)
+            d1 = math.dist(p, arc.end)
+            d, t = (d0, 0.0) if d0 <= d1 else (d1, arc.length)
+    return t, d
+
+
+def _ref_point_arc_distance(p, arc):
+    """The former body of ``geometry._point_arc_distance``."""
+    if angle_in_sweep(arc, arc.angle_of_point(p))[0]:
+        return abs(math.dist(p, arc.center) - arc.radius)
+    return min(math.dist(p, arc.start), math.dist(p, arc.end))
+
+
+@st.composite
+def _arc_foot_cases(draw):
+    """A point and an arc: the point random, on the arc's circle, at an end,
+    at the centre or within ``1e-300`` of it."""
+    f = draw(_scale)
+    c = (draw(_coord) * f, draw(_coord) * f)
+    r = draw(st.floats(min_value=0.1, max_value=2.0)) * f
+    a0 = draw(_angle)
+    ccw = draw(st.booleans())
+    arc = Arc(c, r, a0, a0 + (1.0 if ccw else -1.0) * draw(_sweep), ccw)
+    kind = draw(st.sampled_from(["random", "circle", "end", "centre", "near-centre"]))
+    if kind == "random":
+        p = draw(_far_points())
+    elif kind == "circle":
+        phi = draw(_angle)
+        p = (c[0] + r * math.cos(phi), c[1] + r * math.sin(phi))
+    elif kind == "end":
+        p = draw(st.sampled_from([arc.start, arc.end]))
+    elif kind == "centre":
+        p = c
+    else:
+        p = (c[0] + draw(st.sampled_from([5e-324, -1e-301])), c[1])
+    return p, arc
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=_arc_foot_cases())
+@example(case=((0.0, 0.0), Arc((0.0, 0.0), 1.0, 1.0, 2.0, True)))
+def test_arc_foot_matches_its_two_former_copies(case):
+    """``_arc_foot`` gives ``project_to_boundary``'s former arc foot bit for
+    bit, and the distance of the former ``_point_arc_distance`` away from
+    the centre; within ``1e-300`` of it the distance is the radius."""
+    p, arc = case
+    t, d = _arc_foot(p, arc)
+    assert _bits((t, d)) == _bits(_ref_projection_arc_foot(p, arc))
+    if math.hypot(*_sub(p, arc.center)) > 1e-300:
+        assert d.hex() == _ref_point_arc_distance(p, arc).hex()
+    else:
+        assert d == arc.radius
+
+
 def _ref_interior_chord_ends(domain, s0, s1):
     """``geometry._interior_chord_ends`` as it was before it read the rows:
     the edge lookup by method call and the former ``point_at_local``."""
@@ -849,10 +916,7 @@ def test_point_rows_give_point_at_local_bit_for_bit(cut, other, shift):
     _, i1, t1 = other
     a, b = (s + shift) % per, (dom.cumlens[i1 % len(dom.edges)] + t1) % per
     for s0, s1 in ((a, b), (b, a)):
-        memo = dict(dom._side_reaches)
         got = _outcome(geometry._interior_chord_ends, dom, s0, s1)
-        dom._side_reaches.clear()
-        dom._side_reaches.update(memo)
         assert got == _outcome(_ref_interior_chord_ends, dom, s0, s1), (key, s0, s1)
         if got is not None and isinstance(got[0], tuple):  # ends, not an exception
             assert got == _bits((dom.point_at(s0), dom.point_at(s1)))

@@ -22,7 +22,7 @@ from escobar.errors import (
     InvalidGeometryError,
     InvalidParameterError,
 )
-from escobar.exact import BoundKind, ik_disk, polygon_upper_bound
+from escobar.exact import BoundKind, ik_disk
 from escobar.geometry import (
     Arc,
     Segment,
@@ -662,6 +662,28 @@ def test_estimate_disk(unit_disk):
     assert report.cross_label is not None and "closed form" in report.cross_label
 
 
+@pytest.mark.parametrize(
+    "domain,delta,start",
+    [
+        (make_disk(), 0.0, "matches closed form "),
+        (make_disk(), -1e-3, "below closed form "),
+        (make_disk(), 1e-3, "above closed form "),
+        (make_regular_polygon(7), 0.0, "at or below closed-form upper bound "),
+        (make_regular_polygon(7), -1e-3, "at or below closed-form upper bound "),
+        (make_regular_polygon(7), 1e-3, "above closed-form upper bound "),
+    ],
+    ids=["disk-match", "disk-below", "disk-above", "D7-at", "D7-below", "D7-above"],
+)
+def test_cross_label_names_each_outcome(domain, delta, start):
+    """An exact form (disk, k=3) and an upper-bound form (D_7, k=3), with a
+    value on, below and above it by 1e-3 at tolerance 1e-9."""
+    known = search.ik_exact(domain, 3)
+    assert known.kind is (BoundKind.UPPER_BOUND if domain.regular_order else BoundKind.EXACT)
+    label = search._cross_label(domain, 3, known.value + delta, 1e-9)
+    assert label.startswith(start + f"{known.value:.12g}")
+    assert ("numerical witness inconsistency" in label) == (start == "below closed form ")
+
+
 def test_estimate_hexagon_saturated(hexagon):
     report = estimate_ik(hexagon, 6)
     assert report.value == pytest.approx(math.cos(math.pi / 6), abs=1e-9)
@@ -687,7 +709,7 @@ def test_estimate_rejects_bad_k(square):
 def test_estimate_nonconvex(lshape):
     """On the L-shape a chord into the reflex corner beats all corner caps."""
     report = estimate_ik(lshape, 2)
-    bound = polygon_upper_bound(lshape).value
+    bound = math.sin(math.pi / 4)  # the sharpest convex corner's bound
     assert report.value <= bound + 1e-7
     assert report.value < 0.5  # far below sin(pi/4): the reflex chord wins
     assert validate_tuple(report.witness) == []

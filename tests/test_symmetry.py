@@ -284,9 +284,13 @@ def test_audit_matches_the_scalar_loop(n, seed, trials):
 
 
 @pytest.mark.parametrize("n", range(3, 17))
-def test_monotonicity_matches_the_scalar_loop(n):
-    dom = make_regular_polygon(n)
-    assert monotonicity_check(n) == _ref_monotonicity_check(dom)
+def test_monotonicity_matches_the_scalar_loop(n, monkeypatch):
+    """Screened, and with an infinite screen margin, where every pair of
+    neighbouring samples is re-decided by ``symmetrize``."""
+    want = _ref_monotonicity_check(make_regular_polygon(n))
+    assert monotonicity_check(n) == want
+    monkeypatch.setattr(symmetry, "_SCREEN_MARGIN", math.inf)
+    assert monotonicity_check(n) == want
 
 
 def _screened_audit(screened, exact):
