@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -216,7 +216,7 @@ def _row_point(row: tuple, t: float) -> Point:
     """The point at local arclength ``t`` on the edge whose ``_row`` is
     ``row``: every boundary point is evaluated here, except in the two
     copies that spell it out (:func:`_interior_chord_ends`, and
-    :func:`_points_at` for arrays of points)."""
+    :func:`_edge_points` for arrays of points)."""
     arc, a, b, c, d, e = row
     if arc:
         ang = d + t / c if e else d - t / c
@@ -225,43 +225,66 @@ def _row_point(row: tuple, t: float) -> Point:
     return (a + u * c, b + u * d)
 
 
-def _points_at(domain: PlanarDomain, s: np.ndarray) -> np.ndarray:
-    """``point_at`` of every reduced arclength in ``s``, bit for bit, as an
-    array of shape ``s.shape + (2,)``.
+class _EdgeArrays(NamedTuple):
+    """A domain's per-edge tables as NumPy arrays, built once per domain
+    (:attr:`PlanarDomain._edge_arrays`) and read by :func:`_edge_lookup`,
+    :func:`_edge_points` and the grid edge runs of ``search``.  Read-only:
+    every grid and point array of the domain shares them."""
 
-    ``s`` holds arclengths in ``[0, P]`` in any order; ``P`` stands for 0, as
-    in :meth:`PlanarDomain._edge_index_reduced`, whose vertex search this
-    repeats.  :func:`_row_point`'s operations are repeated element by element
-    in NumPy, except the cosine and sine of an arc point, which ``math``
-    takes one at a time, because NumPy's may differ from libm's.  The arc
-    angle ``a0 +/- t / r`` is ``a0 + sense * (t / r)`` with ``sense = +/-1``,
-    whose product is exact.
-    """
-    s = np.asarray(s, dtype=float)
-    flat = s.ravel()
-    cum = np.array(domain.cumlens)
-    flat = np.where(flat == cum[-1], 0.0, flat)
-    idx = np.searchsorted(cum[:-1], flat, side="right") - 1
-    t = flat - cum[idx]
-    rows = domain._point_rows
-    # a segment's (x0, y0, dx, dy, L) and an arc's (cx, cy, r, a0, sense)
-    table = np.array(
-        [(*row[1:5], 1.0 if row[5] else -1.0) if row[0] else row[1:] for row in rows]
-    )
-    on_arc = np.array([row[0] for row in rows])[idx]
-    pts = np.empty(flat.shape + (2,))
+    cum: np.ndarray  # ``cumlens``: each vertex's arclength, then the perimeter
+    lengths: np.ndarray  # ``edge_lengths``
+    # per edge, a segment's (x0, y0, dx, dy, L) or an arc's (cx, cy, r, a0, sense)
+    params: np.ndarray
+    on_arc: np.ndarray  # per edge, whether it is an arc
+
+
+def _edge_lookup(domain: PlanarDomain, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edge index and local arclength of every reduced arclength in the
+    flat array ``s``, as :meth:`PlanarDomain._edge_index_reduced` gives them
+    one at a time: ``s`` lies in ``[0, P]``, and ``P`` stands for 0."""
+    cum = domain._edge_arrays.cum
+    s = np.where(s == cum[-1], 0.0, s)
+    idx = np.searchsorted(cum[:-1], s, side="right") - 1
+    return idx, s - cum[idx]
+
+
+def _edge_points(domain: PlanarDomain, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The point at local arclength ``t[i]`` on edge ``idx[i]``, for flat
+    arrays, as an array of shape ``(len(t), 2)``: :func:`_row_point`'s
+    operations element by element in NumPy, except the cosine and sine of an
+    arc point, which ``math`` takes one at a time, because NumPy's may
+    differ from libm's.  The arc angle ``a0 +/- t / r`` is ``a0 + sense * (t
+    / r)`` with ``sense = +/-1``, whose product is exact."""
+    table = domain._edge_arrays
+    on_arc = table.on_arc[idx]
+    pts = np.empty(t.shape + (2,))
     on_seg = ~on_arc
     if on_seg.any():
-        x0, y0, dx, dy, length = table[idx[on_seg]].T
+        x0, y0, dx, dy, length = table.params[idx[on_seg]].T
         u = t[on_seg] / length
         pts[on_seg, 0] = x0 + u * dx
         pts[on_seg, 1] = y0 + u * dy
     if on_arc.any():
-        cx, cy, r, a0, sense = table[idx[on_arc]].T
+        cx, cy, r, a0, sense = table.params[idx[on_arc]].T
         ang = (a0 + sense * (t[on_arc] / r)).tolist()
-        pts[on_arc, 0] = cx + r * np.array([math.cos(a) for a in ang])
-        pts[on_arc, 1] = cy + r * np.array([math.sin(a) for a in ang])
-    return pts.reshape(s.shape + (2,))
+        pts[on_arc, 0] = cx + r * np.fromiter(map(math.cos, ang), float, len(ang))
+        pts[on_arc, 1] = cy + r * np.fromiter(map(math.sin, ang), float, len(ang))
+    return pts
+
+
+def _points_at(domain: PlanarDomain, s: np.ndarray) -> np.ndarray:
+    """``point_at`` of every reduced arclength in ``s``, bit for bit, as an
+    array of shape ``s.shape + (2,)``.
+
+    ``s`` holds arclengths in ``[0, P]`` in any order; ``P`` stands for 0.
+    The edge of each comes from :func:`_edge_lookup` and its point from
+    :func:`_edge_points`, both reading the domain's one
+    :attr:`PlanarDomain._edge_arrays`.  A caller that needs the edges too,
+    as grid preparation in ``search`` does, calls the two itself.
+    """
+    s = np.asarray(s, dtype=float)
+    idx, t = _edge_lookup(domain, s.ravel())
+    return _edge_points(domain, idx, t).reshape(s.shape + (2,))
 
 
 def angle_in_sweep(arc: Arc, phi: float) -> tuple[bool, float]:
@@ -773,6 +796,23 @@ class PlanarDomain:
         radius, start angle and direction.  The one per-edge table of the
         segments' start, delta and length."""
         return tuple(e._row for e in self.edges)
+
+    @cached_property
+    def _edge_arrays(self) -> _EdgeArrays:
+        """``cumlens``, ``edge_lengths`` and ``_point_rows`` as read-only
+        NumPy arrays (:class:`_EdgeArrays`), built on first use."""
+        rows = self._point_rows
+        arrays = _EdgeArrays(
+            cum=np.array(self.cumlens),
+            lengths=np.array(self.edge_lengths),
+            params=np.array(
+                [(*row[1:5], 1.0 if row[5] else -1.0) if row[0] else row[1:] for row in rows]
+            ),
+            on_arc=np.array([row[0] for row in rows]),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     @cached_property
     def _edge_boxes(self) -> tuple[tuple[float, float, float, float] | None, ...]:

@@ -49,8 +49,9 @@ from .geometry import (
     Arc,
     PlanarDomain,
     Segment,
+    _edge_lookup,
+    _edge_points,
     _interior_chord_ends,
-    _points_at,
     chord_is_interior,
     is_disk,
 )
@@ -92,6 +93,17 @@ _LEG_FLOOR = 1e-300
 _LEG_RATIO_MAX = 1e12
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int by ``operator.index``; a bool or a value that is
+    not integral raises :class:`InvalidParameterError` naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class SearchConfig:
     """Knobs for :func:`estimate_ik` and friends.  Geometric tolerances are
@@ -117,8 +129,14 @@ class SearchConfig:
             raise InvalidParameterError(
                 f"tolerance must be finite and non-negative, got {self.tolerance}"
             )
+        if self.grid_points is not None:
+            self.grid_points = _integer("grid_points", self.grid_points)
+        self.restarts = _integer("restarts", self.restarts)
         if self.restarts < 1:
             raise InvalidParameterError(f"restarts must be at least 1, got {self.restarts}")
+        self.seed = _integer("seed", self.seed)
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -185,27 +203,26 @@ def _grid_period(domain: PlanarDomain, m: int) -> int:
     return m
 
 
-def _edge_runs(domain: PlanarDomain, svals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _edge_runs(
+    domain: PlanarDomain, edge: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Steps ``(fwd[i], bwd[i])`` from grid point i to the farthest point
-    that shares a straight edge with it, going forward and backward.
+    that shares a straight edge with it, going forward and backward.  The
+    grid point i lies at local arclength ``t[i]`` on edge ``edge[i]``, as
+    :meth:`PlanarDomain.edge_index_at` gives them (:func:`_edge_lookup`).
 
     This is the flat-edge rule of :func:`chord_is_interior`, vectorised over
     the grid of a convex domain, with one difference: the rule puts a point
     on both edges at a vertex only when it sits exactly there, and this
     form does so within ``1e-12`` of the perimeter of the vertex on either
-    side.  Otherwise a point lies on the edge
-    :meth:`PlanarDomain.edge_index_at` gives it.  The points of one edge
-    thus have arclengths in one interval and form a run of consecutive
-    indices, which may wrap past index m - 1.
+    side.  Otherwise a point lies on its edge ``edge[i]``.  The points of
+    one edge thus have arclengths in one interval and form a run of
+    consecutive indices, which may wrap past index m - 1.
     """
-    m, n = len(svals), len(domain.edges)
-    cumlens = np.array(domain.cumlens)
-    # edge_index_at for every point at once (svals lie in [0, perimeter))
-    edge = np.clip(np.searchsorted(cumlens, svals, side="right") - 1, 0, n - 1)
-    t = svals - cumlens[edge]
+    m, n = len(edge), len(domain.edges)
     near = 1e-12 * domain.perimeter
     after_vertex = t <= near
-    before_vertex = np.array(domain.edge_lengths)[edge] - t <= near
+    before_vertex = domain._edge_arrays.lengths[edge] - t <= near
     fwd = np.zeros(m, dtype=np.int64)
     bwd = np.zeros(m, dtype=np.int64)
     for e, piece in enumerate(domain.edges):
@@ -233,6 +250,12 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
     no chord; :func:`_eta_block` computes eta values, :func:`_chord_ok`
     tests chords.
 
+    Each grid point's edge is looked up once (:func:`_edge_lookup`) and
+    serves both its point (:func:`_edge_points`, which is
+    :func:`_points_at` bit for bit) and the edge runs.  Both read the
+    domain's per-edge arrays (:attr:`PlanarDomain._edge_arrays`), built on
+    the first grid and shared by every later one.
+
     ``full_validity`` must be False: a grid tests no chord up front.  The
     keyword stays because the benchmark tracer counts grids by it.
     """
@@ -240,11 +263,13 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
         raise ValueError("grid chords are tested on demand: full_validity must be False")
     per = domain.perimeter
     step = per / m
+    # in [0, P): (m - 1) * step stays below P
     svals = np.arange(m) * step
-    pts = _points_at(domain, svals)
+    edge, t = _edge_lookup(domain, svals)
+    pts = _edge_points(domain, edge, t)
     fwd = bwd = None
     if domain.is_convex:
-        fwd, bwd = _edge_runs(domain, svals)
+        fwd, bwd = _edge_runs(domain, edge, t)
     return _Grid(
         m=m, step=step, svals=svals, pts=pts, period=_grid_period(domain, m),
         fwd=fwd, bwd=bwd, valid={},
@@ -290,50 +315,65 @@ def _chord_ok(domain: PlanarDomain, grid: _Grid, i: int, j: int) -> bool:
     return ok
 
 
-def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid):
-    """Deterministic incumbent tuples on the grid (value, cuts) or (inf, None)."""
+def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid) -> tuple:
+    """The best deterministic incumbent tuple on the grid, ``(value,
+    cuts)``, or ``(inf, None)``.
+
+    The seeds are k caps of equal width ``m / k`` at the first ``min(m / k,
+    64)`` offsets when k divides m, else the caps between the rounded
+    points ``round(j m / k)`` at the first ``min(4, m)`` offsets.  Each is a
+    row of one integer array ``offsets[:, None] + pattern``.  A seed's value
+    is the max of its caps' eta values, gathered from the grid points by
+    :func:`_eta_block`'s elementwise expression (so bit for bit its values),
+    with +inf where a cap's width ``w`` has ``w <= 0`` or ``w >= m`` and,
+    on a convex grid, where the chord lies along one straight edge.
+
+    The seeds are then taken in a stable sort of their values.  On a convex
+    grid the first finite one wins.  On a nonconvex grid the values are
+    geometric, and the first that passes validation wins: no two chords
+    conflict (:func:`_cuts_chords_ok`), then each chord is interior
+    (:func:`_chord_ok`).  This is the answer of the loop it replaces, which
+    took the seeds in offset order and kept a valid one whose value was
+    below the best so far: that keeps the first valid seed, in offset order,
+    with the least value.  The loop's early exit, once a cap's eta reached
+    the best so far, skipped only seeds that could not be kept, and a +inf
+    seed was never kept.  Only the chords tested on a nonconvex grid, and so
+    ``grid.valid``, may differ: the verdicts do not.
+    """
     m = grid.m
     if m % k == 0:
         w = m // k
-        seeds = [
-            [off + j * w + d for j in range(k) for d in (0, w)] for off in range(min(w, 64))
-        ]
+        offsets = np.arange(min(w, 64))
+        pattern = [j * w + d for j in range(k) for d in (0, w)]
     else:
         bases = [round(j * m / k) for j in range(k + 1)]
-        seeds = [
-            [off + bases[j + d] for j in range(k) for d in (0, 1)] for off in range(min(4, m))
-        ]
-    # the seeds use at most two cap widths: read only those columns
-    widths = {b - a for cuts in seeds for a, b in zip(cuts[::2], cuts[1::2]) if 0 < b - a < m}
-    eta = {w: _eta_block(grid, w, w + 1)[:, 0].tolist() for w in widths}
-    best = math.inf
-    best_cuts = None
-
-    def consider(cuts: list[int]) -> None:
-        nonlocal best, best_cuts
-        val = 0.0
-        for j in range(k):
-            a, b = cuts[2 * j], cuts[2 * j + 1]
-            w = b - a
-            if w <= 0 or w >= m:
-                return
-            e = eta[w][a % m]
-            if e >= best:
-                return
-            val = max(val, e)
-        if not domain.is_convex:
-            if not _cuts_chords_ok(grid, cuts, domain):
-                return
-            # geometric eta values only: test the candidate's chords
-            for j in range(k):
-                if not _chord_ok(domain, grid, cuts[2 * j] % m, cuts[2 * j + 1] % m):
-                    return
-        if val < best:
-            best, best_cuts = val, list(cuts)
-
-    for cuts in seeds:
-        consider(cuts)
-    return best, best_cuts
+        offsets = np.arange(min(4, m))
+        pattern = [bases[j + d] for j in range(k) for d in (0, 1)]
+    cuts = offsets[:, None] + np.array(pattern)
+    starts, widths = cuts[:, 0::2], cuts[:, 1::2] - cuts[:, 0::2]
+    i = starts % m
+    j = (i + widths) % m
+    x, y = grid.pts[:, 0], grid.pts[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.hypot(x[i] - x[j], y[i] - y[j]) / (widths * grid.step)
+    invalid = (widths <= 0) | (widths >= m)
+    if grid.fwd is not None:
+        invalid |= (widths <= grid.fwd[i]) | (m - widths <= grid.bwd[i])
+    eta[invalid] = np.inf
+    values = eta.max(axis=1)
+    for s in np.argsort(values, kind="stable").tolist():
+        if values[s] == math.inf:
+            break
+        seed = cuts[s].tolist()
+        if domain.is_convex or (
+            _cuts_chords_ok(grid, seed, domain)
+            # geometric eta values only: test the seed's chords
+            and all(
+                _chord_ok(domain, grid, a % m, b % m) for a, b in zip(seed[::2], seed[1::2])
+            )
+        ):
+            return float(values[s]), seed
+    return math.inf, None
 
 
 def _cuts_chords_ok(grid: _Grid, cuts: Sequence[int], domain: PlanarDomain) -> bool:
@@ -437,6 +477,7 @@ def enumerate_caps(
     the least width whose estimate fits, and the search
     (:func:`_run_enumeration`) resumes it and stops after ``budget`` nodes.
     """
+    k, m = _integer("k", k), _integer("m", m)
     if k < 1:
         raise InvalidParameterError(f"k must be positive, got {k}")
     if not budget > 0:
@@ -1133,6 +1174,7 @@ def estimate_ik(
     :func:`_no_cap_tuple` shows that it has no tuple to find.
     """
     config = config or SearchConfig()
+    k = _integer("k", k)
     if k < 1:
         raise InvalidParameterError(f"k must be positive, got {k}")
     if k == 1:

@@ -200,6 +200,15 @@ def test_optimize_rejects_zero_restarts(capsys):
     assert "restarts" in err
 
 
+def test_optimize_refuses_a_negative_seed_before_searching(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("escobar.cli.estimate_ik", no_search)
+    rc, out, err = run(capsys, "optimize", "--disk", "--k", "2", "--seed", "-1")
+    assert (rc, out, err) == (3, "", "error: seed must be non-negative, got -1\n")
+
+
 # ---------------------------------------------------------------------------
 # conjecture-scan
 # ---------------------------------------------------------------------------

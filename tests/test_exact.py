@@ -261,7 +261,8 @@ def _unvalidated_split(dom, k, offset):
 
 def _ref_equal_boundary_eta(n, k):
     """The sampling loop ``exact._equal_boundary_eta`` replaced: a tuple and
-    ``max_eta`` per sample."""
+    ``max_eta`` per sample.  Returns the value, or None, and the winning
+    offset, or None."""
     dom = make_regular_polygon(n)
     period = dom.perimeter / n
     samples = 192
@@ -275,12 +276,12 @@ def _ref_equal_boundary_eta(n, k):
         if val < best_val:
             best_val, best_off = val, off
     if best_off is None:
-        return None
+        return None, None
     try:
         tc = constructions.equal_boundary_tuple(dom, k, start_offset=best_off)
     except exact._CONSTRUCTION_ERRORS:
-        return None
-    return regions.max_eta(tc)
+        return None, best_off
+    return regions.max_eta(tc), best_off
 
 
 #: The pairs of ``conjecture-scan --n-range 3..20`` that reach the scan.
@@ -302,9 +303,12 @@ def test_equal_boundary_eta_matches_the_tuple_loop_on_the_scan(n, k, monkeypatch
 
     monkeypatch.setattr(constructions, "equal_boundary_tuple", recorded)
     got = exact._equal_boundary_eta.__wrapped__(n, k)
-    assert len(offsets) == 1
-    assert repr(got) == repr(_ref_equal_boundary_eta(n, k))
-    assert repr(offsets[0]) == repr(offsets[-1])
+    scan_offset = offsets[0]
+    assert offsets == [scan_offset]
+    want, ref_offset = _ref_equal_boundary_eta(n, k)
+    assert offsets == [scan_offset, ref_offset]  # the reference builds its winner too
+    assert repr(got) == repr(want)
+    assert repr(scan_offset) == repr(ref_offset)
 
 
 @settings(max_examples=25, deadline=None)
@@ -312,4 +316,4 @@ def test_equal_boundary_eta_matches_the_tuple_loop_on_the_scan(n, k, monkeypatch
 def test_equal_boundary_eta_matches_the_tuple_loop(n, data):
     k = data.draw(st.integers(min_value=2, max_value=n - 1).filter(lambda k: n % k))
     got = exact._equal_boundary_eta.__wrapped__(n, k)
-    assert repr(got) == repr(_ref_equal_boundary_eta(n, k))
+    assert repr(got) == repr(_ref_equal_boundary_eta(n, k)[0])

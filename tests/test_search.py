@@ -427,6 +427,52 @@ def test_lazy_budget_skip_matches_whole_table_reference(name, monkeypatch):
         assert _report_key(got) == _reference_auto_enumerate(domain, k, reference), k
 
 
+def _seed_grids(k):
+    """Grid sizes for the seed oracle: k divides 5k and 2k (66k when k <=
+    3, whose 66 equal-width offsets pass the cap of 64), and not 5k + 1 and
+    7k - 1 unless k = 1."""
+    return sorted({5 * k, 66 * k if k <= 3 else 2 * k, 5 * k + 1, 7 * k - 1})
+
+
+@pytest.mark.parametrize("name", list(_GRID_DOMAINS))
+def test_grid_seeds_match_the_retired_loop(name):
+    """The one-pass seeds give the retired loop's value and cuts, by repr:
+    the first valid seed, in offset order, with the least value.  On the
+    disk and the D_n the equal-width seeds tie exactly, so the tie order
+    is checked too; on the L-shape and the star the seeds are validated."""
+    domain = _GRID_DOMAINS[name]()
+    for k in range(1, 11):
+        for m in _seed_grids(k):
+            ref = _reference_grid(domain, m, False)
+            want_best, want_cuts = _reference_seeds(domain, k, ref)
+            grid = _prepare_grid(domain, m, full_validity=False)
+            best, cuts = search._grid_seeds(domain, k, grid)
+            assert (repr(best), cuts) == (repr(want_best), want_cuts), (k, m)
+            assert type(best) is float and (cuts is None or all(type(c) is int for c in cuts))
+
+
+def test_grid_seeds_validate_in_value_order(lshape, monkeypatch):
+    """L-shape, k = 4, m = 22: the seeds at offsets 0..3 are all validated,
+    in increasing geometric value, and only the last passes."""
+    m, k = 22, 4
+    ref = _reference_grid(lshape, m, False)
+    bases = [round(j * m / k) for j in range(k + 1)]
+    seeds = [[off + bases[j + d] for j in range(k) for d in (0, 1)] for off in range(4)]
+    values = [max(ref.eta[a % m, b - a] for a, b in zip(s[::2], s[1::2])) for s in seeds]
+    validated = []
+    monkeypatch.setattr(
+        search, "_cuts_chords_ok",
+        lambda grid, cuts, domain: validated.append(cuts) or _cuts_chords_ok(grid, cuts, domain),
+    )
+    best, cuts = search._grid_seeds(lshape, k, _prepare_grid(lshape, m, full_validity=False))
+    order = sorted(range(4), key=values.__getitem__)
+    assert validated == [seeds[s] for s in order]
+    assert cuts == seeds[order[-1]] and best == values[order[-1]]
+    assert min(values) < best
+    want_best, want_cuts = _reference_seeds(lshape, k, ref)
+    assert (repr(best), cuts) == (repr(want_best), want_cuts)
+
+
 @pytest.mark.parametrize("m", [600, 1200])
 def test_explicit_grid_refusal_matches_whole_table_estimate(m):
     dom = rectangle(2.0, 1.0)
@@ -624,6 +670,23 @@ def test_enumeration_frees_its_table_without_the_cycle_collector(lshape):
         assert grid_ref() is None
     finally:
         gc.enable()
+
+
+def test_enumerate_caps_refuses_a_grid_size_that_is_not_an_integer(square):
+    # NumPy's IndexError came from the grid before
+    with pytest.raises(InvalidParameterError, match=r"^m must be an integer, got 36\.5$"):
+        enumerate_caps(square, 2, 36.5)
+
+
+def test_enumerate_caps_refuses_a_bool_k(square):
+    with pytest.raises(InvalidParameterError, match=r"^k must be an integer, got True$"):
+        enumerate_caps(square, True, 8)
+
+
+def test_enumerate_caps_accepts_numpy_integers(square):
+    want = enumerate_caps(square, 2, 8)
+    got = enumerate_caps(square, np.int64(2), np.int32(8))
+    assert _report_key(got) == _report_key(want)
 
 
 def test_enumerate_caps_grid_too_small(square):
@@ -1382,6 +1445,33 @@ def test_search_config_validation():
     for restarts in (0, -1):
         with pytest.raises(InvalidParameterError, match="restarts"):
             SearchConfig(restarts=restarts)
+
+
+def test_estimate_ik_refuses_a_bool_k(square):
+    # True was read as k = 1 and got the closed form I_1 = 0
+    with pytest.raises(InvalidParameterError, match=r"^k must be an integer, got True$"):
+        estimate_ik(square, True)
+
+
+def test_search_config_refuses_fractional_restarts():
+    # 2.5 restarts raised TypeError from range() in the middle of a search
+    with pytest.raises(InvalidParameterError, match=r"^restarts must be an integer, got 2\.5$"):
+        SearchConfig(restarts=2.5)
+
+
+def test_search_config_refuses_a_negative_seed():
+    # NumPy refused it only when refinement drew its restarts
+    with pytest.raises(InvalidParameterError, match=r"^seed must be non-negative, got -1$"):
+        SearchConfig(seed=-1)
+
+
+def test_search_config_takes_integers_by_index():
+    config = SearchConfig(grid_points=np.int64(12), restarts=np.int32(2), seed=np.uint8(7))
+    assert (config.grid_points, config.restarts, config.seed) == (12, 2, 7)
+    assert all(type(v) is int for v in (config.grid_points, config.restarts, config.seed))
+    for field, value in (("grid_points", 12.0), ("seed", False), ("seed", "3")):
+        with pytest.raises(InvalidParameterError, match=f"^{field} must be an integer"):
+            SearchConfig(**{field: value})
 
 
 def test_report_json(unit_disk):
