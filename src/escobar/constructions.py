@@ -15,6 +15,8 @@ from .errors import (
     InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
+    _integer,
+    _positive,
 )
 from .geometry import (
     TAU_GEOM,
@@ -56,8 +58,7 @@ def equal_boundary_tuple(
     ``start_offset`` is the arclength of the first cut; by default the
     midpoint of the longest edge (ties broken towards the lowest index).
     """
-    if k < 2:
-        raise InvalidParameterError(f"equal-boundary split needs k >= 2, got {k}")
+    k = _integer("k", k, 2)
     per = domain.perimeter
     if start_offset is None:
         i = max(range(len(domain.edges)), key=lambda j: (domain.edge_lengths[j], -j))
@@ -75,10 +76,9 @@ def inscribed_kgon_tuple(n: int, k: int) -> TupleCandidate:
     The cuts run through edge midpoints n/k edges apart; every region has
     eta = sin(pi/k) * k / (n * tan(pi/n)) exactly.
     """
-    if n < 3:
-        raise InvalidParameterError(f"regular polygon needs n >= 3, got {n}")
-    if k < 2 or n % k != 0:
-        raise InvalidParameterError(f"inscribed split needs k >= 2 dividing n, got k={k}, n={n}")
+    n, k = _integer("n", n, 3), _integer("k", k, 2)
+    if n % k != 0:
+        raise InvalidParameterError(f"inscribed split needs k dividing n, got k={k}, n={n}")
     dom = make_regular_polygon(n)
     return equal_boundary_tuple(dom, k, start_offset=dom.edge_lengths[0] / 2.0)
 
@@ -98,8 +98,7 @@ def walk_to_distance(
     :class:`~escobar.errors.ConstructionFailedError` when no such point is
     found within that range.
     """
-    if dist <= 0.0:
-        raise InvalidParameterError(f"walk distance must be positive, got {dist}")
+    dist = _positive("walk distance", dist)
     per = domain.perimeter
     origin = domain.point_at(start_s)
     n_edges = len(domain.edges)
@@ -215,26 +214,24 @@ def corner_chain_tuple(
     1e-290 of the edge length.  Otherwise the cut points are found by walking
     the boundary and stored as arclengths.
     """
-    n = len(domain.edges)
-    if not 0 <= corner_index < n:
+    corner_index = _integer("corner_index", corner_index, 0)
+    if corner_index >= len(domain.edges):
         raise InvalidParameterError(f"corner index {corner_index} out of range")
     if corner_index not in domain.convex_corners:
         theta = domain.interior_angles[corner_index]
         raise InvalidParameterError(
             f"vertex {corner_index} is not a strictly convex corner (angle {theta:.6g})"
         )
-    legs = [float(t) for t in legs]
-    if not legs or any(t <= 0 for t in legs):
-        raise InvalidParameterError("legs must be positive")
-    if any(b <= a for a, b in zip(legs, legs[1:])):
-        raise InvalidParameterError(f"legs must be strictly increasing, got {legs}")
+    legs = [_positive("legs", t) for t in legs]
+    if not legs or any(b <= a for a, b in zip(legs, legs[1:])):
+        raise InvalidParameterError(f"legs must be nonempty and strictly increasing, got {legs}")
 
     before, after = domain.edges[corner_index - 1], domain.edges[corner_index]
     offsets = [(_leg_offset(before, t), _leg_offset(after, t)) for t in legs]
     if corner_admits_anchor(domain, corner_index) and all(
         ua is not None and ub is not None for ua, ub in offsets
     ):
-        caps = [Cap(-ua, ub, int(corner_index)) for ua, ub in offsets]
+        caps = [Cap(-ua, ub, corner_index) for ua, ub in offsets]
     else:
         vs = domain.vertex_arclength(corner_index)
         caps = []
@@ -266,8 +263,7 @@ def corner_schedule_legs(k: int, epsilon: float) -> list[float]:
     the domain perimeter so the construction is scale invariant (eta only
     depends on leg ratios, so the power law is unaffected).
     """
-    if k < 1:
-        raise InvalidParameterError(f"k must be positive, got {k}")
+    k = _integer("k", k, 1)
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     deltas = [epsilon ** (-1.0 / (k - j + 1)) for j in range(k)]
@@ -312,8 +308,7 @@ def corner_tuple(
 
 def geometric_legs(t_min: float, t_max: float, k: int) -> list[float]:
     """k legs in geometric progression from t_min to t_max (inclusive)."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be positive, got {k}")
+    k = _integer("k", k, 1)
     if not 0.0 < t_min <= t_max:
         raise InvalidParameterError(f"need 0 < t_min <= t_max, got {t_min}, {t_max}")
     if k == 1:
@@ -339,8 +334,7 @@ def stripe_tuple(
     stripes, giving eta = 2*eps) whenever k unit stripes fit; otherwise the
     stripes share the extent evenly with one stripe-height of slack.
     """
-    if k < 1:
-        raise InvalidParameterError(f"k must be positive, got {k}")
+    k = _integer("k", k, 1)
     edges = domain.edges
     if len(edges) != 4 or not all(isinstance(e, Segment) for e in edges):
         raise NotApplicableError("stripe construction expects an axis-aligned rectangle")
@@ -357,8 +351,7 @@ def stripe_tuple(
     if stripe_height is None:
         slack = max(tol_abs, 1e-12 * height_total)
         stripe_height = 1.0 if k * 1.0 < height_total - slack else height_total / (k + 1)
-    if stripe_height <= 0:
-        raise InvalidParameterError("stripe height must be positive")
+    stripe_height = _positive("stripe height", stripe_height)
     if k * stripe_height >= height_total - max(tol_abs, 1e-12 * height_total):
         raise ConstructionFailedError(
             f"{k} stripes of height {stripe_height:.6g} do not fit in extent "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 
 class EscobarError(Exception):
     """Base class for all package-specific errors."""
@@ -9,6 +11,32 @@ class EscobarError(Exception):
 
 class InvalidParameterError(EscobarError, ValueError):
     """A numeric or combinatorial parameter is out of range (k < 1, n < 3, ...)."""
+
+
+def _integer(name: str, value, least: int) -> int:
+    """The count ``value`` as an int by ``operator.index``.  A bool, a value
+    that is not integral, or one below ``least`` raises
+    :class:`InvalidParameterError` naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if value >= least:
+                return value
+            word = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+            raise InvalidParameterError(f"{name} must be {word}, got {value}")
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _positive(name: str, value) -> float:
+    """The positive real ``value`` as a float.  A bool, or a value that is
+    not above 0, raises :class:`InvalidParameterError` naming ``name``; written
+    as "not >" so that NaN, which passes every "<=", is refused."""
+    if isinstance(value, bool) or not value > 0:
+        raise InvalidParameterError(f"{name} must be positive, got {value}")
+    return float(value)
 
 
 class InvalidGeometryError(EscobarError, ValueError):

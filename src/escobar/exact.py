@@ -27,6 +27,7 @@ from .errors import (
     InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
+    _integer,
 )
 from .geometry import PlanarDomain, _regular_polygon, is_disk
 
@@ -62,8 +63,7 @@ class Bound:
 
 def ik_disk(k: int) -> Bound:
     """I_k of the unit disk: sin(pi/k) / (pi/k), with I_1 = 0."""
-    if k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k}")
+    k = _integer("k", k, 1)
     if k == 1:
         return Bound(0.0, BoundKind.EXACT, "single region: shrink a cap, eta -> 0")
     x = math.pi / k
@@ -81,10 +81,7 @@ def ik_regular_polygon(n: int, k: int) -> Bound:
     (equal boundary split through edge midpoints); otherwise the best
     certified upper bound available in closed form/competitor form.
     """
-    if n < 3:
-        raise InvalidParameterError(f"regular polygon needs n >= 3, got {n}")
-    if k < 1:
-        raise InvalidParameterError(f"k must be a positive integer, got {k}")
+    n, k = _integer("n", n, 3), _integer("k", k, 1)
     if k == 1:
         return Bound(0.0, BoundKind.EXACT, "single region: shrink a corner cap, eta -> 0")
     if k >= n:

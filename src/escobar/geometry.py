@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidParameterError
+from .errors import InvalidGeometryError, InvalidParameterError, _integer, _positive
 
 #: Geometric tolerance, relative to the domain scale (bounding-box diagonal).
 TAU_GEOM = 1e-9
@@ -888,8 +888,9 @@ class PlanarDomain:
         return pieces
 
 def is_disk(domain: PlanarDomain) -> bool:
-    e = domain.edges
-    return len(e) == 1 and isinstance(e[0], Arc) and abs(e[0].sweep - _TWO_PI) < 1e-12
+    """Whether the boundary is one edge: :func:`make_domain` admits a single
+    edge only when it is a full circle."""
+    return len(domain.edges) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -1048,18 +1049,14 @@ def make_polygon(points: Sequence[Sequence[float]]) -> PlanarDomain:
 
 
 def make_disk(radius: float = 1.0, center: Point = (0.0, 0.0)) -> PlanarDomain:
-    if radius <= 0:
-        raise InvalidParameterError(f"disk radius must be positive, got {radius}")
-    return make_domain([Arc(center, float(radius), 0.0, _TWO_PI, True)])
+    return make_domain([Arc(center, _positive("disk radius", radius), 0.0, _TWO_PI, True)])
 
 
 def make_regular_polygon(n: int, circumradius: float = 1.0) -> PlanarDomain:
     """Regular n-gon with vertices on the circle of given circumradius,
     the first vertex at angle 0."""
-    if n < 3:
-        raise InvalidParameterError(f"regular polygon needs n >= 3, got {n}")
-    if circumradius <= 0:
-        raise InvalidParameterError("circumradius must be positive")
+    n = _integer("n", n, 3)
+    circumradius = _positive("circumradius", circumradius)
     pts = [
         (
             circumradius * math.cos(_TWO_PI * j / n),
@@ -1080,8 +1077,9 @@ def _regular_polygon(n: int) -> PlanarDomain:
 
 def scaled(domain: PlanarDomain, factor: float) -> PlanarDomain:
     """Dilate a domain about the origin by ``factor > 0``."""
-    if not 0 < factor < math.inf:
-        raise InvalidParameterError(f"scale factor must be positive and finite, got {factor}")
+    factor = _positive("scale factor", factor)
+    if factor == math.inf:
+        raise InvalidParameterError(f"scale factor must be finite, got {factor}")
     out: list[Edge] = []
     for e in domain.edges:
         if isinstance(e, Segment):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from .errors import _integer
 from .geometry import Arc, PlanarDomain, Segment
 from .regions import TupleCandidate, exterior_intervals, interior_chords
 
@@ -110,7 +111,7 @@ def render_svg(
     width: int = 640,
 ) -> str:
     """Render the domain (and optionally a tuple of regions) as an SVG string."""
-    frame = _Frame(domain, width)
+    frame = _Frame(domain, _integer("width", width, 1))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{frame.width}" '
         f'height="{frame.height}" viewBox="0 0 {frame.width} {frame.height}">',

@@ -43,6 +43,8 @@ from .errors import (
     InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
+    _integer,
+    _positive,
 )
 from .exact import Bound, BoundKind, ik_exact
 from .geometry import (
@@ -93,17 +95,6 @@ _LEG_FLOOR = 1e-300
 _LEG_RATIO_MAX = 1e12
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int by ``operator.index``; a bool or a value that is
-    not integral raises :class:`InvalidParameterError` naming ``name``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass
 class SearchConfig:
     """Knobs for :func:`estimate_ik` and friends.  Geometric tolerances are
@@ -122,21 +113,15 @@ class SearchConfig:
         bad = set(self.families) - known
         if bad:
             raise InvalidParameterError(f"unknown search families: {sorted(bad)}")
-        # written as "not >" so that NaN, which passes every "<=", is refused
-        if not self.budget > 0:
-            raise InvalidParameterError(f"budget must be positive, got {self.budget}")
+        self.budget = _positive("budget", self.budget)
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise InvalidParameterError(
                 f"tolerance must be finite and non-negative, got {self.tolerance}"
             )
         if self.grid_points is not None:
-            self.grid_points = _integer("grid_points", self.grid_points)
-        self.restarts = _integer("restarts", self.restarts)
-        if self.restarts < 1:
-            raise InvalidParameterError(f"restarts must be at least 1, got {self.restarts}")
-        self.seed = _integer("seed", self.seed)
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be non-negative, got {self.seed}")
+            self.grid_points = _integer("grid_points", self.grid_points, 4)
+        self.restarts = _integer("restarts", self.restarts, 1)
+        self.seed = _integer("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -464,7 +449,7 @@ def enumerate_caps(
     """Minimax-optimal k caps with cut points on the uniform m-point grid.
 
     Cut points may be shared between adjacent caps but each cap's arc must
-    have positive width.
+    have positive width.  ``k`` is at least 2: ``I_1 = 0`` needs no grid.
 
     The refusal rule: the search's node count is estimated by
     :func:`_enum_estimate` from ``w_min``, the least cap width whose column
@@ -477,11 +462,8 @@ def enumerate_caps(
     the least width whose estimate fits, and the search
     (:func:`_run_enumeration`) resumes it and stops after ``budget`` nodes.
     """
-    k, m = _integer("k", k), _integer("m", m)
-    if k < 1:
-        raise InvalidParameterError(f"k must be positive, got {k}")
-    if not budget > 0:
-        raise InvalidParameterError(f"budget must be positive, got {budget}")
+    k, m = _integer("k", k, 2), _integer("m", m, 4)
+    budget = _positive("budget", budget)
     if m < 2 * k:
         raise InvalidParameterError(f"grid needs at least 2k points, got m={m}, k={k}")
     if m > 5000:
@@ -503,7 +485,7 @@ def enumerate_caps(
             f"enumeration on m={m}, k={k} needs an estimated {shown} nodes "
             f"(budget {budget:.3g})",
             estimate=approx,
-            budget=float(budget),
+            budget=budget,
         )
     return _run_enumeration(domain, k, grid, seeds, columns, budget)
 
@@ -543,7 +525,7 @@ def _run_enumeration(
             raise BudgetExceededError(
                 f"enumeration stopped after {nodes} nodes (budget {budget:.3g})",
                 estimate=float(nodes),
-                budget=float(budget),
+                budget=budget,
             )
         if cap_idx == k:
             if need_cross and not _cuts_chords_ok(grid, cuts, domain):
@@ -999,11 +981,10 @@ def corner_family_bound(domain: PlanarDomain, k: int) -> BoundReport:
     within about 2 sin(theta/2) / r of sin(theta/2), with leg ratio
     r = min(1e12, 1e290 ** (1/(d-1))).
     """
+    k = _integer("k", k, 1)
     corners = domain.convex_corners
     if not corners:
         raise NotApplicableError("domain has no strictly convex corner")
-    if k < 1:
-        raise InvalidParameterError(f"k must be positive, got {k}")
     evals = 0
 
     geom = {c: _corner_geometry(domain, c) for c in corners}
@@ -1174,9 +1155,7 @@ def estimate_ik(
     :func:`_no_cap_tuple` shows that it has no tuple to find.
     """
     config = config or SearchConfig()
-    k = _integer("k", k)
-    if k < 1:
-        raise InvalidParameterError(f"k must be positive, got {k}")
+    k = _integer("k", k, 1)
     if k == 1:
         return BoundReport(
             0.0, BoundKind.EXACT, None, "closed-form", 0,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotApplicableError
+from .errors import InvalidParameterError, NotApplicableError, _integer
 from .geometry import PlanarDomain, _regular_polygon
 from .regions import Cap, _screened_cap_etas, eta_partial
 
@@ -96,11 +96,11 @@ class SymmetryAuditReport:
         )
 
 
-def _require_regular(domain: PlanarDomain) -> int:
-    n = domain.regular_order
-    if n is None:
-        raise NotApplicableError("symmetrization requires a regular polygon")
-    return n
+def _degenerate(domain: PlanarDomain, lam):
+    """Whether the edge-centered cap of exterior length ``lam`` (a float or
+    an array) is degenerate: ``lam <= s``, up to ``1e-12 s``, for the side
+    ``s`` of the regular polygon ``domain``."""
+    return lam <= domain.perimeter / domain.regular_order * (1.0 + 1e-12)
 
 
 def symmetrize(domain: PlanarDomain, lam: float):
@@ -108,11 +108,13 @@ def symmetrize(domain: PlanarDomain, lam: float):
 
     Returns ``(vertex, edge)`` as :class:`SymmetrizedRegion`.  The
     edge-centered cap with ``lam <= s`` is degenerate (its chord lies on the
-    edge) and carries the limit value ``eta = 1``.
+    edge) and carries the limit value ``eta = 1``.  An exterior length
+    outside ``(0, L/2]``, up to ``1e-12 L``, raises
+    :class:`~escobar.errors.InvalidParameterError`.
     """
-    n = _require_regular(domain)
+    if domain.regular_order is None:
+        raise NotApplicableError("symmetrization requires a regular polygon")
     per = domain.perimeter
-    s = per / n
     if not 0.0 < lam <= per / 2.0 + 1e-12 * per:
         raise InvalidParameterError(
             f"exterior length must lie in (0, L/2], got {lam} (L={per})"
@@ -122,7 +124,7 @@ def symmetrize(domain: PlanarDomain, lam: float):
     v_eta = eta_partial(domain, vcap)
     mid = domain.edge_lengths[0] / 2.0
     ecap = Cap((mid - half) % per, (mid + half) % per)
-    degenerate = lam <= s * (1.0 + 1e-12)
+    degenerate = _degenerate(domain, lam)
     e_eta = _DEGENERATE_ETA if degenerate else eta_partial(domain, ecap)
     return (
         SymmetrizedRegion("vertex-centered", vcap, lam, v_eta, False),
@@ -136,8 +138,7 @@ def crossover_threshold(n: int, side: float = 1.0) -> float:
     Below it the vertex-centered value cos(pi/n) is the smaller one; above
     it the edge-centered profile wins.  Always lies in (side, 1.5 side].
     """
-    if n < 3:
-        raise InvalidParameterError(f"regular polygon needs n >= 3, got {n}")
+    n = _integer("n", n, 3)
     c1 = math.cos(math.pi / n)
     c2 = math.cos(2.0 * math.pi / n)
     return side * (1.0 - c2) / (c1 - c2)
@@ -145,9 +146,8 @@ def crossover_threshold(n: int, side: float = 1.0) -> float:
 
 def envelope_value(n: int, ell: int) -> float:
     """min over caps of eta at the equal-split length lam = ell * s."""
-    if n < 3:
-        raise InvalidParameterError(f"regular polygon needs n >= 3, got {n}")
-    if not 1 <= ell <= n // 2:
+    n, ell = _integer("n", n, 3), _integer("ell", ell, 1)
+    if ell > n // 2:
         raise InvalidParameterError(f"need 1 <= ell <= n//2, got ell={ell}")
     return (
         math.cos(math.pi / n)
@@ -159,15 +159,10 @@ def envelope_value(n: int, ell: int) -> float:
 def symmetrization_inequality_check(domain: PlanarDomain, cap: Cap):
     """Check min(symmetrized etas) <= eta(cap) for a cap with lam <= L/2.
 
-    Returns ``(ok, eta_cap, eta_symmetrized_min)``.
+    Returns ``(ok, eta_cap, eta_symmetrized_min)``; :func:`symmetrize`
+    refuses an exterior length outside its range.
     """
-    per = domain.perimeter
-    lam = (cap.b - cap.a) % per
-    if lam == 0.0 or lam > per / 2.0 + 1e-12 * per:
-        raise InvalidParameterError(
-            "inequality applies to caps with exterior length in (0, L/2]"
-        )
-    vertex, edge = symmetrize(domain, lam)
+    vertex, edge = symmetrize(domain, (cap.b - cap.a) % domain.perimeter)
     bound = min(vertex.eta, edge.eta)
     eta = eta_partial(domain, cap)
     return eta >= bound - _INEQUALITY_MARGIN, eta, bound
@@ -181,8 +176,7 @@ def _screened_symmetrized(domain: PlanarDomain, lam: np.ndarray):
     v_eta = _screened_cap_etas(domain, np.remainder(per - half, per), half)
     mid = domain.edge_lengths[0] / 2.0
     e_eta = _screened_cap_etas(domain, np.remainder(mid - half, per), np.remainder(mid + half, per))
-    degenerate = lam <= per / domain.regular_order * (1.0 + 1e-12)
-    return v_eta, np.where(degenerate, _DEGENERATE_ETA, e_eta)
+    return v_eta, np.where(_degenerate(domain, lam), _DEGENERATE_ETA, e_eta)
 
 
 def monotonicity_check(n: int) -> bool:
@@ -266,11 +260,11 @@ def audit_symmetrization(
     :func:`symmetrization_inequality_check` re-measures the trials that the
     screen cannot decide, so the report is the one that checking every
     trial gives.  Every exterior length lies in ``[1e-3 L, L/2]``, up to
-    rounding far inside the check's ``1e-12 L``, so every slack is finite
-    and no trial raises.
+    rounding far inside :func:`symmetrize`'s ``1e-12 L``, so every slack is
+    finite and no trial raises.
     """
-    if trials < 1:
-        raise InvalidParameterError("need at least one trial")
+    n = _integer("n", n, 3)
+    trials, seed = _integer("trials", trials, 1), _integer("seed", seed, 0)
     domain = _regular_polygon(n)
     per = domain.perimeter
     rng = np.random.default_rng(seed)

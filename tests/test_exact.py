@@ -16,7 +16,8 @@ from escobar.exact import (
     ik_exact,
     ik_regular_polygon,
 )
-from escobar.geometry import make_polygon, make_regular_polygon
+from escobar.geometry import Arc, is_disk, make_domain, make_polygon, make_regular_polygon
+from escobar.search import _grid_period, estimate_ik
 
 # Frozen reference values (evaluated by hand from the closed forms):
 #   I_2(disk) = sin(pi/2)/(pi/2) = 2/pi
@@ -110,6 +111,18 @@ def test_ik_exact_dispatch(unit_disk, hexagon, lshape):
     assert ik_exact(hexagon, 6).value == pytest.approx(math.cos(math.pi / 6), abs=1e-15)
     with pytest.raises(NotApplicableError):
         ik_exact(lshape, 2)
+
+
+def test_a_circle_that_make_domain_closes_is_a_disk():
+    """``make_domain`` closes a single arc whose sweep is within 1e-9 of
+    2 pi; ``is_disk`` asked for 1e-12, so this domain got no closed form,
+    no cross-label and no disk grid period."""
+    circle = make_domain([Arc((0.0, 0.0), 1.0, 0.0, 2 * math.pi - 5e-10)])
+    assert is_disk(circle)
+    assert ik_exact(circle, 3) == ik_disk(3)
+    assert _grid_period(circle, 24) == 1
+    report = estimate_ik(circle, 3)
+    assert report.cross_label == f"matches closed form {I3_DISK:.12g}"
 
 
 def test_rhombus_with_equal_sides_is_not_a_square():

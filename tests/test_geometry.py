@@ -203,14 +203,17 @@ def test_non_finite_geometry_rejected(bad):
         domain_from_json({"edges": [arc]})
     with pytest.raises(InvalidParameterError):
         scaled(make_regular_polygon(5), bad)
-    if bad > 0 or math.isnan(bad):
+    if bad > 0:
         with pytest.raises(InvalidGeometryError, match="non-finite"):
             make_disk(bad)
         with pytest.raises(InvalidGeometryError, match="non-finite"):
             make_regular_polygon(5, bad)
-    else:
-        with pytest.raises(InvalidParameterError):
+    else:  # NaN and -inf are refused as parameters, before any edge is built
+        message = "{} must be positive, got " + str(bad)
+        with pytest.raises(InvalidParameterError, match="^" + message.format("disk radius") + "$"):
             make_disk(bad)
+        with pytest.raises(InvalidParameterError, match="^" + message.format("circumradius") + "$"):
+            make_regular_polygon(5, bad)
 
 
 @pytest.mark.parametrize(

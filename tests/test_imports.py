@@ -1,5 +1,6 @@
-"""Every imported name in the package, the tests and the benchmark is used, and every
-private helper of the package has a caller in the package.
+"""Every imported name in the package, the tests and the benchmark is used, every
+private helper of the package has a caller in the package, and only
+``errors.py`` reads integers by ``operator.index``.
 
 No linter runs on this repository, so these tests are the guard.  They parse
 each module with ``ast``:
@@ -9,7 +10,10 @@ each module with ``ast``:
 * an unused helper is a ``_``-prefixed module-level function or class of
   ``src/escobar`` that no other top-level statement of the package names,
   as a name or an attribute.  Its own body does not count, and neither do
-  the tests: a helper that only tests call belongs in the tests.
+  the tests: a helper that only tests call belongs in the tests;
+* a module that reads ``operator.index``, as an attribute or by a
+  ``from operator import``, writes its own integer rule: every count of the
+  package goes through ``errors._integer``.
 """
 
 import ast
@@ -102,3 +106,29 @@ def test_the_scan_sees_an_unused_helper():
 
 def test_no_unused_helpers():
     assert unused_helpers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def index_reads(source: str) -> list[int]:
+    """Lines of ``source`` that read ``operator.index``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "index" and (
+            isinstance(node.value, ast.Name) and node.value.id == "operator"
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "operator" and any(
+            alias.name == "index" for alias in node.names
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_sees_an_integer_rule():
+    src = ("import operator\nfrom operator import add, index as ix\n"
+           "n = operator.index(3)\nm = operator.add(1, 2)\nxs = [1].index(1)\n")
+    assert index_reads(src) == [2, 3]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_errors_reads_integers_by_index(path):
+    assert bool(index_reads(path.read_text())) == (path.name == "errors.py")

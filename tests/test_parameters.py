@@ -1,0 +1,152 @@
+"""Every count and every positive real of the public entry points is read
+by one rule (``errors._integer`` and ``errors._positive``).
+
+A count is taken by ``operator.index``: a bool, a fraction, NaN and a value
+below its least raise :class:`InvalidParameterError` naming the parameter,
+and a NumPy integer gives what the Python int gives.  A positive real
+refuses a bool, NaN, zero and negative values the same way.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from escobar.constructions import (
+    corner_chain_tuple,
+    corner_schedule_legs,
+    corner_tuple,
+    equal_boundary_tuple,
+    geometric_legs,
+    inscribed_kgon_tuple,
+    stripe_tuple,
+    walk_to_distance,
+)
+from escobar.errors import InvalidParameterError
+from escobar.exact import ik_disk, ik_exact, ik_regular_polygon
+from escobar.geometry import make_disk, make_polygon, make_regular_polygon, scaled
+from escobar.render import render_svg
+from escobar.search import SearchConfig, corner_family_bound, enumerate_caps, estimate_ik
+from escobar.symmetry import audit_symmetrization, crossover_threshold, envelope_value
+
+SQUARE = make_regular_polygon(4)  # side sqrt(2)
+DISK = make_disk()
+RECT = make_polygon([(0.0, 0.0), (0.2, 0.0), (0.2, 5.0), (0.0, 5.0)])
+CORNERS_ONLY = SearchConfig(families=("corner-strips",))
+
+#: (entry point, parameter, least value, a valid value, the call with the count)
+COUNTS = [
+    ("enumerate_caps", "k", 2, 3, lambda v: enumerate_caps(SQUARE, v, 8)),
+    ("enumerate_caps", "m", 4, 8, lambda v: enumerate_caps(SQUARE, 2, v)),
+    ("estimate_ik", "k", 1, 2, lambda v: estimate_ik(SQUARE, v, CORNERS_ONLY)),
+    ("corner_family_bound", "k", 1, 3, lambda v: corner_family_bound(SQUARE, v)),
+    ("SearchConfig", "grid_points", 4, 12, lambda v: SearchConfig(grid_points=v)),
+    ("SearchConfig", "restarts", 1, 2, lambda v: SearchConfig(restarts=v)),
+    ("SearchConfig", "seed", 0, 7, lambda v: SearchConfig(seed=v)),
+    ("equal_boundary_tuple", "k", 2, 3, lambda v: equal_boundary_tuple(SQUARE, v)),
+    ("inscribed_kgon_tuple", "n", 3, 6, lambda v: inscribed_kgon_tuple(v, 2)),
+    ("inscribed_kgon_tuple", "k", 2, 3, lambda v: inscribed_kgon_tuple(6, v)),
+    ("corner_chain_tuple", "corner_index", 0, 1, lambda v: corner_chain_tuple(SQUARE, v, [0.1])),
+    ("corner_tuple", "corner_index", 0, 2, lambda v: corner_tuple(SQUARE, v, 2)),
+    ("corner_tuple", "k", 1, 3, lambda v: corner_tuple(SQUARE, 0, v)),
+    ("corner_schedule_legs", "k", 1, 3, lambda v: corner_schedule_legs(v, 0.1)),
+    ("geometric_legs", "k", 1, 3, lambda v: geometric_legs(0.1, 1.0, v)),
+    ("stripe_tuple", "k", 1, 2, lambda v: stripe_tuple(RECT, v)),
+    ("ik_disk", "k", 1, 3, ik_disk),
+    ("ik_exact", "k", 1, 3, lambda v: ik_exact(DISK, v)),
+    ("ik_regular_polygon", "n", 3, 6, lambda v: ik_regular_polygon(v, 4)),
+    ("ik_regular_polygon", "k", 1, 4, lambda v: ik_regular_polygon(6, v)),
+    ("make_regular_polygon", "n", 3, 5, make_regular_polygon),
+    ("crossover_threshold", "n", 3, 5, crossover_threshold),
+    ("envelope_value", "n", 3, 6, lambda v: envelope_value(v, 2)),
+    ("envelope_value", "ell", 1, 2, lambda v: envelope_value(6, v)),
+    ("audit_symmetrization", "n", 3, 5, lambda v: audit_symmetrization(v, 8)),
+    ("audit_symmetrization", "trials", 1, 8, lambda v: audit_symmetrization(5, v)),
+    ("audit_symmetrization", "seed", 0, 3, lambda v: audit_symmetrization(5, 8, v)),
+    ("render_svg", "width", 1, 320, lambda v: render_svg(SQUARE, width=v)),
+]
+
+#: (entry point, parameter, a valid value, the call with the positive real)
+REALS = [
+    ("enumerate_caps", "budget", 10**9, lambda v: enumerate_caps(SQUARE, 2, 8, budget=v)),
+    ("SearchConfig", "budget", 5, lambda v: SearchConfig(budget=v)),
+    ("walk_to_distance", "walk distance", 1, lambda v: walk_to_distance(SQUARE, 0.0, v)),
+    ("corner_chain_tuple", "legs", 1, lambda v: corner_chain_tuple(SQUARE, 0, [0.5, v])),
+    ("stripe_tuple", "stripe height", 1, lambda v: stripe_tuple(RECT, 2, v)),
+    ("make_disk", "disk radius", 2, make_disk),
+    ("make_regular_polygon", "circumradius", 2, lambda v: make_regular_polygon(5, v)),
+    ("scaled", "scale factor", 2, lambda v: scaled(SQUARE, v)),
+]
+
+
+def _ids(table):
+    return [f"{row[0]}-{row[1]}" for row in table]
+
+
+def _refusal(message: str):
+    return pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$")
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, math.nan, "3"])
+@pytest.mark.parametrize("entry, name, least, good, call", COUNTS, ids=_ids(COUNTS))
+def test_a_count_must_be_an_integer(entry, name, least, good, call, bad):
+    with _refusal(f"{name} must be an integer, got {bad!r}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry, name, least, good, call", COUNTS, ids=_ids(COUNTS))
+def test_a_count_below_its_least_is_refused(entry, name, least, good, call):
+    word = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+    with _refusal(f"{name} must be {word}, got {least - 1}"):
+        call(least - 1)
+
+
+@pytest.mark.parametrize("entry, name, least, good, call", COUNTS, ids=_ids(COUNTS))
+def test_a_count_takes_numpy_integers(entry, name, least, good, call):
+    assert repr(call(np.int64(good))) == repr(call(good))
+
+
+@pytest.mark.parametrize("bad", [True, 0, 0.0, -1, -math.inf, math.nan])
+@pytest.mark.parametrize("entry, name, good, call", REALS, ids=_ids(REALS))
+def test_a_positive_real_refuses_the_rest(entry, name, good, call, bad):
+    with _refusal(f"{name} must be positive, got {bad}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry, name, good, call", REALS, ids=_ids(REALS))
+def test_a_positive_real_takes_numpy_numbers(entry, name, good, call):
+    want = repr(call(float(good)))
+    assert repr(call(np.int64(good))) == want
+    assert repr(call(np.float64(good))) == want
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each of these used to return a value or raise another error
+        (lambda: ik_exact(make_disk(), True), "k must be an integer, got True"),  # I_1 = 0
+        (lambda: ik_regular_polygon(6, 3.0), "k must be an integer, got 3.0"),  # 0.75 [exact]
+        (lambda: ik_regular_polygon(6, 4.0), "k must be an integer, got 4.0"),  # TypeError
+        (lambda: corner_chain_tuple(SQUARE, True, [0.1]),  # anchored at vertex 1
+         "corner_index must be an integer, got True"),
+        (lambda: make_regular_polygon(3.5), "n must be an integer, got 3.5"),
+        (lambda: envelope_value(6, True), "ell must be an integer, got True"),
+        (lambda: stripe_tuple(RECT, 2, math.nan), "stripe height must be positive, got nan"),
+        (lambda: audit_symmetrization(5, seed=-1), "seed must be non-negative, got -1"),
+        (lambda: enumerate_caps(SQUARE, 1, 8), "k must be at least 2, got 1"),  # IndexError
+    ],
+)
+def test_parameters_that_used_to_slip_through(call, message):
+    with _refusal(message):
+        call()
+
+
+def test_upper_bounds_keep_their_messages():
+    with pytest.raises(InvalidParameterError, match=r"^need 1 <= ell <= n//2, got ell=4$"):
+        envelope_value(6, 4)
+    with pytest.raises(InvalidParameterError, match=r"^corner index 4 out of range$"):
+        corner_chain_tuple(SQUARE, 4, [0.1])
+    with pytest.raises(InvalidParameterError,
+                       match=r"^inscribed split needs k dividing n, got k=4, n=6$"):
+        inscribed_kgon_tuple(6, 4)

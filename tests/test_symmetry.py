@@ -87,6 +87,18 @@ def test_edge_centered_degenerate():
     assert degenerate and eta == 1.0
 
 
+def test_symmetrize_and_the_screen_share_the_degenerate_rule():
+    """The edge-centered cap is degenerate for ``lam <= s (1 + 1e-12)``, in
+    :func:`symmetrize` and in the NumPy screen alike."""
+    dom = make_regular_polygon(6)
+    s = dom.perimeter / 6
+    lams = [s * (1 - 1e-12), s, s * (1 + 5e-13), s * (1 + 2e-12), 1.5 * s]
+    want = [True, True, True, False, False]
+    assert [symmetrize(dom, lam)[1].degenerate for lam in lams] == want
+    _, screened = symmetry._screened_symmetrized(dom, np.array(lams))
+    assert (screened == 1.0).tolist() == want
+
+
 def test_symmetrize_validation():
     dom = make_regular_polygon(5)
     with pytest.raises(InvalidParameterError):
