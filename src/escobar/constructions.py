@@ -15,6 +15,7 @@ from .errors import (
     InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
+    _finite,
     _integer,
     _positive,
 )
@@ -55,14 +56,18 @@ def equal_boundary_tuple(
 ) -> TupleCandidate:
     """k caps cutting the boundary into arcs of equal length.
 
-    ``start_offset`` is the arclength of the first cut; by default the
-    midpoint of the longest edge (ties broken towards the lowest index).
+    ``start_offset`` is the arclength of the first cut, which must be
+    finite and is taken modulo the perimeter; by default the midpoint of the
+    longest edge (ties broken towards the lowest index).
     """
     k = _integer("k", k, 2)
     per = domain.perimeter
     if start_offset is None:
         i = max(range(len(domain.edges)), key=lambda j: (domain.edge_lengths[j], -j))
         start_offset = float(domain.cumlens[i]) + domain.edge_lengths[i] / 2.0
+    else:
+        # reduced first: far offsets would round all k cuts to one float
+        start_offset = _finite("start_offset", start_offset) % per
     cuts = [(start_offset + j * per / k) % per for j in range(k)]
     regions = tuple(Cap(cuts[j], cuts[(j + 1) % k]) for j in range(k))
     return _raise_if_invalid(
@@ -96,8 +101,11 @@ def walk_to_distance(
 
     The walk is limited to half the perimeter.  Raises
     :class:`~escobar.errors.ConstructionFailedError` when no such point is
-    found within that range.
+    found within that range, and
+    :class:`~escobar.errors.InvalidParameterError` unless ``start_s`` is
+    finite and ``dist`` positive.
     """
+    start_s = _finite("start_s", start_s)
     dist = _positive("walk distance", dist)
     per = domain.perimeter
     origin = domain.point_at(start_s)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import operator
 
 
@@ -36,6 +37,14 @@ def _positive(name: str, value) -> float:
     as "not >" so that NaN, which passes every "<=", is refused."""
     if isinstance(value, bool) or not value > 0:
         raise InvalidParameterError(f"{name} must be positive, got {value}")
+    return float(value)
+
+
+def _finite(name: str, value) -> float:
+    """The finite real ``value`` as a float.  A bool, NaN or an infinity
+    raises :class:`InvalidParameterError` naming ``name``."""
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise InvalidParameterError(f"{name} must be finite, got {value}")
     return float(value)
 
 

@@ -27,6 +27,7 @@ from .errors import (
     InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
+    _finite,
     _integer,
 )
 from .geometry import PlanarDomain, _regular_polygon, is_disk
@@ -181,8 +182,7 @@ def disk_dominance_check(n: int, k: int, *, tol: float = TAU_NUM) -> tuple[bool,
     """
     if not 1 <= k < n:
         raise InvalidParameterError(f"comparison needs 1 <= k < n, got k={k}, n={n}")
-    if not math.isfinite(tol):
-        raise InvalidParameterError(f"tolerance must be finite, got {tol}")
+    tol = _finite("tolerance", tol)
     dn = ik_regular_polygon(n, k)
     dk = ik_disk(k)
     return dn.value <= dk.value + tol, dn, dk

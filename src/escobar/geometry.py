@@ -25,7 +25,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidParameterError, _integer, _positive
+from .errors import InvalidGeometryError, InvalidParameterError, _finite, _integer, _positive
 
 #: Geometric tolerance, relative to the domain scale (bounding-box diagonal).
 TAU_GEOM = 1e-9
@@ -214,8 +214,9 @@ Edge = Union[Segment, Arc]
 
 def _row_point(row: tuple, t: float) -> Point:
     """The point at local arclength ``t`` on the edge whose ``_row`` is
-    ``row``: every boundary point is evaluated here, except in the two
-    copies that spell it out (:func:`_interior_chord_ends`, and
+    ``row``: every boundary point is evaluated here, except in the three
+    copies that spell it out (:func:`_interior_chord_ends`, the objective of
+    ``search.refine_caps`` for the caps it scores inline, and
     :func:`_edge_points` for arrays of points)."""
     arc, a, b, c, d, e = row
     if arc:
@@ -1077,9 +1078,7 @@ def _regular_polygon(n: int) -> PlanarDomain:
 
 def scaled(domain: PlanarDomain, factor: float) -> PlanarDomain:
     """Dilate a domain about the origin by ``factor > 0``."""
-    factor = _positive("scale factor", factor)
-    if factor == math.inf:
-        raise InvalidParameterError(f"scale factor must be finite, got {factor}")
+    factor = _finite("scale factor", _positive("scale factor", factor))
     out: list[Edge] = []
     for e in domain.edges:
         if isinstance(e, Segment):
@@ -1305,7 +1304,9 @@ def _interior_chord_ends(domain: PlanarDomain, s0: float, s1: float) -> tuple[Po
     and this body spells out the edge lookup of
     :meth:`PlanarDomain._edge_index_reduced` and, for each end, the
     operations of :func:`_row_point` on its edge's row, which give
-    ``point_at``'s floats.
+    ``point_at``'s floats.  The objective of ``search.refine_caps`` spells
+    out this lookup, those operations and the convex verdict once more for
+    the caps that verdict accepts, and calls this function for the rest.
     """
     cum = domain.cumlens
     n = len(cum) - 1

@@ -48,6 +48,7 @@ from .errors import (
 )
 from .exact import Bound, BoundKind, ik_exact
 from .geometry import (
+    _CONVEX_MIN_CHORD,
     Arc,
     PlanarDomain,
     Segment,
@@ -777,12 +778,23 @@ def refine_caps(
     otherwise ``500 + bad`` when ``bad`` chords are not interior;
     otherwise, on a nonconvex domain only, ``400`` when a cap breaks the
     exterior rule of :func:`validate_tuple` or two caps' arcs overlap or
-    chords conflict; and else the tuple's max eta.  One call of the chord
-    kernel behind :func:`chord_is_interior` per cap gives both the verdict
-    and the chord's end points, and the cap's eta is their distance over
-    ``(b - a) mod P``, the operations of :func:`~escobar.regions.eta_partial`
-    in its order (``sum`` of one term is that term), so the max eta is
-    bit-identical to the tuple's.
+    chords conflict; and else the tuple's max eta.  The chord kernel behind
+    :func:`chord_is_interior` (:func:`~escobar.geometry._interior_chord_ends`)
+    gives each cap both the verdict and the chord's end points, and the
+    cap's eta is their distance over ``(b - a) mod P``, the operations of
+    :func:`~escobar.regions.eta_partial` in its order (``sum`` of one term is
+    that term), so the max eta is bit-identical to the tuple's.
+
+    On a domain that admits the kernel's convex verdict (its
+    ``_convex_clearance`` is not ``None``), the objective reads the kernel's
+    tables once per call and scores inline every cap that the verdict
+    accepts: both ends off the vertices (``t != 0``), not both on one
+    segment or one concave arc, each more than the clearance of boundary
+    length from its edge's ends, and a chord of at least ``1e-3`` of the
+    scale.  It finds the edges and end points with the kernel's operations
+    in the kernel's order, so these caps get the kernel's verdict, ends and
+    distance bit for bit, without a call per cap.  Every other cap, and
+    every cap of a domain without a clearance, calls the kernel.
 
     On a nonconvex domain this equals the score of validating the tuple,
     ``500 + bad`` or ``400`` on any violation, which is how it was scored
@@ -820,6 +832,12 @@ def refine_caps(
     min_w = 1e-9 * per
     convex = domain.is_convex
     chord_ends, dist, inf = _interior_chord_ends, math.dist, math.inf
+    # the chord kernel's tables, for the caps its convex verdict accepts
+    clear = domain._convex_clearance
+    cum, rows, lens = domain.cumlens, domain._point_rows, domain.edge_lengths
+    n_edges = len(lens)
+    min_chord = _CONVEX_MIN_CHORD * domain.scale
+    cos, sin, edge_at = math.cos, math.sin, bisect.bisect_right
 
     def objective(xl: list[float]) -> float:
         nonlocal best, best_x, evals
@@ -844,6 +862,40 @@ def refine_caps(
         for j in range(0, last, 2):
             a = xl[j] % per
             b = xl[j + 1] % per
+            if clear is not None:
+                # the kernel's lookup and convex verdict, spelled out
+                s0 = 0.0 if a == per else a
+                s1 = 0.0 if b == per else b
+                i0 = edge_at(cum, s0, 0, n_edges) - 1
+                i1 = edge_at(cum, s1, 0, n_edges) - 1
+                t0 = s0 - cum[i0]
+                t1 = s1 - cum[i1]
+                arc, x, y, c, d, e = rows[i0]
+                if (
+                    t0 and t1
+                    and (i0 != i1 or arc and e)
+                    and clear < t0 < lens[i0] - clear
+                    and clear < t1 < lens[i1] - clear
+                ):
+                    if arc:
+                        ang = d + t0 / c if e else d - t0 / c
+                        p = (x + c * cos(ang), y + c * sin(ang))
+                    else:
+                        u = t0 / e
+                        p = (x + u * c, y + u * d)
+                    arc, x, y, c, d, e = rows[i1]
+                    if arc:
+                        ang = d + t1 / c if e else d - t1 / c
+                        q = (x + c * cos(ang), y + c * sin(ang))
+                    else:
+                        u = t1 / e
+                        q = (x + u * c, y + u * d)
+                    chord = dist(p, q)
+                    if chord >= min_chord:
+                        eta = chord / ((b - a) % per)  # positive: the ends differ
+                        if eta > val:
+                            val = eta
+                        continue
             ends = chord_ends(domain, a, b)
             if ends is None:
                 bad += 1

@@ -51,6 +51,24 @@ def rectangle(w: float, h: float):
     )
 
 
+def circular_slice(theta: float):
+    # the unit disk's sector between polar angles 0 and theta
+    tip = (math.cos(theta), math.sin(theta))
+    return make_domain(
+        [Segment((0.0, 0.0), (1.0, 0.0)), Arc((0.0, 0.0), 1.0, 0.0, theta),
+         Segment(tip, (0.0, 0.0))]
+    )
+
+
+def chord_cut_disk(h: float):
+    # the unit disk below the line y = h
+    c = math.sqrt(1.0 - h * h)
+    return make_domain(
+        [Arc((0.0, 0.0), 1.0, math.atan2(h, -c), math.atan2(h, c) + 2.0 * math.pi),
+         Segment((c, h), (-c, h))]
+    )
+
+
 def star_hexagon():
     # star-shaped hexagon with a reflex vertex at polar angle 3.579
     polar = [(0.239, 0.968), (1.505, 1.048), (2.364, 0.822),

@@ -113,6 +113,17 @@ def test_construct_equal_offset(capsys):
     assert "max eta = 0.5" in out
 
 
+@pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+def test_construct_non_finite_offset_exit_3(offset, capsys):
+    # "chord between s=nan and s=nan ..." before, from the geometry
+    rc, out, err = run(
+        capsys, "construct", "--family", "equal", "--ngon", "6", "--k", "3", f"--offset={offset}"
+    )
+    assert rc == 3
+    assert out == ""
+    assert err == f"error: start_offset must be finite, got {float(offset)}\n"
+
+
 def test_construct_inscribed(capsys):
     rc, out, _ = run(capsys, "construct", "--family", "inscribed", "--ngon", "6", "--k", "3")
     assert rc == 0

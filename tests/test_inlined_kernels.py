@@ -44,19 +44,37 @@ tolerance (``geometry._on_arc``) and the segment-arc hit list
 an arc (``geometry._arc_foot``) was written twice, in ``project_to_boundary``
 and in ``_point_arc_distance``; the one difference is the guard within
 ``1e-300`` of the arc's centre, which the second lacked.  Their former
-bodies are the references of the last tests.
+bodies are the references of the arc-foot tests.
+
+The objective of ``search.refine_caps`` spells out the kernel's edge
+lookup, end points and convex verdict for the caps that verdict accepts
+with both ends off the vertices, and calls the kernel for the rest.  The
+last tests capture the objective (through a patched ``search._nelder_mead``)
+on the disk, D3-D8, a rectangle, the half-disk, three slices and a
+chord-cut disk at scales 1e-6 to 1e6, and on translated domains without a
+clearance.  They check that it returns the score of scoring every cap
+through the kernel, bit for bit, and that it hands the kernel exactly the
+caps the kernel does not accept by its convex verdict, or with an end at a
+vertex: cuts at the vertices, at the perimeter (``-1e-300 % P``), at ``t =
+clear`` and ``t = L - clear`` and one ulp either side, chords of ``1e-3``
+of the scale and one ulp either side, both ends on one edge, and a cap all
+around but a sliver.  On these domains an end at exactly the clearance or
+at a vertex of the disk gets the same verdict either way, so only the
+second check sees a scorer that decides those caps itself.
 """
 
 import functools
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from escobar import geometry
-from escobar.errors import InvalidGeometryError
+from escobar import geometry, search
+from escobar.errors import InvalidGeometryError, InvalidParameterError
 from escobar.geometry import (
     _CHORD_EXCL_ABS,
     _TWO_PI,
@@ -87,8 +105,8 @@ from escobar.geometry import (
     scaled,
     segment_circle_intersections,
 )
-from escobar.search import _prepare_grid
-from tests.conftest import concave_square
+from escobar.search import SearchConfig, _prepare_grid, refine_caps
+from tests.conftest import chord_cut_disk, circular_slice, concave_square, rectangle
 
 # ---------------------------------------------------------------------------
 # reference: the helper-based kernels, unchanged
@@ -990,3 +1008,226 @@ def test_points_at_is_point_at_bit_for_bit(dom, data):
         got = geometry._points_at(dom, np.array(s).reshape(-1, 2))
         assert got.shape == (len(s) // 2, 2, 2)
         assert _bits(got.reshape(-1, 2).tolist()) == want
+
+
+# ---------------------------------------------------------------------------
+# the refinement objective's inline convex scorer against the chord kernel
+# ---------------------------------------------------------------------------
+
+_OBJECTIVE_BASES = {
+    "disk": make_disk,
+    **{f"D{n}": functools.partial(make_regular_polygon, n) for n in range(3, 9)},
+    "rect2x1": lambda: rectangle(2.0, 1.0),
+    "half-disk": _BASES["half-disk"],
+    "slice-60": lambda: circular_slice(math.pi / 3),
+    "slice-72": lambda: circular_slice(2.0 * math.pi / 5),
+    "slice-90": lambda: circular_slice(math.pi / 2),
+    "chord-cut": lambda: chord_cut_disk(0.5),
+}
+# shifted by 10 scales: convex, but beyond the origin guard, so no clearance
+_OBJECTIVE_KEYS = [
+    *((name, f, 0.0) for name in _OBJECTIVE_BASES for f in _SCALES),
+    *((name, 1.0, 10.0) for name in ("disk", "D6", "half-disk")),
+]
+_KERNEL = geometry._interior_chord_ends
+
+
+@functools.cache
+def _objective_domain(name, factor, shift):
+    dom = _OBJECTIVE_BASES[name]()
+    dom = dom if factor == 1.0 else scaled(dom, factor)
+    dom = dom if shift == 0.0 else _translated(dom, shift * dom.scale)
+    assert dom.is_convex and (dom._convex_clearance is None) == (shift != 0.0)
+    return dom
+
+
+@functools.cache
+def _captured_objective(key, k):
+    """Refinement's objective for ``k`` caps on the domain of ``key``, from
+    the first start of k caps, one in each ``P/k`` sector, that refinement
+    accepts, and the list of the cuts it hands the chord kernel."""
+    dom = _objective_domain(*key)
+    per = dom.perimeter
+    funs, calls = [], []
+
+    def logged_kernel(domain, s0, s1):
+        calls.append((s0, s1))
+        return _KERNEL(domain, s0, s1)
+
+    with mock.patch.object(search, "_nelder_mead", lambda fun, *_: funs.append(fun)), \
+            mock.patch.object(search, "_interior_chord_ends", logged_kernel):
+        for phase, width in itertools.product((0.1, 0.3, 0.5, 0.7, 0.9), (0.5, 0.9)):
+            cuts = [(j + u) * per / k for j in range(k) for u in (phase, phase + width)]
+            try:
+                refine_caps(dom, cuts, SearchConfig(restarts=1))
+            except InvalidParameterError:
+                continue
+            return dom, funs[0], calls
+    raise AssertionError(f"no valid start for {key} at k={k}")
+
+
+def _ref_objective(dom, xl):
+    """The objective's score with every cap scored by the kernel, and the
+    caps, as reduced cuts, that it must hand to the kernel: all of them on
+    a domain without a clearance, else those that the kernel's convex
+    verdict does not accept (it calls the general test or rejects) or that
+    have an end at a vertex."""
+    per = dom.perimeter
+    min_w = 1e-9 * per
+    last = len(xl) - 1
+    viol = 0.0
+    for j in range(0, last, 2):
+        w = xl[j + 1] - xl[j]
+        if w < min_w:
+            viol += min_w - w
+    for j in range(1, last, 2):
+        g = xl[j + 1] - xl[j]
+        if g < 0.0:
+            viol += -g
+    wrap = (xl[0] + per) - xl[last]
+    if wrap < 0.0:
+        viol += -wrap
+    if viol > 0.0:
+        return 1e3 + viol / per, []
+    bad, val, calls = 0, 0.0, []
+    for j in range(0, last, 2):
+        a, b = xl[j] % per, xl[j + 1] % per
+        with mock.patch.object(
+            geometry, "_chord_is_interior_general", wraps=geometry._chord_is_interior_general
+        ) as general:
+            ends = _KERNEL(dom, a, b)
+        inline = (
+            dom._convex_clearance is not None
+            and ends is not None
+            and not general.called
+            and dom._edge_index_reduced(a)[1] != 0.0
+            and dom._edge_index_reduced(b)[1] != 0.0
+        )
+        if not inline:
+            calls.append((a, b))
+        if ends is None:
+            bad += 1
+            continue
+        ext = (b - a) % per
+        eta = math.inf if ext <= 0.0 else math.dist(*ends) / ext
+        if eta > val:
+            val = eta
+    return (500.0 + bad if bad else val), calls
+
+
+def _cut_at(dom, i, t):
+    """The floats next to ``cumlens[i] + t``: the one whose local arclength
+    ``s - cumlens[i]`` is ``t`` when there is one, and its two neighbours."""
+    cum = dom.cumlens[i]
+    s = cum + t
+    for _ in range(4):
+        if s - cum == t:
+            break
+        s = math.nextafter(s, math.inf if s - cum < t else -math.inf)
+    return [math.nextafter(s, -math.inf), s, math.nextafter(s, math.inf)]
+
+
+@functools.cache
+def _special_cuts(dom):
+    """Reduced cuts at the vertices, at the perimeter (``-1e-300 % P``) and
+    at ``t = clear`` and ``t = L - clear`` on every edge, one ulp either side
+    included (``1e-3`` of the scale where the domain has no clearance)."""
+    clear = dom._convex_clearance
+    if clear is None or clear < 0.0:
+        clear = geometry._CONVEX_VERTEX_CLEARANCE * dom.scale
+    out = [*dom.cumlens[:-1], -1e-300 % dom.perimeter]
+    for i, length in enumerate(dom.edge_lengths):
+        out += _cut_at(dom, i, clear) + _cut_at(dom, i, length - clear)
+    return tuple(out)
+
+
+@functools.cache
+def _min_chord_pairs(dom):
+    """Per arc, cuts ``a`` and the three floats ``b`` around the least ``b``
+    whose chord from ``a`` is ``1e-3`` of the scale long."""
+    min_chord = geometry._CONVEX_MIN_CHORD * dom.scale
+    out = []
+    for i, edge in enumerate(dom.edges):
+        if not isinstance(edge, Arc):
+            continue
+        a = dom.cumlens[i] + 0.3 * edge.length
+        p = dom.point_at(a)
+        lo, hi = a, a + 2.0 * min_chord
+        while math.nextafter(lo, math.inf) < hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if math.dist(p, dom.point_at(mid)) >= min_chord:
+                hi = mid
+            else:
+                lo = mid
+        assert math.dist(p, dom.point_at(hi)) >= min_chord > math.dist(p, dom.point_at(lo))
+        out += [(a, lo), (a, hi), (a, math.nextafter(hi, math.inf))]
+    return tuple(out)
+
+
+def _check_objective(key, xl):
+    dom, objective, calls = _captured_objective(key, len(xl) // 2)
+    want, want_calls = _ref_objective(dom, xl)
+    calls.clear()
+    assert objective(list(xl)).hex() == want.hex(), (key, xl)
+    assert calls == want_calls, (key, xl)
+
+
+@st.composite
+def _objective_vectors(draw):
+    """A domain key and 2k cuts, k = 1..3: each cap's ends drawn from the
+    special cuts or anywhere, on one edge, across ``1e-3 S`` of an arc, or
+    one cap all around but a sliver (k = 1); caps in order of their first
+    end, and a first cut at 0 sometimes written ``-1e-300``."""
+    key = draw(st.sampled_from(_OBJECTIVE_KEYS))
+    dom = _objective_domain(*key)
+    per = dom.perimeter
+    k = draw(st.integers(1, 3))
+    anywhere = _unit.map(lambda u: u * per)
+    pairs = _min_chord_pairs(dom)
+    caps = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(["cuts", "one-edge", "min-chord", "sliver"]))
+        if kind == "one-edge":
+            i = draw(st.integers(0, len(dom.edges) - 1))
+            cap = [dom.cumlens[i] + draw(_unit) * dom.edge_lengths[i] for _ in range(2)]
+        elif kind == "min-chord" and pairs:
+            cap = list(draw(st.sampled_from(pairs)))
+        elif kind == "sliver" and k == 1:
+            a = draw(anywhere)
+            cap = [a, a + per - draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-4])) * per]
+        else:
+            cap = [draw(st.one_of(st.sampled_from(_special_cuts(dom)), anywhere)) for _ in range(2)]
+        caps.append(sorted(cap) if kind != "sliver" else cap)
+    xl = [s for cap in sorted(caps) for s in cap]
+    if xl[0] == 0.0 and draw(st.booleans()):
+        xl[0] = -1e-300
+    return key, xl
+
+
+@settings(max_examples=1500, deadline=None)
+@given(case=_objective_vectors())
+def test_refinement_objective_scores_caps_as_the_chord_kernel(case):
+    """Refinement's objective gives the score of scoring every cap through
+    ``geometry._interior_chord_ends``, bit for bit, and hands the kernel
+    exactly the caps its convex verdict does not accept with both ends off
+    the vertices; on a domain without a clearance, every cap."""
+    _check_objective(*case)
+
+
+@pytest.mark.parametrize("key", _OBJECTIVE_KEYS)
+def test_refinement_objective_on_every_special_cap(key):
+    """Each special cut as either end of a cap across the domain and
+    against its neighbours among the special cuts, each ``1e-3 S`` pair on
+    an arc, and slivers all around but ``1e-12 P`` to ``1e-4 P``, as one
+    cap."""
+    dom = _objective_domain(*key)
+    per = dom.perimeter
+    special = _special_cuts(dom)
+    caps = [(s, s + 0.45 * per) for s in special] + [(s - 0.45 * per, s) for s in special]
+    caps += [(s, t) for s, t in zip(special, special[1:]) if s < t]
+    caps += [(-1e-300, 0.3 * per), (-0.3 * per, -1e-300), *_min_chord_pairs(dom)]
+    caps += [(0.2 * per, 1.2 * per - f * per) for f in (1e-12, 1e-10, 1e-8, 1e-4)]
+    for cap in caps:
+        _check_objective(key, list(cap))

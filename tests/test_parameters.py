@@ -1,10 +1,13 @@
-"""Every count and every positive real of the public entry points is read
-by one rule (``errors._integer`` and ``errors._positive``).
+"""Every count, every positive real and every finite real of the public
+entry points is read by one rule (``errors._integer``, ``errors._positive``
+and ``errors._finite``).
 
 A count is taken by ``operator.index``: a bool, a fraction, NaN and a value
 below its least raise :class:`InvalidParameterError` naming the parameter,
 and a NumPy integer gives what the Python int gives.  A positive real
-refuses a bool, NaN, zero and negative values the same way.
+refuses a bool, NaN, zero and negative values the same way, and a finite
+real a bool, NaN and both infinities.  A start offset is taken modulo the
+perimeter, so a far one still gives k distinct cuts.
 """
 
 import math
@@ -24,7 +27,7 @@ from escobar.constructions import (
     walk_to_distance,
 )
 from escobar.errors import InvalidParameterError
-from escobar.exact import ik_disk, ik_exact, ik_regular_polygon
+from escobar.exact import disk_dominance_check, ik_disk, ik_exact, ik_regular_polygon
 from escobar.geometry import make_disk, make_polygon, make_regular_polygon, scaled
 from escobar.render import render_svg
 from escobar.search import SearchConfig, corner_family_bound, enumerate_caps, estimate_ik
@@ -77,6 +80,14 @@ REALS = [
     ("make_disk", "disk radius", 2, make_disk),
     ("make_regular_polygon", "circumradius", 2, lambda v: make_regular_polygon(5, v)),
     ("scaled", "scale factor", 2, lambda v: scaled(SQUARE, v)),
+]
+
+
+#: (entry point, parameter, a valid value, the call with the finite real)
+FINITES = [
+    ("equal_boundary_tuple", "start_offset", 0.3, lambda v: equal_boundary_tuple(SQUARE, 3, v)),
+    ("walk_to_distance", "start_s", 0.3, lambda v: walk_to_distance(SQUARE, v, 1.0)),
+    ("disk_dominance_check", "tolerance", 1e-9, lambda v: disk_dominance_check(5, 3, tol=v)),
 ]
 
 
@@ -150,3 +161,56 @@ def test_upper_bounds_keep_their_messages():
     with pytest.raises(InvalidParameterError,
                        match=r"^inscribed split needs k dividing n, got k=4, n=6$"):
         inscribed_kgon_tuple(6, 4)
+
+
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry, name, good, call", FINITES, ids=_ids(FINITES))
+def test_a_finite_real_refuses_the_rest(entry, name, good, call, bad):
+    with _refusal(f"{name} must be finite, got {bad}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry, name, good, call", FINITES, ids=_ids(FINITES))
+def test_a_finite_real_takes_numpy_numbers(entry, name, good, call):
+    assert repr(call(np.float64(good))) == repr(call(float(good)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # "chord between s=nan and s=nan ..." before
+        (lambda: equal_boundary_tuple(SQUARE, 3, math.nan), "start_offset must be finite, got nan"),
+        # "no boundary point at distance 1 from s=nan ..." before
+        (lambda: walk_to_distance(SQUARE, math.nan, 1.0), "start_s must be finite, got nan"),
+        # a positive real first, so only +inf reaches the finite rule
+        (lambda: scaled(SQUARE, math.inf), "scale factor must be finite, got inf"),
+    ],
+)
+def test_non_finite_reals_are_refused_by_name(call, message):
+    with _refusal(message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "dom, k, u",
+    [*((DISK, k, u) for k in (2, 3, 5) for u in (0.0, 0.1, 0.25, 0.7, 1.0)),
+     (SQUARE, 2, 0.125), (SQUARE, 2, 0.875), (RECT, 2, 0.01), (RECT, 2, 0.51)],
+)
+def test_offsets_below_the_perimeter_give_the_former_cuts(dom, k, u):
+    """Reducing the offset first changes no cut of an offset in ``[0, P)``,
+    up to the last float below ``P`` (``u = 1``)."""
+    per = dom.perimeter
+    off = math.nextafter(per, 0.0) if u == 1.0 else u * per
+    want = [(off + j * per / k) % per for j in range(k)]
+    got = equal_boundary_tuple(dom, k, off)
+    assert [cap.a.hex() for cap in got.regions] == [c.hex() for c in want]
+
+
+@pytest.mark.parametrize("off", [1e300, -1e300, 1e20, -3.5])
+def test_a_far_offset_is_taken_modulo_the_perimeter(off):
+    """A far offset used to round all k cuts to one float ("zero-length
+    exterior boundary"); now it is the split at ``off % P``."""
+    per = SQUARE.perimeter
+    got = equal_boundary_tuple(SQUARE, 3, off)
+    assert repr(got) == repr(equal_boundary_tuple(SQUARE, 3, off % per))
+    assert len({cap.a for cap in got.regions}) == 3

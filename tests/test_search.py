@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -58,7 +59,14 @@ from escobar.search import (
     refine_caps,
     report_to_json,
 )
-from tests.conftest import NO_CAP_DOMAINS, concave_square, rectangle, star_hexagon
+from tests.conftest import (
+    NO_CAP_DOMAINS,
+    chord_cut_disk,
+    circular_slice,
+    concave_square,
+    rectangle,
+    star_hexagon,
+)
 
 
 def brute_force_two_caps(domain, m):
@@ -91,22 +99,6 @@ def brute_force_two_caps(domain, m):
 # ---------------------------------------------------------------------------
 
 
-def _slice(theta):
-    tip = (math.cos(theta), math.sin(theta))
-    return make_domain(
-        [Segment((0.0, 0.0), (1.0, 0.0)), Arc((0.0, 0.0), 1.0, 0.0, theta),
-         Segment(tip, (0.0, 0.0))]
-    )
-
-
-def _chord_cut(h):
-    c = math.sqrt(1.0 - h * h)
-    return make_domain(
-        [Arc((0.0, 0.0), 1.0, math.atan2(h, -c), math.atan2(h, c) + 2.0 * math.pi),
-         Segment((c, h), (-c, h))]
-    )
-
-
 _GRID_DOMAINS = {
     "disk": make_disk,
     **{f"D{n}": functools.partial(make_regular_polygon, n) for n in (*range(3, 13), 200)},
@@ -122,10 +114,10 @@ _GRID_DOMAINS = {
             Arc((-1.0, 0.0), 1.0, 0.5 * math.pi, 1.5 * math.pi),
         ]
     ),
-    "slice-90": lambda: _slice(math.pi / 2),
-    "slice-60": lambda: _slice(math.pi / 3),
-    "slice-72": lambda: _slice(2.0 * math.pi / 5),
-    "chord-cut": lambda: _chord_cut(0.5),
+    "slice-90": lambda: circular_slice(math.pi / 2),
+    "slice-60": lambda: circular_slice(math.pi / 3),
+    "slice-72": lambda: circular_slice(2.0 * math.pi / 5),
+    "chord-cut": lambda: chord_cut_disk(0.5),
     "quad": lambda: make_polygon([(0.0, 0.0), (3.0, 0.0), (2.6, 1.8), (-0.4, 1.3)]),
     "rect2x1": lambda: rectangle(2.0, 1.0),
     "lshape": lambda: make_polygon([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]),
@@ -958,12 +950,26 @@ _FINITE_CUTS = {2: [1.0, 1.4], 4: [0.4, 1.6, 2.8, 4.0]}
 def test_refine_rejects_non_finite_cuts(n, at, bad):
     """A NaN or infinite cut position is refused before the first
     evaluation: the objective would score a NaN cap 0.0 (``max(0.0, nan)``),
-    and unwrapping an infinite cut would add the perimeter forever."""
+    and unwrapping an infinite cut would add the perimeter forever.  A
+    profile hook records every call of the objective's code, inline-scored
+    caps included."""
     cuts = list(_FINITE_CUTS[n])
     cuts[at] = bad
-    with mock.patch.object(search, "_interior_chord_ends", side_effect=AssertionError):
+    (code,) = [c for c in refine_caps.__code__.co_consts if getattr(c, "co_name", "") == "objective"]
+    calls = []
+
+    def hook(frame, event, _arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_lineno)
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
         with pytest.raises(InvalidParameterError, match="finite"):
             refine_caps(make_regular_polygon(5), cuts)
+    finally:
+        sys.setprofile(old)
+    assert calls == []
 
 
 def _refinement_stream(domain, k):
@@ -996,22 +1002,32 @@ def _refinement_stream(domain, k):
 
 
 # recorded before the optimiser placed new vertices by bisection and kept
-# running centroid sums
+# running centroid sums; D8-k4, rect2x1-k2 and half-disk-k2 recorded before
+# the objective scored convex caps inline
 _REFINEMENT_STREAMS = {
     "D5-k5": (4200, 4201, "aba20a252ab5093c8e26ae76f53aff7aa474cce6b10e6f363251445cb0f11f1a"),
+    "D8-k4": (3600, 3601, "cb89a32f00a8656f54dfeb3e1d2c08074f4ac877fc07c75e4ea3ed656ef84f8c"),
     "disk-k3": (3000, 3001, "9a777a6b534cf24ac4a649a1b94c81bc68abb43ed7e49b358c917d8b4c234e3a"),
+    "rect2x1-k2": (2280, 2281, "09c9698ca3a03984a3f69f0a6c09e60a617d77a8b7b75d59c3d937e8275f39ae"),
+    "half-disk-k2": (
+        2316, 2317, "d9ad42d3deffc7f53ad6cfed7510a1844c5725ec6f328b9538630702932f01b3"
+    ),
     "L-k2": (2354, 2355, "ea163727b5a7c4d37c53eee4421e4faa0ae0a27b3ba10b2347d744683a55d91c"),
     "star-k2": (1963, 1964, "6baeb087283472d61c473aa552195dcbdcceb51e59c0366bb4af8ce9f64136e3"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_REFINEMENT_STREAMS))
-def test_refinement_stream_is_pinned(case, unit_disk, lshape):
+def test_refinement_stream_is_pinned(case, unit_disk, lshape, half_disk):
     """Every point refinement evaluates from the ``estimate_ik`` seed, and
-    its score, bit for bit and in order, with the evaluations and value."""
+    its score, bit for bit and in order, with the evaluations and value.
+    The rectangle is the one of ``escobar optimize --rect 2 1``."""
     domain, k = {
         "D5-k5": (make_regular_polygon(5), 5),
+        "D8-k4": (make_regular_polygon(8), 4),
         "disk-k3": (unit_disk, 3),
+        "rect2x1-k2": (make_polygon([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)]), 2),
+        "half-disk-k2": (half_disk, 2),
         "L-k2": (lshape, 2),
         "star-k2": (star_hexagon(), 2),
     }[case]
