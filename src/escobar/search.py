@@ -20,6 +20,7 @@ where no cap tuple exists (:func:`_no_cap_tuple`).
 from __future__ import annotations
 
 import bisect
+import functools
 import heapq
 import itertools
 import math
@@ -32,6 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constructions import (
+    _equal_cuts,
     corner_chain_tuple,
     corner_leg_reach,
     equal_boundary_tuple,
@@ -43,6 +45,7 @@ from .errors import (
     InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
+    _finite,
     _integer,
     _positive,
 )
@@ -110,15 +113,20 @@ class SearchConfig:
     budget: float = 1e9
 
     def __post_init__(self):
-        known = {"caps", "corner-strips"}
-        bad = set(self.families) - known
+        if isinstance(self.families, str):
+            raise InvalidParameterError(
+                f"families must be a collection of family names, got the string {self.families!r}"
+            )
+        self.families = tuple(self.families)
+        if not self.families:
+            raise InvalidParameterError("families must name at least one search family")
+        bad = set(self.families) - {"caps", "corner-strips"}
         if bad:
             raise InvalidParameterError(f"unknown search families: {sorted(bad)}")
         self.budget = _positive("budget", self.budget)
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise InvalidParameterError(
-                f"tolerance must be finite and non-negative, got {self.tolerance}"
-            )
+        self.tolerance = _finite("tolerance", self.tolerance)
+        if self.tolerance < 0:
+            raise InvalidParameterError(f"tolerance must be non-negative, got {self.tolerance}")
         if self.grid_points is not None:
             self.grid_points = _integer("grid_points", self.grid_points, 4)
         self.restarts = _integer("restarts", self.restarts, 1)
@@ -168,16 +176,27 @@ class _Grid:
     edge), and the eta values read +inf there.  On a nonconvex domain the
     eta values are geometric only, and a chord is tested when the search
     first needs its verdict (:func:`_chord_ok`, kept in ``valid``).
+
+    Grid point i lies at local arclength ``t[i]`` on edge ``edge[i]``.  Its
+    point ``pts[i]`` is evaluated (:func:`_edge_points`) the first time
+    anything reads ``pts``, so a grid refused from its edge runs alone
+    evaluates none.
     """
 
+    domain: PlanarDomain
     m: int
     step: float
     svals: np.ndarray
-    pts: np.ndarray
+    edge: np.ndarray
+    t: np.ndarray
     period: int
     fwd: Optional[np.ndarray]
     bwd: Optional[np.ndarray]
     valid: dict  # nonconvex: (i, j) with i < j -> chord_is_interior verdict
+
+    @functools.cached_property
+    def pts(self) -> np.ndarray:
+        return _edge_points(self.domain, self.edge, self.t)
 
 
 def _grid_period(domain: PlanarDomain, m: int) -> int:
@@ -231,10 +250,11 @@ def _edge_runs(
 
 
 def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid:
-    """The m-point grid: its points, its period and, on a convex domain, its
-    edge runs (:func:`_edge_runs`).  It holds no eta value and has tested
-    no chord; :func:`_eta_block` computes eta values, :func:`_chord_ok`
-    tests chords.
+    """The m-point grid: its edge lookup, its period and, on a convex
+    domain, its edge runs (:func:`_edge_runs`).  It holds no eta value, has
+    tested no chord and has evaluated no point; :func:`_eta_block` computes
+    eta values, :func:`_chord_ok` tests chords, and the points are evaluated
+    when ``grid.pts`` is first read.
 
     Each grid point's edge is looked up once (:func:`_edge_lookup`) and
     serves both its point (:func:`_edge_points`, which is
@@ -252,13 +272,12 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
     # in [0, P): (m - 1) * step stays below P
     svals = np.arange(m) * step
     edge, t = _edge_lookup(domain, svals)
-    pts = _edge_points(domain, edge, t)
     fwd = bwd = None
     if domain.is_convex:
         fwd, bwd = _edge_runs(domain, edge, t)
     return _Grid(
-        m=m, step=step, svals=svals, pts=pts, period=_grid_period(domain, m),
-        fwd=fwd, bwd=bwd, valid={},
+        domain=domain, m=m, step=step, svals=svals, edge=edge, t=t,
+        period=_grid_period(domain, m), fwd=fwd, bwd=bwd, valid={},
     )
 
 
@@ -312,7 +331,9 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid) -> tuple:
     is the max of its caps' eta values, gathered from the grid points by
     :func:`_eta_block`'s elementwise expression (so bit for bit its values),
     with +inf where a cap's width ``w`` has ``w <= 0`` or ``w >= m`` and,
-    on a convex grid, where the chord lies along one straight edge.
+    on a convex grid, where the chord lies along one straight edge.  That
+    mask is built first, from the widths and the edge runs; when every seed
+    has a masked cap the answer is ``(inf, None)``, and no point is read.
 
     The seeds are then taken in a stable sort of their values.  On a convex
     grid the first finite one wins.  On a nonconvex grid the values are
@@ -338,13 +359,15 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid) -> tuple:
     cuts = offsets[:, None] + np.array(pattern)
     starts, widths = cuts[:, 0::2], cuts[:, 1::2] - cuts[:, 0::2]
     i = starts % m
+    invalid = (widths <= 0) | (widths >= m)
+    if grid.fwd is not None:
+        invalid |= (widths <= grid.fwd[i]) | (m - widths <= grid.bwd[i])
+    if invalid.any(axis=1).all():
+        return math.inf, None  # every seed is +inf: no point is needed
     j = (i + widths) % m
     x, y = grid.pts[:, 0], grid.pts[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.hypot(x[i] - x[j], y[i] - y[j]) / (widths * grid.step)
-    invalid = (widths <= 0) | (widths >= m)
-    if grid.fwd is not None:
-        invalid |= (widths <= grid.fwd[i]) | (m - widths <= grid.bwd[i])
     eta[invalid] = np.inf
     values = eta.max(axis=1)
     for s in np.argsort(values, kind="stable").tolist():
@@ -403,11 +426,22 @@ class _EtaColumns:
 
     def w_min_for(self, best: float, limit: int) -> int:
         """``w_min`` for the incumbent ``best``, or ``limit`` if it is at
-        least that; reads no column at or past ``limit``."""
-        thr = best - 1e-12
+        least that; reads no column at or past ``limit``.
+
+        With no incumbent (``best`` is +inf) on a convex grid, a column
+        beats it exactly when it holds a finite eta: a row i with ``fwd[i]
+        < w < m - bwd[i]`` (:func:`_eta_block`).  The least such ``w`` at or
+        past ``clear`` comes from the edge runs alone, and no point or
+        column is read."""
         w = self.clear
-        while w < limit and not self._beats(w, thr, limit):
-            w += 1
+        if best < math.inf or not self.domain.is_convex:
+            thr = best - 1e-12
+            while w < limit and not self._beats(w, thr, limit):
+                w += 1
+        elif w < limit:
+            grid = self.grid
+            lo = np.maximum(grid.fwd + 1, w)
+            w = int(lo.min(initial=limit, where=lo < grid.m - grid.bwd))
         self.clear = w
         return w
 
@@ -462,6 +496,11 @@ def enumerate_caps(
     :class:`_EtaColumns` decides ``w_min`` from the columns below ``w_fit``,
     the least width whose estimate fits, and the search
     (:func:`_run_enumeration`) resumes it and stops after ``budget`` nodes.
+
+    Grid points are evaluated only when an eta value is needed.  On a
+    convex grid whose seeds all have a cap along one straight edge, the
+    seeds and ``w_min`` both come from the edge runs, so such a grid is
+    refused, with the same estimate, without evaluating a point.
     """
     k, m = _integer("k", k, 2), _integer("m", m, 4)
     budget = _positive("budget", budget)
@@ -815,12 +854,10 @@ def refine_caps(
     """
     config = config or SearchConfig()
     per = domain.perimeter
-    cuts0 = _cuts_of(initial) if isinstance(initial, TupleCandidate) else initial
-    x0 = [float(c) for c in cuts0]
-    if len(x0) < 2 or len(x0) % 2:
+    cuts0 = _cuts_of(initial) if isinstance(initial, TupleCandidate) else list(initial)
+    if len(cuts0) < 2 or len(cuts0) % 2:
         raise InvalidParameterError("need an even number of cut positions (2 per cap)")
-    if not all(map(math.isfinite, x0)):
-        raise InvalidParameterError(f"cut positions must be finite, got {x0}")
+    x0 = [_finite("cut position", c) for c in cuts0]
     k = len(x0) // 2
     last = 2 * k - 1
     # unwrap into an increasing vector so the pattern test is linear
@@ -1132,7 +1169,33 @@ def _auto_enumerate(
     return None
 
 
+def _flat_cap(domain: PlanarDomain, a: float, b: float) -> bool:
+    """Whether the cap from ``a`` to ``b``, arclengths in ``[0, P]``, has
+    both cuts on one straight edge or on one concave arc.  This is the
+    flat-edge rule of :func:`chord_is_interior`, which then rejects the
+    cap's chord: the edges come from the kernel's own lookup
+    (:meth:`PlanarDomain._edge_index_reduced`), and a cut with ``t == 0``
+    lies on both edges at its vertex."""
+    n = len(domain.edges)
+    (i0, t0), (i1, t1) = domain._edge_index_reduced(a), domain._edge_index_reduced(b)
+    on0 = {i0, (i0 - 1) % n} if t0 == 0.0 else {i0}
+    on1 = {i1, (i1 - 1) % n} if t1 == 0.0 else {i1}
+    return any(
+        isinstance(e, Segment) or not e.ccw for e in (domain.edges[i] for i in on0 & on1)
+    )
+
+
 def _equal_boundary_report(domain: PlanarDomain, k: int) -> Optional[BoundReport]:
+    """The best equal boundary split (:func:`equal_boundary_tuple`) over
+    the start offsets at each edge's midpoint and at ``_OFFSET_SAMPLES``
+    even steps of ``P / k``, or None when none is valid.
+
+    An offset one of whose caps is flat (:func:`_flat_cap`, on the cuts of
+    :func:`~escobar.constructions._equal_cuts`, which the split itself
+    uses) is skipped unbuilt: the split's validation would reject that
+    cap's chord, and the offset would be skipped all the same.  Only valid
+    splits count as evaluations.
+    """
     per = domain.perimeter
     offsets = []
     for i in range(len(domain.edges)):
@@ -1141,6 +1204,9 @@ def _equal_boundary_report(domain: PlanarDomain, k: int) -> Optional[BoundReport
     best = None
     evals = 0
     for off in offsets:
+        cuts = _equal_cuts(per, k, off % per)
+        if any(_flat_cap(domain, cuts[j - 1], cuts[j]) for j in range(k)):
+            continue
         try:
             tc = equal_boundary_tuple(domain, k, off)
         except (ConstructionFailedError, InvalidGeometryError):

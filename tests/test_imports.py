@@ -1,6 +1,6 @@
 """Every imported name in the package, the tests and the benchmark is used, every
 private helper of the package has a caller in the package, and only
-``errors.py`` reads integers by ``operator.index``.
+``errors.py`` reads integers by ``operator.index`` or writes a finiteness rule.
 
 No linter runs on this repository, so these tests are the guard.  They parse
 each module with ``ast``:
@@ -13,7 +13,10 @@ each module with ``ast``:
   the tests: a helper that only tests call belongs in the tests;
 * a module that reads ``operator.index``, as an attribute or by a
   ``from operator import``, writes its own integer rule: every count of the
-  package goes through ``errors._integer``.
+  package goes through ``errors._integer``;
+* a module that raises ``InvalidParameterError`` with a "must be finite"
+  message writes its own finiteness rule: every finite real of the package
+  goes through ``errors._finite``.
 """
 
 import ast
@@ -132,3 +135,36 @@ def test_the_scan_sees_an_integer_rule():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_only_errors_reads_integers_by_index(path):
     assert bool(index_reads(path.read_text())) == (path.name == "errors.py")
+
+
+def finite_rules(source: str) -> list[int]:
+    """Lines of ``source`` that raise ``InvalidParameterError``, by name or
+    as an attribute, with a message holding "must be finite" in a string
+    literal or in a literal part of an f-string."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        func = node.exc.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "InvalidParameterError" and any(
+            isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+            and "must be finite" in sub.value
+            for sub in ast.walk(node.exc)
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_scan_sees_a_finite_rule():
+    src = ("from .errors import InvalidParameterError\nfrom . import errors\n"
+           "raise InvalidParameterError(f'x must be finite, got {x}')\n"
+           "raise errors.InvalidParameterError('y must be finite and small')\n"
+           "raise InvalidParameterError(f'z must be positive, got {z}')\n"
+           "raise ValueError('w must be finite')\nmsg = 'v must be finite'\n")
+    assert finite_rules(src) == [3, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_errors_writes_a_finiteness_rule(path):
+    assert bool(finite_rules(path.read_text())) == (path.name == "errors.py")

@@ -30,10 +30,17 @@ from escobar.errors import InvalidParameterError
 from escobar.exact import disk_dominance_check, ik_disk, ik_exact, ik_regular_polygon
 from escobar.geometry import make_disk, make_polygon, make_regular_polygon, scaled
 from escobar.render import render_svg
-from escobar.search import SearchConfig, corner_family_bound, enumerate_caps, estimate_ik
+from escobar.search import (
+    SearchConfig,
+    corner_family_bound,
+    enumerate_caps,
+    estimate_ik,
+    refine_caps,
+)
 from escobar.symmetry import audit_symmetrization, crossover_threshold, envelope_value
 
 SQUARE = make_regular_polygon(4)  # side sqrt(2)
+PENTAGON = make_regular_polygon(5)
 DISK = make_disk()
 RECT = make_polygon([(0.0, 0.0), (0.2, 0.0), (0.2, 5.0), (0.0, 5.0)])
 CORNERS_ONLY = SearchConfig(families=("corner-strips",))
@@ -88,6 +95,9 @@ FINITES = [
     ("equal_boundary_tuple", "start_offset", 0.3, lambda v: equal_boundary_tuple(SQUARE, 3, v)),
     ("walk_to_distance", "start_s", 0.3, lambda v: walk_to_distance(SQUARE, v, 1.0)),
     ("disk_dominance_check", "tolerance", 1e-9, lambda v: disk_dominance_check(5, 3, tol=v)),
+    ("SearchConfig", "tolerance", 1e-9, lambda v: SearchConfig(tolerance=v)),
+    # a valid start of one cap on the regular pentagon
+    ("refine_caps", "cut position", 1.0, lambda v: refine_caps(PENTAGON, [v, 1.4])),
 ]
 
 
@@ -184,11 +194,50 @@ def test_a_finite_real_takes_numpy_numbers(entry, name, good, call):
         (lambda: walk_to_distance(SQUARE, math.nan, 1.0), "start_s must be finite, got nan"),
         # a positive real first, so only +inf reaches the finite rule
         (lambda: scaled(SQUARE, math.inf), "scale factor must be finite, got inf"),
+        # "cut positions must be finite, got [1.0, nan]" before
+        (lambda: refine_caps(PENTAGON, [1.0, math.nan]), "cut position must be finite, got nan"),
     ],
 )
 def test_non_finite_reals_are_refused_by_name(call, message):
     with _refusal(message):
         call()
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, np.float64(-2.0), np.int64(-3)])
+def test_a_negative_tolerance_is_refused(bad):
+    # read as a float first, so a NumPy scalar is quoted as one
+    with _refusal(f"tolerance must be non-negative, got {float(bad)}"):
+        SearchConfig(tolerance=bad)
+
+
+def test_a_tolerance_is_kept_as_a_float():
+    # True was kept as True, and a NumPy scalar stayed one
+    for value in (np.float64(1e-9), np.int64(0), 0):
+        assert type(SearchConfig(tolerance=value).tolerance) is float
+    with _refusal("tolerance must be finite, got True"):
+        SearchConfig(tolerance=True)
+
+
+@pytest.mark.parametrize(
+    "families, message",
+    [
+        # reported "unknown search families: ['a', 'c', 'p', 's']" before
+        ("caps", "families must be a collection of family names, got the string 'caps'"),
+        # accepted before; estimate_ik then found "no search family produced a valid tuple"
+        ((), "families must name at least one search family"),
+        ([], "families must name at least one search family"),
+    ],
+)
+def test_search_families_must_be_a_nonempty_collection(families, message):
+    with _refusal(message):
+        SearchConfig(families=families)
+
+
+def test_search_families_are_kept_as_a_tuple():
+    assert SearchConfig(families=["corner-strips", "caps"]).families == ("corner-strips", "caps")
+    assert SearchConfig(families=iter(["caps"])).families == ("caps",)
+    with _refusal("unknown search families: ['moonbeams']"):
+        SearchConfig(families=["caps", "moonbeams"])
 
 
 @pytest.mark.parametrize(

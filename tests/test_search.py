@@ -411,10 +411,26 @@ def test_lazy_budget_skip_matches_whole_table_reference(name, monkeypatch):
         return tables(m, full_validity and not domain.is_convex)
 
     reads = _Reads(monkeypatch)
+    seeds = {}  # grid size -> seed value, for every grid tried
+    grid_seeds = search._grid_seeds
+
+    def spy(domain, k, grid):
+        seeds[grid.m] = grid_seeds(domain, k, grid)
+        return seeds[grid.m]
+
+    monkeypatch.setattr(search, "_grid_seeds", spy)
     for k in range(2, 11):
         reads.clear()
+        seeds.clear()
         got = search._auto_enumerate(domain, k, SearchConfig())
-        assert reads.blocks
+        read = {m for m, *_ in reads.blocks}
+        if domain.is_convex:
+            # a grid whose seeds are all +inf reads no column unless its
+            # search runs: its w_min comes from the edge runs
+            finite = {m for m, (value, _cuts) in seeds.items() if math.isfinite(value)}
+            assert finite <= read <= finite | {m for m, *_ in reads.rows}, k
+        else:
+            assert read == set(seeds), k
         reads.check(reference)
         assert _report_key(got) == _reference_auto_enumerate(domain, k, reference), k
 
@@ -613,6 +629,94 @@ def test_nonconvex_enumeration_memory(lshape):
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+def test_half_disk_cap_family_at_k10_evaluates_no_point(half_disk, monkeypatch):
+    """At k = 10 every seed of every candidate grid has a cap along the
+    diameter, and so does every equal split: the grids are refused at the
+    soft budget from their edge runs, and the splits are screened before
+    they are built."""
+    points = []
+    monkeypatch.setattr(
+        search, "_edge_points", lambda *args: points.append(args) or geometry._edge_points(*args)
+    )
+
+    def refuse(*args):
+        raise AssertionError("an equal split was built")
+
+    monkeypatch.setattr(search, "equal_boundary_tuple", refuse)
+    sizes = _grid_candidates(half_disk, 10)
+    for m in sizes:
+        with pytest.raises(BudgetExceededError):
+            enumerate_caps(half_disk, 10, m, budget=_ENUM_SOFT_CAP)
+    assert search._auto_enumerate(half_disk, 10, SearchConfig()) is None
+    assert search._equal_boundary_report(half_disk, 10) is None
+    assert len(sizes) == 24 and points == []
+
+
+class _EagerColumns(search._EtaColumns):
+    """The column scan without the edge-run answer: every query, at a +inf
+    incumbent too, reads columns until one beats it."""
+
+    def w_min_for(self, best, limit):
+        thr = best - 1e-12
+        w = self.clear
+        while w < limit and not self._beats(w, thr, limit):
+            w += 1
+        self.clear = w
+        return w
+
+
+@pytest.mark.parametrize("name", ["D4", "rect2x1", "quad", "half-disk", "slice-60", "stadium"])
+@pytest.mark.parametrize("m", [8, 24, 97])
+def test_edge_run_w_min_is_the_column_scan(name, m):
+    """With no incumbent, the edge-run answer is the column scan's from
+    every starting width and at every limit, the top widths included,
+    where the bound ``w < m - bwd[i]`` decides."""
+    domain = _GRID_DOMAINS[name]()
+    grid = _prepare_grid(domain, m, full_validity=False)
+    for clear in range(1, m + 1):
+        for limit in sorted({1, clear - 1, clear, m // 2, m - 1, m}):
+            lazy, eager = search._EtaColumns(domain, grid), _EagerColumns(domain, grid)
+            lazy.clear = eager.clear = clear
+            assert lazy.w_min_for(math.inf, limit) == eager.w_min_for(math.inf, limit), (
+                clear, limit,
+            )
+            assert lazy.clear == eager.clear
+
+
+def _grid_refusal(domain, k, m):
+    """The message and estimate of the grid's refusal at the soft budget,
+    or None when it fits."""
+    try:
+        enumerate_caps(domain, k, m, budget=_ENUM_SOFT_CAP)
+    except BudgetExceededError as err:
+        return str(err), repr(err.estimate), repr(err.budget)
+    return None
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, build in _GRID_DOMAINS.items() if build().is_convex]
+)
+def test_lazy_grid_refusals_match_an_eager_grid(name, monkeypatch):
+    """Every candidate grid at k = 2..12 is refused, or not, with the
+    message and estimate of a grid that evaluates its points up front and
+    scans columns at every incumbent.  Only the refusals are compared: the
+    search behind them is stubbed out."""
+    domain = _GRID_DOMAINS[name]()
+    monkeypatch.setattr(search, "_run_enumeration", lambda *args: None)
+    cases = [(k, m) for k in range(2, 13) for m in _grid_candidates(domain, k)]
+    lazy = [_grid_refusal(domain, k, m) for k, m in cases]
+    prepare = search._prepare_grid
+
+    def eager(domain, m, *, full_validity):
+        grid = prepare(domain, m, full_validity=full_validity)
+        grid.pts  # evaluated now
+        return grid
+
+    monkeypatch.setattr(search, "_prepare_grid", eager)
+    monkeypatch.setattr(search, "_EtaColumns", _EagerColumns)
+    assert [_grid_refusal(domain, k, m) for k, m in cases] == lazy
 
 
 def test_refusal_reports_an_estimate_past_the_float_range_as_inf():
@@ -1368,6 +1472,67 @@ def test_corner_allocation_takes_short_legs_next_to_a_concave_arc(name, k):
 
 
 # ---------------------------------------------------------------------------
+# equal splits screened for flat caps
+# ---------------------------------------------------------------------------
+
+
+def _equal_key(report):
+    if report is None:
+        return None
+    cuts = [(r.a, r.b) for r in report.witness.regions]
+    return repr(report.value), report.evaluations, report.provenance, cuts
+
+
+@pytest.mark.parametrize("name", list(_GRID_DOMAINS))
+def test_equal_split_screen_changes_no_report(name, monkeypatch):
+    """The best equal split at k = 2..12 is the one the unscreened loop,
+    which builds and validates the split at every offset, reports."""
+    domain = _GRID_DOMAINS[name]()
+    screened = [_equal_key(search._equal_boundary_report(domain, k)) for k in range(2, 13)]
+    monkeypatch.setattr(search, "_flat_cap", lambda *args: False)
+    assert [_equal_key(search._equal_boundary_report(domain, k)) for k in range(2, 13)] == screened
+
+
+_FLAT_DOMAINS = {
+    **{name: _GRID_DOMAINS[name] for name in ("half-disk", "slice-60", "chord-cut", "quad", "D5")},
+    "lshape": _GRID_DOMAINS["lshape"],
+    "concave-square": concave_square,
+    "stadium": _GRID_DOMAINS["stadium"],
+}
+
+
+@st.composite
+def _boundary_cut(draw, domain):
+    """An arclength in ``[0, P]``: a vertex, ``P`` itself, a float next to a
+    vertex, or anywhere."""
+    cum = domain.cumlens
+    kind = draw(st.sampled_from(["vertex", "perimeter", "next", "any"]))
+    if kind == "vertex":
+        return float(cum[draw(st.integers(0, len(cum) - 2))])
+    if kind == "perimeter":
+        return float(cum[-1])
+    if kind == "next":
+        s = float(cum[draw(st.integers(0, len(cum) - 1))])
+        return min(max(math.nextafter(s, draw(st.sampled_from([-math.inf, math.inf]))), 0.0), cum[-1])
+    return draw(st.floats(0.0, 1.0)) * cum[-1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), name=st.sampled_from(list(_FLAT_DOMAINS)),
+       factor=st.sampled_from([1e-6, 1.0, 1e6]))
+def test_flat_caps_have_no_interior_chord(data, name, factor):
+    """The equal-split screen is the flat-edge rule's third form (after the
+    chord kernel and the convex grid's edge runs): every cap it flags has a
+    chord that :func:`chord_is_interior` rejects, at any scale and with cuts
+    at the vertices and at ``P``."""
+    domain = scaled(_FLAT_DOMAINS[name](), factor)
+    a = data.draw(_boundary_cut(domain))
+    b = data.draw(_boundary_cut(domain))
+    if search._flat_cap(domain, a, b):
+        assert not chord_is_interior(domain, a, b)
+
+
+# ---------------------------------------------------------------------------
 # the cap family where no cap tuple exists
 # ---------------------------------------------------------------------------
 
@@ -1454,8 +1619,11 @@ def test_search_config_validation():
     for budget in (0, -1.0, math.nan):  # NaN passes every "<=" check
         with pytest.raises(InvalidParameterError, match="budget must be positive"):
             SearchConfig(budget=budget)
-    for tolerance in (math.nan, math.inf, -1.0, -1e-300):
+    for tolerance in (math.nan, math.inf):
         with pytest.raises(InvalidParameterError, match="tolerance must be finite"):
+            SearchConfig(tolerance=tolerance)
+    for tolerance in (-1.0, -1e-300):
+        with pytest.raises(InvalidParameterError, match="tolerance must be non-negative"):
             SearchConfig(tolerance=tolerance)
     SearchConfig(budget=math.inf, tolerance=0.0)
     for restarts in (0, -1):
