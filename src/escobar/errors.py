@@ -34,18 +34,35 @@ def _integer(name: str, value, least: int) -> int:
 def _positive(name: str, value) -> float:
     """The positive real ``value`` as a float.  A bool, or a value that is
     not above 0, raises :class:`InvalidParameterError` naming ``name``; written
-    as "not >" so that NaN, which passes every "<=", is refused."""
-    if isinstance(value, bool) or not value > 0:
+    as "not >" so that NaN, which passes every "<=", is refused.  So does a
+    value that is no real number (:func:`_not_real`)."""
+    try:
+        positive = value > 0
+    except TypeError:
+        raise _not_real(name, value) from None
+    if isinstance(value, bool) or not positive:
         raise InvalidParameterError(f"{name} must be positive, got {value}")
     return float(value)
 
 
 def _finite(name: str, value) -> float:
     """The finite real ``value`` as a float.  A bool, NaN or an infinity
-    raises :class:`InvalidParameterError` naming ``name``."""
-    if isinstance(value, bool) or not math.isfinite(value):
+    raises :class:`InvalidParameterError` naming ``name``, and so does a
+    value that is no real number (:func:`_not_real`)."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise _not_real(name, value) from None
+    if isinstance(value, bool) or not finite:
         raise InvalidParameterError(f"{name} must be finite, got {value}")
     return float(value)
+
+
+def _not_real(name: str, value) -> InvalidParameterError:
+    """The refusal of a value that does not compare with 0 or has no
+    float value, such as a string or None.  Every real number does: int,
+    float, NumPy scalars, ``Fraction`` and ``Decimal``."""
+    return InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 
 class InvalidGeometryError(EscobarError, ValueError):

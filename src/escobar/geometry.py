@@ -1585,17 +1585,23 @@ def domain_from_json(data: dict) -> PlanarDomain:
                     )
                 )
             elif kind == "arc":
+                ccw = spec.get("ccw", True)
+                if not isinstance(ccw, bool):
+                    # bool("false") is True: only a JSON boolean says which way
+                    raise InvalidGeometryError(f"edge {k}: ccw must be true or false, got {ccw!r}")
                 edges.append(
                     Arc(
                         (float(spec["center"][0]), float(spec["center"][1])),
                         float(spec["radius"]),
                         float(spec["start_angle"]),
                         float(spec["end_angle"]),
-                        bool(spec.get("ccw", True)),
+                        ccw,
                     )
                 )
             else:
                 raise InvalidGeometryError(f"edge {k}: unknown type {kind!r}")
+        except InvalidGeometryError:
+            raise
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise InvalidGeometryError(f"edge {k}: malformed entry ({exc})") from exc
     return make_domain(edges)

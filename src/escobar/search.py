@@ -26,7 +26,8 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from math import comb
 from typing import Optional, Sequence
 
@@ -117,6 +118,10 @@ class SearchConfig:
             raise InvalidParameterError(
                 f"families must be a collection of family names, got the string {self.families!r}"
             )
+        if not isinstance(self.families, Iterable):
+            raise InvalidParameterError(
+                f"families must be a collection of family names, got {self.families!r}"
+            )
         self.families = tuple(self.families)
         if not self.families:
             raise InvalidParameterError("families must name at least one search family")
@@ -166,21 +171,39 @@ def report_to_json(report: BoundReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
+#: Most eta values :meth:`_Grid.w_min_for` computes in one block.
+_BLOCK_CELLS = 1 << 16
+
+
 @dataclass
 class _Grid:
-    """The uniform m-point boundary grid and the validity rule of its chords.
+    """The uniform m-point boundary grid, the validity rule of its chords,
+    and the least cap width worth searching on it.
 
     The chord from point i to point i + w has ``eta = |P_i P_{i+w}| / (w *
-    step)`` (:func:`_eta_block`).  On a convex domain it is invalid exactly
-    when ``w <= fwd[i]`` or ``m - w <= bwd[i]`` (both ends on one straight
-    edge), and the eta values read +inf there.  On a nonconvex domain the
-    eta values are geometric only, and a chord is tested when the search
-    first needs its verdict (:func:`_chord_ok`, kept in ``valid``).
+    step)`` (:meth:`eta`).  It reads +inf where :meth:`invalid` holds: at
+    ``w <= 0`` or ``w >= m`` and, on a convex domain, exactly where ``w <=
+    fwd[i]`` or ``m - w <= bwd[i]`` (both ends on one straight edge).  On a
+    nonconvex domain ``fwd`` and ``bwd`` are None, the other eta values are
+    geometric only, and a chord is tested when the search first needs its
+    verdict (:func:`_chord_ok`, kept in ``valid``).
 
     Grid point i lies at local arclength ``t[i]`` on edge ``edge[i]``.  Its
     point ``pts[i]`` is evaluated (:func:`_edge_points`) the first time
     anything reads ``pts``, so a grid refused from its edge runs alone
     evaluates none.
+
+    ``w_min`` (:meth:`w_min_for`) is the least width whose column of the eta
+    table holds a valid chord with eta below the incumbent less ``1e-12``,
+    or m if none does; the columns that decide it are computed in blocks as
+    they are needed.  Every width below ``clear`` is known to hold none.
+    The incumbent never rises, so such a width never holds one later and is
+    not read again; each query starts at ``clear``.  On a convex grid a
+    column's minimum is its least valid eta.  On a nonconvex grid the eta
+    values are geometric: a column whose minimum beats the threshold tests
+    its chords (:func:`_chord_ok`) in increasing eta, ties in index order,
+    and stops at the first valid one or once eta reaches the threshold.  So
+    the answer is the one a table with every chord tested gives.
     """
 
     domain: PlanarDomain
@@ -192,11 +215,81 @@ class _Grid:
     period: int
     fwd: Optional[np.ndarray]
     bwd: Optional[np.ndarray]
-    valid: dict  # nonconvex: (i, j) with i < j -> chord_is_interior verdict
+    # nonconvex: (i, j) with i < j -> chord_is_interior verdict
+    valid: dict = field(default_factory=dict, init=False)
+    clear: int = field(default=1, init=False)  # width 0 holds no chord
+    # width -> column minimum, from ``clear`` on; on a nonconvex grid the
+    # least eta not yet found invalid
+    mins: dict = field(default_factory=dict, init=False)
+    # nonconvex: width -> [order, sorted eta, position] of its column walk
+    walks: dict = field(default_factory=dict, init=False)
 
     @functools.cached_property
     def pts(self) -> np.ndarray:
         return _edge_points(self.domain, self.edge, self.t)
+
+    def invalid(self, i: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Where the chord from grid point ``i`` of width ``w`` reads +inf,
+        from the widths and the edge runs alone: no point is read.  On a
+        nonconvex grid the mask has the shape of ``w``."""
+        if self.fwd is None:
+            return (w <= 0) | (w >= self.m)
+        # fwd and bwd are non-negative, so this holds at w <= 0 and w >= m
+        return (w <= self.fwd[i]) | (self.m - w <= self.bwd[i])
+
+    def eta(self, i: np.ndarray, w: np.ndarray, invalid: np.ndarray) -> np.ndarray:
+        """``|P_i P_{i+w}| / (w * step)`` elementwise, and +inf where
+        ``invalid`` (:meth:`invalid`, broadcast to the result) holds."""
+        x, y = self.pts[:, 0], self.pts[:, 1]
+        j = (i + w) % self.m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = np.hypot(x[i] - x[j], y[i] - y[j]) / (w * self.step)
+        np.copyto(eta, np.inf, where=invalid)
+        return eta
+
+    def w_min_for(self, best: float, limit: int) -> int:
+        """``w_min`` for the incumbent ``best``, or ``limit`` if it is at
+        least that; reads no column at or past ``limit``.
+
+        With no incumbent (``best`` is +inf) on a convex grid, a column
+        beats it exactly when it holds a finite eta: a row i with ``fwd[i]
+        < w < m - bwd[i]`` (:meth:`invalid`).  The least such ``w`` at or
+        past ``clear`` comes from the edge runs alone, and no point or
+        column is read."""
+        w = self.clear
+        if best < math.inf or self.fwd is None:
+            thr = best - 1e-12
+            while w < limit and not self._beats(w, thr, limit):
+                w += 1
+        elif w < limit:
+            lo = np.maximum(self.fwd + 1, w)
+            w = int(lo.min(initial=limit, where=lo < self.m - self.bwd))
+        self.clear = w
+        return w
+
+    def _beats(self, w: int, thr: float, limit: int) -> bool:
+        m = self.m
+        if w not in self.mins:  # the next block of widths
+            w1 = min(2 * w, limit, w + max(1, _BLOCK_CELLS // m))
+            self.mins.update(enumerate(np.min(_eta_block(self, w, w1), axis=0).tolist(), w))
+        if self.mins[w] >= thr:
+            return False
+        if self.fwd is not None:
+            return True
+        walk = self.walks.get(w)
+        if walk is None:
+            col = _eta_block(self, w, w + 1)[:, 0]
+            order = np.argsort(col, kind="stable")
+            walk = self.walks[w] = [order.tolist(), col[order].tolist(), 0]
+        order, etas, pos = walk
+        while pos < m and etas[pos] < thr:
+            i = order[pos]
+            if _chord_ok(self, i, (i + w) % m):
+                break
+            pos += 1
+        walk[2] = pos
+        self.mins[w] = etas[pos] if pos < m else math.inf
+        return pos < m and etas[pos] < thr
 
 
 def _grid_period(domain: PlanarDomain, m: int) -> int:
@@ -277,7 +370,7 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
         fwd, bwd = _edge_runs(domain, edge, t)
     return _Grid(
         domain=domain, m=m, step=step, svals=svals, edge=edge, t=t,
-        period=_grid_period(domain, m), fwd=fwd, bwd=bwd, valid={},
+        period=_grid_period(domain, m), fwd=fwd, bwd=bwd,
     )
 
 
@@ -288,17 +381,9 @@ def _eta_block(grid: _Grid, w0: int, w1: int, rows: slice = slice(None)) -> np.n
     Width 0 reads +inf, and so does, on a convex grid, every chord with both
     ends on one straight edge; on a nonconvex grid the values are geometric.
     """
-    m = grid.m
     widths = np.arange(w0, w1)
-    jdx = (np.arange(m)[rows, None] + widths) % m
-    x, y = grid.pts[:, 0], grid.pts[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.hypot(x[rows, None] - x[jdx], y[rows, None] - y[jdx]) / (widths * grid.step)
-    if grid.fwd is not None:
-        eta[(widths <= grid.fwd[rows, None]) | (m - widths <= grid.bwd[rows, None])] = np.inf
-    if w0 == 0:
-        eta[:, 0] = np.inf
-    return eta
+    i = np.arange(grid.m)[rows, None]
+    return grid.eta(i, widths, grid.invalid(i, widths))
 
 
 def _eta_row(grid: _Grid, i: int) -> list[float]:
@@ -307,7 +392,7 @@ def _eta_row(grid: _Grid, i: int) -> list[float]:
     return _eta_block(grid, 0, grid.m, slice(i, i + 1))[0].tolist()
 
 
-def _chord_ok(domain: PlanarDomain, grid: _Grid, i: int, j: int) -> bool:
+def _chord_ok(grid: _Grid, i: int, j: int) -> bool:
     """:func:`chord_is_interior` of grid points ``i != j`` on a nonconvex
     grid, from the lower index to the higher, tested once per pair.  The
     grid arclengths lie in ``[0, P)``, so the predicate's reduction leaves
@@ -316,11 +401,11 @@ def _chord_ok(domain: PlanarDomain, grid: _Grid, i: int, j: int) -> bool:
     ok = grid.valid.get(key)
     if ok is None:
         s = grid.svals
-        ok = grid.valid[key] = chord_is_interior(domain, float(s[key[0]]), float(s[key[1]]))
+        ok = grid.valid[key] = chord_is_interior(grid.domain, float(s[key[0]]), float(s[key[1]]))
     return ok
 
 
-def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid) -> tuple:
+def _grid_seeds(grid: _Grid, k: int) -> tuple:
     """The best deterministic incumbent tuple on the grid, ``(value,
     cuts)``, or ``(inf, None)``.
 
@@ -328,24 +413,19 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid) -> tuple:
     64)`` offsets when k divides m, else the caps between the rounded
     points ``round(j m / k)`` at the first ``min(4, m)`` offsets.  Each is a
     row of one integer array ``offsets[:, None] + pattern``.  A seed's value
-    is the max of its caps' eta values, gathered from the grid points by
-    :func:`_eta_block`'s elementwise expression (so bit for bit its values),
-    with +inf where a cap's width ``w`` has ``w <= 0`` or ``w >= m`` and,
-    on a convex grid, where the chord lies along one straight edge.  That
-    mask is built first, from the widths and the edge runs; when every seed
-    has a masked cap the answer is ``(inf, None)``, and no point is read.
+    is the max of its caps' eta values, by the grid's own rule
+    (:meth:`_Grid.eta` and :meth:`_Grid.invalid`, so bit for bit the values
+    of :func:`_eta_block`).  The +inf mask is built first, from the widths
+    and the edge runs; when every seed has a masked cap the answer is
+    ``(inf, None)``, and no point is read.
 
-    The seeds are then taken in a stable sort of their values.  On a convex
-    grid the first finite one wins.  On a nonconvex grid the values are
-    geometric, and the first that passes validation wins: no two chords
-    conflict (:func:`_cuts_chords_ok`), then each chord is interior
-    (:func:`_chord_ok`).  This is the answer of the loop it replaces, which
-    took the seeds in offset order and kept a valid one whose value was
-    below the best so far: that keeps the first valid seed, in offset order,
-    with the least value.  The loop's early exit, once a cap's eta reached
-    the best so far, skipped only seeds that could not be kept, and a +inf
-    seed was never kept.  Only the chords tested on a nonconvex grid, and so
-    ``grid.valid``, may differ: the verdicts do not.
+    The answer is the first valid seed by value, ties in offset order: the
+    seeds are taken in a stable sort of their values, and a +inf seed is
+    never taken.  On a convex grid every finite seed is valid.  On a
+    nonconvex grid the values are geometric, and a seed is valid when no
+    two of its chords conflict (:func:`_cuts_chords_ok`) and each chord is
+    interior (:func:`_chord_ok`).  The test oracle ``_reference_seeds``
+    takes the seeds in offset order from the whole eta table.
     """
     m = grid.m
     if m % k == 0:
@@ -357,118 +437,32 @@ def _grid_seeds(domain: PlanarDomain, k: int, grid: _Grid) -> tuple:
         offsets = np.arange(min(4, m))
         pattern = [bases[j + d] for j in range(k) for d in (0, 1)]
     cuts = offsets[:, None] + np.array(pattern)
-    starts, widths = cuts[:, 0::2], cuts[:, 1::2] - cuts[:, 0::2]
-    i = starts % m
-    invalid = (widths <= 0) | (widths >= m)
-    if grid.fwd is not None:
-        invalid |= (widths <= grid.fwd[i]) | (m - widths <= grid.bwd[i])
+    i, widths = cuts[:, 0::2] % m, cuts[:, 1::2] - cuts[:, 0::2]
+    invalid = grid.invalid(i, widths)
     if invalid.any(axis=1).all():
         return math.inf, None  # every seed is +inf: no point is needed
-    j = (i + widths) % m
-    x, y = grid.pts[:, 0], grid.pts[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.hypot(x[i] - x[j], y[i] - y[j]) / (widths * grid.step)
-    eta[invalid] = np.inf
-    values = eta.max(axis=1)
+    values = grid.eta(i, widths, invalid).max(axis=1)
     for s in np.argsort(values, kind="stable").tolist():
         if values[s] == math.inf:
             break
         seed = cuts[s].tolist()
-        if domain.is_convex or (
-            _cuts_chords_ok(grid, seed, domain)
+        if grid.fwd is not None or (
+            _cuts_chords_ok(grid, seed)
             # geometric eta values only: test the seed's chords
-            and all(
-                _chord_ok(domain, grid, a % m, b % m) for a, b in zip(seed[::2], seed[1::2])
-            )
+            and all(_chord_ok(grid, a % m, b % m) for a, b in zip(seed[::2], seed[1::2]))
         ):
             return float(values[s]), seed
     return math.inf, None
 
 
-def _cuts_chords_ok(grid: _Grid, cuts: Sequence[int], domain: PlanarDomain) -> bool:
+def _cuts_chords_ok(grid: _Grid, cuts: Sequence[int]) -> bool:
     """Whether no two chords of the cut list conflict by
     :func:`regions._chords_conflict` (needed on nonconvex domains only)."""
     pts = [tuple(grid.pts[c % grid.m]) for c in cuts]
     return not any(
-        _chords_conflict(domain, c1, c2)
+        _chords_conflict(grid.domain, c1, c2)
         for c1, c2 in itertools.combinations(zip(pts[::2], pts[1::2]), 2)
     )
-
-
-#: Most eta values :class:`_EtaColumns` computes in one block.
-_BLOCK_CELLS = 1 << 16
-
-
-class _EtaColumns:
-    """The least cap width ``w_min`` worth searching, from the columns of
-    the eta table that decide it, computed in blocks as they are needed.
-
-    ``w_min`` is the least width whose column holds a valid chord with eta
-    below the incumbent less ``1e-12``, or m if none does.  Every width
-    below ``clear`` is known to hold none.  The incumbent never rises, so
-    such a width never holds one later and is not read again; each query
-    starts at ``clear``.  On a convex grid a column's minimum is its least
-    valid eta.  On a nonconvex grid the eta values are geometric: a column
-    whose minimum beats the threshold tests its chords (:func:`_chord_ok`)
-    in increasing eta, ties in index order, and stops at the first valid one
-    or once eta reaches the threshold.  So the answer is the one a table
-    with every chord tested gives.
-    """
-
-    def __init__(self, domain: PlanarDomain, grid: _Grid):
-        self.domain = domain
-        self.grid = grid
-        self.clear = 1  # width 0 holds no chord
-        # width -> column minimum, from ``clear`` on; on a nonconvex grid the
-        # least eta not yet found invalid
-        self.mins: dict[int, float] = {}
-        self.walks: dict[int, list] = {}  # nonconvex: [order, sorted eta, position]
-
-    def w_min_for(self, best: float, limit: int) -> int:
-        """``w_min`` for the incumbent ``best``, or ``limit`` if it is at
-        least that; reads no column at or past ``limit``.
-
-        With no incumbent (``best`` is +inf) on a convex grid, a column
-        beats it exactly when it holds a finite eta: a row i with ``fwd[i]
-        < w < m - bwd[i]`` (:func:`_eta_block`).  The least such ``w`` at or
-        past ``clear`` comes from the edge runs alone, and no point or
-        column is read."""
-        w = self.clear
-        if best < math.inf or not self.domain.is_convex:
-            thr = best - 1e-12
-            while w < limit and not self._beats(w, thr, limit):
-                w += 1
-        elif w < limit:
-            grid = self.grid
-            lo = np.maximum(grid.fwd + 1, w)
-            w = int(lo.min(initial=limit, where=lo < grid.m - grid.bwd))
-        self.clear = w
-        return w
-
-    def _beats(self, w: int, thr: float, limit: int) -> bool:
-        grid = self.grid
-        m = grid.m
-        if w not in self.mins:  # the next block of widths
-            w1 = min(2 * w, limit, w + max(1, _BLOCK_CELLS // m))
-            self.mins.update(enumerate(np.min(_eta_block(grid, w, w1), axis=0).tolist(), w))
-        if self.mins[w] >= thr:
-            return False
-        if self.domain.is_convex:
-            return True
-        walk = self.walks.get(w)
-        if walk is None:
-            col = _eta_block(grid, w, w + 1)[:, 0]
-            order = np.argsort(col, kind="stable")
-            walk = self.walks[w] = [order.tolist(), col[order].tolist(), 0]
-        order, etas, pos = walk
-        while pos < m and etas[pos] < thr:
-            i = order[pos]
-            if _chord_ok(self.domain, grid, i, (i + w) % m):
-                break
-            pos += 1
-        walk[2] = pos
-        self.mins[w] = etas[pos] if pos < m else math.inf
-        return pos < m and etas[pos] < thr
 
 
 def _enum_estimate(m: int, k: int, period: int, w_min: int) -> int:
@@ -492,9 +486,9 @@ def enumerate_caps(
     (:func:`_grid_seeds`); the estimate does not increase with ``w_min``.  A
     grid whose estimate exceeds ``budget`` raises
     :class:`~escobar.errors.BudgetExceededError` before any row is read; an
-    estimate past the float range is reported as ``math.inf``.  One
-    :class:`_EtaColumns` decides ``w_min`` from the columns below ``w_fit``,
-    the least width whose estimate fits, and the search
+    estimate past the float range is reported as ``math.inf``.  The grid
+    decides ``w_min`` (:meth:`_Grid.w_min_for`) from the columns below
+    ``w_fit``, the least width whose estimate fits, and the search
     (:func:`_run_enumeration`) resumes it and stops after ``budget`` nodes.
 
     Grid points are evaluated only when an eta value is needed.  On a
@@ -509,12 +503,11 @@ def enumerate_caps(
     if m > 5000:
         raise InvalidParameterError(f"grid too fine (m={m} > 5000)")
     grid = _prepare_grid(domain, m, full_validity=False)
-    seeds = _grid_seeds(domain, k, grid)
-    columns = _EtaColumns(domain, grid)
+    seeds = _grid_seeds(grid, k)
     w_fit = 1 + bisect.bisect_left(
         range(1, m + 1), True, key=lambda w: _enum_estimate(m, k, grid.period, w) <= budget
     )
-    estimate = _enum_estimate(m, k, grid.period, columns.w_min_for(seeds[0], min(w_fit, m)))
+    estimate = _enum_estimate(m, k, grid.period, grid.w_min_for(seeds[0], min(w_fit, m)))
     if estimate > budget:
         if estimate > sys.float_info.max:
             approx, shown = math.inf, f"more than {sys.float_info.max:.2g}"
@@ -527,16 +520,13 @@ def enumerate_caps(
             estimate=approx,
             budget=budget,
         )
-    return _run_enumeration(domain, k, grid, seeds, columns, budget)
+    return _run_enumeration(grid, k, seeds, budget)
 
 
-def _run_enumeration(
-    domain: PlanarDomain, k: int, grid: _Grid, seeds: tuple, columns: _EtaColumns,
-    budget: float,
-) -> BoundReport:
-    """The grid minimax search from the seeds, resuming the ``columns`` that
-    the refusal read, where every width below ``columns.clear`` is known not
-    to beat them.
+def _run_enumeration(grid: _Grid, k: int, seeds: tuple, budget: float) -> BoundReport:
+    """The grid minimax search from the seeds, resuming the ``w_min`` scan
+    that the refusal began, where every width below ``grid.clear`` is known
+    not to beat them.
 
     The depth-first search reads row ``start`` of the eta table when it
     places a cap there, converted to Python floats on first read
@@ -549,10 +539,10 @@ def _run_enumeration(
     """
     m = grid.m
     period = grid.period
-    need_cross = not domain.is_convex
+    need_cross = grid.fwd is None
     best, best_cuts = seeds
     # k caps of a width past m // k do not fit: the search would not run
-    w_min = columns.w_min_for(best, m // k + 1)
+    w_min = grid.w_min_for(best, m // k + 1)
     rows: list[Optional[list[float]]] = [None] * m
 
     nodes = 0
@@ -568,11 +558,11 @@ def _run_enumeration(
                 budget=budget,
             )
         if cap_idx == k:
-            if need_cross and not _cuts_chords_ok(grid, cuts, domain):
+            if need_cross and not _cuts_chords_ok(grid, cuts):
                 return
             best = running
             best_cuts = list(cuts)
-            w_min = columns.w_min_for(best, m)
+            w_min = grid.w_min_for(best, m)
             return
         remaining_after = k - cap_idx - 1
         if cap_idx == 0:
@@ -588,7 +578,7 @@ def _run_enumeration(
             for w in range(w_min, w_cap + 1):
                 e = row[w]
                 if e < best:
-                    if need_cross and not _chord_ok(domain, grid, i, (i + w) % m):
+                    if need_cross and not _chord_ok(grid, i, (i + w) % m):
                         continue
                     cuts.append(start)
                     cuts.append(start + w)
@@ -618,7 +608,7 @@ def _run_enumeration(
         )
         for j in range(k)
     )
-    witness = TupleCandidate(domain, caps)
+    witness = TupleCandidate(grid.domain, caps)
     violations = validate_tuple(witness)
     if violations:
         raise ConstructionFailedError(

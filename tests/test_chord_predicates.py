@@ -240,8 +240,8 @@ def test_cuts_chords_ok_matches_retired_copy(case):
     ``_chords_conflict`` forgives chords whose ends agree within
     ``TAU_GEOM`` times the scale, as ``validate_tuple`` does."""
     dom, c1, c2 = case
-    tables = SimpleNamespace(m=4, pts=np.array([*_ends(dom, c1), *_ends(dom, c2)]))
-    got = _cuts_chords_ok(tables, [0, 1, 2, 3], dom)
+    tables = SimpleNamespace(domain=dom, m=4, pts=np.array([*_ends(dom, c1), *_ends(dom, c2)]))
+    got = _cuts_chords_ok(tables, [0, 1, 2, 3])
     p1, q1, p2, q2 = tables.pts
 
     def near(x, y):

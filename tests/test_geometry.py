@@ -13,6 +13,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from escobar import geometry
+from escobar.cli import main
 from escobar.errors import InvalidGeometryError, InvalidParameterError
 from escobar.geometry import (
     TAU_GEOM,
@@ -1108,6 +1109,26 @@ def test_readme_domain_json_example_loads_and_round_trips():
 def test_domain_json_rejects_garbage():
     with pytest.raises((InvalidGeometryError, InvalidParameterError, KeyError)):
         domain_from_json({"edges": [{"type": "spline"}]})
+
+
+@pytest.mark.parametrize("ccw", ["false", 0])
+def test_domain_json_arc_direction_must_be_a_boolean(ccw):
+    # bool("false") is True: the string built a counterclockwise arc before
+    data = domain_to_json(make_disk())
+    data["edges"][0]["ccw"] = ccw
+    with pytest.raises(
+        InvalidGeometryError, match=f"^edge 0: ccw must be true or false, got {ccw!r}$"
+    ):
+        domain_from_json(data)
+
+
+def test_cli_refuses_a_string_arc_direction(tmp_path, capsys):
+    data = domain_to_json(make_disk())
+    data["edges"][0]["ccw"] = "false"
+    path = tmp_path / "disk.json"
+    path.write_text(json.dumps(data))
+    assert main(["render", "--domain", str(path)]) == 3
+    assert "ccw must be true or false" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

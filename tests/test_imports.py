@@ -9,8 +9,10 @@ each module with ``ast``:
   statement reads; a name listed in the module's ``__all__`` counts as used;
 * an unused helper is a ``_``-prefixed module-level function or class of
   ``src/escobar`` that no other top-level statement of the package names,
-  as a name or an attribute.  Its own body does not count, and neither do
-  the tests: a helper that only tests call belongs in the tests;
+  as a name or an attribute, or a ``_``-prefixed method, property or cached
+  property of a package class that no other top-level statement and no
+  other member of a class names.  Its own body does not count, and neither
+  do the tests: a helper that only tests call belongs in the tests;
 * a module that reads ``operator.index``, as an attribute or by a
   ``from operator import``, writes its own integer rule: every count of the
   package goes through ``errors._integer``;
@@ -70,31 +72,51 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _private(node: ast.AST) -> bool:
+    return (
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    )
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute that ``node`` reads or binds."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
 def unused_helpers(sources: dict[str, str]) -> list[str]:
     """``module.name`` of each private module-level function or class in
     ``sources`` (module name to source) that no other top-level statement
-    of any of them names."""
-    helpers = []
-    statements = []
+    of any of them names, and ``module.Class.name`` of each private method
+    of a module-level class that no statement names but its own and its
+    class (the class's other members do count)."""
+    helpers = []  # (qualified name, node, the class holding it or None)
+    statements = []  # (node, names, the class holding it or None)
     for module, source in sources.items():
         for node in ast.parse(source).body:
-            names = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    names.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    names.add(sub.attr)
-            statements.append((node, names))
-            if (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
-                and not node.name.startswith("__")
-            ):
-                helpers.append((module, node))
+            statements.append((node, _names(node), None))
+            if _private(node):
+                helpers.append((f"{module}.{node.name}", node, None))
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    statements.append((member, _names(member), node))
+                    if _private(member) and not isinstance(member, ast.ClassDef):
+                        helpers.append((f"{module}.{node.name}.{member.name}", member, node))
     return [
-        f"{module}.{node.name}"
-        for module, node in helpers
-        if not any(node.name in names for other, names in statements if other is not node)
+        name
+        for name, node, owner in helpers
+        if not any(
+            node.name in names
+            for other, names, holder in statements
+            if other is not node and other is not owner and holder is not node
+        )
     ]
 
 
@@ -105,6 +127,26 @@ def test_the_scan_sees_an_unused_helper():
              "def _helper(): return 'def _gone(): pass'\n",
     }
     assert unused_helpers(sources) == ["a._rec", "a._Box"]
+
+
+def test_the_scan_sees_an_unused_method():
+    sources = {
+        "a": "class _Self:\n    def make(self): return _Self()\n",
+        "b": "import functools\n"
+             "class Grid:\n"
+             "    def run(self): return self._step() + self._cache\n"
+             "    def _step(self): return self._step()\n"
+             "    @functools.cached_property\n"
+             "    def _cache(self): return 1\n"
+             "    def _lost(self): return self._lost()\n"
+             "    @property\n"
+             "    def _gone(self): return 2\n"
+             "    def __len__(self): return 0\n"
+             "def use(g): return g._outside()\n"
+             "class Other:\n"
+             "    def _outside(self): return 3\n",
+    }
+    assert unused_helpers(sources) == ["a._Self", "b.Grid._lost", "b.Grid._gone"]
 
 
 def test_no_unused_helpers():

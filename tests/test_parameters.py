@@ -6,12 +6,16 @@ A count is taken by ``operator.index``: a bool, a fraction, NaN and a value
 below its least raise :class:`InvalidParameterError` naming the parameter,
 and a NumPy integer gives what the Python int gives.  A positive real
 refuses a bool, NaN, zero and negative values the same way, and a finite
-real a bool, NaN and both infinities.  A start offset is taken modulo the
-perimeter, so a far one still gives k distinct cuts.
+real a bool, NaN and both infinities; both refuse a string and None as no
+real number, and take NumPy scalars, ``Fraction`` and ``Decimal``.  A start
+offset is taken modulo the perimeter, so a far one still gives k distinct
+cuts.
 """
 
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -185,6 +189,29 @@ def test_a_finite_real_takes_numpy_numbers(entry, name, good, call):
     assert repr(call(np.float64(good))) == repr(call(float(good)))
 
 
+#: Parameters where None asks for the default (the midpoint of the longest
+#: edge, a stripe height that fits)
+NONE_IS_DEFAULT = {("equal_boundary_tuple", "start_offset"), ("stripe_tuple", "stripe height")}
+
+
+@pytest.mark.parametrize("bad", ["2", None])
+@pytest.mark.parametrize("entry, name, good, call", REALS + FINITES, ids=_ids(REALS + FINITES))
+def test_a_real_refuses_what_is_no_number(entry, name, good, call, bad):
+    # each raised TypeError before, from a comparison or from math.isfinite
+    if bad is None and (entry, name) in NONE_IS_DEFAULT:
+        call(None)  # the default, not a refusal
+        return
+    with _refusal(f"{name} must be a real number, got {bad!r}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry, name, good, call", REALS + FINITES, ids=_ids(REALS + FINITES))
+def test_a_real_takes_fractions_and_decimals(entry, name, good, call):
+    want = repr(call(float(good)))
+    assert repr(call(Fraction(good))) == want
+    assert repr(call(Decimal(good))) == want
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -226,6 +253,8 @@ def test_a_tolerance_is_kept_as_a_float():
         # accepted before; estimate_ik then found "no search family produced a valid tuple"
         ((), "families must name at least one search family"),
         ([], "families must name at least one search family"),
+        # "'NoneType' object is not iterable" before
+        (None, "families must be a collection of family names, got None"),
     ],
 )
 def test_search_families_must_be_a_nonempty_collection(families, message):

@@ -1,5 +1,6 @@
 """Search engines: enumeration, refinement, corner families, budgets."""
 
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -229,7 +230,8 @@ def _reference_grid(domain, m, full_validity):
     else:
         full = False
     return SimpleNamespace(
-        m=m, svals=svals, pts=pts, eta=eta, min_eta_by_width=np.min(eta, axis=0).tolist(),
+        domain=domain, m=m, svals=svals, pts=pts, eta=eta,
+        min_eta_by_width=np.min(eta, axis=0).tolist(),
         period=_grid_period(domain, m), convex=domain.is_convex, full_validity=full,
     )
 
@@ -252,7 +254,7 @@ def _reference_seeds(domain, k, ref):
             if e >= best:
                 return
             val = max(val, e)
-        if not ref.convex and not _cuts_chords_ok(ref, cuts, domain):
+        if not ref.convex and not _cuts_chords_ok(ref, cuts):
             return
         if not ref.full_validity:
             for j in range(k):
@@ -306,7 +308,7 @@ def _reference_enumeration(domain, k, ref, budget):
         if nodes > budget:
             raise BudgetExceededError("stopped", estimate=float(nodes), budget=float(budget))
         if cap_idx == k:
-            if not ref.convex and not _cuts_chords_ok(ref, cuts, domain):
+            if not ref.convex and not _cuts_chords_ok(ref, cuts):
                 return
             best, best_cuts = running, list(cuts)
             w_min = _reference_w_min(ref, best)
@@ -414,8 +416,8 @@ def test_lazy_budget_skip_matches_whole_table_reference(name, monkeypatch):
     seeds = {}  # grid size -> seed value, for every grid tried
     grid_seeds = search._grid_seeds
 
-    def spy(domain, k, grid):
-        seeds[grid.m] = grid_seeds(domain, k, grid)
+    def spy(grid, k):
+        seeds[grid.m] = grid_seeds(grid, k)
         return seeds[grid.m]
 
     monkeypatch.setattr(search, "_grid_seeds", spy)
@@ -454,7 +456,7 @@ def test_grid_seeds_match_the_retired_loop(name):
             ref = _reference_grid(domain, m, False)
             want_best, want_cuts = _reference_seeds(domain, k, ref)
             grid = _prepare_grid(domain, m, full_validity=False)
-            best, cuts = search._grid_seeds(domain, k, grid)
+            best, cuts = search._grid_seeds(grid, k)
             assert (repr(best), cuts) == (repr(want_best), want_cuts), (k, m)
             assert type(best) is float and (cuts is None or all(type(c) is int for c in cuts))
 
@@ -470,9 +472,9 @@ def test_grid_seeds_validate_in_value_order(lshape, monkeypatch):
     validated = []
     monkeypatch.setattr(
         search, "_cuts_chords_ok",
-        lambda grid, cuts, domain: validated.append(cuts) or _cuts_chords_ok(grid, cuts, domain),
+        lambda grid, cuts: validated.append(cuts) or _cuts_chords_ok(grid, cuts),
     )
-    best, cuts = search._grid_seeds(lshape, k, _prepare_grid(lshape, m, full_validity=False))
+    best, cuts = search._grid_seeds(_prepare_grid(lshape, m, full_validity=False), k)
     order = sorted(range(4), key=values.__getitem__)
     assert validated == [seeds[s] for s in order]
     assert cuts == seeds[order[-1]] and best == values[order[-1]]
@@ -571,19 +573,17 @@ def test_convex_search_reads_rows_as_the_whole_table(monkeypatch):
 @pytest.mark.parametrize("m", [24, 48, 144])
 def test_column_walk_gives_the_whole_table_w_min(name, m):
     """On a nonconvex grid a column's least valid eta comes from testing its
-    chords in increasing eta.  Fed a falling incumbent, one set of columns
-    answers as the full-validity table does at every step, and so does a
-    fresh one."""
+    chords in increasing eta.  Fed a falling incumbent, one grid answers as
+    the full-validity table does at every step, and so does a fresh one."""
     domain = _GRID_DOMAINS[name]()
     ref = _reference_grid(domain, m, True)
     grid = _prepare_grid(domain, m, full_validity=False)
     finite = {v for v in ref.min_eta_by_width if math.isfinite(v)}
     bests = sorted({math.inf, 0.0, *finite, *(v + 1e-12 for v in finite)}, reverse=True)
-    columns = search._EtaColumns(domain, grid)
     for best in bests:
         want = _reference_w_min(ref, best)
-        assert columns.w_min_for(best, m) == want, best
-        assert search._EtaColumns(domain, grid).w_min_for(best, m) == want, best
+        assert grid.w_min_for(best, m) == want, best
+        assert _prepare_grid(domain, m, full_validity=False).w_min_for(best, m) == want, best
 
 
 def test_nonconvex_search_tests_few_chords(lshape, monkeypatch):
@@ -654,17 +654,15 @@ def test_half_disk_cap_family_at_k10_evaluates_no_point(half_disk, monkeypatch):
     assert len(sizes) == 24 and points == []
 
 
-class _EagerColumns(search._EtaColumns):
-    """The column scan without the edge-run answer: every query, at a +inf
-    incumbent too, reads columns until one beats it."""
-
-    def w_min_for(self, best, limit):
-        thr = best - 1e-12
-        w = self.clear
-        while w < limit and not self._beats(w, thr, limit):
-            w += 1
-        self.clear = w
-        return w
+def _eager_w_min_for(grid, best, limit):
+    """``_Grid.w_min_for`` without the edge-run answer: every query, at a
+    +inf incumbent too, reads columns until one beats it."""
+    thr = best - 1e-12
+    w = grid.clear
+    while w < limit and not grid._beats(w, thr, limit):
+        w += 1
+    grid.clear = w
+    return w
 
 
 @pytest.mark.parametrize("name", ["D4", "rect2x1", "quad", "half-disk", "slice-60", "stadium"])
@@ -677,9 +675,10 @@ def test_edge_run_w_min_is_the_column_scan(name, m):
     grid = _prepare_grid(domain, m, full_validity=False)
     for clear in range(1, m + 1):
         for limit in sorted({1, clear - 1, clear, m // 2, m - 1, m}):
-            lazy, eager = search._EtaColumns(domain, grid), _EagerColumns(domain, grid)
+            # fresh copies: same points and edge runs, no column read
+            lazy, eager = dataclasses.replace(grid), dataclasses.replace(grid)
             lazy.clear = eager.clear = clear
-            assert lazy.w_min_for(math.inf, limit) == eager.w_min_for(math.inf, limit), (
+            assert lazy.w_min_for(math.inf, limit) == _eager_w_min_for(eager, math.inf, limit), (
                 clear, limit,
             )
             assert lazy.clear == eager.clear
@@ -715,7 +714,7 @@ def test_lazy_grid_refusals_match_an_eager_grid(name, monkeypatch):
         return grid
 
     monkeypatch.setattr(search, "_prepare_grid", eager)
-    monkeypatch.setattr(search, "_EtaColumns", _EagerColumns)
+    monkeypatch.setattr(search._Grid, "w_min_for", _eager_w_min_for)
     assert [_grid_refusal(domain, k, m) for k, m in cases] == lazy
 
 
@@ -755,14 +754,13 @@ def test_enumeration_frees_its_table_without_the_cycle_collector(lshape):
     # the recursive search closure must not keep the grid and the rows it
     # read alive
     grid = _prepare_grid(lshape, 24, full_validity=False)
-    seeds = search._grid_seeds(lshape, 2, grid)
-    columns = search._EtaColumns(lshape, grid)
+    seeds = search._grid_seeds(grid, 2)
     grid_ref = weakref.ref(grid)
     gc.disable()
     try:
-        report = _run_enumeration(lshape, 2, grid, seeds, columns, 1e9)
+        report = _run_enumeration(grid, 2, seeds, 1e9)
         assert report.evaluations > 0
-        del grid, seeds, columns
+        del grid, seeds
         assert grid_ref() is None
     finally:
         gc.enable()
