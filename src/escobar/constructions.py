@@ -49,13 +49,6 @@ def _raise_if_invalid(tc: TupleCandidate, what: str) -> TupleCandidate:
 # ---------------------------------------------------------------------------
 
 
-def _equal_cuts(per: float, k: int, offset: float) -> list[float]:
-    """The k cut arclengths of the equal split of a boundary of length
-    ``per`` whose first cut is at ``offset``, already reduced modulo
-    ``per``; cap j runs from cut j to cut j + 1 (mod k)."""
-    return [(offset + j * per / k) % per for j in range(k)]
-
-
 def equal_boundary_tuple(
     domain: PlanarDomain,
     k: int,
@@ -75,7 +68,7 @@ def equal_boundary_tuple(
     else:
         # reduced first: far offsets would round all k cuts to one float
         start_offset = _finite("start_offset", start_offset) % per
-    cuts = _equal_cuts(per, k, start_offset)
+    cuts = [(start_offset + j * per / k) % per for j in range(k)]
     regions = tuple(Cap(cuts[j], cuts[(j + 1) % k]) for j in range(k))
     return _raise_if_invalid(
         TupleCandidate(domain, regions), f"equal-boundary split (k={k}, offset={start_offset:.6g})"

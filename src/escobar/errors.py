@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 import operator
 
@@ -34,12 +35,15 @@ def _integer(name: str, value, least: int) -> int:
 def _positive(name: str, value) -> float:
     """The positive real ``value`` as a float.  A bool, or a value that is
     not above 0, raises :class:`InvalidParameterError` naming ``name``; written
-    as "not >" so that NaN, which passes every "<=", is refused.  So does a
-    value that is no real number (:func:`_not_real`)."""
+    as "not >" so that NaN, which passes every "<=", is refused, and a
+    ``Decimal`` NaN, which signals when compared, is refused the same way.
+    So is a value that is no real number (:func:`_not_real`)."""
     try:
         positive = value > 0
     except TypeError:
         raise _not_real(name, value) from None
+    except decimal.InvalidOperation:
+        positive = False
     if isinstance(value, bool) or not positive:
         raise InvalidParameterError(f"{name} must be positive, got {value}")
     return float(value)
@@ -48,11 +52,14 @@ def _positive(name: str, value) -> float:
 def _finite(name: str, value) -> float:
     """The finite real ``value`` as a float.  A bool, NaN or an infinity
     raises :class:`InvalidParameterError` naming ``name``, and so does a
-    value that is no real number (:func:`_not_real`)."""
+    value that is no real number (:func:`_not_real`).  A signaling
+    ``Decimal`` NaN, which has no float value, is not finite."""
     try:
         finite = math.isfinite(value)
     except TypeError:
         raise _not_real(name, value) from None
+    except ValueError:
+        finite = False
     if isinstance(value, bool) or not finite:
         raise InvalidParameterError(f"{name} must be finite, got {value}")
     return float(value)

@@ -13,14 +13,15 @@ value is the measured max-eta of a validated tuple):
 * :func:`corner_family_bound` — nested corner caps/strips distributed over
   the convex corners by a greedy minimax allocation.
 
-:func:`estimate_ik` orchestrates all of the above, skipping the cap searches
-where no cap tuple exists (:func:`_no_cap_tuple`).
+:func:`estimate_ik` orchestrates all of the above.  It skips the cap
+searches where no cap tuple can beat the corner family's value: every cap
+tuple's max-eta is at least :func:`_cap_floor`, a bound from the corner
+angles and the arc sweeps alone.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import heapq
 import itertools
 import math
@@ -34,7 +35,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .constructions import (
-    _equal_cuts,
     corner_chain_tuple,
     corner_leg_reach,
     equal_boundary_tuple,
@@ -125,6 +125,10 @@ class SearchConfig:
         self.families = tuple(self.families)
         if not self.families:
             raise InvalidParameterError("families must name at least one search family")
+        if not all(isinstance(f, str) for f in self.families):
+            raise InvalidParameterError(
+                f"families must be a collection of family names, got {self.families!r}"
+            )
         bad = set(self.families) - {"caps", "corner-strips"}
         if bad:
             raise InvalidParameterError(f"unknown search families: {sorted(bad)}")
@@ -188,10 +192,7 @@ class _Grid:
     geometric only, and a chord is tested when the search first needs its
     verdict (:func:`_chord_ok`, kept in ``valid``).
 
-    Grid point i lies at local arclength ``t[i]`` on edge ``edge[i]``.  Its
-    point ``pts[i]`` is evaluated (:func:`_edge_points`) the first time
-    anything reads ``pts``, so a grid refused from its edge runs alone
-    evaluates none.
+    Grid point i lies at arclength ``svals[i]``, at the point ``pts[i]``.
 
     ``w_min`` (:meth:`w_min_for`) is the least width whose column of the eta
     table holds a valid chord with eta below the incumbent less ``1e-12``,
@@ -210,8 +211,7 @@ class _Grid:
     m: int
     step: float
     svals: np.ndarray
-    edge: np.ndarray
-    t: np.ndarray
+    pts: np.ndarray
     period: int
     fwd: Optional[np.ndarray]
     bwd: Optional[np.ndarray]
@@ -224,14 +224,10 @@ class _Grid:
     # nonconvex: width -> [order, sorted eta, position] of its column walk
     walks: dict = field(default_factory=dict, init=False)
 
-    @functools.cached_property
-    def pts(self) -> np.ndarray:
-        return _edge_points(self.domain, self.edge, self.t)
-
     def invalid(self, i: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Where the chord from grid point ``i`` of width ``w`` reads +inf,
-        from the widths and the edge runs alone: no point is read.  On a
-        nonconvex grid the mask has the shape of ``w``."""
+        from the widths and the edge runs alone.  On a nonconvex grid the
+        mask has the shape of ``w``."""
         if self.fwd is None:
             return (w <= 0) | (w >= self.m)
         # fwd and bwd are non-negative, so this holds at w <= 0 and w >= m
@@ -249,21 +245,11 @@ class _Grid:
 
     def w_min_for(self, best: float, limit: int) -> int:
         """``w_min`` for the incumbent ``best``, or ``limit`` if it is at
-        least that; reads no column at or past ``limit``.
-
-        With no incumbent (``best`` is +inf) on a convex grid, a column
-        beats it exactly when it holds a finite eta: a row i with ``fwd[i]
-        < w < m - bwd[i]`` (:meth:`invalid`).  The least such ``w`` at or
-        past ``clear`` comes from the edge runs alone, and no point or
-        column is read."""
+        least that; reads no column at or past ``limit``."""
+        thr = best - 1e-12
         w = self.clear
-        if best < math.inf or self.fwd is None:
-            thr = best - 1e-12
-            while w < limit and not self._beats(w, thr, limit):
-                w += 1
-        elif w < limit:
-            lo = np.maximum(self.fwd + 1, w)
-            w = int(lo.min(initial=limit, where=lo < self.m - self.bwd))
+        while w < limit and not self._beats(w, thr, limit):
+            w += 1
         self.clear = w
         return w
 
@@ -343,11 +329,10 @@ def _edge_runs(
 
 
 def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid:
-    """The m-point grid: its edge lookup, its period and, on a convex
-    domain, its edge runs (:func:`_edge_runs`).  It holds no eta value, has
-    tested no chord and has evaluated no point; :func:`_eta_block` computes
-    eta values, :func:`_chord_ok` tests chords, and the points are evaluated
-    when ``grid.pts`` is first read.
+    """The m-point grid: its edge lookup, its points, its period and, on a
+    convex domain, its edge runs (:func:`_edge_runs`).  It holds no eta
+    value and has tested no chord; :func:`_eta_block` computes eta values
+    and :func:`_chord_ok` tests chords.
 
     Each grid point's edge is looked up once (:func:`_edge_lookup`) and
     serves both its point (:func:`_edge_points`, which is
@@ -369,7 +354,7 @@ def _prepare_grid(domain: PlanarDomain, m: int, *, full_validity: bool) -> _Grid
     if domain.is_convex:
         fwd, bwd = _edge_runs(domain, edge, t)
     return _Grid(
-        domain=domain, m=m, step=step, svals=svals, edge=edge, t=t,
+        domain=domain, m=m, step=step, svals=svals, pts=_edge_points(domain, edge, t),
         period=_grid_period(domain, m), fwd=fwd, bwd=bwd,
     )
 
@@ -415,9 +400,7 @@ def _grid_seeds(grid: _Grid, k: int) -> tuple:
     row of one integer array ``offsets[:, None] + pattern``.  A seed's value
     is the max of its caps' eta values, by the grid's own rule
     (:meth:`_Grid.eta` and :meth:`_Grid.invalid`, so bit for bit the values
-    of :func:`_eta_block`).  The +inf mask is built first, from the widths
-    and the edge runs; when every seed has a masked cap the answer is
-    ``(inf, None)``, and no point is read.
+    of :func:`_eta_block`).
 
     The answer is the first valid seed by value, ties in offset order: the
     seeds are taken in a stable sort of their values, and a +inf seed is
@@ -438,10 +421,7 @@ def _grid_seeds(grid: _Grid, k: int) -> tuple:
         pattern = [bases[j + d] for j in range(k) for d in (0, 1)]
     cuts = offsets[:, None] + np.array(pattern)
     i, widths = cuts[:, 0::2] % m, cuts[:, 1::2] - cuts[:, 0::2]
-    invalid = grid.invalid(i, widths)
-    if invalid.any(axis=1).all():
-        return math.inf, None  # every seed is +inf: no point is needed
-    values = grid.eta(i, widths, invalid).max(axis=1)
+    values = grid.eta(i, widths, grid.invalid(i, widths)).max(axis=1)
     for s in np.argsort(values, kind="stable").tolist():
         if values[s] == math.inf:
             break
@@ -490,11 +470,6 @@ def enumerate_caps(
     decides ``w_min`` (:meth:`_Grid.w_min_for`) from the columns below
     ``w_fit``, the least width whose estimate fits, and the search
     (:func:`_run_enumeration`) resumes it and stops after ``budget`` nodes.
-
-    Grid points are evaluated only when an eta value is needed.  On a
-    convex grid whose seeds all have a cap along one straight edge, the
-    seeds and ``w_min`` both come from the edge runs, so such a grid is
-    refused, with the same estimate, without evaluating a point.
     """
     k, m = _integer("k", k, 2), _integer("m", m, 4)
     budget = _positive("budget", budget)
@@ -1159,31 +1134,10 @@ def _auto_enumerate(
     return None
 
 
-def _flat_cap(domain: PlanarDomain, a: float, b: float) -> bool:
-    """Whether the cap from ``a`` to ``b``, arclengths in ``[0, P]``, has
-    both cuts on one straight edge or on one concave arc.  This is the
-    flat-edge rule of :func:`chord_is_interior`, which then rejects the
-    cap's chord: the edges come from the kernel's own lookup
-    (:meth:`PlanarDomain._edge_index_reduced`), and a cut with ``t == 0``
-    lies on both edges at its vertex."""
-    n = len(domain.edges)
-    (i0, t0), (i1, t1) = domain._edge_index_reduced(a), domain._edge_index_reduced(b)
-    on0 = {i0, (i0 - 1) % n} if t0 == 0.0 else {i0}
-    on1 = {i1, (i1 - 1) % n} if t1 == 0.0 else {i1}
-    return any(
-        isinstance(e, Segment) or not e.ccw for e in (domain.edges[i] for i in on0 & on1)
-    )
-
-
 def _equal_boundary_report(domain: PlanarDomain, k: int) -> Optional[BoundReport]:
     """The best equal boundary split (:func:`equal_boundary_tuple`) over
     the start offsets at each edge's midpoint and at ``_OFFSET_SAMPLES``
-    even steps of ``P / k``, or None when none is valid.
-
-    An offset one of whose caps is flat (:func:`_flat_cap`, on the cuts of
-    :func:`~escobar.constructions._equal_cuts`, which the split itself
-    uses) is skipped unbuilt: the split's validation would reject that
-    cap's chord, and the offset would be skipped all the same.  Only valid
+    even steps of ``P / k``, or None when none is valid.  Only valid
     splits count as evaluations.
     """
     per = domain.perimeter
@@ -1194,9 +1148,6 @@ def _equal_boundary_report(domain: PlanarDomain, k: int) -> Optional[BoundReport
     best = None
     evals = 0
     for off in offsets:
-        cuts = _equal_cuts(per, k, off % per)
-        if any(_flat_cap(domain, cuts[j - 1], cuts[j]) for j in range(k)):
-            continue
         try:
             tc = equal_boundary_tuple(domain, k, off)
         except (ConstructionFailedError, InvalidGeometryError):
@@ -1233,20 +1184,57 @@ def _cross_label(domain: PlanarDomain, k: int, value: float, tol: float) -> Opti
     return f"above closed-form upper bound {known.value:.12g} by {diff:.3g}"
 
 
-def _no_cap_tuple(domain: PlanarDomain, k: int) -> bool:
-    """Whether no valid tuple of k caps exists: every edge is straight or a
-    concave arc, and k exceeds the number of edges (and so of vertices).
+def _cap_floor(domain: PlanarDomain, k: int) -> float:
+    """A lower bound on the max-eta of every valid tuple of k caps, from the
+    corner angles and the sweeps of the convex arcs alone; +inf when no such
+    tuple exists.
 
-    A cap whose exterior arc holds no vertex in its open interior has its
-    chord along one straight edge or across one concave arc, outside the
-    domain, and :func:`validate_tuple` flags it.  The open arcs of a tuple
-    are disjoint, so distinct caps need distinct vertices.  (Validation lets
-    two arcs overlap by ``TAU_GEOM`` times the perimeter, but the equal
-    splits and the grids give neighbouring caps the same cut point, and
-    refinement starts only from a tuple of theirs.)
+    A cap whose open exterior arc holds no vertex lies on one edge.  On a
+    straight edge or a concave arc its chord lies outside the domain, and
+    :func:`validate_tuple` flags it.  The open arcs of a tuple are disjoint,
+    so distinct caps hold distinct vertices, at most V (the vertex count)
+    caps hold one, and c >= k - V caps hold none and lie on convex arcs.
+
+    * *Arc lemma.*  A cap on a convex arc with sweep alpha has ``eta =
+      sin(alpha/2) / (alpha/2)``, which falls as alpha grows.  An arc of
+      sweep A_i that holds c_i of the caps holds one of sweep at most
+      ``A_i / c_i``.  So their max-eta is at least ``sin(x)/x`` for x half the
+      least ``A_i / c_i``, and the least such bound over every way to share
+      the c caps comes from D'Hondt's rule (each next cap goes to the arc
+      with the largest ``A_i / (c_i + 1)``), which makes the least ``A_i /
+      c_i`` as large as it can be: it is the quotient of the c-th cap.
+    * *Vertex lemma.*  On a polygon a cap that holds only vertex j has ``eta
+      >= sin(theta_j / 2)`` (``tests/test_cap_lemmas.py``).  The k - c caps
+      that hold vertices hold at most V, so at least ``2(k - c) - V`` of
+      them hold one each, and their max-eta is at least the
+      ``(2(k - c) - V)``-th smallest ``sin(theta_j / 2)``.
+
+    The floor is the least, over c from ``max(0, k - V)`` to k, of the
+    larger of the two bounds.  (Validation lets two arcs overlap by
+    ``TAU_GEOM`` times the perimeter, but the equal splits and the grids
+    give neighbouring caps the same cut point, and refinement starts only
+    from a tuple of theirs.)
     """
-    return k > len(domain.edges) and all(
-        isinstance(e, Segment) or not e.ccw for e in domain.edges
+    edges = domain.edges
+    n = len(edges)
+    # arc[c]: the arc lemma's bound on c vertex-free caps
+    arc = [0.0]
+    heap = [(-e.sweep, e.sweep, 1) for e in edges if isinstance(e, Arc) and e.ccw]
+    heapq.heapify(heap)
+    for _ in range(k):
+        if not heap:
+            arc.append(math.inf)
+            continue
+        q, sweep, c = heapq.heappop(heap)
+        x = -q / 2.0
+        arc.append(math.sin(x) / x)
+        heapq.heappush(heap, (-sweep / (c + 1), sweep, c + 1))
+    # vertex[j]: the vertex lemma's bound on j one-vertex caps, j <= n
+    vertex = [0.0] * (n + 1)
+    if all(isinstance(e, Segment) for e in edges):
+        vertex[1:] = sorted(math.sin(theta / 2.0) for theta in domain.interior_angles)
+    return min(
+        max(arc[c], vertex[max(0, 2 * (k - c) - n)]) for c in range(max(0, k - n), k + 1)
     )
 
 
@@ -1259,8 +1247,10 @@ def estimate_ik(
     report records which engine produced it and how much work was spent.
     ``config.grid_points`` forces a specific enumeration grid (budget errors
     then propagate); otherwise the grid is chosen automatically, and the
-    cap family (equal splits, enumeration, refinement) is skipped where
-    :func:`_no_cap_tuple` shows that it has no tuple to find.
+    cap family (equal splits, enumeration, refinement) is skipped where no
+    cap tuple exists or the corner family's value lies strictly below
+    :func:`_cap_floor`.  The corner family's report comes after the cap
+    family's, so a tie goes to the cap family.
     """
     config = config or SearchConfig()
     k = _integer("k", k, 1)
@@ -1272,10 +1262,16 @@ def estimate_ik(
 
     reports: list[BoundReport] = []
     evals = 0
+    corner = None
+    if "corner-strips" in config.families:
+        try:
+            corner = corner_family_bound(domain, k)
+        except (NotApplicableError, ConstructionFailedError):
+            pass
 
-    if "caps" in config.families and (
-        config.grid_points is not None or not _no_cap_tuple(domain, k)
-    ):
+    floor = _cap_floor(domain, k)
+    skip = floor == math.inf or corner is not None and corner.value < floor
+    if "caps" in config.families and (config.grid_points is not None or not skip):
         eq = _equal_boundary_report(domain, k)
         if eq is not None:
             reports.append(eq)
@@ -1300,13 +1296,9 @@ def estimate_ik(
             except (InvalidParameterError, NotApplicableError):
                 pass
 
-    if "corner-strips" in config.families:
-        try:
-            corner = corner_family_bound(domain, k)
-            evals += corner.evaluations
-            reports.append(corner)
-        except (NotApplicableError, ConstructionFailedError):
-            pass
+    if corner is not None:
+        evals += corner.evaluations
+        reports.append(corner)
 
     finite = [r for r in reports if math.isfinite(r.value)]
     if not finite:

@@ -18,11 +18,16 @@ each module with ``ast``:
   package goes through ``errors._integer``;
 * a module that raises ``InvalidParameterError`` with a "must be finite"
   message writes its own finiteness rule: every finite real of the package
-  goes through ``errors._finite``.
+  goes through ``errors._finite``;
+* a ``:func:``, ``:meth:``, ``:class:`` or ``:attr:`` reference in a
+  package docstring names a module-level name of some package module, or a
+  member of the class whose docstring or method holds it, so a deleted
+  helper does not live on in the docs.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -210,3 +215,83 @@ def test_the_scan_sees_a_finite_rule():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_only_errors_writes_a_finiteness_rule(path):
     assert bool(finite_rules(path.read_text())) == (path.name == "errors.py")
+
+
+_REFERENCE = re.compile(r":(func|meth|class|attr):`([^`]+)`")
+
+
+def _bound(node: ast.AST) -> set[str]:
+    """The names a module-level or class-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def broken_references(sources: dict[str, str]) -> list[str]:
+    """``module.holder role:`target``` for each docstring reference in
+    ``sources`` (module name to source) that names nothing: ``target``, less
+    a leading ``~`` and ``escobar.``, is a module-level name of some module,
+    or ``Class.member`` of a module-level class, or either of these in the
+    named module (``regions.max_eta``), or a member of the enclosing
+    class."""
+    modules = {}  # module -> {module-level name -> its members, if a class}
+    for module, source in sources.items():
+        names = modules[module] = {}
+        for node in ast.parse(source).body:
+            for name in _bound(node):
+                names[name] = set()
+            if isinstance(node, ast.ClassDef):
+                names[node.name] = set().union(*map(_bound, node.body))
+
+    def exists(target: str, members: set[str]) -> bool:
+        parts = target.lstrip("~").removeprefix("escobar.").split(".")
+        scopes = list(modules.values())
+        if len(parts) > 1 and parts[0] in modules:
+            scopes = [modules[parts.pop(0)]]
+        if len(parts) == 1 and parts[0] in members:
+            return True
+        head, *rest = parts
+        return any(
+            head in names and (not rest or len(rest) == 1 and rest[0] in names[head])
+            for names in scopes
+        )
+
+    broken = []
+
+    def visit(node: ast.AST, where: str, members: set[str]) -> None:
+        doc = ast.get_docstring(node, clean=False) if hasattr(node, "body") else None
+        for role, target in _REFERENCE.findall(doc or ""):
+            if not exists(target, members):
+                broken.append(f"{where} :{role}:`{target}`")
+        for child in getattr(node, "body", []):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{where}.{child.name}", set().union(*map(_bound, child.body)))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}", members)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, set())
+    return broken
+
+
+def test_the_scan_sees_a_broken_reference():
+    sources = {
+        "a": 'def f():\n'
+             '    """:func:`g`, :meth:`Box.size`, :func:`~escobar.b.h`, :func:`b.g`,\n'
+             '    :func:`gone`, :meth:`Box.lost` and :func:`a.h`."""\n'
+             'class Box:\n'
+             '    """:meth:`size` and :attr:`width`, not :meth:`shape`."""\n'
+             '    width: int\n'
+             '    def size(self):\n'
+             '        """:meth:`size` again; not :attr:`height`."""\n',
+        "b": "def h(): pass\ng = h\n",
+    }
+    assert broken_references(sources) == [
+        "a.f :func:`gone`", "a.f :meth:`Box.lost`", "a.f :func:`a.h`",
+        "a.Box :meth:`shape`", "a.Box.size :attr:`height`",
+    ]
+
+
+def test_docstring_references_name_what_exists():
+    assert broken_references({p.stem: p.read_text() for p in PACKAGE}) == []

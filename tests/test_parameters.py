@@ -6,7 +6,8 @@ A count is taken by ``operator.index``: a bool, a fraction, NaN and a value
 below its least raise :class:`InvalidParameterError` naming the parameter,
 and a NumPy integer gives what the Python int gives.  A positive real
 refuses a bool, NaN, zero and negative values the same way, and a finite
-real a bool, NaN and both infinities; both refuse a string and None as no
+real a bool, NaN and both infinities, with ``Decimal`` NaNs among the NaNs;
+both refuse a string and None as no
 real number, and take NumPy scalars, ``Fraction`` and ``Decimal``.  A start
 offset is taken modulo the perimeter, so a far one still gives k distinct
 cuts.
@@ -132,7 +133,10 @@ def test_a_count_takes_numpy_integers(entry, name, least, good, call):
     assert repr(call(np.int64(good))) == repr(call(good))
 
 
-@pytest.mark.parametrize("bad", [True, 0, 0.0, -1, -math.inf, math.nan])
+# a Decimal NaN raised decimal.InvalidOperation from the comparison with 0
+@pytest.mark.parametrize(
+    "bad", [True, 0, 0.0, -1, -math.inf, math.nan, Decimal("NaN"), Decimal("sNaN")]
+)
 @pytest.mark.parametrize("entry, name, good, call", REALS, ids=_ids(REALS))
 def test_a_positive_real_refuses_the_rest(entry, name, good, call, bad):
     with _refusal(f"{name} must be positive, got {bad}"):
@@ -177,7 +181,10 @@ def test_upper_bounds_keep_their_messages():
         inscribed_kgon_tuple(6, 4)
 
 
-@pytest.mark.parametrize("bad", [True, math.nan, math.inf, -math.inf])
+# a signaling Decimal NaN raised ValueError from math.isfinite
+@pytest.mark.parametrize(
+    "bad", [True, math.nan, math.inf, -math.inf, Decimal("NaN"), Decimal("sNaN")]
+)
 @pytest.mark.parametrize("entry, name, good, call", FINITES, ids=_ids(FINITES))
 def test_a_finite_real_refuses_the_rest(entry, name, good, call, bad):
     with _refusal(f"{name} must be finite, got {bad}"):
@@ -255,6 +262,8 @@ def test_a_tolerance_is_kept_as_a_float():
         ([], "families must name at least one search family"),
         # "'NoneType' object is not iterable" before
         (None, "families must be a collection of family names, got None"),
+        # "unhashable type: 'list'" before
+        ([["caps"]], "families must be a collection of family names, got (['caps'],)"),
     ],
 )
 def test_search_families_must_be_a_nonempty_collection(families, message):

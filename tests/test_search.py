@@ -425,14 +425,7 @@ def test_lazy_budget_skip_matches_whole_table_reference(name, monkeypatch):
         reads.clear()
         seeds.clear()
         got = search._auto_enumerate(domain, k, SearchConfig())
-        read = {m for m, *_ in reads.blocks}
-        if domain.is_convex:
-            # a grid whose seeds are all +inf reads no column unless its
-            # search runs: its w_min comes from the edge runs
-            finite = {m for m, (value, _cuts) in seeds.items() if math.isfinite(value)}
-            assert finite <= read <= finite | {m for m, *_ in reads.rows}, k
-        else:
-            assert read == set(seeds), k
+        assert {m for m, *_ in reads.blocks} == set(seeds), k
         reads.check(reference)
         assert _report_key(got) == _reference_auto_enumerate(domain, k, reference), k
 
@@ -631,66 +624,48 @@ def test_nonconvex_enumeration_memory(lshape):
     assert peak < 16e6
 
 
-def test_half_disk_cap_family_at_k10_evaluates_no_point(half_disk, monkeypatch):
+def test_half_disk_cap_family_at_k10_finds_no_tuple(half_disk):
     """At k = 10 every seed of every candidate grid has a cap along the
     diameter, and so does every equal split: the grids are refused at the
-    soft budget from their edge runs, and the splits are screened before
-    they are built."""
-    points = []
-    monkeypatch.setattr(
-        search, "_edge_points", lambda *args: points.append(args) or geometry._edge_points(*args)
-    )
-
-    def refuse(*args):
-        raise AssertionError("an equal split was built")
-
-    monkeypatch.setattr(search, "equal_boundary_tuple", refuse)
+    soft budget, and no split is valid."""
     sizes = _grid_candidates(half_disk, 10)
     for m in sizes:
         with pytest.raises(BudgetExceededError):
             enumerate_caps(half_disk, 10, m, budget=_ENUM_SOFT_CAP)
     assert search._auto_enumerate(half_disk, 10, SearchConfig()) is None
     assert search._equal_boundary_report(half_disk, 10) is None
-    assert len(sizes) == 24 and points == []
-
-
-def _eager_w_min_for(grid, best, limit):
-    """``_Grid.w_min_for`` without the edge-run answer: every query, at a
-    +inf incumbent too, reads columns until one beats it."""
-    thr = best - 1e-12
-    w = grid.clear
-    while w < limit and not grid._beats(w, thr, limit):
-        w += 1
-    grid.clear = w
-    return w
+    assert len(sizes) == 24
 
 
 @pytest.mark.parametrize("name", ["D4", "rect2x1", "quad", "half-disk", "slice-60", "stadium"])
 @pytest.mark.parametrize("m", [8, 24, 97])
 def test_edge_run_w_min_is_the_column_scan(name, m):
-    """With no incumbent, the edge-run answer is the column scan's from
-    every starting width and at every limit, the top widths included,
-    where the bound ``w < m - bwd[i]`` decides."""
+    """With no incumbent, a convex grid's column scan stops at the least
+    width that holds a finite eta, which the edge runs decide alone: the
+    least ``w`` with a row i where ``fwd[i] < w < m - bwd[i]``.  So is the
+    scan's answer from every starting width and at every limit, the top
+    widths included, where the bound ``w < m - bwd[i]`` decides."""
     domain = _GRID_DOMAINS[name]()
     grid = _prepare_grid(domain, m, full_validity=False)
     for clear in range(1, m + 1):
+        lo = np.maximum(grid.fwd + 1, clear)
         for limit in sorted({1, clear - 1, clear, m // 2, m - 1, m}):
-            # fresh copies: same points and edge runs, no column read
-            lazy, eager = dataclasses.replace(grid), dataclasses.replace(grid)
-            lazy.clear = eager.clear = clear
-            assert lazy.w_min_for(math.inf, limit) == _eager_w_min_for(eager, math.inf, limit), (
-                clear, limit,
-            )
-            assert lazy.clear == eager.clear
+            want = clear
+            if clear < limit:
+                want = int(lo.min(initial=limit, where=lo < m - grid.bwd))
+            scan = dataclasses.replace(grid)  # a fresh copy: no column read
+            scan.clear = clear
+            assert scan.w_min_for(math.inf, limit) == want == scan.clear, (clear, limit)
 
 
 def _grid_refusal(domain, k, m):
-    """The message and estimate of the grid's refusal at the soft budget,
-    or None when it fits."""
+    """The estimate of the grid's refusal at the soft budget, or None when
+    it fits."""
     try:
         enumerate_caps(domain, k, m, budget=_ENUM_SOFT_CAP)
     except BudgetExceededError as err:
-        return str(err), repr(err.estimate), repr(err.budget)
+        assert repr(err.budget) == repr(float(_ENUM_SOFT_CAP))
+        return repr(err.estimate)
     return None
 
 
@@ -699,23 +674,17 @@ def _grid_refusal(domain, k, m):
 )
 def test_lazy_grid_refusals_match_an_eager_grid(name, monkeypatch):
     """Every candidate grid at k = 2..12 is refused, or not, with the
-    message and estimate of a grid that evaluates its points up front and
-    scans columns at every incumbent.  Only the refusals are compared: the
-    search behind them is stubbed out."""
+    estimate of the whole table, whose points are all evaluated and whose
+    columns are all read up front (:func:`_reference_estimate`).  Only the
+    refusals are compared: the search behind them is stubbed out."""
     domain = _GRID_DOMAINS[name]()
     monkeypatch.setattr(search, "_run_enumeration", lambda *args: None)
-    cases = [(k, m) for k in range(2, 13) for m in _grid_candidates(domain, k)]
-    lazy = [_grid_refusal(domain, k, m) for k, m in cases]
-    prepare = search._prepare_grid
-
-    def eager(domain, m, *, full_validity):
-        grid = prepare(domain, m, full_validity=full_validity)
-        grid.pts  # evaluated now
-        return grid
-
-    monkeypatch.setattr(search, "_prepare_grid", eager)
-    monkeypatch.setattr(search._Grid, "w_min_for", _eager_w_min_for)
-    assert [_grid_refusal(domain, k, m) for k, m in cases] == lazy
+    tables = functools.cache(functools.partial(_reference_grid, domain))
+    for k in range(2, 13):
+        for m in _grid_candidates(domain, k):
+            estimate = _reference_estimate(domain, k, tables(m, True))
+            want = repr(float(estimate)) if estimate > _ENUM_SOFT_CAP else None
+            assert _grid_refusal(domain, k, m) == want, (k, m)
 
 
 def test_refusal_reports_an_estimate_past_the_float_range_as_inf():
@@ -1470,64 +1439,24 @@ def test_corner_allocation_takes_short_legs_next_to_a_concave_arc(name, k):
 
 
 # ---------------------------------------------------------------------------
-# equal splits screened for flat caps
+# equal splits screened by the cap floor
 # ---------------------------------------------------------------------------
 
 
-def _equal_key(report):
-    if report is None:
-        return None
-    cuts = [(r.a, r.b) for r in report.witness.regions]
-    return repr(report.value), report.evaluations, report.provenance, cuts
-
-
 @pytest.mark.parametrize("name", list(_GRID_DOMAINS))
-def test_equal_split_screen_changes_no_report(name, monkeypatch):
-    """The best equal split at k = 2..12 is the one the unscreened loop,
-    which builds and validates the split at every offset, reports."""
+def test_equal_split_screen_changes_no_report(name):
+    """The cap floor screens the equal splits out of estimate_ik: where it
+    is +inf no split is valid, and elsewhere the best split at k = 2..12
+    lies at or above it, within the rounding of a measured eta, so no
+    split the screen skips beats a corner value below the floor."""
     domain = _GRID_DOMAINS[name]()
-    screened = [_equal_key(search._equal_boundary_report(domain, k)) for k in range(2, 13)]
-    monkeypatch.setattr(search, "_flat_cap", lambda *args: False)
-    assert [_equal_key(search._equal_boundary_report(domain, k)) for k in range(2, 13)] == screened
-
-
-_FLAT_DOMAINS = {
-    **{name: _GRID_DOMAINS[name] for name in ("half-disk", "slice-60", "chord-cut", "quad", "D5")},
-    "lshape": _GRID_DOMAINS["lshape"],
-    "concave-square": concave_square,
-    "stadium": _GRID_DOMAINS["stadium"],
-}
-
-
-@st.composite
-def _boundary_cut(draw, domain):
-    """An arclength in ``[0, P]``: a vertex, ``P`` itself, a float next to a
-    vertex, or anywhere."""
-    cum = domain.cumlens
-    kind = draw(st.sampled_from(["vertex", "perimeter", "next", "any"]))
-    if kind == "vertex":
-        return float(cum[draw(st.integers(0, len(cum) - 2))])
-    if kind == "perimeter":
-        return float(cum[-1])
-    if kind == "next":
-        s = float(cum[draw(st.integers(0, len(cum) - 1))])
-        return min(max(math.nextafter(s, draw(st.sampled_from([-math.inf, math.inf]))), 0.0), cum[-1])
-    return draw(st.floats(0.0, 1.0)) * cum[-1]
-
-
-@settings(max_examples=400, deadline=None)
-@given(data=st.data(), name=st.sampled_from(list(_FLAT_DOMAINS)),
-       factor=st.sampled_from([1e-6, 1.0, 1e6]))
-def test_flat_caps_have_no_interior_chord(data, name, factor):
-    """The equal-split screen is the flat-edge rule's third form (after the
-    chord kernel and the convex grid's edge runs): every cap it flags has a
-    chord that :func:`chord_is_interior` rejects, at any scale and with cuts
-    at the vertices and at ``P``."""
-    domain = scaled(_FLAT_DOMAINS[name](), factor)
-    a = data.draw(_boundary_cut(domain))
-    b = data.draw(_boundary_cut(domain))
-    if search._flat_cap(domain, a, b):
-        assert not chord_is_interior(domain, a, b)
+    for k in range(2, 13):
+        floor = search._cap_floor(domain, k)
+        report = search._equal_boundary_report(domain, k)
+        if floor == math.inf:
+            assert report is None, k
+        elif report is not None:
+            assert report.value >= floor * (1.0 - 1e-12), (k, report.value, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -1543,25 +1472,33 @@ def _full_key(report):
     )
 
 
-_NO_CAP_CASES = [
+_SKIP_DOMAINS = {
+    **NO_CAP_DOMAINS,
+    **{name: _GRID_DOMAINS[name] for name in ("half-disk", "slice-60", "chord-cut")},
+}
+
+_SKIP_CASES = [
     (name, k)
     for name, build in NO_CAP_DOMAINS.items()
     for k in range(len(build().edges) + 1, len(build().edges) + 4)
-]
+] + [("half-disk", 10), ("slice-60", 10), ("chord-cut", 10)]
 
 
-@pytest.mark.parametrize("name, k", _NO_CAP_CASES)
+@pytest.mark.parametrize("name, k", _SKIP_CASES)
 def test_cap_family_skip_changes_no_result(name, k, monkeypatch):
-    """With more caps than vertices on straight or concave edges, the cap
-    stages find no tuple, and estimate_ik answers as the corner family
-    alone does without running them."""
-    domain = NO_CAP_DOMAINS[name]()
+    """With more caps than vertices on straight or concave edges no cap
+    tuple exists, and on the curvilinear domains at k = 10 the corner
+    family lies below the cap floor.  Either way the cap stages find no
+    tuple, and estimate_ik answers as the corner family alone does without
+    running them."""
+    domain = _SKIP_DOMAINS[name]()
     config = SearchConfig()
-    assert search._no_cap_tuple(domain, k)
+    corner_only = estimate_ik(domain, k, SearchConfig(families=("corner-strips",)))
+    floor = search._cap_floor(domain, k)
+    assert floor == math.inf or corner_only.value < floor
     assert search._equal_boundary_report(domain, k) is None
     enum = search._auto_enumerate(domain, k, config)
     assert enum is None or enum.witness is None
-    corner_only = estimate_ik(domain, k, SearchConfig(families=("corner-strips",)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a cap stage ran")
@@ -1574,12 +1511,13 @@ def test_cap_family_skip_changes_no_result(name, k, monkeypatch):
 def test_no_cap_tuple_needs_flat_edges_and_more_caps_than_vertices(
     square, lshape, unit_disk, half_disk
 ):
-    assert search._no_cap_tuple(square, 5) and not search._no_cap_tuple(square, 4)
-    assert search._no_cap_tuple(lshape, 7) and not search._no_cap_tuple(lshape, 6)
-    assert search._no_cap_tuple(concave_square(), 5)
+    floor = search._cap_floor
+    assert floor(square, 5) == math.inf and floor(square, 4) < math.inf
+    assert floor(lshape, 7) == math.inf and floor(lshape, 6) < math.inf
+    assert floor(concave_square(), 5) == math.inf
     # a convex arc holds any number of caps
-    assert not search._no_cap_tuple(unit_disk, 5)
-    assert not search._no_cap_tuple(half_disk, 5)
+    assert floor(unit_disk, 5) < math.inf
+    assert floor(half_disk, 5) < math.inf
 
 
 def test_explicit_grid_still_runs_the_cap_family(square):
