@@ -23,10 +23,7 @@ from .geometry import (
     TAU_GEOM,
     PlanarDomain,
     Segment,
-    _on_arc,
-    circle_circle_intersections,
     make_regular_polygon,
-    segment_circle_intersections,
 )
 from .regions import Cap, Strip, TupleCandidate, corner_admits_anchor, validate_tuple
 
@@ -93,82 +90,6 @@ def inscribed_kgon_tuple(n: int, k: int) -> TupleCandidate:
 # ---------------------------------------------------------------------------
 
 
-def walk_to_distance(
-    domain: PlanarDomain, start_s: float, dist: float, *, forward: bool = True
-) -> float:
-    """Arclength of the first boundary point at euclidean distance ``dist``
-    from the boundary point at ``start_s``, walking ccw (``forward``) or cw.
-
-    The walk is limited to half the perimeter.  Raises
-    :class:`~escobar.errors.ConstructionFailedError` when no such point is
-    found within that range, and
-    :class:`~escobar.errors.InvalidParameterError` unless ``start_s`` is
-    finite and ``dist`` positive.
-    """
-    start_s = _finite("start_s", start_s)
-    dist = _positive("walk distance", dist)
-    per = domain.perimeter
-    origin = domain.point_at(start_s)
-    n_edges = len(domain.edges)
-
-    i, t0 = domain.edge_index_at(start_s)
-    if not forward and t0 <= 0.0:
-        i = (i - 1) % n_edges
-        t0 = domain.edge_lengths[i]
-
-    walked = 0.0
-    for _ in range(n_edges + 1):
-        edge = domain.edges[i]
-        lo, hi = (t0, edge.length) if forward else (0.0, t0)
-        if hi - lo > 0.0:
-            hit_t = _first_circle_hit(edge, lo, hi, origin, dist, forward)
-            if hit_t is not None:
-                s = (float(domain.cumlens[i]) + hit_t) % per
-                return s
-            walked += hi - lo
-            if walked > per / 2.0:
-                break
-        if forward:
-            i = (i + 1) % n_edges
-            t0 = 0.0
-        else:
-            i = (i - 1) % n_edges
-            t0 = domain.edge_lengths[i]
-    raise ConstructionFailedError(
-        f"no boundary point at distance {dist:.6g} from s={start_s:.6g} "
-        f"within half the perimeter ({'ccw' if forward else 'cw'})"
-    )
-
-
-def _first_circle_hit(edge, lo, hi, origin, dist, forward):
-    """First local arclength in [lo, hi] (walk order) where the edge meets
-    the circle of radius ``dist`` about ``origin``, or None."""
-    hits: list[float] = []
-    if isinstance(edge, Segment):
-        a = edge.point_at_local(lo)
-        b = edge.point_at_local(hi)
-        anchor_tol = 1e-12 * max(dist, edge.length)
-        # exact shortcuts: the circle centre sits at an end of the walked piece
-        if math.dist(a, origin) <= anchor_tol:
-            return lo + dist if dist <= hi - lo else None
-        if math.dist(b, origin) <= anchor_tol:
-            return hi - dist if dist <= hi - lo else None
-        for _pt, u in segment_circle_intersections(a, b, origin, dist):
-            t = lo + u * (hi - lo)
-            if lo - 1e-12 * edge.length <= t <= hi + 1e-12 * edge.length:
-                hits.append(min(max(t, lo), hi))
-    else:
-        for pt in circle_circle_intersections(origin, dist, edge.center, edge.radius):
-            if not _on_arc(edge, pt, 1e-9 * edge.length):
-                continue
-            t = edge.local_t_of_angle(edge.angle_of_point(pt))
-            if lo - 1e-9 * edge.length <= t <= hi + 1e-9 * edge.length:
-                hits.append(min(max(t, lo), hi))
-    if not hits:
-        return None
-    return min(hits) if forward else max(hits)
-
-
 def _leg_offset(edge, t: float) -> Optional[float]:
     """Arclength from an end of ``edge`` to its point at distance ``t`` from
     that end, or None when the edge does not reach that distance first.
@@ -212,15 +133,19 @@ def corner_chain_tuple(
 
     ``legs`` must be strictly increasing euclidean distances from the corner;
     the first region is the corner cap cut at ``legs[0]``, each further
-    region the strip between consecutive cuts.  While the cuts stay on the
-    two edges adjacent to the corner, the cap has eta = sin(theta/2) and the
-    strip between legs t' < t has eta = sin(theta/2) * (t + t') / (t - t').
+    region the strip between consecutive cuts.  Every cut stays on the two
+    edges adjacent to the corner, its points at euclidean distance ``t``
+    from the vertex along each (:func:`_leg_offset`).  Between straight
+    edges the cap has eta = sin(theta/2) and the strip between legs t' < t
+    has eta = sin(theta/2) * (t + t') / (t - t').  A leg that either edge
+    does not reach raises :class:`~escobar.errors.ConstructionFailedError`
+    naming the vertex.
 
     When the corner admits anchored caps
-    (:func:`~escobar.regions.corner_admits_anchor`) and both edges hold every
-    leg, the caps are anchored at the corner, so legs may shrink to about
-    1e-290 of the edge length.  Otherwise the cut points are found by walking
-    the boundary and stored as arclengths.
+    (:func:`~escobar.regions.corner_admits_anchor`), the caps are anchored
+    at the corner, so legs may shrink to about 1e-290 of the edge length.
+    Otherwise the same cut points are stored as boundary arclengths,
+    resolved to about 1e-16 of the perimeter.
     """
     corner_index = _integer("corner_index", corner_index, 0)
     if corner_index >= len(domain.edges):
@@ -236,17 +161,15 @@ def corner_chain_tuple(
 
     before, after = domain.edges[corner_index - 1], domain.edges[corner_index]
     offsets = [(_leg_offset(before, t), _leg_offset(after, t)) for t in legs]
-    if corner_admits_anchor(domain, corner_index) and all(
-        ua is not None and ub is not None for ua, ub in offsets
-    ):
+    for t, (ua, ub) in zip(legs, offsets):
+        if ua is None or ub is None:
+            raise ConstructionFailedError(f"leg {t:.6g} runs off an edge at vertex {corner_index}")
+    if corner_admits_anchor(domain, corner_index):
         caps = [Cap(-ua, ub, corner_index) for ua, ub in offsets]
     else:
-        vs = domain.vertex_arclength(corner_index)
-        caps = []
-        for t in legs:
-            b = walk_to_distance(domain, vs, t, forward=True)
-            a = walk_to_distance(domain, vs, t, forward=False)
-            caps.append(Cap(a, b))
+        # the arclengths that regions.cap_arclengths gives the anchored caps
+        v, per = domain.vertex_arclength(corner_index), domain.perimeter
+        caps = [Cap((v - ua) % per, (v + ub) % per) for ua, ub in offsets]
     regions = [caps[0]]
     regions.extend(Strip(caps[j - 1], caps[j]) for j in range(1, len(caps)))
     tc = TupleCandidate(domain, tuple(regions))
@@ -271,8 +194,8 @@ def corner_schedule_legs(k: int, epsilon: float) -> list[float]:
     the domain perimeter so the construction is scale invariant (eta only
     depends on leg ratios, so the power law is unaffected).
     """
-    k = _integer("k", k, 1)
-    if not 0.0 < epsilon < 1.0:
+    k, epsilon = _integer("k", k, 1), _positive("epsilon", epsilon)
+    if not epsilon < 1.0:
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon}")
     deltas = [epsilon ** (-1.0 / (k - j + 1)) for j in range(k)]
     legs = []
@@ -293,10 +216,12 @@ def corner_tuple(
     smaller epsilon pushes every region's eta closer to sin(theta/2).
     Schedule legs are measured in units of the domain perimeter, so the
     resulting tuple (and its eta values) is invariant under rescaling the
-    domain.  If the requested epsilon produces legs that run off the
-    adjacent geometry (or an invalid tuple), epsilon is halved up to
-    ``_MAX_HALVINGS`` times before giving up.
+    domain.  If the requested epsilon produces a leg that runs off one of
+    the two edges at the corner (see :func:`corner_chain_tuple`) or an
+    invalid tuple, epsilon is halved up to ``_MAX_HALVINGS`` times before
+    giving up.
     """
+    epsilon = _positive("epsilon", epsilon)
     last_err: Exception | None = None
     for _ in range(_MAX_HALVINGS + 1):
         legs = [t * domain.perimeter for t in corner_schedule_legs(k, epsilon)]
@@ -317,7 +242,8 @@ def corner_tuple(
 def geometric_legs(t_min: float, t_max: float, k: int) -> list[float]:
     """k legs in geometric progression from t_min to t_max (inclusive)."""
     k = _integer("k", k, 1)
-    if not 0.0 < t_min <= t_max:
+    t_min, t_max = _positive("t_min", t_min), _positive("t_max", t_max)
+    if not t_min <= t_max:
         raise InvalidParameterError(f"need 0 < t_min <= t_max, got {t_min}, {t_max}")
     if k == 1:
         return [t_max]

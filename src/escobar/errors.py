@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import math
 import operator
+import sys
 
 
 class EscobarError(Exception):
@@ -37,38 +38,59 @@ def _positive(name: str, value) -> float:
     not above 0, raises :class:`InvalidParameterError` naming ``name``; written
     as "not >" so that NaN, which passes every "<=", is refused, and a
     ``Decimal`` NaN, which signals when compared, is refused the same way.
-    So is a value that is no real number (:func:`_not_real`)."""
+    So is a value that is no real number (:func:`_not_real`), one past the
+    float range (:func:`_float`) and one so small that it rounds to 0.0."""
     try:
-        positive = value > 0
-    except TypeError:
+        positive = bool(value > 0)
+    except (TypeError, ValueError):  # ValueError: the truth of an array
         raise _not_real(name, value) from None
     except decimal.InvalidOperation:
         positive = False
     if isinstance(value, bool) or not positive:
         raise InvalidParameterError(f"{name} must be positive, got {value}")
-    return float(value)
+    x = _float(name, value)
+    if x == 0.0:
+        raise InvalidParameterError(f"{name} must be positive as a float, got {value}")
+    return x
 
 
 def _finite(name: str, value) -> float:
     """The finite real ``value`` as a float.  A bool, NaN or an infinity
     raises :class:`InvalidParameterError` naming ``name``, and so does a
-    value that is no real number (:func:`_not_real`).  A signaling
-    ``Decimal`` NaN, which has no float value, is not finite."""
+    value that is no real number (:func:`_not_real`) or one past the float
+    range (:func:`_float`).  A signaling ``Decimal`` NaN, which has no float
+    value, is not finite."""
     try:
         finite = math.isfinite(value)
     except TypeError:
         raise _not_real(name, value) from None
+    except OverflowError:
+        finite = True  # past the float range, which _float refuses
     except ValueError:
         finite = False
     if isinstance(value, bool) or not finite:
         raise InvalidParameterError(f"{name} must be finite, got {value}")
-    return float(value)
+    return _float(name, value)
+
+
+def _float(name: str, value) -> float:
+    """``float(value)`` for a real ``value`` that compares as a number.  An
+    int or ``Fraction`` past the float range, whose conversion overflows,
+    and an array, which has no float value, are refused by name."""
+    try:
+        return float(value)
+    except OverflowError:
+        # not quoted: an int of more than 4300 digits has no str
+        limit = f"{sys.float_info.max:.6g}"
+        raise InvalidParameterError(f"{name} must be at most {limit} in magnitude") from None
+    except TypeError:
+        raise _not_real(name, value) from None
 
 
 def _not_real(name: str, value) -> InvalidParameterError:
     """The refusal of a value that does not compare with 0 or has no
-    float value, such as a string or None.  Every real number does: int,
-    float, NumPy scalars, ``Fraction`` and ``Decimal``."""
+    float value, such as a string, None or a NumPy array.  Every real
+    number does: int, float, NumPy scalars, ``Fraction`` and ``Decimal``."""
     return InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 

@@ -1571,7 +1571,7 @@ def domain_from_json(data: dict) -> PlanarDomain:
                    {"type": "arc", "center": [x, y], "radius": r,
                     "start_angle": a0, "end_angle": a1, "ccw": true}, ...]}
     """
-    if not isinstance(data, dict) or "edges" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise InvalidGeometryError("domain JSON must be an object with an 'edges' list")
     edges: list[Edge] = []
     for k, spec in enumerate(data["edges"]):

@@ -614,7 +614,7 @@ def tuple_to_json(tc: TupleCandidate) -> dict:
 
 
 def tuple_from_json(domain: PlanarDomain, data: dict) -> TupleCandidate:
-    if not isinstance(data, dict) or "regions" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("regions"), list):
         raise InvalidGeometryError("tuple JSON must be an object with a 'regions' list")
     regions = tuple(region_from_json(r) for r in data["regions"])
     n = len(domain.edges)

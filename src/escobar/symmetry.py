@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotApplicableError, _integer
+from .errors import InvalidParameterError, NotApplicableError, _finite, _integer, _positive
 from .geometry import PlanarDomain, _regular_polygon
 from .regions import Cap, _screened_cap_etas, eta_partial
 
@@ -114,8 +114,8 @@ def symmetrize(domain: PlanarDomain, lam: float):
     """
     if domain.regular_order is None:
         raise NotApplicableError("symmetrization requires a regular polygon")
-    per = domain.perimeter
-    if not 0.0 < lam <= per / 2.0 + 1e-12 * per:
+    per, lam = domain.perimeter, _positive("exterior length", lam)
+    if not lam <= per / 2.0 + 1e-12 * per:
         raise InvalidParameterError(
             f"exterior length must lie in (0, L/2], got {lam} (L={per})"
         )
@@ -132,16 +132,17 @@ def symmetrize(domain: PlanarDomain, lam: float):
     )
 
 
-def crossover_threshold(n: int, side: float = 1.0) -> float:
-    """Exterior length where the two symmetrized profiles exchange minima.
+def crossover_threshold(n: int) -> float:
+    """Exterior length, in units of the side, where the two symmetrized
+    profiles exchange minima.
 
     Below it the vertex-centered value cos(pi/n) is the smaller one; above
-    it the edge-centered profile wins.  Always lies in (side, 1.5 side].
+    it the edge-centered profile wins.  Always lies in (1, 1.5].
     """
     n = _integer("n", n, 3)
     c1 = math.cos(math.pi / n)
     c2 = math.cos(2.0 * math.pi / n)
-    return side * (1.0 - c2) / (c1 - c2)
+    return (1.0 - c2) / (c1 - c2)
 
 
 def envelope_value(n: int, ell: int) -> float:
@@ -213,7 +214,7 @@ def lower_envelope_check(n: int, L0: float) -> EnvelopeCheck:
     edge-centered for even ``ell``, with the closed-form envelope value.
     """
     domain = _regular_polygon(n)
-    s = domain.perimeter / n
+    s, L0 = domain.perimeter / n, _finite("L0", L0)
     ell = round(L0 / s)
     if abs(L0 - ell * s) > 1e-9 * domain.perimeter or not 1 <= ell <= n // 2:
         raise InvalidParameterError(

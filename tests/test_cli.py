@@ -444,6 +444,24 @@ def test_input_error_exit_3(tmp_path, capsys):
     assert run(capsys, "render", "--domain", str(bad))[0] == 3
 
 
+@pytest.mark.parametrize("edges", ["5", "null", '{"type": "segment"}'])
+def test_domain_edges_that_are_no_list_exit_3(edges, tmp_path, capsys):
+    # {"edges": 5} printed a TypeError traceback and exited 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"edges": {edges}}}')
+    rc, _, err = run(capsys, "exact", "--domain", str(bad), "--k", "2")
+    assert rc == 3
+    assert err == "error: domain JSON must be an object with an 'edges' list\n"
+
+
+def test_tuple_regions_that_are_no_list_exit_3(tmp_path, capsys):
+    bad = tmp_path / "tuple.json"
+    bad.write_text('{"regions": 5}')
+    rc, _, err = run(capsys, "render", "--ngon", "4", "--tuple", str(bad))
+    assert rc == 3
+    assert err == "error: tuple JSON must be an object with a 'regions' list\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

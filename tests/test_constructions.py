@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from escobar.constructions import (
+    _leg_offset,
     corner_chain_tuple,
     corner_schedule_legs,
     corner_tuple,
@@ -14,7 +15,6 @@ from escobar.constructions import (
     geometric_legs,
     inscribed_kgon_tuple,
     stripe_tuple,
-    walk_to_distance,
 )
 from escobar.errors import (
     ConstructionFailedError,
@@ -27,10 +27,16 @@ from escobar.geometry import (
     Segment,
     make_disk,
     make_domain,
-    make_polygon,
     make_regular_polygon,
 )
-from escobar.regions import Cap, corner_admits_anchor, eta_partial, max_eta, validate_tuple
+from escobar.regions import (
+    Cap,
+    cap_arclengths,
+    corner_admits_anchor,
+    eta_partial,
+    max_eta,
+    validate_tuple,
+)
 from tests.conftest import rectangle
 
 
@@ -77,35 +83,6 @@ def test_inscribed_kgon_values(n, k):
 def test_inscribed_kgon_requires_divisor():
     with pytest.raises(InvalidParameterError):
         inscribed_kgon_tuple(7, 3)
-
-
-# ---------------------------------------------------------------------------
-# boundary walks by euclidean distance
-# ---------------------------------------------------------------------------
-
-
-def test_walk_past_corner():
-    dom = make_polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
-    # from the corner (0,0), the first boundary point at euclidean distance
-    # 2.5 sits on the right edge at (2, 1.5), i.e. arclength 3.5
-    assert walk_to_distance(dom, 0.0, 2.5) == pytest.approx(3.5, abs=1e-9)
-    # walking backwards is symmetric: down the left edge
-    assert walk_to_distance(dom, 0.0, 2.5, forward=False) == pytest.approx(
-        8.0 - 3.5, abs=1e-9
-    )
-
-
-def test_walk_on_disk(unit_disk):
-    # chord length d subtends arc 2*asin(d/2) on the unit circle
-    d = 1.2
-    s = walk_to_distance(unit_disk, 0.0, d)
-    assert s == pytest.approx(2 * math.asin(d / 2), abs=1e-9)
-
-
-def test_walk_unreachable_distance():
-    dom = make_polygon([(0, 0), (2, 0), (2, 2), (0, 2)])
-    with pytest.raises(ConstructionFailedError):
-        walk_to_distance(dom, 0.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +133,10 @@ def test_corner_chain_anchors_legs_far_below_arclength_resolution(square):
         assert eta_partial(square, strip) == pytest.approx(want, rel=1e-13)
 
 
-def test_corner_chain_next_to_concave_arc_keeps_arclengths():
-    # vertex 2 = (2, 2) is a convex corner, but the edge after it bulges inwards
-    dom = make_domain(
+def _concave_arc_corner():
+    """Vertex 2 = (2, 2) of this square is a convex corner, but the edge
+    after it bulges inwards, so the corner admits no anchored caps."""
+    return make_domain(
         [
             Segment((0.0, 0.0), (2.0, 0.0)),
             Segment((2.0, 0.0), (2.0, 2.0)),
@@ -166,10 +144,57 @@ def test_corner_chain_next_to_concave_arc_keeps_arclengths():
             Segment((0.0, 2.0), (0.0, 0.0)),
         ]
     )
+
+
+def test_corner_chain_next_to_concave_arc_keeps_arclengths():
+    dom = _concave_arc_corner()
     assert not corner_admits_anchor(dom, 2)
     tc = corner_chain_tuple(dom, 2, [0.01, 0.1])
     assert tc.regions[0].anchor is None and tc.regions[1].outer.anchor is None
     assert validate_tuple(tc) == []
+
+
+@pytest.mark.parametrize(
+    "build, corner, legs",
+    [
+        # a 2 x 0.1 rectangle: the leg 0.2 runs off the short edge before
+        # vertex 0, and off the short edge after vertex 1
+        (lambda: rectangle(2.0, 0.1), 0, [0.05, 0.2]),
+        (lambda: rectangle(2.0, 0.1), 1, [0.2]),
+        # the concave arc after vertex 2 spans a chord of 2
+        (_concave_arc_corner, 2, [0.5, 1.99, 2.01]),
+        # a 30-degree sector of radius 4: at vertex 1 the radius holds the
+        # leg 3, the arc after it only chords up to 8 sin(pi/12) ~ 2.07
+        (lambda: make_domain([
+            Segment((0.0, 0.0), (4.0, 0.0)),
+            Arc((0.0, 0.0), 4.0, 0.0, math.pi / 6),
+            Segment((2.0 * math.sqrt(3.0), 2.0), (0.0, 0.0)),
+        ]), 1, [1.0, 3.0]),
+    ],
+)
+def test_a_leg_off_an_edge_is_refused(build, corner, legs):
+    """Cut points stay on the two edges at the corner: a leg that either
+    edge does not reach is refused, anchored corner or not."""
+    with pytest.raises(ConstructionFailedError, match=f"runs off an edge at vertex {corner}$"):
+        corner_chain_tuple(build(), corner, legs)
+
+
+@pytest.mark.parametrize("legs", [[0.01, 0.1], [1e-6, 1e-3, 0.5, 1.2]])
+def test_plain_caps_are_the_arclengths_of_the_anchored_offsets(legs):
+    """Where anchored caps are not allowed, the cut points are those of the
+    anchored caps, at arclengths :func:`cap_arclengths` gives, bit for bit,
+    and each lies at euclidean distance t from the vertex."""
+    dom, j = _concave_arc_corner(), 2
+    tc = corner_chain_tuple(dom, j, legs)
+    caps = [tc.regions[0]] + [strip.outer for strip in tc.regions[1:]]
+    vertex = dom.vertices[j]
+    for t, cap in zip(legs, caps):
+        ua, ub = _leg_offset(dom.edges[j - 1], t), _leg_offset(dom.edges[j], t)
+        want = cap_arclengths(dom, Cap(-ua, ub, j))
+        assert cap.anchor is None
+        assert (cap.a.hex(), cap.b.hex()) == tuple(s.hex() for s in want)
+        for s in want:
+            assert math.dist(dom.point_at(s), vertex) == pytest.approx(t, rel=1e-9)
 
 
 def test_geometric_legs_make_uniform_strips(square):
@@ -240,6 +265,21 @@ def test_corner_tuple_shrinks_oversized_epsilon(square):
     # eps=0.2 puts the outer leg past the fit cap; halving must recover
     tc = corner_tuple(square, 0, 2, 0.2)
     assert validate_tuple(tc) == []
+
+
+def test_corner_tuple_halves_epsilon_until_the_legs_hold_on_the_edges():
+    """On a 4 x 0.1 rectangle the schedule at eps = 0.01 puts a leg of
+    about 1.2 on the short edge at vertex 0, which holds 0.1.  Halving
+    brings every leg onto the two edges, so the chain is anchored there."""
+    dom = rectangle(4.0, 0.1)
+    legs = [t * dom.perimeter for t in corner_schedule_legs(2, 0.01)]
+    assert 0.1 < legs[-1] <= 0.245 * dom.perimeter
+    with pytest.raises(ConstructionFailedError):
+        corner_chain_tuple(dom, 0, legs)
+    tc = corner_tuple(dom, 0, 2, 0.01)
+    assert validate_tuple(tc) == []
+    outer = tc.regions[1].outer
+    assert outer.anchor == 0 and -0.1 < outer.a and outer.b < 4.0
 
 
 # ---------------------------------------------------------------------------

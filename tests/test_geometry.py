@@ -1111,6 +1111,15 @@ def test_domain_json_rejects_garbage():
         domain_from_json({"edges": [{"type": "spline"}]})
 
 
+@pytest.mark.parametrize("edges", [5, None, "ab", {"type": "segment"}, ()])
+def test_domain_json_edges_must_be_a_list(edges):
+    # 5 and None raised TypeError from enumerate
+    with pytest.raises(
+        InvalidGeometryError, match=r"^domain JSON must be an object with an 'edges' list$"
+    ):
+        domain_from_json({"edges": edges})
+
+
 @pytest.mark.parametrize("ccw", ["false", 0])
 def test_domain_json_arc_direction_must_be_a_boolean(ccw):
     # bool("false") is True: the string built a counterclockwise arc before

@@ -1,6 +1,7 @@
 """Every imported name in the package, the tests and the benchmark is used, every
 private helper of the package has a caller in the package, and only
-``errors.py`` reads integers by ``operator.index`` or writes a finiteness rule.
+``errors.py`` reads integers by ``operator.index`` or writes a finiteness or
+positivity rule.
 
 No linter runs on this repository, so these tests are the guard.  They parse
 each module with ``ast``:
@@ -17,8 +18,9 @@ each module with ``ast``:
   ``from operator import``, writes its own integer rule: every count of the
   package goes through ``errors._integer``;
 * a module that raises ``InvalidParameterError`` with a "must be finite"
-  message writes its own finiteness rule: every finite real of the package
-  goes through ``errors._finite``;
+  or "must be positive" message writes its own finiteness or positivity
+  rule: every finite real of the package goes through ``errors._finite``,
+  and every positive real through ``errors._positive``;
 * a ``:func:``, ``:meth:``, ``:class:`` or ``:attr:`` reference in a
   package docstring names a module-level name of some package module, or a
   member of the class whose docstring or method holds it, so a deleted
@@ -184,10 +186,10 @@ def test_only_errors_reads_integers_by_index(path):
     assert bool(index_reads(path.read_text())) == (path.name == "errors.py")
 
 
-def finite_rules(source: str) -> list[int]:
+def rules_saying(source: str, phrase: str) -> list[int]:
     """Lines of ``source`` that raise ``InvalidParameterError``, by name or
-    as an attribute, with a message holding "must be finite" in a string
-    literal or in a literal part of an f-string."""
+    as an attribute, with a message holding ``phrase`` in a string literal
+    or in a literal part of an f-string."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
@@ -196,7 +198,7 @@ def finite_rules(source: str) -> list[int]:
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
         if name == "InvalidParameterError" and any(
             isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-            and "must be finite" in sub.value
+            and phrase in sub.value
             for sub in ast.walk(node.exc)
         ):
             lines.append(node.lineno)
@@ -209,12 +211,26 @@ def test_the_scan_sees_a_finite_rule():
            "raise errors.InvalidParameterError('y must be finite and small')\n"
            "raise InvalidParameterError(f'z must be positive, got {z}')\n"
            "raise ValueError('w must be finite')\nmsg = 'v must be finite'\n")
-    assert finite_rules(src) == [3, 4]
+    assert rules_saying(src, "must be finite") == [3, 4]
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_only_errors_writes_a_finiteness_rule(path):
-    assert bool(finite_rules(path.read_text())) == (path.name == "errors.py")
+    assert bool(rules_saying(path.read_text(), "must be finite")) == (path.name == "errors.py")
+
+
+def test_the_scan_sees_a_positive_rule():
+    src = ("from .errors import InvalidParameterError\nfrom . import errors\n"
+           "raise InvalidParameterError(f'x must be positive, got {x}')\n"
+           "raise errors.InvalidParameterError('y must be positive and small')\n"
+           "raise InvalidParameterError(f'z must be finite, got {z}')\n"
+           "raise ValueError('w must be positive')\nmsg = 'v must be positive'\n")
+    assert rules_saying(src, "must be positive") == [3, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_errors_writes_a_positivity_rule(path):
+    assert bool(rules_saying(path.read_text(), "must be positive")) == (path.name == "errors.py")
 
 
 _REFERENCE = re.compile(r":(func|meth|class|attr):`([^`]+)`")

@@ -5,12 +5,12 @@ and ``errors._finite``).
 A count is taken by ``operator.index``: a bool, a fraction, NaN and a value
 below its least raise :class:`InvalidParameterError` naming the parameter,
 and a NumPy integer gives what the Python int gives.  A positive real
-refuses a bool, NaN, zero and negative values the same way, and a finite
-real a bool, NaN and both infinities, with ``Decimal`` NaNs among the NaNs;
-both refuse a string and None as no
-real number, and take NumPy scalars, ``Fraction`` and ``Decimal``.  A start
-offset is taken modulo the perimeter, so a far one still gives k distinct
-cuts.
+refuses a bool, NaN, zero, negative values and a value that rounds to 0.0
+the same way, and a finite real a bool, NaN and both infinities, with
+``Decimal`` NaNs among the NaNs; both refuse a string, None and a NumPy
+array as no real number and a value past the float range, and take NumPy
+scalars, ``Fraction`` and ``Decimal``.  A start offset is taken modulo the
+perimeter, so a far one still gives k distinct cuts.
 """
 
 import math
@@ -29,7 +29,6 @@ from escobar.constructions import (
     geometric_legs,
     inscribed_kgon_tuple,
     stripe_tuple,
-    walk_to_distance,
 )
 from escobar.errors import InvalidParameterError
 from escobar.exact import disk_dominance_check, ik_disk, ik_exact, ik_regular_polygon
@@ -42,7 +41,13 @@ from escobar.search import (
     estimate_ik,
     refine_caps,
 )
-from escobar.symmetry import audit_symmetrization, crossover_threshold, envelope_value
+from escobar.symmetry import (
+    audit_symmetrization,
+    crossover_threshold,
+    envelope_value,
+    lower_envelope_check,
+    symmetrize,
+)
 
 SQUARE = make_regular_polygon(4)  # side sqrt(2)
 PENTAGON = make_regular_polygon(5)
@@ -86,8 +91,12 @@ COUNTS = [
 REALS = [
     ("enumerate_caps", "budget", 10**9, lambda v: enumerate_caps(SQUARE, 2, 8, budget=v)),
     ("SearchConfig", "budget", 5, lambda v: SearchConfig(budget=v)),
-    ("walk_to_distance", "walk distance", 1, lambda v: walk_to_distance(SQUARE, 0.0, v)),
     ("corner_chain_tuple", "legs", 1, lambda v: corner_chain_tuple(SQUARE, 0, [0.5, v])),
+    ("corner_schedule_legs", "epsilon", 0.01, lambda v: corner_schedule_legs(3, v)),
+    ("corner_tuple", "epsilon", 0.01, lambda v: corner_tuple(SQUARE, 0, 2, v)),
+    ("geometric_legs", "t_min", 1, lambda v: geometric_legs(v, 2.0, 3)),
+    ("geometric_legs", "t_max", 1, lambda v: geometric_legs(0.5, v, 3)),
+    ("symmetrize", "exterior length", 1, lambda v: symmetrize(SQUARE, v)),
     ("stripe_tuple", "stripe height", 1, lambda v: stripe_tuple(RECT, 2, v)),
     ("make_disk", "disk radius", 2, make_disk),
     ("make_regular_polygon", "circumradius", 2, lambda v: make_regular_polygon(5, v)),
@@ -98,9 +107,10 @@ REALS = [
 #: (entry point, parameter, a valid value, the call with the finite real)
 FINITES = [
     ("equal_boundary_tuple", "start_offset", 0.3, lambda v: equal_boundary_tuple(SQUARE, 3, v)),
-    ("walk_to_distance", "start_s", 0.3, lambda v: walk_to_distance(SQUARE, v, 1.0)),
     ("disk_dominance_check", "tolerance", 1e-9, lambda v: disk_dominance_check(5, 3, tol=v)),
     ("SearchConfig", "tolerance", 1e-9, lambda v: SearchConfig(tolerance=v)),
+    # the side of the hexagon of circumradius 1
+    ("lower_envelope_check", "L0", 1, lambda v: lower_envelope_check(6, v)),
     # a valid start of one cap on the regular pentagon
     ("refine_caps", "cut position", 1.0, lambda v: refine_caps(PENTAGON, [v, 1.4])),
 ]
@@ -146,7 +156,8 @@ def test_a_positive_real_refuses_the_rest(entry, name, good, call, bad):
 @pytest.mark.parametrize("entry, name, good, call", REALS, ids=_ids(REALS))
 def test_a_positive_real_takes_numpy_numbers(entry, name, good, call):
     want = repr(call(float(good)))
-    assert repr(call(np.int64(good))) == want
+    if isinstance(good, int):  # an epsilon below 1 has no integer value
+        assert repr(call(np.int64(good))) == want
     assert repr(call(np.float64(good))) == want
 
 
@@ -201,14 +212,31 @@ def test_a_finite_real_takes_numpy_numbers(entry, name, good, call):
 NONE_IS_DEFAULT = {("equal_boundary_tuple", "start_offset"), ("stripe_tuple", "stripe height")}
 
 
-@pytest.mark.parametrize("bad", ["2", None])
+@pytest.mark.parametrize("bad", ["2", None, np.array([1.0, 2.0])])
 @pytest.mark.parametrize("entry, name, good, call", REALS + FINITES, ids=_ids(REALS + FINITES))
 def test_a_real_refuses_what_is_no_number(entry, name, good, call, bad):
-    # each raised TypeError before, from a comparison or from math.isfinite
+    # each raised TypeError before, from a comparison or from math.isfinite,
+    # and an array ValueError from the truth of its comparison with 0
     if bad is None and (entry, name) in NONE_IS_DEFAULT:
         call(None)  # the default, not a refusal
         return
     with _refusal(f"{name} must be a real number, got {bad!r}"):
+        call(bad)
+
+
+# each raised OverflowError, from float() or from math.isfinite
+@pytest.mark.parametrize("bad", [10**400, Fraction(10**400)])
+@pytest.mark.parametrize("entry, name, good, call", REALS + FINITES, ids=_ids(REALS + FINITES))
+def test_a_real_past_the_float_range_is_refused(entry, name, good, call, bad):
+    with _refusal(f"{name} must be at most 1.79769e+308 in magnitude"):
+        call(bad)
+
+
+# each was read as 0.0, a positive zero
+@pytest.mark.parametrize("bad", [Fraction(1, 10**400), Decimal("1e-400")])
+@pytest.mark.parametrize("entry, name, good, call", REALS, ids=_ids(REALS))
+def test_a_positive_real_that_rounds_to_zero_is_refused(entry, name, good, call, bad):
+    with _refusal(f"{name} must be positive as a float, got {bad}"):
         call(bad)
 
 
@@ -224,8 +252,6 @@ def test_a_real_takes_fractions_and_decimals(entry, name, good, call):
     [
         # "chord between s=nan and s=nan ..." before
         (lambda: equal_boundary_tuple(SQUARE, 3, math.nan), "start_offset must be finite, got nan"),
-        # "no boundary point at distance 1 from s=nan ..." before
-        (lambda: walk_to_distance(SQUARE, math.nan, 1.0), "start_s must be finite, got nan"),
         # a positive real first, so only +inf reaches the finite rule
         (lambda: scaled(SQUARE, math.inf), "scale factor must be finite, got inf"),
         # "cut positions must be finite, got [1.0, nan]" before

@@ -336,6 +336,15 @@ def test_anchor_json_is_checked(square):
         tuple_from_json(square, {"regions": [{"kind": "cap", "a": -0.1, "b": 0.1, "anchor": 4}]})
 
 
+@pytest.mark.parametrize("regions", [5, None, "cap", {"kind": "cap"}])
+def test_tuple_json_regions_must_be_a_list(square, regions):
+    # 5 and None raised TypeError from the generator
+    with pytest.raises(
+        InvalidGeometryError, match=r"^tuple JSON must be an object with a 'regions' list$"
+    ):
+        tuple_from_json(square, {"regions": regions})
+
+
 # ---------------------------------------------------------------------------
 # the retired containment check, kept as an oracle
 # ---------------------------------------------------------------------------

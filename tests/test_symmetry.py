@@ -145,7 +145,7 @@ def measured_crossover(n):
 def test_crossover_matches_bisection(n):
     dom = make_regular_polygon(n)
     s = dom.perimeter / n
-    assert crossover_threshold(n, side=s) == pytest.approx(
+    assert s * crossover_threshold(n) == pytest.approx(
         measured_crossover(n), abs=1e-8 * dom.perimeter
     )
 
