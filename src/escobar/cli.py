@@ -34,6 +34,7 @@ from .constructions import (
 from .errors import (
     BudgetExceededError,
     EscobarError,
+    InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
 )
@@ -268,11 +269,13 @@ def _cmd_render(args, outputs: list[str]) -> int:
     if args.tuple:
         with open(args.tuple) as f:
             data = json.load(f)
+        if not isinstance(data, dict):  # "domain" in a string tests a substring
+            raise InvalidGeometryError("tuple JSON must be an object with a 'regions' list")
         if "domain" in data:
             domain = domain_from_json(data["domain"])
         else:
             domain = _load_domain(args)
-        if isinstance(data, dict) and "witness" in data:
+        if "witness" in data:
             data = data["witness"]  # an optimize report
         tc = tuple_from_json(domain, data)
     else:

@@ -29,7 +29,7 @@ def _integer(name: str, value, least: int) -> int:
             if value >= least:
                 return value
             word = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
-            raise InvalidParameterError(f"{name} must be {word}, got {value}")
+            raise InvalidParameterError(f"{name} must be {word}, got {_shown(value)}")
     raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
@@ -47,11 +47,22 @@ def _positive(name: str, value) -> float:
     except decimal.InvalidOperation:
         positive = False
     if isinstance(value, bool) or not positive:
-        raise InvalidParameterError(f"{name} must be positive, got {value}")
+        raise InvalidParameterError(f"{name} must be positive, got {_shown(value)}")
     x = _float(name, value)
     if x == 0.0:
-        raise InvalidParameterError(f"{name} must be positive as a float, got {value}")
+        raise InvalidParameterError(f"{name} must be positive as a float, got {_shown(value)}")
     return x
+
+
+def _shown(value) -> str:
+    """``str(value)`` for a refusal, or, for an int or ``Fraction`` with a
+    term past the 4 300-digit limit of ``str``, its sign and magnitude from
+    ``math.log10``, such as ``-1e+5000``, without writing out the digits."""
+    try:
+        return str(value)
+    except ValueError:
+        e = math.log10(abs(value.numerator)) - math.log10(value.denominator)
+        return f"{'-' if value < 0 else ''}{10 ** (e % 1):.6g}e{math.floor(e):+d}"
 
 
 def _finite(name: str, value) -> float:

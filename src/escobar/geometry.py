@@ -25,7 +25,14 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidParameterError, _finite, _integer, _positive
+from .errors import (
+    InvalidGeometryError,
+    InvalidParameterError,
+    _finite,
+    _float,
+    _integer,
+    _positive,
+)
 
 #: Geometric tolerance, relative to the domain scale (bounding-box diagonal).
 TAU_GEOM = 1e-9
@@ -790,6 +797,127 @@ class PlanarDomain:
         return memo[i]
 
     @cached_property
+    def _pair_clears(self) -> dict[tuple[int, int], bool | None]:
+        """Memo of :meth:`_pair_clear` by edge pair ``(i, j)``, ``i < j``:
+        ``None`` after the pair's first use, then its verdict."""
+        return {}
+
+    def _pair_clear(self, i: int, j: int) -> bool:
+        """Whether every chord between segments ``i != j`` whose ends lie
+        more than ``c = 1e-3 S`` of boundary from each segment's ends is
+        interior, with margin ``delta = c sin(1e-3)`` (about ``1e-6 S``, the
+        clearance of the convex verdict of :func:`chord_is_interior`).
+
+        False on a pair's first use, when the general test answers as
+        before, and from the second use on the verdict, found once and
+        kept: a pair tested once costs no more than it did.  Always False
+        unless the domain is a polygon whose bounding box lies within ``S``
+        of the origin.  The verdict holds when both segments are longer than
+        ``2c`` and, with ``a_i, b_i`` and ``a_j, b_j`` the trimmed segments'
+        ends and ``Q`` their convex hull:
+
+        * each trimmed segment lies at least ``delta`` left of (inside) the
+          other's line, so ``Q`` has the sides ``a_i b_i``, ``b_i a_j``,
+          ``a_j b_j`` and ``b_j a_i`` in ccw order, and meets the line of
+          ``i`` only in ``a_i b_i`` (likewise ``j``);
+        * every other edge ``f`` stays at least ``delta`` from those sides;
+        * and either the line of ``f`` misses one trimmed segment by
+          ``delta``, or the sine between ``f`` and every chord ``y - x`` is
+          at least ``delta / S`` with one sign (it is, when it is at the
+          four corners of the parallelogram of those differences, by
+          linearity).
+
+        Then every such chord is interior, and the general test says so;
+        the argument follows :func:`chord_is_interior`'s.  ``x`` lies on
+        ``i``, ``y`` on ``j``, ``l = |xy|``, and rounding moves a point by
+        about ``1e-16 S``, 1e10x inside ``delta``.
+
+        * Interior.  Leaving out the open trimmed segments cuts the boundary
+          into two chains, each running from a corner of ``Q`` along a stub
+          of ``i`` or ``j`` outside ``Q`` and then through other edges, if
+          any.  Those start outside ``Q`` and never come within ``delta`` of
+          its sides, so they never enter it, and the boundary meets ``Q``
+          only in the trimmed segments.  The open chord lies in ``Q`` and meets the line of
+          ``i`` only at ``x`` (``y`` lies off it) and that of ``j`` only at
+          ``y``, so it misses the boundary; next to ``x`` it runs left of
+          ``i``, inside, so it is inside throughout.
+        * ``TAU_GEOM S`` (zero chord): ``l >= delta``, 1000x above.
+        * Edges ``i`` and ``j``.  The sine between the chord and ``i`` is at
+          least ``delta / l >= 1e-6``, 1e6x above the parallel test.  The
+          chord meets the line of ``i`` at ``x``; the computed hit moves
+          from it by the rounding of ``x`` and of the cross products,
+          ``1e-16 S + 2.3e-16 (|w| + l)`` (``|w| <= S`` as in the box
+          reject), over that sine: at most ``6e-10 l``, 1600x inside ``excl
+          >= 1e-6 l``.  Likewise ``j`` at ``y``.
+        * Other edges, parallel path: a hit or an overlap needs a point of
+          ``f`` within ``4e-9 S`` of the chord, which lies in ``Q``; ``f``
+          stays ``delta`` away, 250x more.
+        * Other edges, non-parallel path.  With ``rho = 2.3e-16 / sine <
+          2.3e-4``, a computed hit puts the lines' crossing ``X`` within
+          ``D = eps l + rho (|w| + |u*| l)`` of the chord and within ``eps L
+          + rho (|w| + |v*| L)`` of ``f`` (the box reject's bounds), so ``D
+          (1 - rho) <= 1e-9 S + 2 rho S``, and likewise for ``f``.  At a
+          sine of ``1e-8`` or more both distances are below ``5e-8 S``, so
+          ``f`` would come within ``1e-7 S`` of the chord: 10x short of
+          ``delta``.  A smaller sine is below ``delta / S``, so the line of
+          ``f`` misses a trimmed segment by ``delta``: the chord's end there
+          lies ``delta`` from that line, the other end ``0.99 delta`` on the
+          same side, and ``D >= 0.99 delta / sine``; then ``0.99 delta <=
+          1e-9 S + 4.6e-16 S``, 1000x short.
+        * The midpoint lies ``delta / 2`` or more from the boundary, and the
+          side test or the ray cast says inside, as for the convex verdict.
+
+        The second use takes O(n) segment distances, as :meth:`_side_reach`
+        does for one edge.
+        """
+        memo = self._pair_clears
+        key = (i, j) if i < j else (j, i)
+        if key not in memo:
+            memo[key] = None  # first use: the general test answers
+        elif memo[key] is None:
+            memo[key] = self._pair_visible(*key)
+        return bool(memo[key])
+
+    def _pair_visible(self, i: int, j: int) -> bool:
+        """The verdict of :meth:`_pair_clear` on edges ``i`` and ``j``,
+        found afresh."""
+        rows = self._point_rows
+        c = _CONVEX_VERTEX_CLEARANCE * self.scale
+        delta = c * math.sin(_CONVEX_CORNER_MARGIN)
+        if (
+            not self._near_origin
+            or any(row[0] for row in rows)
+            or min(rows[i][5], rows[j][5]) <= 2.0 * c
+        ):
+            return False
+        ai, bi = _row_point(rows[i], c), _row_point(rows[i], rows[i][5] - c)
+        aj, bj = _row_point(rows[j], c), _row_point(rows[j], rows[j][5] - c)
+        corners = (ai, bi, aj, bj)
+
+        def offsets(row: tuple, pts: Iterable[Point]) -> list[float]:
+            """Signed distances of ``pts`` from a segment's line, left positive."""
+            _arc, x0, y0, dx, dy, length = row
+            return [(dx * (p[1] - y0) - dy * (p[0] - x0)) / length for p in pts]
+
+        if min(offsets(rows[i], (aj, bj)) + offsets(rows[j], (ai, bi))) < delta:
+            return False
+        sides = ((ai, bi), (bi, aj), (aj, bj), (bj, ai))
+        chords = [_sub(y, x) for x in (ai, bi) for y in (aj, bj)]
+        for k, f in enumerate(self.edges):
+            if k == i or k == j:
+                continue
+            if min(_segment_edge_distance(a, b, f) for a, b in sides) < delta:
+                return False
+            off = offsets(rows[k], corners)
+            if any(min(o) >= delta or max(o) <= -delta for o in (off[:2], off[2:])):
+                continue  # the line of f misses a trimmed segment
+            _arc, _x0, _y0, dx, dy, length = rows[k]
+            sines = [_cross((dx, dy), v) / (length * math.hypot(*v)) for v in chords]
+            if not (min(sines) >= delta / self.scale or max(sines) <= -delta / self.scale):
+                return False
+        return True
+
+    @cached_property
     def _point_rows(self) -> tuple[tuple, ...]:
         """Each edge's ``_row``, which :func:`_row_point` evaluates: for a
         segment ``(False, x0, y0, dx, dy, L)``, its start, ``end - start`` and
@@ -1057,6 +1185,7 @@ def make_regular_polygon(n: int, circumradius: float = 1.0) -> PlanarDomain:
     """Regular n-gon with vertices on the circle of given circumradius,
     the first vertex at angle 0."""
     n = _integer("n", n, 3)
+    _float("n", n)  # the angles below divide by n as a float
     circumradius = _positive("circumradius", circumradius)
     pts = [
         (
@@ -1279,8 +1408,16 @@ def chord_is_interior(domain: PlanarDomain, s0: float, s1: float) -> bool:
       general test says so: its side test says only inside, and the ray
       cast's own tolerances only make it retry a ray.
 
-    Chords shorter than ``1e-3 S`` stay with the general test, under the
-    *same-arc rule*, which reads edge indices like the flat-edge rule: a
+    Any other chord with its ends more than ``c`` from the ends of two
+    distinct segments gets the *pair verdict* (:meth:`PlanarDomain._pair_clear`,
+    argued there) when that edge pair is visible: on a polygon within ``S``
+    of the origin, every such chord between the two is interior, with the
+    general test's tolerances cleared as above.  A pair's first chord goes
+    to the general test and its second finds the verdict, so a pair tested
+    once costs what it did.
+
+    Other chords shorter than ``1e-3 S`` stay with the general test, under
+    the *same-arc rule*, which reads edge indices like the flat-edge rule: a
     line meets a circle in at most two points, so a chord with both ends on
     one convex (ccw) arc meets that arc only at its ends.  The general test
     skips that arc's circle roots; it still tests every other edge, then
@@ -1307,6 +1444,9 @@ def _interior_chord_ends(domain: PlanarDomain, s0: float, s1: float) -> tuple[Po
     ``point_at``'s floats.  The objective of ``search.refine_caps`` spells
     out this lookup, those operations and the convex verdict once more for
     the caps that verdict accepts, and calls this function for the rest.
+    The pair verdict is read here only, after the convex verdict, so
+    validation, the nonconvex grids of ``search`` and the objective all
+    share it.
     """
     cum = domain.cumlens
     n = len(cum) - 1
@@ -1343,12 +1483,16 @@ def _interior_chord_ends(domain: PlanarDomain, s0: float, s1: float) -> tuple[Po
         u = t1 / e
         q = (a + u * c, b + u * d)
     clear = domain._convex_clearance
+    lens = domain.edge_lengths
     if (
         clear is not None
-        and clear < t0 < domain.edge_lengths[i0] - clear
-        and clear < t1 < domain.edge_lengths[i1] - clear
+        and clear < t0 < lens[i0] - clear
+        and clear < t1 < lens[i1] - clear
         and math.dist(p, q) >= _CONVEX_MIN_CHORD * domain.scale
     ):
+        return p, q
+    c = _CONVEX_VERTEX_CLEARANCE * domain.scale
+    if i0 != i1 and c < t0 < lens[i0] - c and c < t1 < lens[i1] - c and domain._pair_clear(i0, i1):
         return p, q
     # every edge left in ``shared`` is a convex arc holding both ends
     inside = _chord_is_interior_general(domain, p, q, shared, ((i0, t0), (i1, t1)))

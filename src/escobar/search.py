@@ -65,7 +65,6 @@ from .geometry import (
 from .regions import (
     Cap,
     TupleCandidate,
-    _arcs_clash,
     _chords_conflict,
     _exterior_problem,
     cap_arclengths,
@@ -781,8 +780,8 @@ def refine_caps(
     when the cuts are out of order or a width falls below ``1e-9 P``;
     otherwise ``500 + bad`` when ``bad`` chords are not interior;
     otherwise, on a nonconvex domain only, ``400`` when a cap breaks the
-    exterior rule of :func:`validate_tuple` or two caps' arcs overlap or
-    chords conflict; and else the tuple's max eta.  The chord kernel behind
+    exterior rule of :func:`validate_tuple` or two caps' chords conflict;
+    and else the tuple's max eta.  The chord kernel behind
     :func:`chord_is_interior` (:func:`~escobar.geometry._interior_chord_ends`)
     gives each cap both the verdict and the chord's end points, and the
     cap's eta is their distance over ``(b - a) mod P``, the operations of
@@ -808,14 +807,24 @@ def refine_caps(
     :func:`validate_tuple` find with ``point_at`` are the kernel's, bit for
     bit, and its exterior intervals are ``[(a, b)]``.  Validation runs, per
     cap, the exterior rule (:func:`~escobar.regions._exterior_problem`) and
-    then the same kernel call, and per pair of valid caps
-    :func:`~escobar.regions._arcs_clash` and
-    :func:`~escobar.regions._chords_conflict`, which are called here; both
-    measure against ``TAU_GEOM``, as every predicate does.  Any bad chord
-    scores ``500 + bad`` either way, and without one any violation scores
-    400.  The kernel runs once on every cap in both, so this raises exactly
-    when validating did.  The pair checks cannot raise: every chord that reaches them is
-    longer than ``TAU_GEOM`` times the scale.
+    then the same kernel call, and per pair of valid caps the arc-overlap
+    check (:func:`~escobar.regions._arcs_clash`) and
+    :func:`~escobar.regions._chords_conflict`, which is called here.  Any
+    bad chord scores ``500 + bad`` either way, and without one any
+    violation scores 400.  The kernel runs once on every cap in both, so
+    this raises exactly when validating did.  The chord check cannot raise:
+    every chord that reaches it is longer than ``TAU_GEOM`` times the scale.
+
+    The arc-overlap check never fires here, so it is not called.  Past the
+    order and width penalty the cuts do not decrease and ``xl[last] <=
+    fl(xl[0] + P)``: the signs of ``xl[j + 1] - xl[j]`` and of the wrap are
+    exact, and the one rounded sum moves by half an ulp.  So the caps'
+    exact arcs overlap by at most ``1.2e-16 (|xl[0]| + P)``, and the
+    check's own ``%`` and ``-`` round by a few ulp of ``P``: below
+    ``2e-10 P``, 5x inside ``TAU_GEOM * P``, while the cuts lie within
+    ``1e6 P`` of 0.  Callers start from cuts in ``[0, 2P)``; no cut that
+    ``estimate_ik`` evaluates on the L-shape (k = 2, 3) or the star
+    hexagon (k = 2) lies beyond ``1.5 P``.
     """
     config = config or SearchConfig()
     per = domain.perimeter
@@ -860,7 +869,7 @@ def refine_caps(
             return 1e3 + viol / per
         bad = 0
         val = 0.0
-        chords = []
+        exts, chords = [], []
         for j in range(0, last, 2):
             a = xl[j] % per
             b = xl[j + 1] % per
@@ -907,18 +916,15 @@ def refine_caps(
             if eta > val:  # max(val, eta), NaN included
                 val = eta
             if not convex:
-                chords.append((a, b, ext, ends))
+                exts.append(ext)
+                chords.append(ends)
         if bad:
             return 500.0 + bad
         if not convex:
-            if any(_exterior_problem(per, ext) for _a, _b, ext, _e in chords):
+            if any(_exterior_problem(per, ext) for ext in exts) or any(
+                _chords_conflict(domain, *pair) for pair in itertools.combinations(chords, 2)
+            ):
                 return 400.0
-            for i, (a, b, _ext, ends) in enumerate(chords):
-                for a2, b2, _ext2, ends2 in chords[i + 1:]:
-                    if _arcs_clash(per, [(a, b)], [(a2, b2)]):
-                        return 400.0
-                    if _chords_conflict(domain, ends, ends2):
-                        return 400.0
         if val < best:
             best = val
             best_x = list(xl)

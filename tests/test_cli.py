@@ -455,11 +455,13 @@ def test_domain_edges_that_are_no_list_exit_3(edges, tmp_path, capsys):
 
 
 def test_tuple_regions_that_are_no_list_exit_3(tmp_path, capsys):
+    # the JSON string "domain" printed a TypeError traceback and exited 1
     bad = tmp_path / "tuple.json"
-    bad.write_text('{"regions": 5}')
-    rc, _, err = run(capsys, "render", "--ngon", "4", "--tuple", str(bad))
-    assert rc == 3
-    assert err == "error: tuple JSON must be an object with a 'regions' list\n"
+    for text in ('{"regions": 5}', '"domain"', '"witness"', '["domain"]'):
+        bad.write_text(text)
+        rc, _, err = run(capsys, "render", "--ngon", "4", "--tuple", str(bad))
+        assert rc == 3
+        assert err == "error: tuple JSON must be an object with a 'regions' list\n"
 
 
 @pytest.mark.parametrize(

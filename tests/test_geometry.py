@@ -1,15 +1,17 @@
 """Geometry layer: constructors, walks, predicates, JSON round-trips."""
 
 import functools
+import itertools
 import json
 import math
+import random
 import time
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from escobar import geometry
@@ -957,6 +959,111 @@ def test_side_test_needs_the_box_near_the_origin(monkeypatch):
         assert chord_is_interior(far, 3.5, 0.5)  # (11.5, 1) to (10.5, 0)
     assert len(calls) == 3
     assert far._side_reach(0) == far._side_reach(2) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# edge-pair verdict of the chord kernel against the general test
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _pair_domains(draw):
+    """The L-shape, the star hexagon or a random star polygon (4 to 9
+    vertices about the origin), dilated by 1e-6, 1 or 1e6, and shifted by
+    its scale a quarter of the time, where the verdict is off."""
+    base = draw(st.sampled_from(["lshape", "star", "random"]))
+    if base == "random":
+        n = draw(st.integers(4, 9))
+        gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))
+        angles = itertools.accumulate(g * TWO_PI / sum(gaps) for g in gaps)
+        radii = draw(st.lists(st.floats(0.2, 1.5), min_size=n, max_size=n))
+        try:
+            dom = make_polygon([(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)])
+        except (InvalidGeometryError, InvalidParameterError):
+            assume(False)
+    else:
+        dom = _SIDE_BASES[base]()
+    dom = scaled(dom, draw(st.sampled_from([1e-6, 1.0, 1e6])))
+    if draw(st.integers(0, 3)) == 0:
+        dx = dom.scale
+        dom = make_polygon([(x + dx, y) for x, y in dom.vertices])
+        assert not dom._near_origin
+    return dom
+
+
+@st.composite
+def _pair_chords(draw):
+    """A domain and two cuts: anywhere, at a vertex (a reflex one half the
+    time where there is one), or at ``c`` of an edge's ends, 1 ulp off."""
+    dom = draw(_pair_domains())
+    cum, n = dom.cumlens, len(dom.edges)
+    c = geometry._CONVEX_VERTEX_CLEARANCE * dom.scale
+    reflex = [j for j, a in enumerate(dom.interior_angles) if a > math.pi]
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def cut():
+        kind = draw(st.integers(0, 5))
+        if kind < 4:  # uniform: drawn floats crowd at 0, far from the pairs' ranges
+            return rnd.random() * dom.perimeter
+        if kind == 4:
+            return cum[draw(st.sampled_from(reflex if reflex and draw(st.booleans())
+                                            else range(n)))]
+        i = draw(st.integers(0, n - 1))
+        s = cum[i] + c if draw(st.booleans()) else cum[i + 1] - c
+        return math.nextafter(s, draw(st.sampled_from([-math.inf, s, math.inf])))
+
+    return dom, cut() % dom.perimeter, cut() % dom.perimeter
+
+
+_LSHAPE_C = geometry._CONVEX_VERTEX_CLEARANCE * math.sqrt(8.0)  # c on the L-shape
+
+
+@settings(max_examples=800, deadline=None)
+@given(chord=_pair_chords())
+# pair (0, 5) of the L-shape with its ends at c, 1 ulp inside and outside
+@example(chord=(_SIDE_BASES["lshape"](), math.nextafter(_LSHAPE_C, 1.0), 8.0 - 2.0 * _LSHAPE_C))
+@example(chord=(_SIDE_BASES["lshape"](), math.nextafter(_LSHAPE_C, 0.0), 7.0))
+@example(chord=(_SIDE_BASES["lshape"](), 1.0, math.nextafter(8.0 - _LSHAPE_C, 0.0)))
+@example(chord=(_SIDE_BASES["lshape"](), 1.0, math.nextafter(8.0 - _LSHAPE_C, 9.0)))
+# from the reflex vertex (1, 1) and to the notch's wall past it
+@example(chord=(_SIDE_BASES["lshape"](), 4.0, 1.0))
+@example(chord=(_SIDE_BASES["lshape"](), 1.5, 4.5))
+def test_pair_verdict_matches_general_test(chord):
+    """The kernel's verdict equals the general test's on both tests of a
+    pair: the first one, which the general test answers, and the second,
+    which reads the pair verdict."""
+    dom, s0, s1 = chord
+    want = _general_verdict(dom, s0, s1)
+    for _ in range(2):
+        assert chord_is_interior(dom, s0, s1) == want, (dom.vertices, s0, s1)
+    if any(dom._pair_clears.values()):
+        assert dom._near_origin
+    if dom._pair_clears.get(tuple(sorted((dom.edge_index_at(s0)[0], dom.edge_index_at(s1)[0])))):
+        event("chord of a visible pair")
+
+
+def test_pair_verdict_spares_the_general_test_from_the_second_use(monkeypatch):
+    """On the L-shape, pair (0, 5), the bottom and left edges, is visible:
+    its first chord goes to the general test, the next ones, either way
+    round, do not.  Pair (0, 3) reaches the notch's wall ``x = 1`` past the
+    reflex vertex (1, 1), where some chords run outside: it is tested every
+    time."""
+    dom = _SIDE_BASES["lshape"]()
+    calls = []
+    general = geometry._chord_is_interior_general
+    monkeypatch.setattr(
+        geometry, "_chord_is_interior_general", lambda *a: calls.append(a) or general(*a)
+    )
+    assert chord_is_interior(dom, 0.5, 7.5)  # (0.5, 0) to (0, 0.5)
+    assert len(calls) == 1
+    assert chord_is_interior(dom, 1.5, 6.5)  # (1.5, 0) to (0, 1.5)
+    assert chord_is_interior(dom, 7.5, 0.5)
+    assert len(calls) == 1
+    for _ in range(3):
+        assert chord_is_interior(dom, 0.5, 4.5)  # (0.5, 0) to (1, 1.5)
+        assert not chord_is_interior(dom, 1.5, 4.5)  # (1.5, 0) to (1, 1.5)
+    assert len(calls) == 7
+    assert dom._pair_clears == {(0, 5): True, (0, 3): False}
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,13 @@ def test_a_positive_real_takes_numpy_numbers(entry, name, good, call):
         (lambda: stripe_tuple(RECT, 2, math.nan), "stripe height must be positive, got nan"),
         (lambda: audit_symmetrization(5, seed=-1), "seed must be non-negative, got -1"),
         (lambda: enumerate_caps(SQUARE, 1, 8), "k must be at least 2, got 1"),  # IndexError
+        # ValueError from the f-string: an int of more than 4 300 digits has no str
+        (lambda: SearchConfig(budget=-10**5000), "budget must be positive, got -1e+5000"),
+        (lambda: SearchConfig(seed=-10**5000), "seed must be non-negative, got -1e+5000"),
+        (lambda: SearchConfig(budget=Fraction(-10**5000, 3)),
+         "budget must be positive, got -3.33333e+4999"),
+        # OverflowError from the angles, which divide by n as a float
+        (lambda: make_regular_polygon(10**5000), "n must be at most 1.79769e+308 in magnitude"),
     ],
 )
 def test_parameters_that_used_to_slip_through(call, message):

@@ -1264,6 +1264,19 @@ def _cut_vectors(draw):
     return name, k, [x + shift for x in xl]
 
 
+def _touching_arc_examples(test):
+    """``@example``s on every domain: two equal caps whose arcs touch at
+    both ends (``xl[-1] == xl[0] + per``), from a cut at ``-1e-300``, which
+    reduces to ``P``, and shifted by 3 perimeters either way.  Their arcs
+    meet within rounding, where the retired objective's arc-overlap check
+    would fire on more than ``TAU_GEOM * P``."""
+    for name in sorted(_OBJECTIVE_DOMAINS):
+        per = _OBJECTIVE_DOMAINS[name]().perimeter
+        for s in (-1e-300, 3.0 * per, -3.0 * per):
+            test = example(case=(name, 2, [s, s + per / 2, s + per / 2, s + per]))(test)
+    return test
+
+
 @settings(max_examples=500, deadline=None)
 @given(case=_cut_vectors())
 # the exterior rule: widths of 1e-9 P that reduce below it after a shift
@@ -1280,6 +1293,7 @@ def _cut_vectors(draw):
                              13.999999999999993]))
 # the pinned L-shape witness, with a cut at the reflex vertex (1, 1)
 @example(case=("lshape", 2, [0.6666666690881444, 4.0, 4.277777777203589, 8.666666645911924]))
+@_touching_arc_examples
 def test_fused_objective_matches_validating_first(case):
     """The fused objective scores every vector as the retired one did, bit
     for bit, or raises the same exception."""
