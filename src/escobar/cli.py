@@ -54,17 +54,21 @@ from .symmetry import audit_symmetrization
 
 
 def _parse_int_range(text: str) -> list[int]:
-    """Accepts '4', '2..8', or '2,3,5'."""
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-        if hi_i < lo_i:
-            raise InvalidParameterError(f"empty range: {text!r}")
-        return list(range(lo_i, hi_i + 1))
-    if "," in text:
-        return [int(t) for t in text.split(",") if t.strip()]
-    return [int(text)]
+    """Accepts '4', '2..8', or '2,3,5'; other text, or one that names no
+    integer, raises InvalidParameterError quoting it."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:
+        raise InvalidParameterError(
+            f"expected an integer, a range 'a..b' or a list 'a,b,c', got {text!r}"
+        ) from None
+    if not values:
+        raise InvalidParameterError(f"empty range: {text!r}")
+    return values
 
 
 def _add_domain_args(p: argparse.ArgumentParser) -> None:

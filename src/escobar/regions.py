@@ -20,6 +20,7 @@ competitors over which the k-th Escobar constant is minimised.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -126,11 +127,16 @@ def _is_plain(region: Region) -> bool:
 
 
 def cap_arclengths(domain: PlanarDomain, cap: Cap) -> tuple[float, float]:
-    """Boundary arclengths of the cap's two cut points."""
-    if cap.anchor is None:
-        return cap.a, cap.b
-    v = domain.vertex_arclength(cap.anchor)
+    """Boundary arclengths of the cap's two cut points, in ``[0, P]``.
+
+    A plain cap's arclengths outside ``[0, P]`` are reduced modulo ``P``;
+    the rest are returned as they are.
+    """
     per = domain.perimeter
+    if cap.anchor is None:
+        a, b = cap.a, cap.b
+        return (a if 0.0 <= a <= per else a % per), (b if 0.0 <= b <= per else b % per)
+    v = domain.vertex_arclength(cap.anchor)
     return (v + cap.a) % per, (v + cap.b) % per
 
 
@@ -364,9 +370,10 @@ def validate_region(domain: PlanarDomain, region: Region) -> list[str]:
     if problems:
         return problems
     # nesting: outer.a < inner.a < inner.b < outer.b in ccw order from outer.a
-    da = (region.inner.a - region.outer.a) % per
-    db = (region.inner.b - region.outer.a) % per
-    dw = (region.outer.b - region.outer.a) % per
+    (ia, ib), (oa, ob) = interior_chords(domain, region)
+    da = (ia - oa) % per
+    db = (ib - oa) % per
+    dw = (ob - oa) % per
     if not (tol_len < da < db - tol_len and db < dw - tol_len):
         problems.append(
             "strip caps are not strictly nested "
@@ -400,12 +407,17 @@ def validate_tuple(tc: TupleCandidate) -> list[TupleViolation]:
     Adjacent regions may share boundary cut points and two regions may
     share an identical chord, as long as their interiors stay disjoint.
 
-    Anchored regions are grouped by vertex.  The hull of a group, the cap
-    spanning all its members' offsets, is checked with the boundary
-    predicates once; the regions inside it are checked against each other
-    on the offsets alone (disjoint exterior intervals, nested chords).  Two
-    groups, or a group and a plain region, are compared through the group's
-    hull; only when those clash are the regions compared one by one.
+    Each region is checked on its own first, an anchored one on its corner
+    and offsets, and anchored regions that pass are grouped by vertex.  Two
+    regions of one group are compared on the offsets alone (disjoint
+    exterior intervals, nested chords), each region's offsets read once.
+    Every other pair is compared by *units*: a group of two or more whose
+    hull, the cap spanning all its members' offsets, passes the boundary
+    predicates stands in for its members, and any other region for itself.
+    One cached comparison decides each pair of units, and only when two
+    units clash are their members compared one by one.  Where no hull
+    stands in, each member's outer cap is checked with the boundary
+    predicates instead.
 
     Three predicates settle disjointness: ``region-invalid`` (each region
     valid on its own, every chord interior to M), ``arc-overlap`` and
@@ -435,51 +447,51 @@ def validate_tuple(tc: TupleCandidate) -> list[TupleViolation]:
       least ``a`` to the greatest ``b`` of its members (on a nested chain,
       the outermost cap).  The corner cap is convex, so it holds every
       region of the group, and the argument applied to the hull makes the
-      regions disjoint; when the hulls clash the regions are compared one
-      by one.
+      regions disjoint; when a hull clashes with another unit the regions
+      are compared one by one.
     """
     domain = tc.domain
     regions = tc.regions
     n = len(regions)
     out: list[TupleViolation] = []
-
     bad = [False] * n
+
+    def flag(i, problems):
+        out.extend(TupleViolation(i, i, "region-invalid", p) for p in problems)
+        bad[i] = bool(problems)
+
+    anchor = [_anchor_of(r) for r in regions]
+    local = {}  # offsets of each anchored region that passed its own checks
     groups: dict[int, list[int]] = {}
     for i, region in enumerate(regions):
-        if _anchor_of(region) is not None:
-            probs = _anchored_problems(domain, region)
-            if not probs:
-                groups.setdefault(_anchor_of(region), []).append(i)
-        else:
-            probs = validate_region(domain, region)
-        bad[i] = bool(probs)
-        for pr in probs:
-            out.append(TupleViolation(i, i, "region-invalid", pr))
+        if anchor[i] is None:
+            flag(i, validate_region(domain, region))
+            continue
+        flag(i, _anchored_problems(domain, region))
+        if not bad[i]:
+            groups.setdefault(anchor[i], []).append(i)
+            local[i] = _local_pieces(region)
 
-    hulls: dict[int, Cap] = {}
+    unit = list(regions)  # what stands in for each region against other units
     for j, members in groups.items():
         caps = [c for i in members for c in _caps(regions[i])]
         hull = Cap(min(c.a for c in caps), max(c.b for c in caps), j)
-        if not _cap_problems(domain, hull, "anchored group hull"):
-            hulls[j] = hull
+        if len(members) > 1 and not _cap_problems(domain, hull, "anchored group hull"):
+            for i in members:
+                unit[i] = hull
             continue
-        # the hull fails: check each region's own outer cap instead
+        # no hull stands in: each region's outer cap is checked, its offsets
+        # have passed
         for i in members:
-            probs = validate_region(domain, regions[i])
-            bad[i] = bool(probs)
-            for pr in probs:
-                out.append(TupleViolation(i, i, "region-invalid", pr))
-
-    anchor = [_anchor_of(r) if not bad[i] else None for i, r in enumerate(regions)]
-
-    def hull_of(i):
-        j = anchor[i]
-        if j in hulls and len(groups[j]) > 1:
-            return ("vertex", j), hulls[j]
-        return ("region", i), regions[i]
+            label = "cap" if isinstance(regions[i], Cap) else "outer cap"
+            flag(i, _cap_problems(domain, _caps(regions[i])[-1], label))
 
     pieces = functools.cache(functools.partial(_pieces, domain))  # chord ends found once
-    hulls_clear: dict = {}
+
+    @functools.cache
+    def check(u, v):
+        return _check_pair(domain, pieces(u), pieces(v))
+
     for i in range(n):
         if bad[i]:
             continue
@@ -487,18 +499,11 @@ def validate_tuple(tc: TupleCandidate) -> list[TupleViolation]:
             if bad[j]:
                 continue
             if anchor[i] is not None and anchor[i] == anchor[j]:
-                _check_same_anchor(regions[i], regions[j], i, j, out)
-                continue
-            (key_i, hull_i), (key_j, hull_j) = hull_of(i), hull_of(j)
-            if hulls and (key_i[0] == "vertex" or key_j[0] == "vertex"):
-                key = (key_i, key_j)
-                if key not in hulls_clear:
-                    probe: list[TupleViolation] = []
-                    _check_pair(domain, i, j, probe, pieces(hull_i), pieces(hull_j))
-                    hulls_clear[key] = not probe
-                if hulls_clear[key]:
-                    continue
-            _check_pair(domain, i, j, out, pieces(regions[i]), pieces(regions[j]))
+                problems = _check_same_anchor(local[i], local[j])
+            else:  # units that clear each other clear their members
+                problems = check(unit[i], unit[j]) and check(regions[i], regions[j])
+            for predicate, detail in problems:
+                out.append(TupleViolation(i, j, predicate, detail))
     return out
 
 
@@ -508,34 +513,23 @@ def _pieces(domain: PlanarDomain, region: Region):
     return exterior_intervals(domain, region), ends
 
 
-def _check_pair(domain, i, j, out, pieces_i, pieces_j) -> None:
-    """Exterior overlap and chord conflicts of two regions, given as their
-    :func:`_pieces`."""
-    ints_i, chords_i = pieces_i
-    ints_j, chords_j = pieces_j
-    msg = _arcs_clash(domain.perimeter, ints_i, ints_j)
-    if msg:
-        out.append(TupleViolation(i, j, "arc-overlap", msg))
-    for c1 in chords_i:
-        for c2 in chords_j:
-            msg = _chords_conflict(domain, c1, c2)
-            if msg:
-                out.append(TupleViolation(i, j, "chord-crossing", msg))
-
-
-def _arcs_clash(per, ints_i, ints_j):
-    """The first overlap of two regions' exterior intervals, else None.
-
-    An overlap up to ``TAU_GEOM * per`` is forgiven.
-    """
-    tol_len = TAU_GEOM * per
-    for s0, s1 in ints_i:
-        l0 = (s1 - s0) % per
-        for u0, u1 in ints_j:
-            ov = _circular_interval_overlap(s0, l0, u0, (u1 - u0) % per, per)
-            if ov > tol_len:
-                return f"exterior arcs overlap over length {ov:.6g}"
-    return None
+def _check_pair(domain, pieces_i, pieces_j) -> list[tuple[str, str]]:
+    """``(predicate, detail)`` of each conflict of two regions, given as
+    their :func:`_pieces`: the first overlap of their exterior intervals
+    (one up to ``TAU_GEOM * per`` is forgiven), then every chord conflict."""
+    (ints_i, chords_i), (ints_j, chords_j) = pieces_i, pieces_j
+    per = domain.perimeter
+    out = []
+    for (s0, s1), (u0, u1) in itertools.product(ints_i, ints_j):
+        ov = _circular_interval_overlap(s0, (s1 - s0) % per, u0, (u1 - u0) % per, per)
+        if ov > TAU_GEOM * per:
+            out.append(("arc-overlap", f"exterior arcs overlap over length {ov:.6g}"))
+            break
+    for c1, c2 in itertools.product(chords_i, chords_j):
+        msg = _chords_conflict(domain, c1, c2)
+        if msg:
+            out.append(("chord-crossing", msg))
+    return out
 
 
 def _local_pieces(region: Region):
@@ -546,30 +540,26 @@ def _local_pieces(region: Region):
     return [(outer.a, inner.a), (inner.b, outer.b)], [(inner.a, inner.b), (outer.a, outer.b)]
 
 
-def _check_same_anchor(ri, rj, i, j, out) -> None:
-    """Disjointness of two regions anchored at one vertex, on offsets alone.
+def _check_same_anchor(local_i, local_j) -> list[tuple[str, str]]:
+    """:func:`_check_pair` of two regions anchored at one vertex, given as
+    their :func:`_local_pieces`: on offsets alone.
 
     Both exteriors lie on the offset line through the vertex, so they are
     compared as intervals.  Every chord joins the two edges at the vertex,
     so two chords cross exactly when their end offsets interleave.
     """
-    ints_i, chords_i = _local_pieces(ri)
-    ints_j, chords_j = _local_pieces(rj)
-    for lo0, hi0 in ints_i:
-        hit = None
-        for lo1, hi1 in ints_j:
-            lo, hi = max(lo0, lo1), min(hi0, hi1)
-            if hi > lo:
-                hit = f"exterior arcs overlap over length {hi - lo:.6g}"
-                break
-        if hit:
-            out.append(TupleViolation(i, j, "arc-overlap", hit))
+    (ints_i, chords_i), (ints_j, chords_j) = local_i, local_j
+    out = []
+    for (lo0, hi0), (lo1, hi1) in itertools.product(ints_i, ints_j):
+        lo, hi = max(lo0, lo1), min(hi0, hi1)
+        if hi > lo:
+            out.append(("arc-overlap", f"exterior arcs overlap over length {hi - lo:.6g}"))
             break
-    for x1, y1 in chords_i:
-        for x2, y2 in chords_j:
-            if (x1 < x2 and y1 < y2) or (x1 > x2 and y1 > y2):
-                msg = f"chords cross (offsets ({x1:.6g}, {y1:.6g}) and ({x2:.6g}, {y2:.6g}))"
-                out.append(TupleViolation(i, j, "chord-crossing", msg))
+    for (x1, y1), (x2, y2) in itertools.product(chords_i, chords_j):
+        if (x1 < x2 and y1 < y2) or (x1 > x2 and y1 > y2):
+            msg = f"chords cross (offsets ({x1:.6g}, {y1:.6g}) and ({x2:.6g}, {y2:.6g}))"
+            out.append(("chord-crossing", msg))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +587,20 @@ def region_from_json(data: dict) -> Region:
             anchor = data.get("anchor")
             if anchor is not None and (isinstance(anchor, bool) or not isinstance(anchor, int)):
                 raise InvalidGeometryError(f"cap anchor must be a vertex index, got {anchor!r}")
-            return Cap(float(data["a"]), float(data["b"]), anchor)
+            a, b = float(data["a"]), float(data["b"])
+            for name, value in (("a", a), ("b", b)):
+                if not math.isfinite(value):
+                    raise InvalidGeometryError(f"cap {name} must be finite, got {value}")
+            return Cap(a, b, anchor)
         if kind == "strip":
             inner = region_from_json(data["inner"])
             outer = region_from_json(data["outer"])
             if not (isinstance(inner, Cap) and isinstance(outer, Cap)):
                 raise InvalidGeometryError("strip caps must be caps")
             return Strip(inner, outer)
-    except (KeyError, TypeError, ValueError) as exc:
+    except InvalidGeometryError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidGeometryError(f"malformed region JSON ({exc})") from exc
     raise InvalidGeometryError(f"unknown region kind {kind!r}")
 

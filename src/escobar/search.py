@@ -765,10 +765,10 @@ def refine_caps(
 ) -> BoundReport:
     """Nelder-Mead refinement of a cap tuple (never worse than ``initial``).
 
-    The 2k cut positions, which must be finite, are optimised directly;
-    infeasible orderings and non-interior chords are pushed back by a large
-    penalty, and the best *valid* tuple ever evaluated is what gets
-    reported.  Each of
+    The 2k cut positions, which must be finite, are optimised directly,
+    those outside ``[0, P]`` first reduced modulo ``P``; infeasible
+    orderings and non-interior chords are pushed back by a large penalty,
+    and the best *valid* tuple ever evaluated is what gets reported.  Each of
     ``config.restarts`` runs (the first from the start, the others from
     seeded normal draws around it) is SciPy's adaptive Nelder-Mead with
     ``xatol``, ``fatol`` and ``maxfev``, ported to Python floats as
@@ -808,8 +808,8 @@ def refine_caps(
     bit, and its exterior intervals are ``[(a, b)]``.  Validation runs, per
     cap, the exterior rule (:func:`~escobar.regions._exterior_problem`) and
     then the same kernel call, and per pair of valid caps the arc-overlap
-    check (:func:`~escobar.regions._arcs_clash`) and
-    :func:`~escobar.regions._chords_conflict`, which is called here.  Any
+    and chord checks of :func:`~escobar.regions._check_pair`; the second,
+    :func:`~escobar.regions._chords_conflict`, is called here.  Any
     bad chord scores ``500 + bad`` either way, and without one any
     violation scores 400.  The kernel runs once on every cap in both, so
     this raises exactly when validating did.  The chord check cannot raise:
@@ -834,7 +834,9 @@ def refine_caps(
     x0 = [_finite("cut position", c) for c in cuts0]
     k = len(x0) // 2
     last = 2 * k - 1
-    # unwrap into an increasing vector so the pattern test is linear
+    # unwrap into an increasing vector so the pattern test is linear; a cut
+    # outside [0, P] is reduced first, so each adds P at most 2k times
+    x0 = [c if 0.0 <= c <= per else c % per for c in x0]
     for i in range(1, 2 * k):
         while x0[i] < x0[i - 1] - 1e-12 * per:
             x0[i] += per

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NotApplicableError, _finite, _integer, _positive
 from .geometry import PlanarDomain, _regular_polygon
-from .regions import Cap, _screened_cap_etas, eta_partial
+from .regions import Cap, _screened_cap_etas, eta_partial, exterior_length
 
 _DEGENERATE_ETA = 1.0
 
@@ -163,7 +163,7 @@ def symmetrization_inequality_check(domain: PlanarDomain, cap: Cap):
     Returns ``(ok, eta_cap, eta_symmetrized_min)``; :func:`symmetrize`
     refuses an exterior length outside its range.
     """
-    vertex, edge = symmetrize(domain, (cap.b - cap.a) % domain.perimeter)
+    vertex, edge = symmetrize(domain, exterior_length(domain, cap))
     bound = min(vertex.eta, edge.eta)
     eta = eta_partial(domain, cap)
     return eta >= bound - _INEQUALITY_MARGIN, eta, bound

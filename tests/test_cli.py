@@ -465,6 +465,47 @@ def test_tuple_regions_that_are_no_list_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "region, message",
+    [
+        ('{"kind": "cap", "a": NaN, "b": 1}', "cap a must be finite, got nan"),
+        ('{"kind": "cap", "a": 0.5, "b": Infinity}', "cap b must be finite, got inf"),
+        ('{"kind": "strip", "inner": {"kind": "cap", "a": -Infinity, "b": 0.1, "anchor": 0},'
+         ' "outer": {"kind": "cap", "a": -0.2, "b": 0.2, "anchor": 0}}',
+         "cap a must be finite, got -inf"),
+        # an OverflowError traceback and exit 1 before
+        ('{"kind": "cap", "a": 1' + "0" * 400 + ', "b": 1}',
+         "malformed region JSON (int too large to convert to float)"),
+    ],
+)
+def test_tuple_with_a_non_finite_cut_exit_3(region, message, tmp_path, capsys):
+    # a NaN cut exited 0 and drew "M nan nan L nan nan" into the SVG
+    bad = tmp_path / "tuple.json"
+    bad.write_text(f'{{"regions": [{region}]}}')
+    rc, out, err = run(capsys, "render", "--ngon", "4", "--tuple", str(bad))
+    assert (rc, out, err) == (3, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        # ",," wrote an empty CSV and a manifest, "," scanned 0 pairs, and
+        # "2.." said only "invalid literal for int() with base 10: ''"
+        (["exact", "--ngon", "6", "--k", ",,"], "empty range: ',,'"),
+        (["conjecture-scan", "--n-range", ","], "empty range: ','"),
+        (["exact", "--ngon", "6", "--k", "2.."], "got '2..'"),
+        (["exact", "--ngon", "6", "--k", "3,x"], "got '3,x'"),
+        (["conjecture-scan", "--n-range", "5", "--k-range", "2..3..4"], "got '2..3..4'"),
+    ],
+)
+def test_empty_or_malformed_integer_list_exit_3(argv, text, tmp_path, capsys):
+    out_file = tmp_path / "out.csv"
+    rc, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and text in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["exact", "--k", "2"],

@@ -244,14 +244,10 @@ def _bound(node: ast.AST) -> set[str]:
     return {t.id for t in targets if isinstance(t, ast.Name)}
 
 
-def broken_references(sources: dict[str, str]) -> list[str]:
-    """``module.holder role:`target``` for each docstring reference in
-    ``sources`` (module name to source) that names nothing: ``target``, less
-    a leading ``~`` and ``escobar.``, is a module-level name of some module,
-    or ``Class.member`` of a module-level class, or either of these in the
-    named module (``regions.max_eta``), or a member of the enclosing
-    class."""
-    modules = {}  # module -> {module-level name -> its members, if a class}
+def _definitions(sources: dict[str, str]) -> dict[str, dict[str, set[str]]]:
+    """Module name to its module-level names, each with its members if it
+    is a class."""
+    modules = {}
     for module, source in sources.items():
         names = modules[module] = {}
         for node in ast.parse(source).body:
@@ -259,26 +255,38 @@ def broken_references(sources: dict[str, str]) -> list[str]:
                 names[name] = set()
             if isinstance(node, ast.ClassDef):
                 names[node.name] = set().union(*map(_bound, node.body))
+    return modules
 
-    def exists(target: str, members: set[str]) -> bool:
-        parts = target.lstrip("~").removeprefix("escobar.").split(".")
-        scopes = list(modules.values())
-        if len(parts) > 1 and parts[0] in modules:
-            scopes = [modules[parts.pop(0)]]
-        if len(parts) == 1 and parts[0] in members:
-            return True
-        head, *rest = parts
-        return any(
-            head in names and (not rest or len(rest) == 1 and rest[0] in names[head])
-            for names in scopes
-        )
 
+def _names_something(modules, target: str, members: set[str]) -> bool:
+    """Whether ``target``, less a leading ``~`` and ``escobar.``, is a
+    module-level name of some module, or ``Class.member`` of a module-level
+    class, or either of these in the named module (``regions.max_eta``), or
+    one of ``members``."""
+    parts = target.lstrip("~").removeprefix("escobar.").split(".")
+    scopes = list(modules.values())
+    if len(parts) > 1 and parts[0] in modules:
+        scopes = [modules[parts.pop(0)]]
+    if len(parts) == 1 and parts[0] in members:
+        return True
+    head, *rest = parts
+    return any(
+        head in names and (not rest or len(rest) == 1 and rest[0] in names[head])
+        for names in scopes
+    )
+
+
+def broken_references(sources: dict[str, str]) -> list[str]:
+    """``module.holder role:`target``` for each docstring reference in
+    ``sources`` (module name to source) that names nothing
+    (:func:`_names_something`, with the members of the enclosing class)."""
+    modules = _definitions(sources)
     broken = []
 
     def visit(node: ast.AST, where: str, members: set[str]) -> None:
         doc = ast.get_docstring(node, clean=False) if hasattr(node, "body") else None
         for role, target in _REFERENCE.findall(doc or ""):
-            if not exists(target, members):
+            if not _names_something(modules, target, members):
                 broken.append(f"{where} :{role}:`{target}`")
         for child in getattr(node, "body", []):
             if isinstance(child, ast.ClassDef):
@@ -311,3 +319,45 @@ def test_the_scan_sees_a_broken_reference():
 
 def test_docstring_references_name_what_exists():
     assert broken_references({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+_DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+
+
+def readme_references(text: str, modules) -> list[str]:
+    """Each backticked dotted name in ``text`` that points into ``modules``
+    (:func:`_definitions`): its head, less ``escobar.``, is a module or a
+    module-level name of one."""
+    return [
+        target
+        for target in _DOTTED.findall(text)
+        if (head := target.removeprefix("escobar.").split(".")[0]) in modules
+        or any(head in names for names in modules.values())
+    ]
+
+
+def broken_readme_references(text: str, sources: dict[str, str]) -> list[str]:
+    """The :func:`readme_references` of ``text`` into ``sources`` (module
+    name to source) that name nothing."""
+    modules = _definitions(sources)
+    return [t for t in readme_references(text, modules) if not _names_something(modules, t, set())]
+
+
+def test_the_scan_sees_a_broken_readme_reference():
+    sources = {"a": "def f(): pass\nclass Box:\n    def size(self): pass\n"}
+    text = ("`a.f`, `a.gone`, `Box.size`, `Box.lost`, `escobar.a.f`, `escobar.a.lost`,\n"
+            "`os.path`, `report.value`, `pyproject.toml`, `f`, `a.f()` and `a.Box.size`.")
+    assert readme_references(text, _definitions(sources)) == [
+        "a.f", "a.gone", "Box.size", "Box.lost", "escobar.a.f", "escobar.a.lost", "a.Box.size",
+    ]
+    assert broken_readme_references(text, sources) == ["a.gone", "Box.lost", "escobar.a.lost"]
+
+
+def test_readme_references_name_what_exists():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    text = (ROOT / "README.md").read_text()
+    assert {"PlanarDomain._pair_clear", "errors._integer", "errors._positive",
+            "regions.max_eta", "regions.validate_tuple"} <= set(
+        readme_references(text, _definitions(sources))
+    )
+    assert broken_readme_references(text, sources) == []

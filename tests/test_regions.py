@@ -1,5 +1,6 @@
 """Caps, strips, eta measurement, tuple validation, JSON round-trips."""
 
+import functools
 import json
 import math
 
@@ -12,6 +13,7 @@ from escobar.errors import InvalidGeometryError
 from escobar.geometry import (
     _GOLDEN_ANGLE,
     TAU_GEOM,
+    _circular_interval_overlap,
     _solve_quadratic,
     _sub,
     Arc,
@@ -26,6 +28,15 @@ from escobar.regions import (
     Cap,
     Strip,
     TupleCandidate,
+    TupleViolation,
+    _anchor_of,
+    _anchored_problems,
+    _cap_problems,
+    _caps,
+    _chords_conflict,
+    _local_pieces,
+    _pieces,
+    cap_arclengths,
     corner_admits_anchor,
     eta_partial,
     exterior_intervals,
@@ -731,3 +742,235 @@ def test_region_contains_point_skips_a_boundary_piece_with_equal_ends():
                       ((-3.96, -0.3), False), ((-3.5, 0.5), False)]:
         assert region_contains_point(domain, cap, p) is inside
         assert _reference_region_contains_point(domain, cap, p) is inside
+
+
+# ---------------------------------------------------------------------------
+# the retired pair loop of validate_tuple, kept as the reference
+# ---------------------------------------------------------------------------
+
+
+def _retired_validate_tuple(tc):
+    """``validate_tuple`` as it was before it compared units: a hand-kept
+    memo of hull pairs keyed by ``("vertex", j)`` and ``("region", i)``,
+    offsets read again for every pair at one corner, and each member of a
+    group with a failed hull validated again in full."""
+    domain = tc.domain
+    regions = tc.regions
+    n = len(regions)
+    out = []
+
+    bad = [False] * n
+    groups = {}
+    for i, region in enumerate(regions):
+        if _anchor_of(region) is not None:
+            probs = _anchored_problems(domain, region)
+            if not probs:
+                groups.setdefault(_anchor_of(region), []).append(i)
+        else:
+            probs = validate_region(domain, region)
+        bad[i] = bool(probs)
+        for pr in probs:
+            out.append(TupleViolation(i, i, "region-invalid", pr))
+
+    hulls = {}
+    for j, members in groups.items():
+        caps = [c for i in members for c in _caps(regions[i])]
+        hull = Cap(min(c.a for c in caps), max(c.b for c in caps), j)
+        if not _cap_problems(domain, hull, "anchored group hull"):
+            hulls[j] = hull
+            continue
+        for i in members:
+            probs = validate_region(domain, regions[i])
+            bad[i] = bool(probs)
+            for pr in probs:
+                out.append(TupleViolation(i, i, "region-invalid", pr))
+
+    anchor = [_anchor_of(r) if not bad[i] else None for i, r in enumerate(regions)]
+
+    def hull_of(i):
+        j = anchor[i]
+        if j in hulls and len(groups[j]) > 1:
+            return ("vertex", j), hulls[j]
+        return ("region", i), regions[i]
+
+    pieces = functools.cache(functools.partial(_pieces, domain))
+    hulls_clear = {}
+    for i in range(n):
+        if bad[i]:
+            continue
+        for j in range(i + 1, n):
+            if bad[j]:
+                continue
+            if anchor[i] is not None and anchor[i] == anchor[j]:
+                _retired_check_same_anchor(regions[i], regions[j], i, j, out)
+                continue
+            (key_i, hull_i), (key_j, hull_j) = hull_of(i), hull_of(j)
+            if hulls and (key_i[0] == "vertex" or key_j[0] == "vertex"):
+                key = (key_i, key_j)
+                if key not in hulls_clear:
+                    probe = []
+                    _retired_check_pair(domain, i, j, probe, pieces(hull_i), pieces(hull_j))
+                    hulls_clear[key] = not probe
+                if hulls_clear[key]:
+                    continue
+            _retired_check_pair(domain, i, j, out, pieces(regions[i]), pieces(regions[j]))
+    return out
+
+
+def _retired_check_pair(domain, i, j, out, pieces_i, pieces_j):
+    ints_i, chords_i = pieces_i
+    ints_j, chords_j = pieces_j
+    msg = _retired_arcs_clash(domain.perimeter, ints_i, ints_j)
+    if msg:
+        out.append(TupleViolation(i, j, "arc-overlap", msg))
+    for c1 in chords_i:
+        for c2 in chords_j:
+            msg = _chords_conflict(domain, c1, c2)
+            if msg:
+                out.append(TupleViolation(i, j, "chord-crossing", msg))
+
+
+def _retired_arcs_clash(per, ints_i, ints_j):
+    tol_len = TAU_GEOM * per
+    for s0, s1 in ints_i:
+        l0 = (s1 - s0) % per
+        for u0, u1 in ints_j:
+            ov = _circular_interval_overlap(s0, l0, u0, (u1 - u0) % per, per)
+            if ov > tol_len:
+                return f"exterior arcs overlap over length {ov:.6g}"
+    return None
+
+
+def _retired_check_same_anchor(ri, rj, i, j, out):
+    ints_i, chords_i = _local_pieces(ri)
+    ints_j, chords_j = _local_pieces(rj)
+    for lo0, hi0 in ints_i:
+        hit = None
+        for lo1, hi1 in ints_j:
+            lo, hi = max(lo0, lo1), min(hi0, hi1)
+            if hi > lo:
+                hit = f"exterior arcs overlap over length {hi - lo:.6g}"
+                break
+        if hit:
+            out.append(TupleViolation(i, j, "arc-overlap", hit))
+            break
+    for x1, y1 in chords_i:
+        for x2, y2 in chords_j:
+            if (x1 < x2 and y1 < y2) or (x1 > x2 and y1 > y2):
+                msg = f"chords cross (offsets ({x1:.6g}, {y1:.6g}) and ({x2:.6g}, {y2:.6g}))"
+                out.append(TupleViolation(i, j, "chord-crossing", msg))
+
+
+# an arrowhead: the chord of a cap at corner 0 with both legs beyond 2
+# passes outside, beyond the reflex vertex (1, 1), so group hulls there fail
+_ARROW = [(0.0, 0.0), (4.0, 0.0), (1.0, 1.0), (0.0, 4.0)]
+_UNIT_DOMAINS = {
+    "square": lambda: make_polygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+    "arrow": lambda: make_polygon(_ARROW),
+    "lshape": lambda: make_polygon(_LSHAPE_POINTS),
+    "half-disk": _PROBE_DOMAINS["half-disk"],
+}
+
+
+@st.composite
+def _unit_tuples(draw):
+    """Chains anchored at one corner or at several (nested or not, legs up
+    to 1.1 of the edges, at any vertex, so some hulls fail and some regions
+    are invalid on their own), plain caps and plain strips (some of zero
+    length or with chords outside), and now and then a strip with one
+    anchored and one plain cap or an anchor that is no vertex; shuffled."""
+    domain = _UNIT_DOMAINS[draw(st.sampled_from(sorted(_UNIT_DOMAINS)))]()
+    per = domain.perimeter
+    n = len(domain.edges)
+    frac = st.floats(min_value=0.01, max_value=1.1)
+    regions = []
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, n - 1))
+        before, after = domain.edge_lengths[j - 1], domain.edge_lengths[j]
+        legs = draw(st.lists(st.tuples(frac, frac), min_size=1, max_size=3))
+        if draw(st.booleans()):  # nested
+            legs = list(zip(sorted(u for u, _ in legs), sorted(v for _, v in legs)))
+        caps = [Cap(-u * before, v * after, j) for u, v in legs]
+        regions += [caps[0]] + [Strip(inner, outer) for inner, outer in zip(caps, caps[1:])]
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.floats(min_value=0.0, max_value=1.0)) * per
+        length = draw(st.floats(min_value=0.0, max_value=0.7)) * per
+        outer = Cap(a, (a + length) % per)
+        if draw(st.booleans()):
+            regions.append(outer)
+            continue
+        u0, u1 = sorted(draw(st.tuples(frac, frac)))
+        regions.append(Strip(Cap((a + u0 * length) % per, (a + u1 * length) % per), outer))
+    if draw(st.integers(0, 9)) == 0:
+        regions.append(Strip(Cap(-0.1, 0.1, 0), Cap(per - 0.2, 0.2)))
+    if draw(st.integers(0, 9)) == 0:
+        regions.append(Cap(-0.1, 0.1, n))
+    return TupleCandidate(domain, tuple(draw(st.permutations(regions))))
+
+
+def _chain(j, legs):
+    caps = [Cap(-t, t, j) for t in legs]
+    return (caps[0],) + tuple(Strip(inner, outer) for inner, outer in zip(caps, caps[1:]))
+
+
+# the hull of the chain at the arrow's corner 0 fails, its outer cap too;
+# the square's hulls at corners 0 and 1 overlap on edge 0, their inner caps
+# do not
+_HULL_FAILS = TupleCandidate(
+    _UNIT_DOMAINS["arrow"](), _chain(0, [0.8, 2.8]) + (Cap(9.5, 11.0),) + _chain(1, [0.5])
+)
+_HULLS_CLASH = TupleCandidate(
+    _UNIT_DOMAINS["square"](), _chain(0, [0.2, 0.6]) + _chain(1, [0.3, 0.5]) + (Cap(2.5, 3.5),)
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(tc=_unit_tuples())
+@example(tc=_HULL_FAILS)
+@example(tc=_HULLS_CLASH)
+def test_validate_tuple_matches_the_retired_pair_loop(tc):
+    """Comparing units gives the violations of the retired pair loop: the
+    same list, in the same order, with the same details."""
+    assert validate_tuple(tc) == _retired_validate_tuple(tc)
+
+
+# ---------------------------------------------------------------------------
+# arclengths outside [0, P]
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["disk", "square"])
+def test_plain_cap_arclengths_outside_the_perimeter_are_reduced(name):
+    """A plain cap whose arclength lies far outside ``[0, P]`` is the cap of
+    its arclengths modulo ``P``: ``(b - a) % P`` lost ``b`` next to
+    ``a = 1e308`` and gave the disk cap an eta of 2.5, above the 1 every
+    disk cap stays below."""
+    domain = make_disk() if name == "disk" else make_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    per = domain.perimeter
+    far = Cap(1e308, 1.0)
+    near = Cap(1e308 % per, 1.0)
+    assert cap_arclengths(domain, far) == (1e308 % per, 1.0)
+    assert eta_partial(domain, far) == eta_partial(domain, near)
+    assert validate_tuple(TupleCandidate(domain, (far,))) == validate_tuple(
+        TupleCandidate(domain, (near,))
+    )
+    if name == "disk":
+        assert eta_partial(domain, far) < 1.0
+    # arclengths in [0, P] keep their bits; shifted by whole perimeters, a
+    # cap and strips keep their measure and their problems
+    cap = Cap(0.3 * per, 0.55 * per)
+    strip = Strip(Cap(0.35 * per, 0.5 * per), cap)
+    assert cap_arclengths(domain, cap) == (cap.a, cap.b)
+    for region in (cap, strip, Strip(cap, Cap(0.35 * per, 0.5 * per))):
+        for shift in (-2.0, 3.0):
+            moved = _shifted(region, shift * per)
+            assert eta_partial(domain, moved) == pytest.approx(eta_partial(domain, region))
+            assert [p.split(" (")[0] for p in validate_region(domain, moved)] == [
+                p.split(" (")[0] for p in validate_region(domain, region)
+            ]
+
+
+def _shifted(region, d):
+    if isinstance(region, Cap):
+        return Cap(region.a + d, region.b + d)
+    return Strip(_shifted(region.inner, d), _shifted(region.outer, d))

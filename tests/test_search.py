@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import math
+import signal
 import sys
 import tracemalloc
 import weakref
@@ -1041,6 +1042,36 @@ def test_refine_rejects_non_finite_cuts(n, at, bad):
     finally:
         sys.setprofile(old)
     assert calls == []
+
+
+@pytest.mark.parametrize("cuts", [[0.3, 1.0, 1e9, 3.0], [0.3, 1.0, 2.0, -1e17]])
+def test_refine_returns_on_a_far_cut(cuts):
+    """A cut outside ``[0, P]`` is reduced modulo ``P`` before the unwrap,
+    which added ``P`` to a cut once per turn: about 1.7e8 turns after 1e9,
+    and forever after -1e17, where ``x + P == x``.  Both starts reduce to
+    invalid tuples and are refused at once; an alarm turns a hang into a
+    failure after 10 s."""
+
+    def expire(_signum, _frame):
+        raise TimeoutError("refine_caps did not return within 10 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        with pytest.raises(InvalidParameterError, match="valid starting tuple"):
+            refine_caps(make_regular_polygon(5), cuts)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_refine_reduces_a_far_cut_to_its_cap():
+    pentagon = make_regular_polygon(5)
+    cuts = list(_FINITE_CUTS[4])
+    cuts[2] -= 1e6 * pentagon.perimeter
+    report = refine_caps(pentagon, cuts)
+    assert validate_tuple(report.witness) == []
+    assert report.value <= max_eta(TupleCandidate(pentagon, (Cap(0.4, 1.6), Cap(2.8, 4.0)))) + 1e-9
 
 
 def _refinement_stream(domain, k):

@@ -212,6 +212,17 @@ def test_inequality_check_simple(hexagon):
     assert bound <= eta + 1e-12
 
 
+def test_inequality_check_measures_a_far_cap_as_its_reduced_cap(hexagon):
+    # the check symmetrized (b - a) % P, which loses b next to a = 1e308,
+    # while the cap's eta is that of its arclengths modulo P
+    per = hexagon.perimeter
+    a = 1e308 % per
+    far, near = Cap(1e308, a + 1.0), Cap(a, a + 1.0)
+    assert symmetrization_inequality_check(hexagon, far) == symmetrization_inequality_check(
+        hexagon, near
+    )
+
+
 def test_inequality_check_rejects_long_caps(hexagon):
     per = hexagon.perimeter
     with pytest.raises(InvalidParameterError):
