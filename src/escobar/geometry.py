@@ -1746,6 +1746,6 @@ def domain_from_json(data: dict) -> PlanarDomain:
                 raise InvalidGeometryError(f"edge {k}: unknown type {kind!r}")
         except InvalidGeometryError:
             raise
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
             raise InvalidGeometryError(f"edge {k}: malformed entry ({exc})") from exc
     return make_domain(edges)

@@ -136,7 +136,7 @@ def cap_arclengths(domain: PlanarDomain, cap: Cap) -> tuple[float, float]:
     if cap.anchor is None:
         a, b = cap.a, cap.b
         return (a if 0.0 <= a <= per else a % per), (b if 0.0 <= b <= per else b % per)
-    v = domain.vertex_arclength(cap.anchor)
+    v = domain.vertex_arclength(_vertex_index(domain, cap.anchor))
     return (v + cap.a) % per, (v + cap.b) % per
 
 
@@ -154,9 +154,18 @@ def interior_chords(domain: PlanarDomain, region: Region) -> list[tuple[float, f
     return [cap_arclengths(domain, c) for c in _caps(region)]
 
 
+def _vertex_index(domain: PlanarDomain, j) -> int:
+    """``j`` if it is a vertex index of the domain, an int (not a bool) in
+    ``[0, n)``; otherwise :class:`InvalidGeometryError` naming it."""
+    n = len(domain.edges)
+    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < n:
+        raise InvalidGeometryError(f"anchor {j!r} is not a vertex index (domain has {n} vertices)")
+    return j
+
+
 def _anchored_chord_length(domain: PlanarDomain, cap: Cap) -> float:
     """Chord of an anchored cap, from the two edge vectors out of its vertex."""
-    j = cap.anchor
+    j = _vertex_index(domain, cap.anchor)
     pa = edge_offset_vector(domain.edges[j - 1], -cap.a, from_end=True)
     pb = edge_offset_vector(domain.edges[j], cap.b)
     return math.hypot(pb[0] - pa[0], pb[1] - pa[1])
@@ -295,9 +304,10 @@ def _anchored_problems(domain: PlanarDomain, region: Region) -> list[str]:
     j = _anchor_of(region)
     if j is None:
         return ["strip caps must both be plain or share one anchor vertex"]
-    n = len(domain.edges)
-    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < n:
-        return [f"anchor {j!r} is not a vertex index (domain has {n} vertices)"]
+    try:
+        _vertex_index(domain, j)
+    except InvalidGeometryError as exc:
+        return [str(exc)]
     if not corner_admits_anchor(domain, j):
         return [f"anchor vertex {j} is not a convex corner between straight or convex edges"]
     before, after = domain.edge_lengths[j - 1], domain.edge_lengths[j]
@@ -408,16 +418,26 @@ def validate_tuple(tc: TupleCandidate) -> list[TupleViolation]:
     share an identical chord, as long as their interiors stay disjoint.
 
     Each region is checked on its own first, an anchored one on its corner
-    and offsets, and anchored regions that pass are grouped by vertex.  Two
-    regions of one group are compared on the offsets alone (disjoint
-    exterior intervals, nested chords), each region's offsets read once.
-    Every other pair is compared by *units*: a group of two or more whose
-    hull, the cap spanning all its members' offsets, passes the boundary
-    predicates stands in for its members, and any other region for itself.
-    One cached comparison decides each pair of units, and only when two
-    units clash are their members compared one by one.  Where no hull
-    stands in, each member's outer cap is checked with the boundary
-    predicates instead.
+    and offsets, and anchored regions that pass are grouped by vertex.  A
+    clean tuple is then certified without visiting its region pairs, and
+    pairs are compared one by one only where a certificate fails:
+
+    * two regions of one group are compared on the offsets alone (disjoint
+      exterior intervals, nested chords).  One sorted sweep over all the
+      group's intervals and chords (:func:`_offsets_clash`) tells whether
+      any pair fails :func:`_check_same_anchor`, with its exact
+      comparisons; only then are the group's pairs compared;
+    * every other pair is compared by *units*: a group of two or more whose
+      hull, the cap spanning all its members' offsets, passes the boundary
+      predicates stands in for its members, and any other region for
+      itself, equal regions sharing one unit.  One cached comparison, in
+      the order ``i < j`` meets the two units, decides all their member
+      pairs, and only when two units clash are their members compared one
+      by one.  Where no hull stands in, each member's outer cap is checked
+      with the boundary predicates instead.
+
+    The pairs compared are listed in ``(i, j)`` order, so the violations
+    are those of comparing every pair ``i < j`` in turn.
 
     Three predicates settle disjointness: ``region-invalid`` (each region
     valid on its own, every chord interior to M), ``arc-overlap`` and
@@ -486,24 +506,34 @@ def validate_tuple(tc: TupleCandidate) -> list[TupleViolation]:
             label = "cap" if isinstance(regions[i], Cap) else "outer cap"
             flag(i, _cap_problems(domain, _caps(regions[i])[-1], label))
 
+    clashes = {}  # (i, j) -> problems, for the pairs compared one by one
+    for members in groups.values():
+        members = [i for i in members if not bad[i]]
+        if _offsets_clash([local[i] for i in members]):
+            for i, j in itertools.combinations(members, 2):
+                clashes[i, j] = _check_same_anchor(local[i], local[j])
+
     pieces = functools.cache(functools.partial(_pieces, domain))  # chord ends found once
 
     @functools.cache
     def check(u, v):
         return _check_pair(domain, pieces(u), pieces(v))
 
+    classes: dict[Region, list[int]] = {}  # the live regions of each unit
     for i in range(n):
-        if bad[i]:
-            continue
-        for j in range(i + 1, n):
-            if bad[j]:
-                continue
-            if anchor[i] is not None and anchor[i] == anchor[j]:
-                problems = _check_same_anchor(local[i], local[j])
-            else:  # units that clear each other clear their members
-                problems = check(unit[i], unit[j]) and check(regions[i], regions[j])
-            for predicate, detail in problems:
-                out.append(TupleViolation(i, j, predicate, detail))
+        if not bad[i]:
+            classes.setdefault(unit[i], []).append(i)
+    for u, us in classes.items():
+        at = anchor[us[0]]
+        for v, vs in classes.items():
+            # u before v as the pairs i < j meet them; the pairs at one
+            # corner were decided by its sweep
+            if us[0] < vs[-1] and (at is None or at != anchor[vs[0]]) and check(u, v):
+                for i, j in itertools.product(us, vs):
+                    if i < j:
+                        clashes[i, j] = check(regions[i], regions[j])
+    for i, j in sorted(clashes):
+        out.extend(TupleViolation(i, j, *problem) for problem in clashes[i, j])
     return out
 
 
@@ -538,6 +568,35 @@ def _local_pieces(region: Region):
         return [(region.a, region.b)], [(region.a, region.b)]
     inner, outer = region.inner, region.outer
     return [(outer.a, inner.a), (inner.b, outer.b)], [(inner.a, inner.b), (outer.a, outer.b)]
+
+
+def _offsets_clash(group) -> bool:
+    """Whether some pair of the regions at one anchor, given as their
+    :func:`_local_pieces`, fails :func:`_check_same_anchor`, in one sorted
+    sweep over all their pieces.
+
+    Two intervals overlap when one starts strictly below the end of one that
+    starts no later; every interval has ``hi > lo``, since the offsets
+    passed :func:`_anchored_problems`.  A chord crosses an
+    earlier one, of strictly smaller ``x``, when its ``y`` exceeds theirs,
+    so it is compared with the least ``y`` before its batch of equal ``x``.
+    The comparisons are :func:`_check_same_anchor`'s, exact.  A region's
+    own pieces never clash: a strip's two intervals lie on either side of
+    0, and its chords are strictly nested.
+    """
+    reach = -math.inf
+    for lo, hi in sorted(iv for ivs, _ in group for iv in ivs):
+        if lo < reach:
+            return True
+        reach = max(reach, hi)
+    least = math.inf
+    chords = sorted(c for _, cs in group for c in cs)
+    for _, batch in itertools.groupby(chords, key=lambda c: c[0]):
+        batch = list(batch)  # sorted by y
+        if batch[-1][1] > least:
+            return True
+        least = min(least, batch[0][1])
+    return False
 
 
 def _check_same_anchor(local_i, local_j) -> list[tuple[str, str]]:
@@ -613,11 +672,8 @@ def tuple_from_json(domain: PlanarDomain, data: dict) -> TupleCandidate:
     if not isinstance(data, dict) or not isinstance(data.get("regions"), list):
         raise InvalidGeometryError("tuple JSON must be an object with a 'regions' list")
     regions = tuple(region_from_json(r) for r in data["regions"])
-    n = len(domain.edges)
     for r in regions:
         for c in _caps(r):
-            if c.anchor is not None and not 0 <= c.anchor < n:
-                raise InvalidGeometryError(
-                    f"cap anchor {c.anchor} is not a vertex of this domain ({n} vertices)"
-                )
+            if c.anchor is not None:
+                _vertex_index(domain, c.anchor)
     return TupleCandidate(domain, regions)

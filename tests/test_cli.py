@@ -454,6 +454,16 @@ def test_domain_edges_that_are_no_list_exit_3(edges, tmp_path, capsys):
     assert err == "error: domain JSON must be an object with an 'edges' list\n"
 
 
+def test_domain_with_a_huge_integer_exit_3(tmp_path, capsys):
+    # an OverflowError traceback and exit 1 before
+    bad = tmp_path / "bad.json"
+    huge = "1" + "0" * 400
+    bad.write_text(f'{{"edges": [{{"type": "segment", "from": [{huge}, 0], "to": [0, 1]}}]}}')
+    rc, out, err = run(capsys, "exact", "--domain", str(bad), "--k", "2")
+    assert (rc, out) == (3, "")
+    assert err == "error: edge 0: malformed entry (int too large to convert to float)\n"
+
+
 def test_tuple_regions_that_are_no_list_exit_3(tmp_path, capsys):
     # the JSON string "domain" printed a TypeError traceback and exited 1
     bad = tmp_path / "tuple.json"

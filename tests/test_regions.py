@@ -1,6 +1,7 @@
 """Caps, strips, eta measurement, tuple validation, JSON round-trips."""
 
 import functools
+import itertools
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from escobar import regions as regions_module
 from escobar.errors import InvalidGeometryError
 from escobar.geometry import (
     _GOLDEN_ANGLE,
@@ -34,7 +36,9 @@ from escobar.regions import (
     _cap_problems,
     _caps,
     _chords_conflict,
+    _check_same_anchor,
     _local_pieces,
+    _offsets_clash,
     _pieces,
     cap_arclengths,
     corner_admits_anchor,
@@ -52,6 +56,7 @@ from escobar.regions import (
     validate_region,
     validate_tuple,
 )
+from escobar.search import corner_family_bound
 
 TWO_PI = 2.0 * math.pi
 
@@ -343,8 +348,24 @@ def test_anchored_json_round_trip(square):
 def test_anchor_json_is_checked(square):
     with pytest.raises(InvalidGeometryError):
         region_from_json({"kind": "cap", "a": -0.1, "b": 0.1, "anchor": 1.5})
-    with pytest.raises(InvalidGeometryError):
+    with pytest.raises(InvalidGeometryError, match=r"^anchor 4 is not a vertex index"):
         tuple_from_json(square, {"regions": [{"kind": "cap", "a": -0.1, "b": 0.1, "anchor": 4}]})
+
+
+@pytest.mark.parametrize("anchor", [-1, True, 7, -5, 2**70, 1.0])
+def test_measurement_refuses_an_anchor_that_validation_refuses(square, anchor):
+    # eta_partial gave vertex 3's value for -1 and vertex 1's for True,
+    # cap_arclengths reduced 7 modulo 4, and the rest raised IndexError or
+    # TypeError
+    message = f"anchor {anchor!r} is not a vertex index (domain has 4 vertices)"
+    cap = Cap(-0.1, 0.1, anchor)
+    for measure in (cap_arclengths, eta_partial, interior_length):
+        with pytest.raises(InvalidGeometryError) as exc:
+            measure(square, cap)
+        assert str(exc.value) == message
+    assert validate_tuple(TupleCandidate(square, (cap,))) == [
+        TupleViolation(0, 0, "region-invalid", message)
+    ]
 
 
 @pytest.mark.parametrize("regions", [5, None, "cap", {"kind": "cap"}])
@@ -872,26 +893,41 @@ _UNIT_DOMAINS = {
 }
 
 
+#: leg fractions that often tie, so intervals touch and chords share an
+#: end offset
+_TIED_LEGS = (0.1, 0.2, 0.3, 0.5)
+
+
 @st.composite
 def _unit_tuples(draw):
-    """Chains anchored at one corner or at several (nested or not, legs up
-    to 1.1 of the edges, at any vertex, so some hulls fail and some regions
-    are invalid on their own), plain caps and plain strips (some of zero
-    length or with chords outside), and now and then a strip with one
-    anchored and one plain cap or an anchor that is no vertex; shuffled."""
+    """Chains anchored at one corner or at several (up to 40 deep, nested or
+    not, legs up to 1.1 of the edges and often tied, at any vertex, so some
+    hulls fail, some regions are invalid on their own, intervals touch and
+    chords share an end offset), a second cap at a chain's anchor, plain
+    caps and plain strips (some of zero length or with chords outside), a
+    plain cap across a chain's vertex, duplicates, and now and then a strip
+    with one anchored and one plain cap or an anchor that is no vertex;
+    shuffled."""
     domain = _UNIT_DOMAINS[draw(st.sampled_from(sorted(_UNIT_DOMAINS)))]()
     per = domain.perimeter
     n = len(domain.edges)
     frac = st.floats(min_value=0.01, max_value=1.1)
+    leg = st.one_of(frac, st.sampled_from(_TIED_LEGS))
     regions = []
     for _ in range(draw(st.integers(0, 3))):
         j = draw(st.integers(0, n - 1))
         before, after = domain.edge_lengths[j - 1], domain.edge_lengths[j]
-        legs = draw(st.lists(st.tuples(frac, frac), min_size=1, max_size=3))
+        legs = draw(st.lists(st.tuples(leg, leg), min_size=1, max_size=40))
         if draw(st.booleans()):  # nested
             legs = list(zip(sorted(u for u, _ in legs), sorted(v for _, v in legs)))
         caps = [Cap(-u * before, v * after, j) for u, v in legs]
         regions += [caps[0]] + [Strip(inner, outer) for inner, outer in zip(caps, caps[1:])]
+        u, v = draw(st.tuples(leg, leg))
+        if draw(st.integers(0, 3)) == 0:  # a second cap at this anchor
+            regions.append(Cap(-u * before, v * after, j))
+        if draw(st.integers(0, 3)) == 0:  # a plain cap across this vertex
+            s = domain.vertex_arclength(j)
+            regions.append(Cap((s - u * before) % per, s + v * after))
     for _ in range(draw(st.integers(0, 3))):
         a = draw(st.floats(min_value=0.0, max_value=1.0)) * per
         length = draw(st.floats(min_value=0.0, max_value=0.7)) * per
@@ -901,6 +937,8 @@ def _unit_tuples(draw):
             continue
         u0, u1 = sorted(draw(st.tuples(frac, frac)))
         regions.append(Strip(Cap((a + u0 * length) % per, (a + u1 * length) % per), outer))
+    if regions and draw(st.integers(0, 3)) == 0:
+        regions += draw(st.lists(st.sampled_from(regions), min_size=1, max_size=3))
     if draw(st.integers(0, 9)) == 0:
         regions.append(Strip(Cap(-0.1, 0.1, 0), Cap(per - 0.2, 0.2)))
     if draw(st.integers(0, 9)) == 0:
@@ -913,6 +951,9 @@ def _chain(j, legs):
     return (caps[0],) + tuple(Strip(inner, outer) for inner, outer in zip(caps, caps[1:]))
 
 
+_SQUARE = _UNIT_DOMAINS["square"]()
+_DEEP_LEGS = [0.012 * m for m in range(1, 41)]
+
 # the hull of the chain at the arrow's corner 0 fails, its outer cap too;
 # the square's hulls at corners 0 and 1 overlap on edge 0, their inner caps
 # do not
@@ -920,7 +961,54 @@ _HULL_FAILS = TupleCandidate(
     _UNIT_DOMAINS["arrow"](), _chain(0, [0.8, 2.8]) + (Cap(9.5, 11.0),) + _chain(1, [0.5])
 )
 _HULLS_CLASH = TupleCandidate(
-    _UNIT_DOMAINS["square"](), _chain(0, [0.2, 0.6]) + _chain(1, [0.3, 0.5]) + (Cap(2.5, 3.5),)
+    _SQUARE, _chain(0, [0.2, 0.6]) + _chain(1, [0.3, 0.5]) + (Cap(2.5, 3.5),)
+)
+# 40-deep chains at three corners, clean
+_DEEP_CHAINS = TupleCandidate(
+    _SQUARE, _chain(0, _DEEP_LEGS) + _chain(1, _DEEP_LEGS[:10]) + _chain(3, _DEEP_LEGS)
+)
+# intervals that touch, and chords with equal x or equal y, all clean, but
+# for the fourth region, whose chords interleave with the third's
+_TIES = TupleCandidate(
+    _SQUARE,
+    (
+        Cap(-0.2, 0.2, 0),
+        Strip(Cap(-0.2, 0.3, 0), Cap(-0.4, 0.4, 0)),
+        Strip(Cap(-0.5, 0.4, 0), Cap(-0.6, 0.6, 0)),
+        Strip(Cap(-0.4, 0.6, 0), Cap(-0.7, 0.7, 0)),
+        Cap(-0.2, 0.2, 2),
+        Strip(Cap(-0.3, 0.2, 2), Cap(-0.4, 0.4, 2)),
+    ),
+)
+# a plain cap, an anchored cap and a plain strip, each given twice
+_DUPLICATES = TupleCandidate(
+    _SQUARE,
+    (Cap(0.7, 1.3), Cap(-0.2, 0.2, 0), Cap(0.7, 1.3), Cap(-0.2, 0.2, 0))
+    + 2 * (Strip(Cap(2.9, 3.1), Cap(2.8, 3.2)),),
+)
+# a second cap at a chain's corner, inside its innermost cap
+_SECOND_CAP = TupleCandidate(_SQUARE, _chain(0, [0.2, 0.4]) + (Cap(-0.1, 0.1, 0),))
+# a plain strip in the gap of a chain clashes with its hull but with no
+# member; a plain cap across the vertex clashes with the members
+_PLAIN_IN_THE_HULL = TupleCandidate(
+    _SQUARE,
+    (Cap(-0.1, 0.1, 0), Strip(Cap(-0.3, 0.3, 0), Cap(-0.4, 0.4, 0)), Cap(2.5, 3.5))
+    + (Strip(Cap(3.85, 0.15), Cap(3.75, 0.25)), Cap(3.95, 0.05)),
+)
+
+# chords_cross need not agree with itself when the chords are swapped: the
+# chords of these two caps meet at the touch radius from A's end at s = 0.6,
+# 3e-14 inside it as computed in the order (A, B), a touch, and 3e-14 outside
+# it in the order (B, A), a crossing; with A given twice, the pair (0, 1)
+# meets them as (A, B) and the pair (1, 2) as (B, A)
+_A, _B = Cap(0.6, 3.3), Cap(3.3009999999999997, 0.6000000008576633)
+_ASYMMETRIC = TupleCandidate(_SQUARE, (_A, _B, _A))
+# intervals that only touch; the chords at x = -0.3 and at x = -0.1 each
+# cross an earlier one, but not the least y of their batch
+_HIDDEN_IN_A_BATCH = (
+    Strip(Cap(-0.3, 0.1, 0), Cap(-0.4, 0.3, 0)),
+    Strip(Cap(-0.1, 0.4, 0), Cap(-0.3, 0.6, 0)),
+    Cap(-0.1, 0.1, 0),
 )
 
 
@@ -928,10 +1016,92 @@ _HULLS_CLASH = TupleCandidate(
 @given(tc=_unit_tuples())
 @example(tc=_HULL_FAILS)
 @example(tc=_HULLS_CLASH)
+@example(tc=_DEEP_CHAINS)
+@example(tc=_TIES)
+@example(tc=_DUPLICATES)
+@example(tc=_SECOND_CAP)
+@example(tc=_PLAIN_IN_THE_HULL)
+@example(tc=_ASYMMETRIC)
+@example(tc=TupleCandidate(_SQUARE, _HIDDEN_IN_A_BATCH))
 def test_validate_tuple_matches_the_retired_pair_loop(tc):
     """Comparing units gives the violations of the retired pair loop: the
     same list, in the same order, with the same details."""
     assert validate_tuple(tc) == _retired_validate_tuple(tc)
+
+
+_OFFSET = st.one_of(st.sampled_from(_TIED_LEGS), st.floats(min_value=0.01, max_value=1.0))
+
+
+@st.composite
+def _corner_regions(draw):
+    """Valid regions at one anchor, as offsets: caps and strictly nested
+    strips, with offsets that often tie."""
+    out = []
+    for _ in range(draw(st.integers(0, 8))):
+        us = sorted(set(draw(st.lists(_OFFSET, min_size=2, max_size=2))))
+        vs = sorted(set(draw(st.lists(_OFFSET, min_size=2, max_size=2))))
+        if len(us) < 2 or len(vs) < 2 or draw(st.booleans()):
+            out.append(Cap(-us[0], vs[0], 0))
+        else:
+            out.append(Strip(Cap(-us[0], vs[0], 0), Cap(-us[1], vs[1], 0)))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(regions=_corner_regions())
+@example(regions=list(_TIES.regions[:3]))
+@example(regions=list(_TIES.regions[:4]))
+@example(regions=list(_HIDDEN_IN_A_BATCH))
+def test_offset_sweep_is_the_pair_loop_at_one_corner(regions):
+    """The sorted sweep finds a clash exactly when some pair of regions at
+    the corner fails ``_check_same_anchor``, equal offsets included."""
+    pieces = [_local_pieces(r) for r in regions]
+    pairs = itertools.combinations(pieces, 2)
+    assert _offsets_clash(pieces) == any(_check_same_anchor(p, q) for p, q in pairs)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(regions_module, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(regions_module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("k", [40, 800])
+def test_a_clean_corner_witness_compares_no_region_pair(k, monkeypatch):
+    """The corner witness on the criterion-6 quad is certified by one sweep
+    per corner and one check per pair of units: no two regions at one
+    corner are compared, and ``_check_pair`` runs at most once for each
+    ordered pair of units."""
+    quad = make_polygon([(0.0, 0.0), (3.0, 0.0), (2.6, 1.8), (-0.4, 1.3)])
+    tc = corner_family_bound(quad, k).witness
+    units = len({_anchor_of(r) for r in tc.regions})
+    same_anchor = _counting(monkeypatch, "_check_same_anchor")
+    pair = _counting(monkeypatch, "_check_pair")
+    assert validate_tuple(tc) == []
+    assert len(same_anchor) == 0
+    assert len(pair) <= units * (units - 1)
+
+
+def test_a_deep_chain_with_one_interleaved_chord_lists_what_the_pair_loop_lists(monkeypatch):
+    legs = _DEEP_LEGS
+    chain = list(_chain(0, legs))
+    # region 20's inner chord interleaves with region 19's outer one
+    chain[20] = Strip(Cap(-0.5 * (legs[18] + legs[19]), 0.5 * (legs[19] + legs[20]), 0),
+                      chain[20].outer)
+    tc = TupleCandidate(_SQUARE, tuple(chain) + (Cap(2.5, 3.5),))
+    same_anchor = _counting(monkeypatch, "_check_same_anchor")
+    got = validate_tuple(tc)
+    assert got == _retired_validate_tuple(tc)
+    assert {(v.first, v.second, v.predicate) for v in got} >= {
+        (19, 20, "arc-overlap"), (19, 20, "chord-crossing")
+    }
+    assert len(same_anchor) == 40 * 39 // 2
 
 
 # ---------------------------------------------------------------------------
