@@ -56,6 +56,14 @@ _SIDE_MARGIN = 1e-9
 #: Least half-distance from a trimmed segment to the other edges, x scale.
 _SIDE_MIN_REACH = 1e-4
 
+# Zones of a chord end on its segment, for :func:`_family_verdict`: more than
+# ``c = 1e-3 S`` from both ends, ``0 < t <= c`` from the start, within ``c``
+# of the end, and at the start.
+_TRIMMED, _NEAR_START, _NEAR_END, _AT_START = range(4)
+#: Least distance of a corner stub's vertex from the chord's line that spares
+#: replaying the near edge, x scale (argued in ``_family_certificate``).
+_STUB_VERTEX_CLEARANCE = 2e-9
+
 #: Margin that widens a segment's bounding box for the box reject of
 #: :func:`_chord_is_interior_general`, x scale (argued there).
 _BOX_MARGIN = 1e-2
@@ -85,6 +93,22 @@ def _dot(a: Point, b: Point) -> float:
 
 def _sub(a: Point, b: Point) -> Point:
     return (a[0] - b[0], a[1] - b[1])
+
+
+#: Static error bound of :func:`_orient`, Shewchuk's ``(3 + 16 u) u``, ``u = 2**-53``.
+_ORIENT_ERR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
+
+def _orient(p: Point, q: Point, r: Point) -> tuple[float, float]:
+    """``cross(q - p, r - p)`` in floats, positive when ``r`` lies left of
+    the line ``p -> q``, and a bound on its error: while no product
+    underflows, the exact value for the float points lies within the bound
+    of the computed one.  The bound is the static filter of Shewchuk,
+    "Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
+    Predicates" (1997); a sign it leaves open needs exact arithmetic."""
+    detl = (q[0] - p[0]) * (r[1] - p[1])
+    detr = (q[1] - p[1]) * (r[0] - p[0])
+    return detl - detr, _ORIENT_ERR * (abs(detl) + abs(detr))
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +769,27 @@ class PlanarDomain:
         return max(abs(v) for v in self.bbox) <= self.scale
 
     @cached_property
+    def _chord_box_margin(self) -> float | None:
+        """``M = 1e-2 S``, the widening of the box reject of the general
+        chord test and of ``regions._chords_conflict``, when the bounding box
+        lies within ``S`` of the origin, else ``None``."""
+        return _BOX_MARGIN * self.scale if self._near_origin else None
+
+    @cached_property
+    def _family_clearance(self) -> float | None:
+        """``c = 1e-3 S`` on a nonconvex polygon within ``S`` of the origin,
+        where the verdicts of :func:`_family_verdict` may answer, else
+        ``None``.  On a convex domain the convex verdict answers, and the
+        general test keeps the chords it leaves, as before."""
+        if (
+            self.is_convex
+            or not self._near_origin
+            or any(isinstance(e, Arc) for e in self.edges)
+        ):
+            return None
+        return _CONVEX_VERTEX_CLEARANCE * self.scale
+
+    @cached_property
     def _convex_clearance(self) -> float | None:
         """Least boundary distance of a chord endpoint from every vertex for
         the convex verdict of :func:`chord_is_interior`, or ``None`` when the
@@ -802,15 +847,15 @@ class PlanarDomain:
         ``None`` after the pair's first use, then its verdict."""
         return {}
 
-    def _pair_clear(self, i: int, j: int) -> bool:
+    def _pair_clear(self, i: int, j: int) -> bool | None:
         """Whether every chord between segments ``i != j`` whose ends lie
         more than ``c = 1e-3 S`` of boundary from each segment's ends is
         interior, with margin ``delta = c sin(1e-3)`` (about ``1e-6 S``, the
         clearance of the convex verdict of :func:`chord_is_interior`).
 
-        False on a pair's first use, when the general test answers as
+        None on a pair's first use, when the general test answers as
         before, and from the second use on the verdict, found once and
-        kept: a pair tested once costs no more than it did.  Always False
+        kept: a pair tested once costs no more than it did.  Never True
         unless the domain is a polygon whose bounding box lies within ``S``
         of the origin.  The verdict holds when both segments are longer than
         ``2c`` and, with ``a_i, b_i`` and ``a_j, b_j`` the trimmed segments'
@@ -876,7 +921,7 @@ class PlanarDomain:
             memo[key] = None  # first use: the general test answers
         elif memo[key] is None:
             memo[key] = self._pair_visible(*key)
-        return bool(memo[key])
+        return memo[key]
 
     def _pair_visible(self, i: int, j: int) -> bool:
         """The verdict of :meth:`_pair_clear` on edges ``i`` and ``j``,
@@ -918,6 +963,197 @@ class PlanarDomain:
         return True
 
     @cached_property
+    def _chord_families(self) -> dict[tuple[int, int, int], tuple | bool | None]:
+        """Memo of :meth:`_chord_family` by ``(ix, zone, j)``: ``None`` after
+        a stub family's first use, then its certificate."""
+        return {}
+
+    def _chord_family(self, ix: int, zone: int, j: int) -> tuple | bool | None:
+        """The certificate (:meth:`_family_certificate`) of a chord family,
+        found on its second use and kept; ``None`` on a stub family's first
+        use, when the general test answers.  A split pair's first use was
+        its pair's (:meth:`_pair_clear`), so it is found at once."""
+        memo = self._chord_families
+        key = (ix, zone, j)
+        if key not in memo and zone != _TRIMMED:
+            memo[key] = None
+        elif memo.get(key) is None:
+            memo[key] = self._family_certificate(ix, zone, j)
+        return memo[key]
+
+    def _family_certificate(self, ix: int, zone: int, j: int) -> tuple | bool:
+        """What :func:`_family_verdict` needs to answer, in O(1), for the
+        chords from ``x`` on segment ``ix`` to ``y`` on segment ``j``,
+        more than ``c = 1e-3 S`` of boundary from ``j``'s ends, when ``x``
+        lies in ``zone`` of ``ix``: ``_TRIMMED`` (more than ``c`` from its
+        ends too; a *split pair*, which :meth:`_pair_visible` refuses),
+        ``_NEAR_START`` or ``_NEAR_END`` (``0 < t <= c`` from its start
+        ``v``, or from its end ``v``: a *corner stub*) or ``_AT_START``
+        (``x = v``, its start), on a domain with a ``_family_clearance``.
+        False, and no verdict, unless ``ix`` and ``j`` are longer than
+        ``2c`` and ``v`` makes a turn of a sign :func:`_orient` decides.
+        Else the clauses below that the family does not meet as a whole:
+        ``(ex, ey, thr)`` rows of the line clauses on ``x`` and on ``y``, a
+        reflex corner's two lines, the live edges (box, ends, line), the
+        near edge and the vertex margin ``delta S``, with ``delta = c
+        sin(1e-3)``, the margin of :meth:`_pair_clear`.
+
+        The verdict says *interior* when, with ``l = |xy|``:
+
+        (a) ``y`` lies ``delta`` or more left of the line of each segment
+            that carries ``x`` (at ``x = v`` both: left of both at a convex
+            corner, and at a reflex one ``delta`` from both and left of one),
+            and ``x`` lies ``delta`` or more left of the line of ``j``;
+        (b) every other edge, bar the *near edge* of a stub (the other edge
+            at ``v``), has both ends on one side of the line ``xy``,
+            ``delta`` or more from it, or a bounding box that, widened by
+            ``1e-2 S``, misses the chord's (the box reject of the general
+            test, which gives it no hit and keeps it off the chord);
+        (c) the near edge has both ends on ``v``'s side of the line, ``v``
+            ``2e-9 S`` or more from it and the other end ``delta``, or else
+            gives no hit farther than ``excl`` from both ends in the general
+            test's own computation (replayed by :func:`_segment_stops_chord`)
+            and, at a convex ``v``, has that other end ``delta`` or more from
+            the line on ``v``'s side.
+
+        Then the general test says interior too:
+
+        * ``TAU_GEOM S`` (zero chord): ``l >= delta``, 1000x above.
+        * A segment carrying an end meets the chord's line there only, at a
+          sine of at least ``delta / l``, so its computed hit lies within
+          ``6e-10 l`` of that end, 1600x inside ``excl`` (as for
+          :meth:`_pair_clear`).
+        * The edges of (b) give no hit.  Parallel path: a hit or an overlap
+          needs a point of the edge within ``4e-9 S`` of the chord (the box
+          reject's argument), 250x short of ``delta``.  Non-parallel path,
+          with ``rho = 2.3e-16 / sine``: a computed hit puts the lines'
+          crossing ``X`` within ``D`` of the chord and ``D'`` of the edge,
+          ``D (1 - rho)`` and ``D' (1 - rho)`` at most ``1e-9 S + 2 rho S``
+          (the box reject's bounds).  At a sine of ``1e-8`` or more ``D' <
+          5e-8 S``, but ``X`` lies on the chord's line and the edge
+          ``delta`` from it, 20x more.  At a smaller sine each chord point
+          lies ``delta cos - S sin >= 0.99 delta`` from the edge's line, so
+          ``D >= 0.99 delta / sine`` and ``0.99 delta (1 - rho) <= 1e-9 S
+          sine + 4.6e-16 S``, 1000x short.
+        * The near edge gives no hit either, or the general test's own.
+          When ``v`` lies between ``2e-9 S`` and ``delta / 2`` from the line
+          and the other end ``delta``, the sine is at least ``delta / 2S``,
+          so ``rho < 5e-10``, and a computed hit needs the crossing ``X``,
+          which lies past ``v`` on the edge's line, within ``D'`` of ``v``:
+          then ``v`` lies within ``D' sine <= (1e-9 S sine + 4.6e-16 S) / (1
+          - rho) < 1.001e-9 S`` of the line.
+          Nearer than ``delta / 2``, the edges of (b) argument holds with
+          ``delta / 2``.
+        * The midpoint is inside.  Take ``x*``, ``y*`` the points of their
+          segments nearest to ``x``, ``y``, about ``1e-16 S`` away, which
+          the margins absorb.  The open chord ``x* y*`` meets no edge of
+          (b) and meets the line of a carrying segment only at its end.  The
+          near edge lies on one side of it: ``v`` strictly, or at ``x*``,
+          since ``y`` lies left of ``x``'s segment; at a convex ``v`` the far
+          end on ``v``'s side, and at a reflex ``v`` the edge lies in the
+          closed half-plane right of that segment's line, which the chord
+          meets at ``x*`` only.  So the open chord misses the boundary, and
+          it leaves ``x*`` left of its segment, or into the interior angle
+          at ``x* = v``: it is inside.  The midpoint lies within ``1e-16 S``
+          of its midpoint, so the side test or ``contains_point``, which
+          counts points within ``TAU_GEOM S`` of the boundary as inside,
+          says so.
+
+        The clauses the whole family meets are found here by
+        :func:`_orient` with its error bound, at the ends of the ranges of
+        ``x`` and ``y``: a line clause at margin ``2 delta L`` (``L`` the
+        segment's length; it is linear in the end), a vertex at ``2 delta
+        S`` (``orient(x, y, w)`` is bilinear in the two parameters, so least
+        at a corner; the float ends lie within ``4e-16 S`` of the ranges,
+        which moves it by ``2e-15 S^2``).  The others are tested per chord,
+        a line at ``delta L`` and a vertex at ``delta S >= delta l``.  An
+        edge of (b) with both ends on one side for the whole family is
+        dropped; the others are *live*, those at a reflex vertex first.
+
+        *Not interior.*  A live edge whose ends lie ``delta`` or more on
+        either side of the chord's line, while the chord's ends lie ``c``
+        or more on either side of the edge's line, crosses the chord, and
+        the general test finds it: the sine is at least ``2 delta / S``, so
+        ``rho < 1.2e-10``, and the computed parameters place the hit within
+        ``2 rho S = 2.4e-10 S`` of the crossing, which lies ``delta`` or
+        more inside the edge and ``c`` or more from both chord ends, beyond
+        ``excl <= 1e-6 S``.  So is a near edge that stops the general
+        test's edge loop when replayed.  Any other chord goes to the
+        general test.
+        """
+        rows = self._point_rows
+        n = len(rows)
+        c = _CONVEX_VERTEX_CLEARANCE * self.scale
+        if min(rows[ix][5], rows[j][5]) <= 2.0 * c:
+            return False
+        delta = c * math.sin(_CONVEX_CORNER_MARGIN)
+        verts = self.vertices
+        length = rows[ix][5]
+        lo, hi = {_TRIMMED: (c, length - c), _NEAR_START: (0.0, c),
+                  _NEAR_END: (length - c, length), _AT_START: (0.0, 0.0)}[zone]
+        ends = (
+            (_row_point(rows[ix], lo), _row_point(rows[ix], hi)),
+            (_row_point(rows[j], c), _row_point(rows[j], rows[j][5] - c)),
+        )
+        corner_m = 2.0 * delta * self.scale
+
+        def side(a: Point, b: Point, r: Point, m: float) -> int:
+            o, e = _orient(a, b, r)
+            return 1 if o - e >= m else -1 if -o - e >= m else 0
+
+        def fixed(w: Point) -> int:
+            """The side of the line ``xy`` that ``w`` keeps for every chord
+            of the family, 0 if none."""
+            s = {side(x, y, w, corner_m) for x in ends[0] for y in ends[1]}
+            return s.pop() if len(s) == 1 else 0
+
+        v = ix + 1 if zone == _NEAR_END else ix
+        o, e = _orient(verts[(v - 1) % n], verts[v % n], verts[(v + 1) % n])
+        if zone != _TRIMMED and abs(o) <= e:
+            return False
+        convex = o > 0.0
+
+        def line(k: int, m: float) -> tuple[float, float, float]:
+            """``(ex, ey, thr)``: ``ex z1 - ey z0 >= thr`` when ``z`` lies
+            ``m / L`` or more left of segment ``k``'s line."""
+            (a0, a1), (b0, b1) = verts[k], verts[(k + 1) % n]
+            ex, ey = b0 - a0, b1 - a1
+            return ex, ey, m + ex * a1 - ey * a0
+
+        carry = (ix, (ix - 1) % n) if zone == _AT_START else (ix,)
+        lines = [[], []]  # the clauses on x and on y
+        for k, end in [(k, 1) for k in carry] + [(j, 0)]:
+            m = delta * rows[k][5]
+            if not all(side(verts[k], verts[(k + 1) % n], r, 2.0 * m) > 0 for r in ends[end]):
+                lines[end].append(line(k, m))
+        cone = None
+        if zone == _AT_START and not convex:
+            # the interior angle at v is the union of two half-planes
+            cone = tuple(line(k, 0.0) + (delta * rows[k][5],) for k in carry)
+            lines[1] = []
+        near = None
+        if zone in (_NEAR_START, _NEAR_END):
+            k = (ix - 1) % n if zone == _NEAR_START else (ix + 1) % n
+            if k != j:
+                far, sigma = (verts[k], 1) if zone == _NEAR_START else (verts[(k + 1) % n], -1)
+                close = _STUB_VERTEX_CLEARANCE * self.scale**2
+                near = (k, verts[v % n], far, sigma, convex, close)
+        reflex = [a > math.pi for a in self.interior_angles]
+        boxes = self._edge_boxes
+        live = []
+        for k in range(n):
+            if k in carry or k == j or (near and k == near[0]):
+                continue
+            w0, w1 = verts[k], verts[(k + 1) % n]
+            s0 = fixed(w0)
+            if not s0 or s0 != fixed(w1):
+                at_reflex = reflex[k] or reflex[(k + 1) % n]
+                cross = line(k, 0.0)[:2] + (c * rows[k][5],)
+                live.append((not at_reflex, k, boxes[k], w0, w1, cross))
+        live = tuple(item[2:] for item in sorted(live))
+        return tuple(lines[0]), tuple(lines[1]), cone, live, near, delta * self.scale
+
+    @cached_property
     def _point_rows(self) -> tuple[tuple, ...]:
         """Each edge's ``_row``, which :func:`_row_point` evaluates: for a
         segment ``(False, x0, y0, dx, dy, L)``, its start, ``end - start`` and
@@ -950,13 +1186,12 @@ class PlanarDomain:
         ``None`` for an arc.  When the bounding box does not lie within ``S``
         of the origin the widened boxes are the whole plane, so the reject
         never fires."""
-        m = _BOX_MARGIN * self.scale
-        near = self._near_origin
+        m = self._chord_box_margin
         boxes: list[tuple[float, float, float, float] | None] = []
         for e in self.edges:
             if isinstance(e, Arc):
                 boxes.append(None)
-            elif near:
+            elif m is not None:
                 (a0, a1), (b0, b1) = e.start, e.end
                 boxes.append((min(a0, b0) - m, min(a1, b1) - m, max(a0, b0) + m, max(a1, b1) + m))
             else:
@@ -1414,7 +1649,19 @@ def chord_is_interior(domain: PlanarDomain, s0: float, s1: float) -> bool:
     of the origin, every such chord between the two is interior, with the
     general test's tolerances cleared as above.  A pair's first chord goes
     to the general test and its second finds the verdict, so a pair tested
-    once costs what it did.
+    once costs what it did.  On such a polygon, when it is not convex, two
+    more O(1) verdicts (:func:`_family_verdict`, argued in
+    :meth:`PlanarDomain._family_certificate`) take a chord with one end
+    more than ``c`` from its segment's ends: the *split-pair verdict* when the
+    other end is too but the pair is not visible (a reflex vertex or the
+    other segment's line splits it), and the *corner-stub verdict* when the
+    other end lies at a vertex ``v`` or within ``c`` of it.  Each tests the
+    few ``orient`` signs its family leaves open: the ends against the other
+    segment's line, vertices near the chord against its line, each with a
+    margin.  They answer interior, or not interior where an edge crosses the
+    chord with a margin, and leave the rest, such as a chord that leaves its
+    segment outward within ``excl`` of a vertex, to the general test.  A
+    family's first chord goes to the general test, as for the pair verdict.
 
     Other chords shorter than ``1e-3 S`` stay with the general test, under
     the *same-arc rule*, which reads edge indices like the flat-edge rule: a
@@ -1444,9 +1691,9 @@ def _interior_chord_ends(domain: PlanarDomain, s0: float, s1: float) -> tuple[Po
     ``point_at``'s floats.  The objective of ``search.refine_caps`` spells
     out this lookup, those operations and the convex verdict once more for
     the caps that verdict accepts, and calls this function for the rest.
-    The pair verdict is read here only, after the convex verdict, so
-    validation, the nonconvex grids of ``search`` and the objective all
-    share it.
+    The pair verdict and then the family verdicts are read here only, after
+    the convex verdict, so validation, the nonconvex grids of ``search``
+    and the objective all share them.
     """
     cum = domain.cumlens
     n = len(cum) - 1
@@ -1492,11 +1739,120 @@ def _interior_chord_ends(domain: PlanarDomain, s0: float, s1: float) -> tuple[Po
     ):
         return p, q
     c = _CONVEX_VERTEX_CLEARANCE * domain.scale
-    if i0 != i1 and c < t0 < lens[i0] - c and c < t1 < lens[i1] - c and domain._pair_clear(i0, i1):
+    if i0 != i1 and c < t0 < lens[i0] - c and c < t1 < lens[i1] - c and (
+        domain._pair_clears.get((i0, i1) if i0 < i1 else (i1, i0)) or domain._pair_clear(i0, i1)
+    ):
         return p, q
-    # every edge left in ``shared`` is a convex arc holding both ends
-    inside = _chord_is_interior_general(domain, p, q, shared, ((i0, t0), (i1, t1)))
+    inside = _family_verdict(domain, i0, t0, i1, t1, p, q)
+    if inside is None:
+        # every edge left in ``shared`` is a convex arc holding both ends
+        inside = _chord_is_interior_general(domain, p, q, shared, ((i0, t0), (i1, t1)))
     return (p, q) if inside else None
+
+
+def _family_verdict(
+    domain: PlanarDomain, i0: int, t0: float, i1: int, t1: float, p: Point, q: Point
+) -> bool | None:
+    """The *corner-stub* and *split-pair* verdicts on the chord ``p q``,
+    whose ends lie at edge index and local arclength ``(i0, t0)``, ``(i1,
+    t1)`` on two segments that do not share it: True or False when the
+    general test would say so, ``None`` when it must answer.
+
+    One end, ``y``, lies more than ``c = 1e-3 S`` of boundary from its
+    segment's ends; the other, ``x``, at a vertex, within ``c`` of one, or,
+    on a pair :meth:`PlanarDomain._pair_clear` refuses, more than ``c``
+    from its ends too.  The chord belongs to the family of ``x``'s segment,
+    zone and ``y``'s segment, whose certificate
+    (:meth:`PlanarDomain._family_certificate`, argued there) leaves a few
+    clauses to test: signs of ``orient`` for the chord's ends against
+    segment lines, linear in one end, and for vertices against the chord,
+    bilinear in the two ends.  A family's first chord goes to the general
+    test and its second finds the certificate, which is kept.
+
+    Each clause is ``orient``'s determinant expanded about the origin, with
+    ``orient(x, y, r) = cross(x, y) + r1 (y0 - x0) - r0 (y1 - x1)`` sharing
+    the first term.  With coordinates at most ``S`` its rounding stays below
+    ``1e-14 S^2`` for a vertex and ``1e-15 S L`` for the line of a segment
+    of length ``L``, which every margin clears by ``1e5`` or more.
+    """
+    c = domain._family_clearance
+    if c is None:
+        return None
+    lens = domain.edge_lengths
+    z0 = (_TRIMMED if c < t0 < lens[i0] - c else _AT_START if t0 == 0.0
+          else _NEAR_START if t0 <= c else _NEAR_END)
+    z1 = (_TRIMMED if c < t1 < lens[i1] - c else _AT_START if t1 == 0.0
+          else _NEAR_START if t1 <= c else _NEAR_END)
+    # x is the end off the trimmed range, or the one on the lower edge
+    if z1 == _TRIMMED and (z0 != _TRIMMED or i0 < i1):
+        x, y, ix, zone, j = p, q, i0, z0, i1
+    elif z0 == _TRIMMED:
+        x, y, ix, zone, j = q, p, i1, z1, i0
+    else:
+        return None
+    if zone == _TRIMMED and domain._pair_clears[(ix, j)] is None:
+        return None  # the pair's first use
+    fam = domain._chord_families.get((ix, zone, j)) or domain._chord_family(ix, zone, j)
+    if not fam:
+        return None
+    xlines, ylines, cone, live, near, m = fam
+    (x0, x1), (y0, y1) = x, y
+    clear = True
+    for ex, ey, thr in xlines:
+        if ex * x1 - ey * x0 < thr:
+            clear = False
+    for ex, ey, thr in ylines:
+        if ex * y1 - ey * y0 < thr:
+            clear = False
+    if clear and cone is not None:
+        sides = []
+        for ex, ey, thr, m_line in cone:
+            o = ex * y1 - ey * y0 - thr
+            sides.append(1 if o >= m_line else -1 if o <= -m_line else 0)
+        clear = 0 not in sides and 1 in sides
+    # orient(x, y, r) = kxy + r1 dx - r0 dy
+    kxy, dx, dy = x0 * y1 - x1 * y0, y0 - x0, y1 - x1
+    if live:
+        lo_x, hi_x = (x0, y0) if x0 <= y0 else (y0, x0)
+        lo_y, hi_y = (x1, y1) if x1 <= y1 else (y1, x1)
+        for (b0, b1, b2, b3), (u0, u1), (w0, w1), (ex, ey, m_cross) in live:
+            if b0 > hi_x or b2 < lo_x or b1 > hi_y or b3 < lo_y:
+                continue  # the box reject: no hit, and the chord keeps off
+            o0 = kxy + u1 * dx - u0 * dy
+            o1 = kxy + w1 * dx - w0 * dy
+            if o0 >= m and o1 >= m or o0 <= -m and o1 <= -m:
+                continue
+            if o0 >= m and o1 <= -m or o0 <= -m and o1 >= m:
+                # the edge's ends straddle the chord's line: a crossing when
+                # the chord's ends straddle the edge's line by c
+                o0 = ex * (x1 - u1) - ey * (x0 - u0)
+                o1 = ex * (y1 - u1) - ey * (y0 - u0)
+                if o0 >= m_cross and o1 <= -m_cross or o0 <= -m_cross and o1 >= m_cross:
+                    return False
+            clear = False
+    if near is not None:
+        k, (v0, v1), (w0, w1), sigma, convex, close = near
+        near_v = sigma * (kxy + v1 * dx - v0 * dy)
+        far_v = sigma * (kxy + w1 * dx - w0 * dy)
+        if near_v < close or far_v < m:
+            if _segment_stops_chord(domain, k, p, q):
+                return False
+            if convex and far_v < m:
+                clear = False
+    return True if clear else None
+
+
+def _segment_stops_chord(domain: PlanarDomain, k: int, p: Point, q: Point) -> bool:
+    """Whether segment ``k`` stops the edge loop of
+    :func:`_chord_is_interior_general` on the chord ``p q``: an overlap, or
+    a hit farther than its ``excl`` from both ends.  That loop computes
+    exactly these hits (it spells out :func:`_seg_seg_intersections`'
+    non-parallel path), and its box reject skips only segments that have
+    none."""
+    excl = max(_CHORD_EXCL_ABS * domain.scale, _CHORD_EXCL_REL * math.dist(p, q))
+    e = domain.edges[k]
+    hits, overlap = _seg_seg_intersections(p, q, e.start, e.end)
+    return overlap or any(math.dist(h, p) > excl and math.dist(h, q) > excl for h, _u, _v in hits)
 
 
 def _chord_is_interior_general(

@@ -401,8 +401,29 @@ def validate_region(domain: PlanarDomain, region: Region) -> list[str]:
 def _chords_conflict(domain, c1, c2):
     """None if two chords, given by their end points, may coexist, otherwise
     a description string.  Identical chords and shared end points are
-    allowed; :func:`chords_cross` decides the rest."""
+    allowed; :func:`chords_cross` decides the rest.
+
+    The *chord-pair box reject* answers None first when the domain's
+    bounding box lies within its scale ``S`` of the origin and the chords'
+    boxes, one widened by ``1e-2 S``, do not meet.  The chords' ends are
+    boundary points, so the argument of the general chord test's box reject
+    holds: a hit of :func:`~escobar.geometry._seg_seg_intersections` puts
+    the two boxes within ``1e-3 S`` of each other, and an overlap within
+    ``4e-9 S``, so ``chords_cross`` would find neither."""
     (p1, q1), (p2, q2) = c1, c2
+    m = domain._chord_box_margin
+    if m is not None:
+        lo_x, hi_x = (p1[0], q1[0]) if p1[0] <= q1[0] else (q1[0], p1[0])
+        lo_y, hi_y = (p1[1], q1[1]) if p1[1] <= q1[1] else (q1[1], p1[1])
+        lo_x -= m
+        hi_x += m
+        lo_y -= m
+        hi_y += m
+        if (
+            (p2[0] < lo_x and q2[0] < lo_x) or (p2[0] > hi_x and q2[0] > hi_x)
+            or (p2[1] < lo_y and q2[1] < lo_y) or (p2[1] > hi_y and q2[1] > hi_y)
+        ):
+            return None
     tol_abs = TAU_GEOM * domain.scale
     if (math.dist(p1, p2) <= tol_abs and math.dist(q1, q2) <= tol_abs) or (
         math.dist(p1, q2) <= tol_abs and math.dist(q1, p2) <= tol_abs

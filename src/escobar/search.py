@@ -437,7 +437,7 @@ def _grid_seeds(grid: _Grid, k: int) -> tuple:
 def _cuts_chords_ok(grid: _Grid, cuts: Sequence[int]) -> bool:
     """Whether no two chords of the cut list conflict by
     :func:`regions._chords_conflict` (needed on nonconvex domains only)."""
-    pts = [tuple(grid.pts[c % grid.m]) for c in cuts]
+    pts = [tuple(grid.pts[c % grid.m].tolist()) for c in cuts]
     return not any(
         _chords_conflict(grid.domain, c1, c2)
         for c1, c2 in itertools.combinations(zip(pts[::2], pts[1::2]), 2)

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from escobar.geometry import (
@@ -213,6 +213,40 @@ def test_chords_conflict_matches_retired_copy(case):
     dom, c1, c2 = case
     got = _chords_conflict(dom, _ends(dom, c1), _ends(dom, c2))
     assert got == _ref_chords_conflict(dom, c1, c2, tol=1e-9)
+
+
+def _unscreened_chords_conflict(domain, c1, c2):
+    """``regions._chords_conflict`` without its chord-pair box reject."""
+    (p1, q1), (p2, q2) = c1, c2
+    tol_abs = TAU_GEOM * domain.scale
+    if (math.dist(p1, p2) <= tol_abs and math.dist(q1, q2) <= tol_abs) or (
+        math.dist(p1, q2) <= tol_abs and math.dist(q1, p2) <= tol_abs
+    ):
+        return None
+    return chords_cross(p1, q1, p2, q2, domain.scale)
+
+
+@settings(max_examples=800, deadline=None)
+@given(case=_chord_pairs(), shift=st.sampled_from([0.0, 0.0, 0.0, 2.0]),
+       near_box=st.floats(0.0, 0.02))
+def test_chords_conflict_box_reject_keeps_every_verdict(case, shift, near_box):
+    """The chord-pair box reject answers only where ``chords_cross`` finds
+    nothing: on the drawn pairs, on a second chord moved just past or just
+    inside ``1e-2 S`` of the first's box, and on the domain shifted by twice
+    its scale, where the reject is off."""
+    dom, c1, c2 = case
+    if shift:
+        dom = make_polygon([(x + shift * dom.scale, y) for x, y in dom.vertices]) if all(
+            isinstance(e, Segment) for e in dom.edges) else dom
+    e1, e2 = _ends(dom, c1), _ends(dom, c2)
+    # the second chord moved right of the first's box by near_box * S
+    dx = max(e1[0][0], e1[1][0]) - min(e2[0][0], e2[1][0]) + near_box * dom.scale
+    moved = tuple((x + dx, y) for x, y in e2)
+    for a, b in ((e1, e2), (e2, e1), (e1, moved), (moved, e1)):
+        got = _chords_conflict(dom, a, b)
+        assert got == _unscreened_chords_conflict(dom, a, b)
+    if dom._near_origin and near_box > 0.01:
+        event("box reject fired")
 
 
 @settings(max_examples=600, deadline=None)

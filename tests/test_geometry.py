@@ -1042,18 +1042,25 @@ def test_pair_verdict_matches_general_test(chord):
         event("chord of a visible pair")
 
 
-def test_pair_verdict_spares_the_general_test_from_the_second_use(monkeypatch):
-    """On the L-shape, pair (0, 5), the bottom and left edges, is visible:
-    its first chord goes to the general test, the next ones, either way
-    round, do not.  Pair (0, 3) reaches the notch's wall ``x = 1`` past the
-    reflex vertex (1, 1), where some chords run outside: it is tested every
-    time."""
-    dom = _SIDE_BASES["lshape"]()
+def _spy_general(monkeypatch):
+    """A list that gathers the arguments of every general test call."""
     calls = []
     general = geometry._chord_is_interior_general
     monkeypatch.setattr(
         geometry, "_chord_is_interior_general", lambda *a: calls.append(a) or general(*a)
     )
+    return calls
+
+
+def test_pair_verdict_spares_the_general_test_from_the_second_use(monkeypatch):
+    """On the L-shape, pair (0, 5), the bottom and left edges, is visible:
+    its first chord goes to the general test, the next ones, either way
+    round, do not.  Pair (0, 3) reaches the notch's wall ``x = 1`` past the
+    reflex vertex (1, 1), where some chords run outside: it is a split
+    pair, whose first chord goes to the general test and whose later ones,
+    inside or outside, get the split-pair verdict."""
+    dom = _SIDE_BASES["lshape"]()
+    calls = _spy_general(monkeypatch)
     assert chord_is_interior(dom, 0.5, 7.5)  # (0.5, 0) to (0, 0.5)
     assert len(calls) == 1
     assert chord_is_interior(dom, 1.5, 6.5)  # (1.5, 0) to (0, 1.5)
@@ -1062,9 +1069,113 @@ def test_pair_verdict_spares_the_general_test_from_the_second_use(monkeypatch):
     for _ in range(3):
         assert chord_is_interior(dom, 0.5, 4.5)  # (0.5, 0) to (1, 1.5)
         assert not chord_is_interior(dom, 1.5, 4.5)  # (1.5, 0) to (1, 1.5)
-    assert len(calls) == 7
+    assert len(calls) == 2
     assert dom._pair_clears == {(0, 5): True, (0, 3): False}
+    assert list(dom._chord_families) == [(0, geometry._TRIMMED, 3)]
 
+
+def test_stub_verdict_spares_the_general_test_from_the_second_use(monkeypatch):
+    """Chords from the reflex vertex (1, 1) of the L-shape, and from within
+    ``c`` of it on either edge, to the bottom edge: each family's first
+    chord goes to the general test, the later ones do not."""
+    dom = _SIDE_BASES["lshape"]()
+    calls = _spy_general(monkeypatch)
+    for s0 in (4.0, 4.0 + 1e-5, 4.0 - 1e-5, 4.0 + 1e-12):  # at, above, right of (1, 1)
+        for s1 in (0.3, 0.5, 0.7):
+            assert chord_is_interior(dom, s0, s1)
+            assert chord_is_interior(dom, s1, s0)
+    assert len(calls) == 3  # one per family: at the vertex, on edge 3, on edge 2
+    assert set(dom._chord_families) == {
+        (3, geometry._AT_START, 0), (3, geometry._NEAR_START, 0), (2, geometry._NEAR_END, 0)
+    }
+
+
+_FAMILY_SHIFTS = [(0.0, 0.0), (0.0, 0.0), (10.0, 0.0), (1e3, 1e3)]
+
+
+@st.composite
+def _family_chords(draw):
+    """A domain of ``_pair_domains``' kinds, dilated by 1e-6, 1 or 1e6 and
+    then shifted by (10, 0) or (1e3, 1e3) times that factor half the time,
+    where the verdicts are off, and up to six chords
+    on it.  Each chord has one end at a vertex, within ``c`` of a vertex
+    (a reflex one half the time where there is one) on either edge, down
+    to ``1e-12 c``, or at ``c`` of an edge's end 1 ulp off; its other end
+    is drawn uniformly, so it reaches across notches too, or likewise."""
+    base = draw(st.sampled_from(["lshape", "star", "random"]))
+    if base == "random":
+        n = draw(st.integers(4, 9))
+        gaps = draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n))
+        angles = itertools.accumulate(g * TWO_PI / sum(gaps) for g in gaps)
+        radii = draw(st.lists(st.floats(0.2, 1.5), min_size=n, max_size=n))
+        try:
+            dom = make_polygon([(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)])
+        except (InvalidGeometryError, InvalidParameterError):
+            assume(False)
+    else:
+        dom = _SIDE_BASES[base]()
+    factor = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    dom = scaled(dom, factor)
+    dx, dy = draw(st.sampled_from(_FAMILY_SHIFTS))
+    if dx:
+        dom = make_polygon([(x + dx * factor, y + dy * factor) for x, y in dom.vertices])
+    cum, n = dom.cumlens, len(dom.edges)
+    c = geometry._CONVEX_VERTEX_CLEARANCE * dom.scale
+    reflex = [j for j, a in enumerate(dom.interior_angles) if a > math.pi]
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def vertex():
+        return draw(st.sampled_from(reflex if reflex and draw(st.booleans()) else range(n)))
+
+    def cut(kind):
+        if kind == 0:
+            return rnd.random() * dom.perimeter
+        if kind == 1:
+            return cum[vertex()]
+        if kind == 2:  # within c of a vertex, on the edge after it or before it
+            off = c * (10.0 ** -rnd.uniform(0.0, 12.0))
+            return cum[vertex()] + (off if draw(st.booleans()) else -off)
+        i = draw(st.integers(0, n - 1))
+        s = cum[i] + c if draw(st.booleans()) else cum[i + 1] - c
+        return math.nextafter(s, draw(st.sampled_from([-math.inf, s, math.inf])))
+
+    chords = []
+    for _ in range(draw(st.integers(1, 6))):
+        ends = [cut(draw(st.integers(1, 3))), cut(draw(st.integers(0, 3)))]
+        if draw(st.booleans()):
+            ends.reverse()
+        chords.append(tuple(e % dom.perimeter for e in ends))
+    return dom, chords
+
+
+_LSHAPE = _SIDE_BASES["lshape"]
+
+
+@settings(max_examples=1200, deadline=None)
+@given(drawn=_family_chords())
+# the chord from (1, 1 + t) on the notch's wall to (1.5, 0) leaves the
+# domain and crosses the edge y = 1 about 1.1 t from its end: within the
+# general test's excl for t <= 1e-6, so interior, and not for t >= 1e-5
+@example(drawn=(_LSHAPE(), [(4.0 + 1e-6, 1.5)] * 3))
+@example(drawn=(_LSHAPE(), [(4.0 + 1e-5, 1.5)] * 3))
+@example(drawn=(_LSHAPE(), [(1.5, 4.0 + 1e-6), (4.0 + 1e-6, 1.5), (4.0 + 1e-6, 1.5)]))
+# from the reflex vertex, from just off it on each edge, and across the notch
+@example(drawn=(_LSHAPE(), [(4.0, 1.5), (4.0, 0.5), (4.0, 7.9), (4.0, 7.0), (4.0, 1.0)]))
+@example(drawn=(_LSHAPE(), [(4.0 + 1e-5, 7.9), (4.0 + 1e-5, 0.5), (4.0 - 1e-5, 0.5)] * 2))
+@example(drawn=(_LSHAPE(), [(2.5, 7.5), (2.5, 6.5), (2.5, 7.5), (0.5, 4.5), (1.5, 4.5)] * 2))
+def test_family_verdicts_match_general_test(drawn):
+    """The kernel's verdict equals the general test's on every use of a
+    chord family: the first, which the general test answers, and the
+    later ones, which read the corner-stub or split-pair verdict."""
+    dom, chords = drawn
+    for s0, s1 in chords:
+        want = _general_verdict(dom, s0, s1)
+        for _ in range(2):
+            assert chord_is_interior(dom, s0, s1) == want, (dom.vertices, s0, s1)
+    families = [f for f in dom._chord_families.values() if f]
+    if families:
+        assert dom._near_origin
+        event("a family verdict answered")
 
 # ---------------------------------------------------------------------------
 # the chord kernel the refinement objective scores caps with
