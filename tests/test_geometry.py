@@ -1163,6 +1163,11 @@ _LSHAPE = _SIDE_BASES["lshape"]
 @example(drawn=(_LSHAPE(), [(4.0, 1.5), (4.0, 0.5), (4.0, 7.9), (4.0, 7.0), (4.0, 1.0)]))
 @example(drawn=(_LSHAPE(), [(4.0 + 1e-5, 7.9), (4.0 + 1e-5, 0.5), (4.0 - 1e-5, 0.5)] * 2))
 @example(drawn=(_LSHAPE(), [(2.5, 7.5), (2.5, 6.5), (2.5, 7.5), (0.5, 4.5), (1.5, 4.5)] * 2))
+# the chord from (1, 1.0001) to (1 - 5e-6, 0) is inside, but it passes
+# 5e-10 past the reflex vertex's end of the edge y = 1, within the general
+# test's parameter slack, so that test finds a hit 1e-4 from x and says not
+# interior: only the replay of the stub's near edge agrees
+@example(drawn=(_LSHAPE(), [(4.0 + 1e-4, 1.0 - 5e-6)] * 2))
 def test_family_verdicts_match_general_test(drawn):
     """The kernel's verdict equals the general test's on every use of a
     chord family: the first, which the general test answers, and the
