@@ -7,7 +7,6 @@ numerical search with certified bound kinds, and symmetrization utilities.
 __version__ = "0.1.0"
 
 from .errors import (
-    BudgetExceededError,
     ConstructionFailedError,
     EscobarError,
     InvalidGeometryError,
@@ -45,7 +44,6 @@ __all__ = [
     "Bound",
     "BoundKind",
     "BoundReport",
-    "BudgetExceededError",
     "Cap",
     "ConstructionFailedError",
     "EscobarError",

@@ -9,8 +9,8 @@ conjecture-scan  table comparing regular polygons against the disk
 symmetry-audit   structural + Monte-Carlo audit of cap symmetrization
 render           SVG picture of a domain and an optional tuple
 
-Exit codes: 0 success, 2 usage error, 3 invalid input/geometry, 4 budget
-exceeded.  Every ``--out`` file gets a ``<out>.manifest.json`` sidecar with
+Exit codes: 0 success, 2 usage error, 3 invalid input/geometry.  A search
+has no work limit to exceed: its grid is at most 5000 points.  Every ``--out`` file gets a ``<out>.manifest.json`` sidecar with
 SHA-256 digests, the configuration echo, seed, version, and wall-clock time.
 """
 
@@ -32,7 +32,6 @@ from .constructions import (
     stripe_tuple,
 )
 from .errors import (
-    BudgetExceededError,
     EscobarError,
     InvalidGeometryError,
     InvalidParameterError,
@@ -189,7 +188,6 @@ def _cmd_optimize(args, outputs: list[str]) -> int:
         restarts=args.restarts,
         seed=args.seed,
         tolerance=args.tolerance,
-        budget=args.budget,
     )
     report = estimate_ik(domain, args.k, config)
     print(
@@ -333,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, help="force this enumeration grid size")
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=float, default=1e9)
     p.add_argument("--tolerance", type=float, default=1e-7)
     p.add_argument(
         "--families",
@@ -380,9 +377,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     outputs: list[str] = []
     try:
         rc = args.func(args, outputs)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (EscobarError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

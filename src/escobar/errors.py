@@ -118,21 +118,3 @@ class NotApplicableError(EscobarError):
 class ConstructionFailedError(EscobarError):
     """A construction could not produce a valid tuple with the given
     parameters (legs overrunning an edge, stripes taller than the box, ...)."""
-
-
-class BudgetExceededError(EscobarError):
-    """A search refused to start or stopped because its evaluation budget
-    would be (or was) exhausted.
-
-    Attributes
-    ----------
-    estimate : float
-        Estimated or actual number of evaluations required.
-    budget : float
-        The configured ceiling.
-    """
-
-    def __init__(self, message: str, estimate: float = 0.0, budget: float = 0.0):
-        super().__init__(message)
-        self.estimate = estimate
-        self.budget = budget

@@ -3,9 +3,9 @@
 Three cooperating engines produce certified upper bounds (every reported
 value is the measured max-eta of a validated tuple):
 
-* :func:`enumerate_caps` — exhaustive minimax search over k caps whose cut
-  points lie on a uniform m-point boundary grid, with feasibility and
-  incumbent pruning and a combinatorial budget guard;
+* :func:`enumerate_caps` — the exact minimax over k caps whose cut points
+  lie on a uniform m-point boundary grid: a bisection over the grid's eta
+  values, each step an interval-scheduling greedy;
 * :func:`refine_caps` — derivative-free local refinement of a cap tuple
   (SciPy's adaptive Nelder-Mead, ported to Python floats as
   :func:`_nelder_mead`, on a feasibility-penalised objective), never worse
@@ -26,10 +26,8 @@ import heapq
 import itertools
 import math
 import operator
-import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from math import comb
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,14 +39,12 @@ from .constructions import (
     geometric_legs,
 )
 from .errors import (
-    BudgetExceededError,
     ConstructionFailedError,
     InvalidGeometryError,
     InvalidParameterError,
     NotApplicableError,
     _finite,
     _integer,
-    _positive,
 )
 from .exact import Bound, BoundKind, ik_exact
 from .geometry import (
@@ -80,9 +76,7 @@ TAU_OPT = 1e-7
 #: Equal splits tried at evenly spaced start offsets, besides edge midpoints.
 _OFFSET_SAMPLES = 8
 
-# ceiling on enumeration work chosen automatically (explicit grids may go
-# up to the configured budget instead)
-_ENUM_SOFT_CAP = 3_000_000
+# the finest grid chosen automatically
 _M_CAP_CONVEX = 480
 _M_CAP_NONCONVEX = 144
 
@@ -103,14 +97,14 @@ _LEG_RATIO_MAX = 1e12
 class SearchConfig:
     """Knobs for :func:`estimate_ik` and friends.  Geometric tolerances are
     not among them: every predicate measures against ``TAU_GEOM`` times the
-    domain scale."""
+    domain scale.  Nor is a work limit: a grid's cost is fixed by its size,
+    at most 5000 points."""
 
     grid_points: Optional[int] = None
     families: tuple[str, ...] = ("caps", "corner-strips")
     restarts: int = 4
     seed: int = 0
     tolerance: float = TAU_OPT
-    budget: float = 1e9
 
     def __post_init__(self):
         if isinstance(self.families, str):
@@ -131,7 +125,6 @@ class SearchConfig:
         bad = set(self.families) - {"caps", "corner-strips"}
         if bad:
             raise InvalidParameterError(f"unknown search families: {sorted(bad)}")
-        self.budget = _positive("budget", self.budget)
         self.tolerance = _finite("tolerance", self.tolerance)
         if self.tolerance < 0:
             raise InvalidParameterError(f"tolerance must be non-negative, got {self.tolerance}")
@@ -174,7 +167,8 @@ def report_to_json(report: BoundReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
-#: Most eta values :meth:`_Grid.w_min_for` computes in one block.
+#: Most eta values :meth:`_Grid.w_min_for` and :func:`enumerate_caps`
+#: compute in one block.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -195,15 +189,14 @@ class _Grid:
 
     ``w_min`` (:meth:`w_min_for`) is the least width whose column of the eta
     table holds a valid chord with eta below the incumbent less ``1e-12``,
-    or m if none does; the columns that decide it are computed in blocks as
-    they are needed.  Every width below ``clear`` is known to hold none.
-    The incumbent never rises, so such a width never holds one later and is
-    not read again; each query starts at ``clear``.  On a convex grid a
-    column's minimum is its least valid eta.  On a nonconvex grid the eta
-    values are geometric: a column whose minimum beats the threshold tests
-    its chords (:func:`_chord_ok`) in increasing eta, ties in index order,
-    and stops at the first valid one or once eta reaches the threshold.  So
-    the answer is the one a table with every chord tested gives.
+    or m if none does; :func:`enumerate_caps` starts its band of widths
+    there.  The columns that decide it are computed in blocks as they are
+    needed, and kept.  On a convex grid a column's minimum is its least
+    valid eta.  On a nonconvex grid the eta values are geometric: a column
+    whose minimum beats the threshold tests its chords (:func:`_chord_ok`)
+    in increasing eta, ties in index order, and stops at the first valid
+    one or once eta reaches the threshold.  So the answer is the one a
+    table with every chord tested gives.
     """
 
     domain: PlanarDomain
@@ -216,12 +209,9 @@ class _Grid:
     bwd: Optional[np.ndarray]
     # nonconvex: (i, j) with i < j -> chord_is_interior verdict
     valid: dict = field(default_factory=dict, init=False)
-    clear: int = field(default=1, init=False)  # width 0 holds no chord
-    # width -> column minimum, from ``clear`` on; on a nonconvex grid the
-    # least eta not yet found invalid
+    # width -> column minimum; on a nonconvex grid the least eta not yet
+    # found invalid
     mins: dict = field(default_factory=dict, init=False)
-    # nonconvex: width -> [order, sorted eta, position] of its column walk
-    walks: dict = field(default_factory=dict, init=False)
 
     def invalid(self, i: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Where the chord from grid point ``i`` of width ``w`` reads +inf,
@@ -246,10 +236,9 @@ class _Grid:
         """``w_min`` for the incumbent ``best``, or ``limit`` if it is at
         least that; reads no column at or past ``limit``."""
         thr = best - 1e-12
-        w = self.clear
+        w = 1  # width 0 holds no chord
         while w < limit and not self._beats(w, thr, limit):
             w += 1
-        self.clear = w
         return w
 
     def _beats(self, w: int, thr: float, limit: int) -> bool:
@@ -261,18 +250,12 @@ class _Grid:
             return False
         if self.fwd is not None:
             return True
-        walk = self.walks.get(w)
-        if walk is None:
-            col = _eta_block(self, w, w + 1)[:, 0]
-            order = np.argsort(col, kind="stable")
-            walk = self.walks[w] = [order.tolist(), col[order].tolist(), 0]
-        order, etas, pos = walk
-        while pos < m and etas[pos] < thr:
-            i = order[pos]
-            if _chord_ok(self, i, (i + w) % m):
-                break
+        col = _eta_block(self, w, w + 1)[:, 0]
+        order = np.argsort(col, kind="stable")
+        order, etas = order.tolist(), col[order].tolist()
+        pos = 0
+        while pos < m and etas[pos] < thr and not _chord_ok(self, order[pos], (order[pos] + w) % m):
             pos += 1
-        walk[2] = pos
         self.mins[w] = etas[pos] if pos < m else math.inf
         return pos < m and etas[pos] < thr
 
@@ -370,12 +353,6 @@ def _eta_block(grid: _Grid, w0: int, w1: int, rows: slice = slice(None)) -> np.n
     return grid.eta(i, widths, grid.invalid(i, widths))
 
 
-def _eta_row(grid: _Grid, i: int) -> list[float]:
-    """Row i of the eta table, ``eta(i, w)`` for ``0 <= w < m``, as Python
-    floats: :func:`_eta_block` of the one point, so the block's values."""
-    return _eta_block(grid, 0, grid.m, slice(i, i + 1))[0].tolist()
-
-
 def _chord_ok(grid: _Grid, i: int, j: int) -> bool:
     """:func:`chord_is_interior` of grid points ``i != j`` on a nonconvex
     grid, from the lower index to the higher, tested once per pair.  The
@@ -444,136 +421,59 @@ def _cuts_chords_ok(grid: _Grid, cuts: Sequence[int]) -> bool:
     )
 
 
-def _enum_estimate(m: int, k: int, period: int, w_min: int) -> int:
-    slack = m - k * w_min
-    if slack < 0:
-        return 0
-    return period * comb(slack + 2 * k - 1, 2 * k - 1)
-
-
-def enumerate_caps(
-    domain: PlanarDomain, k: int, m: int, *, budget: float = 1e9
-) -> BoundReport:
+def enumerate_caps(domain: PlanarDomain, k: int, m: int) -> BoundReport:
     """Minimax-optimal k caps with cut points on the uniform m-point grid.
 
     Cut points may be shared between adjacent caps but each cap's arc must
     have positive width.  ``k`` is at least 2: ``I_1 = 0`` needs no grid.
+    The grid holds at most 5000 points.
 
-    The refusal rule: the search's node count is estimated by
-    :func:`_enum_estimate` from ``w_min``, the least cap width whose column
-    holds a valid chord that beats the deterministic seeds
-    (:func:`_grid_seeds`); the estimate does not increase with ``w_min``.  A
-    grid whose estimate exceeds ``budget`` raises
-    :class:`~escobar.errors.BudgetExceededError` before any row is read; an
-    estimate past the float range is reported as ``math.inf``.  The grid
-    decides ``w_min`` (:meth:`_Grid.w_min_for`) from the columns below
-    ``w_fit``, the least width whose estimate fits, and the search
-    (:func:`_run_enumeration`) resumes it and stops after ``budget`` nodes.
+    The deterministic seeds (:func:`_grid_seeds`) give the incumbent.  Each
+    cap of a tuple that beats it by more than ``1e-12`` has a width in the
+    band ``[w0, m - (k - 1) w0]``, where ``w0`` is the least width whose
+    column holds such a chord (:meth:`_Grid.w_min_for`).  When ``w0 > m //
+    k`` no k of them fit, and the seeds are the answer.  Otherwise the eta
+    values of the band are computed once, in row blocks
+    (:func:`_eta_block`), and a bisection over its distinct values below
+    the incumbent finds the least at which k caps fit
+    (:func:`_greedy_caps`).  The report's evaluations count the bisection
+    steps, and its value is the witness's measured max-eta.
     """
     k, m = _integer("k", k, 2), _integer("m", m, 4)
-    budget = _positive("budget", budget)
     if m < 2 * k:
         raise InvalidParameterError(f"grid needs at least 2k points, got m={m}, k={k}")
     if m > 5000:
         raise InvalidParameterError(f"grid too fine (m={m} > 5000)")
     grid = _prepare_grid(domain, m, full_validity=False)
-    seeds = _grid_seeds(grid, k)
-    w_fit = 1 + bisect.bisect_left(
-        range(1, m + 1), True, key=lambda w: _enum_estimate(m, k, grid.period, w) <= budget
-    )
-    estimate = _enum_estimate(m, k, grid.period, grid.w_min_for(seeds[0], min(w_fit, m)))
-    if estimate > budget:
-        if estimate > sys.float_info.max:
-            approx, shown = math.inf, f"more than {sys.float_info.max:.2g}"
-        else:
-            approx = float(estimate)
-            shown = f"{approx:.3g}"
-        raise BudgetExceededError(
-            f"enumeration on m={m}, k={k} needs an estimated {shown} nodes "
-            f"(budget {budget:.3g})",
-            estimate=approx,
-            budget=budget,
-        )
-    return _run_enumeration(grid, k, seeds, budget)
-
-
-def _run_enumeration(grid: _Grid, k: int, seeds: tuple, budget: float) -> BoundReport:
-    """The grid minimax search from the seeds, resuming the ``w_min`` scan
-    that the refusal began, where every width below ``grid.clear`` is known
-    not to beat them.
-
-    The depth-first search reads row ``start`` of the eta table when it
-    places a cap there, converted to Python floats on first read
-    (:func:`_eta_row`).  On a nonconvex grid those values are geometric, and
-    a chord whose eta beats the incumbent is tested (:func:`_chord_ok`)
-    before it is placed, so the search places the caps, and counts the
-    nodes, that a table with every invalid chord at +inf gives.  No search
-    runs, and no row is read, when the seeds leave no room for k caps of
-    width ``w_min``.
-    """
-    m = grid.m
     period = grid.period
-    need_cross = grid.fwd is None
-    best, best_cuts = seeds
-    # k caps of a width past m // k do not fit: the search would not run
-    w_min = grid.w_min_for(best, m // k + 1)
-    rows: list[Optional[list[float]]] = [None] * m
-
-    nodes = 0
-    end_abs = 0  # set per c0
-
-    def dfs(cap_idx: int, pos: int, cuts: list[int], running: float) -> None:
-        nonlocal nodes, best, best_cuts, w_min
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"enumeration stopped after {nodes} nodes (budget {budget:.3g})",
-                estimate=float(nodes),
-                budget=budget,
-            )
-        if cap_idx == k:
-            if need_cross and not _cuts_chords_ok(grid, cuts):
-                return
-            best = running
-            best_cuts = list(cuts)
-            w_min = grid.w_min_for(best, m)
-            return
-        remaining_after = k - cap_idx - 1
-        if cap_idx == 0:
-            starts = (pos,)
-        else:
-            starts = range(pos, end_abs - w_min * (remaining_after + 1) + 1)
-        for start in starts:
-            w_cap = end_abs - start - w_min * remaining_after
-            i = start % m
-            row = rows[i]
-            if row is None:
-                row = rows[i] = _eta_row(grid, i)
-            for w in range(w_min, w_cap + 1):
-                e = row[w]
-                if e < best:
-                    if need_cross and not _chord_ok(grid, i, (i + w) % m):
-                        continue
-                    cuts.append(start)
-                    cuts.append(start + w)
-                    dfs(cap_idx + 1, start + w, cuts, max(running, e))
-                    cuts.pop()
-                    cuts.pop()
-
-    try:
-        for c0 in range(period):
-            end_abs = c0 + m
-            if m - k * w_min >= 0:
-                dfs(0, c0, [], 0.0)
-    finally:
-        # dfs reaches itself through its closure; emptying that cell frees
-        # the rows now instead of at the next run of the cycle collector
-        del dfs
+    best, best_cuts = _grid_seeds(grid, k)
+    w0 = grid.w_min_for(best, m // k + 1)
+    steps = 0
+    if w0 <= m // k:
+        w1 = m - (k - 1) * w0 + 1
+        band = np.empty((m, w1 - w0))
+        rows = max(1, _BLOCK_CELLS // (w1 - w0))
+        for r in range(0, m, rows):
+            band[r:r + rows] = _eta_block(grid, w0, w1, slice(r, r + rows))
+        values = band[band < best]
+        values.sort()  # in place, then the distinct ones: np.unique would copy once more
+        distinct = np.ones(len(values), dtype=bool)
+        np.not_equal(values[1:], values[:-1], out=distinct[1:])
+        values = values[distinct]
+        lo, hi = 0, len(values)
+        while lo < hi:  # the least value at which k caps fit
+            mid = (lo + hi) // 2
+            steps += 1
+            cuts = _greedy_caps(grid, band, w0, k, values[mid])
+            if cuts is None:
+                lo = mid + 1
+            else:
+                hi, best_cuts = mid, cuts
 
     if best_cuts is None:
         return BoundReport(
             math.inf, BoundKind.ESTIMATE, None, f"enumeration m={m}",
-            nodes, "no valid tuple on this grid",
+            steps, "no valid tuple on this grid",
         )
     caps = tuple(
         Cap(
@@ -591,8 +491,67 @@ def _run_enumeration(grid: _Grid, k: int, seeds: tuple, budget: float) -> BoundR
     value = max_eta(witness)
     return BoundReport(
         value, BoundKind.UPPER_BOUND, witness, f"enumeration m={m}",
-        nodes, f"grid minimax over {k} caps, period {period}",
+        steps, f"grid minimax over {k} caps, period {period}",
     )
+
+
+def _greedy_caps(
+    grid: _Grid, band: np.ndarray, w0: int, k: int, t: float
+) -> Optional[list[int]]:
+    """The cuts of k caps with disjoint arcs and eta at most ``t``, whose
+    widths lie in the band ``band[i, w - w0]`` of :func:`enumerate_caps`,
+    or None when no k such caps fit.
+
+    For a fixed t this is interval scheduling, which the greedy choice
+    solves exactly (Kleinberg and Tardos, *Algorithm Design*, 4.1): the
+    next cap is the one that ends first among those that start at or after
+    the last end.  Each row keeps its least width with eta <= t, a suffix
+    minimum over the starts, unrolled over two turns of the grid, gives the
+    earliest end from each point on, and k gathers run the greedy from
+    every first start in one symmetry period at once.  The witness takes
+    the first start that fits and, for each cap, the first start that
+    reaches the earliest end.
+
+    On a nonconvex grid the eta values are geometric: a row tests its
+    candidates (:func:`_chord_ok`) in increasing width until one is
+    interior, and sets each rejected one to +inf in ``band``, so that no
+    later threshold tests it again.  The caps need no test between them:
+    two interior chords whose ends do not interleave cannot cross.
+    """
+    m = grid.m
+    fits = band <= t
+    width = fits.argmax(axis=1)
+    starts = np.arange(m)
+    found = fits[starts, width]
+    if grid.fwd is None:
+        for i in np.flatnonzero(found).tolist():
+            w = int(width[i])
+            while not _chord_ok(grid, i, (i + w0 + w) % m):
+                band[i, w] = math.inf
+                later = np.flatnonzero(fits[i, w + 1:])
+                if not len(later):
+                    found[i] = False
+                    break
+                w += 1 + int(later[0])
+            width[i] = w
+    end = np.where(found, starts + w0 + width, 2 * m)
+    # ends past 2m fit no start below the period: 2m marks them all
+    ends = np.concatenate([end, np.minimum(end + m, 2 * m), [2 * m]])
+    reach = np.minimum.accumulate(ends[::-1])[::-1]
+    first = np.arange(grid.period)
+    pos = first
+    for _ in range(k):
+        pos = reach[pos]
+    fit = np.flatnonzero(pos <= first + m)
+    if not len(fit):
+        return None
+    cuts = []
+    pos = int(fit[0])
+    for _ in range(k):
+        e = int(reach[pos])
+        cuts += [pos + int(np.flatnonzero(ends[pos:] == e)[0]), e]
+        pos = e
+    return cuts
 
 
 # ---------------------------------------------------------------------------
@@ -1128,18 +1087,11 @@ def _grid_candidates(domain: PlanarDomain, k: int) -> list[int]:
     return sorted(out, reverse=True)
 
 
-def _auto_enumerate(
-    domain: PlanarDomain, k: int, config: SearchConfig
-) -> Optional[BoundReport]:
-    """Enumerate on the finest candidate grid that :func:`enumerate_caps`
-    does not refuse or stop at the soft budget."""
-    soft = min(config.budget, _ENUM_SOFT_CAP)
-    for m in _grid_candidates(domain, k):
-        try:
-            return enumerate_caps(domain, k, m, budget=soft)
-        except BudgetExceededError:
-            continue
-    return None
+def _auto_enumerate(domain: PlanarDomain, k: int) -> Optional[BoundReport]:
+    """Enumerate on the finest candidate grid, or None when no candidate
+    holds 2k points."""
+    sizes = _grid_candidates(domain, k)
+    return enumerate_caps(domain, k, sizes[0]) if sizes else None
 
 
 def _equal_boundary_report(domain: PlanarDomain, k: int) -> Optional[BoundReport]:
@@ -1253,8 +1205,8 @@ def estimate_ik(
 
     Every finite result is the measured max-eta of a validated tuple; the
     report records which engine produced it and how much work was spent.
-    ``config.grid_points`` forces a specific enumeration grid (budget errors
-    then propagate); otherwise the grid is chosen automatically, and the
+    ``config.grid_points`` forces a specific enumeration grid; otherwise
+    the finest candidate grid is used (:func:`_auto_enumerate`), and the
     cap family (equal splits, enumeration, refinement) is skipped where no
     cap tuple exists or the corner family's value lies strictly below
     :func:`_cap_floor`.  The corner family's report comes after the cap
@@ -1286,9 +1238,9 @@ def estimate_ik(
             evals += eq.evaluations
 
         if config.grid_points is not None:
-            enum = enumerate_caps(domain, k, config.grid_points, budget=config.budget)
+            enum = enumerate_caps(domain, k, config.grid_points)
         else:
-            enum = _auto_enumerate(domain, k, config)
+            enum = _auto_enumerate(domain, k)
         if enum is not None:
             evals += enum.evaluations
             if enum.witness is not None:

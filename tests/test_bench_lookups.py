@@ -5,7 +5,8 @@ pass of every benchmark workload.
 name, relies on ``search`` and ``regions`` sharing one chord predicate, and
 counts the grids prepared inside ``search._auto_enumerate`` by the
 ``full_validity=False`` keyword that ``search.enumerate_caps``, which it
-calls per grid, passes to ``search._prepare_grid``.  The
+calls once, on the finest candidate grid, passes to
+``search._prepare_grid``.  The
 workloads call package functions by signature (``make_polygon``,
 ``validate_tuple``, the CLI).  A rename or signature change there breaks
 only benchmark runs and the benchmark's own self-tests; these tests catch

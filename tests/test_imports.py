@@ -14,6 +14,9 @@ each module with ``ast``:
   property of a package class that no other top-level statement and no
   other member of a class names.  Its own body does not count, and neither
   do the tests: a helper that only tests call belongs in the tests;
+* an unused constant is a ``_``-prefixed name that a module-level
+  assignment of ``src/escobar`` binds (``_NAME = ...``) and that no other
+  statement of the package names, as a name or an attribute;
 * a module that reads ``operator.index``, as an attribute or by a
   ``from operator import``, writes its own integer rule: every count of the
   package goes through ``errors._integer``;
@@ -158,6 +161,50 @@ def test_the_scan_sees_an_unused_method():
 
 def test_no_unused_helpers():
     assert unused_helpers({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def _constant(node: ast.AST) -> str | None:
+    """The private name that a module-level assignment to one name binds:
+    ``_NAME = ...`` or ``_NAME: T = ...``."""
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        target = node.targets[0]
+    elif isinstance(node, ast.AnnAssign):
+        target = node.target
+    else:
+        return None
+    name = target.id if isinstance(target, ast.Name) else ""
+    return name if name.startswith("_") and not name.startswith("__") else None
+
+
+def unused_constants(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each private module-level constant in ``sources``
+    (module name to source) that no other top-level statement of any of
+    them names, as a name or an attribute."""
+    constants = []  # (qualified name, name, node)
+    statements = []  # (node, names)
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            statements.append((node, _names(node)))
+            name = _constant(node)
+            if name is not None:
+                constants.append((f"{module}.{name}", name, node))
+    return [
+        qualified
+        for qualified, name, node in constants
+        if not any(name in names for other, names in statements if other is not node)
+    ]
+
+
+def test_the_scan_sees_an_unused_constant():
+    sources = {
+        "a": "_KEPT = 1\n_GONE = 2\n_TYPED: int = 3\n__all__ = []\ndef f(): return _KEPT\n",
+        "b": "import a\nclass C:\n    x = a._TYPED\n_LOST = '_LOST'\n_CYCLE = _CYCLE + 1\n",
+    }
+    assert unused_constants(sources) == ["a._GONE", "b._LOST", "b._CYCLE"]
+
+
+def test_no_unused_constants():
+    assert unused_constants({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def index_reads(source: str) -> list[int]:

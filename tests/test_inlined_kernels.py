@@ -1069,9 +1069,11 @@ def _captured_objective(key, k):
 def _ref_objective(dom, xl):
     """The objective's score with every cap scored by the kernel, and the
     caps, as reduced cuts, that it must hand to the kernel: all of them on
-    a domain without a clearance, else those that the kernel's convex
-    verdict does not accept (it calls the general test or rejects) or that
-    have an end at a vertex."""
+    a domain without a clearance, else those with an end at a vertex and
+    those that the kernel's convex verdict does not accept.  The verdict is
+    read from its own guards: the kernel accepts the chord, both local
+    arclengths lie strictly inside ``(clear, L - clear)``, and the chord is
+    at least ``_CONVEX_MIN_CHORD`` times the scale long."""
     per = dom.perimeter
     min_w = 1e-9 * per
     last = len(xl) - 1
@@ -1089,19 +1091,21 @@ def _ref_objective(dom, xl):
         viol += -wrap
     if viol > 0.0:
         return 1e3 + viol / per, []
+    clear, lens = dom._convex_clearance, dom.edge_lengths
+    min_chord = geometry._CONVEX_MIN_CHORD * dom.scale
     bad, val, calls = 0, 0.0, []
     for j in range(0, last, 2):
         a, b = xl[j] % per, xl[j + 1] % per
-        with mock.patch.object(
-            geometry, "_chord_is_interior_general", wraps=geometry._chord_is_interior_general
-        ) as general:
-            ends = _KERNEL(dom, a, b)
+        ends = _KERNEL(dom, a, b)
+        (i0, t0), (i1, t1) = dom._edge_index_reduced(a), dom._edge_index_reduced(b)
         inline = (
-            dom._convex_clearance is not None
+            clear is not None
             and ends is not None
-            and not general.called
-            and dom._edge_index_reduced(a)[1] != 0.0
-            and dom._edge_index_reduced(b)[1] != 0.0
+            and t0 != 0.0
+            and t1 != 0.0
+            and clear < t0 < lens[i0] - clear
+            and clear < t1 < lens[i1] - clear
+            and math.dist(*ends) >= min_chord
         )
         if not inline:
             calls.append((a, b))
