@@ -9,6 +9,12 @@ conjecture-scan  table comparing regular polygons against the disk
 symmetry-audit   structural + Monte-Carlo audit of cap symmetrization
 render           SVG picture of a domain and an optional tuple
 
+One table, ``_COMMANDS``, holds each command's name, help line, argument
+builder and handler.  ``main`` builds the full parser, with every command,
+for help and errors (``escobar -h``, ``--version``, an argv whose first word
+names no command), and otherwise a parser with only the command that argv
+names; both give the same namespace, output and exit code.
+
 Exit codes: 0 success, 2 usage error, 3 invalid input/geometry.  A search
 has no work limit to exceed: its grid is at most 5000 points.  Every ``--out`` file gets a ``<out>.manifest.json`` sidecar with
 SHA-256 digests, the configuration echo, seed, version, and wall-clock time.
@@ -295,21 +301,13 @@ def _cmd_render(args, outputs: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="escobar",
-        description="Escobar isoperimetric constants of planar domains",
-    )
-    parser.add_argument("--version", action="version", version=f"escobar {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("exact", help="closed-form values for disks/regular polygons")
+def _exact_args(p: argparse.ArgumentParser) -> None:
     _add_domain_args(p)
     p.add_argument("--k", required=True, help="k value, range 'a..b', or list 'a,b,c'")
     p.add_argument("--out", help="write a CSV table here")
-    p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("construct", help="build a named tuple family")
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
     _add_domain_args(p)
     p.add_argument(
         "--family",
@@ -323,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=float, help="stripe: stripe height")
     p.add_argument("--out", help="write tuple JSON here")
     p.add_argument("--render", help="write an SVG here")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("optimize", help="numerical upper bound for I_k")
+
+def _optimize_args(p: argparse.ArgumentParser) -> None:
     _add_domain_args(p)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--grid", type=int, help="force this enumeration grid size")
@@ -339,36 +337,75 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write a JSON report here")
     p.add_argument("--render", help="write the witness SVG here")
-    p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser(
-        "conjecture-scan", help="regular polygons vs the disk, k < n"
-    )
+
+def _scan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-range", required=True, help="polygon orders, e.g. '4..12'")
     p.add_argument("--k-range", help="restrict k (default 2..n-1)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="write the CSV here (default stdout)")
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("symmetry-audit", help="audit cap symmetrization on an n-gon")
+
+def _symmetry_audit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ngon", type=int, required=True)
     p.add_argument("--trials", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write a JSON report here")
-    p.set_defaults(func=_cmd_symmetry_audit)
 
-    p = sub.add_parser("render", help="SVG picture of a domain / tuple")
+
+def _render_args(p: argparse.ArgumentParser) -> None:
     _add_domain_args(p)
     p.add_argument("--tuple", help="tuple JSON produced by construct/optimize")
     p.add_argument("--width", type=int, default=640)
     p.add_argument("--out", help="write the SVG here (default stdout)")
-    p.set_defaults(func=_cmd_render)
 
+
+#: Each command's help line, argument builder and handler, in the order
+#: ``escobar -h`` lists them.
+_COMMANDS = {
+    "exact": ("closed-form values for disks/regular polygons", _exact_args, _cmd_exact),
+    "construct": ("build a named tuple family", _construct_args, _cmd_construct),
+    "optimize": ("numerical upper bound for I_k", _optimize_args, _cmd_optimize),
+    "conjecture-scan": ("regular polygons vs the disk, k < n", _scan_args, _cmd_scan),
+    "symmetry-audit": (
+        "audit cap symmetrization on an n-gon", _symmetry_audit_args, _cmd_symmetry_audit
+    ),
+    "render": ("SVG picture of a domain / tuple", _render_args, _cmd_render),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``escobar`` parser, with every command or only ``command``.
+
+    Without ``command`` every command is registered: this is the parser for
+    ``escobar -h``, ``--version`` and any argv whose first word names no
+    command, so help and errors list them all.  With a command, only that
+    one is registered, and the commands' metavar is set to the full list, so
+    a usage line the top-level parser prints reads the same.  Both parse an
+    argv that starts with ``command`` to the same namespace, with the same
+    output and exit code.
+    """
+    parser = argparse.ArgumentParser(
+        prog="escobar",
+        description="Escobar isoperimetric constants of planar domains",
+    )
+    parser.add_argument("--version", action="version", version=f"escobar {__version__}")
+    # an explicit metavar would rename the action in the full parser's errors
+    # ("argument command: invalid choice"), so only the one-command parser sets it
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, add_args, handler) in _COMMANDS.items():
+        if command is None or name == command:
+            p = sub.add_parser(name, help=help_text)
+            add_args(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors, 0 for --help

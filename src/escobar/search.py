@@ -830,7 +830,8 @@ def refine_caps(
             return 1e3 + viol / per
         bad = 0
         val = 0.0
-        exts, chords = [], []
+        broken = False
+        chords = []
         for j in range(0, last, 2):
             a = xl[j] % per
             b = xl[j + 1] % per
@@ -877,15 +878,17 @@ def refine_caps(
             if eta > val:  # max(val, eta), NaN included
                 val = eta
             if not convex:
-                exts.append(ext)
+                if _exterior_problem(per, ext):
+                    broken = True
                 chords.append(ends)
         if bad:
             return 500.0 + bad
-        if not convex:
-            if any(_exterior_problem(per, ext) for ext in exts) or any(
-                _chords_conflict(domain, *pair) for pair in itertools.combinations(chords, 2)
-            ):
-                return 400.0
+        if broken:
+            return 400.0
+        for i, first in enumerate(chords):
+            for second in chords[i + 1:]:
+                if _chords_conflict(domain, first, second):
+                    return 400.0
         if val < best:
             best = val
             best_x = list(xl)

@@ -3,11 +3,12 @@
 import csv
 import hashlib
 import json
+import argparse
 import math
 
 import pytest
 
-from escobar.cli import main
+from escobar.cli import build_parser, main
 from escobar.geometry import domain_from_json, domain_to_json, make_polygon, make_regular_polygon
 from escobar.regions import Cap, max_eta, tuple_from_json, validate_tuple
 
@@ -407,7 +408,12 @@ def test_render_domain_file(tmp_path, capsys):
 
 def test_usage_error_exit_2(capsys):
     assert run(capsys, "exact", "--ngon", "6")[0] == 2  # missing --k
-    assert run(capsys, "no-such-command")[0] == 2
+    rc, _, err = run(capsys, "no-such-command")
+    assert rc == 2
+    assert "error: argument command: invalid choice: 'no-such-command'" in err
+    rc, _, err = run(capsys)
+    assert rc == 2
+    assert err.endswith("error: the following arguments are required: command\n")
 
 
 def test_input_error_exit_3(tmp_path, capsys):
@@ -582,3 +588,57 @@ def test_version(capsys):
     rc, out, _ = run(capsys, "--version")
     assert rc == 0
     assert out.startswith("escobar ")
+
+
+# ---------------------------------------------------------------------------
+# one-command parser
+# ---------------------------------------------------------------------------
+
+PARITY_CORPUS = [
+    [],
+    ["-h"],
+    ["--version"],
+    ["bogus"],
+    ["--foo", "optimize"],
+    *[[cmd, "-h"] for cmd in (
+        "exact", "construct", "optimize", "conjecture-scan", "symmetry-audit", "render",
+    )],
+    # a required option missing (render has none: a value missing instead)
+    ["exact", "--disk"],
+    ["construct", "--family", "equal", "--ngon", "4"],
+    ["optimize", "--disk"],
+    ["conjecture-scan", "--k-range", "2"],
+    ["symmetry-audit", "--trials", "3"],
+    ["render", "--width"],
+    ["optimize", "--k", "x"],
+    ["optimize", "--disk", "--k", "2", "--bogus"],
+    ["optimize", "--budget", "3", "--disk", "--k", "2"],
+    ["construct", "--family", "nope", "--k", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_CORPUS, ids=lambda a: " ".join(a) or "no-args")
+def test_main_prints_what_the_full_parser_prints(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    rc = main(list(argv))
+    got = (rc, *capsys.readouterr())
+    with pytest.raises(SystemExit) as exc:  # every argv here ends in parsing
+        build_parser().parse_args(list(argv))
+    assert got == (int(exc.value.code or 0), *capsys.readouterr())
+
+
+def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    assert main(["symmetry-audit", "--ngon", "4", "--trials", "20"]) == 0
+    assert built == ["symmetry-audit"]
+    assert "overall: OK" in capsys.readouterr().out
+    built.clear()
+    assert main(["-h"]) == 0
+    assert len(built) == 6

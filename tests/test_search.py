@@ -1243,6 +1243,29 @@ def test_estimate_is_invariant_under_scaling_and_rigid_motion(case):
         assert abs(report.value - base) <= bound * base, (label, report.value, base)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="stages that tie within rounding are ranked by the least float, which moves "
+    "with the scale; ROADMAP item 10 (rank reports by what they certify) mends it",
+)
+@pytest.mark.parametrize(
+    "case, factor",
+    [
+        ("disk-k2", 1e-3),  # equal-boundary -> enumeration m=480
+        ("lshape-k2", 3.7),  # nelder-mead -> enumeration m=144
+        ("lshape-k3", 1e-6),  # enumeration m=144 -> nelder-mead
+    ],
+)
+def test_estimate_names_the_same_method_on_a_scaled_copy(case, factor):
+    """The stage that gives I_k's bound does not depend on the domain's
+    scale.  The three copies each tie two stages within 5e-16 relative, and
+    the least float names the other stage."""
+    build, k = {**_INVARIANCE_CASES, "disk-k2": (make_disk, 2)}[case]
+    domain = build()
+    assert estimate_ik(scaled(domain, factor), k).method == estimate_ik(domain, k).method
+
+
 # ---------------------------------------------------------------------------
 # the fused refinement objective against validating the tuple first
 # ---------------------------------------------------------------------------
@@ -1373,6 +1396,9 @@ def _touching_arc_examples(test):
                              1.8000000000000007]))
 @example(case=("concave-square", 2, [-1.0000000020553603, -0.9999999979446396,
                                      0.23321622036187772, 1.4664324407237546]))
+# the same first cap with a second whose chord crosses the notch: a bad chord
+# scores 500 + bad before the exterior rule's 400
+@example(case=("lshape", 2, [-3.0000000059999996, -2.9999999979999994, 2.5, 4.5]))
 # two nearly complementary caps, their ends 1 ulp apart on one side and
 # 1e-9 P apart on the other: their chords overlap along a stretch
 @example(case=("star", 2, [4.7077820169756786, 5.607687777909786, 5.607687783517473,
