@@ -1,9 +1,9 @@
 """Command-line interface: subcommands, formats, exit codes, manifests."""
 
+import argparse
 import csv
 import hashlib
 import json
-import argparse
 import math
 
 import pytest

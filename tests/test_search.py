@@ -1259,8 +1259,8 @@ def test_estimate_is_invariant_under_scaling_and_rigid_motion(case):
 )
 def test_estimate_names_the_same_method_on_a_scaled_copy(case, factor):
     """The stage that gives I_k's bound does not depend on the domain's
-    scale.  The three copies each tie two stages within 5e-16 relative, and
-    the least float names the other stage."""
+    scale.  On each copy here two stages tie within rounding, and the least
+    float names another stage than on the original."""
     build, k = {**_INVARIANCE_CASES, "disk-k2": (make_disk, 2)}[case]
     domain = build()
     assert estimate_ik(scaled(domain, factor), k).method == estimate_ik(domain, k).method
